@@ -61,12 +61,7 @@ def main():
     G = bd.sasaki_metric(tb)
 
     def pair(metric, U, V):
-        s = E.ZERO
-        for a in range(6):
-            for b in range(6):
-                s = E.add(s, E.mul(metric.components[a, b],
-                                   U.components[a], V.components[b]))
-        return E.evaluate(s, pt)
+        return E.evaluate(mf.contract("ab,a,b->", metric, U, V), pt)
 
     print(f"  g^c(X^v, Y^v) = {pair(gc, Xv, Yv)}   (always 0)")
     print(f"  g^c(X^v, Y^c) = {pair(gc, Xv, Yc)}   (= g(X,Y)^v)")

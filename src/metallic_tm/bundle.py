@@ -52,23 +52,13 @@ class TangentBundleChart:
         if self.connection is None:
             raise GeometryError("this lift needs a base connection")
         if self._gamma_tilde is None:
-            n = self.n
-            G = self.connection.coefficients
-            gt = mf.zeros((n, n))
-            for l, i in itertools.product(range(n), repeat=2):
-                s = E.ZERO
-                for k in range(n):
-                    s = E.add(s, E.mul(self.fiber_vars[k], G[l, k, i]))
-                gt[l, i] = s
-            self._gamma_tilde = gt
+            self._gamma_tilde = mf.contract("k,lki->li", self.fiber_vars,
+                                            self.connection.coefficients)
         return self._gamma_tilde
 
     def ydel(self, e: Expr) -> Expr:
         """The complete-lift derivation y^j d_j applied to a base expression."""
-        s = E.ZERO
-        for j in range(self.n):
-            s = E.add(s, E.mul(self.fiber_vars[j], E.diff(e, self.base_vars[j])))
-        return s
+        return mf.contract("j,j->", self.fiber_vars, self.base.partials(e))
 
     def point(self, base_coords, fiber_coords) -> dict:
         pt = dict(zip(self.base_vars, base_coords))
@@ -100,10 +90,7 @@ def clift_function(tb: TangentBundleChart, f: Expr) -> Expr:
 
 def hlift_function(tb: TangentBundleChart, f: Expr) -> Expr:
     """f^h = f^c - gamma(df); the two terms cancel, so f^h = 0."""
-    gamma_df = E.ZERO
-    for j in range(tb.n):
-        gamma_df = E.add(gamma_df, E.mul(tb.fiber_vars[j], E.diff(f, tb.base_vars[j])))
-    return E.add(clift_function(tb, f), E.mul(E.const(-1), gamma_df))
+    return E.add(clift_function(tb, f), E.mul(E.const(-1), tb.ydel(f)))
 
 
 # ----------------------------------------------------------------------
@@ -128,14 +115,9 @@ def clift_vector(tb: TangentBundleChart, X: TensorField) -> TensorField:
 
 def hlift_vector(tb: TangentBundleChart, X: TensorField) -> TensorField:
     n = tb.n
-    gt = tb.gamma_tilde
     comps = mf.zeros(2 * n)
     comps[:n] = X.components
-    for l in range(n):
-        s = E.ZERO
-        for i in range(n):
-            s = E.add(s, E.mul(E.const(-1), gt[l, i], X.components[i]))
-        comps[n + l] = s
+    comps[n:] = mf.contract("li,i->l", -tb.gamma_tilde, X)
     return TensorField(tb.chart, (1, 0), comps)
 
 
@@ -173,12 +155,7 @@ def lift_oneform(tb: TangentBundleChart, w: TensorField, kind: str) -> TensorFie
             comps[i] = tb.ydel(w.components[i])
         comps[n:] = w.components
     elif kind == "h":
-        gt = tb.gamma_tilde
-        for i in range(n):
-            s = E.ZERO
-            for k in range(n):
-                s = E.add(s, E.mul(gt[k, i], w.components[k]))
-            comps[i] = s
+        comps[:n] = mf.contract("ki,k->i", tb.gamma_tilde, w)
         comps[n:] = w.components
     else:
         raise GeometryError(f"unknown lift kind {kind!r}")
@@ -205,16 +182,7 @@ def lift_tensor11(tb: TangentBundleChart, F: TensorField, kind: str) -> TensorFi
         m = _blocks_to_matrix(tb, Fc, zero, lower, Fc)
     elif kind == "h":
         gt = tb.gamma_tilde
-        lower = mf.zeros((n, n))
-        for a, j in itertools.product(range(n), repeat=2):
-            s = E.ZERO
-            for l in range(n):
-                s = E.add(
-                    s,
-                    E.mul(Fc[a, l], gt[l, j]),
-                    E.mul(E.const(-1), gt[a, l], Fc[l, j]),
-                )
-            lower[a, j] = s
+        lower = mf.contract("al,lj+al,lj->aj", Fc, gt, -gt, Fc)
         m = _blocks_to_matrix(tb, Fc, zero, lower, Fc)
     else:
         raise GeometryError(f"unknown lift kind {kind!r}")
@@ -242,12 +210,7 @@ def hlift_metric(tb: TangentBundleChart) -> TensorField:
     g = tb.base.metric
     gt = tb.gamma_tilde
     n = tb.n
-    bb = mf.zeros((n, n))
-    for i, k in itertools.product(range(n), repeat=2):
-        s = E.ZERO
-        for l in range(n):
-            s = E.add(s, E.mul(g[i, l], gt[l, k]), E.mul(gt[l, i], g[l, k]))
-        bb[i, k] = s
+    bb = mf.contract("il,lk+li,lk->ik", g, gt, gt, g)
     m = _blocks_to_matrix(tb, bb, g.copy(), g.copy(), mf.zeros((n, n)))
     return TensorField(tb.chart, (0, 2), m)
 
@@ -256,44 +219,16 @@ def sasaki_metric(tb: TangentBundleChart) -> TensorField:
     """G = [[g + GT^T g GT, GT^T g], [g GT, g]]."""
     g = tb.base.metric
     gt = tb.gamma_tilde
-    n = tb.n
-    bb = mf.zeros((n, n))
-    bf = mf.zeros((n, n))
-    fb = mf.zeros((n, n))
-    for i, j in itertools.product(range(n), repeat=2):
-        s = g[i, j]
-        for a, b in itertools.product(range(n), repeat=2):
-            s = E.add(s, E.mul(gt[a, i], g[a, b], gt[b, j]))
-        bb[i, j] = s
-        sb = E.ZERO
-        for a in range(n):
-            sb = E.add(sb, E.mul(gt[a, i], g[a, j]))
-        bf[i, j] = sb
-        sf = E.ZERO
-        for a in range(n):
-            sf = E.add(sf, E.mul(g[i, a], gt[a, j]))
-        fb[i, j] = sf
+    bb = g + mf.contract("ai,ab,bj->ij", gt, g, gt)
+    bf = mf.contract("ai,aj->ij", gt, g)
+    fb = mf.contract("ia,aj->ij", g, gt)
     m = _blocks_to_matrix(tb, bb, bf, fb, g.copy())
     return TensorField(tb.chart, (0, 2), m)
 
 
 # ----------------------------------------------------------------------
-# gamma operator
+# gamma operators
 # ----------------------------------------------------------------------
-
-def gamma_operator(tb: TangentBundleChart, F: TensorField) -> TensorField:
-    """(gamma F)(x,y) = (F_x(y))^v for a (1,1) tensor on the base."""
-    if F.valence != (1, 1):
-        raise GeometryError("gamma_operator needs a (1,1) tensor")
-    n = tb.n
-    comps = mf.zeros(2 * n)
-    for l in range(n):
-        s = E.ZERO
-        for k in range(n):
-            s = E.add(s, E.mul(F.components[l, k], tb.fiber_vars[k]))
-        comps[n + l] = s
-    return TensorField(tb.chart, (1, 0), comps)
-
 
 def gamma_curvature(tb: TangentBundleChart, R: TensorField, X: TensorField, Y: TensorField) -> TensorField:
     """gamma R(., X, Y): the vertical field (x,y) -> (R(y,X)Y)^v."""
@@ -301,17 +236,7 @@ def gamma_curvature(tb: TangentBundleChart, R: TensorField, X: TensorField, Y: T
         raise GeometryError("gamma_curvature needs the (1,3) curvature tensor")
     n = tb.n
     comps = mf.zeros(2 * n)
-    for l in range(n):
-        s = E.ZERO
-        for k, i, j in itertools.product(range(n), repeat=3):
-            term = E.mul(
-                R.components[l, k, i, j],
-                tb.fiber_vars[k],
-                X.components[i],
-                Y.components[j],
-            )
-            s = E.add(s, term)
-        comps[n + l] = s
+    comps[n:] = mf.contract("lkij,k,i,j->l", R, tb.fiber_vars, X, Y)
     return TensorField(tb.chart, (1, 0), comps)
 
 
@@ -319,17 +244,7 @@ def gamma_bracket_defect(tb: TangentBundleChart, R: TensorField, X: TensorField,
     """gamma R(X, Y): the vertical field (x,y) -> (R(X,Y)y)^v."""
     n = tb.n
     comps = mf.zeros(2 * n)
-    for l in range(n):
-        s = E.ZERO
-        for i, j, k in itertools.product(range(n), repeat=3):
-            term = E.mul(
-                R.components[l, i, j, k],
-                X.components[i],
-                Y.components[j],
-                tb.fiber_vars[k],
-            )
-            s = E.add(s, term)
-        comps[n + l] = s
+    comps[n:] = mf.contract("lijk,i,j,k->l", R, X, Y, tb.fiber_vars)
     return TensorField(tb.chart, (1, 0), comps)
 
 
@@ -344,11 +259,11 @@ def clift_connection(tb: TangentBundleChart) -> Connection:
     n = tb.n
     G = tb.connection.coefficients
     H = mf.zeros((2 * n,) * 3)
+    H[:n, :n, :n] = G
     for k, i, j in itertools.product(range(n), repeat=3):
-        H[k, i, j] = G[k, i, j]
         H[k + n, i, j] = tb.ydel(G[k, i, j])
-        H[k + n, i, j + n] = G[k, i, j]
-        H[k + n, i + n, j] = G[k, i, j]
+    H[n:, :n, n:] = G
+    H[n:, n:, :n] = G
     return Connection(tb.chart, H)
 
 
@@ -358,21 +273,13 @@ def hlift_connection(tb: TangentBundleChart, R: Optional[TensorField] = None) ->
     nabla^h_{X^h}Y^h = (nabla_X Y)^h), solved into coordinates."""
     n = tb.n
     G = tb.connection.coefficients
-    base = tb.base
+    dG = tb.base.partials(G)
+    inner = mf.contract("lmj,kil+lij,kml->kijm", G, G, -G, G)  # [k, i, j, m]
+    for k, i, j, m in itertools.product(range(n), repeat=4):
+        inner[k, i, j, m] = E.add(dG[i, k, m, j], inner[k, i, j, m])
     H = mf.zeros((2 * n,) * 3)
-    for k, i, j in itertools.product(range(n), repeat=3):
-        H[k, i, j] = G[k, i, j]
-        H[k + n, i, j + n] = G[k, i, j]
-        H[k + n, i + n, j] = G[k, i, j]
-        s = E.ZERO
-        for m in range(n):
-            inner = E.diff(G[k, m, j], base.variables[i])
-            for l in range(n):
-                inner = E.add(
-                    inner,
-                    E.mul(G[l, m, j], G[k, i, l]),
-                    E.mul(E.const(-1), G[l, i, j], G[k, m, l]),
-                )
-            s = E.add(s, E.mul(tb.fiber_vars[m], inner))
-        H[k + n, i, j] = s
+    H[:n, :n, :n] = G
+    H[n:, :n, :n] = mf.contract("m,kijm->kij", tb.fiber_vars, inner)
+    H[n:, :n, n:] = G
+    H[n:, n:, :n] = G
     return Connection(tb.chart, H)

@@ -9,7 +9,8 @@ from importlib import resources
 from typing import List, Optional
 
 from . import harness
-from .harness import Manifest, ManifestError, SamplePlan
+from .exprs import EvalError
+from .harness import ManifestError, SamplePlan
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -124,7 +125,7 @@ def cmd_verify(args) -> int:
 
     try:
         report = harness.run_suites(manifest, suites=suites, plan=plan)
-    except (ManifestError, harness.SamplingError) as exc:
+    except (ManifestError, harness.SamplingError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

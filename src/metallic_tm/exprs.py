@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
-from .scalars import MetallicScalar, ScalarError
+from .scalars import MetallicScalar
 
 Scalar = Union[Fraction, MetallicScalar]
 ExprLike = Union["Expr", int, Fraction, MetallicScalar]
@@ -258,10 +258,10 @@ def add(*xs: ExprLike) -> Expr:
     terms = []
     for part in order:
         c = coeffs[part]
-        if (isinstance(c, MetallicScalar) and not c) or c == 0:
+        if c == 0:
             continue
         terms.append(mul(Const(c), *part))
-    if not ((isinstance(acc, MetallicScalar) and not acc) or acc == 0):
+    if acc != 0:
         terms.append(Const(acc))
     if not terms:
         return ZERO
@@ -284,7 +284,7 @@ def mul(*xs: ExprLike) -> Expr:
                 acc = f.value * acc
             else:
                 factors.append(f)
-    if (isinstance(acc, MetallicScalar) and not acc) or acc == 0:
+    if acc == 0:
         return ZERO
     if not (not isinstance(acc, MetallicScalar) and acc == 1):
         factors.insert(0, Const(acc))
@@ -298,7 +298,7 @@ def mul(*xs: ExprLike) -> Expr:
 def div(num: ExprLike, den: ExprLike) -> Expr:
     n, d = _as_expr(num), _as_expr(den)
     if isinstance(d, Const):
-        if (isinstance(d.value, MetallicScalar) and not d.value) or d.value == 0:
+        if d.value == 0:
             raise EvalError("division by the zero constant")
         if isinstance(d.value, MetallicScalar):
             return mul(Const(d.value.inverse()), n)
@@ -321,11 +321,8 @@ def pow_(base: ExprLike, exponent: int) -> Expr:
     if isinstance(b, Const):
         v = b.value
         if exponent < 0:
-            if (isinstance(v, MetallicScalar) and not v) or v == 0:
+            if v == 0:
                 raise EvalError("zero to a negative power")
-            if isinstance(v, MetallicScalar):
-                return Const(v ** exponent)
-            return Const(v ** exponent)
         return Const(v ** exponent)
     if isinstance(b, Pow):
         return pow_(b.base, b.exponent * exponent)
@@ -334,43 +331,6 @@ def pow_(base: ExprLike, exponent: int) -> Expr:
 
 def call(fn: str, arg: ExprLike) -> Expr:
     return Call(fn, _as_expr(arg))
-
-
-def sqrt(x: ExprLike) -> Expr:
-    return call("sqrt", x)
-
-
-def is_rational(e: Expr) -> bool:
-    """True when the tree uses only field operations and integer powers."""
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, Add):
-        return all(is_rational(t) for t in e.terms)
-    if isinstance(e, Mul):
-        return all(is_rational(f) for f in e.factors)
-    if isinstance(e, Div):
-        return is_rational(e.num) and is_rational(e.den)
-    if isinstance(e, Pow):
-        return is_rational(e.base)
-    return False
-
-
-def variables(e: Expr) -> frozenset:
-    if isinstance(e, Var):
-        return frozenset((e,))
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, Add):
-        return frozenset().union(*(variables(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return frozenset().union(*(variables(f) for f in e.factors))
-    if isinstance(e, Div):
-        return variables(e.num) | variables(e.den)
-    if isinstance(e, Pow):
-        return variables(e.base)
-    if isinstance(e, Call):
-        return variables(e.arg)
-    raise ExprError(f"unknown node {e!r}")
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +398,11 @@ def evaluate(e: Expr, point: Mapping[Var, object], mode: str = "exact"):
     if mode == "exact":
         return _eval_exact(e, point)
     if mode == "float":
-        return _eval_float(e, point)
+        try:
+            return _eval_float(e, point)
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
+            # float range or math domain, e.g. x^400 at 1e3, x^-2 or log(x) at 0
+            raise EvalError(f"float evaluation failed: {exc}") from None
     raise EvalError(f"unknown evaluation mode {mode!r}")
 
 
@@ -463,12 +427,12 @@ def _eval_exact(e: Expr, pt: Mapping[Var, object]):
         return out
     if isinstance(e, Div):
         den = _eval_exact(e.den, pt)
-        if (isinstance(den, MetallicScalar) and not den) or den == 0:
+        if den == 0:
             raise EvalError(f"division by zero at point in {to_str(e)}")
         return _eval_exact(e.num, pt) / den
     if isinstance(e, Pow):
         base = _eval_exact(e.base, pt)
-        if e.exponent < 0 and ((isinstance(base, MetallicScalar) and not base) or base == 0):
+        if e.exponent < 0 and base == 0:
             raise EvalError("zero base with negative exponent")
         return base ** e.exponent
     if isinstance(e, Call):

@@ -313,7 +313,6 @@ class SuiteContext:
         """Deterministic non-constant fields exercising all lift laws."""
         M = self.M
         n = M.n
-        xs = M.variables
         Xc = mf.zeros(n)
         Xc[0] = E.Var("base", 2 if n >= 2 else 1)
         Yc = mf.zeros(n)
@@ -329,25 +328,27 @@ class SuiteContext:
         return X, Y, f, w, F2
 
 
-def _suite_result(suite_id: str, tracker: ResidualTracker, status: Optional[str] = None,
-                  witnesses: Optional[list] = None, notes: Optional[dict] = None) -> dict:
-    if status is None:
-        status = "pass" if tracker.all_zero else "fail"
-    ws = witnesses
-    if ws is None:
-        ws = [tracker.witness.to_json()] if tracker.witness else []
+def _suite_result(suite_id: str, status: str, max_residual, witnesses: list,
+                  notes: Optional[dict] = None) -> dict:
+    """One suite entry of the report; every suite is written by this."""
     out = {
         "id": suite_id,
         "status": status,
-        "max_residual": {
-            "exact": scalar_str(tracker.max_value),
-            "float": float(tracker.max_value),
-        },
-        "witnesses": ws,
+        "max_residual": {"exact": scalar_str(max_residual), "float": float(max_residual)},
+        "witnesses": witnesses,
     }
     if notes:
         out["notes"] = notes
     return out
+
+
+def _tracker_suite(suite_id: str, tracker: ResidualTracker, status: Optional[str] = None,
+                   witnesses: Optional[list] = None, notes: Optional[dict] = None) -> dict:
+    if status is None:
+        status = "pass" if tracker.all_zero else "fail"
+    if witnesses is None:
+        witnesses = [tracker.witness.to_json()] if tracker.witness else []
+    return _suite_result(suite_id, status, tracker.max_value, witnesses, notes)
 
 
 def _verdicts_to_suite(suite_id: str, verdicts) -> dict:
@@ -365,13 +366,7 @@ def _verdicts_to_suite(suite_id: str, verdicts) -> dict:
             w = v.witness.to_json()
             w["axiom"] = v.axiom_id
             witnesses.append(w)
-    mr = worst.max_residual if worst else 0
-    return {
-        "id": suite_id,
-        "status": status,
-        "max_residual": {"exact": scalar_str(mr), "float": float(mr)},
-        "witnesses": witnesses,
-    }
+    return _suite_result(suite_id, status, worst.max_residual if worst else 0, witnesses)
 
 
 # ----------------------------------------------------------------------
@@ -397,39 +392,18 @@ def suite_lifts(ctx: SuiteContext) -> dict:
     def vec_minus(a, b):
         return [E.add(u, E.mul(E.const(-1), v)) for u, v in zip(a, b)]
 
-    def apply_vec_to_fn(vec, fn):
-        s = E.ZERO
-        for A in range(2 * n):
-            s = E.add(s, E.mul(vec.components[A], E.diff(fn, tb.chart.variables[A])))
-        return s
-
-    def metric_pair(metric, U, V):
-        s = E.ZERO
-        for a, b in itertools.product(range(2 * n), repeat=2):
-            s = E.add(s, E.mul(metric.components[a, b], U.components[a], V.components[b]))
-        return s
-
-    def scalar_field(T, U, V):
-        """g(U,V) on the base as an expression."""
-        s = E.ZERO
-        for a, b in itertools.product(range(n), repeat=2):
-            s = E.add(s, E.mul(T[a, b], U.components[a], V.components[b]))
-        return s
-
     Xv, Xc, Xh = bd.vlift_vector(tb, X), bd.clift_vector(tb, X), bd.hlift_vector(tb, X)
     Yv, Yc, Yh = bd.vlift_vector(tb, Y), bd.clift_vector(tb, Y), bd.hlift_vector(tb, Y)
-    Xf = E.ZERO
-    for m in range(n):
-        Xf = E.add(Xf, E.mul(X.components[m], E.diff(f, M.variables[m])))
+    Xf = mf.contract("m,m->", X, M.partials(f))
 
     # function lift laws
-    residuals.append(("Xv-fv", [apply_vec_to_fn(Xv, bd.vlift_function(tb, f))]))
-    residuals.append(("Xv-fc", [E.add(
-        apply_vec_to_fn(Xv, bd.clift_function(tb, f)),
-        E.mul(E.const(-1), bd.vlift_function(tb, Xf)))]))
-    residuals.append(("Xc-fc", [E.add(
-        apply_vec_to_fn(Xc, bd.clift_function(tb, f)),
-        E.mul(E.const(-1), bd.clift_function(tb, Xf)))]))
+    for label, U, fn, want in (
+        ("Xv-fv", Xv, bd.vlift_function(tb, f), E.ZERO),
+        ("Xv-fc", Xv, bd.clift_function(tb, f), bd.vlift_function(tb, Xf)),
+        ("Xc-fc", Xc, bd.clift_function(tb, f), bd.clift_function(tb, Xf)),
+    ):
+        got = mf.contract("a,a->", U, tb.chart.partials(fn))
+        residuals.append((label, vec_minus([got], [want])))
     residuals.append(("fh-zero", [bd.hlift_function(tb, f)]))
 
     # bracket table
@@ -449,40 +423,35 @@ def suite_lifts(ctx: SuiteContext) -> dict:
             ghh.components)]))
 
     # metric pairings
-    gXY = scalar_field(M.metric, X, Y)
+    gXY = mf.contract("ab,a,b->", M.metric, X, Y)
     gh = bd.hlift_metric(tb)
-    residuals.append(("gc-vv", [metric_pair(ctx.gc, Xv, Yv)]))
-    residuals.append(("gc-vc", [E.add(metric_pair(ctx.gc, Xv, Yc), E.mul(E.const(-1), gXY))]))
-    residuals.append(("gc-cv", [E.add(metric_pair(ctx.gc, Xc, Yv), E.mul(E.const(-1), gXY))]))
-    residuals.append(("gc-cc", [E.add(metric_pair(ctx.gc, Xc, Yc),
-                                      E.mul(E.const(-1), bd.clift_function(tb, gXY)))]))
-    residuals.append(("gh-vv", [metric_pair(gh, Xv, Yv)]))
-    residuals.append(("gh-hh", [metric_pair(gh, Xh, Yh)]))
-    residuals.append(("gh-vh", [E.add(metric_pair(gh, Xv, Yh), E.mul(E.const(-1), gXY))]))
-    residuals.append(("G-vv", [E.add(metric_pair(ctx.G, Xv, Yv), E.mul(E.const(-1), gXY))]))
-    residuals.append(("G-hh", [E.add(metric_pair(ctx.G, Xh, Yh), E.mul(E.const(-1), gXY))]))
-    residuals.append(("G-vh", [metric_pair(ctx.G, Xv, Yh)]))
+    for label, metric, U, V, want in (
+        ("gc-vv", ctx.gc, Xv, Yv, E.ZERO),
+        ("gc-vc", ctx.gc, Xv, Yc, gXY),
+        ("gc-cv", ctx.gc, Xc, Yv, gXY),
+        ("gc-cc", ctx.gc, Xc, Yc, bd.clift_function(tb, gXY)),
+        ("gh-vv", gh, Xv, Yv, E.ZERO),
+        ("gh-hh", gh, Xh, Yh, E.ZERO),
+        ("gh-vh", gh, Xv, Yh, gXY),
+        ("G-vv", ctx.G, Xv, Yv, gXY),
+        ("G-hh", ctx.G, Xh, Yh, gXY),
+        ("G-vh", ctx.G, Xv, Yh, E.ZERO),
+    ):
+        residuals.append((label, vec_minus([mf.contract("ab,a,b->", metric, U, V)], [want])))
 
     # one-form lift laws
-    wX = E.ZERO
-    for m in range(n):
-        wX = E.add(wX, E.mul(w.components[m], X.components[m]))
+    wX = mf.contract("m,m->", w, X)
     wv = bd.lift_oneform(tb, w, "v")
     wc = bd.lift_oneform(tb, w, "c")
     wh = bd.lift_oneform(tb, w, "h")
-
-    def form_on(form, vec):
-        s = E.ZERO
-        for a in range(2 * n):
-            s = E.add(s, E.mul(form.components[a], vec.components[a]))
-        return s
-
-    residuals.append(("wv-Xc", [E.add(form_on(wv, Xc), E.mul(E.const(-1), wX))]))
-    residuals.append(("wc-Xv", [E.add(form_on(wc, Xv), E.mul(E.const(-1), wX))]))
-    residuals.append(("wc-Xc", [E.add(form_on(wc, Xc),
-                                      E.mul(E.const(-1), bd.clift_function(tb, wX)))]))
-    residuals.append(("wh-Xh", [form_on(wh, Xh)]))
-    residuals.append(("wh-Xv", [E.add(form_on(wh, Xv), E.mul(E.const(-1), wX))]))
+    for label, form, U, want in (
+        ("wv-Xc", wv, Xc, wX),
+        ("wc-Xv", wc, Xv, wX),
+        ("wc-Xc", wc, Xc, bd.clift_function(tb, wX)),
+        ("wh-Xh", wh, Xh, E.ZERO),
+        ("wh-Xv", wh, Xv, wX),
+    ):
+        residuals.append((label, vec_minus([mf.contract("a,a->", form, U)], [want])))
 
     # (1,1) lift laws on frames
     F2X = mf.apply_11(F2, X)
@@ -498,28 +467,10 @@ def suite_lifts(ctx: SuiteContext) -> dict:
         residuals.append((f"F{kind}-frame", vec_minus(got.components, want.components)))
 
     # polynomial functoriality with P(x) = x^2 - p x - q
-    p_, q_ = prm.p, prm.q
-    PF = mf.zeros((n, n))
-    for a, b in itertools.product(range(n), repeat=2):
-        s = E.ZERO
-        for m in range(n):
-            s = E.add(s, E.mul(F2.components[a, m], F2.components[m, b]))
-        s = E.add(s, E.mul(E.const(-p_), F2.components[a, b]))
-        if a == b:
-            s = E.add(s, E.const(-q_))
-        PF[a, b] = s
-    PFfield = mf.TensorField(M, (1, 1), PF)
+    PFfield = mf.TensorField(M, (1, 1), ml.pq_residual(F2.components, prm.p, prm.q))
     for kind in ("c", "h"):
         lifted = bd.lift_tensor11(tb, F2, kind)
-        lhs = mf.zeros((2 * n, 2 * n))
-        for a, b in itertools.product(range(2 * n), repeat=2):
-            s = E.ZERO
-            for m in range(2 * n):
-                s = E.add(s, E.mul(lifted.components[a, m], lifted.components[m, b]))
-            s = E.add(s, E.mul(E.const(-p_), lifted.components[a, b]))
-            if a == b:
-                s = E.add(s, E.const(-q_))
-            lhs[a, b] = s
+        lhs = ml.pq_residual(lifted.components, prm.p, prm.q)
         rhs = bd.lift_tensor11(tb, PFfield, kind).components
         residuals.append((f"P-functorial-{kind}", [
             E.add(lhs[a, b], E.mul(E.const(-1), rhs[a, b]))
@@ -553,7 +504,7 @@ def suite_lifts(ctx: SuiteContext) -> dict:
             coords = ctx.coords(pt)
             for idx, e in enumerate(exprs):
                 tracker.update(E.evaluate(e, pt, ctx.mode), coords, (label, idx))
-    return _suite_result("lifts", tracker)
+    return _tracker_suite("lifts", tracker)
 
 
 def _metallic_suite(ctx: SuiteContext, suite_id: str, builder) -> dict:
@@ -604,7 +555,7 @@ def suite_J_integrable(ctx: SuiteContext) -> dict:
             coords = ctx.coords(pt)
             for idx, e in enumerate(resid):
                 tracker.update(E.evaluate(e, pt, ctx.mode), coords, (rid, idx))
-    return _suite_result("J-integrable", tracker)
+    return _tracker_suite("J-integrable", tracker)
 
 
 def suite_J_parallel(ctx: SuiteContext) -> dict:
@@ -620,15 +571,8 @@ def suite_F_parallel(ctx: SuiteContext) -> dict:
 
 
 def _never_suite(suite_id: str, v) -> dict:
-    return {
-        "id": suite_id,
-        "status": "pass" if v.holds else "fail",
-        "max_residual": {
-            "exact": scalar_str(v.max_residual),
-            "float": float(v.max_residual),
-        },
-        "witnesses": [v.witness.to_json()] if v.witness else [],
-    }
+    return _suite_result(suite_id, "pass" if v.holds else "fail", v.max_residual,
+                         [v.witness.to_json()] if v.witness else [])
 
 
 def suite_Phi_closedness(ctx: SuiteContext) -> dict:
@@ -640,14 +584,7 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
     dPhi = ml.d_fundamental(Phi)
     frame = pc.distribution_frame(ctx.S, ctx.points, ctx.mode)
     M, conn, tb = ctx.M, ctx.conn, ctx.tb
-    n = M.n
     phi = ctx.S.phi
-
-    def g_of(U, V):
-        s = E.ZERO
-        for a, b in itertools.product(range(n), repeat=2):
-            s = E.add(s, E.mul(M.metric[a, b], U.components[a], V.components[b]))
-        return s
 
     tracker = ResidualTracker(ctx.mode, ctx.plan.tol)
     consistent = True
@@ -656,11 +593,9 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
             enumerate(frame), repeat=3):
         lhs = ml.dphi_on(dPhi, bd.clift_vector(tb, X), bd.clift_vector(tb, Y),
                          bd.vlift_vector(tb, Z))
-        rhs = E.add(
-            g_of(mf.cov_vec(conn, Y, X), mf.apply_11(phi, Z)),
-            g_of(mf.cov_vec(conn, Z, Y), mf.apply_11(phi, X)),
-            g_of(mf.cov_vec(conn, X, Z), mf.apply_11(phi, Y)),
-        )
+        rhs = E.add(*(
+            mf.contract("ab,a,b->", M.metric, mf.cov_vec(conn, V, U), mf.apply_11(phi, W))
+            for U, V, W in ((X, Y, Z), (Y, Z, X), (Z, X, Y))))
         for pt in ctx.points:
             coords = ctx.coords(pt)
             lv = E.evaluate(lhs, pt, ctx.mode)
@@ -677,7 +612,7 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
                     "value": f"dPhi={scalar_str(lv)} eq27={scalar_str(rv)}",
                 })
     status = "pass" if consistent else "fail"
-    return _suite_result("Phi-closedness", tracker, status=status,
+    return _tracker_suite("Phi-closedness", tracker, status=status,
                          witnesses=witnesses,
                          notes={"criterion": "dPhi vanishes iff the eq27 residual vanishes"})
 
@@ -707,23 +642,15 @@ def suite_F_integrability(ctx: SuiteContext) -> dict:
             w["axiom"] = v.axiom_id
             w["status"] = v.status
             witnesses.append(w)
-    return {
-        "id": "F-integrability-conditions",
-        "status": "pass" if consistent else "fail",
-        "max_residual": {
-            "exact": scalar_str(worst.max_residual),
-            "float": float(worst.max_residual),
-        },
-        "witnesses": witnesses,
-        "notes": {
-            "D_flat": res["D_flat"].status,
-            "e4": res["e4"].status,
-            "e5": res["e5"].status,
-            "e5_equiv_eta_nabla": res["e5_equivalence"].status,
-            "N_F_vanishes": nf_zero,
-            "criterion": "N_F vanishes iff (D-flat and e4) hold",
-        },
-    }
+    return _suite_result("F-integrability-conditions", "pass" if consistent else "fail",
+                         worst.max_residual, witnesses, notes={
+                             "D_flat": res["D_flat"].status,
+                             "e4": res["e4"].status,
+                             "e5": res["e5"].status,
+                             "e5_equiv_eta_nabla": res["e5_equivalence"].status,
+                             "N_F_vanishes": nf_zero,
+                             "criterion": "N_F vanishes iff (D-flat and e4) hold",
+                         })
 
 
 def suite_Phi_prime(ctx: SuiteContext) -> dict:
@@ -735,7 +662,6 @@ def suite_Phi_prime(ctx: SuiteContext) -> dict:
     dPhip = ml.d_fundamental(Phip)
     frame = pc.distribution_frame(ctx.S, ctx.points, ctx.mode)
     M, tb = ctx.M, ctx.tb
-    n = M.n
     amp6 = E.const(prm.amp * Fraction(1, 3))  # (2s-p)/6
     xiv = bd.vlift_vector(tb, ctx.S.xi)
 
@@ -744,9 +670,7 @@ def suite_Phi_prime(ctx: SuiteContext) -> dict:
     sign_counts = {"+": 0, "-": 0}
     for i, X in enumerate(frame):
         val_e = ml.dphi_on(dPhip, bd.hlift_vector(tb, X), bd.vlift_vector(tb, X), xiv)
-        gXX = E.ZERO
-        for a, b in itertools.product(range(n), repeat=2):
-            gXX = E.add(gXX, E.mul(M.metric[a, b], X.components[a], X.components[b]))
+        gXX = mf.contract("ab,a,b->", M.metric, X, X)
         resid = E.add(val_e, E.mul(amp6, gXX))  # expect zero for sign "-"
         for pt in ctx.points:
             coords = ctx.coords(pt)
@@ -762,7 +686,7 @@ def suite_Phi_prime(ctx: SuiteContext) -> dict:
     else:
         ctx.dphi_prime_sign = "+"
     status = "pass" if (tracker.all_zero and nonzero_all) else "fail"
-    return _suite_result("Phi-prime", tracker, status=status,
+    return _tracker_suite("Phi-prime", tracker, status=status,
                          notes={"measured_sign": ctx.dphi_prime_sign,
                                 "criterion": "dPhi'(X^h,X^v,xi^v) = -((2sigma-p)/6) g(X,X)^v, nonzero"})
 
@@ -808,13 +732,8 @@ def run_suites(manifest: Manifest, suites: Optional[Sequence[str]] = None,
             results.append(axioms_res)
             continue
         if not axioms_ok:
-            results.append({
-                "id": sid,
-                "status": "skipped",
-                "max_residual": {"exact": "0", "float": 0.0},
-                "witnesses": [],
-                "notes": {"reason": "axioms suite failed; structure suites not run"},
-            })
+            results.append(_suite_result(sid, "skipped", 0, [], notes={
+                "reason": "axioms suite failed; structure suites not run"}))
             continue
         results.append(_SUITES[sid](ctx))
 

@@ -83,16 +83,20 @@ class ChartedManifold:
     def diff(self, e: Expr, i: int) -> Expr:
         return E.diff(e, self.variables[i])
 
+    def partials(self, arr) -> np.ndarray:
+        """d_i of every component of ``arr`` (an Expr or an array of them),
+        the derivative index first."""
+        arr = np.asarray(arr, dtype=object)
+        out = np.empty((self.n,) + arr.shape, dtype=object)
+        for i in range(self.n):
+            for idx in np.ndindex(arr.shape):
+                out[(i,) + idx] = self.diff(arr[idx], i)
+        return out
+
     def point(self, coords) -> dict:
         if len(coords) != self.n:
             raise GeometryError(f"expected {self.n} coordinates, got {len(coords)}")
         return dict(zip(self.variables, coords))
-
-    def admissible(self, point, mode: str = "exact") -> bool:
-        for c in self.domain:
-            if E.evaluate(c, point, mode) <= 0:
-                return False
-        return True
 
 
 class TensorField:
@@ -111,9 +115,6 @@ class TensorField:
                 f"valence {self.valence} in dimension {base.n}"
             )
 
-    def evaluate(self, point, mode: str = "exact") -> np.ndarray:
-        return evaluate_array(self.components, point, mode)
-
     def __repr__(self):
         return f"TensorField(valence={self.valence}, n={self.base.n})"
 
@@ -130,6 +131,50 @@ class Connection:
             raise GeometryError("connection coefficients must have shape (n,n,n)")
 
 
+def contract(spec: str, *arrays):
+    """Einsum-style sum of products of Expr arrays or tensor fields.
+
+    ``contract("aij,i,j->a", N, X, Y)`` is out[a] = sum_ij N[a,i,j] X[i] Y[j].
+    Products joined by ``+`` share one sum and are all added for a value of
+    the summed indices before the next: with dY[j, i] = d_j Y^i,
+    ``contract("j,ji+j,ji->i", X, dY, -Y, dX)`` is the Lie bracket [X, Y].
+    Summed indices run in order of first appearance, the first outermost,
+    so the terms come in the order of the nested loops the spec stands
+    for.  A product with a zero factor is skipped, and each component is
+    built by one ``E.add`` call.  An empty output index list gives a single
+    Expr.
+    """
+    lhs, out_idx = spec.split("->")
+    products = [p.split(",") for p in lhs.split("+")]
+    subs = [s for p in products for s in p]
+    ops = [np.asarray(getattr(a, "components", a), dtype=object) for a in arrays]
+    if len(ops) != len(subs):
+        raise GeometryError(f"contract {spec!r} needs {len(subs)} operands, got {len(ops)}")
+    dims: dict = {}
+    for sub, op in zip(subs, ops):
+        if len(sub) != op.ndim:
+            raise GeometryError(f"contract {spec!r}: operand {sub!r} has shape {op.shape}")
+        for c, d in zip(sub, op.shape):
+            if dims.setdefault(c, d) != d:
+                raise GeometryError(f"contract {spec!r}: index {c!r} has two sizes")
+    summed = [c for c in dict.fromkeys("".join(subs)) if c not in out_idx]
+    slot = {c: k for k, c in enumerate(list(out_idx) + summed)}
+    pairs = iter(zip(ops, subs))
+    plan = [[(op, [slot[c] for c in sub]) for op, sub in itertools.islice(pairs, len(p))]
+            for p in products]
+    out = np.empty(tuple(dims[c] for c in out_idx), dtype=object)
+    for oidx in np.ndindex(out.shape):
+        terms = []
+        for sidx in itertools.product(*(range(dims[c]) for c in summed)):
+            full = oidx + sidx
+            for factors in plan:
+                fs = [op[tuple(full[k] for k in pos)] for op, pos in factors]
+                if not any(E._is_const(f, 0) for f in fs):
+                    terms.append(E.mul(*fs))
+        out[oidx] = E.add(*terms)
+    return out[()] if not out_idx else out
+
+
 # ----------------------------------------------------------------------
 # metric geometry
 # ----------------------------------------------------------------------
@@ -138,7 +183,7 @@ def _det(m: np.ndarray) -> Expr:
     n = m.shape[0]
     if n == 1:
         return m[0, 0]
-    total = E.ZERO
+    terms = []
     rest = m[1:, :]
     for j in range(n):
         entry = m[0, j]
@@ -146,8 +191,8 @@ def _det(m: np.ndarray) -> Expr:
             continue
         minor = np.delete(rest, j, axis=1)
         term = E.mul(entry, _det(minor))
-        total = E.add(total, term if j % 2 == 0 else E.mul(E.const(-1), term))
-    return total
+        terms.append(term if j % 2 == 0 else E.mul(E.const(-1), term))
+    return E.add(*terms)
 
 
 def det(m) -> Expr:
@@ -181,18 +226,14 @@ def christoffel(M: ChartedManifold) -> Connection:
     n = M.n
     g = M.metric
     ginv = inverse_matrix(g)
-    dg = np.empty((n, n, n), dtype=object)  # dg[k][i][j] = d_k g_ij
-    for k, i, j in itertools.product(range(n), repeat=3):
-        dg[k, i, j] = M.diff(g[i, j], k)
-    gamma = zeros((n, n, n))
+    dg = M.partials(g)  # dg[k][i][j] = d_k g_ij
+    first_kind = zeros((n, n, n))  # 2 Gamma_{lij}, stored [i][j][l]
+    for i, j, l in itertools.product(range(n), repeat=3):
+        first_kind[i, j, l] = E.add(dg[i, j, l], dg[j, i, l], E.mul(E.const(-1), dg[l, i, j]))
+    gamma = contract("kl,ijl->kij", ginv, first_kind)
     half = E.const(Fraction(1, 2))
-    for k, i, j in itertools.product(range(n), repeat=3):
-        s = E.ZERO
-        for l in range(n):
-            if E._is_const(ginv[k, l], 0):
-                continue
-            s = E.add(s, E.mul(ginv[k, l], E.add(dg[i, j, l], dg[j, i, l], E.mul(E.const(-1), dg[l, i, j]))))
-        gamma[k, i, j] = E.mul(half, s)
+    for idx in np.ndindex(gamma.shape):
+        gamma[idx] = E.mul(half, gamma[idx])
     return Connection(M, gamma)
 
 
@@ -201,19 +242,11 @@ def curvature(C: Connection) -> TensorField:
     M = C.base
     n = M.n
     G = C.coefficients
+    dG = M.partials(G)
+    GG = contract("lim,mjk+ljm,mik->lijk", G, G, -G, G)
     R = zeros((n, n, n, n))
     for l, i, j, k in itertools.product(range(n), repeat=4):
-        term = E.add(
-            M.diff(G[l, j, k], i),
-            E.mul(E.const(-1), M.diff(G[l, i, k], j)),
-        )
-        for m in range(n):
-            term = E.add(
-                term,
-                E.mul(G[l, i, m], G[m, j, k]),
-                E.mul(E.const(-1), G[l, j, m], G[m, i, k]),
-            )
-        R[l, i, j, k] = term
+        R[l, i, j, k] = E.add(dG[i, l, j, k], E.mul(E.const(-1), dG[j, l, i, k]), GG[l, i, j, k])
     return TensorField(M, (1, 3), R)
 
 
@@ -236,68 +269,35 @@ def lie_bracket(X: TensorField, Y: TensorField) -> TensorField:
     if X.base is not Y.base:
         raise GeometryError("vector fields live on different charts")
     M = X.base
-    n = M.n
-    out = zeros(n)
-    for i in range(n):
-        s = E.ZERO
-        for j in range(n):
-            s = E.add(
-                s,
-                E.mul(X.components[j], M.diff(Y.components[i], j)),
-                E.mul(E.const(-1), Y.components[j], M.diff(X.components[i], j)),
-            )
-        out[i] = s
+    out = contract("j,ji+j,ji->i", X, M.partials(Y.components),
+                   -Y.components, M.partials(X.components))
     return TensorField(M, (1, 0), out)
 
 
 def covariant_derivative(C: Connection, T: TensorField) -> TensorField:
-    """nabla T with the derivative index first among covariant slots."""
+    """nabla T, one Gamma term per slot: +Gamma^a_{im} T^..m.. for each
+    contravariant slot, -Gamma^m_{ij} T_..m.. for each covariant slot, summed
+    over m with the slots in order.  The derivative index i goes first
+    among the covariant slots."""
     M = C.base
     n = M.n
     G = C.coefficients
     k, l = T.valence
     comp = T.components
-    if (k, l) == (1, 0):
-        out = zeros((n, n))  # out[a][i]
-        for a, i in itertools.product(range(n), repeat=2):
-            s = M.diff(comp[a], i)
+    dcomp = M.partials(comp)
+    out = zeros((n,) * (k + l + 1))
+    for idx in itertools.product(range(n), repeat=k + l):
+        for i in range(n):
+            terms = [dcomp[(i,) + idx]]
             for m in range(n):
-                s = E.add(s, E.mul(G[a, i, m], comp[m]))
-            out[a, i] = s
-        return TensorField(M, (1, 1), out)
-    if (k, l) == (0, 1):
-        out = zeros((n, n))  # out[i][j]
-        for i, j in itertools.product(range(n), repeat=2):
-            s = M.diff(comp[j], i)
-            for m in range(n):
-                s = E.add(s, E.mul(E.const(-1), G[m, i, j], comp[m]))
-            out[i, j] = s
-        return TensorField(M, (0, 2), out)
-    if (k, l) == (1, 1):
-        out = zeros((n, n, n))  # out[a][i][j]
-        for a, i, j in itertools.product(range(n), repeat=3):
-            s = M.diff(comp[a, j], i)
-            for m in range(n):
-                s = E.add(
-                    s,
-                    E.mul(G[a, i, m], comp[m, j]),
-                    E.mul(E.const(-1), G[m, i, j], comp[a, m]),
-                )
-            out[a, i, j] = s
-        return TensorField(M, (1, 2), out)
-    if (k, l) == (0, 2):
-        out = zeros((n, n, n))  # out[i][j][k]
-        for i, j, kk in itertools.product(range(n), repeat=3):
-            s = M.diff(comp[j, kk], i)
-            for m in range(n):
-                s = E.add(
-                    s,
-                    E.mul(E.const(-1), G[m, i, j], comp[m, kk]),
-                    E.mul(E.const(-1), G[m, i, kk], comp[j, m]),
-                )
-            out[i, j, kk] = s
-        return TensorField(M, (0, 3), out)
-    raise GeometryError(f"covariant_derivative does not support valence {T.valence}")
+                for s, c in enumerate(idx):
+                    moved = comp[idx[:s] + (m,) + idx[s + 1:]]
+                    if s < k:
+                        terms.append(E.mul(G[c, i, m], moved))
+                    else:
+                        terms.append(E.mul(E.const(-1), G[m, i, c], moved))
+            out[idx[:k] + (i,) + idx[k:]] = E.add(*terms)
+    return TensorField(M, (k, l + 1), out)
 
 
 def cov_vec(C: Connection, U: TensorField, V: TensorField) -> TensorField:
@@ -307,14 +307,15 @@ def cov_vec(C: Connection, U: TensorField, V: TensorField) -> TensorField:
     M = C.base
     n = M.n
     G = C.coefficients
+    Uc, Vc = U.components, V.components
+    dV = M.partials(Vc)
     out = zeros(n)
     for a in range(n):
-        s = E.ZERO
+        terms = []
         for i in range(n):
-            s = E.add(s, E.mul(U.components[i], M.diff(V.components[a], i)))
-            for j in range(n):
-                s = E.add(s, E.mul(U.components[i], V.components[j], G[a, i, j]))
-        out[a] = s
+            terms.append(E.mul(Uc[i], dV[i, a]))
+            terms += (E.mul(Uc[i], Vc[j], G[a, i, j]) for j in range(n))
+        out[a] = E.add(*terms)
     return TensorField(M, (1, 0), out)
 
 
@@ -322,34 +323,14 @@ def lie_derivative(X: TensorField, T: TensorField) -> TensorField:
     if X.valence != (1, 0):
         raise GeometryError("lie_derivative direction must be a vector field")
     M = X.base
-    n = M.n
-    Xc = X.components
+    Xc, dX = X.components, M.partials(X.components)
     if T.valence == (0, 1):
         eta = T.components
-        out = zeros(n)
-        for j in range(n):
-            s = E.ZERO
-            for m in range(n):
-                s = E.add(
-                    s,
-                    E.mul(Xc[m], M.diff(eta[j], m)),
-                    E.mul(eta[m], M.diff(Xc[m], j)),
-                )
-            out[j] = s
+        out = contract("m,mj+m,jm->j", Xc, M.partials(eta), eta, dX)
         return TensorField(M, (0, 1), out)
     if T.valence == (1, 1):
         F = T.components
-        out = zeros((n, n))
-        for k, j in itertools.product(range(n), repeat=2):
-            s = E.ZERO
-            for m in range(n):
-                s = E.add(
-                    s,
-                    E.mul(Xc[m], M.diff(F[k, j], m)),
-                    E.mul(E.const(-1), F[m, j], M.diff(Xc[k], m)),
-                    E.mul(F[k, m], M.diff(Xc[m], j)),
-                )
-            out[k, j] = s
+        out = contract("m,mkj+mj,mk+km,jm->kj", Xc, M.partials(F), -F, dX, F, dX)
         return TensorField(M, (1, 1), out)
     raise GeometryError(f"lie_derivative does not support valence {T.valence}")
 
@@ -378,24 +359,16 @@ def exterior_derivative(T: TensorField) -> TensorField:
     M = T.base
     n = M.n
     if T.valence == (0, 1):
-        w = T.components
+        dw = M.partials(T.components)
         half = E.const(Fraction(1, 2))
         out = zeros((n, n))
         for i, j in itertools.product(range(n), repeat=2):
-            out[i, j] = E.mul(half, E.add(M.diff(w[j], i), E.mul(E.const(-1), M.diff(w[i], j))))
+            out[i, j] = E.mul(half, E.add(dw[i, j], E.mul(E.const(-1), dw[j, i])))
         return TensorField(M, (0, 2), out)
     if T.valence == (0, 2):
         if not _structurally_antisymmetric(T.components):
             raise GeometryError("exterior_derivative needs an antisymmetric 2-form")
-        P = T.components
-        third = E.const(Fraction(1, 3))
-        out = zeros((n, n, n))
-        for i, j, k in itertools.product(range(n), repeat=3):
-            out[i, j, k] = E.mul(
-                third,
-                E.add(M.diff(P[j, k], i), M.diff(P[k, i], j), M.diff(P[i, j], k)),
-            )
-        return TensorField(M, (0, 3), out)
+        return coboundary_2form(T)
     raise GeometryError(f"exterior_derivative does not support valence {T.valence}")
 
 
@@ -406,14 +379,11 @@ def coboundary_2form(T: TensorField) -> TensorField:
         raise GeometryError("coboundary_2form needs a (0,2) tensor")
     M = T.base
     n = M.n
-    P = T.components
+    dP = M.partials(T.components)
     third = E.const(Fraction(1, 3))
     out = zeros((n, n, n))
     for i, j, k in itertools.product(range(n), repeat=3):
-        out[i, j, k] = E.mul(
-            third,
-            E.add(M.diff(P[j, k], i), M.diff(P[k, i], j), M.diff(P[i, j], k)),
-        )
+        out[i, j, k] = E.mul(third, E.add(dP[i, j, k], dP[j, k, i], dP[k, i, j]))
     return TensorField(M, (0, 3), out)
 
 
@@ -424,14 +394,7 @@ def column_field(F: TensorField, j: int) -> TensorField:
 
 def apply_11(F: TensorField, X: TensorField) -> TensorField:
     """F(X) for a (1,1) tensor and a vector field."""
-    n = F.base.n
-    out = zeros(n)
-    for a in range(n):
-        s = E.ZERO
-        for m in range(n):
-            s = E.add(s, E.mul(F.components[a, m], X.components[m]))
-        out[a] = s
-    return TensorField(F.base, (1, 0), out)
+    return TensorField(F.base, (1, 0), contract("am,m->a", F, X))
 
 
 def nijenhuis(F: TensorField) -> TensorField:

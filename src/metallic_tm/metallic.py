@@ -18,8 +18,8 @@ from . import bundle as bd
 from . import exprs as E
 from . import manifold as mf
 from . import paracontact as pc
-from .manifold import Connection, GeometryError, TensorField
-from .scalars import MetallicScalar, sigma
+from .manifold import Connection, TensorField
+from .scalars import MetallicScalar, is_zero, sigma
 from .verdicts import AxiomVerdict, ResidualTracker, Witness
 
 
@@ -140,21 +140,18 @@ def _coords(chart, point):
     return tuple(point[v] for v in chart.variables)
 
 
+def pq_residual(t: np.ndarray, p: int, q: int) -> np.ndarray:
+    """t^2 - p t - q I for a square component matrix of expressions."""
+    out = mf.contract("am,mb->ab", t, t)
+    for a, b in np.ndindex(out.shape):
+        ident = E.const(-q) if a == b else E.ZERO
+        out[a, b] = E.add(out[a, b], E.mul(E.const(-p), t[a, b]), ident)
+    return out
+
+
 def metallic_residual(T: MetallicOnTM) -> np.ndarray:
     """T^2 - pT - qI as a component matrix of expressions."""
-    n2 = T.tensor.base.n
-    comps = T.tensor.components
-    p, q = T.params.p, T.params.q
-    out = mf.zeros((n2, n2))
-    for a, b in itertools.product(range(n2), repeat=2):
-        s = E.ZERO
-        for m in range(n2):
-            s = E.add(s, E.mul(comps[a, m], comps[m, b]))
-        s = E.add(s, E.mul(E.const(-p), comps[a, b]))
-        if a == b:
-            s = E.add(s, E.const(-q))
-        out[a, b] = s
-    return out
+    return pq_residual(T.tensor.components, T.params.p, T.params.q)
 
 
 def check_metallic(T: MetallicOnTM, points, mode: str = "exact") -> AxiomVerdict:
@@ -177,20 +174,11 @@ def check_compat(metric: TensorField, T: MetallicOnTM, points, mode: str = "exac
     t = T.tensor.components
     p, q = T.params.p, T.params.q
 
-    mt = mf.zeros((n2, n2))  # metric(e_a, T e_b)
+    mt = mf.contract("ak,kb->ab", m, t)  # metric(e_a, T e_b)
+    r_pq = mf.contract("ka,kb->ab", t, mt)  # metric(Ta,Tb) - p metric(a,Tb) - q metric(a,b)
     for a, b in itertools.product(range(n2), repeat=2):
-        s = E.ZERO
-        for k in range(n2):
-            s = E.add(s, E.mul(m[a, k], t[k, b]))
-        mt[a, b] = s
-
-    r_pq = mf.zeros((n2, n2))  # metric(Ta,Tb) - p metric(a,Tb) - q metric(a,b)
-    for a, b in itertools.product(range(n2), repeat=2):
-        s = E.ZERO
-        for k in range(n2):
-            s = E.add(s, E.mul(t[k, a], mt[k, b]))
         r_pq[a, b] = E.add(
-            s,
+            r_pq[a, b],
             E.mul(E.const(-p), mt[a, b]),
             E.mul(E.const(-q), m[a, b]),
         )
@@ -218,27 +206,8 @@ def nijenhuis_TM(T: MetallicOnTM) -> TensorField:
     return mf.nijenhuis(T.tensor)
 
 
-def _contract_12(N: TensorField, X: TensorField, Y: TensorField) -> np.ndarray:
-    n2 = N.base.n
-    out = mf.zeros(n2)
-    for a in range(n2):
-        s = E.ZERO
-        for i, j in itertools.product(range(n2), repeat=2):
-            s = E.add(s, E.mul(N.components[a, i, j], X.components[i], Y.components[j]))
-        out[a] = s
-    return out
-
-
 def _scale_vec(scalar: E.Expr, V: TensorField) -> np.ndarray:
     return np.array([E.mul(scalar, c) for c in V.components], dtype=object)
-
-
-def _apply_02(t: np.ndarray, X: TensorField, Y: TensorField) -> E.Expr:
-    n = X.base.n
-    s = E.ZERO
-    for i, j in itertools.product(range(n), repeat=2):
-        s = E.add(s, E.mul(t[i, j], X.components[i], Y.components[j]))
-    return s
 
 
 def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
@@ -253,7 +222,6 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
     they hold for any almost paracontact structure, not just P-Sasakian ones.
     """
     nt = pc.n_tensors(S)
-    n = tb.n
     A = E.const(params.amp_squared)
 
     def lift(v, kind):
@@ -268,46 +236,41 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
     Yv, Yc = lift(Y, "v"), lift(Y, "c")
     xiv, xic = lift(S.xi, "v"), lift(S.xi, "c")
 
-    n1xy = mf.TensorField(S.base, (1, 0), _contract_12(nt["N1"], X, Y))
-    n2xy = _apply_02(nt["N2"].components, X, Y)
+    def nj_on(U: TensorField, V: TensorField) -> np.ndarray:
+        return mf.contract("aij,i,j->a", NJ, U, V)
+
+    n1xy = mf.TensorField(S.base, (1, 0), mf.contract("aij,i,j->a", nt["N1"], X, Y))
+    n2xy = mf.contract("ij,i,j->", nt["N2"], X, Y)
     n3x = mf.apply_11(nt["N3"], X)
     phin3x = mf.apply_11(S.phi, n3x)
-    n4 = nt["N4"].components
-
-    def n4_of(v: TensorField) -> E.Expr:
-        s = E.ZERO
-        for m in range(n):
-            s = E.add(s, E.mul(n4[m], v.components[m]))
-        return s
-
-    n4x = n4_of(X)
-    n2_x_xi = _apply_02(nt["N2"].components, X, S.xi)
+    n4x = mf.contract("m,m->", nt["N4"], X)
+    n2_x_xi = mf.contract("ij,i,j->", nt["N2"], X, S.xi)
 
     rows: Dict[str, np.ndarray] = {}
 
     # N_J(X^v, Y^v) = 0
-    rows["vv"] = _contract_12(NJ, Xv, Yv)
+    rows["vv"] = nj_on(Xv, Yv)
 
     # N_J(X^v, Y^c) = A([N1(X,Y)]^v + N2(X,Y) xi^c)
     rhs = np.array([
         E.add(a, E.mul(A, n2xy, b))
         for a, b in zip(_scale_vec(A, lift(n1xy, "v")), xic.components)
     ], dtype=object)
-    rows["vc"] = vecdiff(_contract_12(NJ, Xv, Yc), rhs)
+    rows["vc"] = vecdiff(nj_on(Xv, Yc), rhs)
 
     # N_J(X^c, Y^c) = A([N1(X,Y)]^c + N2(X,Y) xi^v)
     rhs = np.array([
         E.add(a, E.mul(A, n2xy, b))
         for a, b in zip(_scale_vec(A, lift(n1xy, "c")), xiv.components)
     ], dtype=object)
-    rows["cc"] = vecdiff(_contract_12(NJ, Xc, Yc), rhs)
+    rows["cc"] = vecdiff(nj_on(Xc, Yc), rhs)
 
     # N_J(X^v, xi^v) = A(-(N3 X)^v + N4(X) xi^c)
     rhs = np.array([
         E.add(E.mul(E.const(-1), A, a), E.mul(A, n4x, b))
         for a, b in zip(lift(n3x, "v").components, xic.components)
     ], dtype=object)
-    rows["v-xiv"] = vecdiff(_contract_12(NJ, Xv, xiv), rhs)
+    rows["v-xiv"] = vecdiff(nj_on(Xv, xiv), rhs)
 
     # N_J(X^v, xi^c) = A([phi(N3 X) - N4(X) xi]^v + N2(X,xi) xi^c)
     inner = mf.TensorField(S.base, (1, 0), np.array([
@@ -318,10 +281,10 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
         E.add(E.mul(A, a), E.mul(A, n2_x_xi, b))
         for a, b in zip(lift(inner, "v").components, xic.components)
     ], dtype=object)
-    rows["v-xic"] = vecdiff(_contract_12(NJ, Xv, xic), rhs)
+    rows["v-xic"] = vecdiff(nj_on(Xv, xic), rhs)
 
     # N_J(X^c, xi^v) = A(-(N3 X)^c + (phi(N3 X))^v - [N4(phi X) - N4(X)]^c xi^c)
-    n4phix = n4_of(mf.apply_11(S.phi, X))
+    n4phix = mf.contract("m,m->", nt["N4"], mf.apply_11(S.phi, X))
     scal = E.add(n4phix, E.mul(E.const(-1), n4x))
     scal_c = tb.ydel(scal)
     rhs = np.array([
@@ -334,12 +297,12 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
             lift(n3x, "c").components, lift(phin3x, "v").components, xic.components
         )
     ], dtype=object)
-    rows["c-xiv"] = vecdiff(_contract_12(NJ, Xc, xiv), rhs)
+    rows["c-xiv"] = vecdiff(nj_on(Xc, xiv), rhs)
 
     # N_J(xi^v, xi^v) = N_J(xi^c, xi^c) = N_J(xi^v, xi^c) = 0
-    rows["xiv-xiv"] = _contract_12(NJ, xiv, xiv)
-    rows["xic-xic"] = _contract_12(NJ, xic, xic)
-    rows["xiv-xic"] = _contract_12(NJ, xiv, xic)
+    rows["xiv-xiv"] = nj_on(xiv, xiv)
+    rows["xic-xic"] = nj_on(xic, xic)
+    rows["xiv-xic"] = nj_on(xiv, xic)
 
     return rows
 
@@ -347,18 +310,6 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
 # ----------------------------------------------------------------------
 # F-integrability side conditions
 # ----------------------------------------------------------------------
-
-def _curv_apply(R: TensorField, X, Y, Z) -> np.ndarray:
-    n = R.base.n
-    out = mf.zeros(n)
-    for l in range(n):
-        s = E.ZERO
-        for i, j, k in itertools.product(range(n), repeat=3):
-            s = E.add(s, E.mul(R.components[l, i, j, k], X.components[i],
-                               Y.components[j], Z.components[k]))
-        out[l] = s
-    return out
-
 
 def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
                                      points, mode: str = "exact") -> Dict[str, AxiomVerdict]:
@@ -379,16 +330,13 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
         for iy, Y in enumerate(frame):
             phiY = mf.apply_11(S.phi, Y)
             for iz, Z in enumerate(frame):
-                t1 = _curv_apply(R, phiX, phiY, Z)
-                t2 = _curv_apply(R, X, Y, Z)
-                t3 = _curv_apply(R, phiX, Y, Z)
-                t4 = _curv_apply(R, X, phiY, Z)
+                t1 = mf.contract("lijk,i,j,k->l", R, phiX, phiY, Z)
+                t2 = mf.contract("lijk,i,j,k->l", R, X, Y, Z)
+                t3 = mf.contract("lijk,i,j,k->l", R, phiX, Y, Z)
+                t4 = mf.contract("lijk,i,j,k->l", R, X, phiY, Z)
+                inner = mf.contract("am,m->a", S.phi, t3 + t4)
                 for a in range(n):
-                    inner = E.ZERO
-                    for m in range(n):
-                        inner = E.add(inner, E.mul(S.phi.components[a, m],
-                                                   E.add(t3[m], t4[m])))
-                    resid = E.add(t1[a], t2[a], E.mul(E.const(-1), inner))
+                    resid = E.add(t1[a], t2[a], E.mul(E.const(-1), inner[a]))
                     for pt in points:
                         tr4.update(E.evaluate(resid, pt, mode),
                                    _coords(M, pt), (ix, iy, iz, a))
@@ -410,14 +358,11 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
                       E.mul(E.const(-1), t3.components[a]), t4.components[a])
                 for a in range(n)
             ]
-            eta_nxy = E.ZERO
-            for m in range(n):
-                eta_nxy = E.add(eta_nxy, E.mul(eta[m], t4.components[m]))
+            eta_nxy = mf.contract("m,m->", eta, t4)
             for pt in points:
                 vals = [E.evaluate(r, pt, mode) for r in resid]
                 for a, v in enumerate(vals):
                     tr5.update(v, _coords(M, pt), (ix, iy, a))
-                from .scalars import is_zero
                 e5_zero = all(is_zero(v) for v in vals)
                 eta_zero = is_zero(E.evaluate(eta_nxy, pt, mode))
                 if e5_zero != eta_zero:
@@ -442,12 +387,10 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
     complete_J:   (nabla^c_{X^c} J) xi^c = -((2s-p)/2) [(phi X)^v - X^c]
     horizontal_F: (nabla^h_{X^h} F) xi^h = -((2s-p)/2) [(phi X)^v - (phi^2 X)^h]
     """
-    from .scalars import is_zero
-
     n = tb.n
     amp = E.const(T.params.amp)
     dT = mf.covariant_derivative(lifted_conn, T.tensor)  # [a, A, b]
-    phi2 = mf.TensorField(S.base, (1, 1), _square(S.phi))
+    phi2 = mf.TensorField(S.base, (1, 1), mf.contract("am,mb->ab", S.phi, S.phi))
 
     def lift_dir(X: mf.TensorField) -> mf.TensorField:
         return (bd.clift_vector(tb, X) if T.kind == "complete_J"
@@ -467,15 +410,7 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
     xil = lift_dir(S.xi)
 
     def residual(X: mf.TensorField) -> np.ndarray:
-        Xl = lift_dir(X)
-        out = mf.zeros(2 * n)
-        for a in range(2 * n):
-            s = E.ZERO
-            for A, b in itertools.product(range(2 * n), repeat=2):
-                s = E.add(s, E.mul(dT.components[a, A, b],
-                                   Xl.components[A], xil.components[b]))
-            out[a] = s
-        return out
+        return mf.contract("aij,i,j->a", dT, lift_dir(X), xil)
 
     d_frame = pc.distribution_frame(S, points, mode)
 
@@ -521,17 +456,6 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
                         match.max_value, match.witness or zero_witness)
 
 
-def _square(phi: TensorField) -> list:
-    n = phi.base.n
-    out = [[E.ZERO] * n for _ in range(n)]
-    for a, b in itertools.product(range(n), repeat=2):
-        s = E.ZERO
-        for m in range(n):
-            s = E.add(s, E.mul(phi.components[a, m], phi.components[m, b]))
-        out[a][b] = s
-    return out
-
-
 # ----------------------------------------------------------------------
 # fundamental forms
 # ----------------------------------------------------------------------
@@ -547,12 +471,9 @@ def fundamental_form(T: MetallicOnTM, metric: TensorField) -> TensorField:
     m = metric.components
     t = T.tensor.components
     halfp = E.const(Fraction(T.params.p, 2))
-    out = mf.zeros((n2, n2))
+    out = mf.contract("ak,kb->ab", m, t)
     for a, b in itertools.product(range(n2), repeat=2):
-        s = E.ZERO
-        for k in range(n2):
-            s = E.add(s, E.mul(m[a, k], t[k, b]))
-        out[a, b] = E.add(s, E.mul(E.const(-1), halfp, m[a, b]))
+        out[a, b] = E.add(out[a, b], E.mul(E.const(-1), halfp, m[a, b]))
     return TensorField(chart, (0, 2), out)
 
 
@@ -562,9 +483,4 @@ def d_fundamental(phi_form: TensorField) -> TensorField:
 
 
 def dphi_on(dphi: TensorField, X: TensorField, Y: TensorField, Z: TensorField) -> E.Expr:
-    n2 = dphi.base.n
-    s = E.ZERO
-    for i, j, k in itertools.product(range(n2), repeat=3):
-        s = E.add(s, E.mul(dphi.components[i, j, k], X.components[i],
-                           Y.components[j], Z.components[k]))
-    return s
+    return mf.contract("ijk,i,j,k->", dphi, X, Y, Z)

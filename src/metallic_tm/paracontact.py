@@ -15,6 +15,7 @@ import numpy as np
 from . import exprs as E
 from . import manifold as mf
 from .manifold import ChartedManifold, Connection, GeometryError, TensorField
+from .scalars import is_zero, scalar_abs
 from .verdicts import AxiomVerdict, ResidualTracker
 
 
@@ -30,10 +31,7 @@ class ParacontactStructure:
         self.xi = xi
 
     def eta_of_xi(self) -> E.Expr:
-        s = E.ZERO
-        for m in range(self.base.n):
-            s = E.add(s, E.mul(self.eta.components[m], self.xi.components[m]))
-        return s
+        return mf.contract("m,m->", self.eta, self.xi)
 
 
 def _point_coords(M: ChartedManifold, point) -> tuple:
@@ -59,29 +57,14 @@ def check_almost_paracontact(S: ParacontactStructure, points, mode: str = "exact
     n = M.n
     phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
 
-    r1 = mf.zeros((n, n))
+    r1 = mf.contract("am,mj->aj", phi, phi)
     for a, j in itertools.product(range(n), repeat=2):
-        s = E.ZERO
-        for m in range(n):
-            s = E.add(s, E.mul(phi[a, m], phi[m, j]))
         ident = E.ONE if a == j else E.ZERO
-        r1[a, j] = E.add(s, E.mul(E.const(-1), ident), E.mul(xi[a], eta[j]))
+        r1[a, j] = E.add(r1[a, j], E.mul(E.const(-1), ident), E.mul(xi[a], eta[j]))
 
     r2 = np.array([E.add(S.eta_of_xi(), E.const(-1))], dtype=object)
-
-    r3 = mf.zeros(n)
-    for a in range(n):
-        s = E.ZERO
-        for m in range(n):
-            s = E.add(s, E.mul(phi[a, m], xi[m]))
-        r3[a] = s
-
-    r4 = mf.zeros(n)
-    for j in range(n):
-        s = E.ZERO
-        for m in range(n):
-            s = E.add(s, E.mul(eta[m], phi[m, j]))
-        r4[j] = s
+    r3 = mf.contract("am,m->a", phi, xi)
+    r4 = mf.contract("m,mj->j", eta, phi)
 
     return [
         _check_array(r1, points, mode, M, "phi-squared"),
@@ -98,30 +81,15 @@ def check_metric_compat(S: ParacontactStructure, points, mode: str = "exact") ->
     g = M.metric
     phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
 
-    r1 = mf.zeros((n, n))  # g - phi^T g phi - eta (x) eta
+    r1 = mf.contract("ai,ab,bj->ij", -phi, g, phi)  # g - phi^T g phi - eta (x) eta
     for i, j in itertools.product(range(n), repeat=2):
-        s = g[i, j]
-        for a, b in itertools.product(range(n), repeat=2):
-            s = E.add(s, E.mul(E.const(-1), phi[a, i], g[a, b], phi[b, j]))
-        r1[i, j] = E.add(s, E.mul(E.const(-1), eta[i], eta[j]))
+        r1[i, j] = E.add(g[i, j], r1[i, j], E.mul(E.const(-1), eta[i], eta[j]))
 
-    r2 = mf.zeros((n, n))  # g(phi X, Y) - g(X, phi Y)
-    for i, j in itertools.product(range(n), repeat=2):
-        s = E.ZERO
-        for m in range(n):
-            s = E.add(
-                s,
-                E.mul(phi[m, i], g[m, j]),
-                E.mul(E.const(-1), g[i, m], phi[m, j]),
-            )
-        r2[i, j] = s
+    r2 = mf.contract("mi,mj+im,mj->ij", phi, g, -g, phi)  # g(phi X, Y) - g(X, phi Y)
 
-    r3 = mf.zeros(n)  # g(X, xi) - eta(X)
+    r3 = mf.contract("im,m->i", g, xi)  # g(X, xi) - eta(X)
     for i in range(n):
-        s = E.mul(E.const(-1), eta[i])
-        for m in range(n):
-            s = E.add(s, E.mul(g[i, m], xi[m]))
-        r3[i] = s
+        r3[i] = E.add(E.mul(E.const(-1), eta[i]), r3[i])
 
     return [
         _check_array(r1, points, mode, M, "compat-eq4"),
@@ -195,11 +163,7 @@ def n_tensors(S: ParacontactStructure) -> dict:
 def in_distribution(S: ParacontactStructure, point, v: Sequence) -> bool:
     """True when eta_point(v) = 0, i.e. v lies in the distribution D."""
     eta_pt = mf.evaluate_array(S.eta.components, point)
-    s = 0
-    for m in range(S.base.n):
-        s = s + eta_pt[m] * v[m]
-    from .scalars import is_zero
-    return is_zero(s)
+    return is_zero(sum(eta_pt[m] * v[m] for m in range(S.base.n)))
 
 
 def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact") -> List[TensorField]:
@@ -209,8 +173,6 @@ def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact") 
     zero at every supplied sample point (quotients such as eta(xi) rarely
     cancel structurally).
     """
-    from .scalars import scalar_abs
-
     M = S.base
     n = M.n
     eta, xi = S.eta.components, S.xi.components
@@ -244,10 +206,7 @@ def check_D_flat(S: ParacontactStructure, C: Connection, points, mode: str = "ex
     tracker = ResidualTracker(mode)
     for i, X in enumerate(frame):
         for j, Y in enumerate(frame):
-            nxy = mf.cov_vec(C, X, Y).components
-            resid = E.ZERO
-            for m in range(M.n):
-                resid = E.add(resid, E.mul(eta[m], nxy[m]))
+            resid = mf.contract("m,m->", eta, mf.cov_vec(C, X, Y))
             for pt in points:
                 v = E.evaluate(resid, pt, mode)
                 tracker.update(v, _point_coords(M, pt), (i, j))

@@ -1,9 +1,13 @@
 """Command line interface: exit codes, flags and report output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import metallic_tm
 from metallic_tm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -59,6 +63,23 @@ def test_verify_detects_failures(tmp_path, manifest_path):
     p = tmp_path / "mutated.json"
     p.write_text(json.dumps(doc))
     assert main(["verify", str(p), "--suites", "axioms"]) == EXIT_FAIL
+
+
+def test_verify_evaluation_error_exit_code(tmp_path, manifest_path):
+    """A domain that exact mode cannot evaluate is an error message and exit
+    code 2, not a traceback."""
+    doc = json.load(open(manifest_path))
+    doc["domain"] = ["exp(x3)"]
+    p = tmp_path / "exp-domain.json"
+    p.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(metallic_tm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "metallic_tm.cli", "verify", str(p)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_verify_pq_override(manifest_path, tmp_path):

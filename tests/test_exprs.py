@@ -56,6 +56,17 @@ def test_exact_mode_rejects_transcendentals():
         E.evaluate(e, pt(Fraction(1)), mode="exact")
 
 
+@pytest.mark.parametrize("e, value", [
+    (E.parse("x1^400", 1), 1e3),
+    (E.Const(3 ** 729), 1.0),
+    (E.parse("x1^-2", 1), 0.0),
+    (E.parse("log(x1)", 1), 0.0),
+], ids=["pow-overflow", "const-overflow", "zero-to-negative-power", "log-domain"])
+def test_float_mode_failures_are_eval_errors(e, value):
+    with pytest.raises(EvalError):
+        E.evaluate(e, pt(value), mode="float")
+
+
 # -- structural simplification ------------------------------------------
 
 def test_like_terms_cancel_structurally():

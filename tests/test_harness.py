@@ -1,6 +1,7 @@
 """Manifest ingestion, sampling, suite orchestration and reports."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -143,6 +144,15 @@ def test_report_is_deterministic(manifest):
     r1 = harness.render_report(harness.run_suites(manifest))
     r2 = harness.render_report(harness.run_suites(manifest))
     assert r1 == r2
+
+
+def test_report_matches_golden(manifest):
+    """The bundled exact report, byte for byte as committed: unlike the
+    determinism test, this catches a report change from one version of the
+    code to the next."""
+    golden = pathlib.Path(__file__).parent / "data" / "hyperbolic-h3.report.json"
+    report = harness.render_report(harness.run_suites(manifest))
+    assert report == golden.read_text(encoding="utf-8")
 
 
 def test_suite_filtering(manifest):

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from metallic_tm import exprs as E
@@ -142,3 +143,63 @@ def test_metric_required_for_christoffel():
     M = mf.ChartedManifold(xs, None)
     with pytest.raises(mf.GeometryError):
         mf.christoffel(M)
+
+
+@pytest.mark.parametrize("spec, shapes", [
+    ("ij,jk->ik", [(3, 3), (3, 3)]),
+    ("lijk,i,j,k->l", [(3, 3, 3, 3), (3,), (3,), (3,)]),
+    ("ijk,i,j,k->", [(3, 3, 3), (3,), (3,), (3,)]),
+    ("j,ji+j,ji->i", [(3,), (3, 3), (3,), (3, 3)]),
+])
+def test_contract_matches_einsum(spec, shapes, base_points):
+    """Evaluated at a rational point, contract agrees exactly with numpy's
+    einsum over the evaluated arrays (one einsum per product of a sum)."""
+    xs = [Var("base", i) for i in range(1, 4)]
+    pt = base_points[1]
+    arrays = []
+    for s, shape in enumerate(shapes):
+        arr = mf.zeros(shape)
+        for k, idx in enumerate(np.ndindex(shape)):
+            if (k + s) % 3:  # leave some zero entries for the skip path
+                arr[idx] = E.add(E.mul(E.const(k - 4), xs[k % 3]), E.const(Fraction(1, s + 2)))
+        arrays.append(arr)
+    got = mf.contract(spec, *arrays)
+    lhs, out = spec.split("->")
+    values = iter([mf.evaluate_array(a, pt) for a in arrays])
+    want = sum(np.einsum(f"{p}->{out}", *[next(values) for _ in p.split(",")])
+               for p in lhs.split("+"))
+    if isinstance(got, np.ndarray):
+        assert np.array_equal(mf.evaluate_array(got, pt), want)
+    else:
+        assert E.evaluate(got, pt) == want
+
+
+def test_contract_keeps_loop_term_order():
+    """Summed indices run outermost-first and the products of a sum
+    alternate, so contract builds the tree the nested accumulator loop
+    builds; float evaluation sums the terms in that order."""
+    x1, x2, x3 = (Var("base", i) for i in range(1, 4))
+    y1 = Var("fiber", 1)
+    P = np.array([E.pow_(x1, j + 1) for j in range(3)], dtype=object)
+    Q = np.array([[E.pow_(x2, 3 * j + i + 1) for i in range(3)] for j in range(3)], dtype=object)
+    R = np.array([E.pow_(x3, j + 1) for j in range(3)], dtype=object)
+    S = np.array([[E.pow_(y1, 3 * j + i + 1) for i in range(3)] for j in range(3)], dtype=object)
+    got = mf.contract("j,ji+j,ji->i", P, Q, R, S)
+    for i in range(3):
+        s = E.ZERO
+        for j in range(3):
+            s = E.add(s, E.mul(P[j], Q[j, i]), E.mul(R[j], S[j, i]))
+        assert got[i] == s
+    T = mf.contract("ia,jb,ab->ij", Q, S, Q)
+    for i, j in itertools.product(range(3), repeat=2):
+        s = E.ZERO
+        for a, b in itertools.product(range(3), repeat=2):
+            s = E.add(s, E.mul(Q[i, a], S[j, b], Q[a, b]))
+        assert T[i, j] == s
+
+
+def test_contract_with_zero_operand_gives_zero():
+    xs = np.array([Var("base", i) for i in range(1, 4)], dtype=object)
+    out = mf.contract("ij,j->i", mf.zeros((3, 3)), xs)
+    assert all(c is E.ZERO for c in out)
+    assert mf.contract("i,i->", xs, mf.zeros(3)) is E.ZERO

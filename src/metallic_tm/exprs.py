@@ -282,10 +282,10 @@ def mul(*xs: ExprLike) -> Expr:
         for f in sub:
             if isinstance(f, Const):
                 acc = f.value * acc
+                if acc == 0:
+                    return ZERO
             else:
                 factors.append(f)
-    if acc == 0:
-        return ZERO
     if not (not isinstance(acc, MetallicScalar) and acc == 1):
         factors.insert(0, Const(acc))
     if not factors:
@@ -388,83 +388,85 @@ def diff(e: Expr, v: Var) -> Expr:
 # evaluation
 # ----------------------------------------------------------------------
 
+class Point(dict):
+    """A sample point: a read-only map from ``Var`` to coordinate.
+
+    It carries one memo per evaluation mode, holding the value at this point
+    of every subtree ``evaluate`` has computed, so a subtree shared by many
+    residuals is computed once.  Make a new ``Point`` for a fresh memo.
+    """
+
+    __slots__ = ("memos",)
+
+    def __init__(self, coords=()) -> None:
+        super().__init__(coords)
+        self.memos = {"exact": {}, "float": {}}
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a Point is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    update = setdefault = pop = popitem = clear = _read_only
+
+
 def evaluate(e: Expr, point: Mapping[Var, object], mode: str = "exact"):
     """Value of ``e`` at ``point``.
 
     Exact mode requires a rational tree and exact coordinates, and returns a
     Fraction or MetallicScalar.  Float mode returns a float (sigma embedded
-    as (p + sqrt(p^2+4q))/2).
+    as (p + sqrt(p^2+4q))/2).  Subtree values are kept in the memo of a
+    ``Point``; any other mapping gets a memo for this call only.
     """
-    if mode == "exact":
-        return _eval_exact(e, point)
-    if mode == "float":
-        try:
-            return _eval_float(e, point)
-        except (OverflowError, ZeroDivisionError, ValueError) as exc:
-            # float range or math domain, e.g. x^400 at 1e3, x^-2 or log(x) at 0
-            raise EvalError(f"float evaluation failed: {exc}") from None
-    raise EvalError(f"unknown evaluation mode {mode!r}")
+    if mode not in ("exact", "float"):
+        raise EvalError(f"unknown evaluation mode {mode!r}")
+    memo = point.memos[mode] if isinstance(point, Point) else {}
+    try:
+        return _eval(e, point, memo, mode == "exact")
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        # float range or math domain, e.g. x^400 at 1e3, x^-2 or log(x) at 0
+        raise EvalError(f"{mode} evaluation failed: {exc}") from None
 
 
-def _eval_exact(e: Expr, pt: Mapping[Var, object]):
+def _eval(e: Expr, pt, memo: dict, exact: bool):
+    """Memoised value of ``e``; a failure raises before anything is stored."""
+    try:
+        return memo[e]
+    except KeyError:
+        pass
     if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
+        v = e.value if exact else float(e.value)
+    elif isinstance(e, Var):
         try:
-            v = pt[e]
+            v = _to_scalar(pt[e]) if exact else float(pt[e])
         except KeyError:
             raise EvalError(f"no value for variable {e.name}") from None
-        return _to_scalar(v)
-    if isinstance(e, Add):
-        out = Fraction(0)
+    elif isinstance(e, Add):
+        v = 0  # float sums as sum() adds them: from int 0, left to right
         for t in e.terms:
-            out = out + _eval_exact(t, pt)
-        return out
-    if isinstance(e, Mul):
-        out = Fraction(1)
-        for f in e.factors:
-            out = out * _eval_exact(f, pt)
-        return out
-    if isinstance(e, Div):
-        den = _eval_exact(e.den, pt)
+            v = v + _eval(t, pt, memo, exact)
+    elif isinstance(e, Mul):
+        fs = e.factors
+        v = _eval(fs[0], pt, memo, exact)
+        for f in fs[1:]:
+            v = v * _eval(f, pt, memo, exact)
+    elif isinstance(e, Div):
+        den = _eval(e.den, pt, memo, exact)
         if den == 0:
             raise EvalError(f"division by zero at point in {to_str(e)}")
-        return _eval_exact(e.num, pt) / den
-    if isinstance(e, Pow):
-        base = _eval_exact(e.base, pt)
-        if e.exponent < 0 and base == 0:
+        v = _eval(e.num, pt, memo, exact) / den
+    elif isinstance(e, Pow):
+        base = _eval(e.base, pt, memo, exact)
+        if exact and e.exponent < 0 and base == 0:
             raise EvalError("zero base with negative exponent")
-        return base ** e.exponent
-    if isinstance(e, Call):
-        raise EvalError(f"exact mode cannot evaluate {e.fn}; tree is not rational")
-    raise ExprError(f"unknown node {e!r}")
-
-
-def _eval_float(e: Expr, pt: Mapping[Var, object]) -> float:
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Var):
-        try:
-            return float(pt[e])
-        except KeyError:
-            raise EvalError(f"no value for variable {e.name}") from None
-    if isinstance(e, Add):
-        return sum(_eval_float(t, pt) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= _eval_float(f, pt)
-        return out
-    if isinstance(e, Div):
-        den = _eval_float(e.den, pt)
-        if den == 0.0:
-            raise EvalError(f"division by zero at point in {to_str(e)}")
-        return _eval_float(e.num, pt) / den
-    if isinstance(e, Pow):
-        return _eval_float(e.base, pt) ** e.exponent
-    if isinstance(e, Call):
-        return getattr(math, e.fn)(_eval_float(e.arg, pt))
-    raise ExprError(f"unknown node {e!r}")
+        v = base ** e.exponent
+    elif isinstance(e, Call):
+        if exact:
+            raise EvalError(f"exact mode cannot evaluate {e.fn}; tree is not rational")
+        v = getattr(math, e.fn)(_eval(e.arg, pt, memo, exact))
+    else:
+        raise ExprError(f"unknown node {e!r}")
+    memo[e] = v
+    return v
 
 
 # ----------------------------------------------------------------------

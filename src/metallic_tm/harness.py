@@ -229,8 +229,8 @@ _MAX_REDRAWS = 2000
 
 
 def sample_points(manifest: Manifest, plan: Optional[SamplePlan] = None):
-    """Deterministic admissible bundle points; exact rationals, converted
-    to float for float mode."""
+    """Deterministic admissible bundle points (``exprs.Point``); exact
+    rationals, converted to float for float mode."""
     plan = plan or manifest.plan
     if plan.count < 1:
         raise ManifestError("sample count must be at least 1")
@@ -268,7 +268,7 @@ def sample_points(manifest: Manifest, plan: Optional[SamplePlan] = None):
 
     if plan.mode == "float":
         points = [{v: float(c) for v, c in pt.items()} for pt in points]
-    return points
+    return [E.Point(pt) for pt in points]
 
 
 # ----------------------------------------------------------------------
@@ -305,9 +305,6 @@ class SuiteContext:
         if prm not in self._F:
             self._F[prm] = ml.build_F(self.S, self.tb, prm)
         return self._F[prm]
-
-    def coords(self, pt) -> tuple:
-        return tuple(pt[v] for v in self.tb.chart.variables if v in pt)
 
     def test_fields(self):
         """Deterministic non-constant fields exercising all lift laws."""
@@ -375,9 +372,9 @@ def _verdicts_to_suite(suite_id: str, verdicts) -> dict:
 
 def suite_axioms(ctx: SuiteContext) -> dict:
     verdicts = []
-    verdicts += pc.check_almost_paracontact(ctx.S, ctx.points, ctx.mode)
-    verdicts += pc.check_metric_compat(ctx.S, ctx.points, ctx.mode)
-    verdicts += pc.check_p_sasakian(ctx.S, ctx.conn, ctx.points, ctx.mode)
+    verdicts += pc.check_almost_paracontact(ctx.S, ctx.points, ctx.mode, ctx.plan.tol)
+    verdicts += pc.check_metric_compat(ctx.S, ctx.points, ctx.mode, ctx.plan.tol)
+    verdicts += pc.check_p_sasakian(ctx.S, ctx.conn, ctx.points, ctx.mode, ctx.plan.tol)
     return _verdicts_to_suite("axioms", verdicts)
 
 
@@ -501,7 +498,7 @@ def suite_lifts(ctx: SuiteContext) -> dict:
 
     for label, exprs in residuals:
         for pt in ctx.points:
-            coords = ctx.coords(pt)
+            coords = ctx.tb.chart.coords(pt)
             for idx, e in enumerate(exprs):
                 tracker.update(E.evaluate(e, pt, ctx.mode), coords, (label, idx))
     return _tracker_suite("lifts", tracker)
@@ -511,7 +508,7 @@ def _metallic_suite(ctx: SuiteContext, suite_id: str, builder) -> dict:
     verdicts = []
     for prm in ctx.manifest.params:
         T = builder(prm)
-        verdicts.append(ml.check_metallic(T, ctx.points, ctx.mode))
+        verdicts.append(ml.check_metallic(T, ctx.points, ctx.mode, ctx.plan.tol))
     return _verdicts_to_suite(suite_id, verdicts)
 
 
@@ -526,14 +523,14 @@ def suite_F_metallic(ctx: SuiteContext) -> dict:
 def suite_J_compat(ctx: SuiteContext) -> dict:
     verdicts = []
     for prm in ctx.manifest.params:
-        verdicts += ml.check_compat(ctx.gc, ctx.J(prm), ctx.points, ctx.mode)
+        verdicts += ml.check_compat(ctx.gc, ctx.J(prm), ctx.points, ctx.mode, ctx.plan.tol)
     return _verdicts_to_suite("J-compat", verdicts)
 
 
 def suite_F_compat(ctx: SuiteContext) -> dict:
     verdicts = []
     for prm in ctx.manifest.params:
-        verdicts += ml.check_compat(ctx.G, ctx.F(prm), ctx.points, ctx.mode)
+        verdicts += ml.check_compat(ctx.G, ctx.F(prm), ctx.points, ctx.mode, ctx.plan.tol)
     return _verdicts_to_suite("F-compat", verdicts)
 
 
@@ -544,7 +541,7 @@ def suite_J_integrable(ctx: SuiteContext) -> dict:
     tracker = ResidualTracker(ctx.mode, ctx.plan.tol)
     n2 = 2 * ctx.manifest.n
     for pt in ctx.points:
-        coords = ctx.coords(pt)
+        coords = ctx.tb.chart.coords(pt)
         for a, i, j in itertools.product(range(n2), repeat=3):
             tracker.update(E.evaluate(NJ.components[a, i, j], pt, ctx.mode), coords, (a, i, j))
     # the proof-table decomposition for one representative field pair
@@ -552,7 +549,7 @@ def suite_J_integrable(ctx: SuiteContext) -> dict:
     rows = ml.nijenhuis_rows(ctx.S, ctx.tb, prm, NJ, X, Y)
     for rid, resid in rows.items():
         for pt in ctx.points:
-            coords = ctx.coords(pt)
+            coords = ctx.tb.chart.coords(pt)
             for idx, e in enumerate(resid):
                 tracker.update(E.evaluate(e, pt, ctx.mode), coords, (rid, idx))
     return _tracker_suite("J-integrable", tracker)
@@ -560,13 +557,13 @@ def suite_J_integrable(ctx: SuiteContext) -> dict:
 
 def suite_J_parallel(ctx: SuiteContext) -> dict:
     prm = ctx.manifest.params[0]
-    v = ml.parallelity_probe(ctx.J(prm), ctx.cc, ctx.S, ctx.tb, ctx.points, ctx.mode)
+    v = ml.parallelity_probe(ctx.J(prm), ctx.cc, ctx.S, ctx.tb, ctx.points, ctx.mode, ctx.plan.tol)
     return _never_suite("J-parallel", v)
 
 
 def suite_F_parallel(ctx: SuiteContext) -> dict:
     prm = ctx.manifest.params[0]
-    v = ml.parallelity_probe(ctx.F(prm), ctx.hc, ctx.S, ctx.tb, ctx.points, ctx.mode)
+    v = ml.parallelity_probe(ctx.F(prm), ctx.hc, ctx.S, ctx.tb, ctx.points, ctx.mode, ctx.plan.tol)
     return _never_suite("F-parallel", v)
 
 
@@ -597,7 +594,7 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
             mf.contract("ab,a,b->", M.metric, mf.cov_vec(conn, V, U), mf.apply_11(phi, W))
             for U, V, W in ((X, Y, Z), (Y, Z, X), (Z, X, Y))))
         for pt in ctx.points:
-            coords = ctx.coords(pt)
+            coords = ctx.tb.chart.coords(pt)
             lv = E.evaluate(lhs, pt, ctx.mode)
             rv = E.evaluate(rhs, pt, ctx.mode)
             tracker.update(lv, coords, (iX, iY, iZ, "dPhi"))
@@ -619,7 +616,7 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
 
 def suite_F_integrability(ctx: SuiteContext) -> dict:
     prm = ctx.manifest.params[0]
-    res = ml.check_F_integrability_conditions(ctx.S, ctx.conn, ctx.points, ctx.mode)
+    res = ml.check_F_integrability_conditions(ctx.S, ctx.conn, ctx.points, ctx.mode, ctx.plan.tol)
     NF = ml.nijenhuis_TM(ctx.F(prm))
     n2 = 2 * ctx.manifest.n
     nf_zero = True
@@ -673,7 +670,7 @@ def suite_Phi_prime(ctx: SuiteContext) -> dict:
         gXX = mf.contract("ab,a,b->", M.metric, X, X)
         resid = E.add(val_e, E.mul(amp6, gXX))  # expect zero for sign "-"
         for pt in ctx.points:
-            coords = ctx.coords(pt)
+            coords = ctx.tb.chart.coords(pt)
             v = E.evaluate(resid, pt, ctx.mode)
             tracker.update(v, coords, (i,))
             dval = E.evaluate(val_e, pt, ctx.mode)
@@ -735,6 +732,7 @@ def run_suites(manifest: Manifest, suites: Optional[Sequence[str]] = None,
             results.append(_suite_result(sid, "skipped", 0, [], notes={
                 "reason": "axioms suite failed; structure suites not run"}))
             continue
+        ctx.points = [E.Point(pt) for pt in ctx.points]  # a memo lasts one suite
         results.append(_SUITES[sid](ctx))
 
     return {

@@ -41,10 +41,12 @@ def expr_array(nested) -> np.ndarray:
 
 
 def evaluate_array(arr: np.ndarray, point, mode: str = "exact") -> np.ndarray:
+    """Every component at ``point``; the components share one memo."""
+    if not isinstance(point, E.Point):
+        point = E.Point(point)
     out = np.empty(arr.shape, dtype=object)
-    it = np.nditer(arr, flags=["multi_index", "refs_ok"])
-    for x in it:
-        out[it.multi_index] = E.evaluate(x.item(), point, mode)
+    for idx in np.ndindex(arr.shape):
+        out[idx] = E.evaluate(arr[idx], point, mode)
     return out
 
 
@@ -97,6 +99,10 @@ class ChartedManifold:
         if len(coords) != self.n:
             raise GeometryError(f"expected {self.n} coordinates, got {len(coords)}")
         return dict(zip(self.variables, coords))
+
+    def coords(self, point) -> tuple:
+        """The coordinates of ``point`` in the order of ``variables``."""
+        return tuple(point[v] for v in self.variables)
 
 
 class TensorField:

@@ -20,7 +20,7 @@ from . import manifold as mf
 from . import paracontact as pc
 from .manifold import Connection, TensorField
 from .scalars import MetallicScalar, is_zero, sigma
-from .verdicts import AxiomVerdict, ResidualTracker, Witness
+from .verdicts import FLOAT_TOL, AxiomVerdict, ResidualTracker, Witness
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,6 @@ def build_F(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
 # pointwise checks
 # ----------------------------------------------------------------------
 
-def _coords(chart, point):
-    return tuple(point[v] for v in chart.variables)
-
-
 def pq_residual(t: np.ndarray, p: int, q: int) -> np.ndarray:
     """t^2 - p t - q I for a square component matrix of expressions."""
     out = mf.contract("am,mb->ab", t, t)
@@ -154,19 +150,14 @@ def metallic_residual(T: MetallicOnTM) -> np.ndarray:
     return pq_residual(T.tensor.components, T.params.p, T.params.q)
 
 
-def check_metallic(T: MetallicOnTM, points, mode: str = "exact") -> AxiomVerdict:
-    resid = metallic_residual(T)
-    chart = T.tensor.base
-    tracker = ResidualTracker(mode)
-    for pt in points:
-        coords = _coords(chart, pt)
-        for a, b in itertools.product(range(chart.n), repeat=2):
-            v = E.evaluate(resid[a, b], pt, mode)
-            tracker.update(v, coords, (a, b))
-    return tracker.verdict(f"metallic[{T.kind};{T.params.label()}]")
+def check_metallic(T: MetallicOnTM, points, mode: str = "exact",
+                   tol: float = FLOAT_TOL) -> AxiomVerdict:
+    return pc._check_array(metallic_residual(T), points, mode, T.tensor.base,
+                           f"metallic[{T.kind};{T.params.label()}]", tol)
 
 
-def check_compat(metric: TensorField, T: MetallicOnTM, points, mode: str = "exact") -> List[AxiomVerdict]:
+def check_compat(metric: TensorField, T: MetallicOnTM, points, mode: str = "exact",
+                 tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
     """Both compatibility forms: the (p,q) identity and plain symmetry."""
     chart = T.tensor.base
     n2 = chart.n
@@ -187,15 +178,8 @@ def check_compat(metric: TensorField, T: MetallicOnTM, points, mode: str = "exac
     for a, b in itertools.product(range(n2), repeat=2):
         r_sym[a, b] = E.add(mt[b, a], E.mul(E.const(-1), mt[a, b]))
 
-    out = []
-    for rid, resid in (("compat-pq", r_pq), ("compat-symmetry", r_sym)):
-        tracker = ResidualTracker(mode)
-        for pt in points:
-            coords = _coords(chart, pt)
-            for a, b in itertools.product(range(n2), repeat=2):
-                tracker.update(E.evaluate(resid[a, b], pt, mode), coords, (a, b))
-        out.append(tracker.verdict(f"{rid}[{T.kind}]"))
-    return out
+    return [pc._check_array(resid, points, mode, chart, f"{rid}[{T.kind}]", tol)
+            for rid, resid in (("compat-pq", r_pq), ("compat-symmetry", r_sym))]
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +296,8 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
 # ----------------------------------------------------------------------
 
 def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
-                                     points, mode: str = "exact") -> Dict[str, AxiomVerdict]:
+                                     points, mode: str = "exact",
+                                     tol: float = FLOAT_TOL) -> Dict[str, AxiomVerdict]:
     """The two curvature/connection conditions of the F-integrability theorem
     plus D-flatness, each evaluated on distribution frame tuples."""
     M = S.base
@@ -321,10 +306,10 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
     frame = pc.distribution_frame(S, points, mode)
     eta = S.eta.components
 
-    d_flat = pc.check_D_flat(S, C, points, mode)
+    d_flat = pc.check_D_flat(S, C, points, mode, tol)
 
     # e4: R(phiX, phiY)Z + R(X,Y)Z - phi{ R(phiX, Y)Z + R(X, phiY)Z } = 0
-    tr4 = ResidualTracker(mode)
+    tr4 = ResidualTracker(mode, tol)
     for ix, X in enumerate(frame):
         phiX = mf.apply_11(S.phi, X)
         for iy, Y in enumerate(frame):
@@ -339,11 +324,11 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
                     resid = E.add(t1[a], t2[a], E.mul(E.const(-1), inner[a]))
                     for pt in points:
                         tr4.update(E.evaluate(resid, pt, mode),
-                                   _coords(M, pt), (ix, iy, iz, a))
+                                   M.coords(pt), (ix, iy, iz, a))
     e4 = tr4.verdict("e4-curvature")
 
     # e5: nabla_{phiX} phiY - phi nabla_{phiX} Y - phi nabla_X phiY + nabla_X Y = 0
-    tr5 = ResidualTracker(mode)
+    tr5 = ResidualTracker(mode, tol)
     equivalence_ok = True
     for ix, X in enumerate(frame):
         phiX = mf.apply_11(S.phi, X)
@@ -362,7 +347,7 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
             for pt in points:
                 vals = [E.evaluate(r, pt, mode) for r in resid]
                 for a, v in enumerate(vals):
-                    tr5.update(v, _coords(M, pt), (ix, iy, a))
+                    tr5.update(v, M.coords(pt), (ix, iy, a))
                 e5_zero = all(is_zero(v) for v in vals)
                 eta_zero = is_zero(E.evaluate(eta_nxy, pt, mode))
                 if e5_zero != eta_zero:
@@ -379,7 +364,7 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
 
 def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
                       S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
-                      points, mode: str = "exact") -> AxiomVerdict:
+                      points, mode: str = "exact", tol: float = FLOAT_TOL) -> AxiomVerdict:
     """(nabla~_X~ T) xi~ against the closed form; the structure is reported
     non-parallel when every D-frame direction gives a nonzero residual that
     matches the closed form exactly.
@@ -424,27 +409,27 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
                            [E.ONE if a == i else E.ZERO for a in range(n)])
             for i in range(n)
         ]
-    match = ResidualTracker(mode)
+    match = ResidualTracker(mode, tol)
     for i, X in enumerate(match_frame):
         diff = [E.add(r, E.mul(E.const(-1), c))
                 for r, c in zip(residual(X), closed_form(X))]
         for pt in points:
-            coords = _coords(tb.chart, pt)
+            coords = tb.chart.coords(pt)
             for a in range(2 * n):
                 match.update(E.evaluate(diff[a], pt, mode), coords, (i, a))
 
     # non-vanishing over every distribution frame direction
     nonzero_all = True
     zero_witness: Optional[Witness] = None
-    sample = ResidualTracker(mode)
+    sample = ResidualTracker(mode, tol)
     for i, X in enumerate(d_frame):
         resid = residual(X)
         for pt in points:
-            coords = _coords(tb.chart, pt)
+            coords = tb.chart.coords(pt)
             vals = [E.evaluate(r, pt, mode) for r in resid]
             for a, v in enumerate(vals):
                 sample.update(v, coords, (i, a))
-            if all(is_zero(v) if mode == "exact" else abs(v) <= 1e-9 for v in vals):
+            if all(is_zero(v) if mode == "exact" else abs(v) <= tol for v in vals):
                 nonzero_all = False
                 zero_witness = Witness(coords, (i,), "0")
 

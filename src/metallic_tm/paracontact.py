@@ -16,7 +16,7 @@ from . import exprs as E
 from . import manifold as mf
 from .manifold import ChartedManifold, Connection, GeometryError, TensorField
 from .scalars import is_zero, scalar_abs
-from .verdicts import AxiomVerdict, ResidualTracker
+from .verdicts import FLOAT_TOL, AxiomVerdict, ResidualTracker
 
 
 class ParacontactStructure:
@@ -34,24 +34,19 @@ class ParacontactStructure:
         return mf.contract("m,m->", self.eta, self.xi)
 
 
-def _point_coords(M: ChartedManifold, point) -> tuple:
-    return tuple(point[v] for v in M.variables)
-
-
 def _check_array(arr: np.ndarray, points, mode: str, M: ChartedManifold,
-                 axiom_id: str, tol: float = 1e-9) -> AxiomVerdict:
+                 axiom_id: str, tol: float) -> AxiomVerdict:
     """Residual array of expressions, expected zero at every point."""
     tracker = ResidualTracker(mode, tol)
     for pt in points:
-        coords = _point_coords(M, pt)
-        it = np.nditer(arr, flags=["multi_index", "refs_ok"])
-        for x in it:
-            v = E.evaluate(x.item(), pt, mode)
-            tracker.update(v, coords, it.multi_index)
+        coords = M.coords(pt)
+        for idx in np.ndindex(arr.shape):
+            tracker.update(E.evaluate(arr[idx], pt, mode), coords, idx)
     return tracker.verdict(axiom_id)
 
 
-def check_almost_paracontact(S: ParacontactStructure, points, mode: str = "exact") -> List[AxiomVerdict]:
+def check_almost_paracontact(S: ParacontactStructure, points, mode: str = "exact",
+                             tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
     """phi^2 = I - eta (x) xi, eta(xi) = 1, phi xi = 0, eta o phi = 0."""
     M = S.base
     n = M.n
@@ -67,14 +62,15 @@ def check_almost_paracontact(S: ParacontactStructure, points, mode: str = "exact
     r4 = mf.contract("m,mj->j", eta, phi)
 
     return [
-        _check_array(r1, points, mode, M, "phi-squared"),
-        _check_array(r2, points, mode, M, "eta-of-xi"),
-        _check_array(r3, points, mode, M, "phi-xi"),
-        _check_array(r4, points, mode, M, "eta-circ-phi"),
+        _check_array(r1, points, mode, M, "phi-squared", tol),
+        _check_array(r2, points, mode, M, "eta-of-xi", tol),
+        _check_array(r3, points, mode, M, "phi-xi", tol),
+        _check_array(r4, points, mode, M, "eta-circ-phi", tol),
     ]
 
 
-def check_metric_compat(S: ParacontactStructure, points, mode: str = "exact") -> List[AxiomVerdict]:
+def check_metric_compat(S: ParacontactStructure, points, mode: str = "exact",
+                        tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
     """g(X,Y) = g(phiX,phiY) + eta(X)eta(Y) and its equivalents."""
     M = S.base
     n = M.n
@@ -92,13 +88,14 @@ def check_metric_compat(S: ParacontactStructure, points, mode: str = "exact") ->
         r3[i] = E.add(E.mul(E.const(-1), eta[i]), r3[i])
 
     return [
-        _check_array(r1, points, mode, M, "compat-eq4"),
-        _check_array(r2, points, mode, M, "compat-phi-symmetry"),
-        _check_array(r3, points, mode, M, "compat-g-xi"),
+        _check_array(r1, points, mode, M, "compat-eq4", tol),
+        _check_array(r2, points, mode, M, "compat-phi-symmetry", tol),
+        _check_array(r3, points, mode, M, "compat-g-xi", tol),
     ]
 
 
-def check_p_sasakian(S: ParacontactStructure, C: Connection, points, mode: str = "exact") -> List[AxiomVerdict]:
+def check_p_sasakian(S: ParacontactStructure, C: Connection, points, mode: str = "exact",
+                     tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
     """(nabla_X phi)Y = -g(X,Y)xi - eta(Y)X + 2 eta(X)eta(Y)xi and nabla_X xi = phi X."""
     M = S.base
     n = M.n
@@ -121,8 +118,8 @@ def check_p_sasakian(S: ParacontactStructure, C: Connection, points, mode: str =
         r2[a, i] = E.add(dxi[a, i], E.mul(E.const(-1), phi[a, i]))
 
     return [
-        _check_array(r1, points, mode, M, "p-sasakian-eq6"),
-        _check_array(r2, points, mode, M, "p-sasakian-eq7"),
+        _check_array(r1, points, mode, M, "p-sasakian-eq6", tol),
+        _check_array(r2, points, mode, M, "p-sasakian-eq7", tol),
     ]
 
 
@@ -198,16 +195,17 @@ def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact") 
     return out
 
 
-def check_D_flat(S: ParacontactStructure, C: Connection, points, mode: str = "exact") -> AxiomVerdict:
+def check_D_flat(S: ParacontactStructure, C: Connection, points, mode: str = "exact",
+                 tol: float = FLOAT_TOL) -> AxiomVerdict:
     """eta(nabla_X Y) = 0 for a spanning family of D-valued fields."""
     M = S.base
     frame = distribution_frame(S, points, mode)
     eta = S.eta.components
-    tracker = ResidualTracker(mode)
+    tracker = ResidualTracker(mode, tol)
     for i, X in enumerate(frame):
         for j, Y in enumerate(frame):
             resid = mf.contract("m,m->", eta, mf.cov_vec(C, X, Y))
             for pt in points:
                 v = E.evaluate(resid, pt, mode)
-                tracker.update(v, _point_coords(M, pt), (i, j))
+                tracker.update(v, M.coords(pt), (i, j))
     return tracker.verdict("D-flat")

@@ -195,3 +195,81 @@ def test_exact_evaluation_is_fraction():
     v = E.evaluate(e, pt(Fraction(1), Fraction(1, 2)))
     assert v == Fraction(7, 12)
     assert isinstance(v, Fraction)
+
+
+# -- memoised evaluation at a Point ----------------------------------------
+
+def _subtrees(e):
+    """Every node of ``e``, parents before children."""
+    if isinstance(e, E.Add):
+        kids = e.terms
+    elif isinstance(e, E.Mul):
+        kids = e.factors
+    elif isinstance(e, E.Div):
+        kids = (e.num, e.den)
+    elif isinstance(e, E.Pow):
+        kids = (e.base,)
+    else:
+        kids = ()
+    return [e] + [s for k in kids for s in _subtrees(k)]
+
+
+def _outcome(e, point, mode):
+    """repr of the value (nan compares equal to nan), or the error raised."""
+    try:
+        return repr(E.evaluate(e, point, mode))
+    except EvalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exprs3, st.integers(0, 3), positive_pt, st.sampled_from(("exact", "float")))
+def test_point_memo_matches_plain_evaluation(e, k, coords, mode):
+    """Evaluating every subtree and then the tree at one Point gives what a
+    plain dict gives.  With k > 0 the tree also holds e / (x1 - k), which
+    shares e and divides by zero at x1 = k."""
+    if k:
+        e = E.add(e, E.div(e, E.add(Var("base", 1), E.const(-k))))
+    point = E.Point(pt(*coords))
+    nodes = _subtrees(e)
+    for s in reversed(nodes):
+        _outcome(s, point, mode)
+    for s in nodes:
+        assert _outcome(s, point, mode) == _outcome(s, pt(*coords), mode)
+
+
+def test_point_keeps_exact_and_float_memos_apart():
+    e = E.parse("x1/3 + x2^2", 2)
+    point = E.Point(pt(Fraction(1), Fraction(1, 2)))
+    assert E.evaluate(e, point, "exact") == Fraction(7, 12)
+    f = E.evaluate(e, point, "float")
+    assert isinstance(f, float) and f == pytest.approx(7 / 12)
+    assert isinstance(E.evaluate(e, point, "exact"), Fraction)
+    assert point.memos["exact"][e] == Fraction(7, 12)
+    assert point.memos["float"][e] == f
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_division_by_zero_raises_on_every_call(mode):
+    e = E.add(Var("base", 2), E.div(E.ONE, E.add(Var("base", 1), E.const(-1))))
+    point = E.Point(pt(Fraction(1), Fraction(5)))
+    for _ in range(2):
+        with pytest.raises(EvalError, match="division by zero at point"):
+            E.evaluate(e, point, mode)
+    assert e not in point.memos[mode]
+    assert E.evaluate(Var("base", 2), point, mode) == 5
+
+
+def test_point_is_read_only():
+    x = Var("base", 1)
+    point = E.Point({x: Fraction(1)})
+    with pytest.raises(TypeError):
+        point[x] = Fraction(2)
+    with pytest.raises(TypeError):
+        point |= {x: Fraction(2)}
+    with pytest.raises(TypeError):
+        del point[x]
+    for name in ("update", "setdefault", "pop", "popitem", "clear"):
+        with pytest.raises(TypeError, match="read-only"):
+            getattr(point, name)(x)
+    assert point == {x: Fraction(1)}

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from metallic_tm import exprs as E
 from metallic_tm import harness
 from metallic_tm.harness import Manifest, ManifestError, SamplePlan
 
@@ -85,6 +86,7 @@ def test_sampler_is_deterministic(manifest):
     a = harness.sample_points(manifest)
     b = harness.sample_points(manifest)
     assert a == b
+    assert all(isinstance(pt, E.Point) for pt in a)
 
 
 def test_sampler_seed_changes_points(manifest):
@@ -153,6 +155,59 @@ def test_report_matches_golden(manifest):
     golden = pathlib.Path(__file__).parent / "data" / "hyperbolic-h3.report.json"
     report = harness.render_report(harness.run_suites(manifest))
     assert report == golden.read_text(encoding="utf-8")
+
+
+def test_float_report_matches_golden(doc):
+    """The float report on fiber ranges [-300, 300] at 10 points, byte for
+    byte as committed: it pins the order in which float sums are taken."""
+    wide = json.loads(json.dumps(doc))
+    wide["sample_plan"].update(count=10, seed=901, mode="float",
+                               fiber_ranges=[["-300", "300"]] * wide["dimension"])
+    m = harness.parse_manifest(wide, (json.dumps(wide, indent=2) + "\n").encode())
+    golden = pathlib.Path(__file__).parent / "data" / "hyperbolic-h3-wide.float.report.json"
+    report = harness.render_report(harness.run_suites(m))
+    assert report == golden.read_text(encoding="utf-8")
+
+
+def test_each_suite_gets_fresh_memos(manifest, monkeypatch):
+    """The evaluation memo lives for one suite: every suite starts from
+    points with empty memos and leaves them filled."""
+    fresh = {}
+
+    def spy(sid, suite):
+        def run(ctx):
+            fresh[sid] = all(not m for pt in ctx.points for m in pt.memos.values())
+            out = suite(ctx)
+            assert all(pt.memos[ctx.mode] for pt in ctx.points)
+            return out
+        return run
+
+    monkeypatch.setattr(harness, "suite_axioms", spy("axioms", harness.suite_axioms))
+    for sid, suite in list(harness._SUITES.items()):
+        monkeypatch.setitem(harness._SUITES, sid, spy(sid, suite))
+    plan = SamplePlan(count=1, seed=3, base_ranges=manifest.plan.base_ranges,
+                      fiber_ranges=manifest.plan.fiber_ranges)
+    harness.run_suites(manifest, plan=plan)
+    assert fresh == {sid: True for sid in harness.SUITE_IDS}
+
+
+def _near_boundary(doc, **plan):
+    """The bundled chart sampled with x3 in [1/20, 1/2], in float mode."""
+    near = json.loads(json.dumps(doc))
+    near["sample_plan"]["base_ranges"][2] = ["1/20", "1/2"]
+    near["sample_plan"].update(mode="float", **plan)
+    return harness.parse_manifest(near)
+
+
+def test_every_suite_uses_the_plan_tolerance(doc):
+    """Near x3 = 0 the F-compat float residual is about 3.6e-9: over the
+    default absolute 1e-9, within a plan tolerance of 1e-6."""
+    report = harness.run_suites(_near_boundary(doc, tolerance=1e-6))
+    assert [s["status"] for s in report["suites"]] == ["pass"] * len(harness.SUITE_IDS)
+    assert report["plan"]["tolerance"] == 1e-6
+    report = harness.run_suites(_near_boundary(doc), suites=["F-compat"])
+    assert report["suites"][0]["status"] == "fail"
+    assert report["suites"][0]["max_residual"]["float"] > 1e-9
 
 
 def test_suite_filtering(manifest):

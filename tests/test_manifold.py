@@ -203,3 +203,15 @@ def test_contract_with_zero_operand_gives_zero():
     out = mf.contract("ij,j->i", mf.zeros((3, 3)), xs)
     assert all(c is E.ZERO for c in out)
     assert mf.contract("i,i->", xs, mf.zeros(3)) is E.ZERO
+
+
+def test_evaluate_array_shares_one_memo(base_points):
+    """Sibling components are evaluated through one Point, so a subtree
+    they share is computed once; a Point passed in keeps its memo."""
+    x1, x2, x3 = (Var("base", i) for i in range(1, 4))
+    shared = E.mul(x1, x2)
+    arr = np.array([E.add(shared, x3), E.mul(shared, x3)], dtype=object)
+    point = E.Point(base_points[0])
+    assert list(mf.evaluate_array(arr, point)) == [3, 2]
+    assert point.memos["exact"][shared] == 1
+    assert list(mf.evaluate_array(arr, base_points[0], "float")) == [3.0, 2.0]

@@ -46,11 +46,11 @@ from .metallic import (
     MetallicParams,
     build_F,
     build_J,
+    build_psi,
     check_F_integrability_conditions,
     check_compat,
     check_metallic,
     fundamental_form,
-    nijenhuis_TM,
     parallelity_probe,
 )
 from .verdicts import AxiomVerdict, ResidualTracker, Witness

@@ -13,6 +13,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -22,8 +23,8 @@ from . import manifold as mf
 from . import metallic as ml
 from . import paracontact as pc
 from .exprs import Var
-from .scalars import is_zero, scalar_abs, scalar_str
-from .verdicts import FLOAT_TOL, ResidualTracker
+from .scalars import scalar_float, scalar_str, scaled_sum, sign
+from .verdicts import FLOAT_TOL, ResidualTracker, meets_zero, worst
 
 TOOL_NAME = "metallic-tm"
 TOOL_VERSION = "0.1.0"
@@ -293,18 +294,20 @@ class SuiteContext:
         self.cc = bd.clift_connection(self.tb)
         self.hc = bd.hlift_connection(self.tb)
         self.dphi_prime_sign: Optional[str] = None
-        self._J: Dict[ml.MetallicParams, ml.MetallicOnTM] = {}
-        self._F: Dict[ml.MetallicParams, ml.MetallicOnTM] = {}
+        self._psi: Dict[tuple, mf.TensorField] = {}
 
-    def J(self, prm: ml.MetallicParams) -> ml.MetallicOnTM:
-        if prm not in self._J:
-            self._J[prm] = ml.build_J(self.S, self.tb, prm)
-        return self._J[prm]
+    def structure(self, lift: str, prm: ml.MetallicParams) -> ml.MetallicOnTM:
+        """J (lift "c") or F (lift "h") for one parameter set; its Psi is
+        built on first use, once per sign pair."""
+        key = (lift, prm.eps1, prm.eps2)
+        if key not in self._psi:
+            self._psi[key] = ml.build_psi(self.S, self.tb, *key)
+        return ml.MetallicOnTM(ml.STRUCTURES[lift], self._psi[key], prm)
 
-    def F(self, prm: ml.MetallicParams) -> ml.MetallicOnTM:
-        if prm not in self._F:
-            self._F[prm] = ml.build_F(self.S, self.tb, prm)
-        return self._F[prm]
+    @cached_property
+    def frame(self) -> List[mf.TensorField]:
+        """The spanning fields of D = ker(eta), built on first use."""
+        return pc.distribution_frame(self.S, self.points, self.mode)
 
     def test_fields(self):
         """Deterministic non-constant fields exercising all lift laws."""
@@ -331,7 +334,8 @@ def _suite_result(suite_id: str, status: str, max_residual, witnesses: list,
     out = {
         "id": suite_id,
         "status": status,
-        "max_residual": {"exact": scalar_str(max_residual), "float": float(max_residual)},
+        "max_residual": {"exact": scalar_str(max_residual),
+                         "float": scalar_float(max_residual)},
         "witnesses": witnesses,
     }
     if notes:
@@ -349,21 +353,16 @@ def _tracker_suite(suite_id: str, tracker: ResidualTracker, status: Optional[str
 
 
 def _verdicts_to_suite(suite_id: str, verdicts) -> dict:
-    worst = None
-    failed = []
-    for v in verdicts:
-        if not v.holds:
-            failed.append(v)
-        if worst is None or scalar_abs(v.max_residual) > scalar_abs(worst.max_residual):
-            worst = v
+    top = worst(verdicts)
+    failed = [v for v in verdicts if not v.holds]
     status = "pass" if not failed else "fail"
     witnesses = []
-    for v in (failed or ([worst] if worst and worst.witness else [])):
+    for v in (failed or ([top] if top and top.witness else [])):
         if v.witness:
             w = v.witness.to_json()
             w["axiom"] = v.axiom_id
             witnesses.append(w)
-    return _suite_result(suite_id, status, worst.max_residual if worst else 0, witnesses)
+    return _suite_result(suite_id, status, top.max_residual if top else 0, witnesses)
 
 
 # ----------------------------------------------------------------------
@@ -504,82 +503,82 @@ def suite_lifts(ctx: SuiteContext) -> dict:
     return _tracker_suite("lifts", tracker)
 
 
-def _metallic_suite(ctx: SuiteContext, suite_id: str, builder) -> dict:
-    verdicts = []
-    for prm in ctx.manifest.params:
-        T = builder(prm)
-        verdicts.append(ml.check_metallic(T, ctx.points, ctx.mode, ctx.plan.tol))
-    return _verdicts_to_suite(suite_id, verdicts)
+def _metallic_suite(ctx: SuiteContext, suite_id: str, lift: str) -> dict:
+    return _verdicts_to_suite(suite_id, [
+        ml.check_metallic(ctx.structure(lift, prm), ctx.points, ctx.mode, ctx.plan.tol)
+        for prm in ctx.manifest.params])
 
 
 def suite_J_metallic(ctx: SuiteContext) -> dict:
-    return _metallic_suite(ctx, "J-metallic", ctx.J)
+    return _metallic_suite(ctx, "J-metallic", "c")
 
 
 def suite_F_metallic(ctx: SuiteContext) -> dict:
-    return _metallic_suite(ctx, "F-metallic", ctx.F)
+    return _metallic_suite(ctx, "F-metallic", "h")
 
 
 def suite_J_compat(ctx: SuiteContext) -> dict:
     verdicts = []
     for prm in ctx.manifest.params:
-        verdicts += ml.check_compat(ctx.gc, ctx.J(prm), ctx.points, ctx.mode, ctx.plan.tol)
+        verdicts += ml.check_compat(ctx.gc, ctx.structure("c", prm), ctx.points, ctx.mode,
+                                    ctx.plan.tol)
     return _verdicts_to_suite("J-compat", verdicts)
 
 
 def suite_F_compat(ctx: SuiteContext) -> dict:
     verdicts = []
     for prm in ctx.manifest.params:
-        verdicts += ml.check_compat(ctx.G, ctx.F(prm), ctx.points, ctx.mode, ctx.plan.tol)
+        verdicts += ml.check_compat(ctx.G, ctx.structure("h", prm), ctx.points, ctx.mode,
+                                    ctx.plan.tol)
     return _verdicts_to_suite("F-compat", verdicts)
 
 
 def suite_J_integrable(ctx: SuiteContext) -> dict:
-    prm = ctx.manifest.params[0]
-    J = ctx.J(prm)
-    NJ = ml.nijenhuis_TM(J)
+    """N_J = (a^2/4) N_Psi: N_Psi and its proof-table rows are evaluated
+    over Q and scaled."""
+    J = ctx.structure("c", ctx.manifest.params[0])
+    A = J.params.coefficients(ctx.mode)[0]
+    NPsi = mf.nijenhuis(J.psi)
     tracker = ResidualTracker(ctx.mode, ctx.plan.tol)
     n2 = 2 * ctx.manifest.n
     for pt in ctx.points:
         coords = ctx.tb.chart.coords(pt)
         for a, i, j in itertools.product(range(n2), repeat=3):
-            tracker.update(E.evaluate(NJ.components[a, i, j], pt, ctx.mode), coords, (a, i, j))
+            value = E.evaluate(NPsi.components[a, i, j], pt, ctx.mode)
+            tracker.update(scaled_sum((A, value)), coords, (a, i, j))
     # the proof-table decomposition for one representative field pair
     X, Y, _, _, _ = ctx.test_fields()
-    rows = ml.nijenhuis_rows(ctx.S, ctx.tb, prm, NJ, X, Y)
+    rows = ml.nijenhuis_rows(ctx.S, ctx.tb, NPsi, X, Y)
     for rid, resid in rows.items():
         for pt in ctx.points:
             coords = ctx.tb.chart.coords(pt)
             for idx, e in enumerate(resid):
-                tracker.update(E.evaluate(e, pt, ctx.mode), coords, (rid, idx))
+                tracker.update(scaled_sum((A, E.evaluate(e, pt, ctx.mode))), coords, (rid, idx))
     return _tracker_suite("J-integrable", tracker)
 
 
-def suite_J_parallel(ctx: SuiteContext) -> dict:
-    prm = ctx.manifest.params[0]
-    v = ml.parallelity_probe(ctx.J(prm), ctx.cc, ctx.S, ctx.tb, ctx.points, ctx.mode, ctx.plan.tol)
-    return _never_suite("J-parallel", v)
-
-
-def suite_F_parallel(ctx: SuiteContext) -> dict:
-    prm = ctx.manifest.params[0]
-    v = ml.parallelity_probe(ctx.F(prm), ctx.hc, ctx.S, ctx.tb, ctx.points, ctx.mode, ctx.plan.tol)
-    return _never_suite("F-parallel", v)
-
-
-def _never_suite(suite_id: str, v) -> dict:
+def _parallel_suite(ctx: SuiteContext, suite_id: str, lift: str, conn) -> dict:
+    v = ml.parallelity_probe(ctx.structure(lift, ctx.manifest.params[0]), conn, ctx.S, ctx.tb,
+                             ctx.points, ctx.mode, ctx.plan.tol, ctx.frame)
     return _suite_result(suite_id, "pass" if v.holds else "fail", v.max_residual,
                          [v.witness.to_json()] if v.witness else [])
 
 
+def suite_J_parallel(ctx: SuiteContext) -> dict:
+    return _parallel_suite(ctx, "J-parallel", "c", ctx.cc)
+
+
+def suite_F_parallel(ctx: SuiteContext) -> dict:
+    return _parallel_suite(ctx, "F-parallel", "h", ctx.hc)
+
+
 def suite_Phi_closedness(ctx: SuiteContext) -> dict:
     """Conditional report: dPhi(X^c, Y^c, Z^v) next to the Eq. (27) residual
-    on distribution triples; the suite passes when the two vanish together."""
-    prm = ctx.manifest.params[0]
-    J = ctx.J(prm)
-    Phi = ml.fundamental_form(J, ctx.gc)
-    dPhi = ml.d_fundamental(Phi)
-    frame = pc.distribution_frame(ctx.S, ctx.points, ctx.mode)
+    on distribution triples; the suite passes when the two vanish together.
+    dPhi is -a/2 times the coboundary of the form G(., Psi .) over Q."""
+    J = ctx.structure("c", ctx.manifest.params[0])
+    scale = J.params.coefficients(ctx.mode)[2]
+    dPhi = ml.d_fundamental(ml.fundamental_form(J, ctx.gc))
     M, conn, tb = ctx.M, ctx.conn, ctx.tb
     phi = ctx.S.phi
 
@@ -587,7 +586,7 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
     consistent = True
     witnesses = []
     for (iX, X), (iY, Y), (iZ, Z) in itertools.product(
-            enumerate(frame), repeat=3):
+            enumerate(ctx.frame), repeat=3):
         lhs = ml.dphi_on(dPhi, bd.clift_vector(tb, X), bd.clift_vector(tb, Y),
                          bd.vlift_vector(tb, Z))
         rhs = E.add(*(
@@ -595,13 +594,11 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
             for U, V, W in ((X, Y, Z), (Y, Z, X), (Z, X, Y))))
         for pt in ctx.points:
             coords = ctx.tb.chart.coords(pt)
-            lv = E.evaluate(lhs, pt, ctx.mode)
+            lv = scaled_sum((scale, E.evaluate(lhs, pt, ctx.mode)))
             rv = E.evaluate(rhs, pt, ctx.mode)
             tracker.update(lv, coords, (iX, iY, iZ, "dPhi"))
             tracker.note_scale(rv)
-            lz = is_zero(lv) if ctx.mode == "exact" else scalar_abs(lv) <= ctx.plan.tol
-            rz = is_zero(rv) if ctx.mode == "exact" else scalar_abs(rv) <= ctx.plan.tol
-            if lz != rz:
+            if meets_zero(lv, ctx.mode, ctx.plan.tol) != meets_zero(rv, ctx.mode, ctx.plan.tol):
                 consistent = False
                 witnesses.append({
                     "point": [scalar_str(c) for c in coords],
@@ -615,22 +612,16 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
 
 
 def suite_F_integrability(ctx: SuiteContext) -> dict:
-    prm = ctx.manifest.params[0]
-    res = ml.check_F_integrability_conditions(ctx.S, ctx.conn, ctx.points, ctx.mode, ctx.plan.tol)
-    NF = ml.nijenhuis_TM(ctx.F(prm))
-    n2 = 2 * ctx.manifest.n
-    nf_zero = True
-    for pt in ctx.points:
-        for a, i, j in itertools.product(range(n2), repeat=3):
-            v = E.evaluate(NF.components[a, i, j], pt, ctx.mode)
-            if not (is_zero(v) if ctx.mode == "exact" else scalar_abs(v) <= ctx.plan.tol):
-                nf_zero = False
-                break
-        if not nf_zero:
-            break
+    F = ctx.structure("h", ctx.manifest.params[0])
+    A = F.params.coefficients(ctx.mode)[0]
+    res = ml.check_F_integrability_conditions(ctx.S, ctx.conn, ctx.points, ctx.mode,
+                                              ctx.plan.tol, ctx.frame)
+    NPsi = mf.nijenhuis(F.psi)  # N_F = (a^2/4) N_Psi
+    nf_zero = all(meets_zero(scaled_sum((A, E.evaluate(c, pt, ctx.mode))), ctx.mode, ctx.plan.tol)
+                  for pt in ctx.points for c in NPsi.components.flat)
     conditions_hold = res["D_flat"].holds and res["e4"].holds
     consistent = (nf_zero == conditions_hold) and res["e5_equivalence"].holds
-    worst = max(res.values(), key=lambda v: scalar_abs(v.max_residual))
+    top = worst(res.values())
     witnesses = []
     for key in ("D_flat", "e4", "e5"):
         v = res[key]
@@ -640,7 +631,7 @@ def suite_F_integrability(ctx: SuiteContext) -> dict:
             w["status"] = v.status
             witnesses.append(w)
     return _suite_result("F-integrability-conditions", "pass" if consistent else "fail",
-                         worst.max_residual, witnesses, notes={
+                         top.max_residual, witnesses, notes={
                              "D_flat": res["D_flat"].status,
                              "e4": res["e4"].status,
                              "e5": res["e5"].status,
@@ -652,36 +643,32 @@ def suite_F_integrability(ctx: SuiteContext) -> dict:
 
 def suite_Phi_prime(ctx: SuiteContext) -> dict:
     """dPhi'(X^h, X^v, xi^v) = -((2s-p)/6) (g(X,X))^v on distribution fields;
-    the measured sign is recorded in the report conventions."""
+    the measured sign is recorded in the report conventions.  dPhi' is -a/2
+    times the coboundary of the form G(., Psi .) over Q."""
     prm = ctx.manifest.params[0]
-    Fm = ctx.F(prm)
-    Phip = ml.fundamental_form(Fm, ctx.G)
-    dPhip = ml.d_fundamental(Phip)
-    frame = pc.distribution_frame(ctx.S, ctx.points, ctx.mode)
+    Fm = ctx.structure("h", prm)
+    scale = prm.coefficients(ctx.mode)[2]
+    dPhip = ml.d_fundamental(ml.fundamental_form(Fm, ctx.G))
     M, tb = ctx.M, ctx.tb
-    amp6 = E.const(prm.amp * Fraction(1, 3))  # (2s-p)/6
     xiv = bd.vlift_vector(tb, ctx.S.xi)
 
     tracker = ResidualTracker(ctx.mode, ctx.plan.tol)
     nonzero_all = True
     sign_counts = {"+": 0, "-": 0}
-    for i, X in enumerate(frame):
+    for i, X in enumerate(ctx.frame):
         val_e = ml.dphi_on(dPhip, bd.hlift_vector(tb, X), bd.vlift_vector(tb, X), xiv)
         gXX = mf.contract("ab,a,b->", M.metric, X, X)
-        resid = E.add(val_e, E.mul(amp6, gXX))  # expect zero for sign "-"
+        # dPhi' + (a/6) gXX = -(a/2) (val_e - gXX/3), zero for sign "-"
+        resid = E.add(val_e, E.mul(E.const(Fraction(-1, 3)), gXX))
         for pt in ctx.points:
             coords = ctx.tb.chart.coords(pt)
-            v = E.evaluate(resid, pt, ctx.mode)
-            tracker.update(v, coords, (i,))
-            dval = E.evaluate(val_e, pt, ctx.mode)
-            if is_zero(dval) if ctx.mode == "exact" else scalar_abs(dval) <= ctx.plan.tol:
+            tracker.update(scaled_sum((scale, E.evaluate(resid, pt, ctx.mode))), coords, (i,))
+            dval = scaled_sum((scale, E.evaluate(val_e, pt, ctx.mode)))
+            if meets_zero(dval, ctx.mode, ctx.plan.tol):
                 nonzero_all = False
             else:
-                sign_counts["-" if float(dval) < 0 else "+"] += 1
-    if sign_counts["-"] >= sign_counts["+"]:
-        ctx.dphi_prime_sign = "-"
-    else:
-        ctx.dphi_prime_sign = "+"
+                sign_counts["-" if sign(dval) < 0 else "+"] += 1
+    ctx.dphi_prime_sign = "-" if sign_counts["-"] >= sign_counts["+"] else "+"
     status = "pass" if (tracker.all_zero and nonzero_all) else "fail"
     return _tracker_suite("Phi-prime", tracker, status=status,
                          notes={"measured_sign": ctx.dphi_prime_sign,

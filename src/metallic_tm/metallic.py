@@ -1,14 +1,17 @@
 """Metallic structures on TM built from lifted paracontact data.
 
 Two structures are provided: J, assembled from complete lifts, and F, from
-horizontal lifts.  Components carry exact coefficients in Q(sigma), so the
-defining identity T^2 = pT + qI is an exact zero test at rational points.
+horizontal lifts.  Both are T = (p/2) I - (a/2) Psi with a = 2 sigma - p and
+an almost product structure Psi over Q.  The checks evaluate residuals of
+Psi at rational points over Q and scale them by constants in Q(sigma), so
+the defining identity T^2 = pT + qI is still an exact zero test.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -19,8 +22,8 @@ from . import exprs as E
 from . import manifold as mf
 from . import paracontact as pc
 from .manifold import Connection, TensorField
-from .scalars import MetallicScalar, is_zero, sigma
-from .verdicts import FLOAT_TOL, AxiomVerdict, ResidualTracker, Witness
+from .scalars import MetallicScalar, is_zero, scaled_sum, sigma
+from .verdicts import FLOAT_TOL, AxiomVerdict, ResidualTracker, Witness, meets_zero
 
 
 @dataclass(frozen=True)
@@ -28,9 +31,11 @@ class MetallicParams:
     """Metallic parameters (p, q) and the sign variant (eps1, eps2) of the
     eta (x) xi terms in J and F.
 
-    The structures built from these parameters are metallic if and only if
-    eps1 * eps2 = 1.  For eps1 * eps2 = -1 the residual T^2 - pT - qI is the
-    nonzero closed form given in ``build_J`` and ``build_F``.
+    J and F are T = (p/2) I - (a/2) Psi with a = 2 sigma - p, where the
+    almost product structure Psi depends on the signs alone (``build_psi``).
+    They are metallic if and only if eps1 * eps2 = 1.  For eps1 * eps2 = -1
+    the residual T^2 - pT - qI is the nonzero closed form given in
+    ``build_J`` and ``build_F``.
     """
 
     p: int
@@ -50,13 +55,22 @@ class MetallicParams:
 
     @property
     def amp(self) -> MetallicScalar:
-        """(2 sigma - p) / 2, the linear coefficient in J and F."""
+        """a/2 = (2 sigma - p) / 2, the linear coefficient in J and F."""
         return MetallicScalar(Fraction(-self.p, 2), 1, self.p, self.q)
 
     @property
     def amp_squared(self) -> Fraction:
-        """A = ((2 sigma - p)/2)^2 = (p^2 + 4q)/4, a rational number."""
+        """a^2/4 = ((2 sigma - p)/2)^2 = (p^2 + 4q)/4, a rational number."""
         return Fraction(self.p * self.p + 4 * self.q, 4)
+
+    def coefficients(self, mode: str = "exact") -> tuple:
+        """(a^2/4, -pa/4, -a/2): the constants that turn residuals of Psi,
+        evaluated over Q, into those of T = (p/2) I - (a/2) Psi.  Floats in
+        float mode."""
+        half_p = Fraction(self.p, 2)
+        out = (self.amp_squared,
+               MetallicScalar(half_p * half_p, -half_p, self.p, self.q), -self.amp)
+        return out if mode == "exact" else tuple(float(c) for c in out)
 
     def label(self) -> str:
         s1 = "+" if self.eps1 == 1 else "-"
@@ -66,9 +80,17 @@ class MetallicParams:
 
 @dataclass(frozen=True)
 class MetallicOnTM:
+    """T = (p/2) I - (a/2) Psi with a = 2 sigma - p.  The checks below work
+    on ``psi`` over Q and scale by the ``coefficients`` of ``params``."""
+
     kind: str  # "complete_J" or "horizontal_F"
-    tensor: TensorField
+    psi: TensorField
     params: MetallicParams
+
+    @cached_property
+    def tensor(self) -> TensorField:
+        half_p = np.identity(self.psi.base.n, dtype=object) * Fraction(self.params.p, 2)
+        return TensorField(self.psi.base, (1, 1), half_p - self.params.amp * self.psi.components)
 
 
 def _outer(form: TensorField, vec: TensorField) -> np.ndarray:
@@ -80,56 +102,54 @@ def _outer(form: TensorField, vec: TensorField) -> np.ndarray:
     return out
 
 
-def _assemble(tb: bd.TangentBundleChart, params: MetallicParams,
-              phi_lift: TensorField, term1: np.ndarray, term2: np.ndarray,
-              kind: str) -> MetallicOnTM:
-    n2 = 2 * tb.n
-    half_p = E.const(Fraction(params.p, 2))
-    amp = E.const(params.amp)
-    comps = mf.zeros((n2, n2))
-    for a, b in itertools.product(range(n2), repeat=2):
-        inner = E.add(
-            phi_lift.components[a, b],
-            E.mul(E.const(params.eps1), term1[a, b]),
-            E.mul(E.const(params.eps2), term2[a, b]),
-        )
-        ident = half_p if a == b else E.ZERO
-        comps[a, b] = E.add(ident, E.mul(E.const(-1), amp, inner))
-    return MetallicOnTM(kind, TensorField(tb.chart, (1, 1), comps), params)
+STRUCTURES = {"c": "complete_J", "h": "horizontal_F"}
+
+
+def build_psi(S: pc.ParacontactStructure, tb: bd.TangentBundleChart, lift: str,
+              eps1: int, eps2: int) -> TensorField:
+    """Psi = phi^k + eps1 eta^v (x) xi^v + eps2 eta^k (x) xi^k, with k = "c"
+    (complete lifts, for J) or "h" (horizontal lifts, for F).
+
+    Psi is over Q and does not depend on (p, q).  By the metallic <-> almost
+    product correspondence (Hretcanu & Crasmareanu, Rev. Un. Mat. Argentina
+    54, 2013), T = (p/2) I - (a/2) Psi with a = 2 sigma - p, and Psi^2 = I if
+    and only if eps1 * eps2 = 1.
+    """
+    lift_vector = bd.clift_vector if lift == "c" else bd.hlift_vector
+    phik = bd.lift_tensor11(tb, S.phi, lift).components
+    term1 = _outer(bd.lift_oneform(tb, S.eta, "v"), bd.vlift_vector(tb, S.xi))
+    term2 = _outer(bd.lift_oneform(tb, S.eta, lift), lift_vector(tb, S.xi))
+    comps = mf.zeros(phik.shape)
+    for a, b in np.ndindex(phik.shape):
+        comps[a, b] = E.add(phik[a, b], E.mul(E.const(eps1), term1[a, b]),
+                            E.mul(E.const(eps2), term2[a, b]))
+    return TensorField(tb.chart, (1, 1), comps)
 
 
 def build_J(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
             params: MetallicParams) -> MetallicOnTM:
-    """J = (p/2) I - ((2s-p)/2) (phi^c + eps1 eta^v (x) xi^v + eps2 eta^c (x) xi^c).
+    """J = (p/2) I - (a/2) Psi_J with a = 2 sigma - p and
+    Psi_J = phi^c + eps1 eta^v (x) xi^v + eps2 eta^c (x) xi^c.
 
     J is metallic if and only if eps1 * eps2 = 1.  Since
     eta^v(xi^v) = eta^c(xi^c) = 0 and eta^v(xi^c) = eta^c(xi^v) = 1,
 
         J^2 - pJ - qI = ((p^2 + 4q)/4) (eps1 eps2 - 1) (eta^c (x) xi^v + eta^v (x) xi^c).
     """
-    phic = bd.lift_tensor11(tb, S.phi, "c")
-    ev = bd.lift_oneform(tb, S.eta, "v")
-    ec = bd.lift_oneform(tb, S.eta, "c")
-    xv = bd.vlift_vector(tb, S.xi)
-    xc = bd.clift_vector(tb, S.xi)
-    return _assemble(tb, params, phic, _outer(ev, xv), _outer(ec, xc), "complete_J")
+    return MetallicOnTM("complete_J", build_psi(S, tb, "c", params.eps1, params.eps2), params)
 
 
 def build_F(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
             params: MetallicParams) -> MetallicOnTM:
-    """F = (p/2) I - ((2s-p)/2) (phi^h + eps1 eta^v (x) xi^v + eps2 eta^h (x) xi^h).
+    """F = (p/2) I - (a/2) Psi_F with a = 2 sigma - p and
+    Psi_F = phi^h + eps1 eta^v (x) xi^v + eps2 eta^h (x) xi^h.
 
     F is metallic if and only if eps1 * eps2 = 1.  Since
     eta^v(xi^v) = eta^h(xi^h) = 0 and eta^v(xi^h) = eta^h(xi^v) = 1,
 
         F^2 - pF - qI = ((p^2 + 4q)/4) (eps1 eps2 - 1) (eta^h (x) xi^v + eta^v (x) xi^h).
     """
-    phih = bd.lift_tensor11(tb, S.phi, "h")
-    ev = bd.lift_oneform(tb, S.eta, "v")
-    eh = bd.lift_oneform(tb, S.eta, "h")
-    xv = bd.vlift_vector(tb, S.xi)
-    xh = bd.hlift_vector(tb, S.xi)
-    return _assemble(tb, params, phih, _outer(ev, xv), _outer(eh, xh), "horizontal_F")
+    return MetallicOnTM("horizontal_F", build_psi(S, tb, "h", params.eps1, params.eps2), params)
 
 
 # ----------------------------------------------------------------------
@@ -145,60 +165,44 @@ def pq_residual(t: np.ndarray, p: int, q: int) -> np.ndarray:
     return out
 
 
-def metallic_residual(T: MetallicOnTM) -> np.ndarray:
-    """T^2 - pT - qI as a component matrix of expressions."""
-    return pq_residual(T.tensor.components, T.params.p, T.params.q)
-
-
 def check_metallic(T: MetallicOnTM, points, mode: str = "exact",
                    tol: float = FLOAT_TOL) -> AxiomVerdict:
-    return pc._check_array(metallic_residual(T), points, mode, T.tensor.base,
-                           f"metallic[{T.kind};{T.params.label()}]", tol)
+    """T^2 - pT - qI = (a^2/4) (Psi^2 - I)."""
+    A = T.params.coefficients(mode)[0]
+    return pc._check_array([(A, pq_residual(T.psi.components, 0, 1))], points, mode,
+                           T.psi.base, f"metallic[{T.kind};{T.params.label()}]", tol)
 
 
 def check_compat(metric: TensorField, T: MetallicOnTM, points, mode: str = "exact",
                  tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
-    """Both compatibility forms: the (p,q) identity and plain symmetry."""
-    chart = T.tensor.base
-    n2 = chart.n
-    m = metric.components
-    t = T.tensor.components
-    p, q = T.params.p, T.params.q
+    """Both compatibility forms with a symmetric metric G, the (p,q) identity
+    and plain symmetry:
 
-    mt = mf.contract("ak,kb->ab", m, t)  # metric(e_a, T e_b)
-    r_pq = mf.contract("ka,kb->ab", t, mt)  # metric(Ta,Tb) - p metric(a,Tb) - q metric(a,b)
-    for a, b in itertools.product(range(n2), repeat=2):
-        r_pq[a, b] = E.add(
-            r_pq[a, b],
-            E.mul(E.const(-p), mt[a, b]),
-            E.mul(E.const(-q), m[a, b]),
-        )
-
-    r_sym = mf.zeros((n2, n2))  # metric(Ta, b) - metric(a, Tb)
-    for a, b in itertools.product(range(n2), repeat=2):
-        r_sym[a, b] = E.add(mt[b, a], E.mul(E.const(-1), mt[a, b]))
-
-    return [pc._check_array(resid, points, mode, chart, f"{rid}[{T.kind}]", tol)
-            for rid, resid in (("compat-pq", r_pq), ("compat-symmetry", r_sym))]
+        T^T G T - pGT - qG = (a^2/4) (Psi^T G Psi - G) - (pa/4) (Psi^T G - G Psi)
+        T^T G - G T        = -(a/2) (Psi^T G - G Psi)
+    """
+    m, s = metric.components, T.psi.components
+    ms = mf.contract("ak,kb->ab", m, s)  # metric(e_a, Psi e_b)
+    u = mf.contract("ka,kb->ab", s, ms)  # metric(Psi a, Psi b) - metric(a, b)
+    w = mf.zeros(u.shape)  # metric(Psi a, b) - metric(a, Psi b)
+    for a, b in np.ndindex(u.shape):
+        u[a, b] = E.add(u[a, b], E.mul(E.const(-1), m[a, b]))
+        w[a, b] = E.add(ms[b, a], E.mul(E.const(-1), ms[a, b]))
+    A, B, C = T.params.coefficients(mode)
+    return [pc._check_array(terms, points, mode, T.psi.base, f"{rid}[{T.kind}]", tol)
+            for rid, terms in (("compat-pq", [(A, u), (B, w)]), ("compat-symmetry", [(C, w)]))]
 
 
 # ----------------------------------------------------------------------
 # Nijenhuis tensor on TM and the proof-table decomposition
 # ----------------------------------------------------------------------
 
-def nijenhuis_TM(T: MetallicOnTM) -> TensorField:
-    return mf.nijenhuis(T.tensor)
-
-
-def _scale_vec(scalar: E.Expr, V: TensorField) -> np.ndarray:
-    return np.array([E.mul(scalar, c) for c in V.components], dtype=object)
-
-
 def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
-                   params: MetallicParams, NJ: TensorField,
-                   X: TensorField, Y: TensorField) -> Dict[str, np.ndarray]:
-    """Residuals of the lifted-frame closed forms for N_J, one row per
-    frame pair, with A = ((2 sigma - p)/2)^2.
+                   N: TensorField, X: TensorField, Y: TensorField) -> Dict[str, np.ndarray]:
+    """Residuals of the lifted-frame closed forms for N = N_Psi, the
+    Nijenhuis tensor of Psi = phi^c + eps1 eta^v (x) xi^v + eps2 eta^c (x) xi^c,
+    one row per frame pair.  For J = (p/2) I - (a/2) Psi, N_J = A N_Psi with
+    A = a^2/4 = ((2 sigma - p)/2)^2, so these rows times A are those of N_J.
 
     Each entry is LHS - RHS as a vector of bundle expressions; all of them
     vanish identically when the closed forms hold for (X, Y).  The closed
@@ -206,7 +210,6 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
     they hold for any almost paracontact structure, not just P-Sasakian ones.
     """
     nt = pc.n_tensors(S)
-    A = E.const(params.amp_squared)
 
     def lift(v, kind):
         return bd.clift_vector(tb, v) if kind == "c" else bd.vlift_vector(tb, v)
@@ -220,8 +223,8 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
     Yv, Yc = lift(Y, "v"), lift(Y, "c")
     xiv, xic = lift(S.xi, "v"), lift(S.xi, "c")
 
-    def nj_on(U: TensorField, V: TensorField) -> np.ndarray:
-        return mf.contract("aij,i,j->a", NJ, U, V)
+    def n_on(U: TensorField, V: TensorField) -> np.ndarray:
+        return mf.contract("aij,i,j->a", N, U, V)
 
     n1xy = mf.TensorField(S.base, (1, 0), mf.contract("aij,i,j->a", nt["N1"], X, Y))
     n2xy = mf.contract("ij,i,j->", nt["N2"], X, Y)
@@ -232,61 +235,45 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
 
     rows: Dict[str, np.ndarray] = {}
 
-    # N_J(X^v, Y^v) = 0
-    rows["vv"] = nj_on(Xv, Yv)
+    # N(X^v, Y^v) = 0
+    rows["vv"] = n_on(Xv, Yv)
 
-    # N_J(X^v, Y^c) = A([N1(X,Y)]^v + N2(X,Y) xi^c)
-    rhs = np.array([
-        E.add(a, E.mul(A, n2xy, b))
-        for a, b in zip(_scale_vec(A, lift(n1xy, "v")), xic.components)
-    ], dtype=object)
-    rows["vc"] = vecdiff(nj_on(Xv, Yc), rhs)
+    # N(X^v, Y^c) = [N1(X,Y)]^v + N2(X,Y) xi^c
+    rhs = [E.add(a, E.mul(n2xy, b))
+           for a, b in zip(lift(n1xy, "v").components, xic.components)]
+    rows["vc"] = vecdiff(n_on(Xv, Yc), rhs)
 
-    # N_J(X^c, Y^c) = A([N1(X,Y)]^c + N2(X,Y) xi^v)
-    rhs = np.array([
-        E.add(a, E.mul(A, n2xy, b))
-        for a, b in zip(_scale_vec(A, lift(n1xy, "c")), xiv.components)
-    ], dtype=object)
-    rows["cc"] = vecdiff(nj_on(Xc, Yc), rhs)
+    # N(X^c, Y^c) = [N1(X,Y)]^c + N2(X,Y) xi^v
+    rhs = [E.add(a, E.mul(n2xy, b))
+           for a, b in zip(lift(n1xy, "c").components, xiv.components)]
+    rows["cc"] = vecdiff(n_on(Xc, Yc), rhs)
 
-    # N_J(X^v, xi^v) = A(-(N3 X)^v + N4(X) xi^c)
-    rhs = np.array([
-        E.add(E.mul(E.const(-1), A, a), E.mul(A, n4x, b))
-        for a, b in zip(lift(n3x, "v").components, xic.components)
-    ], dtype=object)
-    rows["v-xiv"] = vecdiff(nj_on(Xv, xiv), rhs)
+    # N(X^v, xi^v) = -(N3 X)^v + N4(X) xi^c
+    rhs = [E.add(E.mul(E.const(-1), a), E.mul(n4x, b))
+           for a, b in zip(lift(n3x, "v").components, xic.components)]
+    rows["v-xiv"] = vecdiff(n_on(Xv, xiv), rhs)
 
-    # N_J(X^v, xi^c) = A([phi(N3 X) - N4(X) xi]^v + N2(X,xi) xi^c)
+    # N(X^v, xi^c) = [phi(N3 X) - N4(X) xi]^v + N2(X,xi) xi^c
     inner = mf.TensorField(S.base, (1, 0), np.array([
         E.add(a, E.mul(E.const(-1), n4x, b))
         for a, b in zip(phin3x.components, S.xi.components)
     ], dtype=object))
-    rhs = np.array([
-        E.add(E.mul(A, a), E.mul(A, n2_x_xi, b))
-        for a, b in zip(lift(inner, "v").components, xic.components)
-    ], dtype=object)
-    rows["v-xic"] = vecdiff(nj_on(Xv, xic), rhs)
+    rhs = [E.add(a, E.mul(n2_x_xi, b))
+           for a, b in zip(lift(inner, "v").components, xic.components)]
+    rows["v-xic"] = vecdiff(n_on(Xv, xic), rhs)
 
-    # N_J(X^c, xi^v) = A(-(N3 X)^c + (phi(N3 X))^v - [N4(phi X) - N4(X)]^c xi^c)
+    # N(X^c, xi^v) = -(N3 X)^c + (phi(N3 X))^v - [N4(phi X) - N4(X)]^c xi^c
     n4phix = mf.contract("m,m->", nt["N4"], mf.apply_11(S.phi, X))
-    scal = E.add(n4phix, E.mul(E.const(-1), n4x))
-    scal_c = tb.ydel(scal)
-    rhs = np.array([
-        E.add(
-            E.mul(E.const(-1), A, a),
-            E.mul(A, b),
-            E.mul(E.const(-1), A, scal_c, c),
-        )
-        for a, b, c in zip(
-            lift(n3x, "c").components, lift(phin3x, "v").components, xic.components
-        )
-    ], dtype=object)
-    rows["c-xiv"] = vecdiff(nj_on(Xc, xiv), rhs)
+    scal_c = tb.ydel(E.add(n4phix, E.mul(E.const(-1), n4x)))
+    rhs = [E.add(E.mul(E.const(-1), a), b, E.mul(E.const(-1), scal_c, c))
+           for a, b, c in zip(lift(n3x, "c").components, lift(phin3x, "v").components,
+                              xic.components)]
+    rows["c-xiv"] = vecdiff(n_on(Xc, xiv), rhs)
 
-    # N_J(xi^v, xi^v) = N_J(xi^c, xi^c) = N_J(xi^v, xi^c) = 0
-    rows["xiv-xiv"] = nj_on(xiv, xiv)
-    rows["xic-xic"] = nj_on(xic, xic)
-    rows["xiv-xic"] = nj_on(xiv, xic)
+    # N(xi^v, xi^v) = N(xi^c, xi^c) = N(xi^v, xi^c) = 0
+    rows["xiv-xiv"] = n_on(xiv, xiv)
+    rows["xic-xic"] = n_on(xic, xic)
+    rows["xiv-xic"] = n_on(xiv, xic)
 
     return rows
 
@@ -296,17 +283,18 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
 # ----------------------------------------------------------------------
 
 def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
-                                     points, mode: str = "exact",
-                                     tol: float = FLOAT_TOL) -> Dict[str, AxiomVerdict]:
+                                     points, mode: str = "exact", tol: float = FLOAT_TOL,
+                                     frame=None) -> Dict[str, AxiomVerdict]:
     """The two curvature/connection conditions of the F-integrability theorem
-    plus D-flatness, each evaluated on distribution frame tuples."""
+    plus D-flatness, each evaluated on distribution frame tuples (``frame``,
+    by default ``distribution_frame`` at the points)."""
     M = S.base
     n = M.n
     R = mf.curvature(C)
-    frame = pc.distribution_frame(S, points, mode)
+    frame = pc.distribution_frame(S, points, mode) if frame is None else frame
     eta = S.eta.components
 
-    d_flat = pc.check_D_flat(S, C, points, mode, tol)
+    d_flat = pc.check_D_flat(S, C, points, mode, tol, frame)
 
     # e4: R(phiX, phiY)Z + R(X,Y)Z - phi{ R(phiX, Y)Z + R(X, phiY)Z } = 0
     tr4 = ResidualTracker(mode, tol)
@@ -364,17 +352,22 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
 
 def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
                       S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
-                      points, mode: str = "exact", tol: float = FLOAT_TOL) -> AxiomVerdict:
+                      points, mode: str = "exact", tol: float = FLOAT_TOL,
+                      frame=None) -> AxiomVerdict:
     """(nabla~_X~ T) xi~ against the closed form; the structure is reported
-    non-parallel when every D-frame direction gives a nonzero residual that
+    non-parallel when every D-frame direction (``frame``, by default
+    ``distribution_frame`` at the points) gives a nonzero residual that
     matches the closed form exactly.
 
     complete_J:   (nabla^c_{X^c} J) xi^c = -((2s-p)/2) [(phi X)^v - X^c]
     horizontal_F: (nabla^h_{X^h} F) xi^h = -((2s-p)/2) [(phi X)^v - (phi^2 X)^h]
+
+    Since nabla~ T = -(a/2) nabla~ Psi, both sides are built for Psi over Q
+    and their values are scaled by -a/2.
     """
     n = tb.n
-    amp = E.const(T.params.amp)
-    dT = mf.covariant_derivative(lifted_conn, T.tensor)  # [a, A, b]
+    scale = T.params.coefficients(mode)[2]
+    dpsi = mf.covariant_derivative(lifted_conn, T.psi)  # [a, A, b]
     phi2 = mf.TensorField(S.base, (1, 1), mf.contract("am,mb->ab", S.phi, S.phi))
 
     def lift_dir(X: mf.TensorField) -> mf.TensorField:
@@ -388,16 +381,16 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
         else:
             second = bd.hlift_vector(tb, mf.apply_11(phi2, X))
         return np.array([
-            E.mul(E.const(-1), amp, E.add(a, E.mul(E.const(-1), b)))
+            E.add(a, E.mul(E.const(-1), b))
             for a, b in zip(bd.vlift_vector(tb, phiX).components, second.components)
         ], dtype=object)
 
     xil = lift_dir(S.xi)
 
     def residual(X: mf.TensorField) -> np.ndarray:
-        return mf.contract("aij,i,j->a", dT, lift_dir(X), xil)
+        return mf.contract("aij,i,j->a", dpsi, lift_dir(X), xil)
 
-    d_frame = pc.distribution_frame(S, points, mode)
+    d_frame = pc.distribution_frame(S, points, mode) if frame is None else frame
 
     # closed-form match: the J display is qualified to directions in D,
     # while the F display carries phi^2 and holds on the whole frame
@@ -416,7 +409,8 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
         for pt in points:
             coords = tb.chart.coords(pt)
             for a in range(2 * n):
-                match.update(E.evaluate(diff[a], pt, mode), coords, (i, a))
+                match.update(scaled_sum((scale, E.evaluate(diff[a], pt, mode))),
+                             coords, (i, a))
 
     # non-vanishing over every distribution frame direction
     nonzero_all = True
@@ -426,10 +420,10 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
         resid = residual(X)
         for pt in points:
             coords = tb.chart.coords(pt)
-            vals = [E.evaluate(r, pt, mode) for r in resid]
+            vals = [scaled_sum((scale, E.evaluate(r, pt, mode))) for r in resid]
             for a, v in enumerate(vals):
                 sample.update(v, coords, (i, a))
-            if all(is_zero(v) if mode == "exact" else abs(v) <= tol for v in vals):
+            if all(meets_zero(v, mode, tol) for v in vals):
                 nonzero_all = False
                 zero_witness = Witness(coords, (i,), "0")
 
@@ -446,20 +440,15 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
 # ----------------------------------------------------------------------
 
 def fundamental_form(T: MetallicOnTM, metric: TensorField) -> TensorField:
-    """Phi(X~, Y~) = metric(X~, T Y~) - (p/2) metric(X~, Y~).
+    """metric(X~, Psi Y~), the part over Q of the fundamental form
 
-    Compatibility makes this tensor symmetric, not antisymmetric; it is fed
-    to the coboundary formula componentwise.
+        Phi(X~, Y~) = metric(X~, T Y~) - (p/2) metric(X~, Y~) = -(a/2) metric(X~, Psi Y~),
+
+    so dPhi is -a/2 times the coboundary of this form.  Compatibility makes
+    it symmetric, not antisymmetric; it is fed to the coboundary formula
+    componentwise.
     """
-    chart = T.tensor.base
-    n2 = chart.n
-    m = metric.components
-    t = T.tensor.components
-    halfp = E.const(Fraction(T.params.p, 2))
-    out = mf.contract("ak,kb->ab", m, t)
-    for a, b in itertools.product(range(n2), repeat=2):
-        out[a, b] = E.add(out[a, b], E.mul(E.const(-1), halfp, m[a, b]))
-    return TensorField(chart, (0, 2), out)
+    return TensorField(T.psi.base, (0, 2), mf.contract("ak,kb->ab", metric, T.psi))
 
 
 def d_fundamental(phi_form: TensorField) -> TensorField:

@@ -15,8 +15,8 @@ import numpy as np
 from . import exprs as E
 from . import manifold as mf
 from .manifold import ChartedManifold, Connection, GeometryError, TensorField
-from .scalars import is_zero, scalar_abs
-from .verdicts import FLOAT_TOL, AxiomVerdict, ResidualTracker
+from .scalars import is_zero, scaled_sum
+from .verdicts import FLOAT_TOL, AxiomVerdict, ResidualTracker, meets_zero
 
 
 class ParacontactStructure:
@@ -34,14 +34,17 @@ class ParacontactStructure:
         return mf.contract("m,m->", self.eta, self.xi)
 
 
-def _check_array(arr: np.ndarray, points, mode: str, M: ChartedManifold,
+def _check_array(terms, points, mode: str, M: ChartedManifold,
                  axiom_id: str, tol: float) -> AxiomVerdict:
-    """Residual array of expressions, expected zero at every point."""
+    """The residual sum(coef * arr) over (coef, arr) terms, where each arr is
+    an array of expressions, expected zero at every point.  Each component
+    of each arr is evaluated first and then scaled by its constant coef."""
     tracker = ResidualTracker(mode, tol)
     for pt in points:
         coords = M.coords(pt)
-        for idx in np.ndindex(arr.shape):
-            tracker.update(E.evaluate(arr[idx], pt, mode), coords, idx)
+        for idx in np.ndindex(terms[0][1].shape):
+            tracker.update(scaled_sum(*((c, E.evaluate(arr[idx], pt, mode)) for c, arr in terms)),
+                           coords, idx)
     return tracker.verdict(axiom_id)
 
 
@@ -62,10 +65,10 @@ def check_almost_paracontact(S: ParacontactStructure, points, mode: str = "exact
     r4 = mf.contract("m,mj->j", eta, phi)
 
     return [
-        _check_array(r1, points, mode, M, "phi-squared", tol),
-        _check_array(r2, points, mode, M, "eta-of-xi", tol),
-        _check_array(r3, points, mode, M, "phi-xi", tol),
-        _check_array(r4, points, mode, M, "eta-circ-phi", tol),
+        _check_array([(1, r1)], points, mode, M, "phi-squared", tol),
+        _check_array([(1, r2)], points, mode, M, "eta-of-xi", tol),
+        _check_array([(1, r3)], points, mode, M, "phi-xi", tol),
+        _check_array([(1, r4)], points, mode, M, "eta-circ-phi", tol),
     ]
 
 
@@ -88,9 +91,9 @@ def check_metric_compat(S: ParacontactStructure, points, mode: str = "exact",
         r3[i] = E.add(E.mul(E.const(-1), eta[i]), r3[i])
 
     return [
-        _check_array(r1, points, mode, M, "compat-eq4", tol),
-        _check_array(r2, points, mode, M, "compat-phi-symmetry", tol),
-        _check_array(r3, points, mode, M, "compat-g-xi", tol),
+        _check_array([(1, r1)], points, mode, M, "compat-eq4", tol),
+        _check_array([(1, r2)], points, mode, M, "compat-phi-symmetry", tol),
+        _check_array([(1, r3)], points, mode, M, "compat-g-xi", tol),
     ]
 
 
@@ -118,8 +121,8 @@ def check_p_sasakian(S: ParacontactStructure, C: Connection, points, mode: str =
         r2[a, i] = E.add(dxi[a, i], E.mul(E.const(-1), phi[a, i]))
 
     return [
-        _check_array(r1, points, mode, M, "p-sasakian-eq6", tol),
-        _check_array(r2, points, mode, M, "p-sasakian-eq7", tol),
+        _check_array([(1, r1)], points, mode, M, "p-sasakian-eq6", tol),
+        _check_array([(1, r2)], points, mode, M, "p-sasakian-eq7", tol),
     ]
 
 
@@ -176,10 +179,7 @@ def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact") 
     exi = S.eta_of_xi()
 
     def vanishes(c: E.Expr) -> bool:
-        return all(
-            scalar_abs(E.evaluate(c, pt, mode)) <= (0 if mode == "exact" else 1e-12)
-            for pt in points
-        )
+        return all(meets_zero(E.evaluate(c, pt, mode), mode, 1e-12) for pt in points)
 
     out = []
     for i in range(n):
@@ -196,10 +196,11 @@ def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact") 
 
 
 def check_D_flat(S: ParacontactStructure, C: Connection, points, mode: str = "exact",
-                 tol: float = FLOAT_TOL) -> AxiomVerdict:
-    """eta(nabla_X Y) = 0 for a spanning family of D-valued fields."""
+                 tol: float = FLOAT_TOL, frame=None) -> AxiomVerdict:
+    """eta(nabla_X Y) = 0 for a spanning family of D-valued fields (``frame``,
+    by default ``distribution_frame`` at the points)."""
     M = S.base
-    frame = distribution_frame(S, points, mode)
+    frame = distribution_frame(S, points, mode) if frame is None else frame
     eta = S.eta.components
     tracker = ResidualTracker(mode, tol)
     for i, X in enumerate(frame):

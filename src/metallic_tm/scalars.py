@@ -9,6 +9,7 @@ the two-dimensional representation a + b*sigma over Q.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -175,9 +176,6 @@ class MetallicScalar:
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * self.sigma_value()
 
-    def __abs__(self) -> float:
-        return abs(float(self))
-
     # -- display ------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -204,11 +202,44 @@ def sigma(p: int, q: int) -> MetallicScalar:
     return MetallicScalar(0, 1, p, q)
 
 
-def scalar_abs(x: ScalarLike) -> float:
-    """Magnitude of an exact scalar in the real embedding (sigma > 0)."""
+def sign(x) -> int:
+    """Exact sign of a real scalar (sigma is the positive root); no float
+    conversion, so it neither overflows nor underflows."""
     if isinstance(x, MetallicScalar):
-        return abs(x)
-    return abs(float(x))
+        # a + b sigma = (u + b sqrt(d)) / 2 with u = 2a + bp and d = p^2 + 4q
+        u, b = 2 * x.a + x.b * x.p, x.b
+        if u * b >= 0:
+            return sign(u) or sign(b)
+        return sign(u) * sign(u * u - b * b * (x.p * x.p + 4 * x.q))
+    return (x > 0) - (x < 0)
+
+
+def abs_greater(x, y) -> bool:
+    """|x| > |y|.  Exact for rationals and for two elements of one Q(sigma);
+    floats, and irrationals of two different extensions, compare through
+    ``scalar_float``."""
+    if not isinstance(x, float) and not isinstance(y, float):
+        try:
+            return sign((-x if sign(x) < 0 else x) - (-y if sign(y) < 0 else y)) > 0
+        except ScalarError:
+            pass
+    return abs(scalar_float(x)) > abs(scalar_float(y))
+
+
+def scalar_float(x) -> float:
+    """float(x), or +-sys.float_info.max when |x| is beyond the float range."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf * sign(x)
+    return math.copysign(sys.float_info.max, f) if math.isinf(f) else f
+
+
+def scaled_sum(*terms):
+    """sum(coef * value) over (coef, value) pairs.  A value that is exactly 0
+    contributes no product, and all-zero values give 0."""
+    products = [coef * value for coef, value in terms if value != 0]
+    return sum(products[1:], products[0]) if products else 0
 
 
 def is_zero(x) -> bool:

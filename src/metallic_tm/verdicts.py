@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from .scalars import scalar_abs, scalar_str
+from .scalars import abs_greater, is_zero, scalar_str
 
 FLOAT_TOL = 1e-9
 
@@ -35,58 +35,49 @@ class AxiomVerdict:
     def holds(self) -> bool:
         return self.status == "holds"
 
-    def to_json(self) -> dict:
-        return {
-            "axiom": self.axiom_id,
-            "status": self.status,
-            "max_residual": {
-                "exact": scalar_str(self.max_residual),
-                "float": float(self.max_residual),
-            },
-            "witness": self.witness.to_json() if self.witness else None,
-        }
+
+def meets_zero(value, mode: str, tol: float) -> bool:
+    """Exactly zero in exact mode; of magnitude at most ``tol`` in float mode."""
+    return is_zero(value) if mode == "exact" else abs(value) <= tol
+
+
+def worst(verdicts):
+    """The first of the verdicts with the largest |max_residual|, or None."""
+    out = None
+    for v in verdicts:
+        if out is None or abs_greater(v.max_residual, out.max_residual):
+            out = v
+    return out
 
 
 class ResidualTracker:
     """Collects residual values and reports the max-magnitude one.
 
-    In exact mode a residual "meets zero" iff it is exactly zero; in float
-    mode iff its magnitude is at most ``tol`` times the tracked scale.
+    In exact mode a residual "meets zero" iff it is exactly zero, and
+    magnitudes are ranked exactly; in float mode iff its magnitude is at
+    most ``tol`` times the tracked scale.
     """
 
     def __init__(self, mode: str = "exact", tol: float = FLOAT_TOL) -> None:
         self.mode = mode
         self.tol = tol
         self.max_value: Any = 0
-        self.max_abs = 0.0
         self.scale = 1.0
         self.witness: Optional[Witness] = None
 
     def note_scale(self, value) -> None:
-        m = scalar_abs(value)
-        if m > self.scale:
-            self.scale = m
+        if self.mode == "float" and abs(value) > self.scale:
+            self.scale = abs(value)
 
     def update(self, value, point_coords, frame) -> None:
-        m = scalar_abs(value)
-        if m > self.max_abs:
-            self.max_abs = m
+        if abs_greater(value, self.max_value):
             self.max_value = value
             self.witness = Witness(tuple(point_coords), tuple(frame), scalar_str(value))
 
     @property
     def all_zero(self) -> bool:
-        if self.mode == "exact":
-            return self.max_abs == 0.0 and (
-                self.max_value == 0 or not self.max_value
-            )
-        return self.max_abs <= self.tol * self.scale
+        return meets_zero(self.max_value, self.mode, self.tol * self.scale)
 
-    def verdict(self, axiom_id: str, expect_zero: bool = True) -> AxiomVerdict:
-        ok = self.all_zero if expect_zero else not self.all_zero
-        return AxiomVerdict(
-            axiom_id,
-            "holds" if ok else "fails",
-            self.max_value,
-            self.witness,
-        )
+    def verdict(self, axiom_id: str) -> AxiomVerdict:
+        return AxiomVerdict(axiom_id, "holds" if self.all_zero else "fails",
+                            self.max_value, self.witness)

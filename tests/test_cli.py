@@ -82,6 +82,27 @@ def test_verify_evaluation_error_exit_code(tmp_path, manifest_path):
     assert proc.stderr.startswith("error: ")
 
 
+def test_verify_residual_beyond_float_range(tmp_path, manifest_path):
+    """An exact residual too large for a float fails its suite with exit
+    code 1, not a traceback, and the report still holds a number."""
+    doc = json.load(open(manifest_path))
+    doc["phi"][0][0] = "x1^700"
+    p = tmp_path / "huge-phi.json"
+    p.write_text(json.dumps(doc))
+    report = tmp_path / "r.json"
+    src = os.path.dirname(os.path.dirname(metallic_tm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "metallic_tm.cli", "verify", str(p),
+         "--suites", "axioms", "--report", str(report)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == EXIT_FAIL
+    assert "Traceback" not in proc.stderr
+    (axioms,) = json.loads(report.read_text())["suites"]
+    assert axioms["status"] == "fail"
+    assert axioms["max_residual"]["float"] == sys.float_info.max
+
+
 def test_verify_pq_override(manifest_path, tmp_path):
     report = tmp_path / "r.json"
     code = main([

@@ -7,6 +7,7 @@ import pytest
 
 from metallic_tm import exprs as E
 from metallic_tm import harness
+from metallic_tm import paracontact as pc
 from metallic_tm.harness import Manifest, ManifestError, SamplePlan
 
 
@@ -189,6 +190,29 @@ def test_each_suite_gets_fresh_memos(manifest, monkeypatch):
                       fiber_ranges=manifest.plan.fiber_ranges)
     harness.run_suites(manifest, plan=plan)
     assert fresh == {sid: True for sid in harness.SUITE_IDS}
+
+
+def test_run_builds_psi_and_the_distribution_frame_once(manifest, monkeypatch):
+    """A full run builds the D-frame once, and Psi once per lift and sign
+    pair: the three bundled parameter sets have two sign pairs."""
+    calls = {"frame": 0, "psi": []}
+    frame, psi = pc.distribution_frame, harness.ml.build_psi
+
+    def count_frame(*args, **kwargs):
+        calls["frame"] += 1
+        return frame(*args, **kwargs)
+
+    def count_psi(S, tb, *key):
+        calls["psi"].append(key)
+        return psi(S, tb, *key)
+
+    monkeypatch.setattr(pc, "distribution_frame", count_frame)
+    monkeypatch.setattr(harness.ml, "build_psi", count_psi)
+    plan = SamplePlan(count=1, seed=3, base_ranges=manifest.plan.base_ranges,
+                      fiber_ranges=manifest.plan.fiber_ranges)
+    harness.run_suites(manifest, plan=plan)
+    assert calls["frame"] == 1
+    assert sorted(calls["psi"]) == [("c", -1, -1), ("c", 1, 1), ("h", -1, -1), ("h", 1, 1)]
 
 
 def _near_boundary(doc, **plan):

@@ -4,6 +4,7 @@ integrability, parallelity and the fundamental forms."""
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from metallic_tm import bundle as bd
@@ -13,6 +14,7 @@ from metallic_tm import metallic as ml
 from metallic_tm import paracontact as pc
 from metallic_tm.exprs import Var
 from metallic_tm.scalars import sigma
+from metallic_tm.verdicts import ResidualTracker
 
 from conftest import eval_zero
 
@@ -42,6 +44,83 @@ def test_params_validation():
         ml.MetallicParams(0, 1)
     with pytest.raises(ValueError):
         ml.MetallicParams(1, 1, eps1=2)
+
+
+# -- the almost product structure Psi --------------------------------------
+
+# the three parameter sets of the bundled manifest and one mixed-sign set
+PQ_EPS = [(1, 1, 1, 1), (2, 1, 1, 1), (3, 5, -1, -1), (2, 1, 1, -1)]
+BUILDERS = {"c": ml.build_J, "h": ml.build_F}
+
+
+def _values(arr, pt):
+    return mf.evaluate_array(np.asarray(arr, dtype=object), pt)
+
+
+@pytest.mark.parametrize("lift", ["c", "h"])
+def test_psi_squared(structure, tb, points, lift):
+    """Psi^2 = I for matched signs; for mixed signs Psi^2 - I is
+    (eps1 eps2 - 1)(eta^k (x) xi^v + eta^v (x) xi^k), with k = c or h."""
+    lift_vector = bd.clift_vector if lift == "c" else bd.hlift_vector
+    ev = bd.lift_oneform(tb, structure.eta, "v")
+    ek = bd.lift_oneform(tb, structure.eta, lift)
+    xv, xk = bd.vlift_vector(tb, structure.xi), lift_vector(tb, structure.xi)
+    for e1, e2 in itertools.product((1, -1), repeat=2):
+        psi = ml.build_psi(structure, tb, lift, e1, e2).components
+        square = mf.contract("am,mb->ab", psi, psi)
+        for pt in points:
+            got = _values(square, pt) - np.identity(6, dtype=object)
+            cross = _values(ml._outer(ek, xv), pt) + _values(ml._outer(ev, xk), pt)
+            assert (got == (e1 * e2 - 1) * cross).all(), (lift, e1, e2)
+            assert (got != 0).any() == (e1 * e2 == -1)
+
+
+def _same_verdict(verdict, reference, chart, points):
+    """The verdict ranks exactly the values of the reference residual array,
+    in the same order, so its worst value and witness are the same."""
+    tracker = ResidualTracker()
+    for pt in points:
+        for idx in np.ndindex(reference.shape):
+            tracker.update(E.evaluate(reference[idx], pt), chart.coords(pt), idx)
+    assert verdict.max_residual == tracker.max_value, verdict.axiom_id
+    assert verdict.witness == tracker.witness, verdict.axiom_id
+    return tracker.max_value
+
+
+@pytest.mark.parametrize("p,q,e1,e2", PQ_EPS)
+def test_psi_combinations_equal_the_residuals_of_T(structure, tb, points, p, q, e1, e2):
+    """Each residual of T = build_J / build_F equals its Psi-level residual
+    scaled by (a^2/4, -pa/4, -a/2), exactly: the metallic identity, both
+    compatibility forms (with g^c and with the Sasaki metric, so that the
+    -pa/4 term is nonzero somewhere), N_T, nabla~ T and the fundamental form."""
+    prm = ml.MetallicParams(p, q, e1, e2)
+    A, B, C = prm.coefficients()
+    conns = {"c": bd.clift_connection(tb), "h": bd.hlift_connection(tb)}
+    nonzero_sym = False
+    for lift, build in BUILDERS.items():
+        T = build(structure, tb, prm)
+        t, s = T.tensor.components, T.psi.components
+        _same_verdict(ml.check_metallic(T, points), ml.pq_residual(t, p, q), tb.chart, points)
+        scaled = [
+            (mf.nijenhuis(T.tensor), A, mf.nijenhuis(T.psi)),
+            (mf.covariant_derivative(conns[lift], T.tensor), C,
+             mf.covariant_derivative(conns[lift], T.psi)),
+        ]
+        for metric in (bd.clift_metric(tb), bd.sasaki_metric(tb)):
+            m = metric.components
+            mt = mf.contract("ak,kb->ab", m, t)
+            r_pq = mf.contract("ka,kb->ab", t, mt) - p * mt - q * m
+            r_sym = mt.T - mt
+            v_pq, v_sym = ml.check_compat(metric, T, points)
+            _same_verdict(v_pq, r_pq, tb.chart, points)
+            nonzero_sym |= _same_verdict(v_sym, r_sym, tb.chart, points) != 0
+            phi_form = mt - Fraction(p, 2) * m
+            scaled.append((phi_form, C, ml.fundamental_form(T, metric)))
+        for whole, coef, part in scaled:
+            whole = getattr(whole, "components", whole)
+            for pt in points:
+                assert (_values(whole, pt) == coef * _values(part.components, pt)).all()
+    assert nonzero_sym
 
 
 @pytest.mark.parametrize("p,q", PQ_SET)
@@ -86,21 +165,20 @@ def test_cross_compat_fails(tb, points, J11):
 
 
 def test_NJ_vanishes_on_p_sasakian(points, J11):
-    NJ = ml.nijenhuis_TM(J11)
+    NJ = mf.nijenhuis(J11.tensor)
     for pt in points:
         assert eval_zero(NJ.components, pt)
 
 
 def test_NF_does_not_vanish(points, F11):
-    NF = ml.nijenhuis_TM(F11)
+    NF = mf.nijenhuis(F11.tensor)
     assert not all(eval_zero(NF.components, pt) for pt in points)
 
 
 def test_proof_rows_vanish_on_p_sasakian(structure, tb, points, J11):
-    NJ = ml.nijenhuis_TM(J11)
     X = mf.TensorField(structure.base, (1, 0), [E.ONE, E.ZERO, E.ZERO])
     Y = mf.TensorField(structure.base, (1, 0), [E.ZERO, E.ONE, E.ZERO])
-    rows = ml.nijenhuis_rows(structure, tb, J11.params, NJ, X, Y)
+    rows = ml.nijenhuis_rows(structure, tb, mf.nijenhuis(J11.psi), X, Y)
     assert set(rows) == {
         "vv", "vc", "cc", "v-xiv", "v-xic", "c-xiv",
         "xiv-xiv", "xic-xic", "xiv-xic",
@@ -130,8 +208,8 @@ def rotated_block_structure(h3):
 
 def test_proof_rows_match_closed_forms_under_phi_mutation(h3, conn, points):
     """With a non-P-Sasakian phi the N tensors are nonzero, and the lifted
-    frame values of N_J still match the closed forms with A=((2s-p)/2)^2,
-    for X, Y sections of the distribution D."""
+    frame values of N_Psi still match the closed forms, for X, Y sections
+    of the distribution D."""
     S = rotated_block_structure(h3)
     nt = pc.n_tensors(S)
     assert not eval_zero(nt["N1"].components, points[0])
@@ -140,13 +218,13 @@ def test_proof_rows_match_closed_forms_under_phi_mutation(h3, conn, points):
     tb2 = bd.TangentBundleChart(h3, conn)
     prm = ml.MetallicParams(1, 1)
     J = ml.build_J(S, tb2, prm)
-    NJ = ml.nijenhuis_TM(J)
+    NJ = mf.nijenhuis(J.tensor)
     assert not all(eval_zero(NJ.components, pt) for pt in points)
 
     x1, _, x3 = h3.variables
     X = mf.TensorField(h3, (1, 0), [E.ONE, x1, E.ZERO])
     Y = mf.TensorField(h3, (1, 0), [x3, E.ONE, E.ZERO])
-    rows = ml.nijenhuis_rows(S, tb2, prm, NJ, X, Y)
+    rows = ml.nijenhuis_rows(S, tb2, mf.nijenhuis(J.psi), X, Y)
     for rid, resid in rows.items():
         for pt in points:
             assert eval_zero(resid, pt), rid
@@ -193,13 +271,12 @@ def test_proof_rows_on_contact_example():
     prm = ml.MetallicParams(2, 1)
     J = ml.build_J(S, tb2, prm)
     assert ml.check_metallic(J, pts).holds
-    NJ = ml.nijenhuis_TM(J)
 
     x2 = M.variables[1]
     # sections of ker(eta)
     X = mf.TensorField(M, (1, 0), [E.ONE, E.ZERO, x2])
     Y = mf.TensorField(M, (1, 0), [E.ZERO, E.ONE, E.ZERO])
-    rows = ml.nijenhuis_rows(S, tb2, prm, NJ, X, Y)
+    rows = ml.nijenhuis_rows(S, tb2, mf.nijenhuis(J.psi), X, Y)
     for rid, resid in rows.items():
         for pt in pts:
             assert eval_zero(resid, pt), rid
@@ -257,8 +334,8 @@ def test_dphi_prime_value_on_unit_field(structure, tb, points, F11):
         bd.vlift_vector(tb, structure.xi),
     )
     expected = -(2 * sigma(1, 1) - 1) / 6
-    for pt in points:
-        assert E.evaluate(val, pt) == expected
+    for pt in points:  # dPhi' = -(a/2) d(G(., Psi .))
+        assert -F11.params.amp * E.evaluate(val, pt) == expected
 
 
 def test_dphi_vanishes_on_distribution_c_c_v_triples(structure, tb, points, J11):

@@ -1,5 +1,6 @@
 """Exact arithmetic in Q(sigma_{p,q})."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from metallic_tm.scalars import (
     MetallicScalar,
     ScalarError,
+    abs_greater,
     is_zero,
-    scalar_abs,
+    scalar_float,
     scalar_str,
     sigma,
+    sign,
 )
 
 rationals = st.fractions(
@@ -102,6 +105,34 @@ def test_float_homomorphism(xy):
     assert float(x * y) == pytest.approx(float(x) * float(y), rel=1e-9, abs=1e-9)
 
 
-def test_scalar_abs_orders_by_magnitude():
-    assert scalar_abs(sigma(1, 1)) > scalar_abs(Fraction(1))
-    assert scalar_abs(Fraction(-3)) == 3.0
+def test_abs_greater_orders_by_magnitude():
+    assert abs_greater(sigma(1, 1), Fraction(1))
+    assert not abs_greater(Fraction(1), sigma(1, 1))
+    assert abs_greater(Fraction(-3), 2) and not abs_greater(Fraction(-3), 3)
+    # beyond the float range, and below it, the order is still exact
+    huge = Fraction(10 ** 400)
+    assert abs_greater(huge + 1, -huge) and not abs_greater(-huge, huge + 1)
+    assert abs_greater(Fraction(2, 10 ** 400), Fraction(-1, 10 ** 400))
+    assert abs_greater(Fraction(1, 10 ** 400), 0)
+    assert abs_greater(MetallicScalar(-huge, -1, 1, 1), huge)
+    assert not abs_greater(MetallicScalar(huge, -1, 1, 1), huge - 1)
+    # irrationals of two extensions compare through floats
+    assert abs_greater(sigma(2, 1), sigma(1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pq.flatmap(lambda t: st.tuples(elems(*t), elems(*t))))
+def test_sign_and_order_agree_with_floats(xy):
+    x, y = xy
+    if abs(float(x)) > 1e-9:
+        assert sign(x) == (1 if float(x) > 0 else -1)
+    if abs(abs(float(x)) - abs(float(y))) > 1e-9:
+        assert abs_greater(x, y) == (abs(float(x)) > abs(float(y)))
+
+
+def test_scalar_float_clamps_to_the_float_range():
+    top = sys.float_info.max
+    assert scalar_float(Fraction(10 ** 400)) == top
+    assert scalar_float(MetallicScalar(-Fraction(10 ** 400), 3, 1, 1)) == -top
+    assert scalar_float(-1e308 * 10) == -top
+    assert scalar_float(Fraction(1, 4)) == 0.25

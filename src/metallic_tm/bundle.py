@@ -15,11 +15,10 @@ Conventions, fixed once and audited by tests:
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from . import exprs as E
 from . import manifold as mf
 from .exprs import Expr, Var
 from .manifold import ChartedManifold, Connection, GeometryError, TensorField
@@ -90,7 +89,7 @@ def clift_function(tb: TangentBundleChart, f: Expr) -> Expr:
 
 def hlift_function(tb: TangentBundleChart, f: Expr) -> Expr:
     """f^h = f^c - gamma(df); the two terms cancel, so f^h = 0."""
-    return E.add(clift_function(tb, f), E.mul(E.const(-1), tb.ydel(f)))
+    return clift_function(tb, f) - tb.ydel(f)
 
 
 # ----------------------------------------------------------------------
@@ -119,24 +118,6 @@ def hlift_vector(tb: TangentBundleChart, X: TensorField) -> TensorField:
     comps[:n] = X.components
     comps[n:] = mf.contract("li,i->l", -tb.gamma_tilde, X)
     return TensorField(tb.chart, (1, 0), comps)
-
-
-def adapted_frame(tb: TangentBundleChart) -> List[TensorField]:
-    """{delta/delta x^i} followed by {d/dy^i}."""
-    n = tb.n
-    gt = tb.gamma_tilde
-    frame = []
-    for i in range(n):
-        comps = mf.zeros(2 * n)
-        comps[i] = E.ONE
-        for l in range(n):
-            comps[n + l] = E.mul(E.const(-1), gt[l, i])
-        frame.append(TensorField(tb.chart, (1, 0), comps))
-    for i in range(n):
-        comps = mf.zeros(2 * n)
-        comps[n + i] = E.ONE
-        frame.append(TensorField(tb.chart, (1, 0), comps))
-    return frame
 
 
 # ----------------------------------------------------------------------
@@ -267,16 +248,15 @@ def clift_connection(tb: TangentBundleChart) -> Connection:
     return Connection(tb.chart, H)
 
 
-def hlift_connection(tb: TangentBundleChart, R: Optional[TensorField] = None) -> Connection:
+def hlift_connection(tb: TangentBundleChart) -> Connection:
     """Horizontal lift: defined by nabla^h on the horizontal/vertical frame
     (nabla^h_{X^v} . = 0, nabla^h_{X^h}Y^v = (nabla_X Y)^v,
     nabla^h_{X^h}Y^h = (nabla_X Y)^h), solved into coordinates."""
     n = tb.n
     G = tb.connection.coefficients
     dG = tb.base.partials(G)
-    inner = mf.contract("lmj,kil+lij,kml->kijm", G, G, -G, G)  # [k, i, j, m]
-    for k, i, j, m in itertools.product(range(n), repeat=4):
-        inner[k, i, j, m] = E.add(dG[i, k, m, j], inner[k, i, j, m])
+    # [k, i, j, m]: d_i Gamma^k_{mj} plus the Gamma Gamma terms
+    inner = dG.transpose(1, 0, 3, 2) + mf.contract("lmj,kil+lij,kml->kijm", G, G, -G, G)
     H = mf.zeros((2 * n,) * 3)
     H[:n, :n, :n] = G
     H[n:, :n, :n] = mf.contract("m,kijm->kij", tb.fiber_vars, inner)

@@ -300,8 +300,6 @@ def div(num: ExprLike, den: ExprLike) -> Expr:
     if isinstance(d, Const):
         if d.value == 0:
             raise EvalError("division by the zero constant")
-        if isinstance(d.value, MetallicScalar):
-            return mul(Const(d.value.inverse()), n)
         return mul(Const(1 / d.value), n)
     if _is_const(n, 0):
         return ZERO

@@ -87,6 +87,18 @@ class Manifest:
         return hashlib.sha256(self.raw_bytes).hexdigest()
 
 
+def _check_keys(doc: dict, allowed: str, where: str) -> None:
+    """Reject keys outside the space-separated ``allowed``, as the schema does."""
+    unknown = sorted(set(doc) - set(allowed.split()))
+    if unknown:
+        raise ManifestError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
+def _is_int(x) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, bool):
         raise ManifestError(f"expected a rational number, got {x!r}")
@@ -127,13 +139,19 @@ def _parse_vector(items, n: int, where: str) -> list:
 
 
 def _parse_plan(doc, n: int) -> SamplePlan:
-    doc = doc or {}
+    doc = {} if doc is None else doc
+    if not isinstance(doc, dict):
+        raise ManifestError(f"sample_plan must be an object, got {doc!r}")
+    _check_keys(doc, "count seed mode base_ranges fiber_ranges tolerance", "sample_plan")
     count = doc.get("count", 10)
-    if not isinstance(count, int) or count < 1:
+    if not _is_int(count) or count < 1:
         raise ManifestError(f"sample plan count must be a positive integer, got {count!r}")
     seed = doc.get("seed", 2024)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ManifestError("sample plan seed must be an integer")
+    tol = doc.get("tolerance", FLOAT_TOL)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
+        raise ManifestError(f"sample plan tolerance must be a positive number, got {tol!r}")
     mode = doc.get("mode", "exact")
     if mode not in ("exact", "float"):
         raise ManifestError(f"sample plan mode must be exact or float, got {mode!r}")
@@ -160,23 +178,29 @@ def _parse_plan(doc, n: int) -> SamplePlan:
         mode=mode,
         base_ranges=ranges("base_ranges", Fraction(1), Fraction(4)),
         fiber_ranges=ranges("fiber_ranges", Fraction(-3), Fraction(3)),
-        tol=float(doc.get("tolerance", FLOAT_TOL)),
+        tol=float(tol),
     )
 
 
 def parse_manifest(doc: dict, raw: bytes = b"") -> Manifest:
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
+    _check_keys(doc, "name dimension coordinates domain metric phi eta xi metallic sample_plan",
+                "manifest")
     try:
         n = doc["dimension"]
     except KeyError:
         raise ManifestError("manifest is missing 'dimension'") from None
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise ManifestError(f"dimension must be an integer >= 2, got {n!r}")
 
     coords = doc.get("coordinates", [f"x{i}" for i in range(1, n + 1)])
-    if len(coords) != n:
-        raise ManifestError(f"expected {n} coordinate names, got {len(coords)}")
+    if not isinstance(coords, list) or len(coords) != n or not all(
+            isinstance(c, str) for c in coords):
+        raise ManifestError(f"coordinates must list {n} names, got {coords!r}")
+    name = doc.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise ManifestError(f"name must be a string, got {name!r}")
 
     for key in ("metric", "phi", "eta", "xi"):
         if key not in doc:
@@ -184,7 +208,10 @@ def parse_manifest(doc: dict, raw: bytes = b"") -> Manifest:
 
     variables = tuple(Var("base", i) for i in range(1, n + 1))
     metric = _parse_matrix(doc["metric"], n, "metric")
-    domain = [_parse_expr(e, n, f"domain[{i}]") for i, e in enumerate(doc.get("domain", []))]
+    domain = doc.get("domain", [])
+    if not isinstance(domain, list):
+        raise ManifestError(f"domain must be a list of expressions, got {domain!r}")
+    domain = [_parse_expr(e, n, f"domain[{i}]") for i, e in enumerate(domain)]
     M = mf.ChartedManifold(variables, metric, domain=domain, coord_names=coords)
 
     phi = mf.TensorField(M, (1, 1), _parse_matrix(doc["phi"], n, "phi"))
@@ -199,6 +226,7 @@ def parse_manifest(doc: dict, raw: bytes = b"") -> Manifest:
     for i, mp in enumerate(raw_params):
         if not isinstance(mp, dict):
             raise ManifestError(f"metallic[{i}] must be an object")
+        _check_keys(mp, "p q eps1 eps2", f"metallic[{i}]")
         try:
             params.append(ml.MetallicParams(
                 p=mp.get("p"), q=mp.get("q"),
@@ -208,7 +236,6 @@ def parse_manifest(doc: dict, raw: bytes = b"") -> Manifest:
             raise ManifestError(f"metallic[{i}]: {exc}") from None
 
     plan = _parse_plan(doc.get("sample_plan"), n)
-    name = doc.get("name", "unnamed")
     return Manifest(name, n, M, S, params, plan, raw)
 
 
@@ -385,9 +412,6 @@ def suite_lifts(ctx: SuiteContext) -> dict:
     tracker = ResidualTracker(ctx.mode, ctx.plan.tol)
     residuals: List[tuple] = []  # (label, expr or iterable of exprs)
 
-    def vec_minus(a, b):
-        return [E.add(u, E.mul(E.const(-1), v)) for u, v in zip(a, b)]
-
     Xv, Xc, Xh = bd.vlift_vector(tb, X), bd.clift_vector(tb, X), bd.hlift_vector(tb, X)
     Yv, Yc, Yh = bd.vlift_vector(tb, Y), bd.clift_vector(tb, Y), bd.hlift_vector(tb, Y)
     Xf = mf.contract("m,m->", X, M.partials(f))
@@ -398,25 +422,20 @@ def suite_lifts(ctx: SuiteContext) -> dict:
         ("Xv-fc", Xv, bd.clift_function(tb, f), bd.vlift_function(tb, Xf)),
         ("Xc-fc", Xc, bd.clift_function(tb, f), bd.clift_function(tb, Xf)),
     ):
-        got = mf.contract("a,a->", U, tb.chart.partials(fn))
-        residuals.append((label, vec_minus([got], [want])))
+        residuals.append((label, [mf.contract("a,a->", U, tb.chart.partials(fn)) - want]))
     residuals.append(("fh-zero", [bd.hlift_function(tb, f)]))
 
     # bracket table
     XYb = mf.lie_bracket(X, Y)
     residuals.append(("bracket-vv", mf.lie_bracket(Xv, Yv).components))
-    residuals.append(("bracket-cc", vec_minus(
-        mf.lie_bracket(Xc, Yc).components, bd.clift_vector(tb, XYb).components)))
-    residuals.append(("bracket-vh", [
-        E.add(a, b) for a, b in zip(
-            mf.lie_bracket(Xv, Yh).components,
-            bd.vlift_vector(tb, mf.cov_vec(conn, Y, X)).components)]))
+    residuals.append(("bracket-cc", mf.lie_bracket(Xc, Yc).components
+                      - bd.clift_vector(tb, XYb).components))
+    residuals.append(("bracket-vh", mf.lie_bracket(Xv, Yh).components
+                      + bd.vlift_vector(tb, mf.cov_vec(conn, Y, X)).components))
     ghh = bd.gamma_bracket_defect(tb, R, X, Y)
-    residuals.append(("bracket-hh", [
-        E.add(a, E.mul(E.const(-1), b), c) for a, b, c in zip(
-            mf.lie_bracket(Xh, Yh).components,
-            bd.hlift_vector(tb, XYb).components,
-            ghh.components)]))
+    residuals.append(("bracket-hh", list(map(
+        E.add, mf.lie_bracket(Xh, Yh).components, -bd.hlift_vector(tb, XYb).components,
+        ghh.components))))
 
     # metric pairings
     gXY = mf.contract("ab,a,b->", M.metric, X, Y)
@@ -433,7 +452,7 @@ def suite_lifts(ctx: SuiteContext) -> dict:
         ("G-hh", ctx.G, Xh, Yh, gXY),
         ("G-vh", ctx.G, Xv, Yh, E.ZERO),
     ):
-        residuals.append((label, vec_minus([mf.contract("ab,a,b->", metric, U, V)], [want])))
+        residuals.append((label, [mf.contract("ab,a,b->", metric, U, V) - want]))
 
     # one-form lift laws
     wX = mf.contract("m,m->", w, X)
@@ -447,7 +466,7 @@ def suite_lifts(ctx: SuiteContext) -> dict:
         ("wh-Xh", wh, Xh, E.ZERO),
         ("wh-Xv", wh, Xv, wX),
     ):
-        residuals.append((label, vec_minus([mf.contract("a,a->", form, U)], [want])))
+        residuals.append((label, [mf.contract("a,a->", form, U) - want]))
 
     # (1,1) lift laws on frames
     F2X = mf.apply_11(F2, X)
@@ -458,9 +477,8 @@ def suite_lifts(ctx: SuiteContext) -> dict:
         ("h", Xv, bd.vlift_vector(tb, F2X)),
         ("v", Xc, bd.vlift_vector(tb, F2X)),
     ):
-        lifted = bd.lift_tensor11(tb, F2, kind)
-        got = mf.apply_11(lifted, arg)
-        residuals.append((f"F{kind}-frame", vec_minus(got.components, want.components)))
+        got = mf.apply_11(bd.lift_tensor11(tb, F2, kind), arg)
+        residuals.append((f"F{kind}-frame", got.components - want.components))
 
     # polynomial functoriality with P(x) = x^2 - p x - q
     PFfield = mf.TensorField(M, (1, 1), ml.pq_residual(F2.components, prm.p, prm.q))
@@ -468,13 +486,11 @@ def suite_lifts(ctx: SuiteContext) -> dict:
         lifted = bd.lift_tensor11(tb, F2, kind)
         lhs = ml.pq_residual(lifted.components, prm.p, prm.q)
         rhs = bd.lift_tensor11(tb, PFfield, kind).components
-        residuals.append((f"P-functorial-{kind}", [
-            E.add(lhs[a, b], E.mul(E.const(-1), rhs[a, b]))
-            for a, b in itertools.product(range(2 * n), repeat=2)]))
+        residuals.append((f"P-functorial-{kind}", (lhs - rhs).ravel()))
 
     # lifted connection frame displays
     nXY = mf.cov_vec(conn, X, Y)
-    zero_vec = [E.ZERO] * (2 * n)
+    zero_vec = mf.zeros(2 * n)
     conn_cases = [
         ("cc-cc", ctx.cc, Xc, Yc, bd.clift_vector(tb, nXY).components),
         ("cc-vc", ctx.cc, Xv, Yc, bd.vlift_vector(tb, nXY).components),
@@ -486,20 +502,15 @@ def suite_lifts(ctx: SuiteContext) -> dict:
         ("hc-vv", ctx.hc, Xv, Yv, zero_vec),
     ]
     for label, conn2, U, V, want in conn_cases:
-        got = mf.cov_vec(conn2, U, V)
-        residuals.append((f"conn-{label}", vec_minus(got.components, want)))
+        residuals.append((f"conn-{label}", mf.cov_vec(conn2, U, V).components - want))
     # nabla^h_{X^c} Y^c = (nabla_X Y)^c - gamma R(., X, Y)
     gslice = bd.gamma_curvature(tb, R, X, Y)
     got = mf.cov_vec(ctx.hc, Xc, Yc)
-    residuals.append(("conn-hc-cc", [
-        E.add(a, E.mul(E.const(-1), b), c) for a, b, c in zip(
-            got.components, bd.clift_vector(tb, nXY).components, gslice.components)]))
+    residuals.append(("conn-hc-cc", list(map(
+        E.add, got.components, -bd.clift_vector(tb, nXY).components, gslice.components))))
 
     for label, exprs in residuals:
-        for pt in ctx.points:
-            coords = ctx.tb.chart.coords(pt)
-            for idx, e in enumerate(exprs):
-                tracker.update(E.evaluate(e, pt, ctx.mode), coords, (label, idx))
+        tracker.track(tb.chart, ctx.points, (label,), (1, exprs))
     return _tracker_suite("lifts", tracker)
 
 
@@ -540,20 +551,11 @@ def suite_J_integrable(ctx: SuiteContext) -> dict:
     A = J.params.coefficients(ctx.mode)[0]
     NPsi = mf.nijenhuis(J.psi)
     tracker = ResidualTracker(ctx.mode, ctx.plan.tol)
-    n2 = 2 * ctx.manifest.n
-    for pt in ctx.points:
-        coords = ctx.tb.chart.coords(pt)
-        for a, i, j in itertools.product(range(n2), repeat=3):
-            value = E.evaluate(NPsi.components[a, i, j], pt, ctx.mode)
-            tracker.update(scaled_sum((A, value)), coords, (a, i, j))
+    tracker.track(ctx.tb.chart, ctx.points, (), (A, NPsi.components))
     # the proof-table decomposition for one representative field pair
     X, Y, _, _, _ = ctx.test_fields()
-    rows = ml.nijenhuis_rows(ctx.S, ctx.tb, NPsi, X, Y)
-    for rid, resid in rows.items():
-        for pt in ctx.points:
-            coords = ctx.tb.chart.coords(pt)
-            for idx, e in enumerate(resid):
-                tracker.update(scaled_sum((A, E.evaluate(e, pt, ctx.mode))), coords, (rid, idx))
+    for rid, resid in ml.nijenhuis_rows(ctx.S, ctx.tb, NPsi, X, Y).items():
+        tracker.track(ctx.tb.chart, ctx.points, (rid,), (A, resid))
     return _tracker_suite("J-integrable", tracker)
 
 
@@ -592,16 +594,14 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
         rhs = E.add(*(
             mf.contract("ab,a,b->", M.metric, mf.cov_vec(conn, V, U), mf.apply_11(phi, W))
             for U, V, W in ((X, Y, Z), (Y, Z, X), (Z, X, Y))))
-        for pt in ctx.points:
-            coords = ctx.tb.chart.coords(pt)
-            lv = scaled_sum((scale, E.evaluate(lhs, pt, ctx.mode)))
+        lvs = tracker.track(tb.chart, ctx.points, (iX, iY, iZ, "dPhi"), (scale, lhs))
+        for pt, (lv,) in zip(ctx.points, lvs):
             rv = E.evaluate(rhs, pt, ctx.mode)
-            tracker.update(lv, coords, (iX, iY, iZ, "dPhi"))
             tracker.note_scale(rv)
             if meets_zero(lv, ctx.mode, ctx.plan.tol) != meets_zero(rv, ctx.mode, ctx.plan.tol):
                 consistent = False
                 witnesses.append({
-                    "point": [scalar_str(c) for c in coords],
+                    "point": [scalar_str(c) for c in tb.chart.coords(pt)],
                     "frame": [iX, iY, iZ],
                     "value": f"dPhi={scalar_str(lv)} eq27={scalar_str(rv)}",
                 })
@@ -660,9 +660,8 @@ def suite_Phi_prime(ctx: SuiteContext) -> dict:
         gXX = mf.contract("ab,a,b->", M.metric, X, X)
         # dPhi' + (a/6) gXX = -(a/2) (val_e - gXX/3), zero for sign "-"
         resid = E.add(val_e, E.mul(E.const(Fraction(-1, 3)), gXX))
+        tracker.track(tb.chart, ctx.points, (i,), (scale, resid))
         for pt in ctx.points:
-            coords = ctx.tb.chart.coords(pt)
-            tracker.update(scaled_sum((scale, E.evaluate(resid, pt, ctx.mode))), coords, (i,))
             dval = scaled_sum((scale, E.evaluate(val_e, pt, ctx.mode)))
             if meets_zero(dval, ctx.mode, ctx.plan.tol):
                 nonzero_all = False

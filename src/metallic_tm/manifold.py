@@ -236,10 +236,7 @@ def christoffel(M: ChartedManifold) -> Connection:
     first_kind = zeros((n, n, n))  # 2 Gamma_{lij}, stored [i][j][l]
     for i, j, l in itertools.product(range(n), repeat=3):
         first_kind[i, j, l] = E.add(dg[i, j, l], dg[j, i, l], E.mul(E.const(-1), dg[l, i, j]))
-    gamma = contract("kl,ijl->kij", ginv, first_kind)
-    half = E.const(Fraction(1, 2))
-    for idx in np.ndindex(gamma.shape):
-        gamma[idx] = E.mul(half, gamma[idx])
+    gamma = contract("kl,ijl->kij", ginv, first_kind) * E.const(Fraction(1, 2))
     return Connection(M, gamma)
 
 
@@ -254,15 +251,6 @@ def curvature(C: Connection) -> TensorField:
     for l, i, j, k in itertools.product(range(n), repeat=4):
         R[l, i, j, k] = E.add(dG[i, l, j, k], E.mul(E.const(-1), dG[j, l, i, k]), GG[l, i, j, k])
     return TensorField(M, (1, 3), R)
-
-
-def torsion(C: Connection) -> TensorField:
-    G = C.coefficients
-    n = C.base.n
-    T = zeros((n, n, n))
-    for k, i, j in itertools.product(range(n), repeat=3):
-        T[k, i, j] = E.add(G[k, i, j], E.mul(E.const(-1), G[k, j, i]))
-    return TensorField(C.base, (1, 2), T)
 
 
 # ----------------------------------------------------------------------
@@ -363,14 +351,9 @@ def exterior_derivative(T: TensorField) -> TensorField:
     analogue 2 domega(X,Y) = X omega(Y) - Y omega(X) - omega([X,Y]).
     """
     M = T.base
-    n = M.n
     if T.valence == (0, 1):
         dw = M.partials(T.components)
-        half = E.const(Fraction(1, 2))
-        out = zeros((n, n))
-        for i, j in itertools.product(range(n), repeat=2):
-            out[i, j] = E.mul(half, E.add(dw[i, j], E.mul(E.const(-1), dw[j, i])))
-        return TensorField(M, (0, 2), out)
+        return TensorField(M, (0, 2), (dw - dw.T) * E.const(Fraction(1, 2)))
     if T.valence == (0, 2):
         if not _structurally_antisymmetric(T.components):
             raise GeometryError("exterior_derivative needs an antisymmetric 2-form")

@@ -9,7 +9,6 @@ the defining identity T^2 = pT + qI is still an exact zero test.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -22,8 +21,9 @@ from . import exprs as E
 from . import manifold as mf
 from . import paracontact as pc
 from .manifold import Connection, TensorField
-from .scalars import MetallicScalar, is_zero, scaled_sum, sigma
-from .verdicts import FLOAT_TOL, AxiomVerdict, ResidualTracker, Witness, meets_zero
+from .scalars import MetallicScalar, is_zero, sigma
+from .verdicts import (FLOAT_TOL, AxiomVerdict, ResidualTracker, Witness, meets_zero,
+                       residual_verdict)
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,9 @@ class MetallicParams:
     eps2: int = 1
 
     def __post_init__(self):
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in (self.p, self.q, self.eps1, self.eps2)):
+            raise ValueError(f"metallic parameters and signs must be integers, got {self}")
         if self.p < 1 or self.q < 1:
             raise ValueError(f"metallic parameters must be positive, got p={self.p} q={self.q}")
         if self.eps1 not in (1, -1) or self.eps2 not in (1, -1):
@@ -95,11 +98,7 @@ class MetallicOnTM:
 
 def _outer(form: TensorField, vec: TensorField) -> np.ndarray:
     """eta (x) xi as a (1,1) component matrix on the same chart."""
-    n2 = form.base.n
-    out = mf.zeros((n2, n2))
-    for a, b in itertools.product(range(n2), repeat=2):
-        out[a, b] = E.mul(vec.components[a], form.components[b])
-    return out
+    return np.multiply.outer(vec.components, form.components)
 
 
 STRUCTURES = {"c": "complete_J", "h": "horizontal_F"}
@@ -169,8 +168,8 @@ def check_metallic(T: MetallicOnTM, points, mode: str = "exact",
                    tol: float = FLOAT_TOL) -> AxiomVerdict:
     """T^2 - pT - qI = (a^2/4) (Psi^2 - I)."""
     A = T.params.coefficients(mode)[0]
-    return pc._check_array([(A, pq_residual(T.psi.components, 0, 1))], points, mode,
-                           T.psi.base, f"metallic[{T.kind};{T.params.label()}]", tol)
+    return residual_verdict(f"metallic[{T.kind};{T.params.label()}]", T.psi.base, points,
+                            mode, tol, (A, pq_residual(T.psi.components, 0, 1)))
 
 
 def check_compat(metric: TensorField, T: MetallicOnTM, points, mode: str = "exact",
@@ -183,13 +182,10 @@ def check_compat(metric: TensorField, T: MetallicOnTM, points, mode: str = "exac
     """
     m, s = metric.components, T.psi.components
     ms = mf.contract("ak,kb->ab", m, s)  # metric(e_a, Psi e_b)
-    u = mf.contract("ka,kb->ab", s, ms)  # metric(Psi a, Psi b) - metric(a, b)
-    w = mf.zeros(u.shape)  # metric(Psi a, b) - metric(a, Psi b)
-    for a, b in np.ndindex(u.shape):
-        u[a, b] = E.add(u[a, b], E.mul(E.const(-1), m[a, b]))
-        w[a, b] = E.add(ms[b, a], E.mul(E.const(-1), ms[a, b]))
+    u = mf.contract("ka,kb->ab", s, ms) - m  # metric(Psi a, Psi b) - metric(a, b)
+    w = ms.T - ms  # metric(Psi a, b) - metric(a, Psi b)
     A, B, C = T.params.coefficients(mode)
-    return [pc._check_array(terms, points, mode, T.psi.base, f"{rid}[{T.kind}]", tol)
+    return [residual_verdict(f"{rid}[{T.kind}]", T.psi.base, points, mode, tol, *terms)
             for rid, terms in (("compat-pq", [(A, u), (B, w)]), ("compat-symmetry", [(C, w)]))]
 
 
@@ -214,11 +210,6 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
     def lift(v, kind):
         return bd.clift_vector(tb, v) if kind == "c" else bd.vlift_vector(tb, v)
 
-    def vecdiff(lhs, rhs):
-        return np.array(
-            [E.add(a, E.mul(E.const(-1), b)) for a, b in zip(lhs, rhs)], dtype=object
-        )
-
     Xv, Xc = lift(X, "v"), lift(X, "c")
     Yv, Yc = lift(Y, "v"), lift(Y, "c")
     xiv, xic = lift(S.xi, "v"), lift(S.xi, "c")
@@ -241,17 +232,17 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
     # N(X^v, Y^c) = [N1(X,Y)]^v + N2(X,Y) xi^c
     rhs = [E.add(a, E.mul(n2xy, b))
            for a, b in zip(lift(n1xy, "v").components, xic.components)]
-    rows["vc"] = vecdiff(n_on(Xv, Yc), rhs)
+    rows["vc"] = n_on(Xv, Yc) - rhs
 
     # N(X^c, Y^c) = [N1(X,Y)]^c + N2(X,Y) xi^v
     rhs = [E.add(a, E.mul(n2xy, b))
            for a, b in zip(lift(n1xy, "c").components, xiv.components)]
-    rows["cc"] = vecdiff(n_on(Xc, Yc), rhs)
+    rows["cc"] = n_on(Xc, Yc) - rhs
 
     # N(X^v, xi^v) = -(N3 X)^v + N4(X) xi^c
     rhs = [E.add(E.mul(E.const(-1), a), E.mul(n4x, b))
            for a, b in zip(lift(n3x, "v").components, xic.components)]
-    rows["v-xiv"] = vecdiff(n_on(Xv, xiv), rhs)
+    rows["v-xiv"] = n_on(Xv, xiv) - rhs
 
     # N(X^v, xi^c) = [phi(N3 X) - N4(X) xi]^v + N2(X,xi) xi^c
     inner = mf.TensorField(S.base, (1, 0), np.array([
@@ -260,15 +251,15 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
     ], dtype=object))
     rhs = [E.add(a, E.mul(n2_x_xi, b))
            for a, b in zip(lift(inner, "v").components, xic.components)]
-    rows["v-xic"] = vecdiff(n_on(Xv, xic), rhs)
+    rows["v-xic"] = n_on(Xv, xic) - rhs
 
     # N(X^c, xi^v) = -(N3 X)^c + (phi(N3 X))^v - [N4(phi X) - N4(X)]^c xi^c
     n4phix = mf.contract("m,m->", nt["N4"], mf.apply_11(S.phi, X))
-    scal_c = tb.ydel(E.add(n4phix, E.mul(E.const(-1), n4x)))
+    scal_c = tb.ydel(n4phix - n4x)
     rhs = [E.add(E.mul(E.const(-1), a), b, E.mul(E.const(-1), scal_c, c))
            for a, b, c in zip(lift(n3x, "c").components, lift(phin3x, "v").components,
                               xic.components)]
-    rows["c-xiv"] = vecdiff(n_on(Xc, xiv), rhs)
+    rows["c-xiv"] = n_on(Xc, xiv) - rhs
 
     # N(xi^v, xi^v) = N(xi^c, xi^c) = N(xi^v, xi^c) = 0
     rows["xiv-xiv"] = n_on(xiv, xiv)
@@ -289,10 +280,8 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
     plus D-flatness, each evaluated on distribution frame tuples (``frame``,
     by default ``distribution_frame`` at the points)."""
     M = S.base
-    n = M.n
     R = mf.curvature(C)
     frame = pc.distribution_frame(S, points, mode) if frame is None else frame
-    eta = S.eta.components
 
     d_flat = pc.check_D_flat(S, C, points, mode, tol, frame)
 
@@ -308,11 +297,8 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
                 t3 = mf.contract("lijk,i,j,k->l", R, phiX, Y, Z)
                 t4 = mf.contract("lijk,i,j,k->l", R, X, phiY, Z)
                 inner = mf.contract("am,m->a", S.phi, t3 + t4)
-                for a in range(n):
-                    resid = E.add(t1[a], t2[a], E.mul(E.const(-1), inner[a]))
-                    for pt in points:
-                        tr4.update(E.evaluate(resid, pt, mode),
-                                   M.coords(pt), (ix, iy, iz, a))
+                for a, resid in enumerate(map(E.add, t1, t2, -inner)):
+                    tr4.track(M, points, (ix, iy, iz, a), (1, resid))
     e4 = tr4.verdict("e4-curvature")
 
     # e5: nabla_{phiX} phiY - phi nabla_{phiX} Y - phi nabla_X phiY + nabla_X Y = 0
@@ -322,20 +308,13 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
         phiX = mf.apply_11(S.phi, X)
         for iy, Y in enumerate(frame):
             phiY = mf.apply_11(S.phi, Y)
-            t1 = mf.cov_vec(C, phiX, phiY)
-            t2 = mf.apply_11(S.phi, mf.cov_vec(C, phiX, Y))
-            t3 = mf.apply_11(S.phi, mf.cov_vec(C, X, phiY))
-            t4 = mf.cov_vec(C, X, Y)
-            resid = [
-                E.add(t1.components[a], E.mul(E.const(-1), t2.components[a]),
-                      E.mul(E.const(-1), t3.components[a]), t4.components[a])
-                for a in range(n)
-            ]
-            eta_nxy = mf.contract("m,m->", eta, t4)
-            for pt in points:
-                vals = [E.evaluate(r, pt, mode) for r in resid]
-                for a, v in enumerate(vals):
-                    tr5.update(v, M.coords(pt), (ix, iy, a))
+            t1 = mf.cov_vec(C, phiX, phiY).components
+            t2 = mf.contract("am,m->a", S.phi, mf.cov_vec(C, phiX, Y))
+            t3 = mf.contract("am,m->a", S.phi, mf.cov_vec(C, X, phiY))
+            t4 = mf.cov_vec(C, X, Y).components
+            resid = list(map(E.add, t1, -t2, -t3, t4))
+            eta_nxy = mf.contract("m,m->", S.eta, t4)
+            for pt, vals in zip(points, tr5.track(M, points, (ix, iy), (1, resid))):
                 e5_zero = all(is_zero(v) for v in vals)
                 eta_zero = is_zero(E.evaluate(eta_nxy, pt, mode))
                 if e5_zero != eta_zero:
@@ -380,10 +359,7 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
             second = bd.clift_vector(tb, X)
         else:
             second = bd.hlift_vector(tb, mf.apply_11(phi2, X))
-        return np.array([
-            E.add(a, E.mul(E.const(-1), b))
-            for a, b in zip(bd.vlift_vector(tb, phiX).components, second.components)
-        ], dtype=object)
+        return bd.vlift_vector(tb, phiX).components - second.components
 
     xil = lift_dir(S.xi)
 
@@ -404,28 +380,17 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
         ]
     match = ResidualTracker(mode, tol)
     for i, X in enumerate(match_frame):
-        diff = [E.add(r, E.mul(E.const(-1), c))
-                for r, c in zip(residual(X), closed_form(X))]
-        for pt in points:
-            coords = tb.chart.coords(pt)
-            for a in range(2 * n):
-                match.update(scaled_sum((scale, E.evaluate(diff[a], pt, mode))),
-                             coords, (i, a))
+        match.track(tb.chart, points, (i,), (scale, residual(X) - closed_form(X)))
 
     # non-vanishing over every distribution frame direction
     nonzero_all = True
     zero_witness: Optional[Witness] = None
     sample = ResidualTracker(mode, tol)
     for i, X in enumerate(d_frame):
-        resid = residual(X)
-        for pt in points:
-            coords = tb.chart.coords(pt)
-            vals = [scaled_sum((scale, E.evaluate(r, pt, mode))) for r in resid]
-            for a, v in enumerate(vals):
-                sample.update(v, coords, (i, a))
+        for pt, vals in zip(points, sample.track(tb.chart, points, (i,), (scale, residual(X)))):
             if all(meets_zero(v, mode, tol) for v in vals):
                 nonzero_all = False
-                zero_witness = Witness(coords, (i,), "0")
+                zero_witness = Witness(tb.chart.coords(pt), (i,), "0")
 
     if match.all_zero and nonzero_all:
         # pass: report the (nonzero) probe residual itself as the witness

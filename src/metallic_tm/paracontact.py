@@ -8,15 +8,14 @@ sample points; an axiom holds when every residual component is exactly zero
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from . import exprs as E
 from . import manifold as mf
 from .manifold import ChartedManifold, Connection, GeometryError, TensorField
-from .scalars import is_zero, scaled_sum
-from .verdicts import FLOAT_TOL, AxiomVerdict, ResidualTracker, meets_zero
+from .verdicts import FLOAT_TOL, AxiomVerdict, ResidualTracker, meets_zero, residual_verdict
 
 
 class ParacontactStructure:
@@ -34,20 +33,6 @@ class ParacontactStructure:
         return mf.contract("m,m->", self.eta, self.xi)
 
 
-def _check_array(terms, points, mode: str, M: ChartedManifold,
-                 axiom_id: str, tol: float) -> AxiomVerdict:
-    """The residual sum(coef * arr) over (coef, arr) terms, where each arr is
-    an array of expressions, expected zero at every point.  Each component
-    of each arr is evaluated first and then scaled by its constant coef."""
-    tracker = ResidualTracker(mode, tol)
-    for pt in points:
-        coords = M.coords(pt)
-        for idx in np.ndindex(terms[0][1].shape):
-            tracker.update(scaled_sum(*((c, E.evaluate(arr[idx], pt, mode)) for c, arr in terms)),
-                           coords, idx)
-    return tracker.verdict(axiom_id)
-
-
 def check_almost_paracontact(S: ParacontactStructure, points, mode: str = "exact",
                              tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
     """phi^2 = I - eta (x) xi, eta(xi) = 1, phi xi = 0, eta o phi = 0."""
@@ -60,16 +45,13 @@ def check_almost_paracontact(S: ParacontactStructure, points, mode: str = "exact
         ident = E.ONE if a == j else E.ZERO
         r1[a, j] = E.add(r1[a, j], E.mul(E.const(-1), ident), E.mul(xi[a], eta[j]))
 
-    r2 = np.array([E.add(S.eta_of_xi(), E.const(-1))], dtype=object)
+    r2 = [S.eta_of_xi() - 1]
     r3 = mf.contract("am,m->a", phi, xi)
     r4 = mf.contract("m,mj->j", eta, phi)
 
-    return [
-        _check_array([(1, r1)], points, mode, M, "phi-squared", tol),
-        _check_array([(1, r2)], points, mode, M, "eta-of-xi", tol),
-        _check_array([(1, r3)], points, mode, M, "phi-xi", tol),
-        _check_array([(1, r4)], points, mode, M, "eta-circ-phi", tol),
-    ]
+    return [residual_verdict(aid, M, points, mode, tol, (1, r))
+            for aid, r in (("phi-squared", r1), ("eta-of-xi", r2), ("phi-xi", r3),
+                           ("eta-circ-phi", r4))]
 
 
 def check_metric_compat(S: ParacontactStructure, points, mode: str = "exact",
@@ -85,16 +67,11 @@ def check_metric_compat(S: ParacontactStructure, points, mode: str = "exact",
         r1[i, j] = E.add(g[i, j], r1[i, j], E.mul(E.const(-1), eta[i], eta[j]))
 
     r2 = mf.contract("mi,mj+im,mj->ij", phi, g, -g, phi)  # g(phi X, Y) - g(X, phi Y)
+    r3 = -eta + mf.contract("im,m->i", g, xi)  # g(X, xi) - eta(X)
 
-    r3 = mf.contract("im,m->i", g, xi)  # g(X, xi) - eta(X)
-    for i in range(n):
-        r3[i] = E.add(E.mul(E.const(-1), eta[i]), r3[i])
-
-    return [
-        _check_array([(1, r1)], points, mode, M, "compat-eq4", tol),
-        _check_array([(1, r2)], points, mode, M, "compat-phi-symmetry", tol),
-        _check_array([(1, r3)], points, mode, M, "compat-g-xi", tol),
-    ]
+    return [residual_verdict(aid, M, points, mode, tol, (1, r))
+            for aid, r in (("compat-eq4", r1), ("compat-phi-symmetry", r2),
+                           ("compat-g-xi", r3))]
 
 
 def check_p_sasakian(S: ParacontactStructure, C: Connection, points, mode: str = "exact",
@@ -105,25 +82,18 @@ def check_p_sasakian(S: ParacontactStructure, C: Connection, points, mode: str =
     g = M.metric
     phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
 
-    dphi = mf.covariant_derivative(C, S.phi).components  # [a, i, j]
-    r1 = mf.zeros((n, n, n))
-    for a, i, j in itertools.product(range(n), repeat=3):
-        rhs = E.add(
+    rhs = mf.zeros((n, n, n))
+    for a, i, j in np.ndindex(rhs.shape):
+        rhs[a, i, j] = E.add(
             E.mul(E.const(-1), g[i, j], xi[a]),
             E.mul(E.const(-1), eta[j], E.ONE if a == i else E.ZERO),
             E.mul(E.const(2), eta[i], eta[j], xi[a]),
         )
-        r1[a, i, j] = E.add(dphi[a, i, j], E.mul(E.const(-1), rhs))
+    r1 = mf.covariant_derivative(C, S.phi).components - rhs  # [a, i, j]
+    r2 = mf.covariant_derivative(C, S.xi).components - phi  # [a, i]
 
-    dxi = mf.covariant_derivative(C, S.xi).components  # [a, i]
-    r2 = mf.zeros((n, n))
-    for a, i in itertools.product(range(n), repeat=2):
-        r2[a, i] = E.add(dxi[a, i], E.mul(E.const(-1), phi[a, i]))
-
-    return [
-        _check_array([(1, r1)], points, mode, M, "p-sasakian-eq6", tol),
-        _check_array([(1, r2)], points, mode, M, "p-sasakian-eq7", tol),
-    ]
+    return [residual_verdict("p-sasakian-eq6", M, points, mode, tol, (1, r1)),
+            residual_verdict("p-sasakian-eq7", M, points, mode, tol, (1, r2))]
 
 
 def n_tensors(S: ParacontactStructure) -> dict:
@@ -132,22 +102,12 @@ def n_tensors(S: ParacontactStructure) -> dict:
     n = M.n
     phi, eta, xi = S.phi, S.eta, S.xi
 
-    nphi = mf.nijenhuis(phi).components
     deta = mf.exterior_derivative(eta).components
-    n1 = mf.zeros((n, n, n))
-    for a, i, j in itertools.product(range(n), repeat=3):
-        n1[a, i, j] = E.add(
-            nphi[a, i, j],
-            E.mul(E.const(-2), deta[i, j], xi.components[a]),
-        )
-
-    n2 = mf.zeros((n, n))
-    lie_forms = [
-        mf.lie_derivative(mf.column_field(phi, i), eta).components
-        for i in range(n)
-    ]
-    for i, j in itertools.product(range(n), repeat=2):
-        n2[i, j] = E.add(lie_forms[i][j], E.mul(E.const(-1), lie_forms[j][i]))
+    # N1 = N_phi - 2 deta (x) xi, with [a, i, j] = (-2) deta[i, j] xi[a]
+    n1 = mf.nijenhuis(phi).components + deta * xi.components[:, None, None] * E.const(-2)
+    lie_forms = np.array([mf.lie_derivative(mf.column_field(phi, i), eta).components
+                          for i in range(n)], dtype=object)  # [i, j] = (L_{phi d_i} eta)_j
+    n2 = lie_forms - lie_forms.T
 
     n3 = mf.lie_derivative(xi, phi).components
     n4 = mf.lie_derivative(xi, eta).components
@@ -158,12 +118,6 @@ def n_tensors(S: ParacontactStructure) -> dict:
         "N3": TensorField(M, (1, 1), n3),
         "N4": TensorField(M, (0, 1), n4),
     }
-
-
-def in_distribution(S: ParacontactStructure, point, v: Sequence) -> bool:
-    """True when eta_point(v) = 0, i.e. v lies in the distribution D."""
-    eta_pt = mf.evaluate_array(S.eta.components, point)
-    return is_zero(sum(eta_pt[m] * v[m] for m in range(S.base.n)))
 
 
 def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact") -> List[TensorField]:
@@ -199,14 +153,8 @@ def check_D_flat(S: ParacontactStructure, C: Connection, points, mode: str = "ex
                  tol: float = FLOAT_TOL, frame=None) -> AxiomVerdict:
     """eta(nabla_X Y) = 0 for a spanning family of D-valued fields (``frame``,
     by default ``distribution_frame`` at the points)."""
-    M = S.base
     frame = distribution_frame(S, points, mode) if frame is None else frame
-    eta = S.eta.components
     tracker = ResidualTracker(mode, tol)
-    for i, X in enumerate(frame):
-        for j, Y in enumerate(frame):
-            resid = mf.contract("m,m->", eta, mf.cov_vec(C, X, Y))
-            for pt in points:
-                v = E.evaluate(resid, pt, mode)
-                tracker.update(v, M.coords(pt), (i, j))
+    for (i, X), (j, Y) in itertools.product(enumerate(frame), repeat=2):
+        tracker.track(S.base, points, (i, j), (1, mf.contract("m,m->", S.eta, mf.cov_vec(C, X, Y))))
     return tracker.verdict("D-flat")

@@ -18,7 +18,7 @@ ScalarLike = Union[int, Fraction, "MetallicScalar"]
 
 
 class ScalarError(ArithmeticError):
-    """Raised on division by zero or incompatible field parameters."""
+    """Raised on invalid or incompatible field parameters."""
 
 
 def _as_fraction(x: Rat) -> Fraction:
@@ -48,12 +48,6 @@ class MetallicScalar:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MetallicScalar is immutable")
-
-    # -- construction -------------------------------------------------
-
-    @classmethod
-    def rational(cls, x: Rat, p: int = 1, q: int = 1) -> "MetallicScalar":
-        return cls(_as_fraction(x), Fraction(0), p, q)
 
     # -- coercion -----------------------------------------------------
 
@@ -110,44 +104,14 @@ class MetallicScalar:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "MetallicScalar":
-        """Image under sigma -> p - sigma (the other root)."""
-        return MetallicScalar(self.a + self.b * self.p, -self.b, self.p, self.q)
-
-    def norm(self) -> Fraction:
-        """Rational field norm: self * self.conjugate()."""
-        return self.a * self.a + self.a * self.b * self.p - self.b * self.b * self.q
-
-    def inverse(self) -> "MetallicScalar":
-        n = self.norm()
-        if n == 0:
-            raise ScalarError("division by zero in Q(sigma)")
-        c = self.conjugate()
-        return MetallicScalar(c.a / n, c.b / n, self.p, self.q)
-
     def __truediv__(self, other: ScalarLike):
+        """Division by a nonzero rational (b == 0), as in the value of a
+        quotient whose numerator carries sigma."""
         pair = self._align(other)
-        if pair is None:
+        if pair is None or pair[1].b != 0:
             return NotImplemented
         s, o = pair
-        return s * o.inverse()
-
-    def __rtruediv__(self, other: ScalarLike):
-        return self.inverse() * other
-
-    def __pow__(self, n: int) -> "MetallicScalar":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = MetallicScalar.rational(1, self.p, self.q)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return MetallicScalar(s.a / o.a, s.b / o.a, s.p, s.q)
 
     # -- comparisons / hashing ----------------------------------------
 

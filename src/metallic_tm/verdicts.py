@@ -5,7 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .scalars import abs_greater, is_zero, scalar_str
+import numpy as np
+
+from . import exprs as E
+from .scalars import abs_greater, is_zero, scalar_str, scaled_sum
 
 FLOAT_TOL = 1e-9
 
@@ -74,6 +77,24 @@ class ResidualTracker:
             self.max_value = value
             self.witness = Witness(tuple(point_coords), tuple(frame), scalar_str(value))
 
+    def track(self, chart, points, label: tuple, *terms) -> list:
+        """Update with the residual sum(coef * arr) over (coef, arr) terms at
+        every point (points outer, components in ``np.ndindex`` order), under
+        the frame ``label + index``.  Each component of each arr (an Expr or
+        an array of them) is evaluated first and then scaled by its constant
+        coef.  Returns, per point, the list of component values."""
+        arrs = [(c, np.asarray(arr, dtype=object)) for c, arr in terms]
+        out = []
+        for pt in points:
+            coords = chart.coords(pt)
+            values = []
+            for idx in np.ndindex(arrs[0][1].shape):
+                v = scaled_sum(*((c, E.evaluate(arr[idx], pt, self.mode)) for c, arr in arrs))
+                self.update(v, coords, label + idx)
+                values.append(v)
+            out.append(values)
+        return out
+
     @property
     def all_zero(self) -> bool:
         return meets_zero(self.max_value, self.mode, self.tol * self.scale)
@@ -81,3 +102,11 @@ class ResidualTracker:
     def verdict(self, axiom_id: str) -> AxiomVerdict:
         return AxiomVerdict(axiom_id, "holds" if self.all_zero else "fails",
                             self.max_value, self.witness)
+
+
+def residual_verdict(axiom_id: str, chart, points, mode: str, tol: float, *terms) -> AxiomVerdict:
+    """The verdict on the residual sum(coef * arr) over (coef, arr) terms,
+    expected zero at every point (``ResidualTracker.track``)."""
+    tracker = ResidualTracker(mode, tol)
+    tracker.track(chart, points, (), *terms)
+    return tracker.verdict(axiom_id)

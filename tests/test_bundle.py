@@ -230,29 +230,3 @@ def test_lifted_connections(tb, conn, fields, points):
         got.components, bd.clift_vector(tb, nXY).components, gslice.components)]
     for pt in points:
         assert eval_zero(np.array(resid, dtype=object), pt)
-
-
-def test_adapted_frame_spans(tb, points):
-    frame = bd.adapted_frame(tb)
-    assert len(frame) == 6
-    mat = mf.zeros((6, 6))
-    for i, V in enumerate(frame):
-        for a in range(6):
-            mat[i, a] = V.components[a]
-    for pt in points:
-        vals = mf.evaluate_array(mat, pt)
-        det = _det_fraction(vals.tolist())
-        assert det != 0
-
-
-def _det_fraction(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det_fraction(minor)
-    return total

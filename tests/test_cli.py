@@ -141,3 +141,38 @@ def test_verify_seed_changes_report_points(manifest_path, tmp_path):
 def test_usage_error_exit_code():
     assert main(["verify"]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def _set(path, value):
+    def mutate(doc):
+        *keys, last = path
+        for k in keys:
+            doc = doc[k]
+        doc[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set(("sample_plan", "tolerance"), "abc"),
+    _set(("sample_plan", "tolerance"), -1),
+    _set(("sample_plan",), [1]),
+    _set(("sample_plan", "count"), True),
+    _set(("coordinates",), 3),
+    _set(("metallic", 0, "p"), 1.5),
+    _set(("metallic", 0, "p"), True),
+    _set(("metallic", 0, "eps1"), True),
+    _set(("sample_plan", "tolerence"), 1e-6),
+], ids=["tolerance-str", "tolerance-negative", "plan-list", "count-bool", "coordinates-int",
+        "p-float", "p-bool", "eps1-bool", "unknown-key"])
+def test_malformed_manifest_without_jsonschema(mutate, manifest_path, tmp_path, monkeypatch,
+                                               capsys):
+    """Without jsonschema, parse_manifest itself rejects what the schema
+    would: exit code 1 and an error line, never a traceback or a run."""
+    monkeypatch.setitem(sys.modules, "jsonschema", None)
+    doc = json.load(open(manifest_path))
+    mutate(doc)
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(doc))
+    assert main(["verify", str(p)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

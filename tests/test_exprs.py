@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -273,3 +274,19 @@ def test_point_is_read_only():
         with pytest.raises(TypeError, match="read-only"):
             getattr(point, name)(x)
     assert point == {x: Fraction(1)}
+
+
+def test_array_operators_build_the_explicit_trees():
+    """Elementwise - and + on Expr arrays build E.add(a, E.mul(E.const(-1), b))
+    and E.add(a, b), and arr * c builds E.mul(c, a) for a constant c.  A sum
+    of three terms stays one E.add: nesting collects like terms in another
+    order."""
+    x1, x2 = E.Var("base", 1), E.Var("base", 2)
+    a = np.array([E.add(x1, x2), x1, E.ZERO], dtype=object)
+    b = np.array([x1, E.mul(E.const(3), x2), x2], dtype=object)
+    assert list(a - b) == [E.add(u, E.mul(E.const(-1), v)) for u, v in zip(a, b)]
+    assert list(a + b) == [E.add(u, v) for u, v in zip(a, b)]
+    assert list(b * E.const(2)) == [E.mul(E.const(2), v) for v in b]
+    s = E.add(x1, x2)
+    assert (s - x1) + x1 == E.add(x2, x1)
+    assert E.add(s, E.mul(E.const(-1), x1), x1) == E.add(x1, x2) != E.add(x2, x1)

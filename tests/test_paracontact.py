@@ -52,12 +52,6 @@ def test_distribution_frame_drops_xi_direction(structure, base_points):
             assert E.evaluate(s, pt) == 0
 
 
-def test_in_distribution(structure, base_points):
-    pt = base_points[0]
-    assert pc.in_distribution(structure, pt, [Fraction(1), Fraction(2), Fraction(0)])
-    assert not pc.in_distribution(structure, pt, [Fraction(0), Fraction(0), Fraction(1)])
-
-
 def _mutated(h3, structure, **kw):
     phi = kw.get("phi", structure.phi)
     eta = kw.get("eta", structure.eta)

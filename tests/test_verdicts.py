@@ -1,10 +1,19 @@
-"""Residual aggregation: exact verdicts are decided without float()."""
+"""Residual aggregation: exact verdicts are decided without float(), and
+``ResidualTracker.track`` is the one loop that evaluates residuals."""
 
+import ast
+import pathlib
 import sys
 from fractions import Fraction
 
+import numpy as np
+
+import metallic_tm
+from metallic_tm import exprs as E
+from metallic_tm import manifold as mf
 from metallic_tm.harness import _tracker_suite
-from metallic_tm.verdicts import ResidualTracker
+from metallic_tm.scalars import sigma
+from metallic_tm.verdicts import ResidualTracker, residual_verdict
 
 
 def test_tiny_exact_residual_is_not_zero():
@@ -30,3 +39,81 @@ def test_huge_exact_residual_is_ranked_and_reported():
     doc = _tracker_suite("huge", tracker)
     assert doc["status"] == "fail"
     assert doc["max_residual"]["float"] == -sys.float_info.max
+
+
+class _Recorder(ResidualTracker):
+    """A tracker that keeps every update it is given, in order."""
+
+    def __init__(self, mode="exact"):
+        super().__init__(mode)
+        self.calls = []
+
+    def update(self, value, point_coords, frame):
+        self.calls.append((value, tuple(point_coords), tuple(frame)))
+        super().update(value, point_coords, frame)
+
+
+def _line():
+    x1, x2 = E.Var("base", 1), E.Var("base", 2)
+    chart = mf.ChartedManifold((x1, x2))
+    points = [E.Point(chart.point((Fraction(a), Fraction(b)))) for a, b in ((1, 2), (3, -1))]
+    return chart, points, x1, x2
+
+
+def test_track_updates_points_outer_then_components_under_label_frames():
+    chart, points, x1, x2 = _line()
+    arr = np.array([[x1, x2], [E.mul(x1, x2), E.ZERO]], dtype=object)
+    tracker = _Recorder()
+    values = tracker.track(chart, points, ("lab",), (1, arr))
+    assert [c[1:] for c in tracker.calls] == [
+        ((Fraction(a), Fraction(b)), ("lab",) + idx)
+        for a, b in ((1, 2), (3, -1)) for idx in np.ndindex(2, 2)]
+    assert values == [[1, 2, 2, 0], [3, -1, -3, 0]]
+    assert [c[0] for c in tracker.calls] == values[0] + values[1]
+    # 3 and then -3 at the second point: the first of the two is kept
+    assert tracker.max_value == 3 and tracker.witness.frame == ("lab", 0, 0)
+    assert tracker.witness.point == (3, -1)
+
+
+def test_track_an_expression_has_the_label_as_its_frame():
+    chart, points, x1, x2 = _line()
+    tracker = _Recorder()
+    assert tracker.track(chart, points, (0, 1, "dPhi"), (1, E.add(x1, x2))) == [[3], [2]]
+    assert [c[2] for c in tracker.calls] == [(0, 1, "dPhi")] * 2
+
+
+def test_track_scales_each_term_over_q_sigma():
+    """sum(coef * arr): each component is evaluated over Q, then scaled."""
+    chart, points, x1, x2 = _line()
+    s = sigma(1, 1)
+    values = ResidualTracker().track(chart, points, (), (s, [x1, x2]), (Fraction(1, 2), [x2, x2]))
+    assert values == [[s + 1, 2 * s + 1], [3 * s - Fraction(1, 2), -s - Fraction(1, 2)]]
+    assert ResidualTracker().track(chart, points[:1], (), (s, [E.ZERO])) == [[0]]
+    floats = ResidualTracker("float").track(chart, points[:1], (), (float(s), [x1]))
+    assert floats == [[float(s)]]
+
+
+def test_track_keeps_the_first_of_equal_magnitudes():
+    chart, points, x1, _ = _line()
+    tracker = ResidualTracker()
+    tracker.track(chart, points, ("t",), (1, [E.mul(E.const(-2), x1), E.mul(E.const(2), x1)]))
+    assert tracker.max_value == -6
+    assert tracker.witness.frame == ("t", 0) and tracker.witness.point == (3, -1)
+    verdict = residual_verdict("tie", chart, points, "exact", 1e-9, (1, [x1 - x1]))
+    assert verdict.holds and verdict.witness is None
+
+
+def test_only_verdicts_updates_a_tracker():
+    """Every residual check goes through ``ResidualTracker.track``: no other
+    module calls a tracker's three-argument ``update``, and the per-module
+    loop it replaced is gone."""
+    src = pathlib.Path(metallic_tm.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert "_check_array" not in text, path.name
+        if path.name == "verdicts.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "update"):
+                assert len(node.args) + len(node.keywords) <= 1, (path.name, node.lineno)

@@ -8,6 +8,7 @@ import pytest
 from metallic_tm import exprs as E
 from metallic_tm import harness
 from metallic_tm import paracontact as pc
+from metallic_tm.cli import bundled_manifest_path
 from metallic_tm.harness import Manifest, ManifestError, SamplePlan
 
 
@@ -154,6 +155,16 @@ def test_report_matches_golden(manifest):
     determinism test, this catches a report change from one version of the
     code to the next."""
     golden = pathlib.Path(__file__).parent / "data" / "hyperbolic-h3.report.json"
+    report = harness.render_report(harness.run_suites(manifest))
+    assert report == golden.read_text(encoding="utf-8")
+
+
+def test_h5_report_matches_golden():
+    """The bundled dimension-5 chart, byte for byte as committed.  Its
+    lifted tensors on TM are 10x10 and mostly zero, so this pins the term
+    order of contractions over block-sparse operands."""
+    manifest = harness.load_manifest(bundled_manifest_path("hyperbolic-h5"))
+    golden = pathlib.Path(__file__).parent / "data" / "hyperbolic-h5.report.json"
     report = harness.render_report(harness.run_suites(manifest))
     assert report == golden.read_text(encoding="utf-8")
 

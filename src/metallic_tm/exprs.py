@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 from .scalars import MetallicScalar
 
@@ -226,15 +226,13 @@ def _split_coeff(e: Expr):
 
 def add(*xs: ExprLike) -> Expr:
     # collect like terms by structural part so that e + (-1)*e folds to 0
-    order: list = []
-    coeffs: dict = {}
+    coeffs: dict = {}  # part -> (coefficient, its term while no like term met it)
     acc: Scalar = Fraction(0)
-    def accumulate(c, part):
+    def accumulate(c, part, term=None):
         if part not in coeffs:
-            order.append(part)
-            coeffs[part] = c
+            coeffs[part] = (c, term)
         else:
-            coeffs[part] = coeffs[part] + c
+            coeffs[part] = (coeffs[part][0] + c, None)
 
     for x in xs:
         e = _as_expr(x)
@@ -254,13 +252,14 @@ def add(*xs: ExprLike) -> Expr:
                     c2, part2 = _split_coeff(t2)
                     accumulate(c * c2, part2)
                 continue
-            accumulate(c, part)
+            accumulate(c, part, t)
     terms = []
-    for part in order:
-        c = coeffs[part]
-        if c == 0:
-            continue
-        terms.append(mul(Const(c), *part))
+    for part, (c, term) in coeffs.items():
+        if term is None:  # a lone term is kept: mul would rebuild an equal tree
+            if c == 0:
+                continue
+            term = mul(Const(c), *part)
+        terms.append(term)
     if acc != 0:
         terms.append(Const(acc))
     if not terms:
@@ -272,7 +271,7 @@ def add(*xs: ExprLike) -> Expr:
 
 def mul(*xs: ExprLike) -> Expr:
     factors = []
-    acc: Scalar = Fraction(1)
+    acc: Optional[Scalar] = None  # the product of the constant factors
     for x in xs:
         e = _as_expr(x)
         if isinstance(e, Mul):
@@ -281,12 +280,12 @@ def mul(*xs: ExprLike) -> Expr:
             sub = (e,)
         for f in sub:
             if isinstance(f, Const):
-                acc = f.value * acc
+                acc = f.value if acc is None else f.value * acc
                 if acc == 0:
                     return ZERO
             else:
                 factors.append(f)
-    if not (not isinstance(acc, MetallicScalar) and acc == 1):
+    if acc is not None and (isinstance(acc, MetallicScalar) or acc != 1):
         factors.insert(0, Const(acc))
     if not factors:
         return ONE

@@ -469,6 +469,7 @@ def suite_lifts(ctx: SuiteContext) -> dict:
         residuals.append((label, [mf.contract("a,a->", form, U) - want]))
 
     # (1,1) lift laws on frames
+    F2lift = {kind: bd.lift_tensor11(tb, F2, kind) for kind in "chv"}
     F2X = mf.apply_11(F2, X)
     for kind, arg, want in (
         ("c", Xc, bd.clift_vector(tb, F2X)),
@@ -477,14 +478,13 @@ def suite_lifts(ctx: SuiteContext) -> dict:
         ("h", Xv, bd.vlift_vector(tb, F2X)),
         ("v", Xc, bd.vlift_vector(tb, F2X)),
     ):
-        got = mf.apply_11(bd.lift_tensor11(tb, F2, kind), arg)
+        got = mf.apply_11(F2lift[kind], arg)
         residuals.append((f"F{kind}-frame", got.components - want.components))
 
     # polynomial functoriality with P(x) = x^2 - p x - q
     PFfield = mf.TensorField(M, (1, 1), ml.pq_residual(F2.components, prm.p, prm.q))
     for kind in ("c", "h"):
-        lifted = bd.lift_tensor11(tb, F2, kind)
-        lhs = ml.pq_residual(lifted.components, prm.p, prm.q)
+        lhs = ml.pq_residual(F2lift[kind].components, prm.p, prm.q)
         rhs = bd.lift_tensor11(tb, PFfield, kind).components
         residuals.append((f"P-functorial-{kind}", (lhs - rhs).ravel()))
 
@@ -615,7 +615,7 @@ def suite_F_integrability(ctx: SuiteContext) -> dict:
     F = ctx.structure("h", ctx.manifest.params[0])
     A = F.params.coefficients(ctx.mode)[0]
     res = ml.check_F_integrability_conditions(ctx.S, ctx.conn, ctx.points, ctx.mode,
-                                              ctx.plan.tol, ctx.frame)
+                                              ctx.plan.tol, ctx.frame, ctx.R)
     NPsi = mf.nijenhuis(F.psi)  # N_F = (a^2/4) N_Psi
     nf_zero = all(meets_zero(scaled_sum((A, E.evaluate(c, pt, ctx.mode))), ctx.mode, ctx.plan.tol)
                   for pt in ctx.points for c in NPsi.components.flat)

@@ -144,11 +144,18 @@ def contract(spec: str, *arrays):
     Products joined by ``+`` share one sum and are all added for a value of
     the summed indices before the next: with dY[j, i] = d_j Y^i,
     ``contract("j,ji+j,ji->i", X, dY, -Y, dX)`` is the Lie bracket [X, Y].
-    Summed indices run in order of first appearance, the first outermost,
-    so the terms come in the order of the nested loops the spec stands
-    for.  A product with a zero factor is skipped, and each component is
-    built by one ``E.add`` call.  An empty output index list gives a single
-    Expr.
+    An empty output index list gives a single Expr.
+
+    Only the nonzero support is visited.  Each operand's entries that are
+    not the zero constant are listed once, and the factors of a product
+    are joined on their shared index letters, so only index tuples at
+    which every factor is nonzero make a term; a letter the product does
+    not name runs over its whole range.  The terms are then ordered by
+    output index, summed indices (in order of first appearance, the first
+    outermost) and product number: the order of the nested loops the spec
+    stands for, with the products of a sum alternating.  Each component is
+    built by one ``E.add`` call over its terms in that order, so the trees
+    are those of the dense loop that skips a product with a zero factor.
     """
     lhs, out_idx = spec.split("->")
     products = [p.split(",") for p in lhs.split("+")]
@@ -163,21 +170,43 @@ def contract(spec: str, *arrays):
         for c, d in zip(sub, op.shape):
             if dims.setdefault(c, d) != d:
                 raise GeometryError(f"contract {spec!r}: index {c!r} has two sizes")
-    summed = [c for c in dict.fromkeys("".join(subs)) if c not in out_idx]
-    slot = {c: k for k, c in enumerate(list(out_idx) + summed)}
+    letters = list(out_idx) + [c for c in dict.fromkeys("".join(subs)) if c not in out_idx]
+    support: dict = {}  # id(operand) -> its nonzero entries as (index, Expr)
+    found = []  # (full index tuple, product number, factors)
     pairs = iter(zip(ops, subs))
-    plan = [[(op, [slot[c] for c in sub]) for op, sub in itertools.islice(pairs, len(p))]
-            for p in products]
+    for pno, p in enumerate(products):
+        bound: list = []  # letters in the order the factors bind them
+        rows = [((), ())]  # (values of the bound letters, factors so far)
+        for op, sub in itertools.islice(pairs, len(p)):
+            if id(op) not in support:
+                support[id(op)] = [(idx, e) for idx, e in np.ndenumerate(op)
+                                   if not E._is_const(e, 0)]
+            first = {c: sub.index(c) for c in sub}
+            key_at = [(bound.index(c), k) for c, k in first.items() if c in bound]
+            new_at = [k for c, k in first.items() if c not in bound]
+            table: dict = {}
+            for idx, e in support[id(op)]:
+                if len(first) < len(sub) and any(idx[k] != idx[first[c]]
+                                                 for k, c in enumerate(sub)):
+                    continue  # a repeated letter, as in "ii", takes one value
+                key = tuple(idx[k] for _, k in key_at)
+                table.setdefault(key, []).append((tuple(idx[k] for k in new_at), e))
+            bound += [sub[k] for k in new_at]
+            rows = [(vals + new, fs + (e,)) for vals, fs in rows
+                    for new, e in table.get(tuple(vals[b] for b, _ in key_at), ())]
+        free = [c for c in letters if c not in bound]
+        at = [bound.index(c) if c in bound else len(bound) + free.index(c) for c in letters]
+        for vals, fs in rows:
+            for rest in itertools.product(*(range(dims[c]) for c in free)):
+                full = vals + rest
+                found.append((tuple(full[k] for k in at), pno, fs))
+    found.sort(key=lambda t: t[:2])
+    terms: dict = {}
+    for full, _, fs in found:
+        terms.setdefault(full[:len(out_idx)], []).append(E.mul(*fs))
     out = np.empty(tuple(dims[c] for c in out_idx), dtype=object)
     for oidx in np.ndindex(out.shape):
-        terms = []
-        for sidx in itertools.product(*(range(dims[c]) for c in summed)):
-            full = oidx + sidx
-            for factors in plan:
-                fs = [op[tuple(full[k] for k in pos)] for op, pos in factors]
-                if not any(E._is_const(f, 0) for f in fs):
-                    terms.append(E.mul(*fs))
-        out[oidx] = E.add(*terms)
+        out[oidx] = E.add(*terms.get(oidx, ()))
     return out[()] if not out_idx else out
 
 
@@ -286,10 +315,10 @@ def covariant_derivative(C: Connection, T: TensorField) -> TensorField:
             for m in range(n):
                 for s, c in enumerate(idx):
                     moved = comp[idx[:s] + (m,) + idx[s + 1:]]
-                    if s < k:
-                        terms.append(E.mul(G[c, i, m], moved))
-                    else:
-                        terms.append(E.mul(E.const(-1), G[m, i, c], moved))
+                    gamma = G[c, i, m] if s < k else G[m, i, c]
+                    if E._is_const(gamma, 0) or E._is_const(moved, 0):
+                        continue  # a zero product, which add would drop
+                    terms.append(E.mul(gamma, moved) if s < k else E.mul(E.const(-1), gamma, moved))
             out[idx[:k] + (i,) + idx[k:]] = E.add(*terms)
     return TensorField(M, (k, l + 1), out)
 
@@ -307,8 +336,8 @@ def cov_vec(C: Connection, U: TensorField, V: TensorField) -> TensorField:
     for a in range(n):
         terms = []
         for i in range(n):
-            terms.append(E.mul(Uc[i], dV[i, a]))
-            terms += (E.mul(Uc[i], Vc[j], G[a, i, j]) for j in range(n))
+            products = [(Uc[i], dV[i, a])] + [(Uc[i], Vc[j], G[a, i, j]) for j in range(n)]
+            terms += (E.mul(*fs) for fs in products if not any(E._is_const(f, 0) for f in fs))
         out[a] = E.add(*terms)
     return TensorField(M, (1, 0), out)
 

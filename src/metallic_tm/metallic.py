@@ -275,12 +275,13 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
 
 def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
                                      points, mode: str = "exact", tol: float = FLOAT_TOL,
-                                     frame=None) -> Dict[str, AxiomVerdict]:
+                                     frame=None, R=None) -> Dict[str, AxiomVerdict]:
     """The two curvature/connection conditions of the F-integrability theorem
     plus D-flatness, each evaluated on distribution frame tuples (``frame``,
-    by default ``distribution_frame`` at the points)."""
+    by default ``distribution_frame`` at the points).  ``R`` is the curvature
+    of ``C``, built here when not given."""
     M = S.base
-    R = mf.curvature(C)
+    R = mf.curvature(C) if R is None else R
     frame = pc.distribution_frame(S, points, mode) if frame is None else frame
 
     d_flat = pc.check_D_flat(S, C, points, mode, tol, frame)
@@ -367,27 +368,26 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
         return mf.contract("aij,i,j->a", dpsi, lift_dir(X), xil)
 
     d_frame = pc.distribution_frame(S, points, mode) if frame is None else frame
+    probes = [residual(X) for X in d_frame]
 
     # closed-form match: the J display is qualified to directions in D,
     # while the F display carries phi^2 and holds on the whole frame
     if T.kind == "complete_J":
-        match_frame = d_frame
+        match_cases = zip(d_frame, probes)
     else:
-        match_frame = [
-            mf.TensorField(S.base, (1, 0),
-                           [E.ONE if a == i else E.ZERO for a in range(n)])
-            for i in range(n)
-        ]
+        basis = (mf.TensorField(S.base, (1, 0), [E.ONE if a == i else E.ZERO for a in range(n)])
+                 for i in range(n))
+        match_cases = ((X, residual(X)) for X in basis)
     match = ResidualTracker(mode, tol)
-    for i, X in enumerate(match_frame):
-        match.track(tb.chart, points, (i,), (scale, residual(X) - closed_form(X)))
+    for i, (X, probe) in enumerate(match_cases):
+        match.track(tb.chart, points, (i,), (scale, probe - closed_form(X)))
 
     # non-vanishing over every distribution frame direction
     nonzero_all = True
     zero_witness: Optional[Witness] = None
     sample = ResidualTracker(mode, tol)
-    for i, X in enumerate(d_frame):
-        for pt, vals in zip(points, sample.track(tb.chart, points, (i,), (scale, residual(X)))):
+    for i, probe in enumerate(probes):
+        for pt, vals in zip(points, sample.track(tb.chart, points, (i,), (scale, probe))):
             if all(meets_zero(v, mode, tol) for v in vals):
                 nonzero_all = False
                 zero_witness = Witness(tb.chart.coords(pt), (i,), "0")

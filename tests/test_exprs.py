@@ -76,6 +76,21 @@ def test_like_terms_cancel_structurally():
     assert e == E.ZERO
 
 
+def test_add_keeps_terms_that_do_not_merge():
+    """A term that meets no like term comes back as the same object; terms
+    that meet still fold, and a constant times an inner sum still
+    distributes over it and cancels termwise."""
+    x1, x2, y1 = Var("base", 1), Var("base", 2), Var("fiber", 1)
+    a, b, c = E.mul(E.const(3), x1, x2), E.pow_(y1, 2), E.mul(x1, y1)
+    s = E.add(a, b, E.const(5), c)
+    assert [t is u for t, u in zip(s.terms, (a, b, c))] == [True, True, True]
+    assert E.add(a, s).terms[0] == E.mul(E.const(6), x1, x2)
+    assert E.add(s, E.mul(E.const(-1), s)) is E.ZERO
+    inner = E.add(x1, x2)
+    assert E.add(E.mul(E.const(-2), inner), x1, x2, x1, x2) is E.ZERO
+    assert E.add(E.mul(E.const(2), inner), E.mul(E.const(-2), x1)) == E.mul(E.const(2), x2)
+
+
 def test_constant_folding():
     e = E.mul(E.const(2), E.const(3), Var("base", 1))
     assert E.evaluate(e, pt(Fraction(5))) == 30

@@ -204,14 +204,19 @@ def test_each_suite_gets_fresh_memos(manifest, monkeypatch):
 
 
 def test_run_builds_psi_and_the_distribution_frame_once(manifest, monkeypatch):
-    """A full run builds the D-frame once, and Psi once per lift and sign
-    pair: the three bundled parameter sets have two sign pairs."""
-    calls = {"frame": 0, "psi": []}
-    frame, psi = pc.distribution_frame, harness.ml.build_psi
+    """A full run builds the D-frame and the base curvature once, and Psi
+    once per lift and sign pair: the three bundled parameter sets have two
+    sign pairs."""
+    calls = {"frame": 0, "curvature": 0, "psi": []}
+    frame, curvature, psi = pc.distribution_frame, harness.mf.curvature, harness.ml.build_psi
 
     def count_frame(*args, **kwargs):
         calls["frame"] += 1
         return frame(*args, **kwargs)
+
+    def count_curvature(*args, **kwargs):
+        calls["curvature"] += 1
+        return curvature(*args, **kwargs)
 
     def count_psi(S, tb, *key):
         calls["psi"].append(key)
@@ -219,10 +224,12 @@ def test_run_builds_psi_and_the_distribution_frame_once(manifest, monkeypatch):
 
     monkeypatch.setattr(pc, "distribution_frame", count_frame)
     monkeypatch.setattr(harness.ml, "build_psi", count_psi)
+    monkeypatch.setattr(harness.mf, "curvature", count_curvature)
     plan = SamplePlan(count=1, seed=3, base_ranges=manifest.plan.base_ranges,
                       fiber_ranges=manifest.plan.fiber_ranges)
     harness.run_suites(manifest, plan=plan)
     assert calls["frame"] == 1
+    assert calls["curvature"] == 1
     assert sorted(calls["psi"]) == [("c", -1, -1), ("c", 1, 1), ("h", -1, -1), ("h", 1, 1)]
 
 

@@ -199,6 +199,81 @@ def test_contract_keeps_loop_term_order():
         assert T[i, j] == s
 
 
+def _dense_contract(spec, *arrays):
+    """The reference contract visits the dense index box: the nested loops
+    the spec stands for, the products of a sum alternating, a product with
+    a zero factor skipped, one add per output component."""
+    lhs, out_idx = spec.split("->")
+    products = [p.split(",") for p in lhs.split("+")]
+    subs = [s for p in products for s in p]
+    dims = {c: d for sub, a in zip(subs, arrays) for c, d in zip(sub, a.shape)}
+    summed = [c for c in dict.fromkeys("".join(subs)) if c not in out_idx]
+    out = {}
+    for oidx in itertools.product(*(range(dims[c]) for c in out_idx)):
+        terms = []
+        for sidx in itertools.product(*(range(dims[c]) for c in summed)):
+            val = dict(zip(list(out_idx) + summed, oidx + sidx))
+            ops = iter(arrays)
+            for p in products:
+                fs = [next(ops)[tuple(val[c] for c in sub)] for sub in p]
+                if not any(E._is_const(f, 0) for f in fs):
+                    terms.append(E.mul(*fs))
+        out[oidx] = E.add(*terms)
+    return out
+
+
+def _blocks(shape, allowed, tag):
+    """An Expr array on a 2n = 4 dimensional chart, nonzero only on the
+    blocks in ``allowed``: tuples of 0 (first half of an axis) or 1."""
+    xs = [Var("base", 1), Var("base", 2), Var("fiber", 1), Var("fiber", 2)]
+    arr = mf.zeros(shape)
+    for k, idx in enumerate(np.ndindex(shape)):
+        if tuple(2 * i // d for i, d in zip(idx, shape)) in allowed:
+            arr[idx] = E.add(E.mul(E.const(tag + k), E.pow_(xs[k % 4], k % 3 + 1)),
+                             xs[(k + tag) % 4])
+    return arr
+
+
+LOWER = {(0, 0), (1, 0), (1, 1)}  # the block pattern of a complete lift
+DIAG = {(0, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("spec, operands", [
+    # block-sparse 2n-shaped operands
+    ("ab,bc->ac", [(4, 4, LOWER), (4, 4, DIAG)]),
+    ("kl,ijl->kij", [(4, 4, DIAG), (4, 4, 4, {(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)})]),
+    ("lijk,i,j,k->l", [(4, 4, 4, 4, {(0, 0, 0, 0), (1, 0, 1, 1), (1, 1, 0, 0)}),
+                       (4, {(0,)}), (4, {(0,), (1,)}), (4, {(1,)})]),
+    # the products of a sum have different supports
+    ("j,ji+j,ji->i", [(4, {(0,), (1,)}), (4, 4, LOWER), (4, {(1,)}), (4, 4, DIAG)]),
+    ("lim,mjk+ljm,mik->lijk", [(4, 4, 4, {(0, 0, 1), (1, 1, 1)}),
+                               (4, 4, 4, {(0, 0, 0), (1, 0, 0)}),
+                               (4, 4, 4, {(1, 0, 1), (1, 1, 1)}),
+                               (4, 4, 4, {(1, 0, 0), (1, 1, 0)})]),
+    # a product that does not name j repeats for every j
+    ("i,ia+i,j,aij->a", [(4, {(0,), (1,)}), (4, 4, LOWER), (4, {(0,), (1,)}), (4, {(1,)}),
+                         (4, 4, 4, {(0, 0, 1), (1, 1, 0)})]),
+    # an all-zero product inside a sum
+    ("j,ji+j,ji->i", [(4, {(0,), (1,)}), (4, 4, LOWER), (4, set()), (4, 4, DIAG)]),
+    # a 0-d output and a repeated letter
+    ("ab,a,b->", [(4, 4, LOWER), (4, {(0,), (1,)}), (4, {(1,)})]),
+    ("aa,ab->b", [(4, 4, LOWER), (4, 4, DIAG)]),
+])
+def test_contract_over_the_support_builds_the_dense_loop_trees(spec, operands):
+    """Enumerating only the nonzero support builds, component by component,
+    the same tree as the dense nested loop, printed form included."""
+    arrays = [_blocks(op[:-1], op[-1], tag) for tag, op in enumerate(operands)]
+    got = mf.contract(spec, *arrays)
+    want = _dense_contract(spec, *arrays)
+    if not spec.split("->")[1]:
+        got = np.array(got, dtype=object)
+    assert set(np.ndindex(got.shape)) == set(want)
+    for idx, e in want.items():
+        assert got[idx] == e
+        assert E.to_str(got[idx]) == E.to_str(e)
+    assert any(e != E.ZERO for e in want.values())
+
+
 def test_contract_with_zero_operand_gives_zero():
     xs = np.array([Var("base", i) for i in range(1, 4)], dtype=object)
     out = mf.contract("ij,j->i", mf.zeros((3, 3)), xs)

@@ -179,8 +179,9 @@ def contract(spec: str, *arrays):
         rows = [((), ())]  # (values of the bound letters, factors so far)
         for op, sub in itertools.islice(pairs, len(p)):
             if id(op) not in support:
-                support[id(op)] = [(idx, e) for idx, e in np.ndenumerate(op)
-                                   if not E._is_const(e, 0)]
+                support[id(op)] = [(idx, e) for idx, e in zip(
+                    itertools.product(*map(range, op.shape)), op.ravel().tolist())
+                    if e is not E.ZERO and not E._is_const(e, 0)]
             first = {c: sub.index(c) for c in sub}
             key_at = [(bound.index(c), k) for c, k in first.items() if c in bound]
             new_at = [k for c, k in first.items() if c not in bound]

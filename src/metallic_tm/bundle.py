@@ -14,7 +14,7 @@ Conventions, fixed once and audited by tests:
 
 from __future__ import annotations
 
-import itertools
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -43,21 +43,19 @@ class TangentBundleChart:
             coord_names=base.coord_names + tuple(v.name for v in fiber),
         )
         self.connection = connection
-        self._gamma_tilde = None
 
-    @property
+    @cached_property
     def gamma_tilde(self) -> np.ndarray:
         """GT[l][i] = y^k Gamma^l_{ki}."""
         if self.connection is None:
             raise GeometryError("this lift needs a base connection")
-        if self._gamma_tilde is None:
-            self._gamma_tilde = mf.contract("k,lki->li", self.fiber_vars,
-                                            self.connection.coefficients)
-        return self._gamma_tilde
+        return mf.contract("k,lki->li", self.fiber_vars, self.connection.coefficients)
 
-    def ydel(self, e: Expr) -> Expr:
-        """The complete-lift derivation y^j d_j applied to a base expression."""
-        return mf.contract("j,j->", self.fiber_vars, self.base.partials(e))
+    def ydel(self, e):
+        """The complete-lift derivation y^j d_j applied to a base expression,
+        or componentwise to an array of them."""
+        idx = "abcdefghi"[:np.ndim(e)]
+        return mf.contract(f"j,j{idx}->{idx}", self.fiber_vars, self.base.partials(e))
 
     def point(self, base_coords, fiber_coords) -> dict:
         pt = dict(zip(self.base_vars, base_coords))
@@ -107,8 +105,7 @@ def clift_vector(tb: TangentBundleChart, X: TensorField) -> TensorField:
     n = tb.n
     comps = mf.zeros(2 * n)
     comps[:n] = X.components
-    for i in range(n):
-        comps[n + i] = tb.ydel(X.components[i])
+    comps[n:] = tb.ydel(X.components)
     return TensorField(tb.chart, (1, 0), comps)
 
 
@@ -118,6 +115,11 @@ def hlift_vector(tb: TangentBundleChart, X: TensorField) -> TensorField:
     comps[:n] = X.components
     comps[n:] = mf.contract("li,i->l", -tb.gamma_tilde, X)
     return TensorField(tb.chart, (1, 0), comps)
+
+
+def lifted_rows(tb: TangentBundleChart, lift, fields) -> np.ndarray:
+    """The lifts ``lift(tb, X)`` of base vector fields as rows [x, A]."""
+    return mf.rows([lift(tb, X) for X in fields], 2 * tb.n)
 
 
 # ----------------------------------------------------------------------
@@ -132,8 +134,7 @@ def lift_oneform(tb: TangentBundleChart, w: TensorField, kind: str) -> TensorFie
     if kind == "v":
         comps[:n] = w.components
     elif kind == "c":
-        for i in range(n):
-            comps[i] = tb.ydel(w.components[i])
+        comps[:n] = tb.ydel(w.components)
         comps[n:] = w.components
     elif kind == "h":
         comps[:n] = mf.contract("ki,k->i", tb.gamma_tilde, w)
@@ -157,10 +158,7 @@ def lift_tensor11(tb: TangentBundleChart, F: TensorField, kind: str) -> TensorFi
         # defined by F^v(X^c) = (FX)^v, F^v(X^v) = 0
         m = _blocks_to_matrix(tb, zero, zero, Fc, zero)
     elif kind == "c":
-        lower = mf.zeros((n, n))
-        for a, j in itertools.product(range(n), repeat=2):
-            lower[a, j] = tb.ydel(Fc[a, j])
-        m = _blocks_to_matrix(tb, Fc, zero, lower, Fc)
+        m = _blocks_to_matrix(tb, Fc, zero, tb.ydel(Fc), Fc)
     elif kind == "h":
         gt = tb.gamma_tilde
         lower = mf.contract("al,lj+al,lj->aj", Fc, gt, -gt, Fc)
@@ -178,10 +176,7 @@ def clift_metric(tb: TangentBundleChart) -> TensorField:
     """g^c = [[y^k d_k g, g], [g, 0]]."""
     g = tb.base.metric
     n = tb.n
-    upper = mf.zeros((n, n))
-    for i, j in itertools.product(range(n), repeat=2):
-        upper[i, j] = tb.ydel(g[i, j])
-    m = _blocks_to_matrix(tb, upper, g.copy(), g.copy(), mf.zeros((n, n)))
+    m = _blocks_to_matrix(tb, tb.ydel(g), g.copy(), g.copy(), mf.zeros((n, n)))
     return TensorField(tb.chart, (0, 2), m)
 
 
@@ -241,8 +236,7 @@ def clift_connection(tb: TangentBundleChart) -> Connection:
     G = tb.connection.coefficients
     H = mf.zeros((2 * n,) * 3)
     H[:n, :n, :n] = G
-    for k, i, j in itertools.product(range(n), repeat=3):
-        H[k + n, i, j] = tb.ydel(G[k, i, j])
+    H[n:, :n, :n] = tb.ydel(G)
     H[n:, :n, n:] = G
     H[n:, n:, :n] = G
     return Connection(tb.chart, H)

@@ -17,6 +17,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from . import bundle as bd
 from . import exprs as E
 from . import manifold as mf
@@ -269,10 +271,10 @@ def sample_points(manifest: Manifest, plan: Optional[SamplePlan] = None):
 
     def draw(lo: Fraction, hi: Fraction) -> Fraction:
         den = rng.randint(2, 7)
-        lo_i = int(lo * den) + 1
-        hi_i = int(hi * den) - 1
-        if lo_i > hi_i:
-            lo_i, hi_i = int(lo * den), int(hi * den)
+        lo_i, hi_i = int(lo * den) + 1, int(hi * den) - 1
+        while lo_i > hi_i:  # no k/den inside the range: a finer grid
+            den *= 2
+            lo_i, hi_i = int(lo * den) + 1, int(hi * den) - 1
         return Fraction(rng.randint(lo_i, hi_i), den)
 
     points = []
@@ -580,23 +582,23 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
     dPhi is -a/2 times the coboundary of the form G(., Psi .) over Q."""
     J = ctx.structure("c", ctx.manifest.params[0])
     scale = J.params.coefficients(ctx.mode)[2]
-    dPhi = ml.d_fundamental(ml.fundamental_form(J, ctx.gc))
-    M, conn, tb = ctx.M, ctx.conn, ctx.tb
-    phi = ctx.S.phi
+    dPhi = mf.coboundary_2form(ml.fundamental_form(J, ctx.gc))
+    M, tb, frame = ctx.M, ctx.tb, ctx.frame
+    X = mf.rows(frame, M.n)
+    Xc = bd.lifted_rows(tb, bd.clift_vector, frame)
+    lhs = mf.contract("ijk,xi,yj,zk->xyz", dPhi, Xc, Xc, bd.lifted_rows(tb, bd.vlift_vector, frame))
+    # g(nabla_{X_v} X_u, phi X_w) at [u, v, w]; eq. (27) sums its three cyclic shifts
+    eq27 = mf.contract("ab,vua,wb->uvw", M.metric, mf.cov_rows(ctx.conn, X, X),
+                       mf.contract("am,xm->xa", ctx.S.phi, X))
+    rhs = mf.add(eq27, eq27.transpose(2, 0, 1), eq27.transpose(1, 2, 0))
 
     tracker = ResidualTracker(ctx.mode, ctx.plan.tol)
     consistent = True
     witnesses = []
-    for (iX, X), (iY, Y), (iZ, Z) in itertools.product(
-            enumerate(ctx.frame), repeat=3):
-        lhs = ml.dphi_on(dPhi, bd.clift_vector(tb, X), bd.clift_vector(tb, Y),
-                         bd.vlift_vector(tb, Z))
-        rhs = E.add(*(
-            mf.contract("ab,a,b->", M.metric, mf.cov_vec(conn, V, U), mf.apply_11(phi, W))
-            for U, V, W in ((X, Y, Z), (Y, Z, X), (Z, X, Y))))
-        lvs = tracker.track(tb.chart, ctx.points, (iX, iY, iZ, "dPhi"), (scale, lhs))
+    for iX, iY, iZ in np.ndindex(lhs.shape):
+        lvs = tracker.track(tb.chart, ctx.points, (iX, iY, iZ, "dPhi"), (scale, lhs[iX, iY, iZ]))
         for pt, (lv,) in zip(ctx.points, lvs):
-            rv = E.evaluate(rhs, pt, ctx.mode)
+            rv = E.evaluate(rhs[iX, iY, iZ], pt, ctx.mode)
             tracker.note_scale(rv)
             if meets_zero(lv, ctx.mode, ctx.plan.tol) != meets_zero(rv, ctx.mode, ctx.plan.tol):
                 consistent = False
@@ -648,21 +650,21 @@ def suite_Phi_prime(ctx: SuiteContext) -> dict:
     prm = ctx.manifest.params[0]
     Fm = ctx.structure("h", prm)
     scale = prm.coefficients(ctx.mode)[2]
-    dPhip = ml.d_fundamental(ml.fundamental_form(Fm, ctx.G))
-    M, tb = ctx.M, ctx.tb
-    xiv = bd.vlift_vector(tb, ctx.S.xi)
+    dPhip = mf.coboundary_2form(ml.fundamental_form(Fm, ctx.G))
+    M, tb, frame = ctx.M, ctx.tb, ctx.frame
+    X = mf.rows(frame, M.n)
+    val = mf.contract("ijk,xi,xj,k->x", dPhip, bd.lifted_rows(tb, bd.hlift_vector, frame),
+                      bd.lifted_rows(tb, bd.vlift_vector, frame), bd.vlift_vector(tb, ctx.S.xi))
+    # dPhi' + (a/6) gXX = -(a/2) (val - gXX/3), zero for sign "-"
+    resid = mf.add(val, mf.contract("ab,xa,xb->x", M.metric, X, X) * E.const(Fraction(-1, 3)))
 
     tracker = ResidualTracker(ctx.mode, ctx.plan.tol)
     nonzero_all = True
     sign_counts = {"+": 0, "-": 0}
-    for i, X in enumerate(ctx.frame):
-        val_e = ml.dphi_on(dPhip, bd.hlift_vector(tb, X), bd.vlift_vector(tb, X), xiv)
-        gXX = mf.contract("ab,a,b->", M.metric, X, X)
-        # dPhi' + (a/6) gXX = -(a/2) (val_e - gXX/3), zero for sign "-"
-        resid = E.add(val_e, E.mul(E.const(Fraction(-1, 3)), gXX))
-        tracker.track(tb.chart, ctx.points, (i,), (scale, resid))
+    for i in range(len(val)):
+        tracker.track(tb.chart, ctx.points, (i,), (scale, resid[i]))
         for pt in ctx.points:
-            dval = scaled_sum((scale, E.evaluate(val_e, pt, ctx.mode)))
+            dval = scaled_sum((scale, E.evaluate(val[i], pt, ctx.mode)))
             if meets_zero(dval, ctx.mode, ctx.plan.tol):
                 nonzero_all = False
             else:

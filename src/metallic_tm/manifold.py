@@ -144,18 +144,22 @@ def contract(spec: str, *arrays):
     Products joined by ``+`` share one sum and are all added for a value of
     the summed indices before the next: with dY[j, i] = d_j Y^i,
     ``contract("j,ji+j,ji->i", X, dY, -Y, dX)`` is the Lie bracket [X, Y].
-    An empty output index list gives a single Expr.
+    Each product sums only over the letters it names (the einsum rule): a
+    summed letter it does not name contributes the product once, at the
+    letter's first value, so ``contract("i,ia+i,j,aij->a", U, dV, U, V, G)``
+    is U^i d_i V^a + U^i V^j G^a_ij.  An output letter it does not name
+    broadcasts it.  An empty output index list gives a single Expr.
 
     Only the nonzero support is visited.  Each operand's entries that are
     not the zero constant are listed once, and the factors of a product
     are joined on their shared index letters, so only index tuples at
-    which every factor is nonzero make a term; a letter the product does
-    not name runs over its whole range.  The terms are then ordered by
-    output index, summed indices (in order of first appearance, the first
-    outermost) and product number: the order of the nested loops the spec
-    stands for, with the products of a sum alternating.  Each component is
-    built by one ``E.add`` call over its terms in that order, so the trees
-    are those of the dense loop that skips a product with a zero factor.
+    which every factor is nonzero make a term.  The terms are then ordered
+    by output index, summed indices (in order of first appearance, the
+    first outermost) and product number: the order of the nested loops the
+    spec stands for, with the products of a sum alternating.  Each
+    component is built by one ``E.add`` call over its terms in that order,
+    so the trees are those of the dense loop that skips a product with a
+    zero factor.
     """
     lhs, out_idx = spec.split("->")
     products = [p.split(",") for p in lhs.split("+")]
@@ -198,7 +202,8 @@ def contract(spec: str, *arrays):
         free = [c for c in letters if c not in bound]
         at = [bound.index(c) if c in bound else len(bound) + free.index(c) for c in letters]
         for vals, fs in rows:
-            for rest in itertools.product(*(range(dims[c]) for c in free)):
+            for rest in itertools.product(*(range(dims[c]) if c in out_idx else (0,)
+                                            for c in free)):
                 full = vals + rest
                 found.append((tuple(full[k] for k in at), pno, fs))
     found.sort(key=lambda t: t[:2])
@@ -209,6 +214,18 @@ def contract(spec: str, *arrays):
     for oidx in np.ndindex(out.shape):
         out[oidx] = E.add(*terms.get(oidx, ()))
     return out[()] if not out_idx else out
+
+
+def add(*arrays):
+    """Componentwise sum of Expr arrays (or Exprs, or numbers) under numpy
+    broadcasting: one ``E.add`` call per component, terms in argument order."""
+    return np.frompyfunc(E.add, len(arrays), 1)(*arrays)
+
+
+def rows(fields, n: int) -> np.ndarray:
+    """Vector fields on an ``n``-dimensional chart stacked as the rows [x, a]
+    of one array, a contract operand that stands for all of them."""
+    return np.array([F.components for F in fields], dtype=object).reshape(-1, n)
 
 
 # ----------------------------------------------------------------------
@@ -259,13 +276,11 @@ def christoffel(M: ChartedManifold) -> Connection:
     """Levi-Civita coefficients of the chart metric."""
     if M.metric is None:
         raise GeometryError("chart has no metric")
-    n = M.n
     g = M.metric
     ginv = inverse_matrix(g)
     dg = M.partials(g)  # dg[k][i][j] = d_k g_ij
-    first_kind = zeros((n, n, n))  # 2 Gamma_{lij}, stored [i][j][l]
-    for i, j, l in itertools.product(range(n), repeat=3):
-        first_kind[i, j, l] = E.add(dg[i, j, l], dg[j, i, l], E.mul(E.const(-1), dg[l, i, j]))
+    # 2 Gamma_{lij}, stored [i][j][l]: d_i g_jl + d_j g_il - d_l g_ij
+    first_kind = add(dg, dg.transpose(1, 0, 2), -dg.transpose(1, 2, 0))
     gamma = contract("kl,ijl->kij", ginv, first_kind) * E.const(Fraction(1, 2))
     return Connection(M, gamma)
 
@@ -273,13 +288,10 @@ def christoffel(M: ChartedManifold) -> Connection:
 def curvature(C: Connection) -> TensorField:
     """R[l][i][j][k] with R(d_i, d_j) d_k = R^l_{ijk} d_l."""
     M = C.base
-    n = M.n
     G = C.coefficients
-    dG = M.partials(G)
+    dG = M.partials(G)  # [i, l, j, k] = d_i Gamma^l_jk
     GG = contract("lim,mjk+ljm,mik->lijk", G, G, -G, G)
-    R = zeros((n, n, n, n))
-    for l, i, j, k in itertools.product(range(n), repeat=4):
-        R[l, i, j, k] = E.add(dG[i, l, j, k], E.mul(E.const(-1), dG[j, l, i, k]), GG[l, i, j, k])
+    R = add(dG.transpose(1, 0, 2, 3), -dG.transpose(1, 2, 0, 3), GG)
     return TensorField(M, (1, 3), R)
 
 
@@ -299,48 +311,36 @@ def lie_bracket(X: TensorField, Y: TensorField) -> TensorField:
 
 
 def covariant_derivative(C: Connection, T: TensorField) -> TensorField:
-    """nabla T, one Gamma term per slot: +Gamma^a_{im} T^..m.. for each
-    contravariant slot, -Gamma^m_{ij} T_..m.. for each covariant slot, summed
-    over m with the slots in order.  The derivative index i goes first
-    among the covariant slots."""
+    """nabla T as one contraction: d_i T, then per slot +Gamma^c_{im} T^..m..
+    (contravariant) or -Gamma^m_{ic} T_..m.. (covariant), summed over m with
+    the slots in order; the d_i T product does not name m, so it comes once,
+    first.  The derivative index i goes first among the covariant slots."""
     M = C.base
-    n = M.n
-    G = C.coefficients
     k, l = T.valence
-    comp = T.components
-    dcomp = M.partials(comp)
-    out = zeros((n,) * (k + l + 1))
-    for idx in itertools.product(range(n), repeat=k + l):
-        for i in range(n):
-            terms = [dcomp[(i,) + idx]]
-            for m in range(n):
-                for s, c in enumerate(idx):
-                    moved = comp[idx[:s] + (m,) + idx[s + 1:]]
-                    gamma = G[c, i, m] if s < k else G[m, i, c]
-                    if E._is_const(gamma, 0) or E._is_const(moved, 0):
-                        continue  # a zero product, which add would drop
-                    terms.append(E.mul(gamma, moved) if s < k else E.mul(E.const(-1), gamma, moved))
-            out[idx[:k] + (i,) + idx[k:]] = E.add(*terms)
+    slots = "abcdefghjkl"[:k + l]  # every letter but i and m
+    G, minus_G = C.coefficients, -C.coefficients if l else None
+    specs, ops = ["i" + slots], [M.partials(T.components)]
+    for s, c in enumerate(slots):
+        specs.append((f"{c}im," if s < k else f"mi{c},") + slots[:s] + "m" + slots[s + 1:])
+        ops += [G if s < k else minus_G, T.components]
+    out = contract("+".join(specs) + "->" + slots[:k] + "i" + slots[k:], *ops)
     return TensorField(M, (k, l + 1), out)
 
 
 def cov_vec(C: Connection, U: TensorField, V: TensorField) -> TensorField:
-    """Directional derivative nabla_U V of a vector field."""
+    """Directional derivative nabla_U V = U^i d_i V^a + U^i V^j Gamma^a_ij of
+    a vector field, one contraction."""
     if U.valence != (1, 0) or V.valence != (1, 0):
         raise GeometryError("cov_vec needs two vector fields")
     M = C.base
-    n = M.n
-    G = C.coefficients
-    Uc, Vc = U.components, V.components
-    dV = M.partials(Vc)
-    out = zeros(n)
-    for a in range(n):
-        terms = []
-        for i in range(n):
-            products = [(Uc[i], dV[i, a])] + [(Uc[i], Vc[j], G[a, i, j]) for j in range(n)]
-            terms += (E.mul(*fs) for fs in products if not any(E._is_const(f, 0) for f in fs))
-        out[a] = E.add(*terms)
+    out = contract("i,ia+i,j,aij->a", U, M.partials(V.components), U, V, C.coefficients)
     return TensorField(M, (1, 0), out)
+
+
+def cov_rows(C: Connection, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """[x, y, a] = (nabla_{U_x} V_y)^a for vector fields stacked as rows
+    U[x, i] and V[y, j] (``rows``): ``cov_vec`` for every pair at once."""
+    return contract("xi,iya+xi,yj,aij->xya", U, C.base.partials(V), U, V, C.coefficients)
 
 
 def lie_derivative(X: TensorField, T: TensorField) -> TensorField:
@@ -359,51 +359,25 @@ def lie_derivative(X: TensorField, T: TensorField) -> TensorField:
     raise GeometryError(f"lie_derivative does not support valence {T.valence}")
 
 
-def _structurally_antisymmetric(comp: np.ndarray) -> bool:
-    n = comp.shape[0]
-    for i in range(n):
-        if not E._is_const(comp[i, i], 0):
-            return False
-        for j in range(i + 1, n):
-            a, b = comp[i, j], comp[j, i]
-            if E._is_const(a, 0) and E._is_const(b, 0):
-                continue
-            if E.mul(E.const(-1), a) != b:
-                return False
-    return True
-
-
 def exterior_derivative(T: TensorField) -> TensorField:
-    """d on 1-forms (factor 1/2) and antisymmetric 2-forms (factor 1/3).
-
-    The normalizations match the coboundary convention
-    3 dPhi(X,Y,Z) = sum X Phi(Y,Z) - sum Phi([X,Y],Z) and its degree-one
-    analogue 2 domega(X,Y) = X omega(Y) - Y omega(X) - omega([X,Y]).
-    """
+    """d on 1-forms with factor 1/2, the convention
+    2 domega(X,Y) = X omega(Y) - Y omega(X) - omega([X,Y])."""
+    if T.valence != (0, 1):
+        raise GeometryError(f"exterior_derivative does not support valence {T.valence}")
     M = T.base
-    if T.valence == (0, 1):
-        dw = M.partials(T.components)
-        return TensorField(M, (0, 2), (dw - dw.T) * E.const(Fraction(1, 2)))
-    if T.valence == (0, 2):
-        if not _structurally_antisymmetric(T.components):
-            raise GeometryError("exterior_derivative needs an antisymmetric 2-form")
-        return coboundary_2form(T)
-    raise GeometryError(f"exterior_derivative does not support valence {T.valence}")
+    dw = M.partials(T.components)
+    return TensorField(M, (0, 2), (dw - dw.T) * E.const(Fraction(1, 2)))
 
 
 def coboundary_2form(T: TensorField) -> TensorField:
-    """The 1/3-coboundary formula applied componentwise, with no
-    antisymmetry gate.  Used where a fundamental form is fed in as built."""
+    """The 1/3-coboundary formula 3 dPhi(X,Y,Z) = sum X Phi(Y,Z) -
+    sum Phi([X,Y],Z) applied componentwise, with no antisymmetry gate: a
+    fundamental form is fed in as built."""
     if T.valence != (0, 2):
         raise GeometryError("coboundary_2form needs a (0,2) tensor")
-    M = T.base
-    n = M.n
-    dP = M.partials(T.components)
-    third = E.const(Fraction(1, 3))
-    out = zeros((n, n, n))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        out[i, j, k] = E.mul(third, E.add(dP[i, j, k], dP[j, k, i], dP[k, i, j]))
-    return TensorField(M, (0, 3), out)
+    dP = T.base.partials(T.components)  # [i, j, k] = d_i Phi_jk
+    cyclic = add(dP, dP.transpose(2, 0, 1), dP.transpose(1, 2, 0))
+    return TensorField(T.base, (0, 3), cyclic * E.const(Fraction(1, 3)))
 
 
 def column_field(F: TensorField, j: int) -> TensorField:

@@ -7,7 +7,6 @@ sample points; an axiom holds when every residual component is exactly zero
 
 from __future__ import annotations
 
-import itertools
 from typing import List
 
 import numpy as np
@@ -37,14 +36,10 @@ def check_almost_paracontact(S: ParacontactStructure, points, mode: str = "exact
                              tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
     """phi^2 = I - eta (x) xi, eta(xi) = 1, phi xi = 0, eta o phi = 0."""
     M = S.base
-    n = M.n
     phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
 
-    r1 = mf.contract("am,mj->aj", phi, phi)
-    for a, j in itertools.product(range(n), repeat=2):
-        ident = E.ONE if a == j else E.ZERO
-        r1[a, j] = E.add(r1[a, j], E.mul(E.const(-1), ident), E.mul(xi[a], eta[j]))
-
+    r1 = mf.add(mf.contract("am,mj->aj", phi, phi), -np.identity(M.n, dtype=object),
+                np.multiply.outer(xi, eta))
     r2 = [S.eta_of_xi() - 1]
     r3 = mf.contract("am,m->a", phi, xi)
     r4 = mf.contract("m,mj->j", eta, phi)
@@ -58,13 +53,11 @@ def check_metric_compat(S: ParacontactStructure, points, mode: str = "exact",
                         tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
     """g(X,Y) = g(phiX,phiY) + eta(X)eta(Y) and its equivalents."""
     M = S.base
-    n = M.n
     g = M.metric
     phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
 
-    r1 = mf.contract("ai,ab,bj->ij", -phi, g, phi)  # g - phi^T g phi - eta (x) eta
-    for i, j in itertools.product(range(n), repeat=2):
-        r1[i, j] = E.add(g[i, j], r1[i, j], E.mul(E.const(-1), eta[i], eta[j]))
+    # g - phi^T g phi - eta (x) eta
+    r1 = mf.add(g, mf.contract("ai,ab,bj->ij", -phi, g, phi), np.multiply.outer(-eta, eta))
 
     r2 = mf.contract("mi,mj+im,mj->ij", phi, g, -g, phi)  # g(phi X, Y) - g(X, phi Y)
     r3 = -eta + mf.contract("im,m->i", g, xi)  # g(X, xi) - eta(X)
@@ -78,17 +71,11 @@ def check_p_sasakian(S: ParacontactStructure, C: Connection, points, mode: str =
                      tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
     """(nabla_X phi)Y = -g(X,Y)xi - eta(Y)X + 2 eta(X)eta(Y)xi and nabla_X xi = phi X."""
     M = S.base
-    n = M.n
     g = M.metric
     phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
 
-    rhs = mf.zeros((n, n, n))
-    for a, i, j in np.ndindex(rhs.shape):
-        rhs[a, i, j] = E.add(
-            E.mul(E.const(-1), g[i, j], xi[a]),
-            E.mul(E.const(-1), eta[j], E.ONE if a == i else E.ZERO),
-            E.mul(E.const(2), eta[i], eta[j], xi[a]),
-        )
+    delta = mf.expr_array(np.identity(M.n, dtype=object))
+    rhs = mf.contract("ij,a+j,ai+i,j,a->aij", -g, xi, -eta, delta, eta * E.const(2), eta, xi)
     r1 = mf.covariant_derivative(C, S.phi).components - rhs  # [a, i, j]
     r2 = mf.covariant_derivative(C, S.xi).components - phi  # [a, i]
 
@@ -154,7 +141,9 @@ def check_D_flat(S: ParacontactStructure, C: Connection, points, mode: str = "ex
     """eta(nabla_X Y) = 0 for a spanning family of D-valued fields (``frame``,
     by default ``distribution_frame`` at the points)."""
     frame = distribution_frame(S, points, mode) if frame is None else frame
+    X = mf.rows(frame, S.base.n)
+    resid = mf.contract("m,xym->xy", S.eta, mf.cov_rows(C, X, X))
     tracker = ResidualTracker(mode, tol)
-    for (i, X), (j, Y) in itertools.product(enumerate(frame), repeat=2):
-        tracker.track(S.base, points, (i, j), (1, mf.contract("m,m->", S.eta, mf.cov_vec(C, X, Y))))
+    for idx in np.ndindex(resid.shape):
+        tracker.track(S.base, points, idx, (1, resid[idx]))
     return tracker.verdict("D-flat")

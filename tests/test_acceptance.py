@@ -203,11 +203,11 @@ def test_criterion_8_phi_prime_nonclosed(manifest, pts10, report):
     prm = manifest.params[0]
     Fm = ml.build_F(S, tb, prm)
     G = bd.sasaki_metric(tb)
-    dPhip = ml.d_fundamental(ml.fundamental_form(Fm, G))
+    dPhip = mf.coboundary_2form(ml.fundamental_form(Fm, G))
     x3 = manifest.manifold.variables[2]
     X = mf.TensorField(manifest.manifold, (1, 0), [x3, E.ZERO, E.ZERO])
-    val = ml.dphi_on(dPhip, bd.hlift_vector(tb, X), bd.vlift_vector(tb, X),
-                     bd.vlift_vector(tb, S.xi))
+    val = mf.contract("ijk,i,j,k->", dPhip, bd.hlift_vector(tb, X), bd.vlift_vector(tb, X),
+                      bd.vlift_vector(tb, S.xi))
     want = (2 * sigma(prm.p, prm.q) - prm.p) / 6
     for pt in pts10[:3]:
         got = -prm.amp * E.evaluate(val, pt)  # dPhi' = -(a/2) d(G(., Psi .))

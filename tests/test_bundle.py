@@ -230,3 +230,31 @@ def test_lifted_connections(tb, conn, fields, points):
         got.components, bd.clift_vector(tb, nXY).components, gslice.components)]
     for pt in points:
         assert eval_zero(np.array(resid, dtype=object), pt)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (3, 3), (3, 3, 3)])
+def test_ydel_acts_componentwise(tb, shape):
+    """ydel of an array is the array of ydel of its components, each the
+    same tree y^j d_j e as for a single expression."""
+    xs = tb.base.variables
+    arr = mf.zeros(shape)
+    for k, idx in enumerate(np.ndindex(shape)):
+        if k % 4 != 2:
+            arr[idx] = E.add(E.mul(E.const(k + 1), E.pow_(xs[k % 3], k % 3 + 2)), xs[(k + 1) % 3])
+    got = np.asarray(tb.ydel(arr), dtype=object)
+    assert got.shape == shape
+    for idx in np.ndindex(shape):
+        want = mf.contract("j,j->", tb.fiber_vars, tb.base.partials(arr[idx]))
+        assert got[idx] == want and E.to_str(got[idx]) == E.to_str(want)
+        assert got[idx] == tb.ydel(arr[idx])
+
+
+def test_gamma_tilde_is_built_once_and_needs_a_connection(h3, conn):
+    bare = bd.TangentBundleChart(h3)
+    for _ in range(2):  # the error is raised again, not cached
+        with pytest.raises(mf.GeometryError, match="connection"):
+            bare.gamma_tilde
+    tb2 = bd.TangentBundleChart(h3, conn)
+    assert tb2.gamma_tilde is tb2.gamma_tilde
+    assert tb2.gamma_tilde[2, 0] == mf.contract("k,k->", tb2.fiber_vars,
+                                                conn.coefficients[2, :, 0])

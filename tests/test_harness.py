@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -116,6 +117,25 @@ def test_sampler_rejects_impossible_domain(doc):
     m = harness.parse_manifest(bad)
     with pytest.raises(harness.SamplingError):
         harness.sample_points(m)
+
+
+@pytest.mark.parametrize("key, axis, lo, hi", [
+    ("fiber_ranges", 0, "1/10", "1/9"),  # every y1 was 0
+    ("base_ranges", 2, "1/10", "1/9"),  # no admissible point found
+    ("fiber_ranges", 1, "-1/7", "-1/8"),
+    ("base_ranges", 0, "1", "6/5"),
+])
+def test_sampler_draws_inside_narrow_ranges(doc, key, axis, lo, hi):
+    """A range with no multiple of 1/den inside, for the drawn den, is
+    drawn from on a finer grid, never outside it."""
+    narrow = json.loads(json.dumps(doc))
+    narrow["sample_plan"][key][axis] = [lo, hi]
+    m = harness.parse_manifest(narrow)
+    var = E.Var("base" if key == "base_ranges" else "fiber", axis + 1)
+    plan = SamplePlan(count=20, seed=3, base_ranges=m.plan.base_ranges,
+                      fiber_ranges=m.plan.fiber_ranges)
+    for pt in harness.sample_points(m, plan):
+        assert Fraction(lo) <= pt[var] <= Fraction(hi)
 
 
 def test_float_mode_points_are_floats(manifest):
@@ -242,12 +262,12 @@ def _near_boundary(doc, **plan):
 
 
 def test_every_suite_uses_the_plan_tolerance(doc):
-    """Near x3 = 0 the F-compat float residual is about 3.6e-9: over the
-    default absolute 1e-9, within a plan tolerance of 1e-6."""
-    report = harness.run_suites(_near_boundary(doc, tolerance=1e-6))
+    """Near x3 = 0, at seed 6, the F-compat float residual is about 2.7e-9:
+    over the default absolute 1e-9, within a plan tolerance of 1e-6."""
+    report = harness.run_suites(_near_boundary(doc, seed=6, tolerance=1e-6))
     assert [s["status"] for s in report["suites"]] == ["pass"] * len(harness.SUITE_IDS)
     assert report["plan"]["tolerance"] == 1e-6
-    report = harness.run_suites(_near_boundary(doc), suites=["F-compat"])
+    report = harness.run_suites(_near_boundary(doc, seed=6), suites=["F-compat"])
     assert report["suites"][0]["status"] == "fail"
     assert report["suites"][0]["max_residual"]["float"] > 1e-9
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from metallic_tm import bundle as bd
 from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
 from metallic_tm.exprs import Var
@@ -111,12 +112,14 @@ def test_coboundary_2form_third_convention(h3, base_points):
     assert E.evaluate(d[0, 1, 2], pt) == Fraction(1, 3)
 
 
-def test_exterior_derivative_gates_on_antisymmetry(h3):
+def test_exterior_derivative_rejects_valence_0_2(h3):
+    """d is defined on 1-forms only; a (0,2) tensor goes through
+    coboundary_2form, antisymmetric or not."""
     comps = mf.zeros((3, 3))
     comps[0, 1] = E.ONE
-    comps[1, 0] = E.ONE  # symmetric: not a 2-form
+    comps[1, 0] = E.mul(E.const(-1), E.ONE)  # antisymmetric, still rejected
     Phi = mf.TensorField(h3, (0, 2), comps)
-    with pytest.raises(mf.GeometryError):
+    with pytest.raises(mf.GeometryError, match="valence"):
         mf.exterior_derivative(Phi)
 
 
@@ -202,7 +205,9 @@ def test_contract_keeps_loop_term_order():
 def _dense_contract(spec, *arrays):
     """The reference contract visits the dense index box: the nested loops
     the spec stands for, the products of a sum alternating, a product with
-    a zero factor skipped, one add per output component."""
+    a zero factor skipped, one add per output component.  A product is
+    emitted only where every summed letter it does not name is at 0, so it
+    is taken once (the einsum rule)."""
     lhs, out_idx = spec.split("->")
     products = [p.split(",") for p in lhs.split("+")]
     subs = [s for p in products for s in p]
@@ -216,6 +221,9 @@ def _dense_contract(spec, *arrays):
             ops = iter(arrays)
             for p in products:
                 fs = [next(ops)[tuple(val[c] for c in sub)] for sub in p]
+                unnamed = [c for c in summed if c not in "".join(p)]
+                if any(val[c] for c in unnamed):
+                    continue
                 if not any(E._is_const(f, 0) for f in fs):
                     terms.append(E.mul(*fs))
         out[oidx] = E.add(*terms)
@@ -250,7 +258,7 @@ DIAG = {(0, 0), (1, 1)}
                                (4, 4, 4, {(0, 0, 0), (1, 0, 0)}),
                                (4, 4, 4, {(1, 0, 1), (1, 1, 1)}),
                                (4, 4, 4, {(1, 0, 0), (1, 1, 0)})]),
-    # a product that does not name j repeats for every j
+    # a product that does not name j is taken once, at j = 0
     ("i,ia+i,j,aij->a", [(4, {(0,), (1,)}), (4, 4, LOWER), (4, {(0,), (1,)}), (4, {(1,)}),
                          (4, 4, 4, {(0, 0, 1), (1, 1, 0)})]),
     # an all-zero product inside a sum
@@ -291,3 +299,98 @@ def test_evaluate_array_shares_one_memo(base_points):
     assert list(mf.evaluate_array(arr, point)) == [3, 2]
     assert point.memos["exact"][shared] == 1
     assert list(mf.evaluate_array(arr, base_points[0], "float")) == [3.0, 2.0]
+
+
+def _loop_covariant_derivative(C, T):
+    """The nested loops covariant_derivative was before it became one
+    contraction: d_i T, then per m the Gamma term of each slot in order."""
+    n, G = C.base.n, C.coefficients
+    k, l = T.valence
+    comp = T.components
+    dcomp = C.base.partials(comp)
+    out = mf.zeros((n,) * (k + l + 1))
+    for idx in itertools.product(range(n), repeat=k + l):
+        for i in range(n):
+            terms = [dcomp[(i,) + idx]]
+            for m in range(n):
+                for s, c in enumerate(idx):
+                    moved = comp[idx[:s] + (m,) + idx[s + 1:]]
+                    gamma = G[c, i, m] if s < k else G[m, i, c]
+                    if E._is_const(gamma, 0) or E._is_const(moved, 0):
+                        continue
+                    terms.append(E.mul(gamma, moved) if s < k
+                                 else E.mul(E.const(-1), gamma, moved))
+            out[idx[:k] + (i,) + idx[k:]] = E.add(*terms)
+    return out
+
+
+def _loop_cov_vec(C, U, V):
+    """The nested loop cov_vec was: per i, U^i d_i V^a, then U^i V^j Gamma^a_ij."""
+    n, G = C.base.n, C.coefficients
+    Uc, Vc = U.components, V.components
+    dV = C.base.partials(Vc)
+    out = mf.zeros(n)
+    for a in range(n):
+        terms = []
+        for i in range(n):
+            products = [(Uc[i], dV[i, a])] + [(Uc[i], Vc[j], G[a, i, j]) for j in range(n)]
+            terms += (E.mul(*fs) for fs in products if not any(E._is_const(f, 0) for f in fs))
+        out[a] = E.add(*terms)
+    return out
+
+
+def _same_trees(got, want):
+    assert got.shape == want.shape
+    for idx in np.ndindex(want.shape):
+        assert got[idx] == want[idx], idx
+        assert E.to_str(got[idx]) == E.to_str(want[idx]), idx
+    assert any(e != E.ZERO for e in want.flat)
+
+
+@pytest.mark.parametrize("valence", [(1, 0), (0, 1), (1, 1), (0, 2), (1, 2)])
+def test_covariant_derivative_builds_the_loop_trees(tb, valence):
+    """On the complete-lift connection, one contraction gives the trees of
+    the nested loops, term order and printed form included."""
+    cc = bd.clift_connection(tb)
+    xs = tb.chart.variables
+    comps = mf.zeros((6,) * sum(valence))
+    for k, idx in enumerate(np.ndindex(comps.shape)):
+        if k % 3 != 1:  # leave zeros for the skip
+            comps[idx] = E.add(E.mul(E.const(k - 7), E.pow_(xs[k % 6], k % 3 + 1)), xs[(k + 2) % 6])
+    T = mf.TensorField(tb.chart, valence, comps)
+    _same_trees(mf.covariant_derivative(cc, T).components, _loop_covariant_derivative(cc, T))
+
+
+def test_cov_vec_builds_the_loop_trees(tb, conn):
+    x1, x2, x3 = tb.base.variables
+    X = mf.TensorField(tb.base, (1, 0), [x2, E.ZERO, E.mul(x1, x3)])
+    Y = mf.TensorField(tb.base, (1, 0), [E.ZERO, E.mul(x1, x3), E.pow_(x2, 2)])
+    cc, hc = bd.clift_connection(tb), bd.hlift_connection(tb)
+    lifts = {k: (f(tb, X), f(tb, Y)) for k, f in
+             (("v", bd.vlift_vector), ("c", bd.clift_vector), ("h", bd.hlift_vector))}
+    _same_trees(mf.cov_vec(conn, X, Y).components, _loop_cov_vec(conn, X, Y))
+    for C, (a, b) in ((cc, "cc"), (cc, "vc"), (cc, "cv"), (hc, "hh"), (hc, "hv"), (hc, "cc")):
+        U, V = lifts[a][0], lifts[b][1]
+        _same_trees(mf.cov_vec(C, U, V).components, _loop_cov_vec(C, U, V))
+    # every pair of fields stacked as rows at once
+    us, vs = [X, Y], [Y, X, Y]
+    got = mf.cov_rows(conn, mf.rows(us, 3), mf.rows(vs, 3))
+    assert got.shape == (2, 3, 3) and mf.rows([], 3).shape == (0, 3)
+    for x, y in np.ndindex(2, 3):
+        _same_trees(got[x, y], _loop_cov_vec(conn, us[x], vs[y]))
+
+
+def test_add_broadcasts_componentwise():
+    """mf.add is one E.add per component over its arguments in order, with
+    numpy broadcasting; numbers and single Exprs broadcast too."""
+    x1, x2, x3 = (Var("base", i) for i in range(1, 4))
+    xs = [x1, x2, x3]
+    A = np.array([[E.mul(E.const(i - j), xs[i], xs[j]) for j in range(3)] for i in range(3)],
+                 dtype=object)
+    b = np.array([E.pow_(x, 2) for x in xs], dtype=object)
+    got = mf.add(A, -A.T, b, x1, np.identity(3, dtype=object) * -2)
+    assert got.shape == (3, 3)
+    for i, j in itertools.product(range(3), repeat=2):
+        want = E.add(A[i, j], E.mul(E.const(-1), A[j, i]), b[j], x1, -2 if i == j else 0)
+        assert got[i, j] == want and E.to_str(got[i, j]) == E.to_str(want)
+    assert mf.add(x1, x2) == E.add(x1, x2)

@@ -324,10 +324,11 @@ def test_dphi_prime_value_on_unit_field(structure, tb, points, F11):
     """dPhi'(X^h, X^v, xi^v) = -(2 sigma - p)/6 for the unit field X = x3 d1."""
     G = bd.sasaki_metric(tb)
     Phip = ml.fundamental_form(F11, G)
-    dPhip = ml.d_fundamental(Phip)
+    dPhip = mf.coboundary_2form(Phip)
     x3 = structure.base.variables[2]
     X = mf.TensorField(structure.base, (1, 0), [x3, E.ZERO, E.ZERO])
-    val = ml.dphi_on(
+    val = mf.contract(
+        "ijk,i,j,k->",
         dPhip,
         bd.hlift_vector(tb, X),
         bd.vlift_vector(tb, X),
@@ -340,10 +341,11 @@ def test_dphi_prime_value_on_unit_field(structure, tb, points, F11):
 
 def test_dphi_vanishes_on_distribution_c_c_v_triples(structure, tb, points, J11):
     gc = bd.clift_metric(tb)
-    dPhi = ml.d_fundamental(ml.fundamental_form(J11, gc))
+    dPhi = mf.coboundary_2form(ml.fundamental_form(J11, gc))
     frame = pc.distribution_frame(structure, points)
     for X, Y, Z in itertools.product(frame, repeat=3):
-        val = ml.dphi_on(
+        val = mf.contract(
+            "ijk,i,j,k->",
             dPhi,
             bd.clift_vector(tb, X),
             bd.clift_vector(tb, Y),

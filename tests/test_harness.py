@@ -189,6 +189,16 @@ def test_h5_report_matches_golden():
     assert report == golden.read_text(encoding="utf-8")
 
 
+def test_h7_report_matches_golden():
+    """The bundled dimension-7 chart, byte for byte as committed.  The
+    Nijenhuis tensors of the 14x14 Psi_J and Psi_F are the largest
+    contractions of any bundled chart."""
+    manifest = harness.load_manifest(bundled_manifest_path("hyperbolic-h7"))
+    golden = pathlib.Path(__file__).parent / "data" / "hyperbolic-h7.report.json"
+    report = harness.render_report(harness.run_suites(manifest))
+    assert report == golden.read_text(encoding="utf-8")
+
+
 def test_float_report_matches_golden(doc):
     """The float report on fiber ranges [-300, 300] at 10 points, byte for
     byte as committed: it pins the order in which float sums are taken."""

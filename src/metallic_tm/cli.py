@@ -65,21 +65,6 @@ def _load(path: str):
         raise SystemExit(EXIT_FAIL)
 
 
-def _parse_pq(text: str) -> List[dict]:
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad --pq entry {chunk!r}; expected 'p,q'")
-        out.append({"p": int(parts[0]), "q": int(parts[1]), "eps1": 1, "eps2": 1})
-    if not out:
-        raise ValueError("--pq produced no parameter sets")
-    return out
-
-
 def cmd_validate(args) -> int:
     manifest = _load(args.manifest)
     print(
@@ -94,21 +79,6 @@ def cmd_validate(args) -> int:
 
 def cmd_verify(args) -> int:
     manifest = _load(args.manifest)
-
-    if args.pq:
-        try:
-            pq = _parse_pq(args.pq)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        doc = json.loads(manifest.raw_bytes)
-        doc["metallic"] = pq
-        try:
-            manifest = harness.parse_manifest(doc, manifest.raw_bytes)
-        except ManifestError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-
     plan = manifest.plan
     plan = SamplePlan(
         count=args.points if args.points is not None else plan.count,
@@ -161,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--points", type=int, help="number of sample points")
     pr.add_argument("--seed", type=int, help="sampler seed")
     pr.add_argument("--mode", choices=("exact", "float"), help="evaluation mode")
-    pr.add_argument("--pq", help="override parameters, e.g. '1,1;2,1'")
     pr.add_argument("--report", help="write the JSON report to this path")
     pr.set_defaults(func=cmd_verify)
     return parser

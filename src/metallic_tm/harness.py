@@ -435,9 +435,9 @@ def suite_lifts(ctx: SuiteContext) -> dict:
     residuals.append(("bracket-vh", mf.lie_bracket(Xv, Yh).components
                       + bd.vlift_vector(tb, mf.cov_vec(conn, Y, X)).components))
     ghh = bd.gamma_bracket_defect(tb, R, X, Y)
-    residuals.append(("bracket-hh", list(map(
-        E.add, mf.lie_bracket(Xh, Yh).components, -bd.hlift_vector(tb, XYb).components,
-        ghh.components))))
+    residuals.append(("bracket-hh", mf.add(
+        mf.lie_bracket(Xh, Yh).components, -bd.hlift_vector(tb, XYb).components,
+        ghh.components)))
 
     # metric pairings
     gXY = mf.contract("ab,a,b->", M.metric, X, Y)
@@ -508,8 +508,8 @@ def suite_lifts(ctx: SuiteContext) -> dict:
     # nabla^h_{X^c} Y^c = (nabla_X Y)^c - gamma R(., X, Y)
     gslice = bd.gamma_curvature(tb, R, X, Y)
     got = mf.cov_vec(ctx.hc, Xc, Yc)
-    residuals.append(("conn-hc-cc", list(map(
-        E.add, got.components, -bd.clift_vector(tb, nXY).components, gslice.components))))
+    residuals.append(("conn-hc-cc", mf.add(
+        got.components, -bd.clift_vector(tb, nXY).components, gslice.components)))
 
     for label, exprs in residuals:
         tracker.track(tb.chart, ctx.points, (label,), (1, exprs))

@@ -304,10 +304,7 @@ def lie_bracket(X: TensorField, Y: TensorField) -> TensorField:
         raise GeometryError("lie_bracket needs two vector fields")
     if X.base is not Y.base:
         raise GeometryError("vector fields live on different charts")
-    M = X.base
-    out = contract("j,ji+j,ji->i", X, M.partials(Y.components),
-                   -Y.components, M.partials(X.components))
-    return TensorField(M, (1, 0), out)
+    return lie_derivative(X, Y)
 
 
 def covariant_derivative(C: Connection, T: TensorField) -> TensorField:
@@ -344,19 +341,22 @@ def cov_rows(C: Connection, U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def lie_derivative(X: TensorField, T: TensorField) -> TensorField:
+    """L_X T as one contraction: X^m d_m T, then per slot -T^..m.. d_m X^c
+    (contravariant) or +T_..m.. d_c X^m (covariant), summed over m with the
+    slots in order.  For a vector field T this is the bracket [X, T]."""
     if X.valence != (1, 0):
         raise GeometryError("lie_derivative direction must be a vector field")
     M = X.base
-    Xc, dX = X.components, M.partials(X.components)
-    if T.valence == (0, 1):
-        eta = T.components
-        out = contract("m,mj+m,jm->j", Xc, M.partials(eta), eta, dX)
-        return TensorField(M, (0, 1), out)
-    if T.valence == (1, 1):
-        F = T.components
-        out = contract("m,mkj+mj,mk+km,jm->kj", Xc, M.partials(F), -F, dX, F, dX)
-        return TensorField(M, (1, 1), out)
-    raise GeometryError(f"lie_derivative does not support valence {T.valence}")
+    k, l = T.valence
+    slots = "abcdefghijkl"[:k + l]  # every letter but m
+    dX = M.partials(X.components)  # [c, m] = d_c X^m
+    specs, ops = ["m,m" + slots], [X.components, M.partials(T.components)]
+    minus_T = -T.components if k else None
+    for s, c in enumerate(slots):
+        moved = slots[:s] + "m" + slots[s + 1:]
+        specs.append(f"{moved},m{c}" if s < k else f"{moved},{c}m")
+        ops += [minus_T if s < k else T.components, dX]
+    return TensorField(M, (k, l), contract("+".join(specs) + "->" + slots, *ops))
 
 
 def exterior_derivative(T: TensorField) -> TensorField:
@@ -380,40 +380,19 @@ def coboundary_2form(T: TensorField) -> TensorField:
     return TensorField(T.base, (0, 3), cyclic * E.const(Fraction(1, 3)))
 
 
-def column_field(F: TensorField, j: int) -> TensorField:
-    """The vector field F(d_j) from a (1,1) tensor."""
-    return TensorField(F.base, (1, 0), F.components[:, j])
-
-
 def apply_11(F: TensorField, X: TensorField) -> TensorField:
     """F(X) for a (1,1) tensor and a vector field."""
     return TensorField(F.base, (1, 0), contract("am,m->a", F, X))
 
 
 def nijenhuis(F: TensorField) -> TensorField:
-    """N_F(X,Y) = [FX,FY] - F[FX,Y] - F[X,FY] + F^2[X,Y] on coordinate pairs."""
+    """N_F(d_i, d_j)^a = F^m_i d_m F^a_j - F^m_j d_m F^a_i
+    - F^a_m (d_i F^m_j - d_j F^m_i), the coordinate form of
+    [FX,FY] - F[FX,Y] - F[X,FY] + F^2[X,Y], as one contraction."""
     if F.valence != (1, 1):
         raise GeometryError("nijenhuis needs a (1,1) tensor")
-    M = F.base
-    n = M.n
-    basis = [
-        TensorField(M, (1, 0), [E.ONE if a == i else E.ZERO for a in range(n)])
-        for i in range(n)
-    ]
-    cols = [column_field(F, j) for j in range(n)]
-    out = zeros((n, n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            b1 = lie_bracket(cols[i], cols[j])
-            b2 = apply_11(F, lie_bracket(cols[i], basis[j]))
-            b3 = apply_11(F, lie_bracket(basis[i], cols[j]))
-            # [d_i, d_j] = 0, so the F^2 term drops
-            for a in range(n):
-                val = E.add(
-                    b1.components[a],
-                    E.mul(E.const(-1), b2.components[a]),
-                    E.mul(E.const(-1), b3.components[a]),
-                )
-                out[a, i, j] = val
-                out[a, j, i] = E.mul(E.const(-1), val)
-    return TensorField(M, (1, 2), out)
+    Fc, minus_F = F.components, -F.components
+    dF = F.base.partials(Fc)  # [m, a, j] = d_m F^a_j
+    out = contract("mi,maj+mj,mai+am,imj+am,jmi->aij",
+                   Fc, dF, minus_F, dF, minus_F, dF, Fc, dF)
+    return TensorField(F.base, (1, 2), out)

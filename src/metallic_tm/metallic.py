@@ -224,35 +224,28 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
     rows["vv"] = n_on(Xv, Yv)
 
     # N(X^v, Y^c) = [N1(X,Y)]^v + N2(X,Y) xi^c
-    rhs = [E.add(a, E.mul(n2xy, b))
-           for a, b in zip(lift(n1xy, "v").components, xic.components)]
+    rhs = mf.contract("a+,a->a", lift(n1xy, "v").components, n2xy, xic.components)
     rows["vc"] = n_on(Xv, Yc) - rhs
 
     # N(X^c, Y^c) = [N1(X,Y)]^c + N2(X,Y) xi^v
-    rhs = [E.add(a, E.mul(n2xy, b))
-           for a, b in zip(lift(n1xy, "c").components, xiv.components)]
+    rhs = mf.contract("a+,a->a", lift(n1xy, "c").components, n2xy, xiv.components)
     rows["cc"] = n_on(Xc, Yc) - rhs
 
     # N(X^v, xi^v) = -(N3 X)^v + N4(X) xi^c
-    rhs = [E.add(E.mul(E.const(-1), a), E.mul(n4x, b))
-           for a, b in zip(lift(n3x, "v").components, xic.components)]
+    rhs = mf.contract("a+,a->a", -lift(n3x, "v").components, n4x, xic.components)
     rows["v-xiv"] = n_on(Xv, xiv) - rhs
 
     # N(X^v, xi^c) = [phi(N3 X) - N4(X) xi]^v + N2(X,xi) xi^c
-    inner = mf.TensorField(S.base, (1, 0), np.array([
-        E.add(a, E.mul(E.const(-1), n4x, b))
-        for a, b in zip(phin3x.components, S.xi.components)
-    ], dtype=object))
-    rhs = [E.add(a, E.mul(n2_x_xi, b))
-           for a, b in zip(lift(inner, "v").components, xic.components)]
+    inner = mf.TensorField(S.base, (1, 0),
+                           mf.contract("a+,a->a", phin3x.components, -n4x, S.xi.components))
+    rhs = mf.contract("a+,a->a", lift(inner, "v").components, n2_x_xi, xic.components)
     rows["v-xic"] = n_on(Xv, xic) - rhs
 
     # N(X^c, xi^v) = -(N3 X)^c + (phi(N3 X))^v - [N4(phi X) - N4(X)]^c xi^c
     n4phix = mf.contract("m,m->", nt["N4"], mf.apply_11(S.phi, X))
     scal_c = tb.ydel(n4phix - n4x)
-    rhs = [E.add(E.mul(E.const(-1), a), b, E.mul(E.const(-1), scal_c, c))
-           for a, b, c in zip(lift(n3x, "c").components, lift(phin3x, "v").components,
-                              xic.components)]
+    rhs = mf.contract("a+a+,a->a", -lift(n3x, "c").components, lift(phin3x, "v").components,
+                      -scal_c, xic.components)
     rows["c-xiv"] = n_on(Xc, xiv) - rhs
 
     # N(xi^v, xi^v) = N(xi^c, xi^c) = N(xi^v, xi^c) = 0

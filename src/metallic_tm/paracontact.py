@@ -86,14 +86,14 @@ def check_p_sasakian(S: ParacontactStructure, C: Connection, points, mode: str =
 def n_tensors(S: ParacontactStructure) -> dict:
     """The four obstruction tensors N1..N4 of the structure."""
     M = S.base
-    n = M.n
     phi, eta, xi = S.phi, S.eta, S.xi
 
     deta = mf.exterior_derivative(eta).components
     # N1 = N_phi - 2 deta (x) xi, with [a, i, j] = (-2) deta[i, j] xi[a]
     n1 = mf.nijenhuis(phi).components + deta * xi.components[:, None, None] * E.const(-2)
-    lie_forms = np.array([mf.lie_derivative(mf.column_field(phi, i), eta).components
-                          for i in range(n)], dtype=object)  # [i, j] = (L_{phi d_i} eta)_j
+    # [i, j] = (L_{phi d_i} eta)_j = phi^m_i d_m eta_j + eta_m d_j phi^m_i
+    lie_forms = mf.contract("mi,mj+m,jmi->ij", phi, M.partials(eta.components),
+                            eta, M.partials(phi.components))
     n2 = lie_forms - lie_forms.T
 
     n3 = mf.lie_derivative(xi, phi).components
@@ -115,19 +115,15 @@ def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact") 
     cancel structurally).
     """
     M = S.base
-    n = M.n
     eta, xi = S.eta.components, S.xi.components
-    exi = S.eta_of_xi()
+    members = mf.add(np.identity(M.n, dtype=object),
+                     np.multiply.outer(-(eta / S.eta_of_xi()), xi))
 
     def vanishes(c: E.Expr) -> bool:
         return all(meets_zero(E.evaluate(c, pt, mode), mode, 1e-12) for pt in points)
 
     out = []
-    for i in range(n):
-        comps = mf.zeros(n)
-        for a in range(n):
-            c = E.ONE if a == i else E.ZERO
-            comps[a] = E.add(c, E.mul(E.const(-1), E.div(eta[i], exi), xi[a]))
+    for comps in members:
         if all(E._is_const(c, 0) for c in comps):
             continue
         if points and all(vanishes(c) for c in comps):

@@ -103,20 +103,11 @@ def test_verify_residual_beyond_float_range(tmp_path, manifest_path):
     assert axioms["max_residual"]["float"] == sys.float_info.max
 
 
-def test_verify_pq_override(manifest_path, tmp_path):
-    report = tmp_path / "r.json"
-    code = main([
-        "verify", manifest_path,
-        "--suites", "axioms,J-metallic,F-metallic",
-        "--points", "2",
-        "--pq", "1,1;2,1",
-        "--report", str(report),
-    ])
-    assert code == EXIT_OK
-
-
-def test_verify_bad_pq(manifest_path):
-    assert main(["verify", manifest_path, "--pq", "1"]) == EXIT_USAGE
+def test_verify_rejects_pq_option(manifest_path, capsys):
+    """Parameters come only from the manifest, whose hash the report
+    carries: there is no option that overrides them."""
+    assert main(["verify", manifest_path, "--pq", "1,1"]) == EXIT_USAGE
+    assert "--pq" in capsys.readouterr().err
 
 
 def test_verify_float_mode(manifest_path):

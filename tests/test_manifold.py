@@ -124,15 +124,24 @@ def test_exterior_derivative_rejects_valence_0_2(h3):
 
 
 def test_lie_derivative_of_metric_along_killing_field(h3, base_points):
-    """d1 is a Killing field of the half-space metric."""
-    X = mf.TensorField(h3, (1, 0), [E.ONE, E.ZERO, E.ZERO])
-    gfield = mf.TensorField(h3, (0, 2), h3.metric)
-    # L_X g via covariant derivative identity: components d_1 g_ij here
-    lg = mf.zeros((3, 3))
-    for i, j in itertools.product(range(3), repeat=2):
-        lg[i, j] = E.diff(h3.metric[i, j], h3.variables[0])
+    """L_X g on the (0,2) half-space metric: d1 and the dilation x^i d_i are
+    Killing fields, the second with nonconstant components, so the dX terms
+    are exercised; L_{d3} g = d3 (x3^-2) delta = -(2/x3) g."""
+    x1, x2, x3 = h3.variables
+    g = mf.TensorField(h3, (0, 2), h3.metric)
+    d1 = mf.TensorField(h3, (1, 0), [E.ONE, E.ZERO, E.ZERO])
+    dilation = mf.TensorField(h3, (1, 0), [x1, x2, x3])
+    d3 = mf.TensorField(h3, (1, 0), [E.ZERO, E.ZERO, E.ONE])
+    for X in (d1, dilation):
+        lg = mf.lie_derivative(X, g)
+        assert lg.valence == (0, 2)
+        for pt in base_points:
+            assert eval_zero(lg.components, pt)
+    lg = mf.lie_derivative(d3, g).components
     for pt in base_points:
-        assert eval_zero(lg, pt)
+        want = mf.evaluate_array(h3.metric * E.div(E.const(-2), x3), pt)
+        assert np.array_equal(mf.evaluate_array(lg, pt), want)
+        assert want[0, 0] != 0
 
 
 def test_nijenhuis_of_identity_vanishes(h3, base_points):
@@ -394,3 +403,97 @@ def test_add_broadcasts_componentwise():
         want = E.add(A[i, j], E.mul(E.const(-1), A[j, i]), b[j], x1, -2 if i == j else 0)
         assert got[i, j] == want and E.to_str(got[i, j]) == E.to_str(want)
     assert mf.add(x1, x2) == E.add(x1, x2)
+
+
+def _fields_on(chart, shape, seed):
+    """A polynomial Expr array on ``chart``, every third entry zero."""
+    xs = chart.variables
+    out = mf.zeros(shape)
+    for k, idx in enumerate(np.ndindex(shape)):
+        if (k + seed) % 3 != 1:
+            out[idx] = E.add(E.mul(E.const(k - 5 + seed), E.pow_(xs[k % len(xs)], k % 3 + 1)),
+                             xs[(k + seed) % len(xs)])
+    return out
+
+
+def _spec_lie_bracket(X, Y):
+    """The bracket spec lie_bracket had before it called lie_derivative."""
+    M = X.base
+    return mf.contract("j,ji+j,ji->i", X, M.partials(Y.components),
+                       -Y.components, M.partials(X.components))
+
+
+def _branch_lie_derivative(X, T):
+    """The per-valence branches lie_derivative had before it became one
+    generated spec."""
+    M = X.base
+    Xc, dX = X.components, M.partials(X.components)
+    if T.valence == (1, 0):
+        return _spec_lie_bracket(X, T)
+    if T.valence == (0, 1):
+        eta = T.components
+        return mf.contract("m,mj+m,jm->j", Xc, M.partials(eta), eta, dX)
+    F = T.components
+    return mf.contract("m,mkj+mj,mk+km,jm->kj", Xc, M.partials(F), -F, dX, F, dX)
+
+
+@pytest.mark.parametrize("valence", [(1, 0), (0, 1), (1, 1)])
+def test_lie_derivative_builds_the_branch_trees(tb, valence):
+    """The generated spec gives the trees of the old per-valence specs,
+    term order and printed form included; for a vector field, so does
+    lie_bracket."""
+    M = tb.chart
+    X = mf.TensorField(M, (1, 0), _fields_on(M, (6,), 0))
+    T = mf.TensorField(M, valence, _fields_on(M, (6,) * sum(valence), 2))
+    want = _branch_lie_derivative(X, T)
+    _same_trees(mf.lie_derivative(X, T).components, want)
+    if valence == (1, 0):
+        _same_trees(mf.lie_bracket(X, T).components, want)
+
+
+def _loop_nijenhuis(F):
+    """The column-pair loop nijenhuis was: three brackets against the
+    coordinate fields per pair (i < j), the other half by antisymmetry."""
+    M, n = F.base, F.base.n
+    basis = [mf.TensorField(M, (1, 0), [E.ONE if a == i else E.ZERO for a in range(n)])
+             for i in range(n)]
+    cols = [mf.TensorField(M, (1, 0), F.components[:, j]) for j in range(n)]
+
+    def bracket(X, Y):
+        return mf.TensorField(M, (1, 0), _spec_lie_bracket(X, Y))
+
+    out = mf.zeros((n, n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            b1 = bracket(cols[i], cols[j])
+            b2 = mf.apply_11(F, bracket(cols[i], basis[j]))
+            b3 = mf.apply_11(F, bracket(basis[i], cols[j]))
+            for a in range(n):
+                val = E.add(b1.components[a], E.mul(E.const(-1), b2.components[a]),
+                            E.mul(E.const(-1), b3.components[a]))
+                out[a, i, j] = val
+                out[a, j, i] = E.mul(E.const(-1), val)
+    return out
+
+
+def _same_nijenhuis(F, points):
+    got = mf.nijenhuis(F).components
+    want = _loop_nijenhuis(F)
+    n = F.base.n
+    assert all(got[a, i, i] is E.ZERO for a in range(n) for i in range(n))
+    for pt in points:
+        assert np.array_equal(mf.evaluate_array(got, pt), mf.evaluate_array(want, pt))
+    return want
+
+
+def test_nijenhuis_matches_the_column_pair_loop(structure, tb, points, base_points):
+    """In exact value at sample points: phi, Psi_J and Psi_F for both sign
+    pairs, and a dense polynomial (1,1) field whose N is nonzero."""
+    from metallic_tm import metallic as ml
+
+    _same_nijenhuis(structure.phi, base_points)
+    for lift, eps in itertools.product("ch", (1, -1)):
+        _same_nijenhuis(ml.build_psi(structure, tb, lift, eps, eps), points)
+    dense = mf.TensorField(tb.base, (1, 1), _fields_on(tb.base, (3, 3), 1))
+    want = _same_nijenhuis(dense, base_points)
+    assert any(E.evaluate(e, base_points[0]) != 0 for e in want.flat)

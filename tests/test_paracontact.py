@@ -1,7 +1,9 @@
 """P-Sasakian axioms, obstruction tensors and the distribution D."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from metallic_tm import exprs as E
@@ -111,3 +113,54 @@ def test_float_mode_parity(structure, conn, base_points):
     dflat_e = pc.check_D_flat(structure, conn, base_points).holds
     dflat_f = pc.check_D_flat(structure, conn, float_pts, "float").holds
     assert dflat_e == dflat_f
+
+
+def _polynomial_structure(h3):
+    """A (phi, eta, xi) with dense polynomial components and some zeros:
+    no axiom holds, but every obstruction tensor is built in full."""
+    x1, x2, x3 = h3.variables
+    xs = [x1, x2, x3]
+    phi = [[E.ZERO if (i + j) % 4 == 3 else E.add(E.mul(E.const(i - j + 2), E.pow_(xs[j], i + 1)),
+                                                      xs[(i + j) % 3])
+            for j in range(3)] for i in range(3)]
+    eta = [E.mul(x2, x3), E.ZERO, E.div(E.ONE, x3)]
+    xi = [x1, E.pow_(x2, 2), x3]
+    return pc.ParacontactStructure(h3, mf.TensorField(h3, (1, 1), phi),
+                                   mf.TensorField(h3, (0, 1), eta),
+                                   mf.TensorField(h3, (1, 0), xi))
+
+
+def test_n2_is_the_per_column_lie_derivative(h3):
+    """N2(d_i, d_j) = (L_{phi d_i} eta)_j - (L_{phi d_j} eta)_i as it was
+    built, one Lie derivative of eta per column of phi: the same trees."""
+    S = _polynomial_structure(h3)
+    eta = S.eta.components
+    forms = []
+    for i in range(3):
+        X = S.phi.components[:, i]
+        forms.append(mf.contract("m,mj+m,jm->j", X, h3.partials(eta), eta, h3.partials(X)))
+    want = np.array(forms, dtype=object)
+    want = want - want.T
+    got = pc.n_tensors(S)["N2"].components
+    assert any(not E._is_const(e, 0) for e in want.flat)
+    for i, j in itertools.product(range(3), repeat=2):
+        assert got[i, j] == want[i, j]
+        assert E.to_str(got[i, j]) == E.to_str(want[i, j])
+
+
+def test_distribution_frame_builds_the_loop_trees(h3, structure, base_points):
+    """The frame as one broadcast sum gives the trees of the component loop
+    d_i - (eta(d_i)/eta(xi)) xi."""
+    for S in (structure, _polynomial_structure(h3)):
+        eta, xi = S.eta.components, S.xi.components
+        exi = S.eta_of_xi()
+        frame = pc.distribution_frame(S)
+        want = [[E.add(E.ONE if a == i else E.ZERO,
+                       E.mul(E.const(-1), E.div(eta[i], exi), xi[a])) for a in range(3)]
+                for i in range(3)]
+        want = [w for w in want if not all(E._is_const(c, 0) for c in w)]
+        assert len(frame) == len(want) == 3
+        for X, w in zip(frame, want):
+            assert list(X.components) == w
+            assert [E.to_str(c) for c in X.components] == [E.to_str(c) for c in w]
+    assert len(pc.distribution_frame(structure, base_points)) == 2

@@ -211,6 +211,32 @@ def test_float_report_matches_golden(doc):
     assert report == golden.read_text(encoding="utf-8")
 
 
+def test_reports_match_the_report_schema(doc):
+    """Every golden report, and a report whose axioms fail (downstream
+    suites skipped, no measured dPhi' sign), validate against the shipped
+    schema; a report with an unknown status does not."""
+    import jsonschema
+    from importlib import resources
+
+    schema = json.loads(resources.files("metallic_tm").joinpath(
+        "schemas/report.schema.json").read_text(encoding="utf-8"))
+    jsonschema.Draft7Validator.check_schema(schema)
+    goldens = sorted((pathlib.Path(__file__).parent / "data").glob("*.report.json"))
+    assert len(goldens) == 4
+    for path in goldens:
+        jsonschema.validate(json.loads(path.read_text(encoding="utf-8")), schema)
+    bad = json.loads(json.dumps(doc))
+    bad["phi"][2][2] = "1"
+    bad["sample_plan"]["count"] = 1
+    report = json.loads(harness.render_report(harness.run_suites(harness.parse_manifest(bad))))
+    assert report["conventions"]["dphi_prime_sign"] is None
+    assert {s["status"] for s in report["suites"]} == {"fail", "skipped"}
+    jsonschema.validate(report, schema)
+    report["suites"][0]["status"] = "ok"
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, schema)
+
+
 def test_each_suite_gets_fresh_memos(manifest, monkeypatch):
     """The evaluation memo lives for one suite: every suite starts from
     points with empty memos and leaves them filled."""

@@ -443,9 +443,11 @@ def test_lie_derivative_builds_the_branch_trees(tb, valence):
     term order and printed form included; for a vector field, so does
     lie_bracket."""
     M = tb.chart
-    X = mf.TensorField(M, (1, 0), _fields_on(M, (6,), 0))
+    X = mf.TensorField(M, (1, 0), _fields_on(M, (6,), 1))
     T = mf.TensorField(M, valence, _fields_on(M, (6,) * sum(valence), 2))
     want = _branch_lie_derivative(X, T)
+    dX = M.partials(X.components)
+    assert any(dX[c, m] != dX[m, c] for c, m in np.ndindex(dX.shape))  # d_c X^m is not symmetric
     _same_trees(mf.lie_derivative(X, T).components, want)
     if valence == (1, 0):
         _same_trees(mf.lie_bracket(X, T).components, want)

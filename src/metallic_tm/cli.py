@@ -23,24 +23,6 @@ def bundled_manifest_path(name: str = "hyperbolic-h3") -> str:
     return str(ref)
 
 
-def _schema_validate(doc: dict) -> Optional[str]:
-    """Validate against the shipped JSON schema when jsonschema is present."""
-    try:
-        import jsonschema
-    except ImportError:
-        return None
-    schema = json.loads(
-        resources.files("metallic_tm")
-        .joinpath("schemas/manifest.schema.json")
-        .read_text()
-    )
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        return f"schema: {exc.message}"
-    return None
-
-
 def _load(path: str):
     """Read and parse a manifest; exits 2 on IO/JSON trouble, 1 on content."""
     try:
@@ -54,10 +36,6 @@ def _load(path: str):
     except json.JSONDecodeError as exc:
         print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    msg = _schema_validate(doc)
-    if msg is not None:
-        print(f"error: {path}: {msg}", file=sys.stderr)
-        raise SystemExit(EXIT_FAIL)
     try:
         return harness.parse_manifest(doc, raw)
     except ManifestError as exc:

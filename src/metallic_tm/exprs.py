@@ -2,15 +2,14 @@
 
 Expressions are immutable trees built from exact constants (Fraction or
 MetallicScalar), base/fiber variables ``x1..xn`` / ``y1..yn``, the field
-operations, integer powers, and the analytic functions sqrt/exp/log/sin/cos.
-Only local simplifications are applied (constant folding, dropping zero
-terms and unit factors); correctness downstream rests on exact evaluation
-at sample points, not on canonical forms.
+operations and integer powers: rational functions only, with no analytic
+functions.  Only local simplifications are applied (constant folding,
+dropping zero terms and unit factors); correctness downstream rests on
+exact evaluation at sample points, not on canonical forms.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Union
@@ -19,8 +18,6 @@ from .scalars import MetallicScalar
 
 Scalar = Union[Fraction, MetallicScalar]
 ExprLike = Union["Expr", int, Fraction, MetallicScalar]
-
-_FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
 
 
 class ExprError(ValueError):
@@ -36,7 +33,7 @@ class ParseError(ExprError):
 
 
 class EvalError(ArithmeticError):
-    """Evaluation failure: division by zero or exact mode on a non-rational tree."""
+    """Evaluation failure: division by zero, a missing coordinate or float range."""
 
 
 def _to_scalar(x) -> Scalar:
@@ -48,7 +45,7 @@ def _to_scalar(x) -> Scalar:
 
 
 class Expr:
-    """Base node.  Subclasses: Const, Var, Add, Mul, Div, Pow, Call."""
+    """Base node of a rational function.  Subclasses: Const, Var, Add, Mul, Div, Pow."""
 
     __slots__ = ("_hash",)
 
@@ -178,19 +175,6 @@ class Pow(Expr):
 
     def _key(self):
         return ("pow", self.base, self.exponent)
-
-
-class Call(Expr):
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn: str, arg: Expr) -> None:
-        if fn not in _FUNCTIONS:
-            raise ExprError(f"unknown function {fn!r}")
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "arg", arg)
-
-    def _key(self):
-        return ("call", self.fn, self.arg)
 
 
 ZERO = Const(0)
@@ -326,10 +310,6 @@ def pow_(base: ExprLike, exponent: int) -> Expr:
     return Pow(b, exponent)
 
 
-def call(fn: str, arg: ExprLike) -> Expr:
-    return Call(fn, _as_expr(arg))
-
-
 # ----------------------------------------------------------------------
 # differentiation
 # ----------------------------------------------------------------------
@@ -362,22 +342,6 @@ def diff(e: Expr, v: Var) -> Expr:
         if _is_const(d, 0):
             return ZERO
         return mul(const(e.exponent), pow_(e.base, e.exponent - 1), d)
-    if isinstance(e, Call):
-        d = diff(e.arg, v)
-        if _is_const(d, 0):
-            return ZERO
-        fn, a = e.fn, e.arg
-        if fn == "sqrt":
-            inner = div(ONE, mul(const(2), Call("sqrt", a)))
-        elif fn == "exp":
-            inner = Call("exp", a)
-        elif fn == "log":
-            inner = div(ONE, a)
-        elif fn == "sin":
-            inner = Call("cos", a)
-        else:  # cos
-            inner = mul(const(-1), Call("sin", a))
-        return mul(inner, d)
     raise ExprError(f"unknown node {e!r}")
 
 
@@ -409,7 +373,7 @@ class Point(dict):
 def evaluate(e: Expr, point: Mapping[Var, object], mode: str = "exact"):
     """Value of ``e`` at ``point``.
 
-    Exact mode requires a rational tree and exact coordinates, and returns a
+    Exact mode requires exact coordinates and returns a
     Fraction or MetallicScalar.  Float mode returns a float (sigma embedded
     as (p + sqrt(p^2+4q))/2).  Subtree values are kept in the memo of a
     ``Point``; any other mapping gets a memo for this call only.
@@ -419,8 +383,8 @@ def evaluate(e: Expr, point: Mapping[Var, object], mode: str = "exact"):
     memo = point.memos[mode] if isinstance(point, Point) else {}
     try:
         return _eval(e, point, memo, mode == "exact")
-    except (OverflowError, ZeroDivisionError, ValueError) as exc:
-        # float range or math domain, e.g. x^400 at 1e3, x^-2 or log(x) at 0
+    except (OverflowError, ZeroDivisionError) as exc:
+        # float range, e.g. x^400 at 1e3 or x^-2 at 0
         raise EvalError(f"{mode} evaluation failed: {exc}") from None
 
 
@@ -456,10 +420,6 @@ def _eval(e: Expr, pt, memo: dict, exact: bool):
         if exact and e.exponent < 0 and base == 0:
             raise EvalError("zero base with negative exponent")
         v = base ** e.exponent
-    elif isinstance(e, Call):
-        if exact:
-            raise EvalError(f"exact mode cannot evaluate {e.fn}; tree is not rational")
-        v = getattr(math, e.fn)(_eval(e.arg, pt, memo, exact))
     else:
         raise ExprError(f"unknown node {e!r}")
     memo[e] = v
@@ -513,9 +473,6 @@ def _render(e: Expr) -> tuple[str, int]:
         if e.exponent < 0:
             return f"{bs}^({e.exponent})", _PREC_POW
         return f"{bs}^{e.exponent}", _PREC_POW
-    if isinstance(e, Call):
-        s, _ = _render(e.arg)
-        return f"{e.fn}({s})", _PREC_ATOM
     raise ExprError(f"unknown node {e!r}")
 
 
@@ -594,16 +551,25 @@ class Parser:
             else:
                 return e
 
+    @staticmethod
+    def _fold(build, off: int, *args) -> Expr:
+        """``build(*args)``; a constant that folds to an error, such as
+        ``1/(x1-x1)`` or ``0^-1``, is a syntax error at the operator."""
+        try:
+            return build(*args)
+        except EvalError as exc:
+            raise ParseError(str(exc), off) from None
+
     def _product(self) -> Expr:
         e = self._unary()
         while True:
-            kind, _, _ = self.toks.peek()
+            kind, _, off = self.toks.peek()
             if kind == "*":
                 self.toks.next()
                 e = mul(e, self._unary())
             elif kind == "/":
                 self.toks.next()
-                e = div(e, self._unary())
+                e = self._fold(div, off, e, self._unary())
             else:
                 return e
 
@@ -629,13 +595,13 @@ class Parser:
                 k2, v2, o2 = self.toks.peek()
             if k2 == "int":
                 self.toks.next()
-                e = pow_(e, -int(v2) if neg else int(v2))
+                e = self._fold(pow_, off, e, -int(v2) if neg else int(v2))
             elif k2 == "(":
                 exp = self._atom_paren()
                 if not isinstance(exp, Const) or not isinstance(exp.value, Fraction) or exp.value.denominator != 1:
                     raise ParseError("exponent must be an integer", o2)
                 k = int(exp.value)
-                e = pow_(e, -k if neg else k)
+                e = self._fold(pow_, off, e, -k if neg else k)
             else:
                 raise ParseError("exponent must be an integer", o2)
 
@@ -658,8 +624,6 @@ class Parser:
             return self._atom_paren()
         if kind == "name":
             self.toks.next()
-            if val in _FUNCTIONS:
-                return call(val, self._atom_paren())
             if val[0] in "xy" and val[1:].isdigit():
                 idx = int(val[1:])
                 if not 1 <= idx <= self.n:

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -101,17 +102,19 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, bool):
-        raise ManifestError(f"expected a rational number, got {x!r}")
-    if isinstance(x, int):
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the schema's rational literal
+
+
+def _frac(x, where: str) -> Fraction:
+    """A range end: a JSON integer or a string such as ``"-3"`` or ``"7/2"``."""
+    if _is_int(x):
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ManifestError(f"bad rational literal {x!r}: {exc}") from None
-    raise ManifestError(f"expected a rational number, got {x!r}")
+        except ZeroDivisionError:
+            raise ManifestError(f"{where}: {x!r} has a zero denominator") from None
+    raise ManifestError(f"{where}: expected an integer or a literal like \"-7/2\", got {x!r}")
 
 
 def _parse_expr(text, n: int, where: str) -> E.Expr:
@@ -141,7 +144,6 @@ def _parse_vector(items, n: int, where: str) -> list:
 
 
 def _parse_plan(doc, n: int) -> SamplePlan:
-    doc = {} if doc is None else doc
     if not isinstance(doc, dict):
         raise ManifestError(f"sample_plan must be an object, got {doc!r}")
     _check_keys(doc, "count seed mode base_ranges fiber_ranges tolerance", "sample_plan")
@@ -159,16 +161,16 @@ def _parse_plan(doc, n: int) -> SamplePlan:
         raise ManifestError(f"sample plan mode must be exact or float, got {mode!r}")
 
     def ranges(key, default_lo, default_hi):
-        rs = doc.get(key)
-        if rs is None:
+        if key not in doc:
             return tuple((default_lo, default_hi) for _ in range(n))
+        rs = doc[key]
         if not isinstance(rs, list) or len(rs) != n:
             raise ManifestError(f"sample plan {key} must list {n} intervals")
         out = []
         for r in rs:
             if not isinstance(r, list) or len(r) != 2:
                 raise ManifestError(f"sample plan {key} entries must be [lo, hi]")
-            lo, hi = _frac(r[0]), _frac(r[1])
+            lo, hi = (_frac(end, f"sample plan {key}") for end in r)
             if not lo < hi:
                 raise ManifestError(f"sample plan {key} interval [{lo},{hi}] is empty")
             out.append((lo, hi))
@@ -237,7 +239,7 @@ def parse_manifest(doc: dict, raw: bytes = b"") -> Manifest:
         except (TypeError, ValueError) as exc:
             raise ManifestError(f"metallic[{i}]: {exc}") from None
 
-    plan = _parse_plan(doc.get("sample_plan"), n)
+    plan = _parse_plan(doc.get("sample_plan", {}), n)
     return Manifest(name, n, M, S, params, plan, raw)
 
 

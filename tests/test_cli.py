@@ -2,13 +2,21 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metallic_tm
+from metallic_tm import harness
 from metallic_tm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+
+PACKAGE = pathlib.Path(metallic_tm.__file__).parent
+MANIFEST_SCHEMA = json.loads((PACKAGE / "schemas" / "manifest.schema.json").read_text())
 
 
 def test_validate_ok(manifest_path, capsys):
@@ -66,20 +74,22 @@ def test_verify_detects_failures(tmp_path, manifest_path):
 
 
 def test_verify_evaluation_error_exit_code(tmp_path, manifest_path):
-    """A domain that exact mode cannot evaluate is an error message and exit
-    code 2, not a traceback."""
+    """A rational entry that does not fold when parsed but divides by zero
+    at every point is an error message and exit code 2 in either mode, not
+    a traceback."""
     doc = json.load(open(manifest_path))
-    doc["domain"] = ["exp(x3)"]
-    p = tmp_path / "exp-domain.json"
+    doc["eta"][0] = "1/(x1*x2 - x2*x1)"
+    p = tmp_path / "zero-denominator.json"
     p.write_text(json.dumps(doc))
     src = os.path.dirname(os.path.dirname(metallic_tm.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "metallic_tm.cli", "verify", str(p)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode == EXIT_USAGE
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    for mode in ("exact", "float"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "metallic_tm.cli", "verify", str(p), "--mode", mode],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
 
 
 def test_verify_residual_beyond_float_range(tmp_path, manifest_path):
@@ -143,23 +153,43 @@ def _set(path, value):
     return mutate
 
 
+# Manifests that manifest.schema.json rejects.
+SCHEMA_MALFORMED = {
+    "tolerance-str": _set(("sample_plan", "tolerance"), "abc"),
+    "tolerance-negative": _set(("sample_plan", "tolerance"), -1),
+    "plan-list": _set(("sample_plan",), [1]),
+    "count-bool": _set(("sample_plan", "count"), True),
+    "coordinates-int": _set(("coordinates",), 3),
+    "p-float": _set(("metallic", 0, "p"), 1.5),
+    "p-bool": _set(("metallic", 0, "p"), True),
+    "eps1-bool": _set(("metallic", 0, "eps1"), True),
+    "unknown-key": _set(("sample_plan", "tolerence"), 1e-6),
+    "plan-null": _set(("sample_plan",), None),
+    "base-ranges-null": _set(("sample_plan", "base_ranges"), None),
+    "fiber-ranges-null": _set(("sample_plan", "fiber_ranges"), None),
+    "range-decimal": _set(("sample_plan", "base_ranges", 0, 0), "0.5"),
+    "range-exponent": _set(("sample_plan", "base_ranges", 0, 1), "1e3"),
+    "range-plus-sign": _set(("sample_plan", "fiber_ranges", 0, 1), "+3"),
+    "expr-empty": _set(("eta", 0), ""),
+    "name-null": _set(("name",), None),
+    "domain-null": _set(("domain",), None),
+    "eps2-null": _set(("metallic", 0, "eps2"), None),
+}
+
+# Strings the schema admits that are no rational function of x1..xn.
+EXPRESSION_MALFORMED = {
+    "exp": _set(("eta", 2), "exp(x1)"),
+    "zero-denominator-folds": _set(("eta", 2), "1/(x1-x1)"),
+    "zero-to-negative-power": _set(("domain", 0), "0^-1"),
+}
+
+
 @pytest.mark.parametrize("mutate", [
-    _set(("sample_plan", "tolerance"), "abc"),
-    _set(("sample_plan", "tolerance"), -1),
-    _set(("sample_plan",), [1]),
-    _set(("sample_plan", "count"), True),
-    _set(("coordinates",), 3),
-    _set(("metallic", 0, "p"), 1.5),
-    _set(("metallic", 0, "p"), True),
-    _set(("metallic", 0, "eps1"), True),
-    _set(("sample_plan", "tolerence"), 1e-6),
-], ids=["tolerance-str", "tolerance-negative", "plan-list", "count-bool", "coordinates-int",
-        "p-float", "p-bool", "eps1-bool", "unknown-key"])
-def test_malformed_manifest_without_jsonschema(mutate, manifest_path, tmp_path, monkeypatch,
-                                               capsys):
-    """Without jsonschema, parse_manifest itself rejects what the schema
-    would: exit code 1 and an error line, never a traceback or a run."""
-    monkeypatch.setitem(sys.modules, "jsonschema", None)
+    pytest.param(m, id=i) for i, m in {**SCHEMA_MALFORMED, **EXPRESSION_MALFORMED}.items()])
+def test_malformed_manifest_without_jsonschema(mutate, manifest_path, tmp_path, capsys):
+    """parse_manifest is the only validator: a malformed manifest gives exit
+    code 1 and an error line, never a traceback or a run, whether or not
+    jsonschema is installed."""
     doc = json.load(open(manifest_path))
     mutate(doc)
     p = tmp_path / "malformed.json"
@@ -167,3 +197,35 @@ def test_malformed_manifest_without_jsonschema(mutate, manifest_path, tmp_path, 
     assert main(["verify", str(p)]) == EXIT_FAIL
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# -- the schema as an oracle for parse_manifest ----------------------------
+
+@pytest.mark.parametrize("path", sorted((PACKAGE / "manifests").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_bundled_manifests_match_the_schema(path):
+    jsonschema.Draft7Validator.check_schema(MANIFEST_SCHEMA)
+    jsonschema.validate(json.loads(path.read_text()), MANIFEST_SCHEMA)
+
+
+@pytest.mark.parametrize("mutate", [pytest.param(m, id=i) for i, m in SCHEMA_MALFORMED.items()])
+def test_parse_manifest_rejects_what_the_schema_rejects(mutate, manifest_path):
+    """The schema is the oracle: each mutation fails it and parse_manifest."""
+    doc = json.load(open(manifest_path))
+    mutate(doc)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, MANIFEST_SCHEMA)
+    with pytest.raises(harness.ManifestError):
+        harness.parse_manifest(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(alphabet="0123456789-+/._e \n", max_size=6),
+                 st.integers(), st.floats(allow_nan=False), st.booleans(), st.none()))
+def test_range_ends_the_schema_rejects_are_rejected(end):
+    """A range end outside the schema's rational literal is a ManifestError."""
+    try:
+        jsonschema.validate(end, MANIFEST_SCHEMA["definitions"]["rational"])
+    except jsonschema.ValidationError:
+        with pytest.raises(harness.ManifestError):
+            harness._frac(end, "range")

@@ -42,27 +42,21 @@ def test_parse_error_reports_offset():
     assert ei.value.offset is not None
     with pytest.raises(ParseError):
         E.parse("x5", 3)  # out-of-range coordinate index
-
-
-def test_parse_calls():
-    e = E.parse("sin(x1)", 1)
-    v = E.evaluate(e, {Var("base", 1): 0.5}, mode="float")
-    import math
-    assert v == pytest.approx(math.sin(0.5))
-
-
-def test_exact_mode_rejects_transcendentals():
-    e = E.parse("exp(x1)", 1)
-    with pytest.raises(EvalError):
-        E.evaluate(e, pt(Fraction(1)), mode="exact")
+    with pytest.raises(ParseError, match="unknown identifier 'exp'") as ei:
+        E.parse("exp(x1)", 1)  # the language has no analytic functions
+    assert ei.value.offset == 0
+    # a constant that folds to an error is reported at its operator
+    for text, offset in (("x1 + 1/(x1-x1)", 6), ("x1*0^-1", 4), ("0^(-2)", 1)):
+        with pytest.raises(ParseError) as ei:
+            E.parse(text, 1)
+        assert ei.value.offset == offset
 
 
 @pytest.mark.parametrize("e, value", [
     (E.parse("x1^400", 1), 1e3),
     (E.Const(3 ** 729), 1.0),
     (E.parse("x1^-2", 1), 0.0),
-    (E.parse("log(x1)", 1), 0.0),
-], ids=["pow-overflow", "const-overflow", "zero-to-negative-power", "log-domain"])
+], ids=["pow-overflow", "const-overflow", "zero-to-negative-power"])
 def test_float_mode_failures_are_eval_errors(e, value):
     with pytest.raises(EvalError):
         E.evaluate(e, pt(value), mode="float")

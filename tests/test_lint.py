@@ -2,10 +2,13 @@
 
 import ast
 import pathlib
+import re
+import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "metallic_tm"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "metallic_tm"
 
 
 def unused_imports(source: str) -> list:
@@ -32,3 +35,35 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def absolute_imports(source: str) -> set:
+    """Top-level modules named by the absolute imports anywhere in a module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_absolute_imports_are_found():
+    source = "import os.path\nfrom . import exprs\nfrom .scalars import sigma\n" \
+             "def f():\n    import jsonschema\n"
+    assert absolute_imports(source) == {"os", "jsonschema"}
+
+
+def test_imports_are_stdlib_or_declared_dependencies():
+    """The package imports nothing but the standard library, the runtime
+    dependencies of pyproject.toml and itself, so no optional package can
+    change what it does."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[\w.-]+", dep).group().replace("-", "_")
+                for dep in project["dependencies"]}
+    allowed = set(sys.stdlib_module_names) | declared | {"metallic_tm"}
+    foreign = sorted((path.name, module) for path in SRC.glob("*.py")
+                     for module in absolute_imports(path.read_text(encoding="utf-8"))
+                     if module not in allowed)
+    assert "numpy" in declared and foreign == []

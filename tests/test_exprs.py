@@ -42,14 +42,21 @@ def test_parse_error_reports_offset():
     assert ei.value.offset is not None
     with pytest.raises(ParseError):
         E.parse("x5", 3)  # out-of-range coordinate index
-    with pytest.raises(ParseError, match="unknown identifier 'exp'") as ei:
-        E.parse("exp(x1)", 1)  # the language has no analytic functions
-    assert ei.value.offset == 0
     # a constant that folds to an error is reported at its operator
     for text, offset in (("x1 + 1/(x1-x1)", 6), ("x1*0^-1", 4), ("0^(-2)", 1)):
         with pytest.raises(ParseError) as ei:
             E.parse(text, 1)
         assert ei.value.offset == offset
+
+
+def test_exact_mode_rejects_transcendentals():
+    # the language has no analytic functions, so exp(x1) never reaches
+    # exact evaluation, and a float coordinate is not an exact scalar
+    with pytest.raises(ParseError, match="unknown identifier 'exp'") as ei:
+        E.parse("exp(x1)", 1)
+    assert ei.value.offset == 0
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        E.evaluate(E.parse("x1", 1), pt(2.718281828459045), mode="exact")
 
 
 @pytest.mark.parametrize("e, value", [

@@ -52,7 +52,7 @@ def main():
 
     print("\nObstruction tensors N1..N4 (all vanish):")
     for name, T in pc.n_tensors(S).items():
-        vals = mf.evaluate_array(T.components, pts[0]).reshape(-1)
+        vals = mf.evaluate_array(T.components, pts[0]).flat
         print(f"  {name}: {'zero' if all(x == 0 for x in vals) else 'NONZERO'}")
 
     print("\nThe distribution D = ker(eta) is not flat:")

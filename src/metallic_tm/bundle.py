@@ -17,8 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional
 
-import numpy as np
-
+from . import exprs as E
 from . import manifold as mf
 from .exprs import Expr, Var
 from .manifold import ChartedManifold, Connection, GeometryError, TensorField
@@ -45,7 +44,7 @@ class TangentBundleChart:
         self.connection = connection
 
     @cached_property
-    def gamma_tilde(self) -> np.ndarray:
+    def gamma_tilde(self) -> mf.Array:
         """GT[l][i] = y^k Gamma^l_{ki}."""
         if self.connection is None:
             raise GeometryError("this lift needs a base connection")
@@ -54,7 +53,7 @@ class TangentBundleChart:
     def ydel(self, e):
         """The complete-lift derivation y^j d_j applied to a base expression,
         or componentwise to an array of them."""
-        idx = "abcdefghi"[:np.ndim(e)]
+        idx = "abcdefghi"[:mf.asarray(e).ndim]
         return mf.contract(f"j,j{idx}->{idx}", self.fiber_vars, self.base.partials(e))
 
     def point(self, base_coords, fiber_coords) -> dict:
@@ -63,14 +62,18 @@ class TangentBundleChart:
         return pt
 
 
-def _blocks_to_matrix(tb: TangentBundleChart, bb, bf, fb, ff) -> np.ndarray:
+def _blocks(tb: TangentBundleChart, **blocks) -> mf.Array:
+    """The array with every axis of size 2n whose n-blocks are given by
+    name, one letter per axis (b for the base half, f for the fiber half),
+    such as ``fb=`` for the lower left block of a matrix; the blocks not
+    named are zero."""
     n = tb.n
-    out = mf.zeros((2 * n, 2 * n))
-    out[:n, :n] = bb
-    out[:n, n:] = bf
-    out[n:, :n] = fb
-    out[n:, n:] = ff
-    return out
+    rank = len(next(iter(blocks)))
+    cells = [("", 0)]  # (block name, offset in the block) of each entry, in C order
+    for _ in range(rank):
+        cells = [(name + half, off * n + i) for name, off in cells for half in "bf" for i in range(n)]
+    return mf.Array((2 * n,) * rank, [blocks[name].flat[off] if name in blocks else E.ZERO
+                                      for name, off in cells])
 
 
 # ----------------------------------------------------------------------
@@ -95,29 +98,20 @@ def hlift_function(tb: TangentBundleChart, f: Expr) -> Expr:
 # ----------------------------------------------------------------------
 
 def vlift_vector(tb: TangentBundleChart, X: TensorField) -> TensorField:
-    n = tb.n
-    comps = mf.zeros(2 * n)
-    comps[n:] = X.components
-    return TensorField(tb.chart, (1, 0), comps)
+    return TensorField(tb.chart, (1, 0), _blocks(tb, f=X.components))
 
 
 def clift_vector(tb: TangentBundleChart, X: TensorField) -> TensorField:
-    n = tb.n
-    comps = mf.zeros(2 * n)
-    comps[:n] = X.components
-    comps[n:] = tb.ydel(X.components)
+    comps = _blocks(tb, b=X.components, f=tb.ydel(X.components))
     return TensorField(tb.chart, (1, 0), comps)
 
 
 def hlift_vector(tb: TangentBundleChart, X: TensorField) -> TensorField:
-    n = tb.n
-    comps = mf.zeros(2 * n)
-    comps[:n] = X.components
-    comps[n:] = mf.contract("li,i->l", -tb.gamma_tilde, X)
+    comps = _blocks(tb, b=X.components, f=mf.contract("li,i->l", -tb.gamma_tilde, X))
     return TensorField(tb.chart, (1, 0), comps)
 
 
-def lifted_rows(tb: TangentBundleChart, lift, fields) -> np.ndarray:
+def lifted_rows(tb: TangentBundleChart, lift, fields) -> mf.Array:
     """The lifts ``lift(tb, X)`` of base vector fields as rows [x, A]."""
     return mf.rows([lift(tb, X) for X in fields], 2 * tb.n)
 
@@ -129,16 +123,12 @@ def lifted_rows(tb: TangentBundleChart, lift, fields) -> np.ndarray:
 def lift_oneform(tb: TangentBundleChart, w: TensorField, kind: str) -> TensorField:
     if w.valence != (0, 1):
         raise GeometryError("lift_oneform needs a 1-form")
-    n = tb.n
-    comps = mf.zeros(2 * n)
     if kind == "v":
-        comps[:n] = w.components
+        comps = _blocks(tb, b=w.components)
     elif kind == "c":
-        comps[:n] = tb.ydel(w.components)
-        comps[n:] = w.components
+        comps = _blocks(tb, b=tb.ydel(w.components), f=w.components)
     elif kind == "h":
-        comps[:n] = mf.contract("ki,k->i", tb.gamma_tilde, w)
-        comps[n:] = w.components
+        comps = _blocks(tb, b=mf.contract("ki,k->i", tb.gamma_tilde, w), f=w.components)
     else:
         raise GeometryError(f"unknown lift kind {kind!r}")
     return TensorField(tb.chart, (0, 1), comps)
@@ -151,18 +141,16 @@ def lift_oneform(tb: TangentBundleChart, w: TensorField, kind: str) -> TensorFie
 def lift_tensor11(tb: TangentBundleChart, F: TensorField, kind: str) -> TensorField:
     if F.valence != (1, 1):
         raise GeometryError("lift_tensor11 needs a (1,1) tensor")
-    n = tb.n
     Fc = F.components
-    zero = mf.zeros((n, n))
     if kind == "v":
         # defined by F^v(X^c) = (FX)^v, F^v(X^v) = 0
-        m = _blocks_to_matrix(tb, zero, zero, Fc, zero)
+        m = _blocks(tb, fb=Fc)
     elif kind == "c":
-        m = _blocks_to_matrix(tb, Fc, zero, tb.ydel(Fc), Fc)
+        m = _blocks(tb, bb=Fc, fb=tb.ydel(Fc), ff=Fc)
     elif kind == "h":
         gt = tb.gamma_tilde
         lower = mf.contract("al,lj+al,lj->aj", Fc, gt, -gt, Fc)
-        m = _blocks_to_matrix(tb, Fc, zero, lower, Fc)
+        m = _blocks(tb, bb=Fc, fb=lower, ff=Fc)
     else:
         raise GeometryError(f"unknown lift kind {kind!r}")
     return TensorField(tb.chart, (1, 1), m)
@@ -175,9 +163,7 @@ def lift_tensor11(tb: TangentBundleChart, F: TensorField, kind: str) -> TensorFi
 def clift_metric(tb: TangentBundleChart) -> TensorField:
     """g^c = [[y^k d_k g, g], [g, 0]]."""
     g = tb.base.metric
-    n = tb.n
-    m = _blocks_to_matrix(tb, tb.ydel(g), g.copy(), g.copy(), mf.zeros((n, n)))
-    return TensorField(tb.chart, (0, 2), m)
+    return TensorField(tb.chart, (0, 2), _blocks(tb, bb=tb.ydel(g), bf=g, fb=g))
 
 
 def hlift_metric(tb: TangentBundleChart) -> TensorField:
@@ -185,21 +171,18 @@ def hlift_metric(tb: TangentBundleChart) -> TensorField:
     with eta^i = GT[i][k] dx^k + dy^i."""
     g = tb.base.metric
     gt = tb.gamma_tilde
-    n = tb.n
     bb = mf.contract("il,lk+li,lk->ik", g, gt, gt, g)
-    m = _blocks_to_matrix(tb, bb, g.copy(), g.copy(), mf.zeros((n, n)))
-    return TensorField(tb.chart, (0, 2), m)
+    return TensorField(tb.chart, (0, 2), _blocks(tb, bb=bb, bf=g, fb=g))
 
 
 def sasaki_metric(tb: TangentBundleChart) -> TensorField:
     """G = [[g + GT^T g GT, GT^T g], [g GT, g]]."""
     g = tb.base.metric
     gt = tb.gamma_tilde
-    bb = g + mf.contract("ai,ab,bj->ij", gt, g, gt)
+    bb = mf.add(g, mf.contract("ai,ab,bj->ij", gt, g, gt))
     bf = mf.contract("ai,aj->ij", gt, g)
     fb = mf.contract("ia,aj->ij", g, gt)
-    m = _blocks_to_matrix(tb, bb, bf, fb, g.copy())
-    return TensorField(tb.chart, (0, 2), m)
+    return TensorField(tb.chart, (0, 2), _blocks(tb, bb=bb, bf=bf, fb=fb, ff=g))
 
 
 # ----------------------------------------------------------------------
@@ -210,17 +193,13 @@ def gamma_curvature(tb: TangentBundleChart, R: TensorField, X: TensorField, Y: T
     """gamma R(., X, Y): the vertical field (x,y) -> (R(y,X)Y)^v."""
     if R.valence != (1, 3):
         raise GeometryError("gamma_curvature needs the (1,3) curvature tensor")
-    n = tb.n
-    comps = mf.zeros(2 * n)
-    comps[n:] = mf.contract("lkij,k,i,j->l", R, tb.fiber_vars, X, Y)
+    comps = _blocks(tb, f=mf.contract("lkij,k,i,j->l", R, tb.fiber_vars, X, Y))
     return TensorField(tb.chart, (1, 0), comps)
 
 
 def gamma_bracket_defect(tb: TangentBundleChart, R: TensorField, X: TensorField, Y: TensorField) -> TensorField:
     """gamma R(X, Y): the vertical field (x,y) -> (R(X,Y)y)^v."""
-    n = tb.n
-    comps = mf.zeros(2 * n)
-    comps[n:] = mf.contract("lijk,i,j,k->l", R, X, Y, tb.fiber_vars)
+    comps = _blocks(tb, f=mf.contract("lijk,i,j,k->l", R, X, Y, tb.fiber_vars))
     return TensorField(tb.chart, (1, 0), comps)
 
 
@@ -232,28 +211,17 @@ def clift_connection(tb: TangentBundleChart) -> Connection:
     """Complete lift: nonzero coefficients
     C^k_{ij} = Gamma^k_{ij}, C^kbar_{ij} = y^l d_l Gamma^k_{ij},
     C^kbar_{i jbar} = C^kbar_{ibar j} = Gamma^k_{ij}."""
-    n = tb.n
     G = tb.connection.coefficients
-    H = mf.zeros((2 * n,) * 3)
-    H[:n, :n, :n] = G
-    H[n:, :n, :n] = tb.ydel(G)
-    H[n:, :n, n:] = G
-    H[n:, n:, :n] = G
-    return Connection(tb.chart, H)
+    return Connection(tb.chart, _blocks(tb, bbb=G, fbb=tb.ydel(G), fbf=G, ffb=G))
 
 
 def hlift_connection(tb: TangentBundleChart) -> Connection:
     """Horizontal lift: defined by nabla^h on the horizontal/vertical frame
     (nabla^h_{X^v} . = 0, nabla^h_{X^h}Y^v = (nabla_X Y)^v,
     nabla^h_{X^h}Y^h = (nabla_X Y)^h), solved into coordinates."""
-    n = tb.n
     G = tb.connection.coefficients
     dG = tb.base.partials(G)
     # [k, i, j, m]: d_i Gamma^k_{mj} plus the Gamma Gamma terms
-    inner = dG.transpose(1, 0, 3, 2) + mf.contract("lmj,kil+lij,kml->kijm", G, G, -G, G)
-    H = mf.zeros((2 * n,) * 3)
-    H[:n, :n, :n] = G
-    H[n:, :n, :n] = mf.contract("m,kijm->kij", tb.fiber_vars, inner)
-    H[n:, :n, n:] = G
-    H[n:, n:, :n] = G
-    return Connection(tb.chart, H)
+    inner = mf.add(dG.transpose(1, 0, 3, 2), mf.contract("lmj,kil+lij,kml->kijm", G, G, -G, G))
+    lower = mf.contract("m,kijm->kij", tb.fiber_vars, inner)
+    return Connection(tb.chart, _blocks(tb, bbb=G, fbb=lower, fbf=G, ffb=G))

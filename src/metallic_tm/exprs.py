@@ -456,11 +456,14 @@ def _render(e: Expr) -> tuple[str, int]:
                 parts.append(f" + {s}" if p >= _PREC_ADD else f" + ({s})")
         return "".join(parts), _PREC_ADD
     if isinstance(e, Mul):
+        fs = e.factors
+        # a coefficient -1 is a unary minus: "-x1*x2", and "a - x1*x2" in a sum
+        minus = isinstance(fs[0], Const) and isinstance(fs[0].value, Fraction) and fs[0].value == -1
         parts = []
-        for f in e.factors:
+        for f in fs[1:] if minus else fs:
             s, p = _render(f)
             parts.append(s if p > _PREC_ADD else f"({s})")
-        return "*".join(parts), _PREC_MUL
+        return ("-" if minus else "") + "*".join(parts), _PREC_MUL
     if isinstance(e, Div):
         ns, np_ = _render(e.num)
         ds, dp = _render(e.den)

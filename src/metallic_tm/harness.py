@@ -18,8 +18,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from . import bundle as bd
 from . import exprs as E
 from . import manifold as mf
@@ -434,8 +432,8 @@ def suite_lifts(ctx: SuiteContext) -> dict:
     residuals.append(("bracket-vv", mf.lie_bracket(Xv, Yv).components))
     residuals.append(("bracket-cc", mf.lie_bracket(Xc, Yc).components
                       - bd.clift_vector(tb, XYb).components))
-    residuals.append(("bracket-vh", mf.lie_bracket(Xv, Yh).components
-                      + bd.vlift_vector(tb, mf.cov_vec(conn, Y, X)).components))
+    residuals.append(("bracket-vh", mf.add(mf.lie_bracket(Xv, Yh).components,
+                                           bd.vlift_vector(tb, mf.cov_vec(conn, Y, X)).components)))
     ghh = bd.gamma_bracket_defect(tb, R, X, Y)
     residuals.append(("bracket-hh", mf.add(
         mf.lie_bracket(Xh, Yh).components, -bd.hlift_vector(tb, XYb).components,
@@ -490,7 +488,7 @@ def suite_lifts(ctx: SuiteContext) -> dict:
     for kind in ("c", "h"):
         lhs = ml.pq_residual(F2lift[kind].components, prm.p, prm.q)
         rhs = bd.lift_tensor11(tb, PFfield, kind).components
-        residuals.append((f"P-functorial-{kind}", (lhs - rhs).ravel()))
+        residuals.append((f"P-functorial-{kind}", (lhs - rhs).flat))
 
     # lifted connection frame displays
     nXY = mf.cov_vec(conn, X, Y)
@@ -597,7 +595,7 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
     tracker = ResidualTracker(ctx.mode, ctx.plan.tol)
     consistent = True
     witnesses = []
-    for iX, iY, iZ in np.ndindex(lhs.shape):
+    for iX, iY, iZ in mf.ndindex(lhs.shape):
         lvs = tracker.track(tb.chart, ctx.points, (iX, iY, iZ, "dPhi"), (scale, lhs[iX, iY, iZ]))
         for pt, (lv,) in zip(ctx.points, lvs):
             rv = E.evaluate(rhs[iX, iY, iZ], pt, ctx.mode)

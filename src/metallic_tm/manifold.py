@@ -4,18 +4,17 @@ All operations are dimension generic: a chart is just an ordered tuple of
 variables with optional domain constraints and a metric, so the same code
 serves the base manifold (n variables of base kind) and the tangent bundle
 (2n variables, base plus fiber).  Components are ``exprs.Expr`` trees stored
-in numpy object arrays; index order is contravariant slots first, covariant
-slots after, and every derivative-type operation puts the new covariant
-index first.
+in ``Array``s; index order is contravariant slots first, covariant slots
+after, and every derivative-type operation puts the new covariant index
+first.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import exprs as E
 from .exprs import Expr, Var
@@ -25,29 +24,148 @@ class GeometryError(ValueError):
     """Unsupported valence or inconsistent chart data."""
 
 
-def zeros(shape) -> np.ndarray:
-    out = np.empty(shape, dtype=object)
-    out[...] = E.ZERO
+def ndindex(shape):
+    """Every index tuple of ``shape`` in C order, the last index fastest."""
+    return itertools.product(*map(range, shape))
+
+
+def _offsets(shape, strides) -> list:
+    """sum(i * s for i, s in zip(index, strides)) for every index of
+    ``shape`` in C order: the flat positions a strided view reads."""
+    out = [0]
+    for d, s in zip(shape, strides):
+        steps = [i * s for i in range(d)]
+        out = [o + t for o in out for t in steps]
     return out
 
 
-def expr_array(nested) -> np.ndarray:
-    arr = np.array(nested, dtype=object)
-    flat = arr.reshape(-1)
-    for i, e in enumerate(flat):
-        if not isinstance(e, Expr):
-            flat[i] = E.const(e)
-    return flat.reshape(arr.shape)
+class Array:
+    """A shape and a flat list of entries in C order.
+
+    Indexing takes a full index tuple (an entry) or a leading part of one
+    (a copy of that block, so iteration runs over the first axis).  The
+    elementwise operations apply Python's operators to the entries, so
+    ``-a``, ``a * c``, ``c * a`` and ``a - b`` build the ``exprs`` trees of
+    ``-e``, ``e * c``, ``c * e`` and ``e - f`` entry by entry.  Sums go
+    through ``add``.
+    """
+
+    __slots__ = ("shape", "flat", "_strides")
+
+    def __init__(self, shape, flat) -> None:
+        self.shape = tuple(shape)
+        self.flat = list(flat)
+        strides, size = [], 1
+        for d in reversed(self.shape):
+            strides.append(size)
+            size *= d
+        if size != len(self.flat):
+            raise GeometryError(f"{len(self.flat)} entries do not fill shape {self.shape}")
+        self._strides = tuple(reversed(strides))
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def _offset(self, idx) -> int:
+        if len(idx) > self.ndim:
+            raise IndexError(f"index {idx} has more axes than shape {self.shape}")
+        off = 0
+        for i, d, s in zip(idx, self.shape, self._strides):
+            if not 0 <= i < d:
+                raise IndexError(f"index {idx} is out of range for shape {self.shape}")
+            off += i * s
+        return off
+
+    def __getitem__(self, idx):
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        off = self._offset(idx)
+        if len(idx) == self.ndim:
+            return self.flat[off]
+        size = self._strides[len(idx) - 1] if idx else len(self.flat)
+        return Array(self.shape[len(idx):], self.flat[off:off + size])
+
+    def __setitem__(self, idx, value) -> None:
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        if len(idx) != self.ndim:
+            raise IndexError(f"assignment needs a full index of shape {self.shape}")
+        self.flat[self._offset(idx)] = value
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def transpose(self, *axes) -> "Array":
+        """Axis k of the result is axis ``axes[k]`` of this array; no axes
+        reverses them."""
+        axes = axes or tuple(reversed(range(self.ndim)))
+        shape, flat = [self.shape[a] for a in axes], self.flat
+        return Array(shape, [flat[o] for o in _offsets(shape, [self._strides[a] for a in axes])])
+
+    @property
+    def T(self) -> "Array":
+        return self.transpose()
+
+    def __neg__(self) -> "Array":
+        return Array(self.shape, [-e for e in self.flat])
+
+    def __mul__(self, c) -> "Array":
+        return Array(self.shape, [e * c for e in self.flat])
+
+    def __rmul__(self, c) -> "Array":
+        return Array(self.shape, [c * e for e in self.flat])
+
+    def __sub__(self, other) -> "Array":
+        if not isinstance(other, Array) or other.shape != self.shape:
+            raise GeometryError(f"cannot subtract from an array of shape {self.shape}")
+        return Array(self.shape, [a - b for a, b in zip(self.flat, other.flat)])
 
 
-def evaluate_array(arr: np.ndarray, point, mode: str = "exact") -> np.ndarray:
+def asarray(x) -> Array:
+    """``x`` as an Array: an Array itself, a nested list or tuple stacked
+    along new leading axes, anything else a 0-d array."""
+    if isinstance(x, Array):
+        return x
+    if isinstance(x, (list, tuple)):
+        subs = [asarray(v) for v in x]
+        inner = subs[0].shape if subs else ()
+        if any(s.shape != inner for s in subs):
+            raise GeometryError("nested entries of different shapes")
+        return Array((len(subs),) + inner, [e for s in subs for e in s.flat])
+    return Array((), [x])
+
+
+def zeros(shape) -> Array:
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    return Array(shape, [E.ZERO] * math.prod(shape))
+
+
+def identity(n: int) -> Array:
+    """The n x n identity of the integers 1 and 0."""
+    return Array((n, n), [int(i == j) for i in range(n) for j in range(n)])
+
+
+def outer(a, b) -> Array:
+    """The entries a[i...] * b[j...] at [i..., j...]."""
+    a, b = asarray(a), asarray(b)
+    return Array(a.shape + b.shape, [x * y for x in a.flat for y in b.flat])
+
+
+def expr_array(nested) -> Array:
+    """A new Array of ``nested`` with every entry that is not an Expr made
+    a constant."""
+    arr = asarray(nested)
+    return Array(arr.shape, [e if isinstance(e, Expr) else E.const(e) for e in arr.flat])
+
+
+def evaluate_array(arr, point, mode: str = "exact") -> Array:
     """Every component at ``point``; the components share one memo."""
     if not isinstance(point, E.Point):
         point = E.Point(point)
-    out = np.empty(arr.shape, dtype=object)
-    for idx in np.ndindex(arr.shape):
-        out[idx] = E.evaluate(arr[idx], point, mode)
-    return out
+    arr = asarray(arr)
+    return Array(arr.shape, [E.evaluate(e, point, mode) for e in arr.flat])
 
 
 class ChartedManifold:
@@ -85,15 +203,12 @@ class ChartedManifold:
     def diff(self, e: Expr, i: int) -> Expr:
         return E.diff(e, self.variables[i])
 
-    def partials(self, arr) -> np.ndarray:
+    def partials(self, arr) -> Array:
         """d_i of every component of ``arr`` (an Expr or an array of them),
         the derivative index first."""
-        arr = np.asarray(arr, dtype=object)
-        out = np.empty((self.n,) + arr.shape, dtype=object)
-        for i in range(self.n):
-            for idx in np.ndindex(arr.shape):
-                out[(i,) + idx] = self.diff(arr[idx], i)
-        return out
+        arr = asarray(arr)
+        return Array((self.n,) + arr.shape,
+                     [self.diff(e, i) for i in range(self.n) for e in arr.flat])
 
     def point(self, coords) -> dict:
         if len(coords) != self.n:
@@ -164,7 +279,7 @@ def contract(spec: str, *arrays):
     lhs, out_idx = spec.split("->")
     products = [p.split(",") for p in lhs.split("+")]
     subs = [s for p in products for s in p]
-    ops = [np.asarray(getattr(a, "components", a), dtype=object) for a in arrays]
+    ops = [asarray(getattr(a, "components", a)) for a in arrays]
     if len(ops) != len(subs):
         raise GeometryError(f"contract {spec!r} needs {len(subs)} operands, got {len(ops)}")
     dims: dict = {}
@@ -183,9 +298,8 @@ def contract(spec: str, *arrays):
         rows = [((), ())]  # (values of the bound letters, factors so far)
         for op, sub in itertools.islice(pairs, len(p)):
             if id(op) not in support:
-                support[id(op)] = [(idx, e) for idx, e in zip(
-                    itertools.product(*map(range, op.shape)), op.ravel().tolist())
-                    if e is not E.ZERO and not E._is_const(e, 0)]
+                support[id(op)] = [(idx, e) for idx, e in zip(ndindex(op.shape), op.flat)
+                                   if e is not E.ZERO and not E._is_const(e, 0)]
             first = {c: sub.index(c) for c in sub}
             key_at = [(bound.index(c), k) for c, k in first.items() if c in bound]
             new_at = [k for c, k in first.items() if c not in bound]
@@ -210,40 +324,63 @@ def contract(spec: str, *arrays):
     terms: dict = {}
     for full, _, fs in found:
         terms.setdefault(full[:len(out_idx)], []).append(E.mul(*fs))
-    out = np.empty(tuple(dims[c] for c in out_idx), dtype=object)
-    for oidx in np.ndindex(out.shape):
-        out[oidx] = E.add(*terms.get(oidx, ()))
-    return out[()] if not out_idx else out
+    shape = tuple(dims[c] for c in out_idx)
+    out = [E.add(*terms.get(oidx, ())) for oidx in ndindex(shape)]
+    return Array(shape, out) if out_idx else out[0]
+
+
+def _spread(op: Array, shape: tuple) -> list:
+    """The entries of ``op`` broadcast to ``shape``, in C order: the axes
+    are aligned from the right, and an axis of size 1 or a missing one
+    repeats."""
+    if op.shape == shape:
+        return op.flat
+    lead = len(shape) - op.ndim
+    if lead < 0 or any(d not in (1, t) for d, t in zip(op.shape, shape[lead:])):
+        raise GeometryError(f"shape {op.shape} does not broadcast to {shape}")
+    strides = [0] * lead + [s if d != 1 else 0 for d, s in zip(op.shape, op._strides)]
+    return [op.flat[o] for o in _offsets(shape, strides)]
 
 
 def add(*arrays):
-    """Componentwise sum of Expr arrays (or Exprs, or numbers) under numpy
-    broadcasting: one ``E.add`` call per component, terms in argument order."""
-    return np.frompyfunc(E.add, len(arrays), 1)(*arrays)
+    """Componentwise sum of Expr arrays (or Exprs, or numbers), broadcast to
+    a common shape: one ``E.add`` call per component, terms in argument
+    order.  Without an array argument the sum is a single Expr."""
+    ops = [asarray(a) for a in arrays]
+    ndim = max(op.ndim for op in ops)
+    shape = tuple(min({op.shape[k - ndim + op.ndim] for op in ops if k >= ndim - op.ndim} - {1},
+                      default=1) for k in range(ndim))
+    out = [E.add(*terms) for terms in zip(*(_spread(op, shape) for op in ops))]
+    return Array(shape, out) if shape else out[0]
 
 
-def rows(fields, n: int) -> np.ndarray:
+def rows(fields, n: int) -> Array:
     """Vector fields on an ``n``-dimensional chart stacked as the rows [x, a]
     of one array, a contract operand that stands for all of them."""
-    return np.array([F.components for F in fields], dtype=object).reshape(-1, n)
+    return Array((len(fields), n), [e for F in fields for e in F.components.flat])
 
 
 # ----------------------------------------------------------------------
 # metric geometry
 # ----------------------------------------------------------------------
 
-def _det(m: np.ndarray) -> Expr:
+def _minor(m: Array, i: int, j: int) -> Array:
+    """``m`` without row i and column j."""
+    n = m.shape[0]
+    return Array((n - 1, n - 1), [m.flat[r * n + c] for r in range(n) if r != i
+                                  for c in range(n) if c != j])
+
+
+def _det(m: Array) -> Expr:
     n = m.shape[0]
     if n == 1:
         return m[0, 0]
     terms = []
-    rest = m[1:, :]
     for j in range(n):
         entry = m[0, j]
         if E._is_const(entry, 0):
             continue
-        minor = np.delete(rest, j, axis=1)
-        term = E.mul(entry, _det(minor))
+        term = E.mul(entry, _det(_minor(m, 0, j)))
         terms.append(term if j % 2 == 0 else E.mul(E.const(-1), term))
     return E.add(*terms)
 
@@ -256,16 +393,15 @@ def det(m) -> Expr:
     return _det(arr)
 
 
-def inverse_matrix(m) -> np.ndarray:
+def inverse_matrix(m) -> Array:
     """Symbolic inverse via adjugate over determinant."""
     arr = expr_array(m)
     n = arr.shape[0]
     d = det(arr)
-    inv = np.empty((n, n), dtype=object)
+    inv = zeros((n, n))
     for i in range(n):
         for j in range(n):
-            minor = np.delete(np.delete(arr, j, axis=0), i, axis=1)
-            cof = _det(minor) if n > 1 else E.ONE
+            cof = _det(_minor(arr, j, i)) if n > 1 else E.ONE
             if (i + j) % 2 == 1:
                 cof = E.mul(E.const(-1), cof)
             inv[i, j] = E.div(cof, d)
@@ -334,7 +470,7 @@ def cov_vec(C: Connection, U: TensorField, V: TensorField) -> TensorField:
     return TensorField(M, (1, 0), out)
 
 
-def cov_rows(C: Connection, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+def cov_rows(C: Connection, U: Array, V: Array) -> Array:
     """[x, y, a] = (nabla_{U_x} V_y)^a for vector fields stacked as rows
     U[x, i] and V[y, j] (``rows``): ``cov_vec`` for every pair at once."""
     return contract("xi,iya+xi,yj,aij->xya", U, C.base.partials(V), U, V, C.coefficients)

@@ -14,8 +14,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from . import bundle as bd
 from . import exprs as E
 from . import manifold as mf
@@ -92,13 +90,13 @@ class MetallicOnTM:
 
     @cached_property
     def tensor(self) -> TensorField:
-        half_p = np.identity(self.psi.base.n, dtype=object) * Fraction(self.params.p, 2)
+        half_p = mf.identity(self.psi.base.n) * Fraction(self.params.p, 2)
         return TensorField(self.psi.base, (1, 1), half_p - self.params.amp * self.psi.components)
 
 
-def _outer(form: TensorField, vec: TensorField) -> np.ndarray:
+def _outer(form: TensorField, vec: TensorField) -> mf.Array:
     """eta (x) xi as a (1,1) component matrix on the same chart."""
-    return np.multiply.outer(vec.components, form.components)
+    return mf.outer(vec.components, form.components)
 
 
 STRUCTURES = {"c": "complete_J", "h": "horizontal_F"}
@@ -152,10 +150,9 @@ def build_F(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
 # pointwise checks
 # ----------------------------------------------------------------------
 
-def pq_residual(t: np.ndarray, p: int, q: int) -> np.ndarray:
+def pq_residual(t: mf.Array, p: int, q: int) -> mf.Array:
     """t^2 - p t - q I for a square component matrix of expressions."""
-    return mf.add(mf.contract("am,mb->ab", t, t), t * E.const(-p),
-                  np.identity(len(t), dtype=object) * -q)
+    return mf.add(mf.contract("am,mb->ab", t, t), t * E.const(-p), mf.identity(len(t)) * -q)
 
 
 def check_metallic(T: MetallicOnTM, points, mode: str = "exact",
@@ -188,7 +185,7 @@ def check_compat(metric: TensorField, T: MetallicOnTM, points, mode: str = "exac
 # ----------------------------------------------------------------------
 
 def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
-                   N: TensorField, X: TensorField, Y: TensorField) -> Dict[str, np.ndarray]:
+                   N: TensorField, X: TensorField, Y: TensorField) -> Dict[str, mf.Array]:
     """Residuals of the lifted-frame closed forms for N = N_Psi, the
     Nijenhuis tensor of Psi = phi^c + eps1 eta^v (x) xi^v + eps2 eta^c (x) xi^c,
     one row per frame pair.  For J = (p/2) I - (a/2) Psi, N_J = A N_Psi with
@@ -208,7 +205,7 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
     Yv, Yc = lift(Y, "v"), lift(Y, "c")
     xiv, xic = lift(S.xi, "v"), lift(S.xi, "c")
 
-    def n_on(U: TensorField, V: TensorField) -> np.ndarray:
+    def n_on(U: TensorField, V: TensorField) -> mf.Array:
         return mf.contract("aij,i,j->a", N, U, V)
 
     n1xy = mf.TensorField(S.base, (1, 0), mf.contract("aij,i,j->a", nt["N1"], X, Y))
@@ -218,7 +215,7 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
     n4x = mf.contract("m,m->", nt["N4"], X)
     n2_x_xi = mf.contract("ij,i,j->", nt["N2"], X, S.xi)
 
-    rows: Dict[str, np.ndarray] = {}
+    rows: Dict[str, mf.Array] = {}
 
     # N(X^v, Y^v) = 0
     rows["vv"] = n_on(Xv, Yv)
@@ -279,10 +276,10 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
     def r_on(U, V):  # [x, y, z, l] = R(U_x, V_y) X_z
         return mf.contract("lijk,xi,yj,zk->xyzl", R, U, V, X)
 
-    inner = mf.contract("am,xyzm->xyza", S.phi, r_on(phiX, X) + r_on(X, phiX))
+    inner = mf.contract("am,xyzm->xyza", S.phi, mf.add(r_on(phiX, X), r_on(X, phiX)))
     resid4 = mf.add(r_on(phiX, phiX), r_on(X, X), -inner)
     tr4 = ResidualTracker(mode, tol)
-    for idx in np.ndindex(resid4.shape):
+    for idx in mf.ndindex(resid4.shape):
         tr4.track(M, points, idx, (1, resid4[idx]))
     e4 = tr4.verdict("e4-curvature")
 
@@ -294,7 +291,7 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
     eta_nxy = mf.contract("m,xym->xy", S.eta, nXY)
     tr5 = ResidualTracker(mode, tol)
     equivalence_ok = True
-    for ix, iy in np.ndindex(eta_nxy.shape):
+    for ix, iy in mf.ndindex(eta_nxy.shape):
         for pt, vals in zip(points, tr5.track(M, points, (ix, iy), (1, resid5[ix, iy]))):
             e5_zero = all(is_zero(v) for v in vals)
             eta_zero = is_zero(E.evaluate(eta_nxy[ix, iy], pt, mode))
@@ -337,8 +334,7 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
     else:
         lift_dir = bd.hlift_vector
         phi2 = mf.TensorField(S.base, (1, 1), mf.contract("am,mb->ab", S.phi, S.phi))
-        basis = [mf.TensorField(S.base, (1, 0), np.identity(n, dtype=object)[i])
-                 for i in range(n)]
+        basis = [mf.TensorField(S.base, (1, 0), mf.identity(n)[i]) for i in range(n)]
         matched, second = basis, [mf.apply_11(phi2, X) for X in basis]
     # the probes (nabla~_X~ Psi) xi~, frame directions first, then the basis
     probes = mf.contract("aij,xi,j->xa", dpsi,
@@ -346,14 +342,14 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
     closed = (bd.lifted_rows(tb, bd.vlift_vector, [mf.apply_11(S.phi, X) for X in matched])
               - bd.lifted_rows(tb, lift_dir, second))
     match = ResidualTracker(mode, tol)
-    for i, resid in enumerate(probes[len(probes) - len(closed):] - closed):
-        match.track(tb.chart, points, (i,), (scale, resid))
+    for i, (probe, want) in enumerate(zip(list(probes)[len(probes) - len(closed):], closed)):
+        match.track(tb.chart, points, (i,), (scale, probe - want))
 
     # non-vanishing over every distribution frame direction
     nonzero_all = True
     zero_witness: Optional[Witness] = None
     sample = ResidualTracker(mode, tol)
-    for i, probe in enumerate(probes[:len(d_frame)]):
+    for i, probe in enumerate(list(probes)[:len(d_frame)]):
         for pt, vals in zip(points, sample.track(tb.chart, points, (i,), (scale, probe))):
             if all(meets_zero(v, mode, tol) for v in vals):
                 nonzero_all = False

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from . import exprs as E
 from . import manifold as mf
 from .manifold import ChartedManifold, Connection, GeometryError, TensorField
@@ -38,8 +36,7 @@ def check_almost_paracontact(S: ParacontactStructure, points, mode: str = "exact
     M = S.base
     phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
 
-    r1 = mf.add(mf.contract("am,mj->aj", phi, phi), -np.identity(M.n, dtype=object),
-                np.multiply.outer(xi, eta))
+    r1 = mf.add(mf.contract("am,mj->aj", phi, phi), -mf.identity(M.n), mf.outer(xi, eta))
     r2 = [S.eta_of_xi() - 1]
     r3 = mf.contract("am,m->a", phi, xi)
     r4 = mf.contract("m,mj->j", eta, phi)
@@ -57,10 +54,10 @@ def check_metric_compat(S: ParacontactStructure, points, mode: str = "exact",
     phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
 
     # g - phi^T g phi - eta (x) eta
-    r1 = mf.add(g, mf.contract("ai,ab,bj->ij", -phi, g, phi), np.multiply.outer(-eta, eta))
+    r1 = mf.add(g, mf.contract("ai,ab,bj->ij", -phi, g, phi), mf.outer(-eta, eta))
 
     r2 = mf.contract("mi,mj+im,mj->ij", phi, g, -g, phi)  # g(phi X, Y) - g(X, phi Y)
-    r3 = -eta + mf.contract("im,m->i", g, xi)  # g(X, xi) - eta(X)
+    r3 = mf.add(-eta, mf.contract("im,m->i", g, xi))  # g(X, xi) - eta(X)
 
     return [residual_verdict(aid, M, points, mode, tol, (1, r))
             for aid, r in (("compat-eq4", r1), ("compat-phi-symmetry", r2),
@@ -74,7 +71,7 @@ def check_p_sasakian(S: ParacontactStructure, C: Connection, points, mode: str =
     g = M.metric
     phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
 
-    delta = mf.expr_array(np.identity(M.n, dtype=object))
+    delta = mf.expr_array(mf.identity(M.n))
     rhs = mf.contract("ij,a+j,ai+i,j,a->aij", -g, xi, -eta, delta, eta * E.const(2), eta, xi)
     r1 = mf.covariant_derivative(C, S.phi).components - rhs  # [a, i, j]
     r2 = mf.covariant_derivative(C, S.xi).components - phi  # [a, i]
@@ -90,7 +87,8 @@ def n_tensors(S: ParacontactStructure) -> dict:
 
     deta = mf.exterior_derivative(eta).components
     # N1 = N_phi - 2 deta (x) xi, with [a, i, j] = (-2) deta[i, j] xi[a]
-    n1 = mf.nijenhuis(phi).components + deta * xi.components[:, None, None] * E.const(-2)
+    deta_xi = mf.Array((M.n,) * 3, [d * x for x in xi.components.flat for d in deta.flat])
+    n1 = mf.add(mf.nijenhuis(phi).components, deta_xi * E.const(-2))
     # [i, j] = (L_{phi d_i} eta)_j = phi^m_i d_m eta_j + eta_m d_j phi^m_i
     lie_forms = mf.contract("mi,mj+m,jmi->ij", phi, M.partials(eta.components),
                             eta, M.partials(phi.components))
@@ -116,8 +114,8 @@ def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact") 
     """
     M = S.base
     eta, xi = S.eta.components, S.xi.components
-    members = mf.add(np.identity(M.n, dtype=object),
-                     np.multiply.outer(-(eta / S.eta_of_xi()), xi))
+    eta_xi = S.eta_of_xi()
+    members = mf.add(mf.identity(M.n), mf.outer([-(e / eta_xi) for e in eta.flat], xi))
 
     def vanishes(c: E.Expr) -> bool:
         return all(meets_zero(E.evaluate(c, pt, mode), mode, 1e-12) for pt in points)
@@ -140,6 +138,6 @@ def check_D_flat(S: ParacontactStructure, C: Connection, points, mode: str = "ex
     X = mf.rows(frame, S.base.n)
     resid = mf.contract("m,xym->xy", S.eta, mf.cov_rows(C, X, X))
     tracker = ResidualTracker(mode, tol)
-    for idx in np.ndindex(resid.shape):
+    for idx in mf.ndindex(resid.shape):
         tracker.track(S.base, points, idx, (1, resid[idx]))
     return tracker.verdict("D-flat")

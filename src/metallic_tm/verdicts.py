@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-import numpy as np
-
 from . import exprs as E
+from .manifold import asarray, ndindex
 from .scalars import abs_greater, is_zero, scalar_str, scaled_sum
 
 FLOAT_TOL = 1e-9
@@ -79,17 +78,19 @@ class ResidualTracker:
 
     def track(self, chart, points, label: tuple, *terms) -> list:
         """Update with the residual sum(coef * arr) over (coef, arr) terms at
-        every point (points outer, components in ``np.ndindex`` order), under
-        the frame ``label + index``.  Each component of each arr (an Expr or
-        an array of them) is evaluated first and then scaled by its constant
-        coef.  Returns, per point, the list of component values."""
-        arrs = [(c, np.asarray(arr, dtype=object)) for c, arr in terms]
+        every point (points outer, components in C order, the last index
+        fastest), under the frame ``label + index``.  Each component of each
+        arr (an Expr, or an Array or nested list of them) is evaluated first
+        and then scaled by its constant coef.  Returns, per point, the list
+        of component values."""
+        arrs = [(c, asarray(arr)) for c, arr in terms]
+        indices = list(ndindex(arrs[0][1].shape))
         out = []
         for pt in points:
             coords = chart.coords(pt)
             values = []
-            for idx in np.ndindex(arrs[0][1].shape):
-                v = scaled_sum(*((c, E.evaluate(arr[idx], pt, self.mode)) for c, arr in arrs))
+            for k, idx in enumerate(indices):
+                v = scaled_sum(*((c, E.evaluate(arr.flat[k], pt, self.mode)) for c, arr in arrs))
                 self.update(v, coords, label + idx)
                 values.append(v)
             out.append(values)

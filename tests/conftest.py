@@ -66,7 +66,4 @@ def manifest_path():
 
 def eval_zero(arr, point):
     """True when every expression in arr evaluates to exactly zero."""
-    import numpy as np
-
-    vals = mf.evaluate_array(np.asarray(arr, dtype=object), point)
-    return all(v == 0 for v in vals.reshape(-1))
+    return all(v == 0 for v in mf.evaluate_array(arr, point).flat)

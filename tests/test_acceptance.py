@@ -98,8 +98,8 @@ def test_criterion_3_metallic_identity_all_variants(manifest, pts10):
     for build, (kind, lift_vector) in lifts.items():
         ek = bd.lift_oneform(tb, S.eta, kind)
         xk = lift_vector(tb, S.xi)
-        cross[build] = [mf.evaluate_array(ml._outer(ek, xv), pt)
-                        + mf.evaluate_array(ml._outer(ev, xk), pt) for pt in pts]
+        cross[build] = [mf.evaluate_array(mf.add(ml._outer(ek, xv), ml._outer(ev, xk)), pt)
+                        for pt in pts]
 
     for (p, q), (e1, e2) in itertools.product(
             [(1, 1), (1, 2), (2, 1), (3, 5)],

@@ -65,6 +65,30 @@ def test_verify_writes_report(manifest_path, tmp_path, capsys):
     assert doc["conventions"]["xc_sign"] == "+"
 
 
+def test_verify_runs_without_numpy(tmp_path, manifest_path):
+    """verify needs nothing beyond the standard library: with numpy's import
+    blocked it still writes the golden report of the bundled manifest, and
+    no numpy module is loaded."""
+    report = tmp_path / "report.json"
+    script = "\n".join([
+        "import sys",
+        "sys.modules['numpy'] = None  # any import of numpy now fails",
+        "from metallic_tm import cli",
+        f"code = cli.main(['verify', {manifest_path!r}, '--report', {str(report)!r}])",
+        "loaded = [m for m, mod in sys.modules.items()",
+        "          if m.split('.')[0] == 'numpy' and mod is not None]",
+        "print(loaded)",
+        "sys.exit(code)",
+    ])
+    src = os.path.dirname(os.path.dirname(metallic_tm.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    golden = pathlib.Path(__file__).parent / "data" / "hyperbolic-h3.report.json"
+    assert report.read_bytes() == golden.read_bytes()
+
+
 def test_verify_detects_failures(tmp_path, manifest_path):
     doc = json.load(open(manifest_path))
     doc["phi"][2][2] = "1"
@@ -90,6 +114,7 @@ def test_verify_evaluation_error_exit_code(tmp_path, manifest_path):
         assert proc.returncode == EXIT_USAGE
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+        assert "1/(x1*x2 - x2*x1)" in proc.stderr
 
 
 def test_verify_residual_beyond_float_range(tmp_path, manifest_path):

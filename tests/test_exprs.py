@@ -2,12 +2,12 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metallic_tm import exprs as E
+from metallic_tm import manifold as mf
 from metallic_tm.exprs import EvalError, ParseError, Var
 
 
@@ -153,6 +153,24 @@ def test_print_parse_round_trip(e, coords):
     assert E.evaluate(e, p) == E.evaluate(e2, p)
 
 
+@pytest.mark.parametrize("text, printed", [
+    ("1/(x1*x2 - x2*x1)", "1/(x1*x2 - x2*x1)"),
+    ("-x1*x2 + x1", "-x1*x2 + x1"),
+    ("x1 - x2", "x1 - x2"),
+    ("-x1", "-x1"),
+    ("-(x1 + x2)*x3", "-(x1 + x2)*x3"),
+    ("(-x1*x2)^2", "(-x1*x2)^2"),
+    ("-x1/x2", "-x1/x2"),
+    ("x3 - 2*x1", "x3 - 2*x1"),
+])
+def test_minus_one_coefficient_prints_as_unary_minus(text, printed):
+    """A product with coefficient -1 prints with a unary minus, after the
+    minus of a sum too, and parses back to the same tree."""
+    e = E.parse(text, 3)
+    assert E.to_str(e) == printed
+    assert E.parse(printed, 3) == e
+
+
 def _cubed(e, times):
     for _ in range(times):
         e = E.pow_(e, 3)
@@ -293,15 +311,15 @@ def test_point_is_read_only():
 
 
 def test_array_operators_build_the_explicit_trees():
-    """Elementwise - and + on Expr arrays build E.add(a, E.mul(E.const(-1), b))
-    and E.add(a, b), and arr * c builds E.mul(c, a) for a constant c.  A sum
-    of three terms stays one E.add: nesting collects like terms in another
-    order."""
+    """Elementwise a - b and mf.add(a, b) on Expr arrays build
+    E.add(a, E.mul(E.const(-1), b)) and E.add(a, b), and arr * c builds
+    E.mul(c, a) for a constant c.  A sum of three terms stays one E.add:
+    nesting collects like terms in another order."""
     x1, x2 = E.Var("base", 1), E.Var("base", 2)
-    a = np.array([E.add(x1, x2), x1, E.ZERO], dtype=object)
-    b = np.array([x1, E.mul(E.const(3), x2), x2], dtype=object)
+    a = mf.asarray([E.add(x1, x2), x1, E.ZERO])
+    b = mf.asarray([x1, E.mul(E.const(3), x2), x2])
     assert list(a - b) == [E.add(u, E.mul(E.const(-1), v)) for u, v in zip(a, b)]
-    assert list(a + b) == [E.add(u, v) for u, v in zip(a, b)]
+    assert list(mf.add(a, b)) == [E.add(u, v) for u, v in zip(a, b)]
     assert list(b * E.const(2)) == [E.mul(E.const(2), v) for v in b]
     s = E.add(x1, x2)
     assert (s - x1) + x1 == E.add(x2, x1)

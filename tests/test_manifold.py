@@ -140,7 +140,7 @@ def test_lie_derivative_of_metric_along_killing_field(h3, base_points):
     lg = mf.lie_derivative(d3, g).components
     for pt in base_points:
         want = mf.evaluate_array(h3.metric * E.div(E.const(-2), x3), pt)
-        assert np.array_equal(mf.evaluate_array(lg, pt), want)
+        assert mf.evaluate_array(lg, pt).flat == want.flat
         assert want[0, 0] != 0
 
 
@@ -156,6 +156,11 @@ def test_metric_required_for_christoffel():
     M = mf.ChartedManifold(xs, None)
     with pytest.raises(mf.GeometryError):
         mf.christoffel(M)
+
+
+def _numpy_values(arr, pt):
+    """The values of an Expr array at ``pt`` as a numpy array, for einsum."""
+    return np.array(mf.evaluate_array(arr, pt).flat, dtype=object).reshape(arr.shape)
 
 
 @pytest.mark.parametrize("spec, shapes", [
@@ -178,11 +183,11 @@ def test_contract_matches_einsum(spec, shapes, base_points):
         arrays.append(arr)
     got = mf.contract(spec, *arrays)
     lhs, out = spec.split("->")
-    values = iter([mf.evaluate_array(a, pt) for a in arrays])
+    values = iter([_numpy_values(a, pt) for a in arrays])
     want = sum(np.einsum(f"{p}->{out}", *[next(values) for _ in p.split(",")])
                for p in lhs.split("+"))
-    if isinstance(got, np.ndarray):
-        assert np.array_equal(mf.evaluate_array(got, pt), want)
+    if isinstance(got, mf.Array):
+        assert np.array_equal(_numpy_values(got, pt), want)
     else:
         assert E.evaluate(got, pt) == want
 
@@ -193,10 +198,10 @@ def test_contract_keeps_loop_term_order():
     builds; float evaluation sums the terms in that order."""
     x1, x2, x3 = (Var("base", i) for i in range(1, 4))
     y1 = Var("fiber", 1)
-    P = np.array([E.pow_(x1, j + 1) for j in range(3)], dtype=object)
-    Q = np.array([[E.pow_(x2, 3 * j + i + 1) for i in range(3)] for j in range(3)], dtype=object)
-    R = np.array([E.pow_(x3, j + 1) for j in range(3)], dtype=object)
-    S = np.array([[E.pow_(y1, 3 * j + i + 1) for i in range(3)] for j in range(3)], dtype=object)
+    P = mf.asarray([E.pow_(x1, j + 1) for j in range(3)])
+    Q = mf.asarray([[E.pow_(x2, 3 * j + i + 1) for i in range(3)] for j in range(3)])
+    R = mf.asarray([E.pow_(x3, j + 1) for j in range(3)])
+    S = mf.asarray([[E.pow_(y1, 3 * j + i + 1) for i in range(3)] for j in range(3)])
     got = mf.contract("j,ji+j,ji->i", P, Q, R, S)
     for i in range(3):
         s = E.ZERO
@@ -292,7 +297,7 @@ def test_contract_over_the_support_builds_the_dense_loop_trees(spec, operands):
 
 
 def test_contract_with_zero_operand_gives_zero():
-    xs = np.array([Var("base", i) for i in range(1, 4)], dtype=object)
+    xs = mf.asarray([Var("base", i) for i in range(1, 4)])
     out = mf.contract("ij,j->i", mf.zeros((3, 3)), xs)
     assert all(c is E.ZERO for c in out)
     assert mf.contract("i,i->", xs, mf.zeros(3)) is E.ZERO
@@ -303,7 +308,7 @@ def test_evaluate_array_shares_one_memo(base_points):
     they share is computed once; a Point passed in keeps its memo."""
     x1, x2, x3 = (Var("base", i) for i in range(1, 4))
     shared = E.mul(x1, x2)
-    arr = np.array([E.add(shared, x3), E.mul(shared, x3)], dtype=object)
+    arr = mf.asarray([E.add(shared, x3), E.mul(shared, x3)])
     point = E.Point(base_points[0])
     assert list(mf.evaluate_array(arr, point)) == [3, 2]
     assert point.memos["exact"][shared] == 1
@@ -389,15 +394,42 @@ def test_cov_vec_builds_the_loop_trees(tb, conn):
         _same_trees(got[x, y], _loop_cov_vec(conn, us[x], vs[y]))
 
 
+def test_array_indexes_and_transposes_as_numpy_does():
+    """Entries, leading blocks, rows, transposes and broadcast sums of an
+    Array agree with numpy's on the same C-order data; an index out of range
+    and a difference of two shapes are errors, not wrapped reads."""
+    ref = np.arange(24).reshape(2, 3, 4)
+    a = mf.Array((2, 3, 4), range(24))
+    assert (a.shape, a.ndim, len(a)) == (ref.shape, ref.ndim, len(ref))
+    for idx in np.ndindex(ref.shape):
+        assert a[idx] == ref[idx]
+    assert a[1].flat == ref[1].ravel().tolist() and a[1, 2].flat == ref[1, 2].tolist()
+    assert [row.flat for row in a] == [row.ravel().tolist() for row in ref]
+    for axes in ((1, 0, 2), (2, 0, 1), (1, 2, 0), ()):
+        got, want = a.transpose(*axes), ref.transpose(*axes)
+        assert got.shape == want.shape and got.flat == want.ravel().tolist()
+    assert a.T.flat == ref.T.ravel().tolist()
+    got = mf.add(a, mf.Array((3, 1), [100, 200, 300]), 1000)
+    assert got.shape == (2, 3, 4) and all(
+        got[idx] == E.const(int(ref[idx]) + 100 * (idx[1] + 1) + 1000) for idx in np.ndindex(2, 3, 4))
+    for bad in ((2, 0, 0), (0, 3, 0), (0, 0, 4), (0, 0, 0, 0), (-1, 0, 0)):
+        with pytest.raises(IndexError):
+            a[bad]
+    with pytest.raises(mf.GeometryError):
+        a - a.transpose(0, 2, 1)
+    with pytest.raises(mf.GeometryError):
+        mf.add(a, mf.Array((2,), [0, 0]))
+
+
 def test_add_broadcasts_componentwise():
     """mf.add is one E.add per component over its arguments in order, with
-    numpy broadcasting; numbers and single Exprs broadcast too."""
+    the axes of the arguments aligned from the right and an axis that is
+    missing or of size 1 repeated; numbers and single Exprs broadcast too."""
     x1, x2, x3 = (Var("base", i) for i in range(1, 4))
     xs = [x1, x2, x3]
-    A = np.array([[E.mul(E.const(i - j), xs[i], xs[j]) for j in range(3)] for i in range(3)],
-                 dtype=object)
-    b = np.array([E.pow_(x, 2) for x in xs], dtype=object)
-    got = mf.add(A, -A.T, b, x1, np.identity(3, dtype=object) * -2)
+    A = mf.asarray([[E.mul(E.const(i - j), xs[i], xs[j]) for j in range(3)] for i in range(3)])
+    b = mf.asarray([E.pow_(x, 2) for x in xs])
+    got = mf.add(A, -A.T, b, x1, mf.identity(3) * -2)
     assert got.shape == (3, 3)
     for i, j in itertools.product(range(3), repeat=2):
         want = E.add(A[i, j], E.mul(E.const(-1), A[j, i]), b[j], x1, -2 if i == j else 0)
@@ -459,7 +491,7 @@ def _loop_nijenhuis(F):
     M, n = F.base, F.base.n
     basis = [mf.TensorField(M, (1, 0), [E.ONE if a == i else E.ZERO for a in range(n)])
              for i in range(n)]
-    cols = [mf.TensorField(M, (1, 0), F.components[:, j]) for j in range(n)]
+    cols = [mf.TensorField(M, (1, 0), [F.components[a, j] for a in range(n)]) for j in range(n)]
 
     def bracket(X, Y):
         return mf.TensorField(M, (1, 0), _spec_lie_bracket(X, Y))
@@ -484,7 +516,7 @@ def _same_nijenhuis(F, points):
     n = F.base.n
     assert all(got[a, i, i] is E.ZERO for a in range(n) for i in range(n))
     for pt in points:
-        assert np.array_equal(mf.evaluate_array(got, pt), mf.evaluate_array(want, pt))
+        assert mf.evaluate_array(got, pt).flat == mf.evaluate_array(want, pt).flat
     return want
 
 

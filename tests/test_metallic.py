@@ -54,7 +54,8 @@ BUILDERS = {"c": ml.build_J, "h": ml.build_F}
 
 
 def _values(arr, pt):
-    return mf.evaluate_array(np.asarray(arr, dtype=object), pt)
+    """The values of an Expr array at ``pt`` as a numpy array."""
+    return np.array(mf.evaluate_array(arr, pt).flat, dtype=object).reshape(mf.asarray(arr).shape)
 
 
 @pytest.mark.parametrize("lift", ["c", "h"])

@@ -62,7 +62,7 @@ def _line():
 
 def test_track_updates_points_outer_then_components_under_label_frames():
     chart, points, x1, x2 = _line()
-    arr = np.array([[x1, x2], [E.mul(x1, x2), E.ZERO]], dtype=object)
+    arr = mf.asarray([[x1, x2], [E.mul(x1, x2), E.ZERO]])
     tracker = _Recorder()
     values = tracker.track(chart, points, ("lab",), (1, arr))
     assert [c[1:] for c in tracker.calls] == [

@@ -56,7 +56,7 @@ def main():
         print(f"  {name}: {'zero' if all(x == 0 for x in vals) else 'NONZERO'}")
 
     print("\nThe distribution D = ker(eta) is not flat:")
-    v = pc.check_D_flat(S, conn, pts)
+    v = pc.check_D_flat(S, conn, pc.distribution_frame(S, pts), pts)
     print(f"  D-flat {v.status}, witness frame {v.witness.frame}, "
           f"residual {v.witness.value}")
 

@@ -12,6 +12,7 @@ from metallic_tm import bundle as bd
 from metallic_tm import harness
 from metallic_tm import manifold as mf
 from metallic_tm import metallic as ml
+from metallic_tm import paracontact as pc
 from metallic_tm.cli import bundled_manifest_path
 
 
@@ -37,8 +38,9 @@ def main():
     print("\nParallelity probes (closed forms, nonzero residuals):")
     cc = bd.clift_connection(tb)
     hc = bd.hlift_connection(tb)
-    vJ = ml.parallelity_probe(J, cc, S, tb, pts)
-    vF = ml.parallelity_probe(F, hc, S, tb, pts)
+    frame = pc.distribution_frame(S, pts)
+    vJ = ml.parallelity_probe(J, cc, S, tb, frame, pts)
+    vF = ml.parallelity_probe(F, hc, S, tb, frame, pts)
     print(f"  J never parallel wrt nabla^c: {vJ.status}, "
           f"sample residual {vJ.witness.value}")
     print(f"  F never parallel wrt nabla^h: {vF.status}, "

@@ -35,12 +35,7 @@ class TangentBundleChart:
                 raise GeometryError("bundle base chart must use base-kind variables")
         self.base_vars = base.variables
         self.fiber_vars = fiber
-        self.chart = ChartedManifold(
-            base.variables + fiber,
-            metric=None,
-            domain=base.domain,
-            coord_names=base.coord_names + tuple(v.name for v in fiber),
-        )
+        self.chart = ChartedManifold(base.variables + fiber, domain=base.domain)
         self.connection = connection
 
     @cached_property

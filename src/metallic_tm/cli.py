@@ -24,23 +24,17 @@ def bundled_manifest_path(name: str = "hyperbolic-h3") -> str:
 
 
 def _load(path: str):
-    """Read and parse a manifest; exits 2 on IO/JSON trouble, 1 on content."""
+    """``harness.load_manifest``; exits 2 on IO/JSON trouble, 1 on content."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        return harness.load_manifest(path)
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    try:
-        doc = json.loads(raw)
+        message, code = f"cannot read {path}: {exc}", EXIT_USAGE
     except json.JSONDecodeError as exc:
-        print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    try:
-        return harness.parse_manifest(doc, raw)
+        message, code = f"{path} is not valid JSON: {exc}", EXIT_USAGE
     except ManifestError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_FAIL)
+        message, code = f"{path}: {exc}", EXIT_FAIL
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(code)
 
 
 def cmd_validate(args) -> int:

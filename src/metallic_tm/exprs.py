@@ -10,6 +10,7 @@ exact evaluation at sample points, not on canonical forms.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Union
@@ -488,6 +489,12 @@ def to_str(e: Expr) -> str:
 # parsing
 # ----------------------------------------------------------------------
 
+# ASCII only: str.isdigit and str.isalnum also accept digits such as "²"
+# and "٣", which int() then rejects or reads as "3"
+_INT = re.compile(r"[0-9]+")
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
 class _Tokenizer:
     def __init__(self, text: str) -> None:
         self.text = text
@@ -502,16 +509,10 @@ class _Tokenizer:
         if i >= len(t):
             return ("end", "", i)
         c = t[i]
-        if c.isdigit():
-            j = i
-            while j < len(t) and t[j].isdigit():
-                j += 1
-            return ("int", t[i:j], i)
-        if c.isalpha():
-            j = i
-            while j < len(t) and (t[j].isalnum() or t[j] == "_"):
-                j += 1
-            return ("name", t[i:j], i)
+        for kind, pattern in (("int", _INT), ("name", _NAME)):
+            m = pattern.match(t, i)
+            if m:
+                return (kind, m.group(), i)
         if c in "+-*/^()":
             return (c, c, i)
         raise ParseError(f"unexpected character {c!r}", i)

@@ -30,21 +30,6 @@ from .verdicts import FLOAT_TOL, ResidualTracker, meets_zero, worst
 TOOL_NAME = "metallic-tm"
 TOOL_VERSION = "0.1.0"
 
-SUITE_IDS = (
-    "axioms",
-    "lifts",
-    "J-metallic",
-    "J-compat",
-    "J-integrable",
-    "J-parallel",
-    "Phi-closedness",
-    "F-metallic",
-    "F-compat",
-    "F-integrability-conditions",
-    "F-parallel",
-    "Phi-prime",
-)
-
 
 class ManifestError(ValueError):
     """Invalid manifest content (shape, parse, or parameter errors)."""
@@ -214,7 +199,7 @@ def parse_manifest(doc: dict, raw: bytes = b"") -> Manifest:
     if not isinstance(domain, list):
         raise ManifestError(f"domain must be a list of expressions, got {domain!r}")
     domain = [_parse_expr(e, n, f"domain[{i}]") for i, e in enumerate(domain)]
-    M = mf.ChartedManifold(variables, metric, domain=domain, coord_names=coords)
+    M = mf.ChartedManifold(variables, metric, domain=domain)
 
     phi = mf.TensorField(M, (1, 1), _parse_matrix(doc["phi"], n, "phi"))
     eta = mf.TensorField(M, (0, 1), _parse_vector(doc["eta"], n, "eta"))
@@ -242,13 +227,12 @@ def parse_manifest(doc: dict, raw: bytes = b"") -> Manifest:
 
 
 def load_manifest(path: str) -> Manifest:
+    """Read and parse a manifest file.  Raises ``OSError`` if it cannot be
+    read, ``json.JSONDecodeError`` if it is not JSON, and ``ManifestError``
+    if its content is invalid."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: invalid JSON: {exc}") from None
-    return parse_manifest(doc, raw)
+    return parse_manifest(json.loads(raw), raw)
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +320,7 @@ class SuiteContext:
     @cached_property
     def frame(self) -> List[mf.TensorField]:
         """The spanning fields of D = ker(eta), built on first use."""
-        return pc.distribution_frame(self.S, self.points, self.mode)
+        return pc.distribution_frame(self.S, self.points, self.mode, self.plan.tol)
 
     def test_fields(self):
         """Deterministic non-constant fields exercising all lift laws."""
@@ -530,20 +514,19 @@ def suite_F_metallic(ctx: SuiteContext) -> dict:
     return _metallic_suite(ctx, "F-metallic", "h")
 
 
+def _compat_suite(ctx: SuiteContext, suite_id: str, lift: str, metric: mf.TensorField) -> dict:
+    return _verdicts_to_suite(suite_id, [
+        v for prm in ctx.manifest.params
+        for v in ml.check_compat(metric, ctx.structure(lift, prm), ctx.points, ctx.mode,
+                                 ctx.plan.tol)])
+
+
 def suite_J_compat(ctx: SuiteContext) -> dict:
-    verdicts = []
-    for prm in ctx.manifest.params:
-        verdicts += ml.check_compat(ctx.gc, ctx.structure("c", prm), ctx.points, ctx.mode,
-                                    ctx.plan.tol)
-    return _verdicts_to_suite("J-compat", verdicts)
+    return _compat_suite(ctx, "J-compat", "c", ctx.gc)
 
 
 def suite_F_compat(ctx: SuiteContext) -> dict:
-    verdicts = []
-    for prm in ctx.manifest.params:
-        verdicts += ml.check_compat(ctx.G, ctx.structure("h", prm), ctx.points, ctx.mode,
-                                    ctx.plan.tol)
-    return _verdicts_to_suite("F-compat", verdicts)
+    return _compat_suite(ctx, "F-compat", "h", ctx.G)
 
 
 def suite_J_integrable(ctx: SuiteContext) -> dict:
@@ -563,7 +546,7 @@ def suite_J_integrable(ctx: SuiteContext) -> dict:
 
 def _parallel_suite(ctx: SuiteContext, suite_id: str, lift: str, conn) -> dict:
     v = ml.parallelity_probe(ctx.structure(lift, ctx.manifest.params[0]), conn, ctx.S, ctx.tb,
-                             ctx.points, ctx.mode, ctx.plan.tol, ctx.frame)
+                             ctx.frame, ctx.points, ctx.mode, ctx.plan.tol)
     return _suite_result(suite_id, "pass" if v.holds else "fail", v.max_residual,
                          [v.witness.to_json()] if v.witness else [])
 
@@ -599,7 +582,6 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
         lvs = tracker.track(tb.chart, ctx.points, (iX, iY, iZ, "dPhi"), (scale, lhs[iX, iY, iZ]))
         for pt, (lv,) in zip(ctx.points, lvs):
             rv = E.evaluate(rhs[iX, iY, iZ], pt, ctx.mode)
-            tracker.note_scale(rv)
             if meets_zero(lv, ctx.mode, ctx.plan.tol) != meets_zero(rv, ctx.mode, ctx.plan.tol):
                 consistent = False
                 witnesses.append({
@@ -616,8 +598,8 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
 def suite_F_integrability(ctx: SuiteContext) -> dict:
     F = ctx.structure("h", ctx.manifest.params[0])
     A = F.params.coefficients(ctx.mode)[0]
-    res = ml.check_F_integrability_conditions(ctx.S, ctx.conn, ctx.points, ctx.mode,
-                                              ctx.plan.tol, ctx.frame, ctx.R)
+    res = ml.check_F_integrability_conditions(ctx.S, ctx.conn, ctx.R, ctx.frame, ctx.points,
+                                              ctx.mode, ctx.plan.tol)
     NPsi = mf.nijenhuis(F.psi)  # N_F = (a^2/4) N_Psi
     nf_zero = all(meets_zero(scaled_sum((A, E.evaluate(c, pt, ctx.mode))), ctx.mode, ctx.plan.tol)
                   for pt in ctx.points for c in NPsi.components.flat)
@@ -690,6 +672,7 @@ _SUITES = {
     "F-parallel": suite_F_parallel,
     "Phi-prime": suite_Phi_prime,
 }
+SUITE_IDS = tuple(_SUITES)  # in report order
 
 
 def run_suites(manifest: Manifest, suites: Optional[Sequence[str]] = None,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import exprs as E
 from .exprs import Expr, Var
@@ -176,21 +176,12 @@ class ChartedManifold:
     admissible points.
     """
 
-    def __init__(
-        self,
-        variables: Sequence[Var],
-        metric=None,
-        domain: Sequence[Expr] = (),
-        coord_names: Optional[Sequence[str]] = None,
-    ) -> None:
+    def __init__(self, variables: Sequence[Var], metric=None, domain: Sequence[Expr] = ()) -> None:
         self.variables = tuple(variables)
         self.n = len(self.variables)
         if self.n < 2:
             raise GeometryError("chart dimension must be at least 2")
         self.domain = tuple(domain)
-        self.coord_names = tuple(coord_names) if coord_names else tuple(
-            v.name for v in self.variables
-        )
         if metric is None:
             self.metric = None
         else:
@@ -329,28 +320,16 @@ def contract(spec: str, *arrays):
     return Array(shape, out) if out_idx else out[0]
 
 
-def _spread(op: Array, shape: tuple) -> list:
-    """The entries of ``op`` broadcast to ``shape``, in C order: the axes
-    are aligned from the right, and an axis of size 1 or a missing one
-    repeats."""
-    if op.shape == shape:
-        return op.flat
-    lead = len(shape) - op.ndim
-    if lead < 0 or any(d not in (1, t) for d, t in zip(op.shape, shape[lead:])):
-        raise GeometryError(f"shape {op.shape} does not broadcast to {shape}")
-    strides = [0] * lead + [s if d != 1 else 0 for d, s in zip(op.shape, op._strides)]
-    return [op.flat[o] for o in _offsets(shape, strides)]
-
-
 def add(*arrays):
-    """Componentwise sum of Expr arrays (or Exprs, or numbers), broadcast to
-    a common shape: one ``E.add`` call per component, terms in argument
-    order.  Without an array argument the sum is a single Expr."""
+    """Componentwise sum of Expr arrays of one shape (or of Exprs, or
+    numbers): one ``E.add`` call per component, terms in argument order.
+    Without an array argument the sum is a single Expr.  Shapes do not
+    broadcast: ``contract("a+,a->a", u, s, v)`` adds a scalar s times v."""
     ops = [asarray(a) for a in arrays]
-    ndim = max(op.ndim for op in ops)
-    shape = tuple(min({op.shape[k - ndim + op.ndim] for op in ops if k >= ndim - op.ndim} - {1},
-                      default=1) for k in range(ndim))
-    out = [E.add(*terms) for terms in zip(*(_spread(op, shape) for op in ops))]
+    shape = ops[0].shape
+    if any(op.shape != shape for op in ops):
+        raise GeometryError(f"cannot add shapes {', '.join(str(op.shape) for op in ops)}")
+    out = [E.add(*terms) for terms in zip(*(op.flat for op in ops))]
     return Array(shape, out) if shape else out[0]
 
 
@@ -385,19 +364,11 @@ def _det(m: Array) -> Expr:
     return E.add(*terms)
 
 
-def det(m) -> Expr:
-    """Determinant of a square Expr matrix by Laplace expansion."""
-    arr = expr_array(m)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise GeometryError("determinant needs a square matrix")
-    return _det(arr)
-
-
 def inverse_matrix(m) -> Array:
-    """Symbolic inverse via adjugate over determinant."""
+    """Symbolic inverse via adjugate over determinant (Laplace expansion)."""
     arr = expr_array(m)
     n = arr.shape[0]
-    d = det(arr)
+    d = _det(arr)
     inv = zeros((n, n))
     for i in range(n):
         for j in range(n):

@@ -19,7 +19,7 @@ from . import exprs as E
 from . import manifold as mf
 from . import paracontact as pc
 from .manifold import Connection, TensorField
-from .scalars import MetallicScalar, is_zero, sigma
+from .scalars import MetallicScalar, sigma
 from .verdicts import (FLOAT_TOL, AxiomVerdict, ResidualTracker, Witness, meets_zero,
                        residual_verdict)
 
@@ -258,19 +258,16 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
 # ----------------------------------------------------------------------
 
 def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
-                                     points, mode: str = "exact", tol: float = FLOAT_TOL,
-                                     frame=None, R=None) -> Dict[str, AxiomVerdict]:
+                                     R: TensorField, frame, points, mode: str = "exact",
+                                     tol: float = FLOAT_TOL) -> Dict[str, AxiomVerdict]:
     """The two curvature/connection conditions of the F-integrability theorem
-    plus D-flatness, each evaluated on distribution frame tuples (``frame``,
-    by default ``distribution_frame`` at the points).  ``R`` is the curvature
-    of ``C``, built here when not given."""
+    plus D-flatness, each evaluated on tuples of the distribution frame
+    ``frame`` (``distribution_frame``).  ``R`` is the curvature of ``C``."""
     M = S.base
-    R = mf.curvature(C) if R is None else R
-    frame = pc.distribution_frame(S, points, mode) if frame is None else frame
     X = mf.rows(frame, M.n)  # [x, a]: the frame fields X_x
     phiX = mf.contract("am,xm->xa", S.phi, X)
 
-    d_flat = pc.check_D_flat(S, C, points, mode, tol, frame)
+    d_flat = pc.check_D_flat(S, C, frame, points, mode, tol)
 
     # e4: R(phiX, phiY)Z + R(X,Y)Z - phi{ R(phiX, Y)Z + R(X, phiY)Z } = 0
     def r_on(U, V):  # [x, y, z, l] = R(U_x, V_y) X_z
@@ -293,8 +290,8 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
     equivalence_ok = True
     for ix, iy in mf.ndindex(eta_nxy.shape):
         for pt, vals in zip(points, tr5.track(M, points, (ix, iy), (1, resid5[ix, iy]))):
-            e5_zero = all(is_zero(v) for v in vals)
-            eta_zero = is_zero(E.evaluate(eta_nxy[ix, iy], pt, mode))
+            e5_zero = all(meets_zero(v, mode, tol) for v in vals)
+            eta_zero = meets_zero(E.evaluate(eta_nxy[ix, iy], pt, mode), mode, tol)
             if e5_zero != eta_zero:
                 equivalence_ok = False
     e5 = tr5.verdict("e5-connection")
@@ -309,12 +306,12 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
 
 def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
                       S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
-                      points, mode: str = "exact", tol: float = FLOAT_TOL,
-                      frame=None) -> AxiomVerdict:
+                      frame, points, mode: str = "exact",
+                      tol: float = FLOAT_TOL) -> AxiomVerdict:
     """(nabla~_X~ T) xi~ against the closed form; the structure is reported
-    non-parallel when every D-frame direction (``frame``, by default
-    ``distribution_frame`` at the points) gives a nonzero residual that
-    matches the closed form exactly.
+    non-parallel when every direction of the D-frame ``frame``
+    (``distribution_frame``) gives a nonzero residual that matches the
+    closed form exactly.
 
     complete_J:   (nabla^c_{X^c} J) xi^c = -((2s-p)/2) [(phi X)^v - X^c]
     horizontal_F: (nabla^h_{X^h} F) xi^h = -((2s-p)/2) [(phi X)^v - (phi^2 X)^h]
@@ -325,12 +322,11 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
     n = tb.n
     scale = T.params.coefficients(mode)[2]
     dpsi = mf.covariant_derivative(lifted_conn, T.psi)  # [a, A, b]
-    d_frame = pc.distribution_frame(S, points, mode) if frame is None else frame
     # closed-form match: the J display is qualified to directions in D,
     # while the F display carries phi^2 and holds on the whole frame
     if T.kind == "complete_J":
         lift_dir, basis = bd.clift_vector, []
-        matched = second = d_frame
+        matched = second = frame
     else:
         lift_dir = bd.hlift_vector
         phi2 = mf.TensorField(S.base, (1, 1), mf.contract("am,mb->ab", S.phi, S.phi))
@@ -338,7 +334,7 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
         matched, second = basis, [mf.apply_11(phi2, X) for X in basis]
     # the probes (nabla~_X~ Psi) xi~, frame directions first, then the basis
     probes = mf.contract("aij,xi,j->xa", dpsi,
-                         bd.lifted_rows(tb, lift_dir, list(d_frame) + basis), lift_dir(tb, S.xi))
+                         bd.lifted_rows(tb, lift_dir, list(frame) + basis), lift_dir(tb, S.xi))
     closed = (bd.lifted_rows(tb, bd.vlift_vector, [mf.apply_11(S.phi, X) for X in matched])
               - bd.lifted_rows(tb, lift_dir, second))
     match = ResidualTracker(mode, tol)
@@ -349,7 +345,7 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
     nonzero_all = True
     zero_witness: Optional[Witness] = None
     sample = ResidualTracker(mode, tol)
-    for i, probe in enumerate(list(probes)[:len(d_frame)]):
+    for i, probe in enumerate(list(probes)[:len(frame)]):
         for pt, vals in zip(points, sample.track(tb.chart, points, (i,), (scale, probe))):
             if all(meets_zero(v, mode, tol) for v in vals):
                 nonzero_all = False

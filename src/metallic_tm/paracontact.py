@@ -105,12 +105,13 @@ def n_tensors(S: ParacontactStructure) -> dict:
     }
 
 
-def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact") -> List[TensorField]:
+def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact",
+                       tol: float = FLOAT_TOL) -> List[TensorField]:
     """Spanning fields for D: {d_i - (eta(d_i)/eta(xi)) xi}, zeros dropped.
 
-    A member counts as zero when it is structurally zero or evaluates to
-    zero at every supplied sample point (quotients such as eta(xi) rarely
-    cancel structurally).
+    A member counts as zero when it is structurally zero or meets zero
+    (``meets_zero`` with ``tol``) at every supplied sample point (quotients
+    such as eta(xi) rarely cancel structurally).
     """
     M = S.base
     eta, xi = S.eta.components, S.xi.components
@@ -118,7 +119,7 @@ def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact") 
     members = mf.add(mf.identity(M.n), mf.outer([-(e / eta_xi) for e in eta.flat], xi))
 
     def vanishes(c: E.Expr) -> bool:
-        return all(meets_zero(E.evaluate(c, pt, mode), mode, 1e-12) for pt in points)
+        return all(meets_zero(E.evaluate(c, pt, mode), mode, tol) for pt in points)
 
     out = []
     for comps in members:
@@ -130,11 +131,10 @@ def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact") 
     return out
 
 
-def check_D_flat(S: ParacontactStructure, C: Connection, points, mode: str = "exact",
-                 tol: float = FLOAT_TOL, frame=None) -> AxiomVerdict:
-    """eta(nabla_X Y) = 0 for a spanning family of D-valued fields (``frame``,
-    by default ``distribution_frame`` at the points)."""
-    frame = distribution_frame(S, points, mode) if frame is None else frame
+def check_D_flat(S: ParacontactStructure, C: Connection, frame, points, mode: str = "exact",
+                 tol: float = FLOAT_TOL) -> AxiomVerdict:
+    """eta(nabla_X Y) = 0 for the spanning family ``frame`` of D-valued
+    fields (``distribution_frame``)."""
     X = mf.rows(frame, S.base.n)
     resid = mf.contract("m,xym->xy", S.eta, mf.cov_rows(C, X, X))
     tracker = ResidualTracker(mode, tol)

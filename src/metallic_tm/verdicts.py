@@ -39,7 +39,8 @@ class AxiomVerdict:
 
 
 def meets_zero(value, mode: str, tol: float) -> bool:
-    """Exactly zero in exact mode; of magnitude at most ``tol`` in float mode."""
+    """Exactly zero in exact mode; of magnitude at most ``tol`` in float mode.
+    The one zero test behind every verdict."""
     return is_zero(value) if mode == "exact" else abs(value) <= tol
 
 
@@ -55,21 +56,15 @@ def worst(verdicts):
 class ResidualTracker:
     """Collects residual values and reports the max-magnitude one.
 
-    In exact mode a residual "meets zero" iff it is exactly zero, and
-    magnitudes are ranked exactly; in float mode iff its magnitude is at
-    most ``tol`` times the tracked scale.
+    Magnitudes are ranked exactly in exact mode.  The residuals all meet
+    zero when the largest one does (``meets_zero`` with ``tol``).
     """
 
     def __init__(self, mode: str = "exact", tol: float = FLOAT_TOL) -> None:
         self.mode = mode
         self.tol = tol
         self.max_value: Any = 0
-        self.scale = 1.0
         self.witness: Optional[Witness] = None
-
-    def note_scale(self, value) -> None:
-        if self.mode == "float" and abs(value) > self.scale:
-            self.scale = abs(value)
 
     def update(self, value, point_coords, frame) -> None:
         if abs_greater(value, self.max_value):
@@ -98,7 +93,7 @@ class ResidualTracker:
 
     @property
     def all_zero(self) -> bool:
-        return meets_zero(self.max_value, self.mode, self.tol * self.scale)
+        return meets_zero(self.max_value, self.mode, self.tol)
 
     def verdict(self, axiom_id: str) -> AxiomVerdict:
         return AxiomVerdict(axiom_id, "holds" if self.all_zero else "fails",

@@ -184,8 +184,9 @@ def test_criterion_7_F_integrability_conditions(manifest, pts10, report):
     assert s["notes"]["e5"] == "fails"
     assert s["notes"]["N_F_vanishes"] is False
 
+    conn, S = mf.christoffel(manifest.manifold), manifest.structure
     res = ml.check_F_integrability_conditions(
-        manifest.structure, mf.christoffel(manifest.manifold), pts10[:3])
+        S, conn, mf.curvature(conn), pc.distribution_frame(S, pts10[:3]), pts10[:3])
     w = res["D_flat"].witness
     assert w.frame == (0, 0)
     x3 = Fraction(w.point[2])

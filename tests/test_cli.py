@@ -206,6 +206,9 @@ EXPRESSION_MALFORMED = {
     "exp": _set(("eta", 2), "exp(x1)"),
     "zero-denominator-folds": _set(("eta", 2), "1/(x1-x1)"),
     "zero-to-negative-power": _set(("domain", 0), "0^-1"),
+    "superscript-digit": _set(("eta", 2), "1/x3\u00b2"),
+    "arabic-indic-index": _set(("xi", 2), "x\u0663"),
+    "arabic-indic-digit": _set(("metric", 0, 0), "\u0663"),
 }
 
 

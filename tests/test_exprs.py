@@ -47,6 +47,13 @@ def test_parse_error_reports_offset():
         with pytest.raises(ParseError) as ei:
             E.parse(text, 1)
         assert ei.value.offset == offset
+    # a digit outside ASCII is an error too: str.isdigit accepts a
+    # superscript two, which int() rejects, and int() reads an Arabic-Indic
+    # one or three or a fullwidth two as 1, 3 or 2
+    for text, offset in (("1/x3\u00b2", 4), ("x\u0661", 0), ("\u0663*x1", 0), ("x1 + \uff12", 5)):
+        with pytest.raises(ParseError) as ei:
+            E.parse(text, 3)
+        assert ei.value.offset == offset
 
 
 def test_exact_mode_rejects_transcendentals():

@@ -67,3 +67,32 @@ def test_imports_are_stdlib_or_declared_dependencies():
                      for module in absolute_imports(path.read_text(encoding="utf-8"))
                      if module not in allowed)
     assert declared == set() and foreign == []
+
+
+def zero_test_sites(source: str) -> list:
+    """(line, text) of every name ``is_zero`` and every float literal in a
+    module: the places that decide by themselves whether a value is zero."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, repr(node.value)))
+        elif "is_zero" in (getattr(node, attr, None) for attr in ("name", "id", "attr")):
+            found.append((node.lineno, "is_zero"))  # an import, a name or an attribute
+    return sorted(found)
+
+
+def test_zero_test_sites_are_found():
+    source = "from .scalars import is_zero as z, sign\nTOL = 1e-12\n" \
+             "def f(x):\n    return sc.is_zero(x) or is_zero(x) or abs(x) <= 0.5 or x == 1\n"
+    assert zero_test_sites(source) == [(1, "is_zero"), (2, "1e-12"), (4, "0.5"),
+                                       (4, "is_zero"), (4, "is_zero")]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name not in ("verdicts.py", "scalars.py")],
+                         ids=lambda p: p.name)
+def test_zero_tests_are_made_in_verdicts(path):
+    """Every zero test goes through ``verdicts.meets_zero`` with the plan
+    tolerance: no other module calls ``is_zero`` or holds a tolerance of
+    its own."""
+    assert zero_test_sites(path.read_text(encoding="utf-8")) == []

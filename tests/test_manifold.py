@@ -395,9 +395,10 @@ def test_cov_vec_builds_the_loop_trees(tb, conn):
 
 
 def test_array_indexes_and_transposes_as_numpy_does():
-    """Entries, leading blocks, rows, transposes and broadcast sums of an
-    Array agree with numpy's on the same C-order data; an index out of range
-    and a difference of two shapes are errors, not wrapped reads."""
+    """Entries, leading blocks, rows, transposes and sums of an Array agree
+    with numpy's on the same C-order data; an index out of range and a sum
+    or difference of two shapes are errors, not wrapped reads or
+    broadcasts."""
     ref = np.arange(24).reshape(2, 3, 4)
     a = mf.Array((2, 3, 4), range(24))
     assert (a.shape, a.ndim, len(a)) == (ref.shape, ref.ndim, len(ref))
@@ -409,32 +410,39 @@ def test_array_indexes_and_transposes_as_numpy_does():
         got, want = a.transpose(*axes), ref.transpose(*axes)
         assert got.shape == want.shape and got.flat == want.ravel().tolist()
     assert a.T.flat == ref.T.ravel().tolist()
-    got = mf.add(a, mf.Array((3, 1), [100, 200, 300]), 1000)
+    got = mf.add(a, mf.Array((2, 3, 4), [1000] * 24))
     assert got.shape == (2, 3, 4) and all(
-        got[idx] == E.const(int(ref[idx]) + 100 * (idx[1] + 1) + 1000) for idx in np.ndindex(2, 3, 4))
+        got[idx] == E.const(int(ref[idx]) + 1000) for idx in np.ndindex(2, 3, 4))
     for bad in ((2, 0, 0), (0, 3, 0), (0, 0, 4), (0, 0, 0, 0), (-1, 0, 0)):
         with pytest.raises(IndexError):
             a[bad]
     with pytest.raises(mf.GeometryError):
         a - a.transpose(0, 2, 1)
-    with pytest.raises(mf.GeometryError):
-        mf.add(a, mf.Array((2,), [0, 0]))
+    for other in (mf.Array((2,), [0, 0]), mf.Array((3, 1), [100, 200, 300]), 1000):
+        with pytest.raises(mf.GeometryError):
+            mf.add(a, other)
 
 
-def test_add_broadcasts_componentwise():
-    """mf.add is one E.add per component over its arguments in order, with
-    the axes of the arguments aligned from the right and an axis that is
-    missing or of size 1 repeated; numbers and single Exprs broadcast too."""
+def test_add_sums_one_shape_componentwise():
+    """mf.add is one E.add per component over its arguments in order, all
+    of one shape; a sum of single Exprs is one Expr.  Arguments of two
+    shapes are an error, even where numpy would broadcast them: a scalar
+    times an array is a contract."""
     x1, x2, x3 = (Var("base", i) for i in range(1, 4))
     xs = [x1, x2, x3]
     A = mf.asarray([[E.mul(E.const(i - j), xs[i], xs[j]) for j in range(3)] for i in range(3)])
     b = mf.asarray([E.pow_(x, 2) for x in xs])
-    got = mf.add(A, -A.T, b, x1, mf.identity(3) * -2)
+    got = mf.add(A, -A.T, mf.identity(3) * -2)
     assert got.shape == (3, 3)
     for i, j in itertools.product(range(3), repeat=2):
-        want = E.add(A[i, j], E.mul(E.const(-1), A[j, i]), b[j], x1, -2 if i == j else 0)
+        want = E.add(A[i, j], E.mul(E.const(-1), A[j, i]), -2 if i == j else 0)
         assert got[i, j] == want and E.to_str(got[i, j]) == E.to_str(want)
     assert mf.add(x1, x2) == E.add(x1, x2)
+    for args in ((A, b), (b, A), (A, x1), (x1, b), (b, mf.asarray([b]))):
+        with pytest.raises(mf.GeometryError, match="cannot add shapes"):
+            mf.add(*args)
+    got = mf.contract("a+,a->a", b, x1, mf.asarray(xs))
+    assert list(got) == [E.add(b[a], E.mul(x1, xs[a])) for a in range(3)]
 
 
 def _fields_on(chart, shape, seed):

@@ -285,7 +285,8 @@ def test_proof_rows_on_contact_example():
 
 def test_J_never_parallel(structure, tb, conn, points, J11):
     cc = bd.clift_connection(tb)
-    v = ml.parallelity_probe(J11, cc, structure, tb, points)
+    v = ml.parallelity_probe(J11, cc, structure, tb, pc.distribution_frame(structure, points),
+                             points)
     assert v.holds
     # probe residual is nonzero: -1/2 + sigma is the leading magnitude
     assert v.max_residual == -Fraction(1, 2) + sigma(1, 1)
@@ -293,14 +294,16 @@ def test_J_never_parallel(structure, tb, conn, points, J11):
 
 def test_F_never_parallel(structure, tb, points, F11):
     hc = bd.hlift_connection(tb)
-    v = ml.parallelity_probe(F11, hc, structure, tb, points)
+    v = ml.parallelity_probe(F11, hc, structure, tb, pc.distribution_frame(structure, points),
+                             points)
     assert v.holds
     assert v.witness is not None
     assert float(v.max_residual) != 0.0
 
 
 def test_F_integrability_conditions(structure, conn, points):
-    res = ml.check_F_integrability_conditions(structure, conn, points)
+    res = ml.check_F_integrability_conditions(structure, conn, mf.curvature(conn),
+                                              pc.distribution_frame(structure, points), points)
     assert res["e4"].holds
     assert not res["D_flat"].holds
     assert not res["e5"].holds

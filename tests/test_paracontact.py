@@ -32,7 +32,8 @@ def test_n_tensors_vanish_on_h3(structure, base_points):
 
 
 def test_d_flat_fails_with_witness(structure, conn, base_points):
-    v = pc.check_D_flat(structure, conn, base_points)
+    v = pc.check_D_flat(structure, conn, pc.distribution_frame(structure, base_points),
+                        base_points)
     assert not v.holds
     assert v.witness is not None
     assert v.witness.frame == (0, 0)  # (d1, d1)
@@ -51,6 +52,21 @@ def test_distribution_frame_drops_xi_direction(structure, base_points):
             s = E.add(s, E.mul(eta[m], X.components[m]))
         for pt in base_points:
             assert E.evaluate(s, pt) == 0
+
+
+def test_distribution_frame_drops_members_within_the_tolerance(h3, base_points):
+    """With xi = d1 + (x1/10000) d2 and eta = dx1, the first member is
+    -(x1/10000) d2: not zero, but within a tolerance of 1e-3 at float points
+    with x1 in [1, 2].  Float mode drops it, exact mode keeps it."""
+    x1 = h3.variables[0]
+    xi = [E.ONE, E.mul(E.const(Fraction(1, 10000)), x1), E.ZERO]
+    S = pc.ParacontactStructure(h3, mf.TensorField(h3, (1, 1), mf.zeros((3, 3))),
+                                mf.TensorField(h3, (0, 1), [E.ONE, E.ZERO, E.ZERO]),
+                                mf.TensorField(h3, (1, 0), xi))
+    float_pts = [{v: float(c) for v, c in pt.items()} for pt in base_points]
+    assert len(pc.distribution_frame(S, float_pts, "float", 1e-3)) == 2
+    assert len(pc.distribution_frame(S, float_pts, "float", 1e-5)) == 3
+    assert len(pc.distribution_frame(S, base_points, "exact", 1e-3)) == 3
 
 
 def _mutated(h3, structure, **kw):
@@ -109,8 +125,10 @@ def test_float_mode_parity(structure, conn, base_points):
     exact = [v.holds for v in pc.check_almost_paracontact(structure, base_points)]
     approx = [v.holds for v in pc.check_almost_paracontact(structure, float_pts, "float")]
     assert exact == approx
-    dflat_e = pc.check_D_flat(structure, conn, base_points).holds
-    dflat_f = pc.check_D_flat(structure, conn, float_pts, "float").holds
+    frame_e = pc.distribution_frame(structure, base_points)
+    frame_f = pc.distribution_frame(structure, float_pts, "float")
+    dflat_e = pc.check_D_flat(structure, conn, frame_e, base_points).holds
+    dflat_f = pc.check_D_flat(structure, conn, frame_f, float_pts, "float").holds
     assert dflat_e == dflat_f
 
 
@@ -147,7 +165,7 @@ def test_n2_is_the_per_column_lie_derivative(h3):
 
 
 def test_distribution_frame_builds_the_loop_trees(h3, structure, base_points):
-    """The frame as one broadcast sum gives the trees of the component loop
+    """The frame as one componentwise sum gives the trees of the component loop
     d_i - (eta(d_i)/eta(xi)) xi."""
     for S in (structure, _polynomial_structure(h3)):
         eta, xi = S.eta.components, S.xi.components

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from typing import List, Optional
 
 from . import harness
@@ -19,6 +18,9 @@ EXIT_USAGE = 2
 
 def bundled_manifest_path(name: str = "hyperbolic-h3") -> str:
     """Filesystem path of a manifest shipped with the package."""
+    # imported here: on Python 3.12 it loads inspect, which verify never needs
+    from importlib import resources
+
     ref = resources.files("metallic_tm").joinpath(f"manifests/{name}.json")
     return str(ref)
 
@@ -29,7 +31,7 @@ def _load(path: str):
         return harness.load_manifest(path)
     except OSError as exc:
         message, code = f"cannot read {path}: {exc}", EXIT_USAGE
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         message, code = f"{path} is not valid JSON: {exc}", EXIT_USAGE
     except ManifestError as exc:
         message, code = f"{path}: {exc}", EXIT_FAIL

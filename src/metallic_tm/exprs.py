@@ -6,6 +6,10 @@ operations and integer powers: rational functions only, with no analytic
 functions.  Only local simplifications are applied (constant folding,
 dropping zero terms and unit factors); correctness downstream rests on
 exact evaluation at sample points, not on canonical forms.
+
+Nodes are hash-consed: each distinct tree is one object, kept for the life
+of the process, so ``==`` and ``hash`` are those of identity.  ``add``,
+``mul`` and ``diff`` are memoised on their (node) arguments.
 """
 
 from __future__ import annotations
@@ -45,26 +49,30 @@ def _to_scalar(x) -> Scalar:
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
+_NODES: dict = {}  # key -> the one node with that key
+
+
+def _interned(key, *fields) -> "Expr":
+    """The node of class ``key[0]`` stored under ``key``; on first use it is
+    made with ``fields`` as the values of its class's slots, in order."""
+    node = _NODES.get(key)
+    if node is None:
+        cls = key[0]
+        node = _NODES[key] = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+    return node
+
+
 class Expr:
-    """Base node of a rational function.  Subclasses: Const, Var, Add, Mul, Div, Pow."""
+    """Base node of a rational function.  Subclasses: Const, Var, Add, Mul, Div, Pow.
 
-    __slots__ = ("_hash",)
+    Nodes are hash-consed: a constructor returns the node that already has
+    its fields, so equal trees are one object and ``==`` is identity."""
 
-    def _key(self):
-        raise NotImplementedError
+    __slots__ = ()
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __setattr__(self, name, value):  # pragma: no cover
+    def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
 
     # operator sugar; every constructor simplifies locally
@@ -108,11 +116,10 @@ class Expr:
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value) -> None:
-        object.__setattr__(self, "value", _to_scalar(value))
-
-    def _key(self):
-        return ("const", self.value)
+    def __new__(cls, value):
+        v = _to_scalar(value)
+        # the type keeps Fraction(1) and a rational MetallicScalar apart
+        return _interned((cls, type(v), v), v)
 
 
 class Var(Expr):
@@ -120,62 +127,47 @@ class Var(Expr):
 
     __slots__ = ("kind", "index")
 
-    def __init__(self, kind: str, index: int) -> None:
+    def __new__(cls, kind: str, index: int):
         if kind not in ("base", "fiber"):
             raise ExprError(f"unknown variable kind {kind!r}")
         if index < 1:
             raise ExprError(f"variable index must be >= 1, got {index}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
+        return _interned((cls, kind, index), kind, index)
 
     @property
     def name(self) -> str:
         return ("x" if self.kind == "base" else "y") + str(self.index)
 
-    def _key(self):
-        return ("var", self.kind, self.index)
-
 
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms) -> None:
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def _key(self):
-        return ("add", self.terms)
+    def __new__(cls, terms):
+        terms = tuple(terms)
+        return _interned((cls, terms), terms)
 
 
 class Mul(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors) -> None:
-        object.__setattr__(self, "factors", tuple(factors))
-
-    def _key(self):
-        return ("mul", self.factors)
+    def __new__(cls, factors):
+        factors = tuple(factors)
+        return _interned((cls, factors), factors)
 
 
 class Div(Expr):
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Expr, den: Expr) -> None:
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def _key(self):
-        return ("div", self.num, self.den)
+    def __new__(cls, num: Expr, den: Expr):
+        return _interned((cls, num, den), num, den)
 
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: int) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", int(exponent))
-
-    def _key(self):
-        return ("pow", self.base, self.exponent)
+    def __new__(cls, base: Expr, exponent: int):
+        exponent = int(exponent)
+        return _interned((cls, base, exponent), base, exponent)
 
 
 ZERO = Const(0)
@@ -210,6 +202,12 @@ def _split_coeff(e: Expr):
 
 
 def add(*xs: ExprLike) -> Expr:
+    """Sum of ``xs``, memoised on their nodes."""
+    return _add(*map(_as_expr, xs))
+
+
+@lru_cache(maxsize=200_000)
+def _add(*xs: Expr) -> Expr:
     # collect like terms by structural part so that e + (-1)*e folds to 0
     coeffs: dict = {}  # part -> (coefficient, its term while no like term met it)
     acc: Scalar = Fraction(0)
@@ -219,8 +217,7 @@ def add(*xs: ExprLike) -> Expr:
         else:
             coeffs[part] = (coeffs[part][0] + c, None)
 
-    for x in xs:
-        e = _as_expr(x)
+    for e in xs:
         sub = e.terms if isinstance(e, Add) else (e,)
         for t in sub:
             if isinstance(t, Const):
@@ -255,14 +252,16 @@ def add(*xs: ExprLike) -> Expr:
 
 
 def mul(*xs: ExprLike) -> Expr:
+    """Product of ``xs``, memoised on their nodes."""
+    return _mul(*map(_as_expr, xs))
+
+
+@lru_cache(maxsize=200_000)
+def _mul(*xs: Expr) -> Expr:
     factors = []
     acc: Optional[Scalar] = None  # the product of the constant factors
-    for x in xs:
-        e = _as_expr(x)
-        if isinstance(e, Mul):
-            sub = e.factors
-        else:
-            sub = (e,)
+    for e in xs:
+        sub = e.factors if isinstance(e, Mul) else (e,)
         for f in sub:
             if isinstance(f, Const):
                 acc = f.value if acc is None else f.value * acc

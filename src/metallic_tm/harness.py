@@ -13,10 +13,9 @@ import itertools
 import json
 import random
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from . import bundle as bd
 from . import exprs as E
@@ -39,8 +38,7 @@ class SamplingError(RuntimeError):
     """No admissible sample point found within the retry budget."""
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(NamedTuple):
     count: int = 10
     seed: int = 2024
     mode: str = "exact"
@@ -59,15 +57,19 @@ class SamplePlan:
         }
 
 
-@dataclass
 class Manifest:
-    name: str
-    n: int
-    manifold: mf.ChartedManifold
-    structure: pc.ParacontactStructure
-    params: List[ml.MetallicParams]
-    plan: SamplePlan
-    raw_bytes: bytes = b""
+    """A parsed manifest; ``raw_bytes`` are the file's bytes, hashed into the report."""
+
+    def __init__(self, name: str, n: int, manifold: mf.ChartedManifold,
+                 structure: pc.ParacontactStructure, params: List[ml.MetallicParams],
+                 plan: SamplePlan, raw_bytes: bytes = b"") -> None:
+        self.name = name
+        self.n = n
+        self.manifold = manifold
+        self.structure = structure
+        self.params = params
+        self.plan = plan
+        self.raw_bytes = raw_bytes
 
     def sha256(self) -> str:
         return hashlib.sha256(self.raw_bytes).hexdigest()
@@ -228,8 +230,9 @@ def parse_manifest(doc: dict, raw: bytes = b"") -> Manifest:
 
 def load_manifest(path: str) -> Manifest:
     """Read and parse a manifest file.  Raises ``OSError`` if it cannot be
-    read, ``json.JSONDecodeError`` if it is not JSON, and ``ManifestError``
-    if its content is invalid."""
+    read, ``UnicodeDecodeError`` if its bytes are not text in a JSON
+    encoding, ``json.JSONDecodeError`` if the text is not JSON, and
+    ``ManifestError`` if its content is invalid."""
     with open(path, "rb") as fh:
         raw = fh.read()
     return parse_manifest(json.loads(raw), raw)

@@ -9,7 +9,6 @@ the defining identity T^2 = pT + qI is still an exact zero test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -24,7 +23,6 @@ from .verdicts import (FLOAT_TOL, AxiomVerdict, ResidualTracker, Witness, meets_
                        residual_verdict)
 
 
-@dataclass(frozen=True)
 class MetallicParams:
     """Metallic parameters (p, q) and the sign variant (eps1, eps2) of the
     eta (x) xi terms in J and F.
@@ -36,19 +34,18 @@ class MetallicParams:
     ``build_J`` and ``build_F``.
     """
 
-    p: int
-    q: int
-    eps1: int = 1
-    eps2: int = 1
-
-    def __post_init__(self):
-        if not all(isinstance(v, int) and not isinstance(v, bool)
-                   for v in (self.p, self.q, self.eps1, self.eps2)):
-            raise ValueError(f"metallic parameters and signs must be integers, got {self}")
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"metallic parameters must be positive, got p={self.p} q={self.q}")
-        if self.eps1 not in (1, -1) or self.eps2 not in (1, -1):
+    def __init__(self, p: int, q: int, eps1: int = 1, eps2: int = 1) -> None:
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (p, q, eps1, eps2)):
+            raise ValueError("metallic parameters and signs must be integers, got "
+                             f"MetallicParams(p={p!r}, q={q!r}, eps1={eps1!r}, eps2={eps2!r})")
+        if p < 1 or q < 1:
+            raise ValueError(f"metallic parameters must be positive, got p={p} q={q}")
+        if eps1 not in (1, -1) or eps2 not in (1, -1):
             raise ValueError("sign variants must be +1 or -1")
+        self.p = p
+        self.q = q
+        self.eps1 = eps1
+        self.eps2 = eps2
 
     @property
     def sigma(self) -> MetallicScalar:
@@ -79,14 +76,14 @@ class MetallicParams:
         return f"p={self.p},q={self.q},eps=({s1},{s2})"
 
 
-@dataclass(frozen=True)
 class MetallicOnTM:
     """T = (p/2) I - (a/2) Psi with a = 2 sigma - p.  The checks below work
     on ``psi`` over Q and scale by the ``coefficients`` of ``params``."""
 
-    kind: str  # "complete_J" or "horizontal_F"
-    psi: TensorField
-    params: MetallicParams
+    def __init__(self, kind: str, psi: TensorField, params: MetallicParams) -> None:
+        self.kind = kind  # "complete_J" or "horizontal_F"
+        self.psi = psi
+        self.params = params
 
     @cached_property
     def tensor(self) -> TensorField:

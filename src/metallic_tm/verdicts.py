@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from . import exprs as E
 from .manifold import asarray, ndindex
@@ -12,8 +11,7 @@ from .scalars import abs_greater, is_zero, scalar_str, scaled_sum
 FLOAT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     point: tuple
     frame: tuple
     value: str
@@ -26,8 +24,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
+class AxiomVerdict(NamedTuple):
     axiom_id: str
     status: str  # "holds" or "fails"
     max_residual: Any

@@ -35,6 +35,16 @@ def test_validate_bad_json(tmp_path):
     assert main(["validate", str(p)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_non_utf8_manifest_is_a_usage_error(command, tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"name": "\xff"}')
+    assert main([command, str(p)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p} is not valid JSON: ") and "0xff" in err
+    assert err.count("\n") == 1
+
+
 def test_validate_bad_content(tmp_path, manifest_path):
     doc = json.load(open(manifest_path))
     doc["eta"][0] = "x1 +"
@@ -68,7 +78,8 @@ def test_verify_writes_report(manifest_path, tmp_path, capsys):
 def test_verify_runs_without_numpy(tmp_path, manifest_path):
     """verify needs nothing beyond the standard library: with numpy's import
     blocked it still writes the golden report of the bundled manifest, and
-    no numpy module is loaded."""
+    no numpy module is loaded, nor ``dataclasses`` or ``inspect``, which
+    would add their import time to every run."""
     report = tmp_path / "report.json"
     script = "\n".join([
         "import sys",
@@ -76,7 +87,8 @@ def test_verify_runs_without_numpy(tmp_path, manifest_path):
         "from metallic_tm import cli",
         f"code = cli.main(['verify', {manifest_path!r}, '--report', {str(report)!r}])",
         "loaded = [m for m, mod in sys.modules.items()",
-        "          if m.split('.')[0] == 'numpy' and mod is not None]",
+        "          if m.split('.')[0] in ('numpy', 'dataclasses', 'inspect')",
+        "          and mod is not None]",
         "print(loaded)",
         "sys.exit(code)",
     ])

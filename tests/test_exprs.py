@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
 from metallic_tm.exprs import EvalError, ParseError, Var
+from metallic_tm.scalars import MetallicScalar
 
 
 def pt(*vals):
@@ -103,6 +104,46 @@ def test_constant_folding():
     e = E.mul(E.const(2), E.const(3), Var("base", 1))
     assert E.evaluate(e, pt(Fraction(5))) == 30
     assert E.add(E.const(2), E.const(-2)) == E.ZERO
+
+
+# -- hash-consing ----------------------------------------------------------
+
+def test_equal_trees_are_one_object():
+    """Parsing, the operators, the node constructors and diff all return the
+    one node of a tree."""
+    x1, x2, x3 = (Var("base", i) for i in (1, 2, 3))
+    parsed = E.parse("x2*x3 + 2*x1/x3", 3)
+    assert x2 * x3 + 2 * x1 / x3 is parsed
+    assert E.Add([E.Mul([x2, x3]), E.Div(E.Mul([E.Const(2), x1]), x3)]) is parsed
+    assert E.diff(E.parse("x1*x2*x3 + x1^2/x3", 3), x1) is parsed
+    assert E.Pow(x1, 2) is E.parse("x1^2", 3) is x1 ** 2
+    assert Var("fiber", 2) is E.parse("y2", 3)
+
+
+def test_constants_of_two_types_are_two_nodes():
+    one = MetallicScalar(1, 0, 1, 1)
+    assert E.Const(Fraction(1)) is E.Const(1) is E.ONE
+    assert E.Const(Fraction(1)) is not E.Const(one)
+    assert type(E.Const(one).value) is MetallicScalar
+
+
+def test_add_and_mul_keep_the_type_of_a_constant_argument():
+    """1, Fraction(1) and a rational MetallicScalar are equal and hash
+    alike, but they are distinct arguments of the memoised add and mul."""
+    y = Var("fiber", 9)
+    one = MetallicScalar(1, 0, 1, 1)
+    for c in (1, Fraction(1), one, Fraction(1), 1):
+        assert E.add(y, c) is E.Add([y, E.Const(c)])
+        assert E.mul(y, c) is (E.Mul([E.Const(one), y]) if c is one else y)
+
+
+def test_nodes_refuse_attribute_assignment():
+    x1 = Var("base", 1)
+    for node, name in ((x1, "index"), (E.ONE, "value"), (x1 + 1, "terms"),
+                       (2 * x1 * x1, "factors"), (1 / x1, "num"), (x1 ** 3, "base")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, E.ZERO)
+    assert x1.index == 1 and E.ONE.value == 1
 
 
 # -- differentiation -----------------------------------------------------

@@ -191,7 +191,7 @@ def _is_const(e: Expr, value=None) -> bool:
 
 
 def _split_coeff(e: Expr):
-    """Write e as (coefficient, structural-part key, part tuple)."""
+    """Write e as (coefficient, tuple of the other factors)."""
     if isinstance(e, Mul):
         fs = e.factors
         if isinstance(fs[0], Const):
@@ -350,18 +350,20 @@ def diff(e: Expr, v: Var) -> Expr:
 # ----------------------------------------------------------------------
 
 class Point(dict):
-    """A sample point: a read-only map from ``Var`` to coordinate.
+    """A sample point: a read-only map from ``Var`` to coordinate.  It is
+    ``exact`` when no coordinate is a float.
 
-    It carries one memo per evaluation mode, holding the value at this point
-    of every subtree ``evaluate`` has computed, so a subtree shared by many
-    residuals is computed once.  Make a new ``Point`` for a fresh memo.
+    Its ``memo`` holds the value at this point of every subtree ``evaluate``
+    has computed, so a subtree shared by many residuals is computed once.
+    Make a new ``Point`` for a fresh memo.
     """
 
-    __slots__ = ("memos",)
+    __slots__ = ("memo", "exact")
 
     def __init__(self, coords=()) -> None:
         super().__init__(coords)
-        self.memos = {"exact": {}, "float": {}}
+        self.memo = {}
+        self.exact = not any(isinstance(c, float) for c in self.values())
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("a Point is read-only")
@@ -370,22 +372,22 @@ class Point(dict):
     update = setdefault = pop = popitem = clear = _read_only
 
 
-def evaluate(e: Expr, point: Mapping[Var, object], mode: str = "exact"):
-    """Value of ``e`` at ``point``.
+def evaluate(e: Expr, point: Mapping[Var, object]):
+    """Value of ``e`` at ``point``; the coordinates decide the arithmetic.
 
-    Exact mode requires exact coordinates and returns a
-    Fraction or MetallicScalar.  Float mode returns a float (sigma embedded
-    as (p + sqrt(p^2+4q))/2).  Subtree values are kept in the memo of a
-    ``Point``; any other mapping gets a memo for this call only.
+    At an exact point every coordinate must be an exact scalar, and the
+    value is a Fraction or MetallicScalar.  At a point with a float
+    coordinate it is a float (sigma embedded as (p + sqrt(p^2+4q))/2).
+    Subtree values are kept in the memo of a ``Point``; any other mapping
+    gets a memo for this call only.
     """
-    if mode not in ("exact", "float"):
-        raise EvalError(f"unknown evaluation mode {mode!r}")
-    memo = point.memos[mode] if isinstance(point, Point) else {}
+    if not isinstance(point, Point):
+        point = Point(point)
     try:
-        return _eval(e, point, memo, mode == "exact")
+        return _eval(e, point, point.memo, point.exact)
     except (OverflowError, ZeroDivisionError) as exc:
         # float range, e.g. x^400 at 1e3 or x^-2 at 0
-        raise EvalError(f"{mode} evaluation failed: {exc}") from None
+        raise EvalError(f"float evaluation failed: {exc}") from None
 
 
 def _eval(e: Expr, pt, memo: dict, exact: bool):

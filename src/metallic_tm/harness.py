@@ -13,6 +13,7 @@ import itertools
 import json
 import random
 import re
+import sys
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence
@@ -139,7 +140,8 @@ def _parse_plan(doc, n: int) -> SamplePlan:
     if not _is_int(seed):
         raise ManifestError("sample plan seed must be an integer")
     tol = doc.get("tolerance", FLOAT_TOL)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+            or not 0 < tol <= sys.float_info.max):
         raise ManifestError(f"sample plan tolerance must be a positive number, got {tol!r}")
     mode = doc.get("mode", "exact")
     if mode not in ("exact", "float"):
@@ -246,8 +248,8 @@ _MAX_REDRAWS = 2000
 
 
 def sample_points(manifest: Manifest, plan: Optional[SamplePlan] = None):
-    """Deterministic admissible bundle points (``exprs.Point``); exact
-    rationals, converted to float for float mode."""
+    """Deterministic admissible bundle points (``exprs.Point``): exact
+    rationals, made floats in float mode, so they decide the arithmetic."""
     plan = plan or manifest.plan
     if plan.count < 1:
         raise ManifestError("sample count must be at least 1")
@@ -304,7 +306,6 @@ class SuiteContext:
         self.R = mf.curvature(self.conn)
         self.tb = bd.TangentBundleChart(self.M, self.conn)
         self.points = sample_points(manifest, plan)
-        self.mode = plan.mode
         self.gc = bd.clift_metric(self.tb)
         self.G = bd.sasaki_metric(self.tb)
         self.cc = bd.clift_connection(self.tb)
@@ -323,7 +324,7 @@ class SuiteContext:
     @cached_property
     def frame(self) -> List[mf.TensorField]:
         """The spanning fields of D = ker(eta), built on first use."""
-        return pc.distribution_frame(self.S, self.points, self.mode, self.plan.tol)
+        return pc.distribution_frame(self.S, self.points, self.plan.tol)
 
     def test_fields(self):
         """Deterministic non-constant fields exercising all lift laws."""
@@ -387,9 +388,9 @@ def _verdicts_to_suite(suite_id: str, verdicts) -> dict:
 
 def suite_axioms(ctx: SuiteContext) -> dict:
     verdicts = []
-    verdicts += pc.check_almost_paracontact(ctx.S, ctx.points, ctx.mode, ctx.plan.tol)
-    verdicts += pc.check_metric_compat(ctx.S, ctx.points, ctx.mode, ctx.plan.tol)
-    verdicts += pc.check_p_sasakian(ctx.S, ctx.conn, ctx.points, ctx.mode, ctx.plan.tol)
+    verdicts += pc.check_almost_paracontact(ctx.S, ctx.points, ctx.plan.tol)
+    verdicts += pc.check_metric_compat(ctx.S, ctx.points, ctx.plan.tol)
+    verdicts += pc.check_p_sasakian(ctx.S, ctx.conn, ctx.points, ctx.plan.tol)
     return _verdicts_to_suite("axioms", verdicts)
 
 
@@ -398,7 +399,7 @@ def suite_lifts(ctx: SuiteContext) -> dict:
     n = M.n
     X, Y, f, w, F2 = ctx.test_fields()
     prm = ctx.manifest.params[0]
-    tracker = ResidualTracker(ctx.mode, ctx.plan.tol)
+    tracker = ResidualTracker(ctx.plan.tol)
     residuals: List[tuple] = []  # (label, expr or iterable of exprs)
 
     Xv, Xc, Xh = bd.vlift_vector(tb, X), bd.clift_vector(tb, X), bd.hlift_vector(tb, X)
@@ -505,7 +506,7 @@ def suite_lifts(ctx: SuiteContext) -> dict:
 
 def _metallic_suite(ctx: SuiteContext, suite_id: str, lift: str) -> dict:
     return _verdicts_to_suite(suite_id, [
-        ml.check_metallic(ctx.structure(lift, prm), ctx.points, ctx.mode, ctx.plan.tol)
+        ml.check_metallic(ctx.structure(lift, prm), ctx.points, ctx.plan.tol)
         for prm in ctx.manifest.params])
 
 
@@ -520,8 +521,7 @@ def suite_F_metallic(ctx: SuiteContext) -> dict:
 def _compat_suite(ctx: SuiteContext, suite_id: str, lift: str, metric: mf.TensorField) -> dict:
     return _verdicts_to_suite(suite_id, [
         v for prm in ctx.manifest.params
-        for v in ml.check_compat(metric, ctx.structure(lift, prm), ctx.points, ctx.mode,
-                                 ctx.plan.tol)])
+        for v in ml.check_compat(metric, ctx.structure(lift, prm), ctx.points, ctx.plan.tol)])
 
 
 def suite_J_compat(ctx: SuiteContext) -> dict:
@@ -536,9 +536,9 @@ def suite_J_integrable(ctx: SuiteContext) -> dict:
     """N_J = (a^2/4) N_Psi: N_Psi and its proof-table rows are evaluated
     over Q and scaled."""
     J = ctx.structure("c", ctx.manifest.params[0])
-    A = J.params.coefficients(ctx.mode)[0]
+    A = J.params.coefficients()[0]
     NPsi = mf.nijenhuis(J.psi)
-    tracker = ResidualTracker(ctx.mode, ctx.plan.tol)
+    tracker = ResidualTracker(ctx.plan.tol)
     tracker.track(ctx.tb.chart, ctx.points, (), (A, NPsi.components))
     # the proof-table decomposition for one representative field pair
     X, Y, _, _, _ = ctx.test_fields()
@@ -549,7 +549,7 @@ def suite_J_integrable(ctx: SuiteContext) -> dict:
 
 def _parallel_suite(ctx: SuiteContext, suite_id: str, lift: str, conn) -> dict:
     v = ml.parallelity_probe(ctx.structure(lift, ctx.manifest.params[0]), conn, ctx.S, ctx.tb,
-                             ctx.frame, ctx.points, ctx.mode, ctx.plan.tol)
+                             ctx.frame, ctx.points, ctx.plan.tol)
     return _suite_result(suite_id, "pass" if v.holds else "fail", v.max_residual,
                          [v.witness.to_json()] if v.witness else [])
 
@@ -567,7 +567,7 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
     on distribution triples; the suite passes when the two vanish together.
     dPhi is -a/2 times the coboundary of the form G(., Psi .) over Q."""
     J = ctx.structure("c", ctx.manifest.params[0])
-    scale = J.params.coefficients(ctx.mode)[2]
+    scale = J.params.coefficients()[2]
     dPhi = mf.coboundary_2form(ml.fundamental_form(J, ctx.gc))
     M, tb, frame = ctx.M, ctx.tb, ctx.frame
     X = mf.rows(frame, M.n)
@@ -578,14 +578,14 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
                        mf.contract("am,xm->xa", ctx.S.phi, X))
     rhs = mf.add(eq27, eq27.transpose(2, 0, 1), eq27.transpose(1, 2, 0))
 
-    tracker = ResidualTracker(ctx.mode, ctx.plan.tol)
+    tracker = ResidualTracker(ctx.plan.tol)
     consistent = True
     witnesses = []
     for iX, iY, iZ in mf.ndindex(lhs.shape):
         lvs = tracker.track(tb.chart, ctx.points, (iX, iY, iZ, "dPhi"), (scale, lhs[iX, iY, iZ]))
         for pt, (lv,) in zip(ctx.points, lvs):
-            rv = E.evaluate(rhs[iX, iY, iZ], pt, ctx.mode)
-            if meets_zero(lv, ctx.mode, ctx.plan.tol) != meets_zero(rv, ctx.mode, ctx.plan.tol):
+            rv = E.evaluate(rhs[iX, iY, iZ], pt)
+            if meets_zero(lv, ctx.plan.tol) != meets_zero(rv, ctx.plan.tol):
                 consistent = False
                 witnesses.append({
                     "point": [scalar_str(c) for c in tb.chart.coords(pt)],
@@ -600,11 +600,11 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
 
 def suite_F_integrability(ctx: SuiteContext) -> dict:
     F = ctx.structure("h", ctx.manifest.params[0])
-    A = F.params.coefficients(ctx.mode)[0]
+    A = F.params.coefficients()[0]
     res = ml.check_F_integrability_conditions(ctx.S, ctx.conn, ctx.R, ctx.frame, ctx.points,
-                                              ctx.mode, ctx.plan.tol)
+                                              ctx.plan.tol)
     NPsi = mf.nijenhuis(F.psi)  # N_F = (a^2/4) N_Psi
-    nf_zero = all(meets_zero(scaled_sum((A, E.evaluate(c, pt, ctx.mode))), ctx.mode, ctx.plan.tol)
+    nf_zero = all(meets_zero(scaled_sum((A, E.evaluate(c, pt))), ctx.plan.tol)
                   for pt in ctx.points for c in NPsi.components.flat)
     conditions_hold = res["D_flat"].holds and res["e4"].holds
     consistent = (nf_zero == conditions_hold) and res["e5_equivalence"].holds
@@ -634,7 +634,7 @@ def suite_Phi_prime(ctx: SuiteContext) -> dict:
     times the coboundary of the form G(., Psi .) over Q."""
     prm = ctx.manifest.params[0]
     Fm = ctx.structure("h", prm)
-    scale = prm.coefficients(ctx.mode)[2]
+    scale = prm.coefficients()[2]
     dPhip = mf.coboundary_2form(ml.fundamental_form(Fm, ctx.G))
     M, tb, frame = ctx.M, ctx.tb, ctx.frame
     X = mf.rows(frame, M.n)
@@ -643,14 +643,14 @@ def suite_Phi_prime(ctx: SuiteContext) -> dict:
     # dPhi' + (a/6) gXX = -(a/2) (val - gXX/3), zero for sign "-"
     resid = mf.add(val, mf.contract("ab,xa,xb->x", M.metric, X, X) * E.const(Fraction(-1, 3)))
 
-    tracker = ResidualTracker(ctx.mode, ctx.plan.tol)
+    tracker = ResidualTracker(ctx.plan.tol)
     nonzero_all = True
     sign_counts = {"+": 0, "-": 0}
     for i in range(len(val)):
         tracker.track(tb.chart, ctx.points, (i,), (scale, resid[i]))
         for pt in ctx.points:
-            dval = scaled_sum((scale, E.evaluate(val[i], pt, ctx.mode)))
-            if meets_zero(dval, ctx.mode, ctx.plan.tol):
+            dval = scaled_sum((scale, E.evaluate(val[i], pt)))
+            if meets_zero(dval, ctx.plan.tol):
                 nonzero_all = False
             else:
                 sign_counts["-" if sign(dval) < 0 else "+"] += 1

@@ -160,12 +160,12 @@ def expr_array(nested) -> Array:
     return Array(arr.shape, [e if isinstance(e, Expr) else E.const(e) for e in arr.flat])
 
 
-def evaluate_array(arr, point, mode: str = "exact") -> Array:
+def evaluate_array(arr, point) -> Array:
     """Every component at ``point``; the components share one memo."""
     if not isinstance(point, E.Point):
         point = E.Point(point)
     arr = asarray(arr)
-    return Array(arr.shape, [E.evaluate(e, point, mode) for e in arr.flat])
+    return Array(arr.shape, [E.evaluate(e, point) for e in arr.flat])
 
 
 class ChartedManifold:

@@ -61,14 +61,12 @@ class MetallicParams:
         """a^2/4 = ((2 sigma - p)/2)^2 = (p^2 + 4q)/4, a rational number."""
         return Fraction(self.p * self.p + 4 * self.q, 4)
 
-    def coefficients(self, mode: str = "exact") -> tuple:
+    def coefficients(self) -> tuple:
         """(a^2/4, -pa/4, -a/2): the constants that turn residuals of Psi,
-        evaluated over Q, into those of T = (p/2) I - (a/2) Psi.  Floats in
-        float mode."""
+        evaluated over Q, into those of T = (p/2) I - (a/2) Psi."""
         half_p = Fraction(self.p, 2)
-        out = (self.amp_squared,
-               MetallicScalar(half_p * half_p, -half_p, self.p, self.q), -self.amp)
-        return out if mode == "exact" else tuple(float(c) for c in out)
+        return (self.amp_squared,
+                MetallicScalar(half_p * half_p, -half_p, self.p, self.q), -self.amp)
 
     def label(self) -> str:
         s1 = "+" if self.eps1 == 1 else "-"
@@ -152,15 +150,14 @@ def pq_residual(t: mf.Array, p: int, q: int) -> mf.Array:
     return mf.add(mf.contract("am,mb->ab", t, t), t * E.const(-p), mf.identity(len(t)) * -q)
 
 
-def check_metallic(T: MetallicOnTM, points, mode: str = "exact",
-                   tol: float = FLOAT_TOL) -> AxiomVerdict:
+def check_metallic(T: MetallicOnTM, points, tol: float = FLOAT_TOL) -> AxiomVerdict:
     """T^2 - pT - qI = (a^2/4) (Psi^2 - I)."""
-    A = T.params.coefficients(mode)[0]
+    A = T.params.coefficients()[0]
     return residual_verdict(f"metallic[{T.kind};{T.params.label()}]", T.psi.base, points,
-                            mode, tol, (A, pq_residual(T.psi.components, 0, 1)))
+                            tol, (A, pq_residual(T.psi.components, 0, 1)))
 
 
-def check_compat(metric: TensorField, T: MetallicOnTM, points, mode: str = "exact",
+def check_compat(metric: TensorField, T: MetallicOnTM, points,
                  tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
     """Both compatibility forms with a symmetric metric G, the (p,q) identity
     and plain symmetry:
@@ -172,8 +169,8 @@ def check_compat(metric: TensorField, T: MetallicOnTM, points, mode: str = "exac
     ms = mf.contract("ak,kb->ab", m, s)  # metric(e_a, Psi e_b)
     u = mf.contract("ka,kb->ab", s, ms) - m  # metric(Psi a, Psi b) - metric(a, b)
     w = ms.T - ms  # metric(Psi a, b) - metric(a, Psi b)
-    A, B, C = T.params.coefficients(mode)
-    return [residual_verdict(f"{rid}[{T.kind}]", T.psi.base, points, mode, tol, *terms)
+    A, B, C = T.params.coefficients()
+    return [residual_verdict(f"{rid}[{T.kind}]", T.psi.base, points, tol, *terms)
             for rid, terms in (("compat-pq", [(A, u), (B, w)]), ("compat-symmetry", [(C, w)]))]
 
 
@@ -255,7 +252,7 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
 # ----------------------------------------------------------------------
 
 def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
-                                     R: TensorField, frame, points, mode: str = "exact",
+                                     R: TensorField, frame, points,
                                      tol: float = FLOAT_TOL) -> Dict[str, AxiomVerdict]:
     """The two curvature/connection conditions of the F-integrability theorem
     plus D-flatness, each evaluated on tuples of the distribution frame
@@ -264,7 +261,7 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
     X = mf.rows(frame, M.n)  # [x, a]: the frame fields X_x
     phiX = mf.contract("am,xm->xa", S.phi, X)
 
-    d_flat = pc.check_D_flat(S, C, frame, points, mode, tol)
+    d_flat = pc.check_D_flat(S, C, frame, points, tol)
 
     # e4: R(phiX, phiY)Z + R(X,Y)Z - phi{ R(phiX, Y)Z + R(X, phiY)Z } = 0
     def r_on(U, V):  # [x, y, z, l] = R(U_x, V_y) X_z
@@ -272,7 +269,7 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
 
     inner = mf.contract("am,xyzm->xyza", S.phi, mf.add(r_on(phiX, X), r_on(X, phiX)))
     resid4 = mf.add(r_on(phiX, phiX), r_on(X, X), -inner)
-    tr4 = ResidualTracker(mode, tol)
+    tr4 = ResidualTracker(tol)
     for idx in mf.ndindex(resid4.shape):
         tr4.track(M, points, idx, (1, resid4[idx]))
     e4 = tr4.verdict("e4-curvature")
@@ -283,12 +280,12 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
                     -mf.contract("am,xym->xya", S.phi, mf.cov_rows(C, phiX, X)),
                     -mf.contract("am,xym->xya", S.phi, mf.cov_rows(C, X, phiX)), nXY)
     eta_nxy = mf.contract("m,xym->xy", S.eta, nXY)
-    tr5 = ResidualTracker(mode, tol)
+    tr5 = ResidualTracker(tol)
     equivalence_ok = True
     for ix, iy in mf.ndindex(eta_nxy.shape):
         for pt, vals in zip(points, tr5.track(M, points, (ix, iy), (1, resid5[ix, iy]))):
-            e5_zero = all(meets_zero(v, mode, tol) for v in vals)
-            eta_zero = meets_zero(E.evaluate(eta_nxy[ix, iy], pt, mode), mode, tol)
+            e5_zero = all(meets_zero(v, tol) for v in vals)
+            eta_zero = meets_zero(E.evaluate(eta_nxy[ix, iy], pt), tol)
             if e5_zero != eta_zero:
                 equivalence_ok = False
     e5 = tr5.verdict("e5-connection")
@@ -303,8 +300,7 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
 
 def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
                       S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
-                      frame, points, mode: str = "exact",
-                      tol: float = FLOAT_TOL) -> AxiomVerdict:
+                      frame, points, tol: float = FLOAT_TOL) -> AxiomVerdict:
     """(nabla~_X~ T) xi~ against the closed form; the structure is reported
     non-parallel when every direction of the D-frame ``frame``
     (``distribution_frame``) gives a nonzero residual that matches the
@@ -317,7 +313,7 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
     and their values are scaled by -a/2.
     """
     n = tb.n
-    scale = T.params.coefficients(mode)[2]
+    scale = T.params.coefficients()[2]
     dpsi = mf.covariant_derivative(lifted_conn, T.psi)  # [a, A, b]
     # closed-form match: the J display is qualified to directions in D,
     # while the F display carries phi^2 and holds on the whole frame
@@ -334,17 +330,17 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
                          bd.lifted_rows(tb, lift_dir, list(frame) + basis), lift_dir(tb, S.xi))
     closed = (bd.lifted_rows(tb, bd.vlift_vector, [mf.apply_11(S.phi, X) for X in matched])
               - bd.lifted_rows(tb, lift_dir, second))
-    match = ResidualTracker(mode, tol)
+    match = ResidualTracker(tol)
     for i, (probe, want) in enumerate(zip(list(probes)[len(probes) - len(closed):], closed)):
         match.track(tb.chart, points, (i,), (scale, probe - want))
 
     # non-vanishing over every distribution frame direction
     nonzero_all = True
     zero_witness: Optional[Witness] = None
-    sample = ResidualTracker(mode, tol)
+    sample = ResidualTracker(tol)
     for i, probe in enumerate(list(probes)[:len(frame)]):
         for pt, vals in zip(points, sample.track(tb.chart, points, (i,), (scale, probe))):
-            if all(meets_zero(v, mode, tol) for v in vals):
+            if all(meets_zero(v, tol) for v in vals):
                 nonzero_all = False
                 zero_witness = Witness(tb.chart.coords(pt), (i,), "0")
 

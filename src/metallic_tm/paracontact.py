@@ -1,8 +1,9 @@
 """Almost paracontact structures (phi, eta, xi) and the P-Sasakian axioms.
 
 Checks build residual tensors symbolically once, then evaluate them at
-sample points; an axiom holds when every residual component is exactly zero
-(exact mode) or below tolerance (float mode).
+sample points; the points decide the arithmetic.  An axiom holds when every
+residual component is exactly zero at exact points, or within the tolerance
+at float points.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class ParacontactStructure:
         return mf.contract("m,m->", self.eta, self.xi)
 
 
-def check_almost_paracontact(S: ParacontactStructure, points, mode: str = "exact",
+def check_almost_paracontact(S: ParacontactStructure, points,
                              tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
     """phi^2 = I - eta (x) xi, eta(xi) = 1, phi xi = 0, eta o phi = 0."""
     M = S.base
@@ -41,12 +42,12 @@ def check_almost_paracontact(S: ParacontactStructure, points, mode: str = "exact
     r3 = mf.contract("am,m->a", phi, xi)
     r4 = mf.contract("m,mj->j", eta, phi)
 
-    return [residual_verdict(aid, M, points, mode, tol, (1, r))
+    return [residual_verdict(aid, M, points, tol, (1, r))
             for aid, r in (("phi-squared", r1), ("eta-of-xi", r2), ("phi-xi", r3),
                            ("eta-circ-phi", r4))]
 
 
-def check_metric_compat(S: ParacontactStructure, points, mode: str = "exact",
+def check_metric_compat(S: ParacontactStructure, points,
                         tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
     """g(X,Y) = g(phiX,phiY) + eta(X)eta(Y) and its equivalents."""
     M = S.base
@@ -59,12 +60,12 @@ def check_metric_compat(S: ParacontactStructure, points, mode: str = "exact",
     r2 = mf.contract("mi,mj+im,mj->ij", phi, g, -g, phi)  # g(phi X, Y) - g(X, phi Y)
     r3 = mf.add(-eta, mf.contract("im,m->i", g, xi))  # g(X, xi) - eta(X)
 
-    return [residual_verdict(aid, M, points, mode, tol, (1, r))
+    return [residual_verdict(aid, M, points, tol, (1, r))
             for aid, r in (("compat-eq4", r1), ("compat-phi-symmetry", r2),
                            ("compat-g-xi", r3))]
 
 
-def check_p_sasakian(S: ParacontactStructure, C: Connection, points, mode: str = "exact",
+def check_p_sasakian(S: ParacontactStructure, C: Connection, points,
                      tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
     """(nabla_X phi)Y = -g(X,Y)xi - eta(Y)X + 2 eta(X)eta(Y)xi and nabla_X xi = phi X."""
     M = S.base
@@ -76,8 +77,8 @@ def check_p_sasakian(S: ParacontactStructure, C: Connection, points, mode: str =
     r1 = mf.covariant_derivative(C, S.phi).components - rhs  # [a, i, j]
     r2 = mf.covariant_derivative(C, S.xi).components - phi  # [a, i]
 
-    return [residual_verdict("p-sasakian-eq6", M, points, mode, tol, (1, r1)),
-            residual_verdict("p-sasakian-eq7", M, points, mode, tol, (1, r2))]
+    return [residual_verdict("p-sasakian-eq6", M, points, tol, (1, r1)),
+            residual_verdict("p-sasakian-eq7", M, points, tol, (1, r2))]
 
 
 def n_tensors(S: ParacontactStructure) -> dict:
@@ -105,7 +106,7 @@ def n_tensors(S: ParacontactStructure) -> dict:
     }
 
 
-def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact",
+def distribution_frame(S: ParacontactStructure, points=(),
                        tol: float = FLOAT_TOL) -> List[TensorField]:
     """Spanning fields for D: {d_i - (eta(d_i)/eta(xi)) xi}, zeros dropped.
 
@@ -119,7 +120,7 @@ def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact",
     members = mf.add(mf.identity(M.n), mf.outer([-(e / eta_xi) for e in eta.flat], xi))
 
     def vanishes(c: E.Expr) -> bool:
-        return all(meets_zero(E.evaluate(c, pt, mode), mode, tol) for pt in points)
+        return all(meets_zero(E.evaluate(c, pt), tol) for pt in points)
 
     out = []
     for comps in members:
@@ -131,13 +132,13 @@ def distribution_frame(S: ParacontactStructure, points=(), mode: str = "exact",
     return out
 
 
-def check_D_flat(S: ParacontactStructure, C: Connection, frame, points, mode: str = "exact",
+def check_D_flat(S: ParacontactStructure, C: Connection, frame, points,
                  tol: float = FLOAT_TOL) -> AxiomVerdict:
     """eta(nabla_X Y) = 0 for the spanning family ``frame`` of D-valued
     fields (``distribution_frame``)."""
     X = mf.rows(frame, S.base.n)
     resid = mf.contract("m,xym->xy", S.eta, mf.cov_rows(C, X, X))
-    tracker = ResidualTracker(mode, tol)
+    tracker = ResidualTracker(tol)
     for idx in mf.ndindex(resid.shape):
         tracker.track(S.base, points, idx, (1, resid[idx]))
     return tracker.verdict("D-flat")

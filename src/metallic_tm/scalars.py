@@ -200,9 +200,10 @@ def scalar_float(x) -> float:
 
 
 def scaled_sum(*terms):
-    """sum(coef * value) over (coef, value) pairs.  A value that is exactly 0
-    contributes no product, and all-zero values give 0."""
-    products = [coef * value for coef, value in terms if value != 0]
+    """sum(coef * value) over (coef, value) pairs, coef made a float when its
+    value is one.  A value that is exactly 0 contributes no product, and
+    all-zero values give 0."""
+    products = [(float(c) if isinstance(v, float) else c) * v for c, v in terms if v != 0]
     return sum(products[1:], products[0]) if products else 0
 
 

@@ -35,10 +35,10 @@ class AxiomVerdict(NamedTuple):
         return self.status == "holds"
 
 
-def meets_zero(value, mode: str, tol: float) -> bool:
-    """Exactly zero in exact mode; of magnitude at most ``tol`` in float mode.
-    The one zero test behind every verdict."""
-    return is_zero(value) if mode == "exact" else abs(value) <= tol
+def meets_zero(value, tol: float) -> bool:
+    """A float meets zero when its magnitude is at most ``tol``, any other
+    value only when it is exactly zero: the one zero test of every verdict."""
+    return abs(value) <= tol if isinstance(value, float) else is_zero(value)
 
 
 def worst(verdicts):
@@ -53,12 +53,11 @@ def worst(verdicts):
 class ResidualTracker:
     """Collects residual values and reports the max-magnitude one.
 
-    Magnitudes are ranked exactly in exact mode.  The residuals all meet
-    zero when the largest one does (``meets_zero`` with ``tol``).
+    Exact magnitudes are ranked exactly.  The residuals all meet zero when
+    the largest one does (``meets_zero`` with ``tol``).
     """
 
-    def __init__(self, mode: str = "exact", tol: float = FLOAT_TOL) -> None:
-        self.mode = mode
+    def __init__(self, tol: float = FLOAT_TOL) -> None:
         self.tol = tol
         self.max_value: Any = 0
         self.witness: Optional[Witness] = None
@@ -82,7 +81,7 @@ class ResidualTracker:
             coords = chart.coords(pt)
             values = []
             for k, idx in enumerate(indices):
-                v = scaled_sum(*((c, E.evaluate(arr.flat[k], pt, self.mode)) for c, arr in arrs))
+                v = scaled_sum(*((c, E.evaluate(arr.flat[k], pt)) for c, arr in arrs))
                 self.update(v, coords, label + idx)
                 values.append(v)
             out.append(values)
@@ -90,16 +89,16 @@ class ResidualTracker:
 
     @property
     def all_zero(self) -> bool:
-        return meets_zero(self.max_value, self.mode, self.tol)
+        return meets_zero(self.max_value, self.tol)
 
     def verdict(self, axiom_id: str) -> AxiomVerdict:
         return AxiomVerdict(axiom_id, "holds" if self.all_zero else "fails",
                             self.max_value, self.witness)
 
 
-def residual_verdict(axiom_id: str, chart, points, mode: str, tol: float, *terms) -> AxiomVerdict:
+def residual_verdict(axiom_id: str, chart, points, tol: float, *terms) -> AxiomVerdict:
     """The verdict on the residual sum(coef * arr) over (coef, arr) terms,
     expected zero at every point (``ResidualTracker.track``)."""
-    tracker = ResidualTracker(mode, tol)
+    tracker = ResidualTracker(tol)
     tracker.track(chart, points, (), *terms)
     return tracker.verdict(axiom_id)

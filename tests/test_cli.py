@@ -1,6 +1,7 @@
 """Command line interface: exit codes, flags and report output."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -194,6 +195,8 @@ def _set(path, value):
 SCHEMA_MALFORMED = {
     "tolerance-str": _set(("sample_plan", "tolerance"), "abc"),
     "tolerance-negative": _set(("sample_plan", "tolerance"), -1),
+    "tolerance-infinite": _set(("sample_plan", "tolerance"), math.inf),
+    "tolerance-beyond-float": _set(("sample_plan", "tolerance"), 10 ** 400),
     "plan-list": _set(("sample_plan",), [1]),
     "count-bool": _set(("sample_plan", "count"), True),
     "coordinates-int": _set(("coordinates",), 3),

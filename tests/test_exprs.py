@@ -1,5 +1,6 @@
 """Expression DSL: parsing, printing, differentiation, evaluation."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -59,12 +60,12 @@ def test_parse_error_reports_offset():
 
 def test_exact_mode_rejects_transcendentals():
     # the language has no analytic functions, so exp(x1) never reaches
-    # exact evaluation, and a float coordinate is not an exact scalar
+    # exact evaluation, and a Decimal coordinate is not an exact scalar
     with pytest.raises(ParseError, match="unknown identifier 'exp'") as ei:
         E.parse("exp(x1)", 1)
     assert ei.value.offset == 0
     with pytest.raises(TypeError, match="not an exact scalar"):
-        E.evaluate(E.parse("x1", 1), pt(2.718281828459045), mode="exact")
+        E.evaluate(E.parse("x1", 1), pt(Decimal("2.718281828459045")))
 
 
 @pytest.mark.parametrize("e, value", [
@@ -74,7 +75,7 @@ def test_exact_mode_rejects_transcendentals():
 ], ids=["pow-overflow", "const-overflow", "zero-to-negative-power"])
 def test_float_mode_failures_are_eval_errors(e, value):
     with pytest.raises(EvalError):
-        E.evaluate(e, pt(value), mode="float")
+        E.evaluate(e, pt(value))
 
 
 # -- structural simplification ------------------------------------------
@@ -297,50 +298,54 @@ def _subtrees(e):
     return [e] + [s for k in kids for s in _subtrees(k)]
 
 
-def _outcome(e, point, mode):
+def _outcome(e, point):
     """repr of the value (nan compares equal to nan), or the error raised."""
     try:
-        return repr(E.evaluate(e, point, mode))
+        return repr(E.evaluate(e, point))
     except EvalError as exc:
         return str(exc)
 
 
 @settings(max_examples=60, deadline=None)
-@given(exprs3, st.integers(0, 3), positive_pt, st.sampled_from(("exact", "float")))
-def test_point_memo_matches_plain_evaluation(e, k, coords, mode):
+@given(exprs3, st.integers(0, 3), positive_pt, st.sampled_from((Fraction, float)))
+def test_point_memo_matches_plain_evaluation(e, k, coords, kind):
     """Evaluating every subtree and then the tree at one Point gives what a
-    plain dict gives.  With k > 0 the tree also holds e / (x1 - k), which
-    shares e and divides by zero at x1 = k."""
+    plain dict gives, at exact and at float coordinates.  With k > 0 the
+    tree also holds e / (x1 - k), which shares e and divides by zero at
+    x1 = k."""
     if k:
         e = E.add(e, E.div(e, E.add(Var("base", 1), E.const(-k))))
+    coords = tuple(map(kind, coords))
     point = E.Point(pt(*coords))
     nodes = _subtrees(e)
     for s in reversed(nodes):
-        _outcome(s, point, mode)
+        _outcome(s, point)
     for s in nodes:
-        assert _outcome(s, point, mode) == _outcome(s, pt(*coords), mode)
+        assert _outcome(s, point) == _outcome(s, pt(*coords))
 
 
-def test_point_keeps_exact_and_float_memos_apart():
+def test_coordinates_decide_the_arithmetic():
+    """A point with no float coordinate evaluates exactly; one float
+    coordinate makes every value a float.  The one memo holds the value."""
     e = E.parse("x1/3 + x2^2", 2)
-    point = E.Point(pt(Fraction(1), Fraction(1, 2)))
-    assert E.evaluate(e, point, "exact") == Fraction(7, 12)
-    f = E.evaluate(e, point, "float")
-    assert isinstance(f, float) and f == pytest.approx(7 / 12)
-    assert isinstance(E.evaluate(e, point, "exact"), Fraction)
-    assert point.memos["exact"][e] == Fraction(7, 12)
-    assert point.memos["float"][e] == f
+    for coords, kind in (((Fraction(1), Fraction(1, 2)), Fraction),
+                         ((1.0, 0.5), float), ((Fraction(1), 0.5), float)):
+        point = E.Point(pt(*coords))
+        value = E.evaluate(e, point)
+        assert type(value) is kind and value == pytest.approx(Fraction(7, 12))
+        assert point.memo[e] is value
+        assert E.evaluate(e, pt(*coords)) == value
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_division_by_zero_raises_on_every_call(mode):
+@pytest.mark.parametrize("kind", [Fraction, float], ids=["exact", "float"])
+def test_division_by_zero_raises_on_every_call(kind):
     e = E.add(Var("base", 2), E.div(E.ONE, E.add(Var("base", 1), E.const(-1))))
-    point = E.Point(pt(Fraction(1), Fraction(5)))
+    point = E.Point(pt(kind(1), kind(5)))
     for _ in range(2):
         with pytest.raises(EvalError, match="division by zero at point"):
-            E.evaluate(e, point, mode)
-    assert e not in point.memos[mode]
-    assert E.evaluate(Var("base", 2), point, mode) == 5
+            E.evaluate(e, point)
+    assert e not in point.memo
+    assert E.evaluate(Var("base", 2), point) == 5
 
 
 def test_point_is_read_only():

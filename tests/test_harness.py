@@ -244,9 +244,9 @@ def test_each_suite_gets_fresh_memos(manifest, monkeypatch):
 
     def spy(sid, suite):
         def run(ctx):
-            fresh[sid] = all(not m for pt in ctx.points for m in pt.memos.values())
+            fresh[sid] = all(not pt.memo for pt in ctx.points)
             out = suite(ctx)
-            assert all(pt.memos[ctx.mode] for pt in ctx.points)
+            assert all(pt.memo for pt in ctx.points)
             return out
         return run
 

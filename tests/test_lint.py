@@ -96,3 +96,32 @@ def test_zero_tests_are_made_in_verdicts(path):
     tolerance: no other module calls ``is_zero`` or holds a tolerance of
     its own."""
     assert zero_test_sites(path.read_text(encoding="utf-8")) == []
+
+
+def mode_parameters(source: str) -> list:
+    """(line, name) of every function or lambda with a parameter named
+    ``mode``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            if any(a.arg == "mode" for a in params):
+                found.append((node.lineno, getattr(node, "name", "<lambda>")))
+    return sorted(found)
+
+
+def test_mode_parameters_are_found():
+    source = "def f(x, mode='exact'):\n    return g(x, mode=mode)\n" \
+             "class C:\n    def m(self, *, mode):\n        pass\n" \
+             "h = lambda mode: mode\ndef k(model, modes, plan):\n    return plan.mode\n" \
+             "async def a(*mode):\n    pass\n"
+    assert mode_parameters(source) == [(1, "f"), (4, "m"), (6, "<lambda>"), (9, "a")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_takes_a_mode(path):
+    """The sample points decide exact or float arithmetic, so no function
+    is told the mode beside them."""
+    assert mode_parameters(path.read_text(encoding="utf-8")) == []

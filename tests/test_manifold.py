@@ -311,8 +311,9 @@ def test_evaluate_array_shares_one_memo(base_points):
     arr = mf.asarray([E.add(shared, x3), E.mul(shared, x3)])
     point = E.Point(base_points[0])
     assert list(mf.evaluate_array(arr, point)) == [3, 2]
-    assert point.memos["exact"][shared] == 1
-    assert list(mf.evaluate_array(arr, base_points[0], "float")) == [3.0, 2.0]
+    assert point.memo[shared] == 1
+    float_point = {v: float(c) for v, c in base_points[0].items()}
+    assert list(mf.evaluate_array(arr, float_point)) == [3.0, 2.0]
 
 
 def _loop_covariant_derivative(C, T):

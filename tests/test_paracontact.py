@@ -57,16 +57,16 @@ def test_distribution_frame_drops_xi_direction(structure, base_points):
 def test_distribution_frame_drops_members_within_the_tolerance(h3, base_points):
     """With xi = d1 + (x1/10000) d2 and eta = dx1, the first member is
     -(x1/10000) d2: not zero, but within a tolerance of 1e-3 at float points
-    with x1 in [1, 2].  Float mode drops it, exact mode keeps it."""
+    with x1 in [1, 2].  Float points drop it, exact points keep it."""
     x1 = h3.variables[0]
     xi = [E.ONE, E.mul(E.const(Fraction(1, 10000)), x1), E.ZERO]
     S = pc.ParacontactStructure(h3, mf.TensorField(h3, (1, 1), mf.zeros((3, 3))),
                                 mf.TensorField(h3, (0, 1), [E.ONE, E.ZERO, E.ZERO]),
                                 mf.TensorField(h3, (1, 0), xi))
     float_pts = [{v: float(c) for v, c in pt.items()} for pt in base_points]
-    assert len(pc.distribution_frame(S, float_pts, "float", 1e-3)) == 2
-    assert len(pc.distribution_frame(S, float_pts, "float", 1e-5)) == 3
-    assert len(pc.distribution_frame(S, base_points, "exact", 1e-3)) == 3
+    assert len(pc.distribution_frame(S, float_pts, 1e-3)) == 2
+    assert len(pc.distribution_frame(S, float_pts, 1e-5)) == 3
+    assert len(pc.distribution_frame(S, base_points, 1e-3)) == 3
 
 
 def _mutated(h3, structure, **kw):
@@ -123,12 +123,12 @@ def test_non_p_sasakian_phi_rotation_block(h3, structure, base_points, conn):
 def test_float_mode_parity(structure, conn, base_points):
     float_pts = [{k: float(v) for k, v in pt.items()} for pt in base_points]
     exact = [v.holds for v in pc.check_almost_paracontact(structure, base_points)]
-    approx = [v.holds for v in pc.check_almost_paracontact(structure, float_pts, "float")]
+    approx = [v.holds for v in pc.check_almost_paracontact(structure, float_pts)]
     assert exact == approx
     frame_e = pc.distribution_frame(structure, base_points)
-    frame_f = pc.distribution_frame(structure, float_pts, "float")
+    frame_f = pc.distribution_frame(structure, float_pts)
     dflat_e = pc.check_D_flat(structure, conn, frame_e, base_points).holds
-    dflat_f = pc.check_D_flat(structure, conn, frame_f, float_pts, "float").holds
+    dflat_f = pc.check_D_flat(structure, conn, frame_f, float_pts).holds
     assert dflat_e == dflat_f
 
 

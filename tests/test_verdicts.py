@@ -18,7 +18,7 @@ from metallic_tm.verdicts import ResidualTracker, residual_verdict
 
 def test_tiny_exact_residual_is_not_zero():
     """1/10^400 is 0.0 as a float, but not zero."""
-    tracker = ResidualTracker("exact")
+    tracker = ResidualTracker()
     tracker.update(0, (1,), (0,))
     tracker.update(Fraction(1, 10 ** 400), (1,), (1,))
     assert not tracker.all_zero
@@ -30,7 +30,7 @@ def test_huge_exact_residual_is_ranked_and_reported():
     """Residuals beyond the float range are ranked exactly, and the report
     gives the largest float in place of the value."""
     big = Fraction(10 ** 400)
-    tracker = ResidualTracker("exact")
+    tracker = ResidualTracker()
     for frame, value in enumerate((Fraction(1), -big, big - 1, big)):
         tracker.update(value, (2,), (frame,))
     assert tracker.max_value == -big
@@ -44,8 +44,8 @@ def test_huge_exact_residual_is_ranked_and_reported():
 class _Recorder(ResidualTracker):
     """A tracker that keeps every update it is given, in order."""
 
-    def __init__(self, mode="exact"):
-        super().__init__(mode)
+    def __init__(self):
+        super().__init__()
         self.calls = []
 
     def update(self, value, point_coords, frame):
@@ -89,7 +89,8 @@ def test_track_scales_each_term_over_q_sigma():
     values = ResidualTracker().track(chart, points, (), (s, [x1, x2]), (Fraction(1, 2), [x2, x2]))
     assert values == [[s + 1, 2 * s + 1], [3 * s - Fraction(1, 2), -s - Fraction(1, 2)]]
     assert ResidualTracker().track(chart, points[:1], (), (s, [E.ZERO])) == [[0]]
-    floats = ResidualTracker("float").track(chart, points[:1], (), (float(s), [x1]))
+    float_point = E.Point({v: float(c) for v, c in points[0].items()})
+    floats = ResidualTracker().track(chart, [float_point], (), (s, [x1]))
     assert floats == [[float(s)]]
 
 
@@ -99,8 +100,22 @@ def test_track_keeps_the_first_of_equal_magnitudes():
     tracker.track(chart, points, ("t",), (1, [E.mul(E.const(-2), x1), E.mul(E.const(2), x1)]))
     assert tracker.max_value == -6
     assert tracker.witness.frame == ("t", 0) and tracker.witness.point == (3, -1)
-    verdict = residual_verdict("tie", chart, points, "exact", 1e-9, (1, [x1 - x1]))
+    verdict = residual_verdict("tie", chart, points, 1e-9, (1, [x1 - x1]))
     assert verdict.holds and verdict.witness is None
+
+
+def test_the_points_decide_whether_the_tolerance_applies():
+    """x1/10^6 is not zero at exact points, whatever the tolerance; at the
+    same points as floats it is within a tolerance of 1e-3."""
+    chart, points, x1, _ = _line()
+    float_points = [E.Point({v: float(c) for v, c in pt.items()}) for pt in points]
+    residual = E.mul(E.const(Fraction(1, 10 ** 6)), x1)
+    exact = ResidualTracker(1e-3)
+    exact.track(chart, points, (), (1, [residual]))
+    assert exact.max_value == Fraction(3, 10 ** 6) and not exact.all_zero
+    floats = ResidualTracker(1e-3)
+    floats.track(chart, float_points, (), (1, [residual]))
+    assert isinstance(floats.max_value, float) and floats.all_zero
 
 
 def test_only_verdicts_updates_a_tracker():

@@ -1,7 +1,7 @@
 """Symbolic expression trees over chart coordinates.
 
-Expressions are immutable trees built from exact constants (Fraction or
-MetallicScalar), base/fiber variables ``x1..xn`` / ``y1..yn``, the field
+Expressions are immutable trees built from rational constants (Fraction),
+base/fiber variables ``x1..xn`` / ``y1..yn``, the field
 operations and integer powers: rational functions only, with no analytic
 functions.  Only local simplifications are applied (constant folding,
 dropping zero terms and unit factors); correctness downstream rests on
@@ -19,10 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Union
 
-from .scalars import MetallicScalar
-
-Scalar = Union[Fraction, MetallicScalar]
-ExprLike = Union["Expr", int, Fraction, MetallicScalar]
+ExprLike = Union["Expr", int, Fraction]
 
 
 class ExprError(ValueError):
@@ -41,8 +38,8 @@ class EvalError(ArithmeticError):
     """Evaluation failure: division by zero, a missing coordinate or float range."""
 
 
-def _to_scalar(x) -> Scalar:
-    if isinstance(x, (Fraction, MetallicScalar)):
+def _to_scalar(x) -> Fraction:
+    if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
@@ -118,8 +115,7 @@ class Const(Expr):
 
     def __new__(cls, value):
         v = _to_scalar(value)
-        # the type keeps Fraction(1) and a rational MetallicScalar apart
-        return _interned((cls, type(v), v), v)
+        return _interned((cls, v), v)
 
 
 class Var(Expr):
@@ -210,7 +206,7 @@ def add(*xs: ExprLike) -> Expr:
 def _add(*xs: Expr) -> Expr:
     # collect like terms by structural part so that e + (-1)*e folds to 0
     coeffs: dict = {}  # part -> (coefficient, its term while no like term met it)
-    acc: Scalar = Fraction(0)
+    acc = Fraction(0)
     def accumulate(c, part, term=None):
         if part not in coeffs:
             coeffs[part] = (c, term)
@@ -259,7 +255,7 @@ def mul(*xs: ExprLike) -> Expr:
 @lru_cache(maxsize=200_000)
 def _mul(*xs: Expr) -> Expr:
     factors = []
-    acc: Optional[Scalar] = None  # the product of the constant factors
+    acc: Optional[Fraction] = None  # the product of the constant factors
     for e in xs:
         sub = e.factors if isinstance(e, Mul) else (e,)
         for f in sub:
@@ -269,7 +265,7 @@ def _mul(*xs: Expr) -> Expr:
                     return ZERO
             else:
                 factors.append(f)
-    if acc is not None and (isinstance(acc, MetallicScalar) or acc != 1):
+    if acc is not None and acc != 1:
         factors.insert(0, Const(acc))
     if not factors:
         return ONE
@@ -376,8 +372,7 @@ def evaluate(e: Expr, point: Mapping[Var, object]):
     """Value of ``e`` at ``point``; the coordinates decide the arithmetic.
 
     At an exact point every coordinate must be an exact scalar, and the
-    value is a Fraction or MetallicScalar.  At a point with a float
-    coordinate it is a float (sigma embedded as (p + sqrt(p^2+4q))/2).
+    value is a Fraction.  At a point with a float coordinate it is a float.
     Subtree values are kept in the memo of a ``Point``; any other mapping
     gets a memo for this call only.
     """
@@ -438,9 +433,6 @@ _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Const):
         v = e.value
-        if isinstance(v, MetallicScalar):
-            s = str(v)
-            return s, _PREC_ATOM if ("+" not in s[1:] and "-" not in s[1:] and "*" not in s) else _PREC_ADD
         if v.denominator == 1:
             return (str(v), _PREC_ATOM if v >= 0 else _PREC_UNARY)
         return f"{v.numerator}/{v.denominator}", _PREC_MUL

@@ -24,7 +24,7 @@ from . import manifold as mf
 from . import metallic as ml
 from . import paracontact as pc
 from .exprs import Var
-from .scalars import scalar_float, scalar_str, scaled_sum, sign
+from .scalars import abs_greater, scalar_float, scalar_str, sign
 from .verdicts import FLOAT_TOL, ResidualTracker, meets_zero, worst
 
 TOOL_NAME = "metallic-tm"
@@ -312,14 +312,19 @@ class SuiteContext:
         self.hc = bd.hlift_connection(self.tb)
         self.dphi_prime_sign: Optional[str] = None
         self._psi: Dict[tuple, mf.TensorField] = {}
+        # the listed parameter sets by sign pair, pairs in order of first listing
+        self.sign_pairs: Dict[tuple, List[ml.MetallicParams]] = {}
+        for prm in manifest.params:
+            self.sign_pairs.setdefault((prm.eps1, prm.eps2), []).append(prm)
 
-    def structure(self, lift: str, prm: ml.MetallicParams) -> ml.MetallicOnTM:
-        """J (lift "c") or F (lift "h") for one parameter set; its Psi is
-        built on first use, once per sign pair."""
-        key = (lift, prm.eps1, prm.eps2)
+    def psi(self, lift: str, signs: Optional[tuple] = None) -> mf.TensorField:
+        """Psi of J (lift "c") or F (lift "h") for a sign pair, by default that
+        of the first listed set; built on first use, it is the unit of work
+        of every structure suite."""
+        key = (lift,) + (signs or next(iter(self.sign_pairs)))
         if key not in self._psi:
             self._psi[key] = ml.build_psi(self.S, self.tb, *key)
-        return ml.MetallicOnTM(ml.STRUCTURES[lift], self._psi[key], prm)
+        return self._psi[key]
 
     @cached_property
     def frame(self) -> List[mf.TensorField]:
@@ -360,16 +365,42 @@ def _suite_result(suite_id: str, status: str, max_residual, witnesses: list,
     return out
 
 
-def _tracker_suite(suite_id: str, tracker: ResidualTracker, status: Optional[str] = None,
-                   witnesses: Optional[list] = None, notes: Optional[dict] = None) -> dict:
+def _tracker_suite(suite_id: str, tracker: ResidualTracker, coefs=None,
+                   status: Optional[str] = None, witnesses: Optional[list] = None,
+                   notes: Optional[dict] = None) -> dict:
+    """A suite decided by one tracker; ``coefs`` put the worst value of a
+    tracker of Psi-level residuals at the T level (``_t_verdict``)."""
+    v = tracker.verdict(suite_id)
+    if coefs is not None:
+        v = _t_verdict(v, coefs)
     if status is None:
-        status = "pass" if tracker.all_zero else "fail"
+        status = "pass" if v.holds else "fail"
     if witnesses is None:
-        witnesses = [tracker.witness.to_json()] if tracker.witness else []
-    return _suite_result(suite_id, status, tracker.max_value, witnesses, notes)
+        witnesses = [v.witness.to_json()] if v.witness else []
+    return _suite_result(suite_id, status, v.max_residual, witnesses, notes)
 
 
-def _verdicts_to_suite(suite_id: str, verdicts) -> dict:
+def _t_level(value, coefs):
+    """The first largest of coef * value over ``coefs``: a Psi-level value as
+    the T-level values of listed parameter sets (a float coef for a float)."""
+    out = [(float(c) if isinstance(value, float) else c) * value for c in coefs]
+    return next(v for v in out if not any(abs_greater(u, v) for u in out))
+
+
+def _t_verdict(verdict, coefs):
+    """``verdict``, decided on Psi over Q, with its worst residual and
+    witness value at the T level (``_t_level``)."""
+    value = _t_level(verdict.max_residual, coefs)
+    witness = verdict.witness and verdict.witness._replace(value=scalar_str(value))
+    return verdict._replace(max_residual=value, witness=witness)
+
+
+def _first_coefs(ctx: SuiteContext, k: int) -> list:
+    """The k-th coefficient of the first listed set, for one-Psi suites."""
+    return [ctx.manifest.params[0].coefficients()[k]]
+
+
+def _verdicts_to_suite(suite_id: str, verdicts, notes: Optional[dict] = None) -> dict:
     top = worst(verdicts)
     failed = [v for v in verdicts if not v.holds]
     status = "pass" if not failed else "fail"
@@ -379,7 +410,7 @@ def _verdicts_to_suite(suite_id: str, verdicts) -> dict:
             w = v.witness.to_json()
             w["axiom"] = v.axiom_id
             witnesses.append(w)
-    return _suite_result(suite_id, status, top.max_residual if top else 0, witnesses)
+    return _suite_result(suite_id, status, top.max_residual if top else 0, witnesses, notes)
 
 
 # ----------------------------------------------------------------------
@@ -500,14 +531,28 @@ def suite_lifts(ctx: SuiteContext) -> dict:
         got.components, -bd.clift_vector(tb, nXY).components, gslice.components)))
 
     for label, exprs in residuals:
-        tracker.track(tb.chart, ctx.points, (label,), (1, exprs))
+        tracker.track(tb.chart, ctx.points, (label,), exprs)
     return _tracker_suite("lifts", tracker)
 
 
-def _metallic_suite(ctx: SuiteContext, suite_id: str, lift: str) -> dict:
+def _pair_suite(ctx: SuiteContext, suite_id: str, lift: str, check, notes=None) -> dict:
+    """``check(psi, label)`` once per distinct sign pair, in the order the
+    manifest first lists it: (verdict, k) pairs, each reported at the T level
+    of the listed sets with that pair, through their k-th coefficient."""
     return _verdicts_to_suite(suite_id, [
-        ml.check_metallic(ctx.structure(lift, prm), ctx.points, ctx.plan.tol)
-        for prm in ctx.manifest.params])
+        _t_verdict(v, [prm.coefficients()[k] for prm in sets])
+        for signs, sets in ctx.sign_pairs.items()
+        for v, k in check(ctx.psi(lift, signs), ml.structure_label(lift, *signs))], notes)
+
+
+def _metallic_suite(ctx: SuiteContext, suite_id: str, lift: str) -> dict:
+    """Psi^2 - I per sign pair; the notes name each pair whose T is metallic
+    for no (p, q), with the closed form of its residual."""
+    notes = {ml.structure_label(lift, *signs): "not metallic for any (p, q): Psi^2 - I = "
+             f"(eps1 eps2 - 1) (eta^{lift} (x) xi^v + eta^v (x) xi^{lift}) != 0"
+             for signs in ctx.sign_pairs if signs[0] != signs[1]}
+    return _pair_suite(ctx, suite_id, lift, lambda psi, label: [
+        (ml.check_metallic(psi, label, ctx.points, ctx.plan.tol), 0)], notes)
 
 
 def suite_J_metallic(ctx: SuiteContext) -> dict:
@@ -519,9 +564,9 @@ def suite_F_metallic(ctx: SuiteContext) -> dict:
 
 
 def _compat_suite(ctx: SuiteContext, suite_id: str, lift: str, metric: mf.TensorField) -> dict:
-    return _verdicts_to_suite(suite_id, [
-        v for prm in ctx.manifest.params
-        for v in ml.check_compat(metric, ctx.structure(lift, prm), ctx.points, ctx.plan.tol)])
+    """u = Psi^T G Psi - G at the level a^2/4, w = Psi^T G - G Psi at -a/2."""
+    return _pair_suite(ctx, suite_id, lift, lambda psi, label: zip(
+        ml.check_compat(metric, psi, label, ctx.points, ctx.plan.tol), (0, 2)))
 
 
 def suite_J_compat(ctx: SuiteContext) -> dict:
@@ -533,23 +578,21 @@ def suite_F_compat(ctx: SuiteContext) -> dict:
 
 
 def suite_J_integrable(ctx: SuiteContext) -> dict:
-    """N_J = (a^2/4) N_Psi: N_Psi and its proof-table rows are evaluated
-    over Q and scaled."""
-    J = ctx.structure("c", ctx.manifest.params[0])
-    A = J.params.coefficients()[0]
-    NPsi = mf.nijenhuis(J.psi)
+    """N_J = (a^2/4) N_Psi: N_Psi and its proof-table rows are decided over Q."""
+    NPsi = mf.nijenhuis(ctx.psi("c"))
     tracker = ResidualTracker(ctx.plan.tol)
-    tracker.track(ctx.tb.chart, ctx.points, (), (A, NPsi.components))
+    tracker.track(ctx.tb.chart, ctx.points, (), NPsi.components)
     # the proof-table decomposition for one representative field pair
     X, Y, _, _, _ = ctx.test_fields()
     for rid, resid in ml.nijenhuis_rows(ctx.S, ctx.tb, NPsi, X, Y).items():
-        tracker.track(ctx.tb.chart, ctx.points, (rid,), (A, resid))
-    return _tracker_suite("J-integrable", tracker)
+        tracker.track(ctx.tb.chart, ctx.points, (rid,), resid)
+    return _tracker_suite("J-integrable", tracker, _first_coefs(ctx, 0))
 
 
 def _parallel_suite(ctx: SuiteContext, suite_id: str, lift: str, conn) -> dict:
-    v = ml.parallelity_probe(ctx.structure(lift, ctx.manifest.params[0]), conn, ctx.S, ctx.tb,
+    v = ml.parallelity_probe(ctx.psi(lift), lift, conn, ctx.S, ctx.tb,
                              ctx.frame, ctx.points, ctx.plan.tol)
+    v = _t_verdict(v, _first_coefs(ctx, 2))
     return _suite_result(suite_id, "pass" if v.holds else "fail", v.max_residual,
                          [v.witness.to_json()] if v.witness else [])
 
@@ -565,10 +608,10 @@ def suite_F_parallel(ctx: SuiteContext) -> dict:
 def suite_Phi_closedness(ctx: SuiteContext) -> dict:
     """Conditional report: dPhi(X^c, Y^c, Z^v) next to the Eq. (27) residual
     on distribution triples; the suite passes when the two vanish together.
-    dPhi is -a/2 times the coboundary of the form G(., Psi .) over Q."""
-    J = ctx.structure("c", ctx.manifest.params[0])
-    scale = J.params.coefficients()[2]
-    dPhi = mf.coboundary_2form(ml.fundamental_form(J, ctx.gc))
+    dPhi is -a/2 times the coboundary of the form G(., Psi .) over Q, which
+    is what is decided."""
+    scale = _first_coefs(ctx, 2)
+    dPhi = mf.coboundary_2form(ml.fundamental_form(ctx.psi("c"), ctx.gc))
     M, tb, frame = ctx.M, ctx.tb, ctx.frame
     X = mf.rows(frame, M.n)
     Xc = bd.lifted_rows(tb, bd.clift_vector, frame)
@@ -582,7 +625,7 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
     consistent = True
     witnesses = []
     for iX, iY, iZ in mf.ndindex(lhs.shape):
-        lvs = tracker.track(tb.chart, ctx.points, (iX, iY, iZ, "dPhi"), (scale, lhs[iX, iY, iZ]))
+        lvs = tracker.track(tb.chart, ctx.points, (iX, iY, iZ, "dPhi"), lhs[iX, iY, iZ])
         for pt, (lv,) in zip(ctx.points, lvs):
             rv = E.evaluate(rhs[iX, iY, iZ], pt)
             if meets_zero(lv, ctx.plan.tol) != meets_zero(rv, ctx.plan.tol):
@@ -590,21 +633,19 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
                 witnesses.append({
                     "point": [scalar_str(c) for c in tb.chart.coords(pt)],
                     "frame": [iX, iY, iZ],
-                    "value": f"dPhi={scalar_str(lv)} eq27={scalar_str(rv)}",
+                    "value": f"dPhi={scalar_str(_t_level(lv, scale))} eq27={scalar_str(rv)}",
                 })
     status = "pass" if consistent else "fail"
-    return _tracker_suite("Phi-closedness", tracker, status=status,
+    return _tracker_suite("Phi-closedness", tracker, scale, status=status,
                          witnesses=witnesses,
                          notes={"criterion": "dPhi vanishes iff the eq27 residual vanishes"})
 
 
 def suite_F_integrability(ctx: SuiteContext) -> dict:
-    F = ctx.structure("h", ctx.manifest.params[0])
-    A = F.params.coefficients()[0]
     res = ml.check_F_integrability_conditions(ctx.S, ctx.conn, ctx.R, ctx.frame, ctx.points,
                                               ctx.plan.tol)
-    NPsi = mf.nijenhuis(F.psi)  # N_F = (a^2/4) N_Psi
-    nf_zero = all(meets_zero(scaled_sum((A, E.evaluate(c, pt))), ctx.plan.tol)
+    NPsi = mf.nijenhuis(ctx.psi("h"))  # N_F = (a^2/4) N_Psi
+    nf_zero = all(meets_zero(E.evaluate(c, pt), ctx.plan.tol)
                   for pt in ctx.points for c in NPsi.components.flat)
     conditions_hold = res["D_flat"].holds and res["e4"].holds
     consistent = (nf_zero == conditions_hold) and res["e5_equivalence"].holds
@@ -629,34 +670,31 @@ def suite_F_integrability(ctx: SuiteContext) -> dict:
 
 
 def suite_Phi_prime(ctx: SuiteContext) -> dict:
-    """dPhi'(X^h, X^v, xi^v) = -((2s-p)/6) (g(X,X))^v on distribution fields;
-    the measured sign is recorded in the report conventions.  dPhi' is -a/2
-    times the coboundary of the form G(., Psi .) over Q."""
-    prm = ctx.manifest.params[0]
-    Fm = ctx.structure("h", prm)
-    scale = prm.coefficients()[2]
-    dPhip = mf.coboundary_2form(ml.fundamental_form(Fm, ctx.G))
+    """dPhi'(X^h, X^v, xi^v) = -((2s-p)/6) (g(X,X))^v on distribution fields.
+    dPhi' is -a/2 times the coboundary of the form G(., Psi .) over Q, whose
+    value val is decided: the claim is val = g(X,X)/3, nonzero, and the
+    measured sign of dPhi' is minus the sign of val, since -a/2 < 0."""
+    dPhip = mf.coboundary_2form(ml.fundamental_form(ctx.psi("h"), ctx.G))
     M, tb, frame = ctx.M, ctx.tb, ctx.frame
     X = mf.rows(frame, M.n)
     val = mf.contract("ijk,xi,xj,k->x", dPhip, bd.lifted_rows(tb, bd.hlift_vector, frame),
                       bd.lifted_rows(tb, bd.vlift_vector, frame), bd.vlift_vector(tb, ctx.S.xi))
-    # dPhi' + (a/6) gXX = -(a/2) (val - gXX/3), zero for sign "-"
     resid = mf.add(val, mf.contract("ab,xa,xb->x", M.metric, X, X) * E.const(Fraction(-1, 3)))
 
     tracker = ResidualTracker(ctx.plan.tol)
     nonzero_all = True
     sign_counts = {"+": 0, "-": 0}
     for i in range(len(val)):
-        tracker.track(tb.chart, ctx.points, (i,), (scale, resid[i]))
+        tracker.track(tb.chart, ctx.points, (i,), resid[i])
         for pt in ctx.points:
-            dval = scaled_sum((scale, E.evaluate(val[i], pt)))
-            if meets_zero(dval, ctx.plan.tol):
+            v = E.evaluate(val[i], pt)
+            if meets_zero(v, ctx.plan.tol):
                 nonzero_all = False
             else:
-                sign_counts["-" if sign(dval) < 0 else "+"] += 1
+                sign_counts["+" if sign(v) < 0 else "-"] += 1
     ctx.dphi_prime_sign = "-" if sign_counts["-"] >= sign_counts["+"] else "+"
     status = "pass" if (tracker.all_zero and nonzero_all) else "fail"
-    return _tracker_suite("Phi-prime", tracker, status=status,
+    return _tracker_suite("Phi-prime", tracker, _first_coefs(ctx, 2), status=status,
                          notes={"measured_sign": ctx.dphi_prime_sign,
                                 "criterion": "dPhi'(X^h,X^v,xi^v) = -((2sigma-p)/6) g(X,X)^v, nonzero"})
 

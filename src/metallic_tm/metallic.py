@@ -2,14 +2,15 @@
 
 Two structures are provided: J, assembled from complete lifts, and F, from
 horizontal lifts.  Both are T = (p/2) I - (a/2) Psi with a = 2 sigma - p and
-an almost product structure Psi over Q.  The checks evaluate residuals of
-Psi at rational points over Q and scale them by constants in Q(sigma), so
-the defining identity T^2 = pT + qI is still an exact zero test.
+an almost product structure Psi over Q that depends on the signs (eps1,
+eps2) alone.  Every check below decides a residual of Psi, over Q, once per
+sign pair: a residual of T is a nonzero constant times it (``MetallicParams``
+gives the constants), so it vanishes for every (p, q) exactly when the Psi
+residual does.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -18,7 +19,7 @@ from . import exprs as E
 from . import manifold as mf
 from . import paracontact as pc
 from .manifold import Connection, TensorField
-from .scalars import MetallicScalar, sigma
+from .scalars import sigma
 from .verdicts import (FLOAT_TOL, AxiomVerdict, ResidualTracker, Witness, meets_zero,
                        residual_verdict)
 
@@ -29,9 +30,7 @@ class MetallicParams:
 
     J and F are T = (p/2) I - (a/2) Psi with a = 2 sigma - p, where the
     almost product structure Psi depends on the signs alone (``build_psi``).
-    They are metallic if and only if eps1 * eps2 = 1.  For eps1 * eps2 = -1
-    the residual T^2 - pT - qI is the nonzero closed form given in
-    ``build_J`` and ``build_F``.
+    They are metallic if and only if eps1 * eps2 = 1.
     """
 
     def __init__(self, p: int, q: int, eps1: int = 1, eps2: int = 1) -> None:
@@ -48,13 +47,13 @@ class MetallicParams:
         self.eps2 = eps2
 
     @property
-    def sigma(self) -> MetallicScalar:
+    def sigma(self):
         return sigma(self.p, self.q)
 
     @property
-    def amp(self) -> MetallicScalar:
-        """a/2 = (2 sigma - p) / 2, the linear coefficient in J and F."""
-        return MetallicScalar(Fraction(-self.p, 2), 1, self.p, self.q)
+    def amp(self):
+        """a/2 = sigma - p/2, the linear coefficient in J and F; positive."""
+        return self.sigma - Fraction(self.p, 2)
 
     @property
     def amp_squared(self) -> Fraction:
@@ -62,39 +61,23 @@ class MetallicParams:
         return Fraction(self.p * self.p + 4 * self.q, 4)
 
     def coefficients(self) -> tuple:
-        """(a^2/4, -pa/4, -a/2): the constants that turn residuals of Psi,
-        evaluated over Q, into those of T = (p/2) I - (a/2) Psi."""
-        half_p = Fraction(self.p, 2)
-        return (self.amp_squared,
-                MetallicScalar(half_p * half_p, -half_p, self.p, self.q), -self.amp)
-
-    def label(self) -> str:
-        s1 = "+" if self.eps1 == 1 else "-"
-        s2 = "+" if self.eps2 == 1 else "-"
-        return f"p={self.p},q={self.q},eps=({s1},{s2})"
+        """(a^2/4, -pa/4, -a/2): the constants that turn values of Psi-level
+        residuals, over Q, into those of T = (p/2) I - (a/2) Psi."""
+        return self.amp_squared, -Fraction(self.p, 2) * self.amp, -self.amp
 
 
-class MetallicOnTM:
-    """T = (p/2) I - (a/2) Psi with a = 2 sigma - p.  The checks below work
-    on ``psi`` over Q and scale by the ``coefficients`` of ``params``."""
+STRUCTURES = {"c": "complete_J", "h": "horizontal_F"}
 
-    def __init__(self, kind: str, psi: TensorField, params: MetallicParams) -> None:
-        self.kind = kind  # "complete_J" or "horizontal_F"
-        self.psi = psi
-        self.params = params
 
-    @cached_property
-    def tensor(self) -> TensorField:
-        half_p = mf.identity(self.psi.base.n) * Fraction(self.params.p, 2)
-        return TensorField(self.psi.base, (1, 1), half_p - self.params.amp * self.psi.components)
+def structure_label(lift: str, eps1: int, eps2: int) -> str:
+    """The structure and sign pair of a Psi, as axiom ids carry them."""
+    s1, s2 = ("+" if e == 1 else "-" for e in (eps1, eps2))
+    return f"{STRUCTURES[lift]};eps=({s1},{s2})"
 
 
 def _outer(form: TensorField, vec: TensorField) -> mf.Array:
     """eta (x) xi as a (1,1) component matrix on the same chart."""
     return mf.outer(vec.components, form.components)
-
-
-STRUCTURES = {"c": "complete_J", "h": "horizontal_F"}
 
 
 def build_psi(S: pc.ParacontactStructure, tb: bd.TangentBundleChart, lift: str,
@@ -104,8 +87,13 @@ def build_psi(S: pc.ParacontactStructure, tb: bd.TangentBundleChart, lift: str,
 
     Psi is over Q and does not depend on (p, q).  By the metallic <-> almost
     product correspondence (Hretcanu & Crasmareanu, Rev. Un. Mat. Argentina
-    54, 2013), T = (p/2) I - (a/2) Psi with a = 2 sigma - p, and Psi^2 = I if
-    and only if eps1 * eps2 = 1.
+    54, 2013), T = (p/2) I - (a/2) Psi with a = 2 sigma - p.  Since
+    eta^v(xi^v) = eta^k(xi^k) = 0 and eta^v(xi^k) = eta^k(xi^v) = 1,
+
+        Psi^2 - I = (eps1 eps2 - 1) (eta^k (x) xi^v + eta^v (x) xi^k),
+
+    so T^2 - pT - qI = (a^2/4) (Psi^2 - I) vanishes for every (p, q) if
+    eps1 * eps2 = 1 and for none if eps1 * eps2 = -1.
     """
     lift_vector = bd.clift_vector if lift == "c" else bd.hlift_vector
     phik = bd.lift_tensor11(tb, S.phi, lift).components
@@ -113,32 +101,6 @@ def build_psi(S: pc.ParacontactStructure, tb: bd.TangentBundleChart, lift: str,
     term2 = _outer(bd.lift_oneform(tb, S.eta, lift), lift_vector(tb, S.xi))
     comps = mf.add(phik, term1 * E.const(eps1), term2 * E.const(eps2))
     return TensorField(tb.chart, (1, 1), comps)
-
-
-def build_J(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
-            params: MetallicParams) -> MetallicOnTM:
-    """J = (p/2) I - (a/2) Psi_J with a = 2 sigma - p and
-    Psi_J = phi^c + eps1 eta^v (x) xi^v + eps2 eta^c (x) xi^c.
-
-    J is metallic if and only if eps1 * eps2 = 1.  Since
-    eta^v(xi^v) = eta^c(xi^c) = 0 and eta^v(xi^c) = eta^c(xi^v) = 1,
-
-        J^2 - pJ - qI = ((p^2 + 4q)/4) (eps1 eps2 - 1) (eta^c (x) xi^v + eta^v (x) xi^c).
-    """
-    return MetallicOnTM("complete_J", build_psi(S, tb, "c", params.eps1, params.eps2), params)
-
-
-def build_F(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
-            params: MetallicParams) -> MetallicOnTM:
-    """F = (p/2) I - (a/2) Psi_F with a = 2 sigma - p and
-    Psi_F = phi^h + eps1 eta^v (x) xi^v + eps2 eta^h (x) xi^h.
-
-    F is metallic if and only if eps1 * eps2 = 1.  Since
-    eta^v(xi^v) = eta^h(xi^h) = 0 and eta^v(xi^h) = eta^h(xi^v) = 1,
-
-        F^2 - pF - qI = ((p^2 + 4q)/4) (eps1 eps2 - 1) (eta^h (x) xi^v + eta^v (x) xi^h).
-    """
-    return MetallicOnTM("horizontal_F", build_psi(S, tb, "h", params.eps1, params.eps2), params)
 
 
 # ----------------------------------------------------------------------
@@ -150,28 +112,29 @@ def pq_residual(t: mf.Array, p: int, q: int) -> mf.Array:
     return mf.add(mf.contract("am,mb->ab", t, t), t * E.const(-p), mf.identity(len(t)) * -q)
 
 
-def check_metallic(T: MetallicOnTM, points, tol: float = FLOAT_TOL) -> AxiomVerdict:
-    """T^2 - pT - qI = (a^2/4) (Psi^2 - I)."""
-    A = T.params.coefficients()[0]
-    return residual_verdict(f"metallic[{T.kind};{T.params.label()}]", T.psi.base, points,
-                            tol, (A, pq_residual(T.psi.components, 0, 1)))
+def check_metallic(psi: TensorField, label: str, points, tol: float = FLOAT_TOL) -> AxiomVerdict:
+    """Psi^2 - I, which times a^2/4 is T^2 - pT - qI."""
+    return residual_verdict(f"metallic[{label}]", psi.base, points, tol,
+                            pq_residual(psi.components, 0, 1))
 
 
-def check_compat(metric: TensorField, T: MetallicOnTM, points,
+def check_compat(metric: TensorField, psi: TensorField, label: str, points,
                  tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
-    """Both compatibility forms with a symmetric metric G, the (p,q) identity
-    and plain symmetry:
+    """u = Psi^T G Psi - G (``compat-isometry``) and w = Psi^T G - G Psi
+    (``compat-symmetry``) for a symmetric metric G.  The compatibility forms
+    of T are
 
-        T^T G T - pGT - qG = (a^2/4) (Psi^T G Psi - G) - (pa/4) (Psi^T G - G Psi)
-        T^T G - G T        = -(a/2) (Psi^T G - G Psi)
+        T^T G T - pGT - qG = (a^2/4) u - (pa/4) w
+        T^T G - G T        = -(a/2) w
+
+    and both vanish for every (p, q) exactly when u = 0 and w = 0.
     """
-    m, s = metric.components, T.psi.components
+    m, s = metric.components, psi.components
     ms = mf.contract("ak,kb->ab", m, s)  # metric(e_a, Psi e_b)
     u = mf.contract("ka,kb->ab", s, ms) - m  # metric(Psi a, Psi b) - metric(a, b)
     w = ms.T - ms  # metric(Psi a, b) - metric(a, Psi b)
-    A, B, C = T.params.coefficients()
-    return [residual_verdict(f"{rid}[{T.kind}]", T.psi.base, points, tol, *terms)
-            for rid, terms in (("compat-pq", [(A, u), (B, w)]), ("compat-symmetry", [(C, w)]))]
+    return [residual_verdict(f"{rid}[{label}]", psi.base, points, tol, r)
+            for rid, r in (("compat-isometry", u), ("compat-symmetry", w))]
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +234,7 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
     resid4 = mf.add(r_on(phiX, phiX), r_on(X, X), -inner)
     tr4 = ResidualTracker(tol)
     for idx in mf.ndindex(resid4.shape):
-        tr4.track(M, points, idx, (1, resid4[idx]))
+        tr4.track(M, points, idx, resid4[idx])
     e4 = tr4.verdict("e4-curvature")
 
     # e5: nabla_{phiX} phiY - phi nabla_{phiX} Y - phi nabla_X phiY + nabla_X Y = 0
@@ -283,7 +246,7 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
     tr5 = ResidualTracker(tol)
     equivalence_ok = True
     for ix, iy in mf.ndindex(eta_nxy.shape):
-        for pt, vals in zip(points, tr5.track(M, points, (ix, iy), (1, resid5[ix, iy]))):
+        for pt, vals in zip(points, tr5.track(M, points, (ix, iy), resid5[ix, iy])):
             e5_zero = all(meets_zero(v, tol) for v in vals)
             eta_zero = meets_zero(E.evaluate(eta_nxy[ix, iy], pt), tol)
             if e5_zero != eta_zero:
@@ -298,26 +261,25 @@ def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
 # parallelity probes
 # ----------------------------------------------------------------------
 
-def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
+def parallelity_probe(psi: TensorField, lift: str, lifted_conn: Connection,
                       S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
                       frame, points, tol: float = FLOAT_TOL) -> AxiomVerdict:
-    """(nabla~_X~ T) xi~ against the closed form; the structure is reported
+    """(nabla~_X~ Psi) xi~ against the closed form; the structure is reported
     non-parallel when every direction of the D-frame ``frame``
     (``distribution_frame``) gives a nonzero residual that matches the
-    closed form exactly.
+    closed form exactly.  ``lift`` is "c" (J, nabla^c) or "h" (F, nabla^h):
 
-    complete_J:   (nabla^c_{X^c} J) xi^c = -((2s-p)/2) [(phi X)^v - X^c]
-    horizontal_F: (nabla^h_{X^h} F) xi^h = -((2s-p)/2) [(phi X)^v - (phi^2 X)^h]
+    complete_J:   (nabla^c_{X^c} Psi) xi^c = (phi X)^v - X^c
+    horizontal_F: (nabla^h_{X^h} Psi) xi^h = (phi X)^v - (phi^2 X)^h
 
-    Since nabla~ T = -(a/2) nabla~ Psi, both sides are built for Psi over Q
-    and their values are scaled by -a/2.
+    Since nabla~ T = -(a/2) nabla~ Psi with -a/2 != 0, T is parallel for no
+    (p, q) when these are nonzero; the values are those of Psi, over Q.
     """
     n = tb.n
-    scale = T.params.coefficients()[2]
-    dpsi = mf.covariant_derivative(lifted_conn, T.psi)  # [a, A, b]
+    dpsi = mf.covariant_derivative(lifted_conn, psi)  # [a, A, b]
     # closed-form match: the J display is qualified to directions in D,
     # while the F display carries phi^2 and holds on the whole frame
-    if T.kind == "complete_J":
+    if lift == "c":
         lift_dir, basis = bd.clift_vector, []
         matched = second = frame
     else:
@@ -332,31 +294,30 @@ def parallelity_probe(T: MetallicOnTM, lifted_conn: Connection,
               - bd.lifted_rows(tb, lift_dir, second))
     match = ResidualTracker(tol)
     for i, (probe, want) in enumerate(zip(list(probes)[len(probes) - len(closed):], closed)):
-        match.track(tb.chart, points, (i,), (scale, probe - want))
+        match.track(tb.chart, points, (i,), probe - want)
 
     # non-vanishing over every distribution frame direction
     nonzero_all = True
     zero_witness: Optional[Witness] = None
     sample = ResidualTracker(tol)
     for i, probe in enumerate(list(probes)[:len(frame)]):
-        for pt, vals in zip(points, sample.track(tb.chart, points, (i,), (scale, probe))):
+        for pt, vals in zip(points, sample.track(tb.chart, points, (i,), probe)):
             if all(meets_zero(v, tol) for v in vals):
                 nonzero_all = False
                 zero_witness = Witness(tb.chart.coords(pt), (i,), "0")
 
+    axiom_id = f"never-parallel[{STRUCTURES[lift]}]"
     if match.all_zero and nonzero_all:
         # pass: report the (nonzero) probe residual itself as the witness
-        return AxiomVerdict(f"never-parallel[{T.kind}]", "holds",
-                            sample.max_value, sample.witness)
-    return AxiomVerdict(f"never-parallel[{T.kind}]", "fails",
-                        match.max_value, match.witness or zero_witness)
+        return AxiomVerdict(axiom_id, "holds", sample.max_value, sample.witness)
+    return AxiomVerdict(axiom_id, "fails", match.max_value, match.witness or zero_witness)
 
 
 # ----------------------------------------------------------------------
 # fundamental forms
 # ----------------------------------------------------------------------
 
-def fundamental_form(T: MetallicOnTM, metric: TensorField) -> TensorField:
+def fundamental_form(psi: TensorField, metric: TensorField) -> TensorField:
     """metric(X~, Psi Y~), the part over Q of the fundamental form
 
         Phi(X~, Y~) = metric(X~, T Y~) - (p/2) metric(X~, Y~) = -(a/2) metric(X~, Psi Y~),
@@ -365,5 +326,5 @@ def fundamental_form(T: MetallicOnTM, metric: TensorField) -> TensorField:
     it symmetric, not antisymmetric; it is fed to the coboundary formula
     componentwise.
     """
-    return TensorField(T.psi.base, (0, 2), mf.contract("ak,kb->ab", metric, T.psi))
+    return TensorField(psi.base, (0, 2), mf.contract("ak,kb->ab", metric, psi))
 

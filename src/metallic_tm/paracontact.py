@@ -42,7 +42,7 @@ def check_almost_paracontact(S: ParacontactStructure, points,
     r3 = mf.contract("am,m->a", phi, xi)
     r4 = mf.contract("m,mj->j", eta, phi)
 
-    return [residual_verdict(aid, M, points, tol, (1, r))
+    return [residual_verdict(aid, M, points, tol, r)
             for aid, r in (("phi-squared", r1), ("eta-of-xi", r2), ("phi-xi", r3),
                            ("eta-circ-phi", r4))]
 
@@ -60,7 +60,7 @@ def check_metric_compat(S: ParacontactStructure, points,
     r2 = mf.contract("mi,mj+im,mj->ij", phi, g, -g, phi)  # g(phi X, Y) - g(X, phi Y)
     r3 = mf.add(-eta, mf.contract("im,m->i", g, xi))  # g(X, xi) - eta(X)
 
-    return [residual_verdict(aid, M, points, tol, (1, r))
+    return [residual_verdict(aid, M, points, tol, r)
             for aid, r in (("compat-eq4", r1), ("compat-phi-symmetry", r2),
                            ("compat-g-xi", r3))]
 
@@ -77,8 +77,8 @@ def check_p_sasakian(S: ParacontactStructure, C: Connection, points,
     r1 = mf.covariant_derivative(C, S.phi).components - rhs  # [a, i, j]
     r2 = mf.covariant_derivative(C, S.xi).components - phi  # [a, i]
 
-    return [residual_verdict("p-sasakian-eq6", M, points, tol, (1, r1)),
-            residual_verdict("p-sasakian-eq7", M, points, tol, (1, r2))]
+    return [residual_verdict("p-sasakian-eq6", M, points, tol, r1),
+            residual_verdict("p-sasakian-eq7", M, points, tol, r2)]
 
 
 def n_tensors(S: ParacontactStructure) -> dict:
@@ -140,5 +140,5 @@ def check_D_flat(S: ParacontactStructure, C: Connection, frame, points,
     resid = mf.contract("m,xym->xy", S.eta, mf.cov_rows(C, X, X))
     tracker = ResidualTracker(tol)
     for idx in mf.ndindex(resid.shape):
-        tracker.track(S.base, points, idx, (1, resid[idx]))
+        tracker.track(S.base, points, idx, resid[idx])
     return tracker.verdict("D-flat")

@@ -3,7 +3,8 @@
 Rationals are plain ``fractions.Fraction``; ``MetallicScalar`` adjoins the
 positive root sigma of x^2 - p x - q for positive integers p, q.  Every
 product is reduced with the rewrite sigma^2 -> p*sigma + q, so values stay in
-the two-dimensional representation a + b*sigma over Q.
+the two-dimensional representation a + b*sigma over Q.  When p^2 + 4q is a
+perfect square, sigma is rational and b*sigma is folded into a.
 """
 
 from __future__ import annotations
@@ -29,11 +30,20 @@ def _as_fraction(x: Rat) -> Fraction:
     raise TypeError(f"not a rational: {x!r}")
 
 
+def _rational_sigma(p: int, q: int):
+    """sigma_{p,q} as a Fraction when p^2 + 4q is a perfect square, else None."""
+    d = p * p + 4 * q
+    r = math.isqrt(d)
+    return Fraction(p + r, 2) if r * r == d else None
+
+
 class MetallicScalar:
     """An element a + b*sigma of Q(sigma_{p,q}).
 
     Immutable.  Mixing two scalars with different (p, q) is an error unless
-    one of them is rational (b == 0), in which case it is coerced.
+    one of them is rational (b == 0), in which case it is coerced.  A
+    rational sigma is folded into a, so b == 0 exactly when the value is
+    rational.
     """
 
     __slots__ = ("a", "b", "p", "q")
@@ -41,8 +51,12 @@ class MetallicScalar:
     def __init__(self, a: Rat, b: Rat, p: int, q: int) -> None:
         if p < 1 or q < 1:
             raise ScalarError(f"metallic parameters must be positive, got p={p} q={q}")
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
+        a, b = _as_fraction(a), _as_fraction(b)
+        s = _rational_sigma(p, q) if b else None
+        if s is not None:
+            a, b = a + b * s, Fraction(0)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "p", int(p))
         object.__setattr__(self, "q", int(q))
 
@@ -159,11 +173,13 @@ class MetallicScalar:
         return f"{self.a}+{bpart}" if self.b > 0 else f"{self.a}{bpart}"
 
 
-def sigma(p: int, q: int) -> MetallicScalar:
-    """The metallic mean sigma_{p,q}, positive root of x^2 - p x - q."""
+def sigma(p: int, q: int) -> ScalarLike:
+    """The metallic mean sigma_{p,q}, positive root of x^2 - p x - q: a
+    Fraction when p^2 + 4q is a perfect square, else a MetallicScalar."""
     if not (isinstance(p, int) and isinstance(q, int)) or p < 1 or q < 1:
         raise ScalarError(f"metallic parameters must be positive integers, got p={p!r} q={q!r}")
-    return MetallicScalar(0, 1, p, q)
+    s = _rational_sigma(p, q)
+    return MetallicScalar(0, 1, p, q) if s is None else s
 
 
 def sign(x) -> int:
@@ -197,14 +213,6 @@ def scalar_float(x) -> float:
     except OverflowError:
         f = math.inf * sign(x)
     return math.copysign(sys.float_info.max, f) if math.isinf(f) else f
-
-
-def scaled_sum(*terms):
-    """sum(coef * value) over (coef, value) pairs, coef made a float when its
-    value is one.  A value that is exactly 0 contributes no product, and
-    all-zero values give 0."""
-    products = [(float(c) if isinstance(v, float) else c) * v for c, v in terms if v != 0]
-    return sum(products[1:], products[0]) if products else 0
 
 
 def is_zero(x) -> bool:

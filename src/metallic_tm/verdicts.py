@@ -6,7 +6,7 @@ from typing import Any, NamedTuple, Optional
 
 from . import exprs as E
 from .manifold import asarray, ndindex
-from .scalars import abs_greater, is_zero, scalar_str, scaled_sum
+from .scalars import abs_greater, is_zero, scalar_str
 
 FLOAT_TOL = 1e-9
 
@@ -67,21 +67,19 @@ class ResidualTracker:
             self.max_value = value
             self.witness = Witness(tuple(point_coords), tuple(frame), scalar_str(value))
 
-    def track(self, chart, points, label: tuple, *terms) -> list:
-        """Update with the residual sum(coef * arr) over (coef, arr) terms at
-        every point (points outer, components in C order, the last index
-        fastest), under the frame ``label + index``.  Each component of each
-        arr (an Expr, or an Array or nested list of them) is evaluated first
-        and then scaled by its constant coef.  Returns, per point, the list
-        of component values."""
-        arrs = [(c, asarray(arr)) for c, arr in terms]
-        indices = list(ndindex(arrs[0][1].shape))
+    def track(self, chart, points, label: tuple, arr) -> list:
+        """Update with every component of ``arr`` (an Expr, or an Array or
+        nested list of them) at every point (points outer, components in C
+        order, the last index fastest), under the frame ``label + index``.
+        Returns, per point, the list of component values."""
+        arr = asarray(arr)
+        indices = list(ndindex(arr.shape))
         out = []
         for pt in points:
             coords = chart.coords(pt)
             values = []
-            for k, idx in enumerate(indices):
-                v = scaled_sum(*((c, E.evaluate(arr.flat[k], pt)) for c, arr in arrs))
+            for idx, e in zip(indices, arr.flat):
+                v = E.evaluate(e, pt)
                 self.update(v, coords, label + idx)
                 values.append(v)
             out.append(values)
@@ -96,9 +94,9 @@ class ResidualTracker:
                             self.max_value, self.witness)
 
 
-def residual_verdict(axiom_id: str, chart, points, tol: float, *terms) -> AxiomVerdict:
-    """The verdict on the residual sum(coef * arr) over (coef, arr) terms,
-    expected zero at every point (``ResidualTracker.track``)."""
+def residual_verdict(axiom_id: str, chart, points, tol: float, arr) -> AxiomVerdict:
+    """The verdict on the residual array ``arr``, expected zero at every
+    point (``ResidualTracker.track``)."""
     tracker = ResidualTracker(tol)
-    tracker.track(chart, points, (), *terms)
+    tracker.track(chart, points, (), arr)
     return tracker.verdict(axiom_id)

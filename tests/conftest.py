@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from metallic_tm import bundle as bd
@@ -67,3 +68,63 @@ def manifest_path():
 def eval_zero(arr, point):
     """True when every expression in arr evaluates to exactly zero."""
     return all(v == 0 for v in mf.evaluate_array(arr, point).flat)
+
+
+# -- the T-level oracle ------------------------------------------------------
+#
+# J and F are T = (p/2) I - (a/2) Psi.  The program decides every claim on
+# Psi over Q; the tests that hold a claim of T against it build T's values
+# from Psi's at a point, over Q(sigma), and apply the defining formulas to
+# them directly.
+
+def values(arr, point):
+    """The values of an Expr array at ``point`` as a numpy object array."""
+    arr = mf.asarray(arr)
+    return np.array(mf.evaluate_array(arr, point).flat, dtype=object).reshape(arr.shape)
+
+
+def t_values(psi, prm, point):
+    """T = (p/2) I - (a/2) Psi at ``point``, and its partials [m, a, b] =
+    d_m T^a_b = -(a/2) d_m Psi^a_b (the constant part has none)."""
+    n = psi.components.shape[0]
+    t = Fraction(prm.p, 2) * np.identity(n, dtype=object) - prm.amp * values(psi.components, point)
+    dt = -prm.amp * values(psi.base.partials(psi.components), point)
+    return t, dt
+
+
+def _nonzero(x):
+    return [(idx, v) for idx, v in np.ndenumerate(x) if v != 0]
+
+
+def nijenhuis_values(t, dt):
+    """N_T^a_ij = T^m_i d_m T^a_j - T^m_j d_m T^a_i - T^a_m (d_i T^m_j - d_j T^m_i),
+    summed over nonzero factors."""
+    out = np.zeros(t.shape[:1] * 3, dtype=object)
+    t_nz, dt_nz = _nonzero(t), _nonzero(dt)
+    for (m, x), tv in t_nz:
+        for (k, a, y), dv in dt_nz:
+            if k == m:  # T^m_x d_m T^a_y
+                out[a, x, y] += tv * dv
+                out[a, y, x] -= tv * dv
+    for (a, m), tv in t_nz:
+        for (i, k, j), dv in dt_nz:
+            if k == m:  # T^a_m d_i T^m_j
+                out[a, i, j] -= tv * dv
+                out[a, j, i] += tv * dv
+    return out
+
+
+def covariant_values(t, dt, gamma):
+    """(nabla T)[a, i, b] = d_i T^a_b + Gamma^a_im T^m_b - Gamma^m_ib T^a_m,
+    summed over nonzero factors."""
+    out = dt.transpose(1, 0, 2).copy()
+    t_nz = _nonzero(t)
+    for (c, i, m), g in _nonzero(gamma):
+        for (k, b), tv in t_nz:
+            if k == m:  # Gamma^c_im T^m_b
+                out[c, i, b] += g * tv
+    for (m, i, b), g in _nonzero(gamma):
+        for (a, k), tv in t_nz:
+            if k == m:  # Gamma^m_ib T^a_m
+                out[a, i, b] -= g * tv
+    return out

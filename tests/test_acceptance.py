@@ -5,6 +5,7 @@ import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from metallic_tm import bundle as bd
@@ -16,7 +17,7 @@ from metallic_tm import paracontact as pc
 from metallic_tm.harness import SamplePlan
 from metallic_tm.scalars import sigma
 
-from conftest import eval_zero
+from conftest import eval_zero, nijenhuis_values, t_values, values
 from test_harness import MUTATIONS
 
 
@@ -87,40 +88,33 @@ def test_criterion_3_metallic_identity_all_variants(manifest, pts10):
     so the matched-sign variants are metallic (exact zero) and the mixed-sign
     variants eps1 eps2 = -1 are not: their residual equals the closed form,
     built here from the lift primitives alone, component by component and is
-    nonzero.
+    nonzero.  T's values are built from those of Psi (``conftest.t_values``);
+    the verdict of the program is the one on Psi, for every (p, q).
     """
     S, tb = manifest.structure, _tb(manifest)
     pts = pts10[:3]
-    lifts = {ml.build_J: ("c", bd.clift_vector), ml.build_F: ("h", bd.hlift_vector)}
+    lifts = {"c": bd.clift_vector, "h": bd.hlift_vector}
     ev = bd.lift_oneform(tb, S.eta, "v")
     xv = bd.vlift_vector(tb, S.xi)
     cross = {}
-    for build, (kind, lift_vector) in lifts.items():
+    for kind, lift_vector in lifts.items():
         ek = bd.lift_oneform(tb, S.eta, kind)
         xk = lift_vector(tb, S.xi)
-        cross[build] = [mf.evaluate_array(mf.add(ml._outer(ek, xv), ml._outer(ev, xk)), pt)
-                        for pt in pts]
+        cross[kind] = [values(mf.add(ml._outer(ek, xv), ml._outer(ev, xk)), pt) for pt in pts]
+    psis = {(kind, e1, e2): ml.build_psi(S, tb, kind, e1, e2)
+            for kind in lifts for e1, e2 in itertools.product((1, -1), repeat=2)}
+    eye = np.identity(2 * tb.n, dtype=object)
 
-    for (p, q), (e1, e2) in itertools.product(
-            [(1, 1), (1, 2), (2, 1), (3, 5)],
-            [(1, 1), (1, -1), (-1, 1), (-1, -1)]):
+    for (p, q), (kind, e1, e2) in itertools.product([(1, 1), (1, 2), (2, 1), (3, 5)], psis):
         prm = ml.MetallicParams(p, q, e1, e2)
         coef = Fraction(p * p + 4 * q, 4) * (e1 * e2 - 1)
-        for build in lifts:
-            T = build(S, tb, prm)
-            where = (prm.label(), build.__name__)
-            if e1 * e2 == 1:
-                assert ml.check_metallic(T, pts).holds, where
-                continue
-            resid = ml.pq_residual(T.tensor.components, p, q)
-            nonzero = False
-            for pt, xs in zip(pts, cross[build]):
-                got = mf.evaluate_array(resid, pt)
-                want = coef * xs
-                for ab in itertools.product(range(2 * tb.n), repeat=2):
-                    assert got[ab] == want[ab], (where, ab)
-                    nonzero = nonzero or want[ab] != 0
-            assert nonzero, where
+        psi = psis[kind, e1, e2]
+        where = (p, q, ml.structure_label(kind, e1, e2))
+        assert ml.check_metallic(psi, where[2], pts).holds == (e1 * e2 == 1), where
+        for pt, xs in zip(pts, cross[kind]):
+            t, _ = t_values(psi, prm, pt)
+            assert ((t @ t - p * t - q * eye) == coef * xs).all(), where
+        assert e1 * e2 == 1 or any(xs.any() for xs in cross[kind]), where
 
 
 def _tb(manifest):
@@ -152,14 +146,13 @@ def test_criterion_5_J_integrability_and_proof_rows(manifest, pts10, report):
     ])
     S = pc.ParacontactStructure(M, phi, manifest.structure.eta, manifest.structure.xi)
     tb = _tb(manifest)
-    prm = ml.MetallicParams(1, 1)
-    J = ml.build_J(S, tb, prm)
-    NJ = mf.nijenhuis(J.tensor)
+    psi = ml.build_psi(S, tb, "c", 1, 1)
     pts = pts10[:2]
-    assert not all(eval_zero(NJ.components, pt) for pt in pts)
+    assert any(nijenhuis_values(*t_values(psi, ml.MetallicParams(1, 1), pt)).any()
+               for pt in pts)
     X = mf.TensorField(M, (1, 0), [E.ONE, x1, E.ZERO])
     Y = mf.TensorField(M, (1, 0), [x3, E.ONE, E.ZERO])
-    rows = ml.nijenhuis_rows(S, tb, mf.nijenhuis(J.psi), X, Y)
+    rows = ml.nijenhuis_rows(S, tb, mf.nijenhuis(psi), X, Y)
     for rid, resid in rows.items():
         for pt in pts:
             assert eval_zero(resid, pt), rid
@@ -202,9 +195,9 @@ def test_criterion_8_phi_prime_nonclosed(manifest, pts10, report):
     S = manifest.structure
     tb = _tb(manifest)
     prm = manifest.params[0]
-    Fm = ml.build_F(S, tb, prm)
+    psi = ml.build_psi(S, tb, "h", prm.eps1, prm.eps2)
     G = bd.sasaki_metric(tb)
-    dPhip = mf.coboundary_2form(ml.fundamental_form(Fm, G))
+    dPhip = mf.coboundary_2form(ml.fundamental_form(psi, G))
     x3 = manifest.manifold.variables[2]
     X = mf.TensorField(manifest.manifold, (1, 0), [x3, E.ZERO, E.ZERO])
     val = mf.contract("ijk,i,j,k->", dPhip, bd.hlift_vector(tb, X), bd.vlift_vector(tb, X),

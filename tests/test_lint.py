@@ -125,3 +125,44 @@ def test_no_function_takes_a_mode(path):
     """The sample points decide exact or float arithmetic, so no function
     is told the mode beside them."""
     assert mode_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def scalar_uses(source: str) -> list:
+    """(line, name) of every import of ``MetallicScalar`` or ``sigma`` and
+    every definition of ``scaled_sum`` in a module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[-1] in ("MetallicScalar", "sigma")]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node.name == "scaled_sum":
+            found.append((node.lineno, "scaled_sum"))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, "scaled_sum") for t in targets
+                      if getattr(t, "id", None) == "scaled_sum"]
+    return sorted(found)
+
+
+def test_scalar_uses_are_found():
+    source = "from .scalars import MetallicScalar as M, sign\nfrom . import scalars\n" \
+             "from .scalars import sigma\ndef scaled_sum(*terms):\n    pass\n" \
+             "def f(sigma):\n    return sigma\nscaled_sum = None\n"
+    assert scalar_uses(source) == [(1, "MetallicScalar"), (3, "sigma"), (4, "scaled_sum"),
+                                   (8, "scaled_sum")]
+
+
+# the modules of the verdict path, which see values over Q only
+OVER_Q = ("verdicts.py", "paracontact.py", "manifold.py", "exprs.py")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_q_sigma_stays_out_of_the_verdict_path(path):
+    """Every verdict is decided on Psi over Q: the modules of the verdict
+    path import neither ``MetallicScalar`` nor ``sigma``, and no module
+    scales a residual by a Q(sigma) constant through ``scaled_sum``."""
+    found = scalar_uses(path.read_text(encoding="utf-8"))
+    if path.name not in OVER_Q:
+        found = [use for use in found if use[1] == "scaled_sum"]
+    assert found == []

@@ -1,5 +1,10 @@
 """Metallic structures J and F on TM: identities, compatibility,
-integrability, parallelity and the fundamental forms."""
+integrability, parallelity and the fundamental forms.
+
+The program decides each claim on the almost product structure Psi, over
+Q.  The tests that state a claim of T = (p/2) I - (a/2) Psi itself build
+T's values from Psi's at a point (``conftest.t_values``) and hold them
+against the defining formulas."""
 
 import itertools
 from fractions import Fraction
@@ -13,22 +18,23 @@ from metallic_tm import manifold as mf
 from metallic_tm import metallic as ml
 from metallic_tm import paracontact as pc
 from metallic_tm.exprs import Var
-from metallic_tm.scalars import sigma
+from metallic_tm.harness import _t_verdict
+from metallic_tm.scalars import MetallicScalar, sigma
 from metallic_tm.verdicts import ResidualTracker
 
-from conftest import eval_zero
+from conftest import covariant_values, eval_zero, nijenhuis_values, t_values, values
 
 PQ_SET = [(1, 1), (1, 2), (2, 1), (3, 5)]
 
 
 @pytest.fixture(scope="module")
-def J11(structure, tb):
-    return ml.build_J(structure, tb, ml.MetallicParams(1, 1))
+def psi_J(structure, tb):
+    return ml.build_psi(structure, tb, "c", 1, 1)
 
 
 @pytest.fixture(scope="module")
-def F11(structure, tb):
-    return ml.build_F(structure, tb, ml.MetallicParams(1, 1))
+def psi_F(structure, tb):
+    return ml.build_psi(structure, tb, "h", 1, 1)
 
 
 def test_params_amp_and_sigma():
@@ -36,7 +42,8 @@ def test_params_amp_and_sigma():
     assert prm.sigma == sigma(2, 1)
     assert prm.amp * prm.amp == prm.amp_squared
     assert prm.amp_squared == Fraction(2)
-    assert ml.MetallicParams(1, 1).label() == "p=1,q=1,eps=(+,+)"
+    assert ml.structure_label("c", 1, 1) == "complete_J;eps=(+,+)"
+    assert ml.structure_label("h", 1, -1) == "horizontal_F;eps=(+,-)"
 
 
 def test_params_validation():
@@ -46,43 +53,207 @@ def test_params_validation():
         ml.MetallicParams(1, 1, eps1=2)
 
 
+@pytest.mark.parametrize("p,q,s", [(1, 2, 2), (2, 3, 3), (1, 6, 3)])
+def test_rational_sigma_gives_rational_coefficients(p, q, s):
+    """When p^2 + 4q is a square, sigma and every coefficient are Fractions."""
+    prm = ml.MetallicParams(p, q)
+    assert prm.sigma == s and type(prm.sigma) is Fraction
+    a = 2 * Fraction(s) - p
+    assert prm.coefficients() == (a * a / 4, -p * a / 4, -a / 2)
+    assert all(type(c) is Fraction for c in prm.coefficients())
+    assert type(prm.amp) is Fraction and prm.amp * prm.amp == prm.amp_squared
+
+
+# -- the six coefficient identities, over Q[p, q, sigma]/(sigma^2 - p sigma - q)
+
+class Poly:
+    """A polynomial in p, q and sigma over Q, reduced with the rewrite
+    sigma^2 -> p sigma + q: a dict from exponents (i, j, k) of p^i q^j
+    sigma^k, with k at most 1, to nonzero Fraction coefficients."""
+
+    def __init__(self, terms=()):
+        self.terms = {}
+        for (i, j, k), c in dict(terms).items():
+            while k >= 2:  # sigma^k = sigma^(k-2) (p sigma + q)
+                self._put((i, j + 1, k - 2), c)
+                i, k = i + 1, k - 1
+            self._put((i, j, k), c)
+
+    def _put(self, key, c):
+        c = self.terms.get(key, 0) + Fraction(c)
+        if c:
+            self.terms[key] = c
+        else:
+            self.terms.pop(key, None)
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, Poly) else Poly({(0, 0, 0): x})
+
+    def __add__(self, other):
+        out = Poly(self.terms)
+        for key, c in Poly.of(other).terms.items():
+            out._put(key, c)
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-Poly.of(other))
+
+    def __rsub__(self, other):
+        return Poly.of(other) - self
+
+    def __mul__(self, other):
+        other = Poly.of(other)
+        out = {}
+        for (i1, j1, k1), c1 in self.terms.items():
+            for (i2, j2, k2), c2 in other.terms.items():
+                key = (i1 + i2, j1 + j2, k1 + k2)
+                out[key] = out.get(key, 0) + c1 * c2
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return self.terms == Poly.of(other).terms
+
+    def at(self, p, q):
+        """The value at integers (p, q), with sigma = sigma(p, q)."""
+        s = sigma(p, q)
+        return sum((c * p ** i * q ** j * (s if k else 1)
+                    for (i, j, k), c in self.terms.items()), Fraction(0))
+
+
+class Lin:
+    """A linear combination, with Poly coefficients, of words in symbols
+    that do not commute (Psi, Psi^T, G, the fields X and Y, brackets):
+    the product concatenates words, and the Lie bracket of two
+    combinations is bilinear over the constants p, q and sigma."""
+
+    def __init__(self, terms=()):
+        self.terms = {w: c for w, c in dict(terms).items() if c.terms}
+
+    @staticmethod
+    def word(*symbols):
+        return Lin({tuple(symbols): Poly.of(1)})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = out.get(w, Poly()) + c
+        return Lin(out)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, c):
+        return Lin({w: Poly.of(c) * v for w, v in self.terms.items()})
+
+    def __mul__(self, other):
+        out = Lin()
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                out = out + Lin({w1 + w2: c1 * c2})
+        return out
+
+    def __eq__(self, other):
+        return (self - other).terms == {}
+
+
+def bracket(U, V):
+    out = Lin()
+    for u, cu in U.terms.items():
+        for v, cv in V.terms.items():
+            out = out + Lin({(("[", u, v),): cu * cv})
+    return out
+
+
+def nijenhuis(S, X, Y):
+    """[SX, SY] - S[SX, Y] - S[X, SY] + S^2[X, Y]."""
+    return (bracket(S * X, S * Y) - S * bracket(S * X, Y) - S * bracket(X, S * Y)
+            + S * S * bracket(X, Y))
+
+
+def nabla(L):
+    """nabla of a constant combination of I and Psi: nabla I = 0."""
+    return Lin({tuple("nabla " + s for s in w): c for w, c in L.terms.items() if w})
+
+
+P, Q, SIGMA = Poly({(1, 0, 0): 1}), Poly({(0, 1, 0): 1}), Poly({(0, 0, 1): 1})
+A_SYM = 2 * SIGMA - P  # a
+COEFS_SYM = (A_SYM * A_SYM * Fraction(1, 4), -P * A_SYM * Fraction(1, 4), -A_SYM * Fraction(1, 2))
+
+
+def test_the_six_identities_hold_for_every_p_and_q():
+    """With T = (p/2) I - (a/2) Psi and a = 2 sigma - p, the README's six
+    identities hold in Q[p, q, sigma]/(sigma^2 - p sigma - q) with p and q
+    symbolic, so for every (p, q); and a^2/4 = (p^2 + 4q)/4."""
+    A, B, C = COEFS_SYM
+    I, Psi, PsiT, G = Lin.word(), Lin.word("Psi"), Lin.word("Psi^T"), Lin.word("G")
+    X, Y = Lin.word("X"), Lin.word("Y")
+    T = I.scaled(P * Fraction(1, 2)) + Psi.scaled(-A_SYM * Fraction(1, 2))
+    TT = I.scaled(P * Fraction(1, 2)) + PsiT.scaled(-A_SYM * Fraction(1, 2))
+
+    assert A == (P * P + 4 * Q) * Fraction(1, 4)
+    assert T * T - T.scaled(P) - I.scaled(Q) == (Psi * Psi - I).scaled(A)
+    w = PsiT * G - G * Psi
+    assert TT * G * T - (G * T).scaled(P) - G.scaled(Q) == (PsiT * G * Psi - G).scaled(A) \
+        + w.scaled(B)
+    assert TT * G - G * T == w.scaled(C)
+    assert nijenhuis(T, X, Y) == nijenhuis(Psi, X, Y).scaled(A)
+    assert nabla(T) == nabla(Psi).scaled(C)
+    assert G * T - G.scaled(P * Fraction(1, 2)) == (G * Psi).scaled(C)
+
+
+@pytest.mark.parametrize("p,q", PQ_SET + [(2, 3), (1, 6), (5, 2)])
+def test_coefficients_are_the_symbolic_ones(p, q):
+    """``MetallicParams.coefficients`` is (a^2/4, -pa/4, -a/2) at (p, q)."""
+    prm = ml.MetallicParams(p, q)
+    assert prm.coefficients() == tuple(c.at(p, q) for c in COEFS_SYM)
+    assert prm.amp == -COEFS_SYM[2].at(p, q)
+
+
 # -- the almost product structure Psi --------------------------------------
 
-# the three parameter sets of the bundled manifest and one mixed-sign set
-PQ_EPS = [(1, 1, 1, 1), (2, 1, 1, 1), (3, 5, -1, -1), (2, 1, 1, -1)]
-BUILDERS = {"c": ml.build_J, "h": ml.build_F}
+# the three parameter sets of the bundled manifest, one with a rational
+# sigma and one mixed-sign set
+PQ_EPS = [(1, 1, 1, 1), (2, 1, 1, 1), (3, 5, -1, -1), (2, 1, 1, -1), (1, 2, 1, 1)]
 
 
-def _values(arr, pt):
-    """The values of an Expr array at ``pt`` as a numpy array."""
-    return np.array(mf.evaluate_array(arr, pt).flat, dtype=object).reshape(mf.asarray(arr).shape)
+def _cross(structure, tb, lift, pt):
+    """eta^k (x) xi^v + eta^v (x) xi^k at ``pt``, with k = c or h."""
+    lift_vector = bd.clift_vector if lift == "c" else bd.hlift_vector
+    ev = bd.lift_oneform(tb, structure.eta, "v")
+    ek = bd.lift_oneform(tb, structure.eta, lift)
+    xv, xk = bd.vlift_vector(tb, structure.xi), lift_vector(tb, structure.xi)
+    return values(ml._outer(ek, xv), pt) + values(ml._outer(ev, xk), pt)
 
 
 @pytest.mark.parametrize("lift", ["c", "h"])
 def test_psi_squared(structure, tb, points, lift):
     """Psi^2 = I for matched signs; for mixed signs Psi^2 - I is
     (eps1 eps2 - 1)(eta^k (x) xi^v + eta^v (x) xi^k), with k = c or h."""
-    lift_vector = bd.clift_vector if lift == "c" else bd.hlift_vector
-    ev = bd.lift_oneform(tb, structure.eta, "v")
-    ek = bd.lift_oneform(tb, structure.eta, lift)
-    xv, xk = bd.vlift_vector(tb, structure.xi), lift_vector(tb, structure.xi)
     for e1, e2 in itertools.product((1, -1), repeat=2):
         psi = ml.build_psi(structure, tb, lift, e1, e2).components
         square = mf.contract("am,mb->ab", psi, psi)
         for pt in points:
-            got = _values(square, pt) - np.identity(6, dtype=object)
-            cross = _values(ml._outer(ek, xv), pt) + _values(ml._outer(ev, xk), pt)
-            assert (got == (e1 * e2 - 1) * cross).all(), (lift, e1, e2)
+            got = values(square, pt) - np.identity(6, dtype=object)
+            assert (got == (e1 * e2 - 1) * _cross(structure, tb, lift, pt)).all(), (lift, e1, e2)
             assert (got != 0).any() == (e1 * e2 == -1)
 
 
 def _same_verdict(verdict, reference, chart, points):
-    """The verdict ranks exactly the values of the reference residual array,
-    in the same order, so its worst value and witness are the same."""
+    """The verdict ranks exactly the reference residual values (one array
+    per point), in the same order, so its worst value and witness are the
+    same."""
     tracker = ResidualTracker()
-    for pt in points:
-        for idx in np.ndindex(reference.shape):
-            tracker.update(E.evaluate(reference[idx], pt), chart.coords(pt), idx)
+    for pt, vals in zip(points, reference):
+        for idx in np.ndindex(vals.shape):
+            tracker.update(vals[idx], chart.coords(pt), idx)
     assert verdict.max_residual == tracker.max_value, verdict.axiom_id
     assert verdict.witness == tracker.witness, verdict.axiom_id
     return tracker.max_value
@@ -90,46 +261,66 @@ def _same_verdict(verdict, reference, chart, points):
 
 @pytest.mark.parametrize("p,q,e1,e2", PQ_EPS)
 def test_psi_combinations_equal_the_residuals_of_T(structure, tb, points, p, q, e1, e2):
-    """Each residual of T = build_J / build_F equals its Psi-level residual
-    scaled by (a^2/4, -pa/4, -a/2), exactly: the metallic identity, both
+    """The residuals of T, built from its values, equal the Psi-level ones
+    times (a^2/4, -pa/4, -a/2), exactly: the metallic identity, both
     compatibility forms (with g^c and with the Sasaki metric, so that the
-    -pa/4 term is nonzero somewhere), N_T, nabla~ T and the fundamental form."""
+    -pa/4 term is nonzero somewhere), N_T, nabla~ T and the fundamental
+    form.  The T-level values the report prints for the set (the Psi
+    verdict through ``harness._t_verdict``) are those of T's residuals."""
     prm = ml.MetallicParams(p, q, e1, e2)
     A, B, C = prm.coefficients()
     conns = {"c": bd.clift_connection(tb), "h": bd.hlift_connection(tb)}
+    eye = np.identity(6, dtype=object)
     nonzero_sym = False
-    for lift, build in BUILDERS.items():
-        T = build(structure, tb, prm)
-        t, s = T.tensor.components, T.psi.components
-        _same_verdict(ml.check_metallic(T, points), ml.pq_residual(t, p, q), tb.chart, points)
-        scaled = [
-            (mf.nijenhuis(T.tensor), A, mf.nijenhuis(T.psi)),
-            (mf.covariant_derivative(conns[lift], T.tensor), C,
-             mf.covariant_derivative(conns[lift], T.psi)),
-        ]
+    for lift in "ch":
+        psi = ml.build_psi(structure, tb, lift, e1, e2)
+        label = ml.structure_label(lift, e1, e2)
+        n_psi = mf.nijenhuis(psi).components
+        cov_psi = mf.covariant_derivative(conns[lift], psi).components
+        ts = [t_values(psi, prm, pt) for pt in points]
+        s_vals = [values(psi.components, pt) for pt in points]
+
+        r_metallic = [t @ t - p * t - q * eye for t, _ in ts]
+        for r, s in zip(r_metallic, s_vals):
+            assert (r == A * (s @ s - eye)).all()
+        _same_verdict(_t_verdict(ml.check_metallic(psi, label, points), [A]), r_metallic,
+                      tb.chart, points)
+
+        for pt, (t, dt), s in zip(points, ts, s_vals):
+            assert (nijenhuis_values(t, dt) == A * values(n_psi, pt)).all()
+            gamma = values(conns[lift].coefficients, pt)
+            assert (covariant_values(t, dt, gamma) == C * values(cov_psi, pt)).all()
+
         for metric in (bd.clift_metric(tb), bd.sasaki_metric(tb)):
-            m = metric.components
-            mt = mf.contract("ak,kb->ab", m, t)
-            r_pq = mf.contract("ka,kb->ab", t, mt) - p * mt - q * m
-            r_sym = mt.T - mt
-            v_pq, v_sym = ml.check_compat(metric, T, points)
-            _same_verdict(v_pq, r_pq, tb.chart, points)
+            ms = [values(metric.components, pt) for pt in points]
+            r_pq = [t.T @ m @ t - p * m @ t - q * m for (t, _), m in zip(ts, ms)]
+            r_sym = [t.T @ m - m @ t for (t, _), m in zip(ts, ms)]
+            w_zero = True
+            for (t, _), s, m, rp, rs in zip(ts, s_vals, ms, r_pq, r_sym):
+                u, w = s.T @ m @ s - m, s.T @ m - m @ s
+                assert (rp == A * u + B * w).all() and (rs == C * w).all()
+                assert (m @ t - Fraction(p, 2) * m == C * (m @ s)).all()
+                w_zero = w_zero and not w.any()
+            v_iso, v_sym = (_t_verdict(v, [c]) for v, c in zip(
+                ml.check_compat(metric, psi, label, points), (A, C)))
             nonzero_sym |= _same_verdict(v_sym, r_sym, tb.chart, points) != 0
-            phi_form = mt - Fraction(p, 2) * m
-            scaled.append((phi_form, C, ml.fundamental_form(T, metric)))
-        for whole, coef, part in scaled:
-            whole = getattr(whole, "components", whole)
-            for pt in points:
-                assert (_values(whole, pt) == coef * _values(part.components, pt)).all()
+            if w_zero:  # then T^T G T - pGT - qG is A u
+                _same_verdict(v_iso, r_pq, tb.chart, points)
     assert nonzero_sym
 
 
 @pytest.mark.parametrize("p,q", PQ_SET)
 def test_J_and_F_metallic_matched_signs(structure, tb, points, p, q):
+    """T^2 = pT + qI for matched signs, at every point; the verdict on Psi,
+    which does not depend on (p, q), holds."""
     for e1, e2 in [(1, 1), (-1, -1)]:
         prm = ml.MetallicParams(p, q, e1, e2)
-        assert ml.check_metallic(ml.build_J(structure, tb, prm), points).holds
-        assert ml.check_metallic(ml.build_F(structure, tb, prm), points).holds
+        for lift in "ch":
+            psi = ml.build_psi(structure, tb, lift, e1, e2)
+            assert ml.check_metallic(psi, ml.structure_label(lift, e1, e2), points).holds
+            for pt in points:
+                t, _ = t_values(psi, prm, pt)
+                assert not (t @ t - p * t - q * np.identity(6, dtype=object)).any()
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1)])
@@ -138,48 +329,51 @@ def test_mixed_signs_are_not_metallic(structure, tb, points, p, q):
     two sign choices no longer cancel."""
     for e1, e2 in [(1, -1), (-1, 1)]:
         prm = ml.MetallicParams(p, q, e1, e2)
-        vJ = ml.check_metallic(ml.build_J(structure, tb, prm), points)
-        vF = ml.check_metallic(ml.build_F(structure, tb, prm), points)
-        assert not vJ.holds
-        assert not vF.holds
-        assert vJ.witness is not None
+        for lift in "ch":
+            psi = ml.build_psi(structure, tb, lift, e1, e2)
+            v = ml.check_metallic(psi, ml.structure_label(lift, e1, e2), points)
+            assert not v.holds and v.witness is not None
+            t, _ = t_values(psi, prm, points[0])
+            assert (t @ t - p * t - q * np.identity(6, dtype=object)).any()
 
 
-def test_J_compatible_with_complete_lift_metric(tb, points, J11):
+def test_J_compatible_with_complete_lift_metric(tb, points, psi_J):
     gc = bd.clift_metric(tb)
-    for v in ml.check_compat(gc, J11, points):
+    for v in ml.check_compat(gc, psi_J, "J", points):
         assert v.holds, v.axiom_id
 
 
-def test_F_compatible_with_sasaki_metric(tb, points, F11):
+def test_F_compatible_with_sasaki_metric(tb, points, psi_F):
     G = bd.sasaki_metric(tb)
-    for v in ml.check_compat(G, F11, points):
+    for v in ml.check_compat(G, psi_F, "F", points):
         assert v.holds, v.axiom_id
 
 
-def test_cross_compat_fails(tb, points, J11):
+def test_cross_compat_fails(tb, points, psi_J):
     """J is not compatible with the Sasaki metric: a designed counterexample
     that guards against a checker which trivially passes."""
     G = bd.sasaki_metric(tb)
-    verdicts = ml.check_compat(G, J11, points)
+    verdicts = ml.check_compat(G, psi_J, "J", points)
     assert not all(v.holds for v in verdicts)
 
 
-def test_NJ_vanishes_on_p_sasakian(points, J11):
-    NJ = mf.nijenhuis(J11.tensor)
+def _n_t(psi, pt, prm=ml.MetallicParams(1, 1)):
+    return nijenhuis_values(*t_values(psi, prm, pt))
+
+
+def test_NJ_vanishes_on_p_sasakian(points, psi_J):
     for pt in points:
-        assert eval_zero(NJ.components, pt)
+        assert not _n_t(psi_J, pt).any()
 
 
-def test_NF_does_not_vanish(points, F11):
-    NF = mf.nijenhuis(F11.tensor)
-    assert not all(eval_zero(NF.components, pt) for pt in points)
+def test_NF_does_not_vanish(points, psi_F):
+    assert any(_n_t(psi_F, pt).any() for pt in points)
 
 
-def test_proof_rows_vanish_on_p_sasakian(structure, tb, points, J11):
+def test_proof_rows_vanish_on_p_sasakian(structure, tb, points, psi_J):
     X = mf.TensorField(structure.base, (1, 0), [E.ONE, E.ZERO, E.ZERO])
     Y = mf.TensorField(structure.base, (1, 0), [E.ZERO, E.ONE, E.ZERO])
-    rows = ml.nijenhuis_rows(structure, tb, mf.nijenhuis(J11.psi), X, Y)
+    rows = ml.nijenhuis_rows(structure, tb, mf.nijenhuis(psi_J), X, Y)
     assert set(rows) == {
         "vv", "vc", "cc", "v-xiv", "v-xic", "c-xiv",
         "xiv-xiv", "xic-xic", "xiv-xic",
@@ -217,15 +411,13 @@ def test_proof_rows_match_closed_forms_under_phi_mutation(h3, conn, points):
     assert not eval_zero(nt["N3"].components, points[0])
 
     tb2 = bd.TangentBundleChart(h3, conn)
-    prm = ml.MetallicParams(1, 1)
-    J = ml.build_J(S, tb2, prm)
-    NJ = mf.nijenhuis(J.tensor)
-    assert not all(eval_zero(NJ.components, pt) for pt in points)
+    psi = ml.build_psi(S, tb2, "c", 1, 1)
+    assert any(_n_t(psi, pt).any() for pt in points)
 
     x1, _, x3 = h3.variables
     X = mf.TensorField(h3, (1, 0), [E.ONE, x1, E.ZERO])
     Y = mf.TensorField(h3, (1, 0), [x3, E.ONE, E.ZERO])
-    rows = ml.nijenhuis_rows(S, tb2, mf.nijenhuis(J.psi), X, Y)
+    rows = ml.nijenhuis_rows(S, tb2, mf.nijenhuis(psi), X, Y)
     for rid, resid in rows.items():
         for pt in points:
             assert eval_zero(resid, pt), rid
@@ -269,33 +461,33 @@ def test_proof_rows_on_contact_example():
     # flat connection on this chart
     C = mf.Connection(M, mf.zeros((3, 3, 3)))
     tb2 = bd.TangentBundleChart(M, C)
-    prm = ml.MetallicParams(2, 1)
-    J = ml.build_J(S, tb2, prm)
-    assert ml.check_metallic(J, pts).holds
+    psi = ml.build_psi(S, tb2, "c", 1, 1)
+    assert ml.check_metallic(psi, "J", pts).holds
 
     x2 = M.variables[1]
     # sections of ker(eta)
     X = mf.TensorField(M, (1, 0), [E.ONE, E.ZERO, x2])
     Y = mf.TensorField(M, (1, 0), [E.ZERO, E.ONE, E.ZERO])
-    rows = ml.nijenhuis_rows(S, tb2, mf.nijenhuis(J.psi), X, Y)
+    rows = ml.nijenhuis_rows(S, tb2, mf.nijenhuis(psi), X, Y)
     for rid, resid in rows.items():
         for pt in pts:
             assert eval_zero(resid, pt), rid
 
 
-def test_J_never_parallel(structure, tb, conn, points, J11):
+def test_J_never_parallel(structure, tb, points, psi_J):
     cc = bd.clift_connection(tb)
-    v = ml.parallelity_probe(J11, cc, structure, tb, pc.distribution_frame(structure, points),
-                             points)
+    v = ml.parallelity_probe(psi_J, "c", cc, structure, tb,
+                             pc.distribution_frame(structure, points), points)
     assert v.holds
-    # probe residual is nonzero: -1/2 + sigma is the leading magnitude
-    assert v.max_residual == -Fraction(1, 2) + sigma(1, 1)
+    # the probe of Psi is -1 at its largest; that of J is -a/2 times it
+    assert v.max_residual == -1
+    assert -ml.MetallicParams(1, 1).amp * v.max_residual == -Fraction(1, 2) + sigma(1, 1)
 
 
-def test_F_never_parallel(structure, tb, points, F11):
+def test_F_never_parallel(structure, tb, points, psi_F):
     hc = bd.hlift_connection(tb)
-    v = ml.parallelity_probe(F11, hc, structure, tb, pc.distribution_frame(structure, points),
-                             points)
+    v = ml.parallelity_probe(psi_F, "h", hc, structure, tb,
+                             pc.distribution_frame(structure, points), points)
     assert v.holds
     assert v.witness is not None
     assert float(v.max_residual) != 0.0
@@ -312,9 +504,9 @@ def test_F_integrability_conditions(structure, conn, points):
     assert w.frame == (0, 0)
 
 
-def test_fundamental_form_is_symmetric(tb, points, J11):
+def test_fundamental_form_is_symmetric(tb, points, psi_J):
     gc = bd.clift_metric(tb)
-    Phi = ml.fundamental_form(J11, gc)
+    Phi = ml.fundamental_form(psi_J, gc)
     resid = mf.zeros((6, 6))
     for a, b in itertools.product(range(6), repeat=2):
         resid[a, b] = E.add(
@@ -324,11 +516,10 @@ def test_fundamental_form_is_symmetric(tb, points, J11):
         assert eval_zero(resid, pt)
 
 
-def test_dphi_prime_value_on_unit_field(structure, tb, points, F11):
+def test_dphi_prime_value_on_unit_field(structure, tb, points, psi_F):
     """dPhi'(X^h, X^v, xi^v) = -(2 sigma - p)/6 for the unit field X = x3 d1."""
     G = bd.sasaki_metric(tb)
-    Phip = ml.fundamental_form(F11, G)
-    dPhip = mf.coboundary_2form(Phip)
+    dPhip = mf.coboundary_2form(ml.fundamental_form(psi_F, G))
     x3 = structure.base.variables[2]
     X = mf.TensorField(structure.base, (1, 0), [x3, E.ZERO, E.ZERO])
     val = mf.contract(
@@ -338,14 +529,16 @@ def test_dphi_prime_value_on_unit_field(structure, tb, points, F11):
         bd.vlift_vector(tb, X),
         bd.vlift_vector(tb, structure.xi),
     )
+    prm = ml.MetallicParams(1, 1)
     expected = -(2 * sigma(1, 1) - 1) / 6
+    assert isinstance(expected, MetallicScalar)
     for pt in points:  # dPhi' = -(a/2) d(G(., Psi .))
-        assert -F11.params.amp * E.evaluate(val, pt) == expected
+        assert -prm.amp * E.evaluate(val, pt) == expected
 
 
-def test_dphi_vanishes_on_distribution_c_c_v_triples(structure, tb, points, J11):
+def test_dphi_vanishes_on_distribution_c_c_v_triples(structure, tb, points, psi_J):
     gc = bd.clift_metric(tb)
-    dPhi = mf.coboundary_2form(ml.fundamental_form(J11, gc))
+    dPhi = mf.coboundary_2form(ml.fundamental_form(psi_J, gc))
     frame = pc.distribution_frame(structure, points)
     for X, Y, Z in itertools.product(frame, repeat=3):
         val = mf.contract(

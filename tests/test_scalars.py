@@ -45,6 +45,22 @@ def test_sigma_satisfies_quadratic():
         assert s * s == p * s + q
 
 
+@pytest.mark.parametrize("p,q,root", [(1, 2, 2), (2, 3, 3), (1, 6, 3)])
+def test_rational_sigma(p, q, root):
+    """When p^2 + 4q is a perfect square, sigma is a Fraction, and a scalar
+    built on it folds sigma into its rational part: every zero test agrees
+    with ``sign``."""
+    s = sigma(p, q)
+    assert type(s) is Fraction and s == root and s * s == p * s + q
+    zero = MetallicScalar(-root, 1, p, q)  # -root + sigma
+    assert sign(zero) == 0 and float(zero) == 0.0
+    assert is_zero(zero) and not zero and zero == 0 and (zero.a, zero.b) == (0, 0)
+    x = MetallicScalar(Fraction(1, 2), 3, p, q)
+    assert x == Fraction(1, 2) + 3 * root and hash(x) == hash(Fraction(1, 2) + 3 * root)
+    assert scalar_str(x) == str(Fraction(1, 2) + 3 * root)
+    assert sign(-x) == -1 and abs_greater(x, 3 * root)
+
+
 def test_sigma_float_value():
     s = sigma(1, 1)  # the golden ratio
     assert abs(float(s) - (1 + 5 ** 0.5) / 2) < 1e-12

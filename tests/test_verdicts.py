@@ -12,7 +12,6 @@ import metallic_tm
 from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
 from metallic_tm.harness import _tracker_suite
-from metallic_tm.scalars import sigma
 from metallic_tm.verdicts import ResidualTracker, residual_verdict
 
 
@@ -64,7 +63,7 @@ def test_track_updates_points_outer_then_components_under_label_frames():
     chart, points, x1, x2 = _line()
     arr = mf.asarray([[x1, x2], [E.mul(x1, x2), E.ZERO]])
     tracker = _Recorder()
-    values = tracker.track(chart, points, ("lab",), (1, arr))
+    values = tracker.track(chart, points, ("lab",), arr)
     assert [c[1:] for c in tracker.calls] == [
         ((Fraction(a), Fraction(b)), ("lab",) + idx)
         for a, b in ((1, 2), (3, -1)) for idx in np.ndindex(2, 2)]
@@ -78,29 +77,29 @@ def test_track_updates_points_outer_then_components_under_label_frames():
 def test_track_an_expression_has_the_label_as_its_frame():
     chart, points, x1, x2 = _line()
     tracker = _Recorder()
-    assert tracker.track(chart, points, (0, 1, "dPhi"), (1, E.add(x1, x2))) == [[3], [2]]
+    assert tracker.track(chart, points, (0, 1, "dPhi"), E.add(x1, x2)) == [[3], [2]]
     assert [c[2] for c in tracker.calls] == [(0, 1, "dPhi")] * 2
 
 
-def test_track_scales_each_term_over_q_sigma():
-    """sum(coef * arr): each component is evaluated over Q, then scaled."""
+def test_track_evaluates_one_plain_array():
+    """Each component is evaluated as it is, over Q at exact points and in
+    floats at float points; nothing is scaled."""
     chart, points, x1, x2 = _line()
-    s = sigma(1, 1)
-    values = ResidualTracker().track(chart, points, (), (s, [x1, x2]), (Fraction(1, 2), [x2, x2]))
-    assert values == [[s + 1, 2 * s + 1], [3 * s - Fraction(1, 2), -s - Fraction(1, 2)]]
-    assert ResidualTracker().track(chart, points[:1], (), (s, [E.ZERO])) == [[0]]
+    values = ResidualTracker().track(chart, points, (), [x1, E.mul(E.const(Fraction(1, 2)), x2)])
+    assert values == [[1, 1], [3, Fraction(-1, 2)]]
+    assert all(type(v) is Fraction for vals in values for v in vals)
+    assert ResidualTracker().track(chart, points[:1], (), [E.ZERO]) == [[0]]
     float_point = E.Point({v: float(c) for v, c in points[0].items()})
-    floats = ResidualTracker().track(chart, [float_point], (), (s, [x1]))
-    assert floats == [[float(s)]]
+    assert ResidualTracker().track(chart, [float_point], (), [x1]) == [[1.0]]
 
 
 def test_track_keeps_the_first_of_equal_magnitudes():
     chart, points, x1, _ = _line()
     tracker = ResidualTracker()
-    tracker.track(chart, points, ("t",), (1, [E.mul(E.const(-2), x1), E.mul(E.const(2), x1)]))
+    tracker.track(chart, points, ("t",), [E.mul(E.const(-2), x1), E.mul(E.const(2), x1)])
     assert tracker.max_value == -6
     assert tracker.witness.frame == ("t", 0) and tracker.witness.point == (3, -1)
-    verdict = residual_verdict("tie", chart, points, 1e-9, (1, [x1 - x1]))
+    verdict = residual_verdict("tie", chart, points, 1e-9, [x1 - x1])
     assert verdict.holds and verdict.witness is None
 
 
@@ -111,10 +110,10 @@ def test_the_points_decide_whether_the_tolerance_applies():
     float_points = [E.Point({v: float(c) for v, c in pt.items()}) for pt in points]
     residual = E.mul(E.const(Fraction(1, 10 ** 6)), x1)
     exact = ResidualTracker(1e-3)
-    exact.track(chart, points, (), (1, [residual]))
+    exact.track(chart, points, (), [residual])
     assert exact.max_value == Fraction(3, 10 ** 6) and not exact.all_zero
     floats = ResidualTracker(1e-3)
-    floats.track(chart, float_points, (), (1, [residual]))
+    floats.track(chart, float_points, (), [residual])
     assert isinstance(floats.max_value, float) and floats.all_zero
 
 

@@ -96,16 +96,11 @@ class Poly:
             out._put(key, c)
         return out
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-Poly.of(other))
-
-    def __rsub__(self, other):
-        return Poly.of(other) - self
 
     def __mul__(self, other):
         other = Poly.of(other)

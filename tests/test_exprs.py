@@ -121,19 +121,25 @@ def test_equal_trees_are_one_object():
     assert Var("fiber", 2) is E.parse("y2", 3)
 
 
-def test_constants_are_rational():
-    """A constant is a Fraction: 1 and Fraction(1) are one node and one
-    argument of the memoised add and mul, and an element of Q(sigma), even
-    a rational one, is refused, so no expression carries sigma."""
+def test_constants_of_two_types_are_two_nodes():
+    """An int and a Fraction constant are one Fraction node, and an element
+    of Q(sigma), even a rational one, is refused rather than made a second
+    kind of constant node, so no expression carries sigma."""
     assert E.Const(Fraction(1)) is E.Const(1) is E.ONE
     assert type(E.Const(1).value) is Fraction
-    y = Var("fiber", 9)
-    for c in (1, Fraction(1)):
-        assert E.add(y, c) is E.Add([y, E.ONE])
-        assert E.mul(y, c) is y
     for c in (MetallicScalar(1, 0, 1, 1), MetallicScalar(0, 1, 1, 1)):
         with pytest.raises(TypeError):
             E.Const(c)
+
+
+def test_add_and_mul_keep_the_type_of_a_constant_argument():
+    """1 and Fraction(1) are one argument of the memoised add and mul, and
+    the constant they leave in the tree is a Fraction."""
+    y = Var("fiber", 9)
+    for c in (1, Fraction(1), 1):
+        assert E.add(y, c) is E.Add([y, E.ONE])
+        assert E.mul(y, c) is y
+        assert type(E.add(y, c).terms[-1].value) is Fraction
 
 
 def test_nodes_refuse_attribute_assignment():

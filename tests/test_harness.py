@@ -15,6 +15,8 @@ from metallic_tm import paracontact as pc
 from metallic_tm.cli import bundled_manifest_path
 from metallic_tm.harness import Manifest, ManifestError, SamplePlan
 
+DATA = pathlib.Path(__file__).parent / "data"
+
 
 @pytest.fixture(scope="module")
 def doc(manifest_path):
@@ -173,33 +175,35 @@ def test_report_is_deterministic(manifest):
     assert r1 == r2
 
 
+def _assert_matches_goldens(manifest):
+    """The reports of ``manifest`` at its plan's 3 points and at 10 points,
+    byte for byte as the committed goldens."""
+    for count, golden in ((manifest.plan.count, f"{manifest.name}.report.json"),
+                          (10, f"{manifest.name}.10-points.report.json")):
+        plan = manifest.plan._replace(count=count)
+        report = harness.render_report(harness.run_suites(manifest, plan=plan))
+        assert report == (DATA / golden).read_text(encoding="utf-8"), golden
+
+
 def test_report_matches_golden(manifest):
     """The bundled exact report, byte for byte as committed: unlike the
     determinism test, this catches a report change from one version of the
     code to the next."""
-    golden = pathlib.Path(__file__).parent / "data" / "hyperbolic-h3.report.json"
-    report = harness.render_report(harness.run_suites(manifest))
-    assert report == golden.read_text(encoding="utf-8")
+    _assert_matches_goldens(manifest)
 
 
 def test_h5_report_matches_golden():
     """The bundled dimension-5 chart, byte for byte as committed.  Its
     lifted tensors on TM are 10x10 and mostly zero, so this pins the term
     order of contractions over block-sparse operands."""
-    manifest = harness.load_manifest(bundled_manifest_path("hyperbolic-h5"))
-    golden = pathlib.Path(__file__).parent / "data" / "hyperbolic-h5.report.json"
-    report = harness.render_report(harness.run_suites(manifest))
-    assert report == golden.read_text(encoding="utf-8")
+    _assert_matches_goldens(harness.load_manifest(bundled_manifest_path("hyperbolic-h5")))
 
 
 def test_h7_report_matches_golden():
     """The bundled dimension-7 chart, byte for byte as committed.  The
     Nijenhuis tensors of the 14x14 Psi_J and Psi_F are the largest
     contractions of any bundled chart."""
-    manifest = harness.load_manifest(bundled_manifest_path("hyperbolic-h7"))
-    golden = pathlib.Path(__file__).parent / "data" / "hyperbolic-h7.report.json"
-    report = harness.render_report(harness.run_suites(manifest))
-    assert report == golden.read_text(encoding="utf-8")
+    _assert_matches_goldens(harness.load_manifest(bundled_manifest_path("hyperbolic-h7")))
 
 
 def test_float_report_matches_golden(doc):
@@ -209,9 +213,8 @@ def test_float_report_matches_golden(doc):
     wide["sample_plan"].update(count=10, seed=901, mode="float",
                                fiber_ranges=[["-300", "300"]] * wide["dimension"])
     m = harness.parse_manifest(wide, (json.dumps(wide, indent=2) + "\n").encode())
-    golden = pathlib.Path(__file__).parent / "data" / "hyperbolic-h3-wide.float.report.json"
     report = harness.render_report(harness.run_suites(m))
-    assert report == golden.read_text(encoding="utf-8")
+    assert report == (DATA / "hyperbolic-h3-wide.float.report.json").read_text(encoding="utf-8")
 
 
 def test_reports_match_the_report_schema(doc):
@@ -224,8 +227,8 @@ def test_reports_match_the_report_schema(doc):
     schema = json.loads(resources.files("metallic_tm").joinpath(
         "schemas/report.schema.json").read_text(encoding="utf-8"))
     jsonschema.Draft7Validator.check_schema(schema)
-    goldens = sorted((pathlib.Path(__file__).parent / "data").glob("*.report.json"))
-    assert len(goldens) == 4
+    goldens = sorted(DATA.glob("*.report.json"))
+    assert len(goldens) == 7
     for path in goldens:
         jsonschema.validate(json.loads(path.read_text(encoding="utf-8")), schema)
     bad = json.loads(json.dumps(doc))

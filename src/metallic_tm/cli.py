@@ -9,7 +9,7 @@ from typing import List, Optional
 
 from . import harness
 from .exprs import EvalError
-from .harness import ManifestError, SamplePlan
+from .harness import ManifestError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -31,7 +31,7 @@ def _load(path: str):
         return harness.load_manifest(path)
     except OSError as exc:
         message, code = f"cannot read {path}: {exc}", EXIT_USAGE
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         message, code = f"{path} is not valid JSON: {exc}", EXIT_USAGE
     except ManifestError as exc:
         message, code = f"{path}: {exc}", EXIT_FAIL
@@ -53,15 +53,8 @@ def cmd_validate(args) -> int:
 
 def cmd_verify(args) -> int:
     manifest = _load(args.manifest)
-    plan = manifest.plan
-    plan = SamplePlan(
-        count=args.points if args.points is not None else plan.count,
-        seed=args.seed if args.seed is not None else plan.seed,
-        mode=args.mode if args.mode is not None else plan.mode,
-        base_ranges=plan.base_ranges,
-        fiber_ranges=plan.fiber_ranges,
-        tol=plan.tol,
-    )
+    given = {"count": args.points, "seed": args.seed, "mode": args.mode}
+    plan = manifest.plan._replace(**{k: v for k, v in given.items() if v is not None})
 
     suites = None
     if args.suites:

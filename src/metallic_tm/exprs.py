@@ -516,6 +516,12 @@ class _Tokenizer:
         return tok
 
 
+# the levels an expression may nest, one for each enclosing parenthesis or
+# unary sign and one for the operand itself; well within the interpreter's
+# recursion limit
+MAX_NESTING = 100
+
+
 class Parser:
     """Recursive-descent parser for the coordinate expression grammar.
 
@@ -527,6 +533,7 @@ class Parser:
     def __init__(self, text: str, n: int) -> None:
         self.toks = _Tokenizer(text)
         self.n = n
+        self.depth = 0
 
     def parse(self) -> Expr:
         e = self._sum()
@@ -571,11 +578,18 @@ class Parser:
                 return e
 
     def _unary(self) -> Expr:
-        kind, _, _ = self.toks.peek()
+        """Every parenthesis and sign passes here, one level deeper each."""
+        kind, _, off = self.toks.peek()
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", off)
+        self.depth += 1
         if kind == "-":
             self.toks.next()
-            return mul(const(-1), self._unary())
-        return self._power()
+            e = mul(const(-1), self._unary())
+        else:
+            e = self._power()
+        self.depth -= 1
+        return e
 
     def _power(self) -> Expr:
         e = self._atom()

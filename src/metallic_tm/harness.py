@@ -16,7 +16,7 @@ import re
 import sys
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 from . import bundle as bd
 from . import exprs as E
@@ -25,7 +25,7 @@ from . import metallic as ml
 from . import paracontact as pc
 from .exprs import Var
 from .scalars import abs_greater, scalar_float, scalar_str, sign
-from .verdicts import FLOAT_TOL, ResidualTracker, meets_zero, worst
+from .verdicts import FLOAT_TOL, ResidualTracker, Witness, meets_zero, worst
 
 TOOL_NAME = "metallic-tm"
 TOOL_VERSION = "0.1.0"
@@ -233,7 +233,8 @@ def parse_manifest(doc: dict, raw: bytes = b"") -> Manifest:
 def load_manifest(path: str) -> Manifest:
     """Read and parse a manifest file.  Raises ``OSError`` if it cannot be
     read, ``UnicodeDecodeError`` if its bytes are not text in a JSON
-    encoding, ``json.JSONDecodeError`` if the text is not JSON, and
+    encoding, ``json.JSONDecodeError`` if the text is not JSON,
+    ``RecursionError`` if it nests too deeply for the JSON decoder, and
     ``ManifestError`` if its content is invalid."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -310,7 +311,6 @@ class SuiteContext:
         self.G = bd.sasaki_metric(self.tb)
         self.cc = bd.clift_connection(self.tb)
         self.hc = bd.hlift_connection(self.tb)
-        self.dphi_prime_sign: Optional[str] = None
         self._psi: Dict[tuple, mf.TensorField] = {}
         # the listed parameter sets by sign pair, pairs in order of first listing
         self.sign_pairs: Dict[tuple, List[ml.MetallicParams]] = {}
@@ -350,34 +350,46 @@ class SuiteContext:
         return X, Y, f, w, F2
 
 
-def _suite_result(suite_id: str, status: str, max_residual, witnesses: list,
-                  notes: Optional[dict] = None) -> dict:
-    """One suite entry of the report; every suite is written by this."""
-    out = {
-        "id": suite_id,
-        "status": status,
-        "max_residual": {"exact": scalar_str(max_residual),
-                         "float": scalar_float(max_residual)},
-        "witnesses": witnesses,
-    }
-    if notes:
-        out["notes"] = notes
-    return out
+class SuiteResult(NamedTuple):
+    """The outcome of one suite; ``witnesses`` are (Witness, tags) pairs."""
+    status: str  # "pass", "fail" or "skipped"
+    max_residual: Any = 0
+    witnesses: Sequence = ()
+    notes: Optional[dict] = None
+
+    def to_json(self, suite_id: str) -> dict:
+        """The suite's report entry: the one writer of its fields."""
+        out = {
+            "id": suite_id,
+            "status": self.status,
+            "max_residual": {"exact": scalar_str(self.max_residual),
+                             "float": scalar_float(self.max_residual)},
+            "witnesses": [{**w.to_json(), **tags} for w, tags in self.witnesses],
+        }
+        if self.notes:
+            out["notes"] = self.notes
+        return out
 
 
-def _tracker_suite(suite_id: str, tracker: ResidualTracker, coefs=None,
-                   status: Optional[str] = None, witnesses: Optional[list] = None,
-                   notes: Optional[dict] = None) -> dict:
-    """A suite decided by one tracker; ``coefs`` put the worst value of a
-    tracker of Psi-level residuals at the T level (``_t_verdict``)."""
-    v = tracker.verdict(suite_id)
-    if coefs is not None:
-        v = _t_verdict(v, coefs)
-    if status is None:
-        status = "pass" if v.holds else "fail"
+def _witnesses(verdicts, *tags) -> list:
+    """The witnesses of ``verdicts``, each tagged with the ``tags``
+    ("axiom", "status") of its verdict."""
+    return [(v.witness, {t: v.axiom_id if t == "axiom" else v.status for t in tags})
+            for v in verdicts if v.witness]
+
+
+def _result(verdicts, status: Optional[str] = None, notes: Optional[dict] = None,
+            tags: tuple = ("axiom",), witnesses: Optional[list] = None) -> SuiteResult:
+    """The result of a suite from its verdicts: the worst residual of them
+    all and, by default, "pass" when every verdict holds, with the witnesses
+    of the failed verdicts, or of the worst when none failed, tagged with
+    the ``tags`` of their verdicts."""
+    failed = [v for v in verdicts if not v.holds]
+    top = worst(verdicts)
     if witnesses is None:
-        witnesses = [v.witness.to_json()] if v.witness else []
-    return _suite_result(suite_id, status, v.max_residual, witnesses, notes)
+        witnesses = _witnesses(failed or [top], *tags)
+    return SuiteResult(status or ("fail" if failed else "pass"), top.max_residual,
+                       witnesses, notes)
 
 
 def _t_level(value, coefs):
@@ -395,37 +407,19 @@ def _t_verdict(verdict, coefs):
     return verdict._replace(max_residual=value, witness=witness)
 
 
-def _first_coefs(ctx: SuiteContext, k: int) -> list:
-    """The k-th coefficient of the first listed set, for one-Psi suites."""
-    return [ctx.manifest.params[0].coefficients()[k]]
-
-
-def _verdicts_to_suite(suite_id: str, verdicts, notes: Optional[dict] = None) -> dict:
-    top = worst(verdicts)
-    failed = [v for v in verdicts if not v.holds]
-    status = "pass" if not failed else "fail"
-    witnesses = []
-    for v in (failed or ([top] if top and top.witness else [])):
-        if v.witness:
-            w = v.witness.to_json()
-            w["axiom"] = v.axiom_id
-            witnesses.append(w)
-    return _suite_result(suite_id, status, top.max_residual if top else 0, witnesses, notes)
-
-
 # ----------------------------------------------------------------------
 # the 12 suites
 # ----------------------------------------------------------------------
 
-def suite_axioms(ctx: SuiteContext) -> dict:
+def suite_axioms(ctx: SuiteContext) -> SuiteResult:
     verdicts = []
     verdicts += pc.check_almost_paracontact(ctx.S, ctx.points, ctx.plan.tol)
     verdicts += pc.check_metric_compat(ctx.S, ctx.points, ctx.plan.tol)
     verdicts += pc.check_p_sasakian(ctx.S, ctx.conn, ctx.points, ctx.plan.tol)
-    return _verdicts_to_suite("axioms", verdicts)
+    return _result(verdicts)
 
 
-def suite_lifts(ctx: SuiteContext) -> dict:
+def suite_lifts(ctx: SuiteContext) -> SuiteResult:
     tb, M, conn, R = ctx.tb, ctx.M, ctx.conn, ctx.R
     n = M.n
     X, Y, f, w, F2 = ctx.test_fields()
@@ -532,52 +526,52 @@ def suite_lifts(ctx: SuiteContext) -> dict:
 
     for label, exprs in residuals:
         tracker.track(tb.chart, ctx.points, (label,), exprs)
-    return _tracker_suite("lifts", tracker)
+    return _result([tracker.verdict("lift-laws")], tags=())
 
 
-def _pair_suite(ctx: SuiteContext, suite_id: str, lift: str, check, notes=None) -> dict:
+def _pair_suite(ctx: SuiteContext, lift: str, check, notes=None) -> SuiteResult:
     """``check(psi, label)`` once per distinct sign pair, in the order the
     manifest first lists it: (verdict, k) pairs, each reported at the T level
     of the listed sets with that pair, through their k-th coefficient."""
-    return _verdicts_to_suite(suite_id, [
-        _t_verdict(v, [prm.coefficients()[k] for prm in sets])
-        for signs, sets in ctx.sign_pairs.items()
-        for v, k in check(ctx.psi(lift, signs), ml.structure_label(lift, *signs))], notes)
+    return _result([_t_verdict(v, [prm.coefficients()[k] for prm in sets])
+                    for signs, sets in ctx.sign_pairs.items()
+                    for v, k in check(ctx.psi(lift, signs), ml.structure_label(lift, *signs))],
+                   notes=notes)
 
 
-def _metallic_suite(ctx: SuiteContext, suite_id: str, lift: str) -> dict:
+def _metallic_suite(ctx: SuiteContext, lift: str) -> SuiteResult:
     """Psi^2 - I per sign pair; the notes name each pair whose T is metallic
     for no (p, q), with the closed form of its residual."""
     notes = {ml.structure_label(lift, *signs): "not metallic for any (p, q): Psi^2 - I = "
              f"(eps1 eps2 - 1) (eta^{lift} (x) xi^v + eta^v (x) xi^{lift}) != 0"
              for signs in ctx.sign_pairs if signs[0] != signs[1]}
-    return _pair_suite(ctx, suite_id, lift, lambda psi, label: [
+    return _pair_suite(ctx, lift, lambda psi, label: [
         (ml.check_metallic(psi, label, ctx.points, ctx.plan.tol), 0)], notes)
 
 
-def suite_J_metallic(ctx: SuiteContext) -> dict:
-    return _metallic_suite(ctx, "J-metallic", "c")
+def suite_J_metallic(ctx: SuiteContext) -> SuiteResult:
+    return _metallic_suite(ctx, "c")
 
 
-def suite_F_metallic(ctx: SuiteContext) -> dict:
-    return _metallic_suite(ctx, "F-metallic", "h")
+def suite_F_metallic(ctx: SuiteContext) -> SuiteResult:
+    return _metallic_suite(ctx, "h")
 
 
-def _compat_suite(ctx: SuiteContext, suite_id: str, lift: str, metric: mf.TensorField) -> dict:
+def _compat_suite(ctx: SuiteContext, lift: str, metric: mf.TensorField) -> SuiteResult:
     """u = Psi^T G Psi - G at the level a^2/4, w = Psi^T G - G Psi at -a/2."""
-    return _pair_suite(ctx, suite_id, lift, lambda psi, label: zip(
+    return _pair_suite(ctx, lift, lambda psi, label: zip(
         ml.check_compat(metric, psi, label, ctx.points, ctx.plan.tol), (0, 2)))
 
 
-def suite_J_compat(ctx: SuiteContext) -> dict:
-    return _compat_suite(ctx, "J-compat", "c", ctx.gc)
+def suite_J_compat(ctx: SuiteContext) -> SuiteResult:
+    return _compat_suite(ctx, "c", ctx.gc)
 
 
-def suite_F_compat(ctx: SuiteContext) -> dict:
-    return _compat_suite(ctx, "F-compat", "h", ctx.G)
+def suite_F_compat(ctx: SuiteContext) -> SuiteResult:
+    return _compat_suite(ctx, "h", ctx.G)
 
 
-def suite_J_integrable(ctx: SuiteContext) -> dict:
+def suite_J_integrable(ctx: SuiteContext) -> SuiteResult:
     """N_J = (a^2/4) N_Psi: N_Psi and its proof-table rows are decided over Q."""
     NPsi = mf.nijenhuis(ctx.psi("c"))
     tracker = ResidualTracker(ctx.plan.tol)
@@ -586,31 +580,30 @@ def suite_J_integrable(ctx: SuiteContext) -> dict:
     X, Y, _, _, _ = ctx.test_fields()
     for rid, resid in ml.nijenhuis_rows(ctx.S, ctx.tb, NPsi, X, Y).items():
         tracker.track(ctx.tb.chart, ctx.points, (rid,), resid)
-    return _tracker_suite("J-integrable", tracker, _first_coefs(ctx, 0))
+    return _result([_t_verdict(tracker.verdict("N_Psi"), [ctx.manifest.params[0].amp_squared])],
+                   tags=())
 
 
-def _parallel_suite(ctx: SuiteContext, suite_id: str, lift: str, conn) -> dict:
+def _parallel_suite(ctx: SuiteContext, lift: str, conn) -> SuiteResult:
     v = ml.parallelity_probe(ctx.psi(lift), lift, conn, ctx.S, ctx.tb,
                              ctx.frame, ctx.points, ctx.plan.tol)
-    v = _t_verdict(v, _first_coefs(ctx, 2))
-    return _suite_result(suite_id, "pass" if v.holds else "fail", v.max_residual,
-                         [v.witness.to_json()] if v.witness else [])
+    return _result([_t_verdict(v, [-ctx.manifest.params[0].amp])], tags=())
 
 
-def suite_J_parallel(ctx: SuiteContext) -> dict:
-    return _parallel_suite(ctx, "J-parallel", "c", ctx.cc)
+def suite_J_parallel(ctx: SuiteContext) -> SuiteResult:
+    return _parallel_suite(ctx, "c", ctx.cc)
 
 
-def suite_F_parallel(ctx: SuiteContext) -> dict:
-    return _parallel_suite(ctx, "F-parallel", "h", ctx.hc)
+def suite_F_parallel(ctx: SuiteContext) -> SuiteResult:
+    return _parallel_suite(ctx, "h", ctx.hc)
 
 
-def suite_Phi_closedness(ctx: SuiteContext) -> dict:
+def suite_Phi_closedness(ctx: SuiteContext) -> SuiteResult:
     """Conditional report: dPhi(X^c, Y^c, Z^v) next to the Eq. (27) residual
     on distribution triples; the suite passes when the two vanish together.
     dPhi is -a/2 times the coboundary of the form G(., Psi .) over Q, which
     is what is decided."""
-    scale = _first_coefs(ctx, 2)
+    scale = [-ctx.manifest.params[0].amp]
     dPhi = mf.coboundary_2form(ml.fundamental_form(ctx.psi("c"), ctx.gc))
     M, tb, frame = ctx.M, ctx.tb, ctx.frame
     X = mf.rows(frame, M.n)
@@ -622,26 +615,21 @@ def suite_Phi_closedness(ctx: SuiteContext) -> dict:
     rhs = mf.add(eq27, eq27.transpose(2, 0, 1), eq27.transpose(1, 2, 0))
 
     tracker = ResidualTracker(ctx.plan.tol)
-    consistent = True
-    witnesses = []
+    witnesses = []  # one per (triple, point) where exactly one of the two vanishes
     for iX, iY, iZ in mf.ndindex(lhs.shape):
         lvs = tracker.track(tb.chart, ctx.points, (iX, iY, iZ, "dPhi"), lhs[iX, iY, iZ])
         for pt, (lv,) in zip(ctx.points, lvs):
             rv = E.evaluate(rhs[iX, iY, iZ], pt)
             if meets_zero(lv, ctx.plan.tol) != meets_zero(rv, ctx.plan.tol):
-                consistent = False
-                witnesses.append({
-                    "point": [scalar_str(c) for c in tb.chart.coords(pt)],
-                    "frame": [iX, iY, iZ],
-                    "value": f"dPhi={scalar_str(_t_level(lv, scale))} eq27={scalar_str(rv)}",
-                })
-    status = "pass" if consistent else "fail"
-    return _tracker_suite("Phi-closedness", tracker, scale, status=status,
-                         witnesses=witnesses,
-                         notes={"criterion": "dPhi vanishes iff the eq27 residual vanishes"})
+                witnesses.append((Witness(
+                    tuple(tb.chart.coords(pt)), (iX, iY, iZ),
+                    f"dPhi={scalar_str(_t_level(lv, scale))} eq27={scalar_str(rv)}"), {}))
+    return _result([_t_verdict(tracker.verdict("dPhi"), scale)],
+                   status="fail" if witnesses else "pass", witnesses=witnesses,
+                   notes={"criterion": "dPhi vanishes iff the eq27 residual vanishes"})
 
 
-def suite_F_integrability(ctx: SuiteContext) -> dict:
+def suite_F_integrability(ctx: SuiteContext) -> SuiteResult:
     res = ml.check_F_integrability_conditions(ctx.S, ctx.conn, ctx.R, ctx.frame, ctx.points,
                                               ctx.plan.tol)
     NPsi = mf.nijenhuis(ctx.psi("h"))  # N_F = (a^2/4) N_Psi
@@ -649,27 +637,19 @@ def suite_F_integrability(ctx: SuiteContext) -> dict:
                   for pt in ctx.points for c in NPsi.components.flat)
     conditions_hold = res["D_flat"].holds and res["e4"].holds
     consistent = (nf_zero == conditions_hold) and res["e5_equivalence"].holds
-    top = worst(res.values())
-    witnesses = []
-    for key in ("D_flat", "e4", "e5"):
-        v = res[key]
-        if v.witness:
-            w = v.witness.to_json()
-            w["axiom"] = v.axiom_id
-            w["status"] = v.status
-            witnesses.append(w)
-    return _suite_result("F-integrability-conditions", "pass" if consistent else "fail",
-                         top.max_residual, witnesses, notes={
-                             "D_flat": res["D_flat"].status,
-                             "e4": res["e4"].status,
-                             "e5": res["e5"].status,
-                             "e5_equiv_eta_nabla": res["e5_equivalence"].status,
-                             "N_F_vanishes": nf_zero,
-                             "criterion": "N_F vanishes iff (D-flat and e4) hold",
-                         })
+    return _result(list(res.values()), status="pass" if consistent else "fail",
+                   witnesses=_witnesses([res["D_flat"], res["e4"], res["e5"]], "axiom", "status"),
+                   notes={
+                       "D_flat": res["D_flat"].status,
+                       "e4": res["e4"].status,
+                       "e5": res["e5"].status,
+                       "e5_equiv_eta_nabla": res["e5_equivalence"].status,
+                       "N_F_vanishes": nf_zero,
+                       "criterion": "N_F vanishes iff (D-flat and e4) hold",
+                   })
 
 
-def suite_Phi_prime(ctx: SuiteContext) -> dict:
+def suite_Phi_prime(ctx: SuiteContext) -> SuiteResult:
     """dPhi'(X^h, X^v, xi^v) = -((2s-p)/6) (g(X,X))^v on distribution fields.
     dPhi' is -a/2 times the coboundary of the form G(., Psi .) over Q, whose
     value val is decided: the claim is val = g(X,X)/3, nonzero, and the
@@ -687,16 +667,15 @@ def suite_Phi_prime(ctx: SuiteContext) -> dict:
     for i in range(len(val)):
         tracker.track(tb.chart, ctx.points, (i,), resid[i])
         for pt in ctx.points:
-            v = E.evaluate(val[i], pt)
-            if meets_zero(v, ctx.plan.tol):
+            value = E.evaluate(val[i], pt)
+            if meets_zero(value, ctx.plan.tol):
                 nonzero_all = False
             else:
-                sign_counts["+" if sign(v) < 0 else "-"] += 1
-    ctx.dphi_prime_sign = "-" if sign_counts["-"] >= sign_counts["+"] else "+"
-    status = "pass" if (tracker.all_zero and nonzero_all) else "fail"
-    return _tracker_suite("Phi-prime", tracker, _first_coefs(ctx, 2), status=status,
-                         notes={"measured_sign": ctx.dphi_prime_sign,
-                                "criterion": "dPhi'(X^h,X^v,xi^v) = -((2sigma-p)/6) g(X,X)^v, nonzero"})
+                sign_counts["+" if sign(value) < 0 else "-"] += 1
+    return _result([_t_verdict(tracker.verdict("dPhi'"), [-ctx.manifest.params[0].amp])],
+                   status="pass" if (tracker.all_zero and nonzero_all) else "fail", tags=(), notes={
+                       "measured_sign": "-" if sign_counts["-"] >= sign_counts["+"] else "+",
+                       "criterion": "dPhi'(X^h,X^v,xi^v) = -((2sigma-p)/6) g(X,X)^v, nonzero"})
 
 
 _SUITES = {
@@ -727,25 +706,20 @@ def run_suites(manifest: Manifest, suites: Optional[Sequence[str]] = None,
             raise ManifestError(f"unknown suite {sid!r}; known: {', '.join(SUITE_IDS)}")
 
     ctx = SuiteContext(manifest, plan)
-    results = []
-    axioms_ok = True
-
-    ordered = [sid for sid in SUITE_IDS if sid in requested]
-
     # always gate on the axioms, even when the suite itself is filtered out
-    axioms_res = suite_axioms(ctx)
-    axioms_ok = axioms_res["status"] == "pass"
-
-    for sid in ordered:
-        if sid == "axioms":
-            results.append(axioms_res)
+    results = {"axioms": suite_axioms(ctx)}
+    skipped = SuiteResult("skipped", notes={
+        "reason": "axioms suite failed; structure suites not run"})
+    for sid in SUITE_IDS:
+        if sid in results or sid not in requested:
             continue
-        if not axioms_ok:
-            results.append(_suite_result(sid, "skipped", 0, [], notes={
-                "reason": "axioms suite failed; structure suites not run"}))
-            continue
-        ctx.points = [E.Point(pt) for pt in ctx.points]  # a memo lasts one suite
-        results.append(_SUITES[sid](ctx))
+        if results["axioms"].status != "pass":
+            results[sid] = skipped
+        else:
+            ctx.points = [E.Point(pt) for pt in ctx.points]  # a memo lasts one suite
+            results[sid] = _SUITES[sid](ctx)
+    # the sign Phi-prime measured, or null when it did not run
+    phi_prime = results.get("Phi-prime", skipped).notes
 
     return {
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
@@ -755,9 +729,9 @@ def run_suites(manifest: Manifest, suites: Optional[Sequence[str]] = None,
         "conventions": {
             "xc_sign": "+",
             "d1form": "1/2",
-            "dphi_prime_sign": ctx.dphi_prime_sign,
+            "dphi_prime_sign": phi_prime.get("measured_sign"),
         },
-        "suites": results,
+        "suites": [results[sid].to_json(sid) for sid in SUITE_IDS if sid in requested],
     }
 
 

@@ -75,11 +75,6 @@ def structure_label(lift: str, eps1: int, eps2: int) -> str:
     return f"{STRUCTURES[lift]};eps=({s1},{s2})"
 
 
-def _outer(form: TensorField, vec: TensorField) -> mf.Array:
-    """eta (x) xi as a (1,1) component matrix on the same chart."""
-    return mf.outer(vec.components, form.components)
-
-
 def build_psi(S: pc.ParacontactStructure, tb: bd.TangentBundleChart, lift: str,
               eps1: int, eps2: int) -> TensorField:
     """Psi = phi^k + eps1 eta^v (x) xi^v + eps2 eta^k (x) xi^k, with k = "c"
@@ -97,8 +92,10 @@ def build_psi(S: pc.ParacontactStructure, tb: bd.TangentBundleChart, lift: str,
     """
     lift_vector = bd.clift_vector if lift == "c" else bd.hlift_vector
     phik = bd.lift_tensor11(tb, S.phi, lift).components
-    term1 = _outer(bd.lift_oneform(tb, S.eta, "v"), bd.vlift_vector(tb, S.xi))
-    term2 = _outer(bd.lift_oneform(tb, S.eta, lift), lift_vector(tb, S.xi))
+    # eta (x) xi at [a, b] is xi^a eta_b
+    term1 = mf.outer(bd.vlift_vector(tb, S.xi).components,
+                     bd.lift_oneform(tb, S.eta, "v").components)
+    term2 = mf.outer(lift_vector(tb, S.xi).components, bd.lift_oneform(tb, S.eta, lift).components)
     comps = mf.add(phik, term1 * E.const(eps1), term2 * E.const(eps2))
     return TensorField(tb.chart, (1, 1), comps)
 

@@ -88,8 +88,7 @@ def n_tensors(S: ParacontactStructure) -> dict:
 
     deta = mf.exterior_derivative(eta).components
     # N1 = N_phi - 2 deta (x) xi, with [a, i, j] = (-2) deta[i, j] xi[a]
-    deta_xi = mf.Array((M.n,) * 3, [d * x for x in xi.components.flat for d in deta.flat])
-    n1 = mf.add(mf.nijenhuis(phi).components, deta_xi * E.const(-2))
+    n1 = mf.add(mf.nijenhuis(phi).components, mf.outer(xi.components, deta) * E.const(-2))
     # [i, j] = (L_{phi d_i} eta)_j = phi^m_i d_m eta_j + eta_m d_j phi^m_i
     lie_forms = mf.contract("mi,mj+m,jmi->ij", phi, M.partials(eta.components),
                             eta, M.partials(phi.components))

@@ -100,7 +100,8 @@ def test_criterion_3_metallic_identity_all_variants(manifest, pts10):
     for kind, lift_vector in lifts.items():
         ek = bd.lift_oneform(tb, S.eta, kind)
         xk = lift_vector(tb, S.xi)
-        cross[kind] = [values(mf.add(ml._outer(ek, xv), ml._outer(ev, xk)), pt) for pt in pts]
+        cross[kind] = [values(mf.add(mf.outer(xv.components, ek.components),
+                                     mf.outer(xk.components, ev.components)), pt) for pt in pts]
     psis = {(kind, e1, e2): ml.build_psi(S, tb, kind, e1, e2)
             for kind in lifts for e1, e2 in itertools.product((1, -1), repeat=2)}
     eye = np.identity(2 * tb.n, dtype=object)

@@ -30,10 +30,15 @@ def test_validate_missing_file():
     assert main(["validate", "/nonexistent/nothing.json"]) == EXIT_USAGE
 
 
-def test_validate_bad_json(tmp_path):
+def test_validate_bad_json(tmp_path, capsys):
+    """Text that is not JSON, and arrays nested too deeply for the JSON
+    decoder, give exit code 2 and one error line, never a traceback."""
     p = tmp_path / "bad.json"
-    p.write_text("{not json")
-    assert main(["validate", str(p)]) == EXIT_USAGE
+    for text in ("{not json", "[" * 100_000 + "]" * 100_000):
+        p.write_text(text)
+        assert main(["validate", str(p)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p} is not valid JSON: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["validate", "verify"])
@@ -224,6 +229,7 @@ EXPRESSION_MALFORMED = {
     "superscript-digit": _set(("eta", 2), "1/x3\u00b2"),
     "arabic-indic-index": _set(("xi", 2), "x\u0663"),
     "arabic-indic-digit": _set(("metric", 0, 0), "\u0663"),
+    "nested-too-deep": _set(("domain", 0), "(" * 170 + "x3" + ")" * 170),
 }
 
 

@@ -56,6 +56,15 @@ def test_parse_error_reports_offset():
         with pytest.raises(ParseError) as ei:
             E.parse(text, 3)
         assert ei.value.offset == offset
+    # MAX_NESTING - 1 parentheses and signs around an operand parse; more
+    # are an error at the first token too deep, not a RecursionError
+    top = E.MAX_NESTING
+    assert E.parse("(" * (top - 2) + "-x1" + ")" * (top - 2), 1) == -Var("base", 1)
+    for text, offset in (("(" * 170 + "x1" + ")" * 170, top), ("-(" * 60 + "x1" + ")" * 60, top),
+                         ("x1^(" * 170 + "2" + ")" * 170, 4 * top)):
+        with pytest.raises(ParseError, match="nested deeper") as ei:
+            E.parse(text, 1)
+        assert ei.value.offset == offset
 
 
 def test_exact_mode_rejects_transcendentals():

@@ -169,6 +169,17 @@ def test_full_run_all_suites_pass(manifest):
     assert conv["dphi_prime_sign"] == "-"
 
 
+def test_dphi_prime_sign_is_phi_primes_measured_sign(manifest):
+    """conventions.dphi_prime_sign is copied from Phi-prime's notes, and is
+    null when Phi-prime does not run."""
+    report = harness.run_suites(manifest, suites=["Phi-prime", "J-parallel"])
+    phi_prime = report["suites"][-1]
+    assert phi_prime["id"] == "Phi-prime"
+    assert report["conventions"]["dphi_prime_sign"] == phi_prime["notes"]["measured_sign"] == "-"
+    report = harness.run_suites(manifest, suites=["lifts"])
+    assert report["conventions"]["dphi_prime_sign"] is None
+
+
 def test_report_is_deterministic(manifest):
     r1 = harness.render_report(harness.run_suites(manifest))
     r2 = harness.render_report(harness.run_suites(manifest))
@@ -345,8 +356,8 @@ def test_mixed_signs_are_not_metallic_for_any_pq(doc):
         assert suite["notes"][label].startswith("not metallic for any (p, q)")
         psi = ctx.psi(kind, (1, -1)).components
         square = mf.contract("am,mb->ab", psi, psi)
-        cross = mf.add(ml._outer(bd.lift_oneform(tb, S.eta, kind), xv),
-                       ml._outer(ev, lift_vector(tb, S.xi)))
+        cross = mf.add(mf.outer(xv.components, bd.lift_oneform(tb, S.eta, kind).components),
+                       mf.outer(lift_vector(tb, S.xi).components, ev.components))
         for pt in ctx.points:
             got, want = mf.evaluate_array(square, pt), mf.evaluate_array(cross, pt)
             for idx in mf.ndindex(got.shape):

@@ -166,3 +166,48 @@ def test_q_sigma_stays_out_of_the_verdict_path(path):
     if path.name not in OVER_Q:
         found = [use for use in found if use[1] == "scaled_sum"]
     assert found == []
+
+
+# the fields of a suite's report entry that only ``SuiteResult.to_json`` writes
+SUITE_FIELDS = ("max_residual", "witnesses")
+
+
+def suite_field_sites(source: str) -> list:
+    """(line, enclosing class and function names) of every string constant
+    in ``SUITE_FIELDS`` in a module, except where it indexes a subscript
+    that is read: the places that write those fields of a suite entry."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+            elif isinstance(child, ast.Subscript) and isinstance(child.ctx, ast.Load) \
+                    and isinstance(child.slice, ast.Constant) and child.slice.value in SUITE_FIELDS:
+                visit(child.value, scope)
+            else:
+                if isinstance(child, ast.Constant) and child.value in SUITE_FIELDS:
+                    found.append((child.lineno, ".".join(scope)))
+                visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+def test_suite_field_sites_are_found():
+    source = "class SuiteResult:\n    def to_json(self, sid):\n" \
+             "        return {'max_residual': 0, 'witnesses': []}\n" \
+             "def f(s, w):\n    s['witnesses'] = w\n" \
+             "    return s['max_residual']['exact'], dict(s, witnesses=w), s.get('witnesses')\n" \
+             "WITNESSES = 'witnesses'\n"
+    assert suite_field_sites(source) == [(3, "SuiteResult.to_json"), (3, "SuiteResult.to_json"),
+                                         (5, "f"), (6, "f"), (7, "")]
+
+
+def test_suite_entries_have_one_writer():
+    """``SuiteResult.to_json`` is the only code that writes the worst
+    residual and the witnesses of a suite's report entry; reading a report,
+    as the CLI does, is not writing one."""
+    found = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for _, scope in suite_field_sites(path.read_text(encoding="utf-8"))]
+    assert found == [("harness.py", "SuiteResult.to_json")] * 2

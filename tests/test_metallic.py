@@ -225,7 +225,8 @@ def _cross(structure, tb, lift, pt):
     ev = bd.lift_oneform(tb, structure.eta, "v")
     ek = bd.lift_oneform(tb, structure.eta, lift)
     xv, xk = bd.vlift_vector(tb, structure.xi), lift_vector(tb, structure.xi)
-    return values(ml._outer(ek, xv), pt) + values(ml._outer(ev, xk), pt)
+    return (values(mf.outer(xv.components, ek.components), pt)
+            + values(mf.outer(xk.components, ev.components), pt))
 
 
 @pytest.mark.parametrize("lift", ["c", "h"])

@@ -11,7 +11,7 @@ import numpy as np
 import metallic_tm
 from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
-from metallic_tm.harness import _tracker_suite
+from metallic_tm.harness import _result
 from metallic_tm.verdicts import ResidualTracker, residual_verdict
 
 
@@ -35,9 +35,13 @@ def test_huge_exact_residual_is_ranked_and_reported():
     assert tracker.max_value == -big
     assert tracker.witness.frame == (1,)
     assert tracker.verdict("huge").status == "fails"
-    doc = _tracker_suite("huge", tracker)
+    result = _result([tracker.verdict("huge")])
+    assert result.status == "fail" and result.max_residual == -big
+    doc = result.to_json("huge")
     assert doc["status"] == "fail"
-    assert doc["max_residual"]["float"] == -sys.float_info.max
+    assert doc["max_residual"] == {"exact": f"-{big}", "float": -sys.float_info.max}
+    assert doc["witnesses"] == [{"point": ["2"], "frame": [1], "value": f"-{big}",
+                                 "axiom": "huge"}]
 
 
 class _Recorder(ResidualTracker):

@@ -38,26 +38,27 @@ def main():
     X = mf.TensorField(M, (1, 0), [x2, E.ZERO, E.ZERO])
     Y = mf.TensorField(M, (1, 0), [x3, E.mul(x1, x3), E.ZERO])
 
-    Xv, Yv = bd.vlift_vector(tb, X), bd.vlift_vector(tb, Y)
-    Xc, Yc = bd.clift_vector(tb, X), bd.clift_vector(tb, Y)
-    Xh, Yh = bd.hlift_vector(tb, X), bd.hlift_vector(tb, Y)
+    # one lift for every kind ("v", "c", "h") and every tensor type
+    Xv, Yv = bd.lift(tb, "v", X), bd.lift(tb, "v", Y)
+    Xc, Yc = bd.lift(tb, "c", X), bd.lift(tb, "c", Y)
+    Xh, Yh = bd.lift(tb, "h", X), bd.lift(tb, "h", Y)
 
     print("Bracket table:")
     print("  [X^v, Y^v] = 0:",
           is_zero_at(mf.lie_bracket(Xv, Yv).components, pt))
     lhs = mf.lie_bracket(Xc, Yc).components
-    rhs = bd.clift_vector(tb, mf.lie_bracket(X, Y)).components
+    rhs = bd.lift(tb, "c", mf.lie_bracket(X, Y)).components
     print("  [X^c, Y^c] = [X, Y]^c:",
           is_zero_at([E.add(a, E.mul(E.const(-1), b)) for a, b in zip(lhs, rhs)], pt))
     lhs = mf.lie_bracket(Xh, Yh).components
-    rhs = bd.hlift_vector(tb, mf.lie_bracket(X, Y)).components
+    rhs = bd.lift(tb, "h", mf.lie_bracket(X, Y)).components
     defect = bd.gamma_bracket_defect(tb, R, X, Y).components
     print("  [X^h, Y^h] = [X, Y]^h - gamma R(X, Y):",
           is_zero_at([E.add(a, E.mul(E.const(-1), b), c)
                       for a, b, c in zip(lhs, rhs, defect)], pt))
 
     print("\nMetric pairings at an exact point:")
-    gc = bd.clift_metric(tb)
+    gc = bd.lift(tb, "c", mf.TensorField(M, (0, 2), M.metric))
     G = bd.sasaki_metric(tb)
 
     def pair(metric, U, V):
@@ -73,11 +74,11 @@ def main():
     hc = bd.hlift_connection(tb)
     nXY = mf.cov_vec(conn, X, Y)
     got = mf.cov_vec(cc, Xc, Yc).components
-    want = bd.clift_vector(tb, nXY).components
+    want = bd.lift(tb, "c", nXY).components
     print("  nabla^c_{X^c} Y^c = (nabla_X Y)^c:",
           is_zero_at([E.add(a, E.mul(E.const(-1), b)) for a, b in zip(got, want)], pt))
     got = mf.cov_vec(hc, Xc, Yc).components
-    want = bd.clift_vector(tb, nXY).components
+    want = bd.lift(tb, "c", nXY).components
     slice_ = bd.gamma_curvature(tb, R, X, Y).components
     print("  nabla^h_{X^c} Y^c = (nabla_X Y)^c - gamma R(., X, Y):",
           is_zero_at([E.add(a, E.mul(E.const(-1), b), c)

@@ -14,12 +14,13 @@ Conventions, fixed once and audited by tests:
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 from typing import Optional
 
 from . import exprs as E
 from . import manifold as mf
-from .exprs import Expr, Var
+from .exprs import Var
 from .manifold import ChartedManifold, Connection, GeometryError, TensorField
 
 
@@ -72,103 +73,57 @@ def _blocks(tb: TangentBundleChart, **blocks) -> mf.Array:
 
 
 # ----------------------------------------------------------------------
-# functions
+# lifts
 # ----------------------------------------------------------------------
 
-def vlift_function(tb: TangentBundleChart, f: Expr) -> Expr:
-    return f
+def lift(tb: TangentBundleChart, kind: str, T):
+    """The vertical ("v"), complete ("c") or horizontal ("h") lift of a
+    function (an Expr, lifted to an Expr) or of a (k, l) tensor field.
 
-
-def clift_function(tb: TangentBundleChart, f: Expr) -> Expr:
-    return tb.ydel(f)
-
-
-def hlift_function(tb: TangentBundleChart, f: Expr) -> Expr:
-    """f^h = f^c - gamma(df); the two terms cancel, so f^h = 0."""
-    return clift_function(tb, f) - tb.ydel(f)
-
-
-# ----------------------------------------------------------------------
-# vector fields
-# ----------------------------------------------------------------------
-
-def vlift_vector(tb: TangentBundleChart, X: TensorField) -> TensorField:
-    return TensorField(tb.chart, (1, 0), _blocks(tb, f=X.components))
-
-
-def clift_vector(tb: TangentBundleChart, X: TensorField) -> TensorField:
-    comps = _blocks(tb, b=X.components, f=tb.ydel(X.components))
-    return TensorField(tb.chart, (1, 0), comps)
-
-
-def hlift_vector(tb: TangentBundleChart, X: TensorField) -> TensorField:
-    comps = _blocks(tb, b=X.components, f=mf.contract("li,i->l", -tb.gamma_tilde, X))
-    return TensorField(tb.chart, (1, 0), comps)
-
-
-def lifted_rows(tb: TangentBundleChart, lift, fields) -> mf.Array:
-    """The lifts ``lift(tb, X)`` of base vector fields as rows [x, A]."""
-    return mf.rows([lift(tb, X) for X in fields], 2 * tb.n)
-
-
-# ----------------------------------------------------------------------
-# 1-forms
-# ----------------------------------------------------------------------
-
-def lift_oneform(tb: TangentBundleChart, w: TensorField, kind: str) -> TensorField:
-    if w.valence != (0, 1):
-        raise GeometryError("lift_oneform needs a 1-form")
+    An index of the lift carries when it is a contravariant fiber index or a
+    covariant base index; let r = k + l.  The vertical lift holds T in the
+    blocks where all r indices carry.  The complete and horizontal lifts
+    hold T where r - 1 carry, and where all r carry: y^j d_j T (complete),
+    or the connection terms of y^j nabla_j T taken slot by slot, the last
+    slot first, GT^m_c T_..m.. for a covariant slot and -GT^a_m T^..m.. for
+    a contravariant one (horizontal).  Every other block is zero.
+    """
+    k, l = T.valence if isinstance(T, TensorField) else (0, 0)
+    comps = getattr(T, "components", T)
+    slots = "abcdefghijkl"[:k + l]  # every letter but m
     if kind == "v":
-        comps = _blocks(tb, b=w.components)
+        full = comps
     elif kind == "c":
-        comps = _blocks(tb, b=tb.ydel(w.components), f=w.components)
+        full = tb.ydel(comps)
     elif kind == "h":
-        comps = _blocks(tb, b=mf.contract("ki,k->i", tb.gamma_tilde, w), f=w.components)
+        specs, ops = [], []
+        for s in reversed(range(k + l)):
+            moved = slots[:s] + "m" + slots[s + 1:]
+            specs.append((f"{slots[s]}m," if s < k else f"m{slots[s]},") + moved)
+            ops += [-tb.gamma_tilde if s < k else tb.gamma_tilde, comps]
+        full = mf.contract("+".join(specs) + "->" + slots, *ops) if specs else E.ZERO
     else:
         raise GeometryError(f"unknown lift kind {kind!r}")
-    return TensorField(tb.chart, (0, 1), comps)
+    if not slots:
+        return full
+    blocks = {}
+    for halves in itertools.product("bf", repeat=k + l):
+        carried = sum((h == "f") == (s < k) for s, h in enumerate(halves))
+        if carried == k + l:
+            blocks["".join(halves)] = full
+        elif carried == k + l - 1 and kind != "v":
+            blocks["".join(halves)] = comps
+    return TensorField(tb.chart, (k, l), _blocks(tb, **blocks))
 
 
-# ----------------------------------------------------------------------
-# (1,1) tensors
-# ----------------------------------------------------------------------
-
-def lift_tensor11(tb: TangentBundleChart, F: TensorField, kind: str) -> TensorField:
-    if F.valence != (1, 1):
-        raise GeometryError("lift_tensor11 needs a (1,1) tensor")
-    Fc = F.components
-    if kind == "v":
-        # defined by F^v(X^c) = (FX)^v, F^v(X^v) = 0
-        m = _blocks(tb, fb=Fc)
-    elif kind == "c":
-        m = _blocks(tb, bb=Fc, fb=tb.ydel(Fc), ff=Fc)
-    elif kind == "h":
-        gt = tb.gamma_tilde
-        lower = mf.contract("al,lj+al,lj->aj", Fc, gt, -gt, Fc)
-        m = _blocks(tb, bb=Fc, fb=lower, ff=Fc)
-    else:
-        raise GeometryError(f"unknown lift kind {kind!r}")
-    return TensorField(tb.chart, (1, 1), m)
+def lifted_rows(tb: TangentBundleChart, kind: str, fields) -> mf.Array:
+    """The lifts of base vector fields as rows [x, A]."""
+    return mf.rows([lift(tb, kind, X) for X in fields], 2 * tb.n)
 
 
 # ----------------------------------------------------------------------
 # metrics
 # ----------------------------------------------------------------------
-
-def clift_metric(tb: TangentBundleChart) -> TensorField:
-    """g^c = [[y^k d_k g, g], [g, 0]]."""
-    g = tb.base.metric
-    return TensorField(tb.chart, (0, 2), _blocks(tb, bb=tb.ydel(g), bf=g, fb=g))
-
-
-def hlift_metric(tb: TangentBundleChart) -> TensorField:
-    """g^h = g_ij theta^i (x) eta^j + g_ij eta^i (x) theta^j,
-    with eta^i = GT[i][k] dx^k + dy^i."""
-    g = tb.base.metric
-    gt = tb.gamma_tilde
-    bb = mf.contract("il,lk+li,lk->ik", g, gt, gt, g)
-    return TensorField(tb.chart, (0, 2), _blocks(tb, bb=bb, bf=g, fb=g))
-
 
 def sasaki_metric(tb: TangentBundleChart) -> TensorField:
     """G = [[g + GT^T g GT, GT^T g], [g GT, g]]."""

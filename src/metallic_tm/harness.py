@@ -307,7 +307,7 @@ class SuiteContext:
         self.R = mf.curvature(self.conn)
         self.tb = bd.TangentBundleChart(self.M, self.conn)
         self.points = sample_points(manifest, plan)
-        self.gc = bd.clift_metric(self.tb)
+        self.gc = bd.lift(self.tb, "c", mf.TensorField(self.M, (0, 2), self.M.metric))
         self.G = bd.sasaki_metric(self.tb)
         self.cc = bd.clift_connection(self.tb)
         self.hc = bd.hlift_connection(self.tb)
@@ -427,39 +427,39 @@ def suite_lifts(ctx: SuiteContext) -> SuiteResult:
     tracker = ResidualTracker(ctx.plan.tol)
     residuals: List[tuple] = []  # (label, expr or iterable of exprs)
 
-    Xv, Xc, Xh = bd.vlift_vector(tb, X), bd.clift_vector(tb, X), bd.hlift_vector(tb, X)
-    Yv, Yc, Yh = bd.vlift_vector(tb, Y), bd.clift_vector(tb, Y), bd.hlift_vector(tb, Y)
+    Xv, Xc, Xh = (bd.lift(tb, kind, X) for kind in "vch")
+    Yv, Yc, Yh = (bd.lift(tb, kind, Y) for kind in "vch")
     Xf = mf.contract("m,m->", X, M.partials(f))
 
     # function lift laws
     for label, U, fn, want in (
-        ("Xv-fv", Xv, bd.vlift_function(tb, f), E.ZERO),
-        ("Xv-fc", Xv, bd.clift_function(tb, f), bd.vlift_function(tb, Xf)),
-        ("Xc-fc", Xc, bd.clift_function(tb, f), bd.clift_function(tb, Xf)),
+        ("Xv-fv", Xv, bd.lift(tb, "v", f), E.ZERO),
+        ("Xv-fc", Xv, bd.lift(tb, "c", f), bd.lift(tb, "v", Xf)),
+        ("Xc-fc", Xc, bd.lift(tb, "c", f), bd.lift(tb, "c", Xf)),
     ):
         residuals.append((label, [mf.contract("a,a->", U, tb.chart.partials(fn)) - want]))
-    residuals.append(("fh-zero", [bd.hlift_function(tb, f)]))
+    residuals.append(("fh-zero", [bd.lift(tb, "h", f)]))
 
     # bracket table
     XYb = mf.lie_bracket(X, Y)
     residuals.append(("bracket-vv", mf.lie_bracket(Xv, Yv).components))
     residuals.append(("bracket-cc", mf.lie_bracket(Xc, Yc).components
-                      - bd.clift_vector(tb, XYb).components))
+                      - bd.lift(tb, "c", XYb).components))
     residuals.append(("bracket-vh", mf.add(mf.lie_bracket(Xv, Yh).components,
-                                           bd.vlift_vector(tb, mf.cov_vec(conn, Y, X)).components)))
+                                           bd.lift(tb, "v", mf.cov_vec(conn, Y, X)).components)))
     ghh = bd.gamma_bracket_defect(tb, R, X, Y)
     residuals.append(("bracket-hh", mf.add(
-        mf.lie_bracket(Xh, Yh).components, -bd.hlift_vector(tb, XYb).components,
+        mf.lie_bracket(Xh, Yh).components, -bd.lift(tb, "h", XYb).components,
         ghh.components)))
 
     # metric pairings
     gXY = mf.contract("ab,a,b->", M.metric, X, Y)
-    gh = bd.hlift_metric(tb)
+    gh = bd.lift(tb, "h", mf.TensorField(M, (0, 2), M.metric))
     for label, metric, U, V, want in (
         ("gc-vv", ctx.gc, Xv, Yv, E.ZERO),
         ("gc-vc", ctx.gc, Xv, Yc, gXY),
         ("gc-cv", ctx.gc, Xc, Yv, gXY),
-        ("gc-cc", ctx.gc, Xc, Yc, bd.clift_function(tb, gXY)),
+        ("gc-cc", ctx.gc, Xc, Yc, bd.lift(tb, "c", gXY)),
         ("gh-vv", gh, Xv, Yv, E.ZERO),
         ("gh-hh", gh, Xh, Yh, E.ZERO),
         ("gh-vh", gh, Xv, Yh, gXY),
@@ -471,27 +471,25 @@ def suite_lifts(ctx: SuiteContext) -> SuiteResult:
 
     # one-form lift laws
     wX = mf.contract("m,m->", w, X)
-    wv = bd.lift_oneform(tb, w, "v")
-    wc = bd.lift_oneform(tb, w, "c")
-    wh = bd.lift_oneform(tb, w, "h")
+    wv, wc, wh = (bd.lift(tb, kind, w) for kind in "vch")
     for label, form, U, want in (
         ("wv-Xc", wv, Xc, wX),
         ("wc-Xv", wc, Xv, wX),
-        ("wc-Xc", wc, Xc, bd.clift_function(tb, wX)),
+        ("wc-Xc", wc, Xc, bd.lift(tb, "c", wX)),
         ("wh-Xh", wh, Xh, E.ZERO),
         ("wh-Xv", wh, Xv, wX),
     ):
         residuals.append((label, [mf.contract("a,a->", form, U) - want]))
 
     # (1,1) lift laws on frames
-    F2lift = {kind: bd.lift_tensor11(tb, F2, kind) for kind in "chv"}
+    F2lift = {kind: bd.lift(tb, kind, F2) for kind in "chv"}
     F2X = mf.apply_11(F2, X)
     for kind, arg, want in (
-        ("c", Xc, bd.clift_vector(tb, F2X)),
-        ("c", Xv, bd.vlift_vector(tb, F2X)),
-        ("h", Xh, bd.hlift_vector(tb, F2X)),
-        ("h", Xv, bd.vlift_vector(tb, F2X)),
-        ("v", Xc, bd.vlift_vector(tb, F2X)),
+        ("c", Xc, bd.lift(tb, "c", F2X)),
+        ("c", Xv, bd.lift(tb, "v", F2X)),
+        ("h", Xh, bd.lift(tb, "h", F2X)),
+        ("h", Xv, bd.lift(tb, "v", F2X)),
+        ("v", Xc, bd.lift(tb, "v", F2X)),
     ):
         got = mf.apply_11(F2lift[kind], arg)
         residuals.append((f"F{kind}-frame", got.components - want.components))
@@ -500,19 +498,19 @@ def suite_lifts(ctx: SuiteContext) -> SuiteResult:
     PFfield = mf.TensorField(M, (1, 1), ml.pq_residual(F2.components, prm.p, prm.q))
     for kind in ("c", "h"):
         lhs = ml.pq_residual(F2lift[kind].components, prm.p, prm.q)
-        rhs = bd.lift_tensor11(tb, PFfield, kind).components
+        rhs = bd.lift(tb, kind, PFfield).components
         residuals.append((f"P-functorial-{kind}", (lhs - rhs).flat))
 
     # lifted connection frame displays
     nXY = mf.cov_vec(conn, X, Y)
     zero_vec = mf.zeros(2 * n)
     conn_cases = [
-        ("cc-cc", ctx.cc, Xc, Yc, bd.clift_vector(tb, nXY).components),
-        ("cc-vc", ctx.cc, Xv, Yc, bd.vlift_vector(tb, nXY).components),
-        ("cc-cv", ctx.cc, Xc, Yv, bd.vlift_vector(tb, nXY).components),
+        ("cc-cc", ctx.cc, Xc, Yc, bd.lift(tb, "c", nXY).components),
+        ("cc-vc", ctx.cc, Xv, Yc, bd.lift(tb, "v", nXY).components),
+        ("cc-cv", ctx.cc, Xc, Yv, bd.lift(tb, "v", nXY).components),
         ("cc-vv", ctx.cc, Xv, Yv, zero_vec),
-        ("hc-hh", ctx.hc, Xh, Yh, bd.hlift_vector(tb, nXY).components),
-        ("hc-hv", ctx.hc, Xh, Yv, bd.vlift_vector(tb, nXY).components),
+        ("hc-hh", ctx.hc, Xh, Yh, bd.lift(tb, "h", nXY).components),
+        ("hc-hv", ctx.hc, Xh, Yv, bd.lift(tb, "v", nXY).components),
         ("hc-vh", ctx.hc, Xv, Yh, zero_vec),
         ("hc-vv", ctx.hc, Xv, Yv, zero_vec),
     ]
@@ -522,7 +520,7 @@ def suite_lifts(ctx: SuiteContext) -> SuiteResult:
     gslice = bd.gamma_curvature(tb, R, X, Y)
     got = mf.cov_vec(ctx.hc, Xc, Yc)
     residuals.append(("conn-hc-cc", mf.add(
-        got.components, -bd.clift_vector(tb, nXY).components, gslice.components)))
+        got.components, -bd.lift(tb, "c", nXY).components, gslice.components)))
 
     for label, exprs in residuals:
         tracker.track(tb.chart, ctx.points, (label,), exprs)
@@ -607,8 +605,8 @@ def suite_Phi_closedness(ctx: SuiteContext) -> SuiteResult:
     dPhi = mf.coboundary_2form(ml.fundamental_form(ctx.psi("c"), ctx.gc))
     M, tb, frame = ctx.M, ctx.tb, ctx.frame
     X = mf.rows(frame, M.n)
-    Xc = bd.lifted_rows(tb, bd.clift_vector, frame)
-    lhs = mf.contract("ijk,xi,yj,zk->xyz", dPhi, Xc, Xc, bd.lifted_rows(tb, bd.vlift_vector, frame))
+    Xc = bd.lifted_rows(tb, "c", frame)
+    lhs = mf.contract("ijk,xi,yj,zk->xyz", dPhi, Xc, Xc, bd.lifted_rows(tb, "v", frame))
     # g(nabla_{X_v} X_u, phi X_w) at [u, v, w]; eq. (27) sums its three cyclic shifts
     eq27 = mf.contract("ab,vua,wb->uvw", M.metric, mf.cov_rows(ctx.conn, X, X),
                        mf.contract("am,xm->xa", ctx.S.phi, X))
@@ -657,8 +655,8 @@ def suite_Phi_prime(ctx: SuiteContext) -> SuiteResult:
     dPhip = mf.coboundary_2form(ml.fundamental_form(ctx.psi("h"), ctx.G))
     M, tb, frame = ctx.M, ctx.tb, ctx.frame
     X = mf.rows(frame, M.n)
-    val = mf.contract("ijk,xi,xj,k->x", dPhip, bd.lifted_rows(tb, bd.hlift_vector, frame),
-                      bd.lifted_rows(tb, bd.vlift_vector, frame), bd.vlift_vector(tb, ctx.S.xi))
+    val = mf.contract("ijk,xi,xj,k->x", dPhip, bd.lifted_rows(tb, "h", frame),
+                      bd.lifted_rows(tb, "v", frame), bd.lift(tb, "v", ctx.S.xi))
     resid = mf.add(val, mf.contract("ab,xa,xb->x", M.metric, X, X) * E.const(Fraction(-1, 3)))
 
     tracker = ResidualTracker(ctx.plan.tol)

@@ -90,12 +90,10 @@ def build_psi(S: pc.ParacontactStructure, tb: bd.TangentBundleChart, lift: str,
     so T^2 - pT - qI = (a^2/4) (Psi^2 - I) vanishes for every (p, q) if
     eps1 * eps2 = 1 and for none if eps1 * eps2 = -1.
     """
-    lift_vector = bd.clift_vector if lift == "c" else bd.hlift_vector
-    phik = bd.lift_tensor11(tb, S.phi, lift).components
+    phik = bd.lift(tb, lift, S.phi).components
     # eta (x) xi at [a, b] is xi^a eta_b
-    term1 = mf.outer(bd.vlift_vector(tb, S.xi).components,
-                     bd.lift_oneform(tb, S.eta, "v").components)
-    term2 = mf.outer(lift_vector(tb, S.xi).components, bd.lift_oneform(tb, S.eta, lift).components)
+    term1 = mf.outer(bd.lift(tb, "v", S.xi).components, bd.lift(tb, "v", S.eta).components)
+    term2 = mf.outer(bd.lift(tb, lift, S.xi).components, bd.lift(tb, lift, S.eta).components)
     comps = mf.add(phik, term1 * E.const(eps1), term2 * E.const(eps2))
     return TensorField(tb.chart, (1, 1), comps)
 
@@ -151,13 +149,9 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
     they hold for any almost paracontact structure, not just P-Sasakian ones.
     """
     nt = pc.n_tensors(S)
-
-    def lift(v, kind):
-        return bd.clift_vector(tb, v) if kind == "c" else bd.vlift_vector(tb, v)
-
-    Xv, Xc = lift(X, "v"), lift(X, "c")
-    Yv, Yc = lift(Y, "v"), lift(Y, "c")
-    xiv, xic = lift(S.xi, "v"), lift(S.xi, "c")
+    Xv, Xc = bd.lift(tb, "v", X), bd.lift(tb, "c", X)
+    Yv, Yc = bd.lift(tb, "v", Y), bd.lift(tb, "c", Y)
+    xiv, xic = bd.lift(tb, "v", S.xi), bd.lift(tb, "c", S.xi)
 
     def n_on(U: TensorField, V: TensorField) -> mf.Array:
         return mf.contract("aij,i,j->a", N, U, V)
@@ -175,28 +169,28 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
     rows["vv"] = n_on(Xv, Yv)
 
     # N(X^v, Y^c) = [N1(X,Y)]^v + N2(X,Y) xi^c
-    rhs = mf.contract("a+,a->a", lift(n1xy, "v").components, n2xy, xic.components)
+    rhs = mf.contract("a+,a->a", bd.lift(tb, "v", n1xy).components, n2xy, xic.components)
     rows["vc"] = n_on(Xv, Yc) - rhs
 
     # N(X^c, Y^c) = [N1(X,Y)]^c + N2(X,Y) xi^v
-    rhs = mf.contract("a+,a->a", lift(n1xy, "c").components, n2xy, xiv.components)
+    rhs = mf.contract("a+,a->a", bd.lift(tb, "c", n1xy).components, n2xy, xiv.components)
     rows["cc"] = n_on(Xc, Yc) - rhs
 
     # N(X^v, xi^v) = -(N3 X)^v + N4(X) xi^c
-    rhs = mf.contract("a+,a->a", -lift(n3x, "v").components, n4x, xic.components)
+    rhs = mf.contract("a+,a->a", -bd.lift(tb, "v", n3x).components, n4x, xic.components)
     rows["v-xiv"] = n_on(Xv, xiv) - rhs
 
     # N(X^v, xi^c) = [phi(N3 X) - N4(X) xi]^v + N2(X,xi) xi^c
     inner = mf.TensorField(S.base, (1, 0),
                            mf.contract("a+,a->a", phin3x.components, -n4x, S.xi.components))
-    rhs = mf.contract("a+,a->a", lift(inner, "v").components, n2_x_xi, xic.components)
+    rhs = mf.contract("a+,a->a", bd.lift(tb, "v", inner).components, n2_x_xi, xic.components)
     rows["v-xic"] = n_on(Xv, xic) - rhs
 
     # N(X^c, xi^v) = -(N3 X)^c + (phi(N3 X))^v - [N4(phi X) - N4(X)]^c xi^c
     n4phix = mf.contract("m,m->", nt["N4"], mf.apply_11(S.phi, X))
     scal_c = tb.ydel(n4phix - n4x)
-    rhs = mf.contract("a+a+,a->a", -lift(n3x, "c").components, lift(phin3x, "v").components,
-                      -scal_c, xic.components)
+    rhs = mf.contract("a+a+,a->a", -bd.lift(tb, "c", n3x).components,
+                      bd.lift(tb, "v", phin3x).components, -scal_c, xic.components)
     rows["c-xiv"] = n_on(Xc, xiv) - rhs
 
     # N(xi^v, xi^v) = N(xi^c, xi^c) = N(xi^v, xi^c) = 0
@@ -277,18 +271,17 @@ def parallelity_probe(psi: TensorField, lift: str, lifted_conn: Connection,
     # closed-form match: the J display is qualified to directions in D,
     # while the F display carries phi^2 and holds on the whole frame
     if lift == "c":
-        lift_dir, basis = bd.clift_vector, []
+        basis = []
         matched = second = frame
     else:
-        lift_dir = bd.hlift_vector
         phi2 = mf.TensorField(S.base, (1, 1), mf.contract("am,mb->ab", S.phi, S.phi))
         basis = [mf.TensorField(S.base, (1, 0), mf.identity(n)[i]) for i in range(n)]
         matched, second = basis, [mf.apply_11(phi2, X) for X in basis]
     # the probes (nabla~_X~ Psi) xi~, frame directions first, then the basis
     probes = mf.contract("aij,xi,j->xa", dpsi,
-                         bd.lifted_rows(tb, lift_dir, list(frame) + basis), lift_dir(tb, S.xi))
-    closed = (bd.lifted_rows(tb, bd.vlift_vector, [mf.apply_11(S.phi, X) for X in matched])
-              - bd.lifted_rows(tb, lift_dir, second))
+                         bd.lifted_rows(tb, lift, list(frame) + basis), bd.lift(tb, lift, S.xi))
+    closed = (bd.lifted_rows(tb, "v", [mf.apply_11(S.phi, X) for X in matched])
+              - bd.lifted_rows(tb, lift, second))
     match = ResidualTracker(tol)
     for i, (probe, want) in enumerate(zip(list(probes)[len(probes) - len(closed):], closed)):
         match.track(tb.chart, points, (i,), probe - want)

@@ -65,6 +65,11 @@ def manifest_path():
     return bundled_manifest_path()
 
 
+def lifted_metric(tb, kind):
+    """The lift of the base metric as a (0, 2) field."""
+    return bd.lift(tb, kind, mf.TensorField(tb.base, (0, 2), tb.base.metric))
+
+
 def eval_zero(arr, point):
     """True when every expression in arr evaluates to exactly zero."""
     return all(v == 0 for v in mf.evaluate_array(arr, point).flat)

@@ -93,17 +93,16 @@ def test_criterion_3_metallic_identity_all_variants(manifest, pts10):
     """
     S, tb = manifest.structure, _tb(manifest)
     pts = pts10[:3]
-    lifts = {"c": bd.clift_vector, "h": bd.hlift_vector}
-    ev = bd.lift_oneform(tb, S.eta, "v")
-    xv = bd.vlift_vector(tb, S.xi)
+    ev = bd.lift(tb, "v", S.eta)
+    xv = bd.lift(tb, "v", S.xi)
     cross = {}
-    for kind, lift_vector in lifts.items():
-        ek = bd.lift_oneform(tb, S.eta, kind)
-        xk = lift_vector(tb, S.xi)
+    for kind in "ch":
+        ek = bd.lift(tb, kind, S.eta)
+        xk = bd.lift(tb, kind, S.xi)
         cross[kind] = [values(mf.add(mf.outer(xv.components, ek.components),
                                      mf.outer(xk.components, ev.components)), pt) for pt in pts]
     psis = {(kind, e1, e2): ml.build_psi(S, tb, kind, e1, e2)
-            for kind in lifts for e1, e2 in itertools.product((1, -1), repeat=2)}
+            for kind in "ch" for e1, e2 in itertools.product((1, -1), repeat=2)}
     eye = np.identity(2 * tb.n, dtype=object)
 
     for (p, q), (kind, e1, e2) in itertools.product([(1, 1), (1, 2), (2, 1), (3, 5)], psis):
@@ -201,8 +200,8 @@ def test_criterion_8_phi_prime_nonclosed(manifest, pts10, report):
     dPhip = mf.coboundary_2form(ml.fundamental_form(psi, G))
     x3 = manifest.manifold.variables[2]
     X = mf.TensorField(manifest.manifold, (1, 0), [x3, E.ZERO, E.ZERO])
-    val = mf.contract("ijk,i,j,k->", dPhip, bd.hlift_vector(tb, X), bd.vlift_vector(tb, X),
-                      bd.vlift_vector(tb, S.xi))
+    val = mf.contract("ijk,i,j,k->", dPhip, bd.lift(tb, "h", X), bd.lift(tb, "v", X),
+                      bd.lift(tb, "v", S.xi))
     want = (2 * sigma(prm.p, prm.q) - prm.p) / 6
     for pt in pts10[:3]:
         got = -prm.amp * E.evaluate(val, pt)  # dPhi' = -(a/2) d(G(., Psi .))

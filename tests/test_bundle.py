@@ -1,43 +1,80 @@
-"""Lift calculus on the tangent bundle chart."""
+"""Lift calculus on the tangent bundle chart.
+
+The lift laws are checked on the hyperbolic half-space h3 and on its twin,
+the same structure pulled back along (x1, x2 + x1*x3, x3 + x1^2): a chart
+with a non-diagonal metric and a non-constant phi.
+"""
 
 import itertools
+import pathlib
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from metallic_tm import bundle as bd
 from metallic_tm import exprs as E
+from metallic_tm import harness
 from metallic_tm import manifold as mf
 from metallic_tm.exprs import Var
 
-from conftest import eval_zero
+from conftest import eval_zero, lifted_metric
+
+TWIN = pathlib.Path(__file__).parent / "data" / "hyperbolic-h3-twin.json"
+
+
+class Chart(NamedTuple):
+    name: str
+    tb: bd.TangentBundleChart
+    structure: object
+    points: list
+    X: mf.TensorField
+    Y: mf.TensorField
+
+
+def _chart(name, M, structure, conn=None):
+    conn = conn or mf.christoffel(M)
+    tb = bd.TangentBundleChart(M, conn)
+    F = Fraction
+    points = [tb.point([F(1), F(1), F(2)], [F(1), F(-2), F(3)]),
+              tb.point([F(2), F(-1), F(3)], [F(1, 2), F(5), F(-1)])]
+    x1, x2, x3 = M.variables
+    X = mf.TensorField(M, (1, 0), [x2, E.ZERO, E.ZERO])
+    Y = mf.TensorField(M, (1, 0), [E.ZERO, E.mul(x1, x3), E.ZERO])
+    return Chart(name, tb, structure, points, X, Y)
 
 
 @pytest.fixture(scope="module")
-def fields(h3):
-    x1, x2, x3 = h3.variables
-    X = mf.TensorField(h3, (1, 0), [x2, E.ZERO, E.ZERO])
-    Y = mf.TensorField(h3, (1, 0), [E.ZERO, E.mul(x1, x3), E.ZERO])
-    return X, Y
+def charts(h3, structure, conn):
+    """h3 and its twin, by name."""
+    twin = harness.load_manifest(str(TWIN))
+    return {c.name: c for c in (_chart("h3", h3, structure, conn),
+                                _chart("twin", twin.manifold, twin.structure))}
+
+
+@pytest.fixture(scope="module")
+def fields(charts):
+    return charts["h3"].X, charts["h3"].Y
 
 
 def vec_residual(lhs, rhs):
     return [E.add(a, E.mul(E.const(-1), b)) for a, b in zip(lhs, rhs)]
 
 
-def test_function_lifts(tb, points):
-    x1 = Var("base", 1)
-    assert bd.vlift_function(tb, x1) == x1
-    assert bd.clift_function(tb, x1) == Var("fiber", 1)
-    assert bd.hlift_function(tb, E.mul(x1, Var("base", 3))) == E.ZERO
+def test_function_lifts(charts):
+    for c in charts.values():
+        x1, _, x3 = c.tb.base.variables
+        assert bd.lift(c.tb, "v", x1) == x1
+        assert bd.lift(c.tb, "c", x1) == Var("fiber", 1)
+        assert bd.lift(c.tb, "h", E.mul(x1, x3)) == E.ZERO
 
 
 def test_complete_lift_fiber_sign_is_positive(tb, fields):
     """Regression pin: the fiber block of X^c is +y^j d_j X^l; a minus sign
     breaks the bracket law [X^c, Y^c] = [X, Y]^c."""
     X, Y = fields
-    Xc = bd.clift_vector(tb, X)
+    Xc = bd.lift(tb, "c", X)
     n = tb.n
     for l in range(n):
         want = tb.ydel(X.components[l])
@@ -46,134 +83,126 @@ def test_complete_lift_fiber_sign_is_positive(tb, fields):
     # the flipped-sign variant fails the bracket identity
     def flipped(Z):
         comps = Z.components.flat[:n] + [
-            E.mul(E.const(-1), c) for c in Z.components.flat[n:]
-        ]
-        comps = Z.components.flat[:n] + [
             E.mul(E.const(-1), tb.ydel(Z0)) for Z0 in Z.components.flat[:n]
         ]
         return mf.TensorField(tb.chart, (1, 0), comps)
 
-    Xm = flipped(bd.clift_vector(tb, X))
-    Ym = flipped(bd.clift_vector(tb, Y))
-    XYm = flipped(bd.clift_vector(tb, mf.lie_bracket(X, Y)))
+    Xm = flipped(bd.lift(tb, "c", X))
+    Ym = flipped(bd.lift(tb, "c", Y))
+    XYm = flipped(bd.lift(tb, "c", mf.lie_bracket(X, Y)))
     resid = vec_residual(mf.lie_bracket(Xm, Ym).components, XYm.components)
     pt = tb.point([Fraction(1), Fraction(1), Fraction(2)],
                   [Fraction(1), Fraction(-2), Fraction(3)])
     assert not eval_zero(resid, pt)
     # while the shipped sign satisfies it
     ok = vec_residual(
-        mf.lie_bracket(bd.clift_vector(tb, X), bd.clift_vector(tb, Y)).components,
-        bd.clift_vector(tb, mf.lie_bracket(X, Y)).components,
+        mf.lie_bracket(bd.lift(tb, "c", X), bd.lift(tb, "c", Y)).components,
+        bd.lift(tb, "c", mf.lie_bracket(X, Y)).components,
     )
     assert eval_zero(ok, pt)
 
 
-def test_bracket_table(tb, conn, fields, points):
-    X, Y = fields
-    R = mf.curvature(conn)
-    Xv, Yv = bd.vlift_vector(tb, X), bd.vlift_vector(tb, Y)
-    Xh, Yh = bd.hlift_vector(tb, X), bd.hlift_vector(tb, Y)
-    for pt in points:
-        assert eval_zero(mf.lie_bracket(Xv, Yv).components, pt)
-        # [X^v, Y^h] = -(nabla_Y X)^v
-        lhs = mf.lie_bracket(Xv, Yh).components
-        rhs = bd.vlift_vector(tb, mf.cov_vec(conn, Y, X)).components
-        assert eval_zero([E.add(a, b) for a, b in zip(lhs, rhs)], pt)
-        # [X^h, Y^h] = [X, Y]^h - gamma R(X, Y)
-        lhs = mf.lie_bracket(Xh, Yh).components
-        rhs = bd.hlift_vector(tb, mf.lie_bracket(X, Y)).components
-        defect = bd.gamma_bracket_defect(tb, R, X, Y).components
-        resid = [E.add(a, E.mul(E.const(-1), b), c)
-                 for a, b, c in zip(lhs, rhs, defect)]
-        assert eval_zero(resid, pt)
+def test_bracket_table(charts):
+    for c in charts.values():
+        tb, X, Y = c.tb, c.X, c.Y
+        conn = tb.connection
+        R = mf.curvature(conn)
+        Xv, Yv = bd.lift(tb, "v", X), bd.lift(tb, "v", Y)
+        Xh, Yh = bd.lift(tb, "h", X), bd.lift(tb, "h", Y)
+        for pt in c.points:
+            assert eval_zero(mf.lie_bracket(Xv, Yv).components, pt), c.name
+            # [X^v, Y^h] = -(nabla_Y X)^v
+            lhs = mf.lie_bracket(Xv, Yh).components
+            rhs = bd.lift(tb, "v", mf.cov_vec(conn, Y, X)).components
+            assert eval_zero([E.add(a, b) for a, b in zip(lhs, rhs)], pt), c.name
+            # [X^h, Y^h] = [X, Y]^h - gamma R(X, Y)
+            lhs = mf.lie_bracket(Xh, Yh).components
+            rhs = bd.lift(tb, "h", mf.lie_bracket(X, Y)).components
+            defect = bd.gamma_bracket_defect(tb, R, X, Y).components
+            resid = [E.add(a, E.mul(E.const(-1), b), d)
+                     for a, b, d in zip(lhs, rhs, defect)]
+            assert eval_zero(resid, pt), c.name
 
 
-def test_metric_lifts(tb, h3, fields, points):
-    X, Y = fields
-    gc = bd.clift_metric(tb)
-    gh = bd.hlift_metric(tb)
-    G = bd.sasaki_metric(tb)
-    gXY = E.ZERO
-    for a, b in itertools.product(range(3), repeat=2):
-        gXY = E.add(gXY, E.mul(h3.metric[a, b], X.components[a], Y.components[b]))
+def test_metric_lifts(charts):
+    for c in charts.values():
+        tb, X, Y = c.tb, c.X, c.Y
+        n = tb.n
+        gc, gh = lifted_metric(tb, "c"), lifted_metric(tb, "h")
+        G = bd.sasaki_metric(tb)
+        gXY = E.ZERO
+        for a, b in itertools.product(range(n), repeat=2):
+            gXY = E.add(gXY, E.mul(tb.base.metric[a, b], X.components[a], Y.components[b]))
 
-    def pair(metric, U, V):
-        s = E.ZERO
-        for a, b in itertools.product(range(6), repeat=2):
-            s = E.add(s, E.mul(metric.components[a, b],
-                               U.components[a], V.components[b]))
-        return s
+        def pair(metric, U, V):
+            s = E.ZERO
+            for a, b in itertools.product(range(2 * n), repeat=2):
+                s = E.add(s, E.mul(metric.components[a, b],
+                                   U.components[a], V.components[b]))
+            return s
 
-    Xv, Yv = bd.vlift_vector(tb, X), bd.vlift_vector(tb, Y)
-    Xc, Yc = bd.clift_vector(tb, X), bd.clift_vector(tb, Y)
-    Xh, Yh = bd.hlift_vector(tb, X), bd.hlift_vector(tb, Y)
-    for pt in points:
-        ev = lambda e: E.evaluate(e, pt)
-        assert ev(pair(gc, Xv, Yv)) == 0
-        assert ev(pair(gc, Xv, Yc)) == ev(gXY)
-        assert ev(pair(gc, Xc, Yc)) == ev(bd.clift_function(tb, gXY))
-        assert ev(pair(gh, Xh, Yh)) == 0
-        assert ev(pair(gh, Xv, Yh)) == ev(gXY)
-        assert ev(pair(G, Xv, Yv)) == ev(gXY)
-        assert ev(pair(G, Xh, Yh)) == ev(gXY)
-        assert ev(pair(G, Xv, Yh)) == 0
-
-
-def test_oneform_lifts(tb, fields, points):
-    X, _ = fields
-    x2 = Var("base", 2)
-    w = mf.TensorField(tb.base, (0, 1), [x2, E.ZERO, E.ZERO])
-    wX = E.mul(x2, X.components[0])
-    Xv = bd.vlift_vector(tb, X)
-    Xc = bd.clift_vector(tb, X)
-    Xh = bd.hlift_vector(tb, X)
-
-    def act(form, vec):
-        s = E.ZERO
-        for a in range(6):
-            s = E.add(s, E.mul(form.components[a], vec.components[a]))
-        return s
-
-    wv = bd.lift_oneform(tb, w, "v")
-    wc = bd.lift_oneform(tb, w, "c")
-    wh = bd.lift_oneform(tb, w, "h")
-    for pt in points:
-        ev = lambda e: E.evaluate(e, pt)
-        assert ev(act(wv, Xc)) == ev(wX)
-        assert ev(act(wv, Xv)) == 0
-        assert ev(act(wc, Xv)) == ev(wX)
-        assert ev(act(wc, Xc)) == ev(bd.clift_function(tb, wX))
-        assert ev(act(wh, Xh)) == 0
-        assert ev(act(wh, Xv)) == ev(wX)
+        Xv, Yv = bd.lift(tb, "v", X), bd.lift(tb, "v", Y)
+        Xc, Yc = bd.lift(tb, "c", X), bd.lift(tb, "c", Y)
+        Xh, Yh = bd.lift(tb, "h", X), bd.lift(tb, "h", Y)
+        for pt in c.points:
+            ev = lambda e: E.evaluate(e, pt)
+            assert ev(pair(gc, Xv, Yv)) == 0, c.name
+            assert ev(pair(gc, Xv, Yc)) == ev(gXY), c.name
+            assert ev(pair(gc, Xc, Yc)) == ev(bd.lift(tb, "c", gXY)), c.name
+            assert ev(pair(gh, Xh, Yh)) == 0, c.name
+            assert ev(pair(gh, Xv, Yh)) == ev(gXY), c.name
+            assert ev(pair(G, Xv, Yv)) == ev(gXY), c.name
+            assert ev(pair(G, Xh, Yh)) == ev(gXY), c.name
+            assert ev(pair(G, Xv, Yh)) == 0, c.name
 
 
-def test_tensor11_lift_frames(tb, structure, fields, points):
-    X, _ = fields
-    phi = structure.phi
-    phiX = mf.apply_11(phi, X)
-    cases = [
-        ("c", bd.clift_vector(tb, X), bd.clift_vector(tb, phiX)),
-        ("c", bd.vlift_vector(tb, X), bd.vlift_vector(tb, phiX)),
-        ("h", bd.hlift_vector(tb, X), bd.hlift_vector(tb, phiX)),
-        ("h", bd.vlift_vector(tb, X), bd.vlift_vector(tb, phiX)),
-        ("v", bd.clift_vector(tb, X), bd.vlift_vector(tb, phiX)),
-    ]
-    for kind, arg, want in cases:
-        lifted = bd.lift_tensor11(tb, phi, kind)
-        got = mf.apply_11(lifted, arg)
-        resid = vec_residual(got.components, want.components)
-        for pt in points:
-            assert eval_zero(resid, pt), kind
+def test_oneform_lifts(charts):
+    for c in charts.values():
+        tb, X = c.tb, c.X
+        x2 = tb.base.variables[1]
+        w = mf.TensorField(tb.base, (0, 1), [x2, E.ZERO, E.ZERO])
+        wX = E.mul(x2, X.components[0])
+        Xv, Xc, Xh = (bd.lift(tb, kind, X) for kind in "vch")
+
+        def act(form, vec):
+            s = E.ZERO
+            for a in range(2 * tb.n):
+                s = E.add(s, E.mul(form.components[a], vec.components[a]))
+            return s
+
+        wv, wc, wh = (bd.lift(tb, kind, w) for kind in "vch")
+        for pt in c.points:
+            ev = lambda e: E.evaluate(e, pt)
+            assert ev(act(wv, Xc)) == ev(wX), c.name
+            assert ev(act(wv, Xv)) == 0, c.name
+            assert ev(act(wc, Xv)) == ev(wX), c.name
+            assert ev(act(wc, Xc)) == ev(bd.lift(tb, "c", wX)), c.name
+            assert ev(act(wh, Xh)) == 0, c.name
+            assert ev(act(wh, Xv)) == ev(wX), c.name
 
 
-def test_polynomial_functoriality(tb, h3, points):
+def test_tensor11_lift_frames(charts):
+    for c in charts.values():
+        tb, X = c.tb, c.X
+        phi = c.structure.phi
+        phiX = mf.apply_11(phi, X)
+        cases = [
+            ("c", bd.lift(tb, "c", X), bd.lift(tb, "c", phiX)),
+            ("c", bd.lift(tb, "v", X), bd.lift(tb, "v", phiX)),
+            ("h", bd.lift(tb, "h", X), bd.lift(tb, "h", phiX)),
+            ("h", bd.lift(tb, "v", X), bd.lift(tb, "v", phiX)),
+            ("v", bd.lift(tb, "c", X), bd.lift(tb, "v", phiX)),
+        ]
+        for kind, arg, want in cases:
+            got = mf.apply_11(bd.lift(tb, kind, phi), arg)
+            resid = vec_residual(got.components, want.components)
+            for pt in c.points:
+                assert eval_zero(resid, pt), (c.name, kind)
+
+
+def test_polynomial_functoriality(charts):
     """P(F^c) = (P(F))^c and P(F^h) = (P(F))^h for P(x) = x^2 - x - 1."""
     n = 3
-    comps = mf.zeros((n, n))
-    for a, b in itertools.product(range(n), repeat=2):
-        if (a + b) % 2 == 0:
-            comps[a, b] = Var("base", ((a + b) % n) + 1)
-    F = mf.TensorField(h3, (1, 1), comps)
 
     def poly(mat, dim):
         out = mf.zeros((dim, dim))
@@ -187,46 +216,90 @@ def test_polynomial_functoriality(tb, h3, points):
             out[a, b] = s
         return out
 
-    PF = mf.TensorField(h3, (1, 1), poly(F.components, n))
-    for kind in ("c", "h"):
-        lifted = bd.lift_tensor11(tb, F, kind)
-        lhs = poly(lifted.components, 2 * n)
-        rhs = bd.lift_tensor11(tb, PF, kind).components
-        resid = [E.add(lhs[a, b], E.mul(E.const(-1), rhs[a, b]))
-                 for a, b in itertools.product(range(2 * n), repeat=2)]
-        for pt in points:
-            assert eval_zero(resid, pt), kind
+    for c in charts.values():
+        M = c.tb.base
+        comps = mf.zeros((n, n))
+        for a, b in itertools.product(range(n), repeat=2):
+            if (a + b) % 2 == 0:
+                comps[a, b] = M.variables[(a + b) % n]
+        F = mf.TensorField(M, (1, 1), comps)
+        PF = mf.TensorField(M, (1, 1), poly(F.components, n))
+        for kind in ("c", "h"):
+            lhs = poly(bd.lift(c.tb, kind, F).components, 2 * n)
+            rhs = bd.lift(c.tb, kind, PF).components
+            resid = [E.add(lhs[a, b], E.mul(E.const(-1), rhs[a, b]))
+                     for a, b in itertools.product(range(2 * n), repeat=2)]
+            for pt in c.points:
+                assert eval_zero(resid, pt), (c.name, kind)
 
 
-def test_lifted_connections(tb, conn, fields, points):
-    X, Y = fields
-    R = mf.curvature(conn)
-    cc = bd.clift_connection(tb)
-    hc = bd.hlift_connection(tb)
-    nXY = mf.cov_vec(conn, X, Y)
-    Xv, Yv = bd.vlift_vector(tb, X), bd.vlift_vector(tb, Y)
-    Xc, Yc = bd.clift_vector(tb, X), bd.clift_vector(tb, Y)
-    Xh, Yh = bd.hlift_vector(tb, X), bd.hlift_vector(tb, Y)
-    cases = [
-        (cc, Xc, Yc, bd.clift_vector(tb, nXY).components),
-        (cc, Xv, Yc, bd.vlift_vector(tb, nXY).components),
-        (cc, Xc, Yv, bd.vlift_vector(tb, nXY).components),
-        (cc, Xv, Yv, [E.ZERO] * 6),
-        (hc, Xh, Yh, bd.hlift_vector(tb, nXY).components),
-        (hc, Xh, Yv, bd.vlift_vector(tb, nXY).components),
-        (hc, Xv, Yh, [E.ZERO] * 6),
-    ]
-    for C2, U, V, want in cases:
-        got = mf.cov_vec(C2, U, V)
-        resid = vec_residual(got.components, want)
-        for pt in points:
-            assert eval_zero(resid, pt)
-    # nabla^h_{X^c} Y^c picks up the curvature slice
-    got = mf.cov_vec(hc, Xc, Yc)
-    gslice = bd.gamma_curvature(tb, R, X, Y)
-    resid = [E.add(a, E.mul(E.const(-1), b), c) for a, b, c in zip(
-        got.components, bd.clift_vector(tb, nXY).components, gslice.components)]
-    for pt in points:
+def test_lifted_connections(charts):
+    for c in charts.values():
+        tb, X, Y = c.tb, c.X, c.Y
+        conn = tb.connection
+        R = mf.curvature(conn)
+        cc = bd.clift_connection(tb)
+        hc = bd.hlift_connection(tb)
+        nXY = mf.cov_vec(conn, X, Y)
+        Xv, Xc, Xh = (bd.lift(tb, kind, X) for kind in "vch")
+        Yv, Yc, Yh = (bd.lift(tb, kind, Y) for kind in "vch")
+        zero = [E.ZERO] * (2 * tb.n)
+        cases = [
+            (cc, Xc, Yc, bd.lift(tb, "c", nXY).components),
+            (cc, Xv, Yc, bd.lift(tb, "v", nXY).components),
+            (cc, Xc, Yv, bd.lift(tb, "v", nXY).components),
+            (cc, Xv, Yv, zero),
+            (hc, Xh, Yh, bd.lift(tb, "h", nXY).components),
+            (hc, Xh, Yv, bd.lift(tb, "v", nXY).components),
+            (hc, Xv, Yh, zero),
+        ]
+        for C2, U, V, want in cases:
+            resid = vec_residual(mf.cov_vec(C2, U, V).components, want)
+            for pt in c.points:
+                assert eval_zero(resid, pt), c.name
+        # nabla^h_{X^c} Y^c picks up the curvature slice
+        got = mf.cov_vec(hc, Xc, Yc)
+        gslice = bd.gamma_curvature(tb, R, X, Y)
+        resid = [E.add(a, E.mul(E.const(-1), b), d) for a, b, d in zip(
+            got.components, bd.lift(tb, "c", nXY).components, gslice.components)]
+        for pt in c.points:
+            assert eval_zero(resid, pt), c.name
+
+
+def _field(M, valence):
+    """A field of ``valence`` on ``M`` with polynomial components, some zero."""
+    xs = M.variables
+    arr = mf.zeros((M.n,) * sum(valence))
+    for k, idx in enumerate(np.ndindex(arr.shape)):
+        if k % 4 != 2:
+            arr[idx] = E.add(E.mul(E.const(k + 1), E.pow_(xs[k % 3], k % 3 + 1)),
+                             E.mul(xs[(k + 1) % 3], xs[(k + 2) % 3]))
+    return mf.TensorField(M, valence, arr)
+
+
+@pytest.mark.parametrize("valence", [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)],
+                         ids=lambda v: f"{v[0]}{v[1]}")
+@pytest.mark.parametrize("name", ["h3", "twin"])
+def test_complete_minus_horizontal_lift_is_a_vertical_lift(charts, name, valence):
+    """T^c - T^h = (y^j nabla_j T)^v for a (k, l) field T: the two lifts
+    agree off the blocks where every index carries, and there the
+    complete lift's y^j d_j T less the horizontal lift's connection terms
+    is y^j nabla_j T."""
+    c = charts[name]
+    tb, M = c.tb, c.tb.base
+    k, l = valence
+    T = _field(M, valence)
+    slots = "abcdefgh"[:k + l]
+    nabla = mf.covariant_derivative(tb.connection, T)  # the derivative index at k
+    ynabla = mf.contract(f"j,{slots[:k]}j{slots[k:]}->{slots}", tb.fiber_vars, nabla)
+    assert not all(eval_zero(ynabla, pt) for pt in c.points)  # the law is not 0 = 0
+    if k + l == 0:  # a function lifts to a function
+        T = T.components.flat[0]
+        resid = [bd.lift(tb, "c", T) - bd.lift(tb, "h", T) - bd.lift(tb, "v", ynabla)]
+    else:
+        want = bd.lift(tb, "v", mf.TensorField(M, valence, ynabla)).components
+        resid = mf.add(bd.lift(tb, "c", T).components, -bd.lift(tb, "h", T).components, -want)
+    for pt in c.points:
         assert eval_zero(resid, pt)
 
 

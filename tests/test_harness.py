@@ -348,16 +348,15 @@ def test_mixed_signs_are_not_metallic_for_any_pq(doc):
     report = harness.run_suites(manifest, suites=["J-metallic", "F-metallic"])
     ctx = harness.SuiteContext(manifest, manifest.plan)
     S, tb = ctx.S, ctx.tb
-    ev, xv = bd.lift_oneform(tb, S.eta, "v"), bd.vlift_vector(tb, S.xi)
-    for suite, kind, lift_vector in zip(report["suites"], "ch",
-                                        (bd.clift_vector, bd.hlift_vector)):
+    ev, xv = bd.lift(tb, "v", S.eta), bd.lift(tb, "v", S.xi)
+    for suite, kind in zip(report["suites"], "ch"):
         label = ml.structure_label(kind, 1, -1)
         assert suite["status"] == "fail"
         assert suite["notes"][label].startswith("not metallic for any (p, q)")
         psi = ctx.psi(kind, (1, -1)).components
         square = mf.contract("am,mb->ab", psi, psi)
-        cross = mf.add(mf.outer(xv.components, bd.lift_oneform(tb, S.eta, kind).components),
-                       mf.outer(lift_vector(tb, S.xi).components, ev.components))
+        cross = mf.add(mf.outer(xv.components, bd.lift(tb, kind, S.eta).components),
+                       mf.outer(bd.lift(tb, kind, S.xi).components, ev.components))
         for pt in ctx.points:
             got, want = mf.evaluate_array(square, pt), mf.evaluate_array(cross, pt)
             for idx in mf.ndindex(got.shape):

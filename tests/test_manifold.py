@@ -381,8 +381,7 @@ def test_cov_vec_builds_the_loop_trees(tb, conn):
     X = mf.TensorField(tb.base, (1, 0), [x2, E.ZERO, E.mul(x1, x3)])
     Y = mf.TensorField(tb.base, (1, 0), [E.ZERO, E.mul(x1, x3), E.pow_(x2, 2)])
     cc, hc = bd.clift_connection(tb), bd.hlift_connection(tb)
-    lifts = {k: (f(tb, X), f(tb, Y)) for k, f in
-             (("v", bd.vlift_vector), ("c", bd.clift_vector), ("h", bd.hlift_vector))}
+    lifts = {k: (bd.lift(tb, k, X), bd.lift(tb, k, Y)) for k in "vch"}
     _same_trees(mf.cov_vec(conn, X, Y).components, _loop_cov_vec(conn, X, Y))
     for C, (a, b) in ((cc, "cc"), (cc, "vc"), (cc, "cv"), (hc, "hh"), (hc, "hv"), (hc, "cc")):
         U, V = lifts[a][0], lifts[b][1]

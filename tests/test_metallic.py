@@ -22,7 +22,8 @@ from metallic_tm.harness import _t_verdict
 from metallic_tm.scalars import MetallicScalar, sigma
 from metallic_tm.verdicts import ResidualTracker
 
-from conftest import covariant_values, eval_zero, nijenhuis_values, t_values, values
+from conftest import (covariant_values, eval_zero, lifted_metric, nijenhuis_values, t_values,
+                      values)
 
 PQ_SET = [(1, 1), (1, 2), (2, 1), (3, 5)]
 
@@ -221,10 +222,8 @@ PQ_EPS = [(1, 1, 1, 1), (2, 1, 1, 1), (3, 5, -1, -1), (2, 1, 1, -1), (1, 2, 1, 1
 
 def _cross(structure, tb, lift, pt):
     """eta^k (x) xi^v + eta^v (x) xi^k at ``pt``, with k = c or h."""
-    lift_vector = bd.clift_vector if lift == "c" else bd.hlift_vector
-    ev = bd.lift_oneform(tb, structure.eta, "v")
-    ek = bd.lift_oneform(tb, structure.eta, lift)
-    xv, xk = bd.vlift_vector(tb, structure.xi), lift_vector(tb, structure.xi)
+    ev, ek = bd.lift(tb, "v", structure.eta), bd.lift(tb, lift, structure.eta)
+    xv, xk = bd.lift(tb, "v", structure.xi), bd.lift(tb, lift, structure.xi)
     return (values(mf.outer(xv.components, ek.components), pt)
             + values(mf.outer(xk.components, ev.components), pt))
 
@@ -287,7 +286,7 @@ def test_psi_combinations_equal_the_residuals_of_T(structure, tb, points, p, q, 
             gamma = values(conns[lift].coefficients, pt)
             assert (covariant_values(t, dt, gamma) == C * values(cov_psi, pt)).all()
 
-        for metric in (bd.clift_metric(tb), bd.sasaki_metric(tb)):
+        for metric in (lifted_metric(tb, "c"), bd.sasaki_metric(tb)):
             ms = [values(metric.components, pt) for pt in points]
             r_pq = [t.T @ m @ t - p * m @ t - q * m for (t, _), m in zip(ts, ms)]
             r_sym = [t.T @ m - m @ t for (t, _), m in zip(ts, ms)]
@@ -334,7 +333,7 @@ def test_mixed_signs_are_not_metallic(structure, tb, points, p, q):
 
 
 def test_J_compatible_with_complete_lift_metric(tb, points, psi_J):
-    gc = bd.clift_metric(tb)
+    gc = lifted_metric(tb, "c")
     for v in ml.check_compat(gc, psi_J, "J", points):
         assert v.holds, v.axiom_id
 
@@ -501,7 +500,7 @@ def test_F_integrability_conditions(structure, conn, points):
 
 
 def test_fundamental_form_is_symmetric(tb, points, psi_J):
-    gc = bd.clift_metric(tb)
+    gc = lifted_metric(tb, "c")
     Phi = ml.fundamental_form(psi_J, gc)
     resid = mf.zeros((6, 6))
     for a, b in itertools.product(range(6), repeat=2):
@@ -521,9 +520,9 @@ def test_dphi_prime_value_on_unit_field(structure, tb, points, psi_F):
     val = mf.contract(
         "ijk,i,j,k->",
         dPhip,
-        bd.hlift_vector(tb, X),
-        bd.vlift_vector(tb, X),
-        bd.vlift_vector(tb, structure.xi),
+        bd.lift(tb, "h", X),
+        bd.lift(tb, "v", X),
+        bd.lift(tb, "v", structure.xi),
     )
     prm = ml.MetallicParams(1, 1)
     expected = -(2 * sigma(1, 1) - 1) / 6
@@ -533,16 +532,16 @@ def test_dphi_prime_value_on_unit_field(structure, tb, points, psi_F):
 
 
 def test_dphi_vanishes_on_distribution_c_c_v_triples(structure, tb, points, psi_J):
-    gc = bd.clift_metric(tb)
+    gc = lifted_metric(tb, "c")
     dPhi = mf.coboundary_2form(ml.fundamental_form(psi_J, gc))
     frame = pc.distribution_frame(structure, points)
     for X, Y, Z in itertools.product(frame, repeat=3):
         val = mf.contract(
             "ijk,i,j,k->",
             dPhi,
-            bd.clift_vector(tb, X),
-            bd.clift_vector(tb, Y),
-            bd.vlift_vector(tb, Z),
+            bd.lift(tb, "c", X),
+            bd.lift(tb, "c", Y),
+            bd.lift(tb, "v", Z),
         )
         for pt in points:
             assert E.evaluate(val, pt) == 0

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
@@ -31,10 +30,12 @@ def _load(path: str):
         return harness.load_manifest(path)
     except OSError as exc:
         message, code = f"cannot read {path}: {exc}", EXIT_USAGE
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        message, code = f"{path} is not valid JSON: {exc}", EXIT_USAGE
     except ManifestError as exc:
         message, code = f"{path}: {exc}", EXIT_FAIL
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, and so is
+        # the JSON decoder's refusal of an integer too long to convert
+        message, code = f"{path} is not valid JSON: {exc}", EXIT_USAGE
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(code)
 

@@ -452,7 +452,7 @@ def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Mul):
         fs = e.factors
         # a coefficient -1 is a unary minus: "-x1*x2", and "a - x1*x2" in a sum
-        minus = isinstance(fs[0], Const) and isinstance(fs[0].value, Fraction) and fs[0].value == -1
+        minus = isinstance(fs[0], Const) and fs[0].value == -1
         parts = []
         for f in fs[1:] if minus else fs:
             s, p = _render(f)
@@ -520,6 +520,19 @@ class _Tokenizer:
 # unary sign and one for the operand itself; well within the interpreter's
 # recursion limit
 MAX_NESTING = 100
+
+# the largest magnitude of an exponent, written or the product of the
+# exponents of a power of a power; a power of a constant may have at most
+# 64 * MAX_EXPONENT bits.  Larger powers would hang evaluation.
+MAX_EXPONENT = 1000
+
+
+def _int(text: str, off: int) -> int:
+    """``int(text)``; more digits than the interpreter converts is a syntax error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer of {len(text)} digits is too long", off) from None
 
 
 class Parser:
@@ -606,15 +619,24 @@ class Parser:
                 k2, v2, o2 = self.toks.peek()
             if k2 == "int":
                 self.toks.next()
-                e = self._fold(pow_, off, e, -int(v2) if neg else int(v2))
+                k = _int(v2, o2)
             elif k2 == "(":
                 exp = self._atom_paren()
-                if not isinstance(exp, Const) or not isinstance(exp.value, Fraction) or exp.value.denominator != 1:
+                if not isinstance(exp, Const) or exp.value.denominator != 1:
                     raise ParseError("exponent must be an integer", o2)
                 k = int(exp.value)
-                e = self._fold(pow_, off, e, -k if neg else k)
             else:
                 raise ParseError("exponent must be an integer", o2)
+            e = self._power_of(e, -k if neg else k, off)
+
+    def _power_of(self, e: Expr, k: int, off: int) -> Expr:
+        """``e^k``; a power past the bounds of MAX_EXPONENT is a syntax error at the ``^``."""
+        if abs(k * e.exponent if isinstance(e, Pow) else k) > MAX_EXPONENT:
+            raise ParseError(f"exponent of magnitude over {MAX_EXPONENT}", off)
+        v = e.value if isinstance(e, Const) else Fraction(1)
+        if abs(k) * max(v.numerator.bit_length(), v.denominator.bit_length()) > 64 * MAX_EXPONENT:
+            raise ParseError(f"power of a constant over {64 * MAX_EXPONENT} bits", off)
+        return self._fold(pow_, off, e, k)
 
     def _atom_paren(self) -> Expr:
         kind, val, off = self.toks.next()
@@ -630,13 +652,13 @@ class Parser:
         kind, val, off = self.toks.peek()
         if kind == "int":
             self.toks.next()
-            return const(int(val))
+            return const(_int(val, off))
         if kind == "(":
             return self._atom_paren()
         if kind == "name":
             self.toks.next()
             if val[0] in "xy" and val[1:].isdigit():
-                idx = int(val[1:])
+                idx = _int(val[1:], off)
                 if not 1 <= idx <= self.n:
                     raise ParseError(f"unknown variable {val!r}: index out of range 1..{self.n}", off)
                 return Var("base" if val[0] == "x" else "fiber", idx)

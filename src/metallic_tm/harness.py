@@ -100,6 +100,8 @@ def _frac(x, where: str) -> Fraction:
             return Fraction(x)
         except ZeroDivisionError:
             raise ManifestError(f"{where}: {x!r} has a zero denominator") from None
+        except ValueError:  # more digits than the interpreter converts
+            raise ManifestError(f"{where}: a literal of {len(x)} characters is too long") from None
     raise ManifestError(f"{where}: expected an integer or a literal like \"-7/2\", got {x!r}")
 
 
@@ -233,7 +235,8 @@ def parse_manifest(doc: dict, raw: bytes = b"") -> Manifest:
 def load_manifest(path: str) -> Manifest:
     """Read and parse a manifest file.  Raises ``OSError`` if it cannot be
     read, ``UnicodeDecodeError`` if its bytes are not text in a JSON
-    encoding, ``json.JSONDecodeError`` if the text is not JSON,
+    encoding, ``json.JSONDecodeError`` if the text is not JSON, ``ValueError``
+    if it holds an integer too long for the interpreter to convert,
     ``RecursionError`` if it nests too deeply for the JSON decoder, and
     ``ManifestError`` if its content is invalid."""
     with open(path, "rb") as fh:

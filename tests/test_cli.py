@@ -31,10 +31,12 @@ def test_validate_missing_file():
 
 
 def test_validate_bad_json(tmp_path, capsys):
-    """Text that is not JSON, and arrays nested too deeply for the JSON
-    decoder, give exit code 2 and one error line, never a traceback."""
+    """Text that is not JSON, arrays nested too deeply for the JSON decoder,
+    and an integer too long for it to convert give exit code 2 and one error
+    line, never a traceback."""
     p = tmp_path / "bad.json"
-    for text in ("{not json", "[" * 100_000 + "]" * 100_000):
+    for text in ("{not json", "[" * 100_000 + "]" * 100_000,
+                 '{"sample_plan": {"seed": ' + "1" * 5000 + "}}"):
         p.write_text(text)
         assert main(["validate", str(p)]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -230,6 +232,16 @@ EXPRESSION_MALFORMED = {
     "arabic-indic-index": _set(("xi", 2), "x\u0663"),
     "arabic-indic-digit": _set(("metric", 0, 0), "\u0663"),
     "nested-too-deep": _set(("domain", 0), "(" * 170 + "x3" + ")" * 170),
+    # integers of more digits than the interpreter converts, and powers
+    # past exprs.MAX_EXPONENT, which would hang the sampler or exhaust memory
+    "literal-too-long": _set(("eta", 2), "x3 + " + "1" * 5000),
+    "index-too-long": _set(("xi", 2), "x" + "1" * 5000),
+    "exponent-too-long": _set(("metric", 0, 0), "x1^" + "1" * 5000),
+    "paren-exponent-too-long": _set(("metric", 1, 1), "x1^(" + "1" * 5000 + ")"),
+    "exponent-too-large": _set(("domain", 0), "x1^99999999999"),
+    "constant-power-too-large": _set(("phi", 0, 0), "0*2^99999999999"),
+    "power-of-power-too-large": _set(("phi", 1, 1), "(x1^100)^100"),
+    "range-end-too-long": _set(("sample_plan", "fiber_ranges", 0, 1), "1" + "0" * 5000),
 }
 
 

@@ -67,6 +67,25 @@ def test_parse_error_reports_offset():
         assert ei.value.offset == offset
 
 
+def test_long_integers_and_large_powers_are_syntax_errors():
+    """A digit string longer than the interpreter converts is an error at its
+    offset.  An exponent past MAX_EXPONENT, written or as the product of the
+    exponents of a power of a power, and a power of a constant past
+    64 * MAX_EXPONENT bits are errors at the ^."""
+    long = "1" * 5000
+    for text, offset in ((long, 0), ("x1 + " + long, 5), ("x" + long, 0), ("x1^" + long, 3),
+                         ("x1^(" + long + ")", 4), ("x1^99999999999", 2), ("0*2^99999999999", 3),
+                         ("x1^-1001", 2), ("x1^(2*501)", 2), ("(x1^100)^100", 8),
+                         ("x1^100^-100", 6), ("(x1^-2)^-501", 7), ("(2^999)^65", 7)):
+        with pytest.raises(ParseError) as ei:
+            E.parse(text, 1)
+        assert ei.value.offset == offset, text[:12]
+    x1, top = Var("base", 1), E.MAX_EXPONENT
+    assert E.parse(f"x1^{top}", 1) == E.pow_(x1, top)
+    assert E.parse("(x1^-10)^100", 1) == E.pow_(x1, -top)
+    assert E.parse("(2^999)^64", 1) == E.const(2 ** (999 * 64))
+
+
 def test_exact_mode_rejects_transcendentals():
     # the language has no analytic functions, so exp(x1) never reaches
     # exact evaluation, and a Decimal coordinate is not an exact scalar

@@ -118,15 +118,6 @@ class MetallicScalar:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: ScalarLike):
-        """Division by a nonzero rational (b == 0), as in the value of a
-        quotient whose numerator carries sigma."""
-        pair = self._align(other)
-        if pair is None or pair[1].b != 0:
-            return NotImplemented
-        s, o = pair
-        return MetallicScalar(s.a / o.a, s.b / o.a, s.p, s.q)
-
     # -- comparisons / hashing ----------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -202,7 +202,7 @@ def test_criterion_8_phi_prime_nonclosed(manifest, pts10, report):
     X = mf.TensorField(manifest.manifold, (1, 0), [x3, E.ZERO, E.ZERO])
     val = mf.contract("ijk,i,j,k->", dPhip, bd.lift(tb, "h", X), bd.lift(tb, "v", X),
                       bd.lift(tb, "v", S.xi))
-    want = (2 * sigma(prm.p, prm.q) - prm.p) / 6
+    want = (2 * sigma(prm.p, prm.q) - prm.p) * Fraction(1, 6)
     for pt in pts10[:3]:
         got = -prm.amp * E.evaluate(val, pt)  # dPhi' = -(a/2) d(G(., Psi .))
         assert abs(float(got)) == pytest.approx(float(want))

@@ -525,7 +525,7 @@ def test_dphi_prime_value_on_unit_field(structure, tb, points, psi_F):
         bd.lift(tb, "v", structure.xi),
     )
     prm = ml.MetallicParams(1, 1)
-    expected = -(2 * sigma(1, 1) - 1) / 6
+    expected = -(2 * sigma(1, 1) - 1) * Fraction(1, 6)
     assert isinstance(expected, MetallicScalar)
     for pt in points:  # dPhi' = -(a/2) d(G(., Psi .))
         assert -prm.amp * E.evaluate(val, pt) == expected

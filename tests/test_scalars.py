@@ -66,16 +66,6 @@ def test_sigma_float_value():
     assert abs(float(s) - (1 + 5 ** 0.5) / 2) < 1e-12
 
 
-def test_division_by_a_rational():
-    """A quotient whose numerator carries sigma evaluates over Q(sigma); the
-    divisor must be rational."""
-    x = MetallicScalar(Fraction(1, 2), Fraction(3), 1, 1)
-    for d in (3, Fraction(3), MetallicScalar(3, 0, 1, 1)):
-        assert x / d == MetallicScalar(Fraction(1, 6), 1, 1, 1)
-    with pytest.raises(TypeError):
-        x / sigma(1, 1)
-
-
 def test_rational_embedding():
     x = MetallicScalar(Fraction(5, 3), 0, 1, 1)
     assert x == Fraction(5, 3)

@@ -14,7 +14,6 @@ from fractions import Fraction
 from metallic_tm import bundle as bd
 from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
-from metallic_tm.exprs import Var
 
 _here = pathlib.Path(__file__).parent
 _spec = importlib.util.spec_from_file_location("demo01", _here / "01_hyperbolic_halfspace.py")

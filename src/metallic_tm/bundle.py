@@ -86,7 +86,8 @@ def lift(tb: TangentBundleChart, kind: str, T):
     hold T where r - 1 carry, and where all r carry: y^j d_j T (complete),
     or the connection terms of y^j nabla_j T taken slot by slot, the last
     slot first, GT^m_c T_..m.. for a covariant slot and -GT^a_m T^..m.. for
-    a contravariant one (horizontal).  Every other block is zero.
+    a contravariant one (horizontal).  Every other block is zero.  This is
+    the one rule of Yano & Ishihara, Tangent and Cotangent Bundles (1973).
     """
     k, l = T.valence if isinstance(T, TensorField) else (0, 0)
     comps = getattr(T, "components", T)

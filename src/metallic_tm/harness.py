@@ -605,11 +605,11 @@ def suite_Phi_closedness(ctx: SuiteContext) -> SuiteResult:
     dPhi is -a/2 times the coboundary of the form G(., Psi .) over Q, which
     is what is decided."""
     scale = [-ctx.manifest.params[0].amp]
-    dPhi = mf.coboundary_2form(ml.fundamental_form(ctx.psi("c"), ctx.gc))
     M, tb, frame = ctx.M, ctx.tb, ctx.frame
     X = mf.rows(frame, M.n)
     Xc = bd.lifted_rows(tb, "c", frame)
-    lhs = mf.contract("ijk,xi,yj,zk->xyz", dPhi, Xc, Xc, bd.lifted_rows(tb, "v", frame))
+    lhs = mf.coboundary(tb.chart, mf.contract("ak,kb->ab", ctx.gc, ctx.psi("c")),
+                        Xc, Xc, bd.lifted_rows(tb, "v", frame))
     # g(nabla_{X_v} X_u, phi X_w) at [u, v, w]; eq. (27) sums its three cyclic shifts
     eq27 = mf.contract("ab,vua,wb->uvw", M.metric, mf.cov_rows(ctx.conn, X, X),
                        mf.contract("am,xm->xa", ctx.S.phi, X))
@@ -655,11 +655,12 @@ def suite_Phi_prime(ctx: SuiteContext) -> SuiteResult:
     dPhi' is -a/2 times the coboundary of the form G(., Psi .) over Q, whose
     value val is decided: the claim is val = g(X,X)/3, nonzero, and the
     measured sign of dPhi' is minus the sign of val, since -a/2 < 0."""
-    dPhip = mf.coboundary_2form(ml.fundamental_form(ctx.psi("h"), ctx.G))
     M, tb, frame = ctx.M, ctx.tb, ctx.frame
     X = mf.rows(frame, M.n)
-    val = mf.contract("ijk,xi,xj,k->x", dPhip, bd.lifted_rows(tb, "h", frame),
-                      bd.lifted_rows(tb, "v", frame), bd.lift(tb, "v", ctx.S.xi))
+    dPhip = mf.coboundary(tb.chart, mf.contract("ak,kb->ab", ctx.G, ctx.psi("h")),
+                          bd.lifted_rows(tb, "h", frame), bd.lifted_rows(tb, "v", frame),
+                          bd.lifted_rows(tb, "v", [ctx.S.xi]))
+    val = mf.asarray([dPhip[i, i, 0] for i in range(len(frame))])
     resid = mf.add(val, mf.contract("ab,xa,xb->x", M.metric, X, X) * E.const(Fraction(-1, 3)))
 
     tracker = ResidualTracker(ctx.plan.tol)

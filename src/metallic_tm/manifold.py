@@ -476,15 +476,26 @@ def exterior_derivative(T: TensorField) -> TensorField:
     return TensorField(M, (0, 2), (dw - dw.T) * E.const(Fraction(1, 2)))
 
 
-def coboundary_2form(T: TensorField) -> TensorField:
-    """The 1/3-coboundary formula 3 dPhi(X,Y,Z) = sum X Phi(Y,Z) -
-    sum Phi([X,Y],Z) applied componentwise, with no antisymmetry gate: a
-    fundamental form is fed in as built."""
-    if T.valence != (0, 2):
-        raise GeometryError("coboundary_2form needs a (0,2) tensor")
-    dP = T.base.partials(T.components)  # [i, j, k] = d_i Phi_jk
-    cyclic = add(dP, dP.transpose(2, 0, 1), dP.transpose(1, 2, 0))
-    return TensorField(T.base, (0, 3), cyclic * E.const(Fraction(1, 3)))
+def coboundary(M: ChartedManifold, P, U: Array, V: Array, W: Array) -> Array:
+    """[x, y, z] = dP(U_x, V_y, W_z) for a (0,2) tensor P on ``M`` and vector
+    fields stacked as rows (``rows``), by the 1/3-coboundary formula on the
+    fields themselves,
+
+        3 dP(X,Y,Z) = sum_cyc X P(Y,Z) - sum_cyc P([X,Y],Z),
+
+    as one contraction, with no antisymmetry gate: a fundamental form is
+    fed in as built, and the value does not depend on the chart."""
+    def d_pair(A, B):  # [m, p, q] = d_m P(A_p, B_q)
+        return M.partials(contract("ab,pa,qb->pq", P, A, B))
+
+    def minus_bracket(A, B):  # [p, q, a] = -[A_p, B_q]^a
+        return contract("pm,mqa+qm,mpa->pqa", -A, M.partials(B), B, M.partials(A))
+
+    out = contract("xm,myz+ym,mzx+zm,mxy+xya,ab,zb+yza,ab,xb+zxa,ab,yb->xyz",
+                   U, d_pair(V, W), V, d_pair(W, U), W, d_pair(U, V),
+                   minus_bracket(U, V), P, W, minus_bracket(V, W), P, U,
+                   minus_bracket(W, U), P, V)
+    return out * E.const(Fraction(1, 3))
 
 
 def apply_11(F: TensorField, X: TensorField) -> TensorField:

@@ -301,20 +301,3 @@ def parallelity_probe(psi: TensorField, lift: str, lifted_conn: Connection,
         # pass: report the (nonzero) probe residual itself as the witness
         return AxiomVerdict(axiom_id, "holds", sample.max_value, sample.witness)
     return AxiomVerdict(axiom_id, "fails", match.max_value, match.witness or zero_witness)
-
-
-# ----------------------------------------------------------------------
-# fundamental forms
-# ----------------------------------------------------------------------
-
-def fundamental_form(psi: TensorField, metric: TensorField) -> TensorField:
-    """metric(X~, Psi Y~), the part over Q of the fundamental form
-
-        Phi(X~, Y~) = metric(X~, T Y~) - (p/2) metric(X~, Y~) = -(a/2) metric(X~, Psi Y~),
-
-    so dPhi is -a/2 times the coboundary of this form.  Compatibility makes
-    it symmetric, not antisymmetric; it is fed to the coboundary formula
-    componentwise.
-    """
-    return TensorField(psi.base, (0, 2), mf.contract("ak,kb->ab", metric, psi))
-

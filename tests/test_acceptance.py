@@ -197,11 +197,11 @@ def test_criterion_8_phi_prime_nonclosed(manifest, pts10, report):
     prm = manifest.params[0]
     psi = ml.build_psi(S, tb, "h", prm.eps1, prm.eps2)
     G = bd.sasaki_metric(tb)
-    dPhip = mf.coboundary_2form(ml.fundamental_form(psi, G))
     x3 = manifest.manifold.variables[2]
     X = mf.TensorField(manifest.manifold, (1, 0), [x3, E.ZERO, E.ZERO])
-    val = mf.contract("ijk,i,j,k->", dPhip, bd.lift(tb, "h", X), bd.lift(tb, "v", X),
-                      bd.lift(tb, "v", S.xi))
+    val = mf.coboundary(tb.chart, mf.contract("ak,kb->ab", G, psi),
+                        bd.lifted_rows(tb, "h", [X]), bd.lifted_rows(tb, "v", [X]),
+                        bd.lifted_rows(tb, "v", [S.xi]))[0, 0, 0]
     want = (2 * sigma(prm.p, prm.q) - prm.p) * Fraction(1, 6)
     for pt in pts10[:3]:
         got = -prm.amp * E.evaluate(val, pt)  # dPhi' = -(a/2) d(G(., Psi .))

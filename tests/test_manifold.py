@@ -99,22 +99,39 @@ def test_exterior_derivative_closed_form(h3, base_points):
         assert eval_zero(dw.components, pt)
 
 
-def test_coboundary_2form_third_convention(h3, base_points):
-    """(dPhi)_ijk = (1/3)(d_i Phi_jk + d_j Phi_ki + d_k Phi_ij), no
-    antisymmetry gate: symmetric inputs are accepted."""
+def test_coboundary_third_convention(h3, base_points):
+    """On the coordinate fields, 3 dPhi(d_i, d_j, d_k) = d_i Phi_jk + d_j Phi_ki
+    + d_k Phi_ij, with no antisymmetry gate: symmetric inputs are accepted."""
     x1 = Var("base", 1)
     comps = mf.zeros((3, 3))
     comps[1, 2] = x1
     comps[2, 1] = x1  # symmetric
-    Phi = mf.TensorField(h3, (0, 2), comps)
-    d = mf.coboundary_2form(Phi).components
+    coords = mf.expr_array(mf.identity(3))  # the rows d1, d2, d3
+    d = mf.coboundary(h3, comps, coords, coords, coords)
     pt = base_points[0]
     assert E.evaluate(d[0, 1, 2], pt) == Fraction(1, 3)
 
 
+def test_coboundary_on_noncoordinate_fields(h3, base_points):
+    """Phi_23 = Phi_32 = x1 and Phi_13 = Phi_31 = x3 on X = x2 d1, Y = d2,
+    Z = d3, where [X, Y] = -d1 and the other brackets vanish:
+    3 dPhi(X,Y,Z) = X(x1) + Y(x2 x3) + Z(0) - Phi(-d1, d3) = x2 + 2 x3.
+    Contracting the array (1/3) cyclic d_i Phi_jk with X, Y, Z instead
+    gives x2/3."""
+    x1, x2, x3 = h3.variables
+    comps = mf.zeros((3, 3))
+    comps[1, 2] = comps[2, 1] = x1
+    comps[0, 2] = comps[2, 0] = x3
+    X = mf.expr_array([[x2, 0, 0]])
+    Y, Z = mf.expr_array([[0, 1, 0]]), mf.expr_array([[0, 0, 1]])
+    d = mf.coboundary(h3, comps, X, Y, Z)
+    for pt in base_points:
+        assert E.evaluate(d[0, 0, 0], pt) == (pt[x2] + 2 * pt[x3]) / 3
+
+
 def test_exterior_derivative_rejects_valence_0_2(h3):
-    """d is defined on 1-forms only; a (0,2) tensor goes through
-    coboundary_2form, antisymmetric or not."""
+    """d is defined on 1-forms only; dPhi of a (0,2) tensor is evaluated on
+    fields by mf.coboundary, antisymmetric or not."""
     comps = mf.zeros((3, 3))
     comps[0, 1] = E.ONE
     comps[1, 0] = E.mul(E.const(-1), E.ONE)  # antisymmetric, still rejected

@@ -500,30 +500,19 @@ def test_F_integrability_conditions(structure, conn, points):
 
 
 def test_fundamental_form_is_symmetric(tb, points, psi_J):
-    gc = lifted_metric(tb, "c")
-    Phi = ml.fundamental_form(psi_J, gc)
-    resid = mf.zeros((6, 6))
-    for a, b in itertools.product(range(6), repeat=2):
-        resid[a, b] = E.add(
-            Phi.components[a, b], E.mul(E.const(-1), Phi.components[b, a])
-        )
+    Phi = mf.contract("ak,kb->ab", lifted_metric(tb, "c"), psi_J)
     for pt in points:
-        assert eval_zero(resid, pt)
+        assert eval_zero(Phi - Phi.T, pt)
 
 
 def test_dphi_prime_value_on_unit_field(structure, tb, points, psi_F):
     """dPhi'(X^h, X^v, xi^v) = -(2 sigma - p)/6 for the unit field X = x3 d1."""
     G = bd.sasaki_metric(tb)
-    dPhip = mf.coboundary_2form(ml.fundamental_form(psi_F, G))
     x3 = structure.base.variables[2]
     X = mf.TensorField(structure.base, (1, 0), [x3, E.ZERO, E.ZERO])
-    val = mf.contract(
-        "ijk,i,j,k->",
-        dPhip,
-        bd.lift(tb, "h", X),
-        bd.lift(tb, "v", X),
-        bd.lift(tb, "v", structure.xi),
-    )
+    val = mf.coboundary(tb.chart, mf.contract("ak,kb->ab", G, psi_F),
+                        bd.lifted_rows(tb, "h", [X]), bd.lifted_rows(tb, "v", [X]),
+                        bd.lifted_rows(tb, "v", [structure.xi]))[0, 0, 0]
     prm = ml.MetallicParams(1, 1)
     expected = -(2 * sigma(1, 1) - 1) * Fraction(1, 6)
     assert isinstance(expected, MetallicScalar)
@@ -532,16 +521,9 @@ def test_dphi_prime_value_on_unit_field(structure, tb, points, psi_F):
 
 
 def test_dphi_vanishes_on_distribution_c_c_v_triples(structure, tb, points, psi_J):
-    gc = lifted_metric(tb, "c")
-    dPhi = mf.coboundary_2form(ml.fundamental_form(psi_J, gc))
     frame = pc.distribution_frame(structure, points)
-    for X, Y, Z in itertools.product(frame, repeat=3):
-        val = mf.contract(
-            "ijk,i,j,k->",
-            dPhi,
-            bd.lift(tb, "c", X),
-            bd.lift(tb, "c", Y),
-            bd.lift(tb, "v", Z),
-        )
-        for pt in points:
-            assert E.evaluate(val, pt) == 0
+    Xc = bd.lifted_rows(tb, "c", frame)
+    dPhi = mf.coboundary(tb.chart, mf.contract("ak,kb->ab", lifted_metric(tb, "c"), psi_J),
+                         Xc, Xc, bd.lifted_rows(tb, "v", frame))
+    for pt in points:
+        assert eval_zero(dPhi, pt)

@@ -9,6 +9,7 @@ from typing import List, Optional
 from . import harness
 from .exprs import EvalError
 from .harness import ManifestError
+from .scalars import ScalarError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -63,7 +64,7 @@ def cmd_verify(args) -> int:
 
     try:
         report = harness.run_suites(manifest, suites=suites, plan=plan)
-    except (ManifestError, harness.SamplingError, EvalError) as exc:
+    except (ManifestError, harness.SamplingError, EvalError, ScalarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -213,7 +213,13 @@ def is_zero(x) -> bool:
 
 
 def scalar_str(x) -> str:
-    """Canonical decimal-free rendering used in reports."""
+    """Canonical decimal-free rendering used in reports; a ScalarError when
+    an integer in it has more digits than the interpreter converts."""
     if isinstance(x, float):
         return repr(x)
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:
+        raise ScalarError("an exact value has more than "
+                          f"{sys.get_int_max_str_digits()} digits, the limit for "
+                          "integer string conversion") from None

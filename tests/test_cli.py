@@ -158,6 +158,20 @@ def test_verify_residual_beyond_float_range(tmp_path, manifest_path):
     assert axioms["max_residual"]["float"] == sys.float_info.max
 
 
+def test_verify_value_beyond_the_digit_limit(tmp_path, manifest_path, capsys):
+    """An exact value with more digits than the interpreter converts to a
+    string is one error line naming the limit and exit code 2, not a
+    traceback."""
+    doc = json.load(open(manifest_path))
+    doc["phi"][0][0] = "(x1*x2*x3)^900*(x1*x2*x3)^900"
+    p = tmp_path / "huge-value.json"
+    p.write_text(json.dumps(doc))
+    assert main(["verify", str(p), "--suites", "axioms"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (f"error: an exact value has more than {sys.get_int_max_str_digits()} "
+                   "digits, the limit for integer string conversion\n")
+
+
 def test_verify_rejects_pq_option(manifest_path, capsys):
     """Parameters come only from the manifest, whose hash the report
     carries: there is no option that overrides them."""

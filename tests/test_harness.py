@@ -1,5 +1,6 @@
 """Manifest ingestion, sampling, suite orchestration and reports."""
 
+import functools
 import json
 import pathlib
 from fractions import Fraction
@@ -215,6 +216,26 @@ def test_h7_report_matches_golden():
     Nijenhuis tensors of the 14x14 Psi_J and Psi_F are the largest
     contractions of any bundled chart."""
     _assert_matches_goldens(harness.load_manifest(bundled_manifest_path("hyperbolic-h7")))
+
+
+@functools.lru_cache(maxsize=None)
+def _statuses(path: str) -> tuple:
+    return tuple((s["id"], s["status"])
+                 for s in harness.run_suites(harness.load_manifest(path))["suites"])
+
+
+@pytest.mark.parametrize("bundled,pulled", [("hyperbolic-h3", "hyperbolic-h3-twin"),
+                                            ("hyperbolic-h3", "hyperbolic-h3-shear"),
+                                            ("hyperbolic-h5", "hyperbolic-h5-twin")])
+def test_pulled_back_chart_gets_the_bundled_statuses(bundled, pulled):
+    """A bundled structure pulled back along a triangular polynomial map,
+    whose inverse is polynomial too, is the same P-Sasakian manifold in
+    other coordinates (the data were written once as J^T g J, J^-1 phi J,
+    eta J and J^-1 xi): every suite gets the status it gets on the bundled
+    chart, and all of them pass."""
+    want = _statuses(bundled_manifest_path(bundled))
+    assert want == tuple((sid, "pass") for sid in harness.SUITE_IDS)
+    assert _statuses(str(DATA / f"{pulled}.json")) == want
 
 
 def test_float_report_matches_golden(doc):

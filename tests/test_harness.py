@@ -218,6 +218,14 @@ def test_h7_report_matches_golden():
     _assert_matches_goldens(harness.load_manifest(bundled_manifest_path("hyperbolic-h7")))
 
 
+def test_twin_report_matches_golden():
+    """The bundled h3 structure pulled back along (x1, x2 + x1 x3, x3 + x1^2),
+    byte for byte as committed.  Its D-frame has members with entries in
+    x1 and x3, so dPhi is taken on lifted fields that are not coordinate
+    fields, and Phi-closedness meets triples where dPhi is not 0."""
+    _assert_matches_goldens(harness.load_manifest(str(DATA / "hyperbolic-h3-twin.json")))
+
+
 @functools.lru_cache(maxsize=None)
 def _statuses(path: str) -> tuple:
     return tuple((s["id"], s["status"])
@@ -260,7 +268,7 @@ def test_reports_match_the_report_schema(doc):
         "schemas/report.schema.json").read_text(encoding="utf-8"))
     jsonschema.Draft7Validator.check_schema(schema)
     goldens = sorted(DATA.glob("*.report.json"))
-    assert len(goldens) == 7
+    assert len(goldens) == 9
     for path in goldens:
         jsonschema.validate(json.loads(path.read_text(encoding="utf-8")), schema)
     bad = json.loads(json.dumps(doc))

@@ -477,14 +477,9 @@ def exterior_derivative(T: TensorField) -> TensorField:
 
 
 def coboundary(M: ChartedManifold, P, U: Array, V: Array, W: Array) -> Array:
-    """[x, y, z] = dP(U_x, V_y, W_z) for a (0,2) tensor P on ``M`` and vector
-    fields stacked as rows (``rows``), by the 1/3-coboundary formula on the
-    fields themselves,
-
-        3 dP(X,Y,Z) = sum_cyc X P(Y,Z) - sum_cyc P([X,Y],Z),
-
-    as one contraction, with no antisymmetry gate: a fundamental form is
-    fed in as built, and the value does not depend on the chart."""
+    """[x, y, z] = dP(U_x, V_y, W_z) for a (0,2) tensor P on ``M``, alternating
+    or not, and vector fields stacked as rows (``rows``): one contraction of
+    3 dP(X,Y,Z) = sum_cyc X P(Y,Z) - sum_cyc P([X,Y],Z) on the fields."""
     def d_pair(A, B):  # [m, p, q] = d_m P(A_p, B_q)
         return M.partials(contract("ab,pa,qb->pq", P, A, B))
 

@@ -213,13 +213,11 @@ def is_zero(x) -> bool:
 
 
 def scalar_str(x) -> str:
-    """Canonical decimal-free rendering used in reports; a ScalarError when
-    an integer in it has more digits than the interpreter converts."""
+    """Canonical decimal-free rendering used in reports."""
     if isinstance(x, float):
         return repr(x)
     try:
         return str(x)
-    except ValueError:
-        raise ScalarError("an exact value has more than "
-                          f"{sys.get_int_max_str_digits()} digits, the limit for "
-                          "integer string conversion") from None
+    except ValueError:  # an integer beyond the interpreter's digit limit
+        raise ScalarError(f"an exact value has more than {sys.get_int_max_str_digits()} "
+                          "digits, the limit for integer string conversion") from None

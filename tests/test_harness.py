@@ -234,7 +234,8 @@ def _statuses(path: str) -> tuple:
 
 @pytest.mark.parametrize("bundled,pulled", [("hyperbolic-h3", "hyperbolic-h3-twin"),
                                             ("hyperbolic-h3", "hyperbolic-h3-shear"),
-                                            ("hyperbolic-h5", "hyperbolic-h5-twin")])
+                                            ("hyperbolic-h5", "hyperbolic-h5-twin"),
+                                            ("hyperbolic-h7", "hyperbolic-h7-twin")])
 def test_pulled_back_chart_gets_the_bundled_statuses(bundled, pulled):
     """A bundled structure pulled back along a triangular polynomial map,
     whose inverse is polynomial too, is the same P-Sasakian manifold in
@@ -244,6 +245,40 @@ def test_pulled_back_chart_gets_the_bundled_statuses(bundled, pulled):
     want = _statuses(bundled_manifest_path(bundled))
     assert want == tuple((sid, "pass") for sid in harness.SUITE_IDS)
     assert _statuses(str(DATA / f"{pulled}.json")) == want
+
+
+FLAT = {"name": "flat-r3", "dimension": 3,
+        "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "phi": [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "0"]],
+        "eta": ["0", "0", "1"], "xi": ["0", "0", "1"],
+        "metallic": [{"p": 1, "q": 1}], "sample_plan": {"count": 3, "seed": 7}}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_flat_chart_reaches_the_fail_branches(mode):
+    """R^3 with g = delta, phi = diag(-1, -1, 0), eta = dx3 and xi = d3 is
+    almost paracontact but not P-Sasakian: nabla phi = 0 and nabla xi = 0.
+    Each suite is called on the SuiteContext directly, so failed axioms
+    gate nothing.  The axioms fail at eqs. 6 and 7, J-parallel and
+    F-parallel fail (the probes vanish, their closed forms do not),
+    Phi-prime fails (dPhi' vanishes), and the other eight suites pass.
+    Every entry is pinned as committed (``flat-r3.suites.json``)."""
+    m = harness.parse_manifest(FLAT)
+    ctx = harness.SuiteContext(m, m.plan._replace(mode=mode))
+    got = json.loads(json.dumps([fn(ctx).to_json(sid) for sid, fn in harness._SUITES.items()]))
+    assert got == json.loads((DATA / "flat-r3.suites.json").read_text(encoding="utf-8"))[mode]
+    by_id = {s["id"]: s for s in got}
+    assert [sid for sid, s in by_id.items() if s["status"] == "fail"] == [
+        "axioms", "J-parallel", "F-parallel", "Phi-prime"]
+    assert [(w["axiom"], w["frame"]) for w in by_id["axioms"]["witnesses"]] == [
+        ("p-sasakian-eq6", [0, 0, 2]), ("p-sasakian-eq7", [0, 0])]
+    assert by_id["axioms"]["max_residual"]["float"] == 1.0
+    for sid in ("J-parallel", "F-parallel"):
+        assert [w["frame"] for w in by_id[sid]["witnesses"]] == [[0, 0]]
+    if mode == "exact":
+        assert by_id["J-parallel"]["max_residual"]["exact"] == "1/2-sigma"
+        assert by_id["F-parallel"]["max_residual"]["exact"] == "1/2-sigma"
+        assert by_id["Phi-prime"]["max_residual"]["exact"] == "-1/6+1/3*sigma"
 
 
 def test_float_report_matches_golden(doc):

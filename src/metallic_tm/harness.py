@@ -271,14 +271,14 @@ def sample_points(manifest: Manifest, plan: Optional[SamplePlan] = None):
         return Fraction(rng.randint(lo_i, hi_i), den)
 
     points = []
-    attempts = 0
+    rejected = 0  # draws rejected since the last admissible one
     while len(points) < plan.count:
-        attempts += 1
-        if attempts > _MAX_REDRAWS:
+        if rejected == _MAX_REDRAWS:
             raise SamplingError(
                 f"no admissible point found after {_MAX_REDRAWS} draws; "
                 "check domain constraints against base_ranges"
             )
+        rejected += 1
         base = [draw(lo, hi) for lo, hi in plan.base_ranges]
         pt = dict(zip(M.variables, base))
         if not all(E.evaluate(c, pt) > 0 for c in M.domain):
@@ -286,6 +286,7 @@ def sample_points(manifest: Manifest, plan: Optional[SamplePlan] = None):
         fiber = [draw(lo, hi) for lo, hi in plan.fiber_ranges]
         if all(f == 0 for f in fiber):
             continue
+        rejected = 0
         pt.update(zip(fiber_vars, fiber))
         points.append(pt)
 

@@ -125,6 +125,15 @@ def test_sampler_rejects_impossible_domain(doc):
         harness.sample_points(m)
 
 
+def test_sampler_counts_only_rejected_draws(manifest):
+    """Every draw on h3 is admissible, so the budget of 2,000 rejected
+    draws in a row does not cap the number of points; the draws are those
+    of a smaller count, continued."""
+    points = harness.sample_points(manifest, manifest.plan._replace(count=2500))
+    assert len(points) == 2500
+    assert points[:3] == harness.sample_points(manifest)
+
+
 @pytest.mark.parametrize("key, axis, lo, hi", [
     ("fiber_ranges", 0, "1/10", "1/9"),  # every y1 was 0
     ("base_ranges", 2, "1/10", "1/9"),  # no admissible point found

@@ -2,7 +2,8 @@
 
 Builds the chart {x3 > 0} with metric delta_ij / x3^2, the structure tensors
 phi = diag(-1, -1, 0), eta = dx3 / x3, xi = x3 d3, and verifies the defining
-equations exactly at rational points.
+equations exactly at rational points: each equation is a residual array
+that must vanish, decided by ``verdicts.residual_verdict``.
 
 Run:  python3 demos/01_hyperbolic_halfspace.py
 """
@@ -13,6 +14,7 @@ from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
 from metallic_tm import paracontact as pc
 from metallic_tm.exprs import Var
+from metallic_tm.verdicts import FLOAT_TOL, residual_verdict
 
 
 def build():
@@ -43,12 +45,10 @@ def main():
                     print(f"  Gamma^{k+1}_{i+1}{j+1} = {v}")
 
     print("\nStructure axioms at 2 rational points:")
-    for v in pc.check_almost_paracontact(S, pts):
-        print(f"  {v.axiom_id:<20} {v.status}")
-    for v in pc.check_metric_compat(S, pts):
-        print(f"  {v.axiom_id:<20} {v.status}")
-    for v in pc.check_p_sasakian(S, conn, pts):
-        print(f"  {v.axiom_id:<20} {v.status}")
+    residuals = {**pc.almost_paracontact(S), **pc.metric_compat(S), **pc.p_sasakian(S, conn)}
+    for axiom_id, resid in residuals.items():
+        v, _ = residual_verdict(axiom_id, M, pts, FLOAT_TOL, resid)
+        print(f"  {axiom_id:<20} {v.status}")
 
     print("\nObstruction tensors N1..N4 (all vanish):")
     for name, T in pc.n_tensors(S).items():
@@ -56,7 +56,8 @@ def main():
         print(f"  {name}: {'zero' if all(x == 0 for x in vals) else 'NONZERO'}")
 
     print("\nThe distribution D = ker(eta) is not flat:")
-    v = pc.check_D_flat(S, conn, pc.distribution_frame(S, pts), pts)
+    resid = pc.D_flat(S, conn, pc.distribution_frame(S, pts))  # eta(nabla_X Y)
+    v, _ = residual_verdict("D-flat", M, pts, FLOAT_TOL, resid)
     print(f"  D-flat {v.status}, witness frame {v.witness.frame}, "
           f"residual {v.witness.value}")
 

@@ -15,6 +15,14 @@ from metallic_tm import metallic as ml
 from metallic_tm import paracontact as pc
 from metallic_tm.cli import bundled_manifest_path
 from metallic_tm.scalars import scalar_str
+from metallic_tm.verdicts import FLOAT_TOL, residual_verdict
+
+
+def decide(arr, chart, pts):
+    """The verdict on the residual array ``arr``, which must vanish at the
+    points."""
+    verdict, _ = residual_verdict("", chart, pts, FLOAT_TOL, arr)
+    return verdict
 
 
 def main():
@@ -29,25 +37,25 @@ def main():
     for e1, e2 in [(1, 1), (-1, -1), (1, -1)]:
         psi_J = ml.build_psi(S, tb, "c", e1, e2)
         psi_F = ml.build_psi(S, tb, "h", e1, e2)
+        square_J, square_F = (ml.pq_residual(psi.components, 0, 1) for psi in (psi_J, psi_F))
         print(f"  (eps1, eps2) = ({e1:+d}, {e2:+d}):"
-              f"  J {ml.check_metallic(psi_J, 'J', pts).status},"
-              f"  F {ml.check_metallic(psi_F, 'F', pts).status}")
+              f"  J {decide(square_J, tb.chart, pts).status},"
+              f"  F {decide(square_F, tb.chart, pts).status}")
 
     prm = ml.MetallicParams(1, 1)
     psi_J = ml.build_psi(S, tb, "c", 1, 1)
     psi_F = ml.build_psi(S, tb, "h", 1, 1)
 
     print("\nParallelity probes (closed forms, nonzero residuals):")
-    cc = bd.clift_connection(tb)
-    hc = bd.hlift_connection(tb)
     frame = pc.distribution_frame(S, pts)
-    vJ = ml.parallelity_probe(psi_J, "c", cc, S, tb, frame, pts)
-    vF = ml.parallelity_probe(psi_F, "h", hc, S, tb, frame, pts)
     scale = prm.coefficients()[2]  # nabla~ T = -(a/2) nabla~ Psi
-    print(f"  J never parallel wrt nabla^c: {vJ.status}, "
-          f"sample residual {scalar_str(scale * vJ.max_residual)} at (p, q) = (1, 1)")
-    print(f"  F never parallel wrt nabla^h: {vF.status}, "
-          f"sample residual {scalar_str(scale * vF.max_residual)} at (p, q) = (1, 1)")
+    for name, psi, lift, conn in (("J", psi_J, "c", bd.clift_connection(tb)),
+                                  ("F", psi_F, "h", bd.hlift_connection(tb))):
+        probes, mismatch = ml.parallelity_probes(psi, lift, conn, S, tb, frame)
+        largest = decide(probes, tb.chart, pts).max_residual
+        print(f"  {name} never parallel wrt nabla^{lift}: closed form "
+              f"{decide(mismatch, tb.chart, pts).status}, "
+              f"sample residual {scalar_str(scale * largest)} at (p, q) = (1, 1)")
 
     print("\nFull suite battery via the harness:")
     report = harness.run_suites(manifest)

@@ -25,7 +25,8 @@ from . import metallic as ml
 from . import paracontact as pc
 from .exprs import Var
 from .scalars import abs_greater, scalar_float, scalar_str, sign
-from .verdicts import FLOAT_TOL, ResidualTracker, Witness, meets_zero, worst
+from .verdicts import (FLOAT_TOL, AxiomVerdict, ResidualTracker, Witness, meets_zero,
+                       residual_verdict, vanishes, worst)
 
 TOOL_NAME = "metallic-tm"
 TOOL_VERSION = "0.1.0"
@@ -411,16 +412,22 @@ def _t_verdict(verdict, coefs):
     return verdict._replace(max_residual=value, witness=witness)
 
 
+def _decide(ctx: SuiteContext, chart, residuals: dict) -> list:
+    """(verdict, values per point) of each residual array of ``residuals``,
+    keyed by axiom id, at the sample points: every suite decides through it
+    (``verdicts.residual_verdict``)."""
+    return [residual_verdict(aid, chart, ctx.points, ctx.plan.tol, r)
+            for aid, r in residuals.items()]
+
+
 # ----------------------------------------------------------------------
 # the 12 suites
 # ----------------------------------------------------------------------
 
 def suite_axioms(ctx: SuiteContext) -> SuiteResult:
-    verdicts = []
-    verdicts += pc.check_almost_paracontact(ctx.S, ctx.points, ctx.plan.tol)
-    verdicts += pc.check_metric_compat(ctx.S, ctx.points, ctx.plan.tol)
-    verdicts += pc.check_p_sasakian(ctx.S, ctx.conn, ctx.points, ctx.plan.tol)
-    return _result(verdicts)
+    S = ctx.S
+    return _result([v for v, _ in _decide(ctx, ctx.M, {
+        **pc.almost_paracontact(S), **pc.metric_compat(S), **pc.p_sasakian(S, ctx.conn)})])
 
 
 def suite_lifts(ctx: SuiteContext) -> SuiteResult:
@@ -531,13 +538,15 @@ def suite_lifts(ctx: SuiteContext) -> SuiteResult:
     return _result([tracker.verdict("lift-laws")], tags=())
 
 
-def _pair_suite(ctx: SuiteContext, lift: str, check, notes=None) -> SuiteResult:
-    """``check(psi, label)`` once per distinct sign pair, in the order the
-    manifest first lists it: (verdict, k) pairs, each reported at the T level
-    of the listed sets with that pair, through their k-th coefficient."""
+def _pair_suite(ctx: SuiteContext, lift: str, residuals, ks: tuple, notes=None) -> SuiteResult:
+    """The residual arrays ``residuals(psi, label)`` decided once per
+    distinct sign pair, in the order the manifest first lists it; the
+    verdict on the i-th array is reported at the T level of the listed sets
+    with that pair, through their ``ks[i]``-th coefficient."""
     return _result([_t_verdict(v, [prm.coefficients()[k] for prm in sets])
                     for signs, sets in ctx.sign_pairs.items()
-                    for v, k in check(ctx.psi(lift, signs), ml.structure_label(lift, *signs))],
+                    for (v, _), k in zip(_decide(ctx, ctx.tb.chart, residuals(
+                        ctx.psi(lift, signs), ml.structure_label(lift, *signs))), ks)],
                    notes=notes)
 
 
@@ -547,8 +556,8 @@ def _metallic_suite(ctx: SuiteContext, lift: str) -> SuiteResult:
     notes = {ml.structure_label(lift, *signs): "not metallic for any (p, q): Psi^2 - I = "
              f"(eps1 eps2 - 1) (eta^{lift} (x) xi^v + eta^v (x) xi^{lift}) != 0"
              for signs in ctx.sign_pairs if signs[0] != signs[1]}
-    return _pair_suite(ctx, lift, lambda psi, label: [
-        (ml.check_metallic(psi, label, ctx.points, ctx.plan.tol), 0)], notes)
+    return _pair_suite(ctx, lift, lambda psi, label: {
+        f"metallic[{label}]": ml.pq_residual(psi.components, 0, 1)}, (0,), notes)
 
 
 def suite_J_metallic(ctx: SuiteContext) -> SuiteResult:
@@ -561,8 +570,8 @@ def suite_F_metallic(ctx: SuiteContext) -> SuiteResult:
 
 def _compat_suite(ctx: SuiteContext, lift: str, metric: mf.TensorField) -> SuiteResult:
     """u = Psi^T G Psi - G at the level a^2/4, w = Psi^T G - G Psi at -a/2."""
-    return _pair_suite(ctx, lift, lambda psi, label: zip(
-        ml.check_compat(metric, psi, label, ctx.points, ctx.plan.tol), (0, 2)))
+    return _pair_suite(ctx, lift, lambda psi, label: ml.compat_residuals(metric, psi, label),
+                       (0, 2))
 
 
 def suite_J_compat(ctx: SuiteContext) -> SuiteResult:
@@ -587,8 +596,20 @@ def suite_J_integrable(ctx: SuiteContext) -> SuiteResult:
 
 
 def _parallel_suite(ctx: SuiteContext, lift: str, conn) -> SuiteResult:
-    v = ml.parallelity_probe(ctx.psi(lift), lift, conn, ctx.S, ctx.tb,
-                             ctx.frame, ctx.points, ctx.plan.tol)
+    """T is never parallel: the probes (nabla~_X~ Psi) xi~ match their
+    closed form and none vanishes at a point, over every direction of the
+    D-frame (``metallic.parallelity_probes``).  A pass reports the largest
+    probe; a fail the largest mismatch, or else the last vanishing probe."""
+    probes, mismatch = ml.parallelity_probes(ctx.psi(lift), lift, conn, ctx.S, ctx.tb, ctx.frame)
+    aid = f"never-parallel[{ml.STRUCTURES[lift]}]"
+    (match, _), (probe, values) = _decide(ctx, ctx.tb.chart, {"match": mismatch, aid: probes})
+    zeros = [Witness(ctx.tb.chart.coords(pt), (i,), "0") for i in range(len(probes))
+             for pt, vals in zip(ctx.points, values)
+             if all(meets_zero(v, ctx.plan.tol) for v in vals[i])]
+    if match.holds and not zeros:
+        v = probe._replace(status="holds")
+    else:  # a mismatch that does not meet zero has a witness
+        v = AxiomVerdict(aid, "fails", match.max_residual, match.witness or zeros[-1])
     return _result([_t_verdict(v, [-ctx.manifest.params[0].amp])], tags=())
 
 
@@ -616,36 +637,36 @@ def suite_Phi_closedness(ctx: SuiteContext) -> SuiteResult:
                        mf.contract("am,xm->xa", ctx.S.phi, X))
     rhs = mf.add(eq27, eq27.transpose(2, 0, 1), eq27.transpose(1, 2, 0))
 
-    tracker = ResidualTracker(ctx.plan.tol)
-    witnesses = []  # one per (triple, point) where exactly one of the two vanishes
-    for iX, iY, iZ in mf.ndindex(lhs.shape):
-        lvs = tracker.track(tb.chart, ctx.points, (iX, iY, iZ, "dPhi"), lhs[iX, iY, iZ])
-        for pt, (lv,) in zip(ctx.points, lvs):
-            rv = E.evaluate(rhs[iX, iY, iZ], pt)
-            if meets_zero(lv, ctx.plan.tol) != meets_zero(rv, ctx.plan.tol):
-                witnesses.append((Witness(
-                    tuple(tb.chart.coords(pt)), (iX, iY, iZ),
-                    f"dPhi={scalar_str(_t_level(lv, scale))} eq27={scalar_str(rv)}"), {}))
-    return _result([_t_verdict(tracker.verdict("dPhi"), scale)],
+    tol = ctx.plan.tol
+    (dphi, lvs), (_, rvs) = _decide(ctx, tb.chart, {"dPhi": lhs, "eq27": rhs})
+    # one per (triple, point) where exactly one of the two vanishes, triples outer
+    witnesses = [(Witness(tb.chart.coords(pt), idx, f"dPhi={scalar_str(_t_level(lv[idx], scale))}"
+                          f" eq27={scalar_str(rv[idx])}"), {})
+                 for idx in mf.ndindex(lhs.shape) for pt, lv, rv in zip(ctx.points, lvs, rvs)
+                 if meets_zero(lv[idx], tol) != meets_zero(rv[idx], tol)]
+    return _result([_t_verdict(dphi, scale)],
                    status="fail" if witnesses else "pass", witnesses=witnesses,
                    notes={"criterion": "dPhi vanishes iff the eq27 residual vanishes"})
 
 
 def suite_F_integrability(ctx: SuiteContext) -> SuiteResult:
-    res = ml.check_F_integrability_conditions(ctx.S, ctx.conn, ctx.R, ctx.frame, ctx.points,
-                                              ctx.plan.tol)
+    tol = ctx.plan.tol
+    (d_flat, dvs), (e4, _), (e5, evs) = _decide(
+        ctx, ctx.M, ml.F_integrability_residuals(ctx.S, ctx.conn, ctx.R, ctx.frame))
+    # e5 vanishes at a pair and point exactly when eta(nabla_X Y), the D-flat residual, does
+    equivalent = all(meets_zero(d[i], tol) == all(meets_zero(v, tol) for v in e[i])
+                     for d, e in zip(dvs, evs) for i in mf.ndindex(d.shape))
+    equiv = AxiomVerdict("e5-equiv-eta-nabla", "holds" if equivalent else "fails", 0, None)
     NPsi = mf.nijenhuis(ctx.psi("h"))  # N_F = (a^2/4) N_Psi
-    nf_zero = all(meets_zero(E.evaluate(c, pt), ctx.plan.tol)
-                  for pt in ctx.points for c in NPsi.components.flat)
-    conditions_hold = res["D_flat"].holds and res["e4"].holds
-    consistent = (nf_zero == conditions_hold) and res["e5_equivalence"].holds
-    return _result(list(res.values()), status="pass" if consistent else "fail",
-                   witnesses=_witnesses([res["D_flat"], res["e4"], res["e5"]], "axiom", "status"),
+    nf_zero = vanishes(NPsi.components, ctx.points, tol)
+    consistent = (nf_zero == (d_flat.holds and e4.holds)) and equivalent
+    return _result([d_flat, e4, e5, equiv], status="pass" if consistent else "fail",
+                   witnesses=_witnesses([d_flat, e4, e5], "axiom", "status"),
                    notes={
-                       "D_flat": res["D_flat"].status,
-                       "e4": res["e4"].status,
-                       "e5": res["e5"].status,
-                       "e5_equiv_eta_nabla": res["e5_equivalence"].status,
+                       "D_flat": d_flat.status,
+                       "e4": e4.status,
+                       "e5": e5.status,
+                       "e5_equiv_eta_nabla": equiv.status,
                        "N_F_vanishes": nf_zero,
                        "criterion": "N_F vanishes iff (D-flat and e4) hold",
                    })
@@ -663,20 +684,14 @@ def suite_Phi_prime(ctx: SuiteContext) -> SuiteResult:
         bd.lifted_rows(tb, "v", frame), bd.lifted_rows(tb, "v", [ctx.S.xi])))
     resid = mf.add(val, mf.contract("ab,xa,xb->x", M.metric, X, X) * E.const(Fraction(-1, 3)))
 
-    tracker = ResidualTracker(ctx.plan.tol)
-    nonzero_all = True
-    sign_counts = {"+": 0, "-": 0}
-    for i in range(len(val)):
-        tracker.track(tb.chart, ctx.points, (i,), resid[i])
-        for pt in ctx.points:
-            value = E.evaluate(val[i], pt)
-            if meets_zero(value, ctx.plan.tol):
-                nonzero_all = False
-            else:
-                sign_counts["+" if sign(value) < 0 else "-"] += 1
-    return _result([_t_verdict(tracker.verdict("dPhi'"), [-ctx.manifest.params[0].amp])],
-                   status="pass" if (tracker.all_zero and nonzero_all) else "fail", tags=(), notes={
-                       "measured_sign": "-" if sign_counts["-"] >= sign_counts["+"] else "+",
+    (dphi, _), (_, vals) = _decide(ctx, tb.chart, {"dPhi'": resid, "val": val})
+    vals = [v for arr in vals for v in arr.flat]
+    nonzero = [v for v in vals if not meets_zero(v, ctx.plan.tol)]
+    plus = sum(sign(v) < 0 for v in nonzero)  # dPhi' has the sign opposite to val
+    return _result([_t_verdict(dphi, [-ctx.manifest.params[0].amp])],
+                   status="pass" if dphi.holds and len(nonzero) == len(vals) else "fail",
+                   tags=(), notes={
+                       "measured_sign": "-" if len(nonzero) - plus >= plus else "+",
                        "criterion": "dPhi'(X^h,X^v,xi^v) = -((2sigma-p)/6) g(X,X)^v, nonzero"})
 
 

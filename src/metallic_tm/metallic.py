@@ -3,16 +3,16 @@
 Two structures are provided: J, assembled from complete lifts, and F, from
 horizontal lifts.  Both are T = (p/2) I - (a/2) Psi with a = 2 sigma - p and
 an almost product structure Psi over Q that depends on the signs (eps1,
-eps2) alone.  Every check below decides a residual of Psi, over Q, once per
-sign pair: a residual of T is a nonzero constant times it (``MetallicParams``
-gives the constants), so it vanishes for every (p, q) exactly when the Psi
-residual does.
+eps2) alone.  Every function below builds residuals of Psi, over Q, for
+``harness`` to decide once per sign pair: a residual of T is a nonzero
+constant times it (``MetallicParams`` gives the constants), so it vanishes
+for every (p, q) exactly when the Psi residual does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, Tuple
 
 from . import bundle as bd
 from . import exprs as E
@@ -20,8 +20,6 @@ from . import manifold as mf
 from . import paracontact as pc
 from .manifold import Connection, TensorField
 from .scalars import sigma
-from .verdicts import (FLOAT_TOL, AxiomVerdict, ResidualTracker, Witness, meets_zero,
-                       residual_verdict)
 
 
 class MetallicParams:
@@ -99,22 +97,16 @@ def build_psi(S: pc.ParacontactStructure, tb: bd.TangentBundleChart, lift: str,
 
 
 # ----------------------------------------------------------------------
-# pointwise checks
+# pointwise residuals
 # ----------------------------------------------------------------------
 
 def pq_residual(t: mf.Array, p: int, q: int) -> mf.Array:
-    """t^2 - p t - q I for a square component matrix of expressions."""
+    """t^2 - p t - q I for a square component matrix of expressions; with
+    (p, q) = (0, 1) it is Psi^2 - I, which times a^2/4 is T^2 - pT - qI."""
     return mf.add(mf.contract("am,mb->ab", t, t), t * E.const(-p), mf.identity(len(t)) * -q)
 
 
-def check_metallic(psi: TensorField, label: str, points, tol: float = FLOAT_TOL) -> AxiomVerdict:
-    """Psi^2 - I, which times a^2/4 is T^2 - pT - qI."""
-    return residual_verdict(f"metallic[{label}]", psi.base, points, tol,
-                            pq_residual(psi.components, 0, 1))
-
-
-def check_compat(metric: TensorField, psi: TensorField, label: str, points,
-                 tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
+def compat_residuals(metric: TensorField, psi: TensorField, label: str) -> Dict[str, mf.Array]:
     """u = Psi^T G Psi - G (``compat-isometry``) and w = Psi^T G - G Psi
     (``compat-symmetry``) for a symmetric metric G.  The compatibility forms
     of T are
@@ -126,10 +118,8 @@ def check_compat(metric: TensorField, psi: TensorField, label: str, points,
     """
     m, s = metric.components, psi.components
     ms = mf.contract("ak,kb->ab", m, s)  # metric(e_a, Psi e_b)
-    u = mf.contract("ka,kb->ab", s, ms) - m  # metric(Psi a, Psi b) - metric(a, b)
-    w = ms.T - ms  # metric(Psi a, b) - metric(a, Psi b)
-    return [residual_verdict(f"{rid}[{label}]", psi.base, points, tol, r)
-            for rid, r in (("compat-isometry", u), ("compat-symmetry", w))]
+    return {f"compat-isometry[{label}]": mf.contract("ka,kb->ab", s, ms) - m,
+            f"compat-symmetry[{label}]": ms.T - ms}
 
 
 # ----------------------------------------------------------------------
@@ -205,71 +195,55 @@ def nijenhuis_rows(S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
 # F-integrability side conditions
 # ----------------------------------------------------------------------
 
-def check_F_integrability_conditions(S: pc.ParacontactStructure, C: Connection,
-                                     R: TensorField, frame, points,
-                                     tol: float = FLOAT_TOL) -> Dict[str, AxiomVerdict]:
-    """The two curvature/connection conditions of the F-integrability theorem
-    plus D-flatness, each evaluated on tuples of the distribution frame
-    ``frame`` (``distribution_frame``).  ``R`` is the curvature of ``C``."""
-    M = S.base
-    X = mf.rows(frame, M.n)  # [x, a]: the frame fields X_x
+def F_integrability_residuals(S: pc.ParacontactStructure, C: Connection,
+                               R: TensorField, frame) -> Dict[str, mf.Array]:
+    """D-flatness (``D-flat``, eta(nabla_X Y), ``paracontact.D_flat``) and the
+    curvature and connection conditions of the F-integrability theorem
+    (``e4-curvature`` and ``e5-connection``) on tuples of the distribution
+    frame ``frame`` (``distribution_frame``).  ``R`` is the curvature of
+    ``C``.  e5 vanishes at a pair (X, Y) exactly when eta(nabla_X Y) does."""
+    X = mf.rows(frame, S.base.n)  # [x, a]: the frame fields X_x
     phiX = mf.contract("am,xm->xa", S.phi, X)
 
-    d_flat = pc.check_D_flat(S, C, frame, points, tol)
-
-    # e4: R(phiX, phiY)Z + R(X,Y)Z - phi{ R(phiX, Y)Z + R(X, phiY)Z } = 0
     def r_on(U, V):  # [x, y, z, l] = R(U_x, V_y) X_z
         return mf.contract("lijk,xi,yj,zk->xyzl", R, U, V, X)
 
     inner = mf.contract("am,xyzm->xyza", S.phi, mf.add(r_on(phiX, X), r_on(X, phiX)))
-    resid4 = mf.add(r_on(phiX, phiX), r_on(X, X), -inner)
-    tr4 = ResidualTracker(tol)
-    for idx in mf.ndindex(resid4.shape):
-        tr4.track(M, points, idx, resid4[idx])
-    e4 = tr4.verdict("e4-curvature")
-
-    # e5: nabla_{phiX} phiY - phi nabla_{phiX} Y - phi nabla_X phiY + nabla_X Y = 0
-    nXY = mf.cov_rows(C, X, X)
-    resid5 = mf.add(mf.cov_rows(C, phiX, phiX),
-                    -mf.contract("am,xym->xya", S.phi, mf.cov_rows(C, phiX, X)),
-                    -mf.contract("am,xym->xya", S.phi, mf.cov_rows(C, X, phiX)), nXY)
-    eta_nxy = mf.contract("m,xym->xy", S.eta, nXY)
-    tr5 = ResidualTracker(tol)
-    equivalence_ok = True
-    for ix, iy in mf.ndindex(eta_nxy.shape):
-        for pt, vals in zip(points, tr5.track(M, points, (ix, iy), resid5[ix, iy])):
-            e5_zero = all(meets_zero(v, tol) for v in vals)
-            eta_zero = meets_zero(E.evaluate(eta_nxy[ix, iy], pt), tol)
-            if e5_zero != eta_zero:
-                equivalence_ok = False
-    e5 = tr5.verdict("e5-connection")
-
-    equiv = AxiomVerdict("e5-equiv-eta-nabla", "holds" if equivalence_ok else "fails", 0, None)
-    return {"D_flat": d_flat, "e4": e4, "e5": e5, "e5_equivalence": equiv}
+    return {
+        "D-flat": pc.D_flat(S, C, frame),
+        # e4: R(phiX, phiY)Z + R(X,Y)Z - phi{ R(phiX, Y)Z + R(X, phiY)Z } = 0
+        "e4-curvature": mf.add(r_on(phiX, phiX), r_on(X, X), -inner),
+        # e5: nabla_{phiX} phiY - phi nabla_{phiX} Y - phi nabla_X phiY + nabla_X Y = 0
+        "e5-connection": mf.add(mf.cov_rows(C, phiX, phiX),
+                                -mf.contract("am,xym->xya", S.phi, mf.cov_rows(C, phiX, X)),
+                                -mf.contract("am,xym->xya", S.phi, mf.cov_rows(C, X, phiX)),
+                                mf.cov_rows(C, X, X)),
+    }
 
 
 # ----------------------------------------------------------------------
 # parallelity probes
 # ----------------------------------------------------------------------
 
-def parallelity_probe(psi: TensorField, lift: str, lifted_conn: Connection,
-                      S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
-                      frame, points, tol: float = FLOAT_TOL) -> AxiomVerdict:
-    """(nabla~_X~ Psi) xi~ against the closed form; the structure is reported
-    non-parallel when every direction of the D-frame ``frame``
-    (``distribution_frame``) gives a nonzero residual that matches the
-    closed form exactly.  ``lift`` is "c" (J, nabla^c) or "h" (F, nabla^h):
+def parallelity_probes(psi: TensorField, lift: str, lifted_conn: Connection,
+                       S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
+                       frame) -> Tuple[mf.Array, mf.Array]:
+    """The probes (nabla~_X~ Psi) xi~ for the directions X of the D-frame
+    ``frame`` (``distribution_frame``), as rows, and the mismatch of the
+    probes from their closed form.  ``lift`` is "c" (J, nabla^c) or "h" (F,
+    nabla^h):
 
     complete_J:   (nabla^c_{X^c} Psi) xi^c = (phi X)^v - X^c
     horizontal_F: (nabla^h_{X^h} Psi) xi^h = (phi X)^v - (phi^2 X)^h
 
-    Since nabla~ T = -(a/2) nabla~ Psi with -a/2 != 0, T is parallel for no
-    (p, q) when these are nonzero; the values are those of Psi, over Q.
+    The J display is qualified to directions in D, so its mismatch is taken
+    on the frame; the F display carries phi^2 and holds on every direction,
+    so its mismatch is taken on the coordinate fields.  Since
+    nabla~ T = -(a/2) nabla~ Psi with -a/2 != 0, T is parallel for no (p, q)
+    when the probes are nonzero and match; the values are those of Psi, over Q.
     """
     n = tb.n
     dpsi = mf.covariant_derivative(lifted_conn, psi)  # [a, A, b]
-    # closed-form match: the J display is qualified to directions in D,
-    # while the F display carries phi^2 and holds on the whole frame
     if lift == "c":
         basis = []
         matched = second = frame
@@ -277,27 +251,10 @@ def parallelity_probe(psi: TensorField, lift: str, lifted_conn: Connection,
         phi2 = mf.TensorField(S.base, (1, 1), mf.contract("am,mb->ab", S.phi, S.phi))
         basis = [mf.TensorField(S.base, (1, 0), mf.identity(n)[i]) for i in range(n)]
         matched, second = basis, [mf.apply_11(phi2, X) for X in basis]
-    # the probes (nabla~_X~ Psi) xi~, frame directions first, then the basis
+    # frame directions first, then the basis
     probes = mf.contract("aij,xi,j->xa", dpsi,
                          bd.lifted_rows(tb, lift, list(frame) + basis), bd.lift(tb, lift, S.xi))
     closed = (bd.lifted_rows(tb, "v", [mf.apply_11(S.phi, X) for X in matched])
               - bd.lifted_rows(tb, lift, second))
-    match = ResidualTracker(tol)
-    for i, (probe, want) in enumerate(zip(list(probes)[len(probes) - len(closed):], closed)):
-        match.track(tb.chart, points, (i,), probe - want)
-
-    # non-vanishing over every distribution frame direction
-    nonzero_all = True
-    zero_witness: Optional[Witness] = None
-    sample = ResidualTracker(tol)
-    for i, probe in enumerate(list(probes)[:len(frame)]):
-        for pt, vals in zip(points, sample.track(tb.chart, points, (i,), probe)):
-            if all(meets_zero(v, tol) for v in vals):
-                nonzero_all = False
-                zero_witness = Witness(tb.chart.coords(pt), (i,), "0")
-
-    axiom_id = f"never-parallel[{STRUCTURES[lift]}]"
-    if match.all_zero and nonzero_all:
-        # pass: report the (nonzero) probe residual itself as the witness
-        return AxiomVerdict(axiom_id, "holds", sample.max_value, sample.witness)
-    return AxiomVerdict(axiom_id, "fails", match.max_value, match.witness or zero_witness)
+    rows = list(probes)
+    return mf.asarray(rows[:len(frame)]), mf.asarray(rows[len(rows) - len(closed):]) - closed

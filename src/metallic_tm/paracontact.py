@@ -1,19 +1,19 @@
 """Almost paracontact structures (phi, eta, xi) and the P-Sasakian axioms.
 
-Checks build residual tensors symbolically once, then evaluate them at
-sample points; the points decide the arithmetic.  An axiom holds when every
-residual component is exactly zero at exact points, or within the tolerance
-at float points.
+Each axiom is a residual tensor, built symbolically and returned as an
+array keyed by its axiom id; ``harness`` evaluates it at the sample points
+and decides it.  ``distribution_frame`` alone takes points, to drop members
+of the frame that vanish at all of them.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from . import exprs as E
 from . import manifold as mf
 from .manifold import ChartedManifold, Connection, GeometryError, TensorField
-from .verdicts import FLOAT_TOL, AxiomVerdict, ResidualTracker, meets_zero, residual_verdict
+from .verdicts import FLOAT_TOL, vanishes
 
 
 class ParacontactStructure:
@@ -31,54 +31,41 @@ class ParacontactStructure:
         return mf.contract("m,m->", self.eta, self.xi)
 
 
-def check_almost_paracontact(S: ParacontactStructure, points,
-                             tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
+def almost_paracontact(S: ParacontactStructure) -> Dict[str, mf.Array]:
     """phi^2 = I - eta (x) xi, eta(xi) = 1, phi xi = 0, eta o phi = 0."""
-    M = S.base
     phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
-
-    r1 = mf.add(mf.contract("am,mj->aj", phi, phi), -mf.identity(M.n), mf.outer(xi, eta))
-    r2 = [S.eta_of_xi() - 1]
-    r3 = mf.contract("am,m->a", phi, xi)
-    r4 = mf.contract("m,mj->j", eta, phi)
-
-    return [residual_verdict(aid, M, points, tol, r)
-            for aid, r in (("phi-squared", r1), ("eta-of-xi", r2), ("phi-xi", r3),
-                           ("eta-circ-phi", r4))]
+    return {
+        "phi-squared": mf.add(mf.contract("am,mj->aj", phi, phi), -mf.identity(S.base.n),
+                              mf.outer(xi, eta)),
+        "eta-of-xi": mf.asarray([S.eta_of_xi() - 1]),
+        "phi-xi": mf.contract("am,m->a", phi, xi),
+        "eta-circ-phi": mf.contract("m,mj->j", eta, phi),
+    }
 
 
-def check_metric_compat(S: ParacontactStructure, points,
-                        tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
+def metric_compat(S: ParacontactStructure) -> Dict[str, mf.Array]:
     """g(X,Y) = g(phiX,phiY) + eta(X)eta(Y) and its equivalents."""
-    M = S.base
-    g = M.metric
+    g = S.base.metric
     phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
-
-    # g - phi^T g phi - eta (x) eta
-    r1 = mf.add(g, mf.contract("ai,ab,bj->ij", -phi, g, phi), mf.outer(-eta, eta))
-
-    r2 = mf.contract("mi,mj+im,mj->ij", phi, g, -g, phi)  # g(phi X, Y) - g(X, phi Y)
-    r3 = mf.add(-eta, mf.contract("im,m->i", g, xi))  # g(X, xi) - eta(X)
-
-    return [residual_verdict(aid, M, points, tol, r)
-            for aid, r in (("compat-eq4", r1), ("compat-phi-symmetry", r2),
-                           ("compat-g-xi", r3))]
+    return {
+        # g - phi^T g phi - eta (x) eta
+        "compat-eq4": mf.add(g, mf.contract("ai,ab,bj->ij", -phi, g, phi), mf.outer(-eta, eta)),
+        # g(phi X, Y) - g(X, phi Y)
+        "compat-phi-symmetry": mf.contract("mi,mj+im,mj->ij", phi, g, -g, phi),
+        "compat-g-xi": mf.add(-eta, mf.contract("im,m->i", g, xi)),  # g(X, xi) - eta(X)
+    }
 
 
-def check_p_sasakian(S: ParacontactStructure, C: Connection, points,
-                     tol: float = FLOAT_TOL) -> List[AxiomVerdict]:
+def p_sasakian(S: ParacontactStructure, C: Connection) -> Dict[str, mf.Array]:
     """(nabla_X phi)Y = -g(X,Y)xi - eta(Y)X + 2 eta(X)eta(Y)xi and nabla_X xi = phi X."""
     M = S.base
-    g = M.metric
     phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
-
     delta = mf.expr_array(mf.identity(M.n))
-    rhs = mf.contract("ij,a+j,ai+i,j,a->aij", -g, xi, -eta, delta, eta * E.const(2), eta, xi)
-    r1 = mf.covariant_derivative(C, S.phi).components - rhs  # [a, i, j]
-    r2 = mf.covariant_derivative(C, S.xi).components - phi  # [a, i]
-
-    return [residual_verdict("p-sasakian-eq6", M, points, tol, r1),
-            residual_verdict("p-sasakian-eq7", M, points, tol, r2)]
+    rhs = mf.contract("ij,a+j,ai+i,j,a->aij", -M.metric, xi, -eta, delta, eta * E.const(2), eta, xi)
+    return {
+        "p-sasakian-eq6": mf.covariant_derivative(C, S.phi).components - rhs,  # [a, i, j]
+        "p-sasakian-eq7": mf.covariant_derivative(C, S.xi).components - phi,  # [a, i]
+    }
 
 
 def n_tensors(S: ParacontactStructure) -> dict:
@@ -109,35 +96,26 @@ def distribution_frame(S: ParacontactStructure, points=(),
                        tol: float = FLOAT_TOL) -> List[TensorField]:
     """Spanning fields for D: {d_i - (eta(d_i)/eta(xi)) xi}, zeros dropped.
 
-    A member counts as zero when it is structurally zero or meets zero
-    (``meets_zero`` with ``tol``) at every supplied sample point (quotients
-    such as eta(xi) rarely cancel structurally).
+    A member counts as zero when it is structurally zero or vanishes at
+    every supplied sample point (``verdicts.vanishes`` with ``tol``;
+    quotients such as eta(xi) rarely cancel structurally).
     """
     M = S.base
     eta, xi = S.eta.components, S.xi.components
     eta_xi = S.eta_of_xi()
     members = mf.add(mf.identity(M.n), mf.outer([-(e / eta_xi) for e in eta.flat], xi))
-
-    def vanishes(c: E.Expr) -> bool:
-        return all(meets_zero(E.evaluate(c, pt), tol) for pt in points)
-
     out = []
     for comps in members:
         if all(E._is_const(c, 0) for c in comps):
             continue
-        if points and all(vanishes(c) for c in comps):
+        if points and vanishes(comps, points, tol):
             continue
         out.append(TensorField(M, (1, 0), comps))
     return out
 
 
-def check_D_flat(S: ParacontactStructure, C: Connection, frame, points,
-                 tol: float = FLOAT_TOL) -> AxiomVerdict:
-    """eta(nabla_X Y) = 0 for the spanning family ``frame`` of D-valued
-    fields (``distribution_frame``)."""
+def D_flat(S: ParacontactStructure, C: Connection, frame) -> mf.Array:
+    """eta(nabla_X Y) at [x, y] for the spanning family ``frame`` of D-valued
+    fields (``distribution_frame``); D is flat when it vanishes."""
     X = mf.rows(frame, S.base.n)
-    resid = mf.contract("m,xym->xy", S.eta, mf.cov_rows(C, X, X))
-    tracker = ResidualTracker(tol)
-    for idx in mf.ndindex(resid.shape):
-        tracker.track(S.base, points, idx, resid[idx])
-    return tracker.verdict("D-flat")
+    return mf.contract("m,xym->xy", S.eta, mf.cov_rows(C, X, X))

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional, Tuple
 
 from . import exprs as E
-from .manifold import asarray, ndindex
+from .manifold import Array, asarray, ndindex
 from .scalars import abs_greater, is_zero, scalar_str
 
 FLOAT_TOL = 1e-9
@@ -41,6 +41,12 @@ def meets_zero(value, tol: float) -> bool:
     return abs(value) <= tol if isinstance(value, float) else is_zero(value)
 
 
+def vanishes(arr, points, tol: float) -> bool:
+    """Whether every component of ``arr`` meets zero at every point; it
+    stops at the first one that does not."""
+    return all(meets_zero(E.evaluate(e, pt), tol) for pt in points for e in asarray(arr).flat)
+
+
 def worst(verdicts):
     """The first of the verdicts with the largest |max_residual|, or None."""
     out = None
@@ -71,7 +77,8 @@ class ResidualTracker:
         """Update with every component of ``arr`` (an Expr, or an Array or
         nested list of them) at every point (points outer, components in C
         order, the last index fastest), under the frame ``label + index``.
-        Returns, per point, the list of component values."""
+        Returns, per point, an Array of the component values in the shape
+        of ``arr``."""
         arr = asarray(arr)
         indices = list(ndindex(arr.shape))
         out = []
@@ -82,7 +89,7 @@ class ResidualTracker:
                 v = E.evaluate(e, pt)
                 self.update(v, coords, label + idx)
                 values.append(v)
-            out.append(values)
+            out.append(Array(arr.shape, values))
         return out
 
     @property
@@ -94,9 +101,9 @@ class ResidualTracker:
                             self.max_value, self.witness)
 
 
-def residual_verdict(axiom_id: str, chart, points, tol: float, arr) -> AxiomVerdict:
+def residual_verdict(axiom_id: str, chart, points, tol: float, arr) -> Tuple[AxiomVerdict, list]:
     """The verdict on the residual array ``arr``, expected zero at every
-    point (``ResidualTracker.track``)."""
+    point, and its values per point (``ResidualTracker.track``)."""
     tracker = ResidualTracker(tol)
-    tracker.track(chart, points, (), arr)
-    return tracker.verdict(axiom_id)
+    values = tracker.track(chart, points, (), arr)
+    return tracker.verdict(axiom_id), values

@@ -8,8 +8,10 @@ import pytest
 from metallic_tm import bundle as bd
 from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
+from metallic_tm import metallic as ml
 from metallic_tm import paracontact as pc
 from metallic_tm.cli import bundled_manifest_path
+from metallic_tm.verdicts import FLOAT_TOL, residual_verdict
 
 
 @pytest.fixture(scope="session")
@@ -68,6 +70,17 @@ def manifest_path():
 def lifted_metric(tb, kind):
     """The lift of the base metric as a (0, 2) field."""
     return bd.lift(tb, kind, mf.TensorField(tb.base, (0, 2), tb.base.metric))
+
+
+def decide(chart, points, residuals, tol=FLOAT_TOL):
+    """The verdict on each residual array of ``residuals``, keyed by axiom
+    id, as the harness decides it (``verdicts.residual_verdict``)."""
+    return {aid: residual_verdict(aid, chart, points, tol, r)[0] for aid, r in residuals.items()}
+
+
+def metallic_verdict(psi, label, points):
+    """The verdict on Psi^2 - I, as the J- and F-metallic suites decide it."""
+    return decide(psi.base, points, {label: ml.pq_residual(psi.components, 0, 1)})[label]
 
 
 def eval_zero(arr, point):

@@ -17,7 +17,7 @@ from metallic_tm import paracontact as pc
 from metallic_tm.harness import SamplePlan
 from metallic_tm.scalars import sigma
 
-from conftest import eval_zero, nijenhuis_values, t_values, values
+from conftest import decide, eval_zero, metallic_verdict, nijenhuis_values, t_values, values
 from test_harness import MUTATIONS
 
 
@@ -110,7 +110,7 @@ def test_criterion_3_metallic_identity_all_variants(manifest, pts10):
         coef = Fraction(p * p + 4 * q, 4) * (e1 * e2 - 1)
         psi = psis[kind, e1, e2]
         where = (p, q, ml.structure_label(kind, e1, e2))
-        assert ml.check_metallic(psi, where[2], pts).holds == (e1 * e2 == 1), where
+        assert metallic_verdict(psi, where[2], pts).holds == (e1 * e2 == 1), where
         for pt, xs in zip(pts, cross[kind]):
             t, _ = t_values(psi, prm, pt)
             assert ((t @ t - p * t - q * eye) == coef * xs).all(), where
@@ -178,12 +178,13 @@ def test_criterion_7_F_integrability_conditions(manifest, pts10, report):
     assert s["notes"]["N_F_vanishes"] is False
 
     conn, S = mf.christoffel(manifest.manifold), manifest.structure
-    res = ml.check_F_integrability_conditions(
-        S, conn, mf.curvature(conn), pc.distribution_frame(S, pts10[:3]), pts10[:3])
-    w = res["D_flat"].witness
+    res = ml.F_integrability_residuals(S, conn, mf.curvature(conn),
+                                       pc.distribution_frame(S, pts10[:3]))
+    d_flat = decide(manifest.manifold, pts10[:3], res)["D-flat"]
+    w = d_flat.witness
     assert w.frame == (0, 0)
     x3 = Fraction(w.point[2])
-    assert res["D_flat"].max_residual == Fraction(1, x3 ** 2)
+    assert d_flat.max_residual == Fraction(1, x3 ** 2)
 
 
 def test_criterion_8_phi_prime_nonclosed(manifest, pts10, report):

@@ -22,8 +22,8 @@ from metallic_tm.harness import _t_verdict
 from metallic_tm.scalars import MetallicScalar, sigma
 from metallic_tm.verdicts import ResidualTracker
 
-from conftest import (covariant_values, eval_zero, lifted_metric, nijenhuis_values, t_values,
-                      values)
+from conftest import (covariant_values, decide, eval_zero, lifted_metric, metallic_verdict,
+                      nijenhuis_values, t_values, values)
 
 PQ_SET = [(1, 1), (1, 2), (2, 1), (3, 5)]
 
@@ -278,7 +278,7 @@ def test_psi_combinations_equal_the_residuals_of_T(structure, tb, points, p, q, 
         r_metallic = [t @ t - p * t - q * eye for t, _ in ts]
         for r, s in zip(r_metallic, s_vals):
             assert (r == A * (s @ s - eye)).all()
-        _same_verdict(_t_verdict(ml.check_metallic(psi, label, points), [A]), r_metallic,
+        _same_verdict(_t_verdict(metallic_verdict(psi, label, points), [A]), r_metallic,
                       tb.chart, points)
 
         for pt, (t, dt), s in zip(points, ts, s_vals):
@@ -297,7 +297,7 @@ def test_psi_combinations_equal_the_residuals_of_T(structure, tb, points, p, q, 
                 assert (m @ t - Fraction(p, 2) * m == C * (m @ s)).all()
                 w_zero = w_zero and not w.any()
             v_iso, v_sym = (_t_verdict(v, [c]) for v, c in zip(
-                ml.check_compat(metric, psi, label, points), (A, C)))
+                decide(tb.chart, points, ml.compat_residuals(metric, psi, label)).values(), (A, C)))
             nonzero_sym |= _same_verdict(v_sym, r_sym, tb.chart, points) != 0
             if w_zero:  # then T^T G T - pGT - qG is A u
                 _same_verdict(v_iso, r_pq, tb.chart, points)
@@ -312,7 +312,7 @@ def test_J_and_F_metallic_matched_signs(structure, tb, points, p, q):
         prm = ml.MetallicParams(p, q, e1, e2)
         for lift in "ch":
             psi = ml.build_psi(structure, tb, lift, e1, e2)
-            assert ml.check_metallic(psi, ml.structure_label(lift, e1, e2), points).holds
+            assert metallic_verdict(psi, ml.structure_label(lift, e1, e2), points).holds
             for pt in points:
                 t, _ = t_values(psi, prm, pt)
                 assert not (t @ t - p * t - q * np.identity(6, dtype=object)).any()
@@ -326,7 +326,7 @@ def test_mixed_signs_are_not_metallic(structure, tb, points, p, q):
         prm = ml.MetallicParams(p, q, e1, e2)
         for lift in "ch":
             psi = ml.build_psi(structure, tb, lift, e1, e2)
-            v = ml.check_metallic(psi, ml.structure_label(lift, e1, e2), points)
+            v = metallic_verdict(psi, ml.structure_label(lift, e1, e2), points)
             assert not v.holds and v.witness is not None
             t, _ = t_values(psi, prm, points[0])
             assert (t @ t - p * t - q * np.identity(6, dtype=object)).any()
@@ -334,13 +334,15 @@ def test_mixed_signs_are_not_metallic(structure, tb, points, p, q):
 
 def test_J_compatible_with_complete_lift_metric(tb, points, psi_J):
     gc = lifted_metric(tb, "c")
-    for v in ml.check_compat(gc, psi_J, "J", points):
+    verdicts = decide(tb.chart, points, ml.compat_residuals(gc, psi_J, "J"))
+    assert list(verdicts) == ["compat-isometry[J]", "compat-symmetry[J]"]
+    for v in verdicts.values():
         assert v.holds, v.axiom_id
 
 
 def test_F_compatible_with_sasaki_metric(tb, points, psi_F):
     G = bd.sasaki_metric(tb)
-    for v in ml.check_compat(G, psi_F, "F", points):
+    for v in decide(tb.chart, points, ml.compat_residuals(G, psi_F, "F")).values():
         assert v.holds, v.axiom_id
 
 
@@ -348,8 +350,8 @@ def test_cross_compat_fails(tb, points, psi_J):
     """J is not compatible with the Sasaki metric: a designed counterexample
     that guards against a checker which trivially passes."""
     G = bd.sasaki_metric(tb)
-    verdicts = ml.check_compat(G, psi_J, "J", points)
-    assert not all(v.holds for v in verdicts)
+    verdicts = decide(tb.chart, points, ml.compat_residuals(G, psi_J, "J"))
+    assert not all(v.holds for v in verdicts.values())
 
 
 def _n_t(psi, pt, prm=ml.MetallicParams(1, 1)):
@@ -448,7 +450,7 @@ def test_proof_rows_on_contact_example():
         dict(zip(bvars + fvars, [F(1), F(2), F(1), F(1), F(-1), F(2)])),
         dict(zip(bvars + fvars, [F(-1), F(1, 2), F(2), F(3), F(1), F(-2)])),
     ]
-    for v in pc.check_almost_paracontact(S, pts):
+    for v in decide(M, pts, pc.almost_paracontact(S)).values():
         assert v.holds, v.axiom_id
     deta = mf.exterior_derivative(S.eta)
     assert not eval_zero(deta.components, pts[0])
@@ -457,7 +459,7 @@ def test_proof_rows_on_contact_example():
     C = mf.Connection(M, mf.zeros((3, 3, 3)))
     tb2 = bd.TangentBundleChart(M, C)
     psi = ml.build_psi(S, tb2, "c", 1, 1)
-    assert ml.check_metallic(psi, "J", pts).holds
+    assert metallic_verdict(psi, "J", pts).holds
 
     x2 = M.variables[1]
     # sections of ker(eta)
@@ -469,11 +471,21 @@ def test_proof_rows_on_contact_example():
             assert eval_zero(resid, pt), rid
 
 
+def _never_parallel(probes, mismatch, tb, points):
+    """The probes match their closed form and none vanishes at a point;
+    the verdict on the probes, whose largest value is reported."""
+    for pt in points:
+        assert eval_zero(mismatch, pt)
+        assert not any(eval_zero(row, pt) for row in probes)
+    return decide(tb.chart, points, {"probes": probes})["probes"]
+
+
 def test_J_never_parallel(structure, tb, points, psi_J):
     cc = bd.clift_connection(tb)
-    v = ml.parallelity_probe(psi_J, "c", cc, structure, tb,
-                             pc.distribution_frame(structure, points), points)
-    assert v.holds
+    probes, mismatch = ml.parallelity_probes(psi_J, "c", cc, structure, tb,
+                                             pc.distribution_frame(structure, points))
+    assert probes.shape == mismatch.shape == (2, 6)  # the J display is taken on the frame
+    v = _never_parallel(probes, mismatch, tb, points)
     # the probe of Psi is -1 at its largest; that of J is -a/2 times it
     assert v.max_residual == -1
     assert -ml.MetallicParams(1, 1).amp * v.max_residual == -Fraction(1, 2) + sigma(1, 1)
@@ -481,22 +493,29 @@ def test_J_never_parallel(structure, tb, points, psi_J):
 
 def test_F_never_parallel(structure, tb, points, psi_F):
     hc = bd.hlift_connection(tb)
-    v = ml.parallelity_probe(psi_F, "h", hc, structure, tb,
-                             pc.distribution_frame(structure, points), points)
-    assert v.holds
+    probes, mismatch = ml.parallelity_probes(psi_F, "h", hc, structure, tb,
+                                             pc.distribution_frame(structure, points))
+    # the F display is taken on the three coordinate fields
+    assert probes.shape == (2, 6) and mismatch.shape == (3, 6)
+    v = _never_parallel(probes, mismatch, tb, points)
     assert v.witness is not None
     assert float(v.max_residual) != 0.0
 
 
-def test_F_integrability_conditions(structure, conn, points):
-    res = ml.check_F_integrability_conditions(structure, conn, mf.curvature(conn),
-                                              pc.distribution_frame(structure, points), points)
-    assert res["e4"].holds
-    assert not res["D_flat"].holds
-    assert not res["e5"].holds
-    assert res["e5_equivalence"].holds
-    w = res["D_flat"].witness
-    assert w.frame == (0, 0)
+def test_F_integrability_conditions(h3, structure, conn, points):
+    res = ml.F_integrability_residuals(structure, conn, mf.curvature(conn),
+                                       pc.distribution_frame(structure, points))
+    verdicts = decide(h3, points, res)
+    assert list(verdicts) == ["D-flat", "e4-curvature", "e5-connection"]
+    assert verdicts["e4-curvature"].holds
+    assert not verdicts["D-flat"].holds
+    assert not verdicts["e5-connection"].holds
+    assert verdicts["D-flat"].witness.frame == (0, 0)
+    # e5 vanishes at a pair and point exactly when eta(nabla_X Y) does
+    for pt in points:
+        d, e5 = (mf.evaluate_array(res[aid], pt) for aid in ("D-flat", "e5-connection"))
+        for i in mf.ndindex(d.shape):
+            assert (d[i] == 0) == all(v == 0 for v in e5[i])
 
 
 def test_fundamental_form_is_symmetric(tb, points, psi_J):

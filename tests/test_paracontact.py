@@ -10,18 +10,22 @@ from metallic_tm import manifold as mf
 from metallic_tm import paracontact as pc
 from metallic_tm.exprs import Var
 
-from conftest import eval_zero
+from conftest import decide, eval_zero
 
 
-def test_axioms_hold_on_h3(structure, base_points):
-    for v in pc.check_almost_paracontact(structure, base_points):
+def test_axioms_hold_on_h3(h3, structure, base_points):
+    residuals = {**pc.almost_paracontact(structure), **pc.metric_compat(structure)}
+    assert list(residuals) == ["phi-squared", "eta-of-xi", "phi-xi", "eta-circ-phi",
+                               "compat-eq4", "compat-phi-symmetry", "compat-g-xi"]
+    for v in decide(h3, base_points, residuals).values():
         assert v.holds, v.axiom_id
-    for v in pc.check_metric_compat(structure, base_points):
-        assert v.holds, v.axiom_id
 
 
-def test_p_sasakian_equations_hold(structure, conn, base_points):
-    for v in pc.check_p_sasakian(structure, conn, base_points):
+def test_p_sasakian_equations_hold(h3, structure, conn, base_points):
+    residuals = pc.p_sasakian(structure, conn)
+    assert {aid: r.shape for aid, r in residuals.items()} == {
+        "p-sasakian-eq6": (3, 3, 3), "p-sasakian-eq7": (3, 3)}
+    for v in decide(h3, base_points, residuals).values():
         assert v.holds, v.axiom_id
 
 
@@ -31,9 +35,10 @@ def test_n_tensors_vanish_on_h3(structure, base_points):
             assert eval_zero(T.components, pt), name
 
 
-def test_d_flat_fails_with_witness(structure, conn, base_points):
-    v = pc.check_D_flat(structure, conn, pc.distribution_frame(structure, base_points),
-                        base_points)
+def test_d_flat_fails_with_witness(h3, structure, conn, base_points):
+    resid = pc.D_flat(structure, conn, pc.distribution_frame(structure, base_points))
+    assert resid.shape == (2, 2)
+    v = decide(h3, base_points, {"D-flat": resid})["D-flat"]
     assert not v.holds
     assert v.witness is not None
     assert v.witness.frame == (0, 0)  # (d1, d1)
@@ -79,7 +84,7 @@ def _mutated(h3, structure, **kw):
 def test_mutated_phi_breaks_phi_squared(h3, structure, base_points):
     phi = mf.TensorField(h3, (1, 1), [[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
     S = _mutated(h3, structure, phi=phi)
-    verdicts = {v.axiom_id: v for v in pc.check_almost_paracontact(S, base_points)}
+    verdicts = decide(h3, base_points, pc.almost_paracontact(S))
     assert not verdicts["phi-squared"].holds
     assert not verdicts["phi-xi"].holds
 
@@ -87,7 +92,7 @@ def test_mutated_phi_breaks_phi_squared(h3, structure, base_points):
 def test_mutated_eta_breaks_eta_of_xi(h3, structure, base_points):
     eta = mf.TensorField(h3, (0, 1), [E.ZERO, E.ZERO, E.ONE])
     S = _mutated(h3, structure, eta=eta)
-    verdicts = {v.axiom_id: v for v in pc.check_almost_paracontact(S, base_points)}
+    verdicts = decide(h3, base_points, pc.almost_paracontact(S))
     assert not verdicts["eta-of-xi"].holds
 
 
@@ -95,7 +100,7 @@ def test_mutated_xi_breaks_phi_xi(h3, structure, base_points):
     x3 = Var("base", 3)
     xi = mf.TensorField(h3, (1, 0), [x3, E.ZERO, x3])
     S = _mutated(h3, structure, xi=xi)
-    verdicts = {v.axiom_id: v for v in pc.check_almost_paracontact(S, base_points)}
+    verdicts = decide(h3, base_points, pc.almost_paracontact(S))
     assert not verdicts["phi-xi"].holds
 
 
@@ -111,25 +116,26 @@ def test_non_p_sasakian_phi_rotation_block(h3, structure, base_points, conn):
         [E.ZERO, E.ZERO, E.ZERO],
     ])
     S = _mutated(h3, structure, phi=phi)
-    for v in pc.check_almost_paracontact(S, base_points):
+    for v in decide(h3, base_points, pc.almost_paracontact(S)).values():
         assert v.holds, v.axiom_id
-    sas = pc.check_p_sasakian(S, conn, base_points)
-    assert not all(v.holds for v in sas)
+    sas = decide(h3, base_points, pc.p_sasakian(S, conn))
+    assert not all(v.holds for v in sas.values())
     nt = pc.n_tensors(S)
     assert not eval_zero(nt["N1"].components, base_points[0])
     assert not eval_zero(nt["N3"].components, base_points[0])
 
 
-def test_float_mode_parity(structure, conn, base_points):
+def test_float_mode_parity(h3, structure, conn, base_points):
     float_pts = [{k: float(v) for k, v in pt.items()} for pt in base_points]
-    exact = [v.holds for v in pc.check_almost_paracontact(structure, base_points)]
-    approx = [v.holds for v in pc.check_almost_paracontact(structure, float_pts)]
+    residuals = pc.almost_paracontact(structure)
+    exact = [v.holds for v in decide(h3, base_points, residuals).values()]
+    approx = [v.holds for v in decide(h3, float_pts, residuals).values()]
     assert exact == approx
     frame_e = pc.distribution_frame(structure, base_points)
     frame_f = pc.distribution_frame(structure, float_pts)
-    dflat_e = pc.check_D_flat(structure, conn, frame_e, base_points).holds
-    dflat_f = pc.check_D_flat(structure, conn, frame_f, float_pts).holds
-    assert dflat_e == dflat_f
+    dflat_e = decide(h3, base_points, {"D-flat": pc.D_flat(structure, conn, frame_e)})
+    dflat_f = decide(h3, float_pts, {"D-flat": pc.D_flat(structure, conn, frame_f)})
+    assert dflat_e["D-flat"].holds == dflat_f["D-flat"].holds
 
 
 def _polynomial_structure(h3):

@@ -35,7 +35,8 @@ class ParseError(ExprError):
 
 
 class EvalError(ArithmeticError):
-    """Evaluation failure: division by zero, a missing coordinate or float range."""
+    """Evaluation failure: division by zero, a missing coordinate, float
+    range, or a power past the bounds of MAX_EXPONENT."""
 
 
 def _to_scalar(x) -> Fraction:
@@ -287,9 +288,20 @@ def div(num: ExprLike, den: ExprLike) -> Expr:
     return Div(n, d)
 
 
+# the largest magnitude of an exponent, given or the product of the
+# exponents of a power of a power; a power of a constant may have at most
+# 64 * MAX_EXPONENT bits.  Larger powers would hang evaluation.
+MAX_EXPONENT = 1000
+
+
 def pow_(base: ExprLike, exponent: int) -> Expr:
+    """``base^exponent``, folded for a constant base or a power of a power.
+    A power past the bounds of MAX_EXPONENT is refused here, where every
+    power is built, so the parser refuses the same powers (at the ``^``)."""
     if not isinstance(exponent, int):
         raise ExprError("only integer exponents are supported")
+    if abs(exponent) > MAX_EXPONENT:
+        raise EvalError(f"exponent of magnitude over {MAX_EXPONENT}")
     b = _as_expr(base)
     if exponent == 0:
         return ONE
@@ -297,9 +309,11 @@ def pow_(base: ExprLike, exponent: int) -> Expr:
         return b
     if isinstance(b, Const):
         v = b.value
-        if exponent < 0:
-            if v == 0:
-                raise EvalError("zero to a negative power")
+        if exponent < 0 and v == 0:
+            raise EvalError("zero to a negative power")
+        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+        if abs(exponent) * bits > 64 * MAX_EXPONENT:
+            raise EvalError(f"power of a constant over {64 * MAX_EXPONENT} bits")
         return Const(v ** exponent)
     if isinstance(b, Pow):
         return pow_(b.base, b.exponent * exponent)
@@ -521,11 +535,6 @@ class _Tokenizer:
 # recursion limit
 MAX_NESTING = 100
 
-# the largest magnitude of an exponent, written or the product of the
-# exponents of a power of a power; a power of a constant may have at most
-# 64 * MAX_EXPONENT bits.  Larger powers would hang evaluation.
-MAX_EXPONENT = 1000
-
 
 def _int(text: str, off: int) -> int:
     """``int(text)``; more digits than the interpreter converts is a syntax error."""
@@ -571,7 +580,8 @@ class Parser:
     @staticmethod
     def _fold(build, off: int, *args) -> Expr:
         """``build(*args)``; a constant that folds to an error, such as
-        ``1/(x1-x1)`` or ``0^-1``, is a syntax error at the operator."""
+        ``1/(x1-x1)`` or ``0^-1``, or a power that ``pow_`` refuses, is a
+        syntax error at the operator."""
         try:
             return build(*args)
         except EvalError as exc:
@@ -627,16 +637,8 @@ class Parser:
                 k = int(exp.value)
             else:
                 raise ParseError("exponent must be an integer", o2)
-            e = self._power_of(e, -k if neg else k, off)
-
-    def _power_of(self, e: Expr, k: int, off: int) -> Expr:
-        """``e^k``; a power past the bounds of MAX_EXPONENT is a syntax error at the ``^``."""
-        if abs(k * e.exponent if isinstance(e, Pow) else k) > MAX_EXPONENT:
-            raise ParseError(f"exponent of magnitude over {MAX_EXPONENT}", off)
-        v = e.value if isinstance(e, Const) else Fraction(1)
-        if abs(k) * max(v.numerator.bit_length(), v.denominator.bit_length()) > 64 * MAX_EXPONENT:
-            raise ParseError(f"power of a constant over {64 * MAX_EXPONENT} bits", off)
-        return self._fold(pow_, off, e, k)
+            # pow_ refuses a power past MAX_EXPONENT: a syntax error at the ^
+            e = self._fold(pow_, off, e, -k if neg else k)
 
     def _atom_paren(self) -> Expr:
         kind, val, off = self.toks.next()

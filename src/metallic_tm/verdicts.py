@@ -73,12 +73,12 @@ class ResidualTracker:
             self.max_value = value
             self.witness = Witness(tuple(point_coords), tuple(frame), scalar_str(value))
 
-    def track(self, chart, points, label: tuple, arr) -> list:
+    def track(self, chart, points, arr) -> list:
         """Update with every component of ``arr`` (an Expr, or an Array or
         nested list of them) at every point (points outer, components in C
-        order, the last index fastest), under the frame ``label + index``.
-        Returns, per point, an Array of the component values in the shape
-        of ``arr``."""
+        order, the last index fastest), under the component's index as its
+        frame.  Returns, per point, an Array of the component values in the
+        shape of ``arr``."""
         arr = asarray(arr)
         indices = list(ndindex(arr.shape))
         out = []
@@ -87,7 +87,7 @@ class ResidualTracker:
             values = []
             for idx, e in zip(indices, arr.flat):
                 v = E.evaluate(e, pt)
-                self.update(v, coords, label + idx)
+                self.update(v, coords, idx)
                 values.append(v)
             out.append(Array(arr.shape, values))
         return out
@@ -105,5 +105,5 @@ def residual_verdict(axiom_id: str, chart, points, tol: float, arr) -> Tuple[Axi
     """The verdict on the residual array ``arr``, expected zero at every
     point, and its values per point (``ResidualTracker.track``)."""
     tracker = ResidualTracker(tol)
-    values = tracker.track(chart, points, (), arr)
+    values = tracker.track(chart, points, arr)
     return tracker.verdict(axiom_id), values

@@ -17,7 +17,8 @@ from metallic_tm import paracontact as pc
 from metallic_tm.harness import SamplePlan
 from metallic_tm.scalars import sigma
 
-from conftest import decide, eval_zero, metallic_verdict, nijenhuis_values, t_values, values
+from conftest import (decide, eval_zero, metallic_verdict, nijenhuis_rows, nijenhuis_values,
+                      t_values, values)
 from test_harness import MUTATIONS
 
 
@@ -152,7 +153,7 @@ def test_criterion_5_J_integrability_and_proof_rows(manifest, pts10, report):
                for pt in pts)
     X = mf.TensorField(M, (1, 0), [E.ONE, x1, E.ZERO])
     Y = mf.TensorField(M, (1, 0), [x3, E.ONE, E.ZERO])
-    rows = ml.nijenhuis_rows(S, tb, mf.nijenhuis(psi), X, Y)
+    rows = nijenhuis_rows(S, tb, mf.nijenhuis(psi), X, Y)
     for rid, resid in rows.items():
         for pt in pts:
             assert eval_zero(resid, pt), rid

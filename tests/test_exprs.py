@@ -210,12 +210,24 @@ def test_diff_fiber_independence():
 
 # -- hypothesis property tests --------------------------------------------
 
+def _past_bounds(e, k):
+    """Whether ``pow_(e, k)`` passes the bounds of MAX_EXPONENT: by the
+    exponent it folds to, or by the bits of a power of a constant."""
+    if isinstance(e, E.Const):
+        v = e.value
+        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+        return abs(k) > E.MAX_EXPONENT or abs(k) * bits > 64 * E.MAX_EXPONENT
+    return abs(k * (e.exponent if isinstance(e, E.Pow) else 1)) > E.MAX_EXPONENT
+
+
+# powers are drawn within the bounds, which pow_ enforces
 exprs3 = st.deferred(lambda: st.one_of(
     st.integers(-4, 4).map(E.const),
     st.integers(1, 3).map(lambda i: Var("base", i)),
     st.tuples(exprs3, exprs3).map(lambda t: E.add(*t)),
     st.tuples(exprs3, exprs3).map(lambda t: E.mul(*t)),
-    st.tuples(exprs3, st.integers(1, 3)).map(lambda t: E.pow_(*t)),
+    st.tuples(exprs3, st.integers(1, 3)).filter(lambda t: not _past_bounds(*t))
+    .map(lambda t: E.pow_(*t)),
 ))
 
 positive_pt = st.tuples(
@@ -226,8 +238,19 @@ positive_pt = st.tuples(
 
 
 @settings(max_examples=60, deadline=None)
-@given(exprs3, positive_pt)
-def test_print_parse_round_trip(e, coords):
+@given(exprs3, st.lists(st.integers(1, 3), max_size=7), positive_pt)
+# x1^2 cubed six times folds to x1^1458, which the parser refuses to read
+@example(e=Var("base", 1), powers=[2, 3, 3, 3, 3, 3, 3], coords=(Fraction(1),) * 3)
+def test_print_parse_round_trip(e, powers, coords):
+    """``e`` raised to each of ``powers`` in turn prints as text that parses
+    back to the same value, or else pow_ refuses the first power past the
+    bounds of MAX_EXPONENT when it is built."""
+    for k in powers:
+        if _past_bounds(e, k):
+            with pytest.raises(EvalError, match="over"):
+                E.pow_(e, k)
+            return
+        e = E.pow_(e, k)
     text = E.to_str(e)
     e2 = E.parse(text, 3)
     p = pt(*coords)
@@ -267,19 +290,27 @@ def _cubed(e, times):
 @example(e=_cubed(E.add(Var("base", 1), _cubed(E.const(3), 1)), 5),
          coords=(Fraction(1, 4),) * 3)
 @example(e=_cubed(E.const(3), 6), coords=(Fraction(1, 4),) * 3)
+# (-500 (x1^2 - 1))^3 at its triple root x1 = 1: the derivative is 0, and
+# the h^2 term of one quotient, 10^9 h^2, is 10^-3.
+@example(e=E.pow_(E.mul(E.const(-500), E.add(E.pow_(Var("base", 1), 2), E.const(-1))), 3),
+         coords=(Fraction(1), Fraction(1, 4), Fraction(1, 4)))
 def test_diff_matches_finite_difference(e, coords):
-    """diff agrees with a central difference quotient taken in exact
-    rational arithmetic.  exprs3 builds polynomials, so the quotient differs
-    from the derivative only by the O(h^2) truncation term."""
+    """diff agrees with central difference quotients taken in exact
+    rational arithmetic.  exprs3 builds polynomials, so a quotient differs
+    from the derivative by even powers of its step alone; the extrapolation
+    from the steps h and h/2 cancels the h^2 term and leaves O(h^4)."""
     x = Var("base", 1)
     d = E.diff(e, x)
     p = pt(*coords)
+
+    def quotient(h):
+        up, dn = dict(p), dict(p)
+        up[x] += h
+        dn[x] -= h
+        return (E.evaluate(e, up) - E.evaluate(e, dn)) / (2 * h)
+
     h = Fraction(1, 10**6)
-    up = dict(p)
-    dn = dict(p)
-    up[x] += h
-    dn[x] -= h
-    fd = (E.evaluate(e, up) - E.evaluate(e, dn)) / (2 * h)
+    fd = (4 * quotient(h / 2) - quotient(h)) / 3
     exact = E.evaluate(d, p)
     assert abs(exact - fd) <= Fraction(1, 10**4) * abs(exact) + Fraction(1, 10**3)
 

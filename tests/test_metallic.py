@@ -7,6 +7,7 @@ T's values from Psi's at a point (``conftest.t_values``) and hold them
 against the defining formulas."""
 
 import itertools
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -14,16 +15,18 @@ import pytest
 
 from metallic_tm import bundle as bd
 from metallic_tm import exprs as E
+from metallic_tm import harness
 from metallic_tm import manifold as mf
 from metallic_tm import metallic as ml
 from metallic_tm import paracontact as pc
+from metallic_tm.cli import bundled_manifest_path
 from metallic_tm.exprs import Var
 from metallic_tm.harness import _t_verdict
 from metallic_tm.scalars import MetallicScalar, sigma
 from metallic_tm.verdicts import ResidualTracker
 
 from conftest import (covariant_values, decide, eval_zero, lifted_metric, metallic_verdict,
-                      nijenhuis_values, t_values, values)
+                      nijenhuis_rows, nijenhuis_values, t_values, values)
 
 PQ_SET = [(1, 1), (1, 2), (2, 1), (3, 5)]
 
@@ -367,17 +370,29 @@ def test_NF_does_not_vanish(points, psi_F):
     assert any(_n_t(psi_F, pt).any() for pt in points)
 
 
-def test_proof_rows_vanish_on_p_sasakian(structure, tb, points, psi_J):
-    X = mf.TensorField(structure.base, (1, 0), [E.ONE, E.ZERO, E.ZERO])
-    Y = mf.TensorField(structure.base, (1, 0), [E.ZERO, E.ONE, E.ZERO])
-    rows = ml.nijenhuis_rows(structure, tb, mf.nijenhuis(psi_J), X, Y)
-    assert set(rows) == {
-        "vv", "vc", "cc", "v-xiv", "v-xic", "c-xiv",
-        "xiv-xiv", "xic-xic", "xiv-xic",
-    }
-    for rid, resid in rows.items():
-        for pt in points:
-            assert eval_zero(resid, pt), rid
+@pytest.mark.parametrize("chart", ["hyperbolic-h3", "hyperbolic-h5", "hyperbolic-h7",
+                                   "hyperbolic-h3-twin", "hyperbolic-h5-twin",
+                                   "hyperbolic-h7-twin"])
+def test_proof_rows_vanish_on_p_sasakian(chart):
+    """Every proof-table row of N_Psi vanishes at the sample points of the
+    bundled charts and of their pulled-back twins, for the field pair of
+    ``SuiteContext.test_fields`` and for the coordinate pair (d1, d2)."""
+    path = (bundled_manifest_path(chart) if not chart.endswith("-twin")
+            else str(pathlib.Path(__file__).parent / "data" / f"{chart}.json"))
+    m = harness.load_manifest(path)
+    ctx = harness.SuiteContext(m, m.plan)
+    X, Y, _, _, _ = ctx.test_fields()
+    d1, d2 = (mf.TensorField(ctx.M, (1, 0), mf.identity(ctx.M.n)[i]) for i in (0, 1))
+    N = mf.nijenhuis(ctx.psi("c"))
+    for pair in ((X, Y), (d1, d2)):
+        rows = nijenhuis_rows(ctx.S, ctx.tb, N, *pair)
+        assert set(rows) == {
+            "vv", "vc", "cc", "v-xiv", "v-xic", "c-xiv",
+            "xiv-xiv", "xic-xic", "xiv-xic",
+        }
+        for rid, resid in rows.items():
+            for pt in ctx.points:
+                assert eval_zero(resid, pt), (rid, pt)
 
 
 def rotated_block_structure(h3):
@@ -414,7 +429,7 @@ def test_proof_rows_match_closed_forms_under_phi_mutation(h3, conn, points):
     x1, _, x3 = h3.variables
     X = mf.TensorField(h3, (1, 0), [E.ONE, x1, E.ZERO])
     Y = mf.TensorField(h3, (1, 0), [x3, E.ONE, E.ZERO])
-    rows = ml.nijenhuis_rows(S, tb2, mf.nijenhuis(psi), X, Y)
+    rows = nijenhuis_rows(S, tb2, mf.nijenhuis(psi), X, Y)
     for rid, resid in rows.items():
         for pt in points:
             assert eval_zero(resid, pt), rid
@@ -465,7 +480,7 @@ def test_proof_rows_on_contact_example():
     # sections of ker(eta)
     X = mf.TensorField(M, (1, 0), [E.ONE, E.ZERO, x2])
     Y = mf.TensorField(M, (1, 0), [E.ZERO, E.ONE, E.ZERO])
-    rows = ml.nijenhuis_rows(S, tb2, mf.nijenhuis(psi), X, Y)
+    rows = nijenhuis_rows(S, tb2, mf.nijenhuis(psi), X, Y)
     for rid, resid in rows.items():
         for pt in pts:
             assert eval_zero(resid, pt), rid

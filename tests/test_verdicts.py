@@ -1,5 +1,8 @@
 """Residual aggregation: exact verdicts are decided without float(), and
-``ResidualTracker.track`` is the one loop that evaluates residuals."""
+``ResidualTracker.track`` is the one loop that evaluates residuals.  Only
+``verdicts`` drives a tracker: every suite decides through
+``harness._decide``, which calls ``residual_verdict``, and a witness's frame
+is the index of its residual component."""
 
 import ast
 import pathlib
@@ -63,13 +66,13 @@ def _line():
     return chart, points, x1, x2
 
 
-def test_track_updates_points_outer_then_components_under_label_frames():
+def test_track_updates_points_outer_then_components_under_index_frames():
     chart, points, x1, x2 = _line()
     arr = mf.asarray([[x1, x2], [E.mul(x1, x2), E.ZERO]])
     tracker = _Recorder()
-    values = tracker.track(chart, points, ("lab",), arr)
+    values = tracker.track(chart, points, arr)
     assert [c[1:] for c in tracker.calls] == [
-        ((Fraction(a), Fraction(b)), ("lab",) + idx)
+        ((Fraction(a), Fraction(b)), idx)
         for a, b in ((1, 2), (3, -1)) for idx in np.ndindex(2, 2)]
     # per point, an Array of the residual's shape
     assert [v.shape for v in values] == [(2, 2), (2, 2)]
@@ -77,37 +80,37 @@ def test_track_updates_points_outer_then_components_under_label_frames():
     assert values[1][1, 0] == -3 and values[1][1].flat == [-3, 0]
     assert [c[0] for c in tracker.calls] == values[0].flat + values[1].flat
     # 3 and then -3 at the second point: the first of the two is kept
-    assert tracker.max_value == 3 and tracker.witness.frame == ("lab", 0, 0)
+    assert tracker.max_value == 3 and tracker.witness.frame == (0, 0)
     assert tracker.witness.point == (3, -1)
 
 
-def test_track_an_expression_has_the_label_as_its_frame():
+def test_track_an_expression_has_the_empty_frame():
     chart, points, x1, x2 = _line()
     tracker = _Recorder()
-    values = tracker.track(chart, points, (0, 1, "dPhi"), E.add(x1, x2))
+    values = tracker.track(chart, points, E.add(x1, x2))
     assert [(v.shape, v.flat) for v in values] == [((), [3]), ((), [2])]
     assert values[0][()] == 3
-    assert [c[2] for c in tracker.calls] == [(0, 1, "dPhi")] * 2
+    assert [c[2] for c in tracker.calls] == [()] * 2
 
 
 def test_track_evaluates_one_plain_array():
     """Each component is evaluated as it is, over Q at exact points and in
     floats at float points; nothing is scaled."""
     chart, points, x1, x2 = _line()
-    values = ResidualTracker().track(chart, points, (), [x1, E.mul(E.const(Fraction(1, 2)), x2)])
+    values = ResidualTracker().track(chart, points, [x1, E.mul(E.const(Fraction(1, 2)), x2)])
     assert [v.flat for v in values] == [[1, 1], [3, Fraction(-1, 2)]]
     assert all(type(v) is Fraction for vals in values for v in vals)
-    assert [v.flat for v in ResidualTracker().track(chart, points[:1], (), [E.ZERO])] == [[0]]
+    assert [v.flat for v in ResidualTracker().track(chart, points[:1], [E.ZERO])] == [[0]]
     float_point = E.Point({v: float(c) for v, c in points[0].items()})
-    assert [v.flat for v in ResidualTracker().track(chart, [float_point], (), [x1])] == [[1.0]]
+    assert [v.flat for v in ResidualTracker().track(chart, [float_point], [x1])] == [[1.0]]
 
 
 def test_track_keeps_the_first_of_equal_magnitudes():
     chart, points, x1, _ = _line()
     tracker = ResidualTracker()
-    tracker.track(chart, points, ("t",), [E.mul(E.const(-2), x1), E.mul(E.const(2), x1)])
+    tracker.track(chart, points, [E.mul(E.const(-2), x1), E.mul(E.const(2), x1)])
     assert tracker.max_value == -6
-    assert tracker.witness.frame == ("t", 0) and tracker.witness.point == (3, -1)
+    assert tracker.witness.frame == (0,) and tracker.witness.point == (3, -1)
     verdict, values = residual_verdict("tie", chart, points, 1e-9, [x1 - x1])
     assert verdict.holds and verdict.witness is None
     assert [v.flat for v in values] == [[0], [0]]
@@ -120,10 +123,10 @@ def test_the_points_decide_whether_the_tolerance_applies():
     float_points = [E.Point({v: float(c) for v, c in pt.items()}) for pt in points]
     residual = E.mul(E.const(Fraction(1, 10 ** 6)), x1)
     exact = ResidualTracker(1e-3)
-    exact.track(chart, points, (), [residual])
+    exact.track(chart, points, [residual])
     assert exact.max_value == Fraction(3, 10 ** 6) and not exact.all_zero
     floats = ResidualTracker(1e-3)
-    floats.track(chart, float_points, (), [residual])
+    floats.track(chart, float_points, [residual])
     assert isinstance(floats.max_value, float) and floats.all_zero
 
 
@@ -136,14 +139,16 @@ def _loop_around_track(node) -> bool:
 
 def test_only_verdicts_updates_a_tracker():
     """Every residual check goes through ``ResidualTracker.track``: no other
-    module calls a tracker's three-argument ``update``, and the per-module
-    loop it replaced is gone.  The geometry builds residuals and the harness
-    decides them: only ``verdicts`` and ``harness`` name the deciding types,
-    no function of ``metallic`` takes points or a tolerance, in
-    ``paracontact`` only ``distribution_frame`` does (to drop the frame
-    members that vanish), and no loop over ``ndindex`` wraps ``track``."""
+    module names ``ResidualTracker``, calls ``track`` or a tracker's
+    three-argument ``update``, and the per-module loop it replaced is gone.
+    The geometry builds residuals and the harness decides them: only
+    ``verdicts`` and ``harness`` name ``residual_verdict`` and
+    ``AxiomVerdict``, no function of ``metallic`` takes points or a
+    tolerance, in ``paracontact`` only ``distribution_frame`` does (to drop
+    the frame members that vanish), and no loop over ``ndindex`` wraps
+    ``track``."""
     src = pathlib.Path(metallic_tm.__file__).parent
-    deciders = {"ResidualTracker", "residual_verdict", "AxiomVerdict"}
+    deciders = {"residual_verdict", "AxiomVerdict"}
     takes_points = {}
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
@@ -151,8 +156,11 @@ def test_only_verdicts_updates_a_tracker():
         tree = ast.parse(text)
         names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         if path.name not in ("verdicts.py", "harness.py"):
             assert not names & deciders, (path.name, names & deciders)
+        if path.name != "verdicts.py":
+            assert "ResidualTracker" not in names, path.name
         assert not any(_loop_around_track(n) for n in ast.walk(tree)), path.name
         takes_points[path.stem] = sorted(
             n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
@@ -160,8 +168,9 @@ def test_only_verdicts_updates_a_tracker():
         if path.name == "verdicts.py":
             continue
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "update"):
-                assert len(node.args) + len(node.keywords) <= 1, (path.name, node.lineno)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr != "track", (path.name, node.lineno)
+                if node.func.attr == "update":
+                    assert len(node.args) + len(node.keywords) <= 1, (path.name, node.lineno)
     assert takes_points["metallic"] == []
     assert takes_points["paracontact"] == ["distribution_frame"]

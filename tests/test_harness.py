@@ -229,17 +229,17 @@ def test_h7_report_matches_golden():
     _assert_matches_goldens(harness.load_manifest(bundled_manifest_path("hyperbolic-h7")))
 
 
-@pytest.mark.parametrize("twin,ten_points", [("hyperbolic-h3-twin", True),
-                                             ("hyperbolic-h5-twin", False),
-                                             ("hyperbolic-h7-twin", False)])
-def test_twin_report_matches_golden(twin, ten_points):
+@pytest.mark.parametrize("twin", ["hyperbolic-h3-twin", "hyperbolic-h5-twin",
+                                  "hyperbolic-h7-twin"])
+def test_twin_report_matches_golden(twin):
     """A bundled structure pulled back along a triangular polynomial map,
     byte for byte as committed; the h5 and h7 twins at 3 points only.  The
     h3 twin is pulled back along (x1, x2 + x1 x3, x3 + x1^2): its D-frame
     has members with entries in x1 and x3, so dPhi is taken on lifted
     fields that are not coordinate fields, and Phi-closedness meets triples
     where dPhi is not 0."""
-    _assert_matches_goldens(harness.load_manifest(str(DATA / f"{twin}.json")), ten_points)
+    _assert_matches_goldens(harness.load_manifest(str(DATA / f"{twin}.json")),
+                            ten_points=twin == "hyperbolic-h3-twin")
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,9 +3,12 @@
 Expressions are immutable trees built from rational constants (Fraction),
 base/fiber variables ``x1..xn`` / ``y1..yn``, the field
 operations and integer powers: rational functions only, with no analytic
-functions.  Only local simplifications are applied (constant folding,
-dropping zero terms and unit factors); correctness downstream rests on
-exact evaluation at sample points, not on canonical forms.
+functions.  Only local simplifications are applied: constant folding,
+dropping zero terms and unit factors, and in a product one power per base
+(x^a * x^b is x^(a+b), and x^a * x^-a drops out); division by a monomial
+is a product with its negative powers, and any other quotient stays a
+``Div``.  Correctness downstream rests on exact evaluation at sample
+points, not on canonical forms.
 
 Nodes are hash-consed: each distinct tree is one object, kept for the life
 of the process, so ``==`` and ``hash`` are those of identity.  ``add``,
@@ -15,6 +18,7 @@ of the process, so ``==`` and ``hash`` are those of identity.  ``add``,
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Union
@@ -81,13 +85,13 @@ class Expr:
         return add(other, self)
 
     def __sub__(self, other):
-        return add(self, mul(const(-1), other))
+        return add(self, mul(MINUS_ONE, other))
 
     def __rsub__(self, other):
-        return add(other, mul(const(-1), self))
+        return add(other, mul(MINUS_ONE, self))
 
     def __neg__(self):
-        return mul(const(-1), self)
+        return mul(MINUS_ONE, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -169,6 +173,7 @@ class Pow(Expr):
 
 ZERO = Const(0)
 ONE = Const(1)
+MINUS_ONE = Const(-1)
 
 
 def const(x) -> Const:
@@ -256,6 +261,7 @@ def mul(*xs: ExprLike) -> Expr:
 @lru_cache(maxsize=200_000)
 def _mul(*xs: Expr) -> Expr:
     factors = []
+    powers: dict = {}  # base -> the sum of its exponents, in order of first appearance
     acc: Optional[Fraction] = None  # the product of the constant factors
     for e in xs:
         sub = e.factors if isinstance(e, Mul) else (e,)
@@ -264,10 +270,16 @@ def _mul(*xs: Expr) -> Expr:
                 acc = f.value if acc is None else f.value * acc
                 if acc == 0:
                     return ZERO
-            else:
-                factors.append(f)
+                continue
+            factors.append(f)
+            base, k = (f.base, f.exponent) if isinstance(f, Pow) else (f, 1)
+            powers[base] = powers.get(base, 0) + k
+    # one power per base, while every exponent stays within MAX_EXPONENT; like
+    # e - e in add, x * x^-1 folds to 1 without the zero-denominator error at x = 0
+    if len(powers) < len(factors) and all(abs(k) <= MAX_EXPONENT for k in powers.values()):
+        factors = [b if k == 1 else Pow(b, k) for b, k in powers.items() if k]
     if acc is not None and acc != 1:
-        factors.insert(0, Const(acc))
+        factors.insert(0, _printable(acc))
     if not factors:
         return ONE
     if len(factors) == 1:
@@ -285,7 +297,20 @@ def div(num: ExprLike, den: ExprLike) -> Expr:
         return ZERO
     if n == d:
         return ONE
+    fs = d.factors if isinstance(d, Mul) else (d,)
+    if all(isinstance(f, (Const, Var, Pow)) for f in fs):  # a monomial
+        return mul(n, *(pow_(f, -1) for f in fs))
     return Div(n, d)
+
+
+def _printable(v: Fraction) -> Const:
+    """The constant ``v``; refused when the printer could not write it, with
+    more digits than the interpreter converts to a string."""
+    limit = sys.get_int_max_str_digits()
+    big = max(abs(v.numerator), v.denominator)
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise EvalError(f"constant over {limit} digits")
+    return Const(v)
 
 
 # the largest magnitude of an exponent, given or the product of the
@@ -296,8 +321,9 @@ MAX_EXPONENT = 1000
 
 def pow_(base: ExprLike, exponent: int) -> Expr:
     """``base^exponent``, folded for a constant base or a power of a power.
-    A power past the bounds of MAX_EXPONENT is refused here, where every
-    power is built, so the parser refuses the same powers (at the ``^``)."""
+    A power past the bounds of MAX_EXPONENT, or a constant with more digits
+    than the printer writes, is refused here, where every power is built,
+    so the parser refuses the same powers (at the ``^``)."""
     if not isinstance(exponent, int):
         raise ExprError("only integer exponents are supported")
     if abs(exponent) > MAX_EXPONENT:
@@ -314,7 +340,7 @@ def pow_(base: ExprLike, exponent: int) -> Expr:
         bits = max(v.numerator.bit_length(), v.denominator.bit_length())
         if abs(exponent) * bits > 64 * MAX_EXPONENT:
             raise EvalError(f"power of a constant over {64 * MAX_EXPONENT} bits")
-        return Const(v ** exponent)
+        return _printable(v ** exponent)
     if isinstance(b, Pow):
         return pow_(b.base, b.exponent * exponent)
     return Pow(b, exponent)
@@ -346,7 +372,7 @@ def diff(e: Expr, v: Var) -> Expr:
         dn, dd = diff(e.num, v), diff(e.den, v)
         if _is_const(dd, 0):
             return div(dn, e.den)
-        return div(add(mul(dn, e.den), mul(const(-1), e.num, dd)), pow_(e.den, 2))
+        return div(add(mul(dn, e.den), mul(MINUS_ONE, e.num, dd)), pow_(e.den, 2))
     if isinstance(e, Pow):
         d = diff(e.base, v)
         if _is_const(d, 0):
@@ -573,15 +599,15 @@ class Parser:
                 e = add(e, self._product())
             elif kind == "-":
                 self.toks.next()
-                e = add(e, mul(const(-1), self._product()))
+                e = add(e, mul(MINUS_ONE, self._product()))
             else:
                 return e
 
     @staticmethod
     def _fold(build, off: int, *args) -> Expr:
         """``build(*args)``; a constant that folds to an error, such as
-        ``1/(x1-x1)`` or ``0^-1``, or a power that ``pow_`` refuses, is a
-        syntax error at the operator."""
+        ``1/(x1-x1)`` or ``0^-1``, or a power or a constant that ``pow_``
+        or ``mul`` refuses, is a syntax error at the operator."""
         try:
             return build(*args)
         except EvalError as exc:
@@ -593,7 +619,7 @@ class Parser:
             kind, _, off = self.toks.peek()
             if kind == "*":
                 self.toks.next()
-                e = mul(e, self._unary())
+                e = self._fold(mul, off, e, self._unary())
             elif kind == "/":
                 self.toks.next()
                 e = self._fold(div, off, e, self._unary())
@@ -608,7 +634,7 @@ class Parser:
         self.depth += 1
         if kind == "-":
             self.toks.next()
-            e = mul(const(-1), self._unary())
+            e = mul(MINUS_ONE, self._unary())
         else:
             e = self._power()
         self.depth -= 1

@@ -97,8 +97,8 @@ def distribution_frame(S: ParacontactStructure, points=(),
     """Spanning fields for D: {d_i - (eta(d_i)/eta(xi)) xi}, zeros dropped.
 
     A member counts as zero when it is structurally zero or vanishes at
-    every supplied sample point (``verdicts.vanishes`` with ``tol``;
-    quotients such as eta(xi) rarely cancel structurally).
+    every supplied sample point (``verdicts.vanishes`` with ``tol``; a
+    quotient cancels structurally only over a monomial denominator).
     """
     M = S.base
     eta, xi = S.eta.components, S.xi.components

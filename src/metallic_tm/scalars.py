@@ -189,6 +189,8 @@ def abs_greater(x, y) -> bool:
     """|x| > |y|.  Exact for rationals and for two elements of one Q(sigma);
     floats, and irrationals of two different extensions, compare through
     ``scalar_float``."""
+    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
+        return abs(x) > abs(y)
     if not isinstance(x, float) and not isinstance(y, float):
         try:
             return sign((-x if sign(x) < 0 else x) - (-y if sign(y) < 0 else y)) > 0

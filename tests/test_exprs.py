@@ -1,10 +1,11 @@
 """Expression DSL: parsing, printing, differentiation, evaluation."""
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from metallic_tm import exprs as E
@@ -71,19 +72,23 @@ def test_long_integers_and_large_powers_are_syntax_errors():
     """A digit string longer than the interpreter converts is an error at its
     offset.  An exponent past MAX_EXPONENT, written or as the product of the
     exponents of a power of a power, and a power of a constant past
-    64 * MAX_EXPONENT bits are errors at the ^."""
+    64 * MAX_EXPONENT bits are errors at the ^.  A constant power or product
+    with more digits than the interpreter converts to a string is an error
+    at its ^ or *: (2^999)^64 has 19,247 digits, and 2^999 has 301."""
     long = "1" * 5000
     for text, offset in ((long, 0), ("x1 + " + long, 5), ("x" + long, 0), ("x1^" + long, 3),
                          ("x1^(" + long + ")", 4), ("x1^99999999999", 2), ("0*2^99999999999", 3),
                          ("x1^-1001", 2), ("x1^(2*501)", 2), ("(x1^100)^100", 8),
-                         ("x1^100^-100", 6), ("(x1^-2)^-501", 7), ("(2^999)^65", 7)):
+                         ("x1^100^-100", 6), ("(x1^-2)^-501", 7), ("(2^999)^65", 7),
+                         ("(2^999)^64", 7), ("x1*" + "2^999*" * 14 + "2^999", 86)):
         with pytest.raises(ParseError) as ei:
             E.parse(text, 1)
         assert ei.value.offset == offset, text[:12]
     x1, top = Var("base", 1), E.MAX_EXPONENT
     assert E.parse(f"x1^{top}", 1) == E.pow_(x1, top)
     assert E.parse("(x1^-10)^100", 1) == E.pow_(x1, -top)
-    assert E.parse("(2^999)^64", 1) == E.const(2 ** (999 * 64))
+    assert E.parse("(2^999)^14", 1) == E.const(2 ** (999 * 14))
+    assert E.parse("2^999*" * 13 + "2^999", 1) == E.const(2 ** (999 * 14))
 
 
 def test_exact_mode_rejects_transcendentals():
@@ -143,7 +148,7 @@ def test_equal_trees_are_one_object():
     x1, x2, x3 = (Var("base", i) for i in (1, 2, 3))
     parsed = E.parse("x2*x3 + 2*x1/x3", 3)
     assert x2 * x3 + 2 * x1 / x3 is parsed
-    assert E.Add([E.Mul([x2, x3]), E.Div(E.Mul([E.Const(2), x1]), x3)]) is parsed
+    assert E.Add([E.Mul([x2, x3]), E.Mul([E.Const(2), x1, E.Pow(x3, -1)])]) is parsed
     assert E.diff(E.parse("x1*x2*x3 + x1^2/x3", 3), x1) is parsed
     assert E.Pow(x1, 2) is E.parse("x1^2", 3) is x1 ** 2
     assert Var("fiber", 2) is E.parse("y2", 3)
@@ -210,13 +215,21 @@ def test_diff_fiber_independence():
 
 # -- hypothesis property tests --------------------------------------------
 
+def _printable(v):
+    """Whether the printer writes the rational ``v``: neither its numerator
+    nor its denominator has more digits than the interpreter converts."""
+    return max(abs(v.numerator), v.denominator) < 10 ** sys.get_int_max_str_digits()
+
+
 def _past_bounds(e, k):
     """Whether ``pow_(e, k)`` passes the bounds of MAX_EXPONENT: by the
-    exponent it folds to, or by the bits of a power of a constant."""
+    exponent it folds to, or by the bits of a power of a constant; or
+    whether the power of a constant has more digits than the printer writes."""
     if isinstance(e, E.Const):
         v = e.value
         bits = max(v.numerator.bit_length(), v.denominator.bit_length())
-        return abs(k) > E.MAX_EXPONENT or abs(k) * bits > 64 * E.MAX_EXPONENT
+        return (abs(k) > E.MAX_EXPONENT or abs(k) * bits > 64 * E.MAX_EXPONENT
+                or not _printable(v ** k))
     return abs(k * (e.exponent if isinstance(e, E.Pow) else 1)) > E.MAX_EXPONENT
 
 
@@ -237,20 +250,43 @@ positive_pt = st.tuples(
 )
 
 
+# powers b^k of constants, within the bounds and past them
+const_powers = st.lists(st.tuples(st.integers(-2 ** 999, 2 ** 999).filter(bool),
+                                  st.integers(-64, 64)), max_size=4)
+
+
 @settings(max_examples=60, deadline=None)
-@given(exprs3, st.lists(st.integers(1, 3), max_size=7), positive_pt)
+@given(exprs3, st.lists(st.integers(1, 3), max_size=7), const_powers, positive_pt)
 # x1^2 cubed six times folds to x1^1458, which the parser refuses to read
-@example(e=Var("base", 1), powers=[2, 3, 3, 3, 3, 3, 3], coords=(Fraction(1),) * 3)
-def test_print_parse_round_trip(e, powers, coords):
-    """``e`` raised to each of ``powers`` in turn prints as text that parses
-    back to the same value, or else pow_ refuses the first power past the
-    bounds of MAX_EXPONENT when it is built."""
+@example(e=Var("base", 1), powers=[2, 3, 3, 3, 3, 3, 3], factors=[], coords=(Fraction(1),) * 3)
+# (2^999)^64 has 19,247 digits, and fifteen factors 2^999 have 4,509
+@example(e=E.ONE, powers=[], factors=[(2 ** 999, 64)], coords=(Fraction(1),) * 3)
+@example(e=Var("base", 1), powers=[], factors=[(2 ** 999, 1)] * 15, coords=(Fraction(1),) * 3)
+def test_print_parse_round_trip(e, powers, factors, coords):
+    """``e`` raised to each of ``powers`` in turn, then multiplied by each
+    constant power of ``factors``, prints as text that parses back to the
+    same value.  Or else pow_ or mul refuses the first power past the
+    bounds of MAX_EXPONENT, or the first constant with more digits than
+    the printer writes, when it is built."""
     for k in powers:
         if _past_bounds(e, k):
             with pytest.raises(EvalError, match="over"):
                 E.pow_(e, k)
             return
         e = E.pow_(e, k)
+    for b, k in factors:
+        c = E.const(b)
+        if _past_bounds(c, k):
+            with pytest.raises(EvalError, match="over"):
+                E.pow_(c, k)
+            return
+        c = E.pow_(c, k)
+        coeff = e.value if isinstance(e, E.Const) else E._split_coeff(e)[0]
+        if not _printable(coeff * c.value):
+            with pytest.raises(EvalError, match="over"):
+                E.mul(e, c)
+            return
+        e = E.mul(e, c)
     text = E.to_str(e)
     e2 = E.parse(text, 3)
     p = pt(*coords)
@@ -264,7 +300,7 @@ def test_print_parse_round_trip(e, powers, coords):
     ("-x1", "-x1"),
     ("-(x1 + x2)*x3", "-(x1 + x2)*x3"),
     ("(-x1*x2)^2", "(-x1*x2)^2"),
-    ("-x1/x2", "-x1/x2"),
+    ("-x1/x2", "-x1*x2^(-1)"),
     ("x3 - 2*x1", "x3 - 2*x1"),
 ])
 def test_minus_one_coefficient_prints_as_unary_minus(text, printed):
@@ -273,6 +309,40 @@ def test_minus_one_coefficient_prints_as_unary_minus(text, printed):
     e = E.parse(text, 3)
     assert E.to_str(e) == printed
     assert E.parse(printed, 3) == e
+
+
+# the bases of a product: x1..x3 and sums of two or three of them
+product_bases = st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                 (1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)])
+product_exponents = st.one_of(st.sampled_from([1, -1]), st.integers(-3, 3),
+                              st.sampled_from([600, -600, E.MAX_EXPONENT, -E.MAX_EXPONENT]))
+nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=8).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), product_bases, product_exponents), max_size=8),
+       st.tuples(nonzero, nonzero, nonzero))
+def test_products_keep_one_power_per_base(ops, coords):
+    """Products and quotients of powers of x1..x3 and of sums of them have
+    the value of their factors multiplied as plain Fractions, one power per
+    base unless the exponents of a base sum past MAX_EXPONENT, no power past
+    MAX_EXPONENT, and a printed form that parses back to the same node."""
+    e, want = E.ONE, Fraction(1)
+    for divide, used, k in ops:
+        base = E.add(*(Var("base", i + 1) for i in range(3) if used[i]))
+        value = sum(c for c, u in zip(coords, used) if u)
+        assume(value != 0)
+        f = E.pow_(base, k)
+        e, want = (E.div(e, f), want / value ** k) if divide else (E.mul(e, f), want * value ** k)
+    assert E.evaluate(e, pt(*coords)) == want
+    for s in (s for s in _subtrees(e) if isinstance(s, E.Mul)):
+        sums = {}
+        for f in s.factors:
+            base, k = (f.base, f.exponent) if isinstance(f, E.Pow) else (f, 1)
+            sums[base] = sums.get(base, 0) + k
+        assert len(sums) == len(s.factors) or max(map(abs, sums.values())) > E.MAX_EXPONENT
+    assert all(abs(s.exponent) <= E.MAX_EXPONENT for s in _subtrees(e) if isinstance(s, E.Pow))
+    assert E.parse(E.to_str(e), 3) is e
 
 
 def _cubed(e, times):

@@ -449,24 +449,34 @@ def test_mixed_signs_are_not_metallic_for_any_pq(doc):
         assert w["value"] == str(ml.MetallicParams(2, 1).amp_squared * -2 * at) != "0"
 
 
-def _near_boundary(doc, **plan):
-    """The bundled chart sampled with x3 in [1/20, 1/2], in float mode."""
-    near = json.loads(json.dumps(doc))
-    near["sample_plan"]["base_ranges"][2] = ["1/20", "1/2"]
-    near["sample_plan"].update(mode="float", **plan)
-    return harness.parse_manifest(near)
+# phi_11 = -1 - 10^-8: the bundled chart off by an exact rational amount
+PERTURBED_SUITES = ["axioms", "J-metallic", "J-compat", "J-parallel", "F-metallic", "F-compat",
+                    "F-parallel", "Phi-prime"]
 
 
 def test_every_suite_uses_the_plan_tolerance(doc):
-    """Near x3 = 0, at seed 5, the F-compat float residual of Psi is about
-    1.4e-9 (1.0e-8 at the T level of (p, q) = (3, 5)): over the default
-    absolute 1e-9, within a plan tolerance of 1e-6."""
-    report = harness.run_suites(_near_boundary(doc, seed=5, tolerance=1e-6))
+    """With phi_11 = -1 - 10^-8, the exact residuals of eight suites lie
+    between 1e-9 and 1e-6 (axioms: 2*10^-8 + 10^-16).  In float mode each
+    of them fails at the default absolute 1e-9 and passes within a plan
+    tolerance of 1e-6, and the other four pass either way.  The suites are
+    called on the SuiteContext directly, so failed axioms gate nothing."""
+    off = json.loads(json.dumps(doc))
+    off["phi"][0][0] = "-1 - 1/10^8"
+    m = harness.parse_manifest(off)
+    ctx = harness.SuiteContext(m, m.plan)
+    exact = {sid: fn(ctx).to_json(sid) for sid, fn in harness._SUITES.items()}
+    assert [sid for sid, s in exact.items() if s["status"] == "fail"] == PERTURBED_SUITES
+    assert exact["axioms"]["max_residual"]["exact"] == str(2 * Fraction(1, 10**8) + Fraction(1, 10**16))
+    for sid in PERTURBED_SUITES:
+        assert 1e-9 < abs(exact[sid]["max_residual"]["float"]) < 1e-6, sid
+    for tol, status in ((harness.FLOAT_TOL, "fail"), (1e-6, "pass")):
+        ctx = harness.SuiteContext(m, m.plan._replace(mode="float", tol=tol))
+        got = {sid: fn(ctx).to_json(sid)["status"] for sid, fn in harness._SUITES.items()}
+        assert got == {sid: status if sid in PERTURBED_SUITES else "pass" for sid in got}
+    off["sample_plan"].update(mode="float", tolerance=1e-6)
+    report = harness.run_suites(harness.parse_manifest(off))
     assert [s["status"] for s in report["suites"]] == ["pass"] * len(harness.SUITE_IDS)
     assert report["plan"]["tolerance"] == 1e-6
-    report = harness.run_suites(_near_boundary(doc, seed=5), suites=["F-compat"])
-    assert report["suites"][0]["status"] == "fail"
-    assert report["suites"][0]["max_residual"]["float"] > 1e-9
 
 
 def test_suite_filtering(manifest):

@@ -360,7 +360,7 @@ def _det(m: Array) -> Expr:
         if E._is_const(entry, 0):
             continue
         term = E.mul(entry, _det(_minor(m, 0, j)))
-        terms.append(term if j % 2 == 0 else E.mul(E.const(-1), term))
+        terms.append(term if j % 2 == 0 else E.mul(E.MINUS_ONE, term))
     return E.add(*terms)
 
 
@@ -374,7 +374,7 @@ def inverse_matrix(m) -> Array:
         for j in range(n):
             cof = _det(_minor(arr, j, i)) if n > 1 else E.ONE
             if (i + j) % 2 == 1:
-                cof = E.mul(E.const(-1), cof)
+                cof = E.mul(E.MINUS_ONE, cof)
             inv[i, j] = E.div(cof, d)
     return inv
 

@@ -16,6 +16,8 @@ from metallic_tm import paracontact as pc
 from metallic_tm.cli import bundled_manifest_path
 from metallic_tm.harness import Manifest, ManifestError, SamplePlan
 
+import pinned_reports
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -196,50 +198,16 @@ def test_report_is_deterministic(manifest):
     assert r1 == r2
 
 
-def _assert_matches_goldens(manifest, ten_points=True):
-    """The reports of ``manifest`` at its plan's 3 points and, with
-    ``ten_points``, at 10 points, byte for byte as the committed goldens."""
-    goldens = [(manifest.plan.count, f"{manifest.name}.report.json")]
-    if ten_points:
-        goldens.append((10, f"{manifest.name}.10-points.report.json"))
-    for count, golden in goldens:
-        plan = manifest.plan._replace(count=count)
-        report = harness.render_report(harness.run_suites(manifest, plan=plan))
-        assert report == (DATA / golden).read_text(encoding="utf-8"), golden
-
-
-def test_report_matches_golden(manifest):
-    """The bundled exact report, byte for byte as committed: unlike the
-    determinism test, this catches a report change from one version of the
-    code to the next."""
-    _assert_matches_goldens(manifest)
-
-
-def test_h5_report_matches_golden():
-    """The bundled dimension-5 chart, byte for byte as committed.  Its
-    lifted tensors on TM are 10x10 and mostly zero, so this pins the term
-    order of contractions over block-sparse operands."""
-    _assert_matches_goldens(harness.load_manifest(bundled_manifest_path("hyperbolic-h5")))
-
-
-def test_h7_report_matches_golden():
-    """The bundled dimension-7 chart, byte for byte as committed.  The
-    Nijenhuis tensors of the 14x14 Psi_J and Psi_F are the largest
-    contractions of any bundled chart."""
-    _assert_matches_goldens(harness.load_manifest(bundled_manifest_path("hyperbolic-h7")))
-
-
-@pytest.mark.parametrize("twin", ["hyperbolic-h3-twin", "hyperbolic-h5-twin",
-                                  "hyperbolic-h7-twin"])
-def test_twin_report_matches_golden(twin):
-    """A bundled structure pulled back along a triangular polynomial map,
-    byte for byte as committed; the h5 and h7 twins at 3 points only.  The
-    h3 twin is pulled back along (x1, x2 + x1 x3, x3 + x1^2): its D-frame
-    has members with entries in x1 and x3, so dPhi is taken on lifted
-    fields that are not coordinate fields, and Phi-closedness meets triples
-    where dPhi is not 0."""
-    _assert_matches_goldens(harness.load_manifest(str(DATA / f"{twin}.json")),
-                            ten_points=twin == "hyperbolic-h3-twin")
+@pytest.mark.parametrize("row", pinned_reports.ROWS, ids=lambda row: row.id)
+def test_pinned_report_matches_golden(row, tmp_path):
+    """Every row of ``tests/pinned_reports.py`` through ``verify``, byte for
+    byte as its committed golden, with the exit code the golden's statuses
+    give: unlike the determinism test, this catches a report change from
+    one version of the code to the next."""
+    code, report = pinned_reports.verify(row, tmp_path)
+    want_code, want = pinned_reports.golden(row)
+    assert report.decode("utf-8") == want.decode("utf-8")
+    assert code == want_code
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,29 +265,19 @@ def test_flat_chart_reaches_the_fail_branches(mode):
         assert by_id["Phi-prime"]["max_residual"]["exact"] == "-1/6+1/3*sigma"
 
 
-def test_float_report_matches_golden(doc):
-    """The float report on fiber ranges [-300, 300] at 10 points, byte for
-    byte as committed: it pins the order in which float sums are taken."""
-    wide = json.loads(json.dumps(doc))
-    wide["sample_plan"].update(count=10, seed=901, mode="float",
-                               fiber_ranges=[["-300", "300"]] * wide["dimension"])
-    m = harness.parse_manifest(wide, (json.dumps(wide, indent=2) + "\n").encode())
-    report = harness.render_report(harness.run_suites(m))
-    assert report == (DATA / "hyperbolic-h3-wide.float.report.json").read_text(encoding="utf-8")
-
-
 def test_reports_match_the_report_schema(doc):
-    """Every golden report, and a report whose axioms fail (downstream
-    suites skipped, no measured dPhi' sign), validate against the shipped
-    schema; a report with an unknown status does not."""
+    """Every golden report of ``tests/pinned_reports.py``, and a report
+    whose axioms fail (downstream suites skipped, no measured dPhi' sign),
+    validate against the shipped schema; a report with an unknown status
+    does not.  No golden in ``tests/data`` is left out of the table."""
     import jsonschema
     from importlib import resources
 
     schema = json.loads(resources.files("metallic_tm").joinpath(
         "schemas/report.schema.json").read_text(encoding="utf-8"))
     jsonschema.Draft7Validator.check_schema(schema)
-    goldens = sorted(DATA.glob("*.report.json"))
-    assert len(goldens) == 11
+    goldens = {DATA / row.golden for row in pinned_reports.ROWS}
+    assert goldens == set(DATA.glob("*.report.json"))
     for path in goldens:
         jsonschema.validate(json.loads(path.read_text(encoding="utf-8")), schema)
     bad = json.loads(json.dumps(doc))

@@ -186,12 +186,6 @@ def _as_expr(x: ExprLike) -> Expr:
     return Const(x)
 
 
-def _is_const(e: Expr, value=None) -> bool:
-    if not isinstance(e, Const):
-        return False
-    return value is None or e.value == value
-
-
 def _split_coeff(e: Expr):
     """Write e as (coefficient, tuple of the other factors)."""
     if isinstance(e, Mul):
@@ -245,7 +239,7 @@ def _add(*xs: Expr) -> Expr:
             term = mul(Const(c), *part)
         terms.append(term)
     if acc != 0:
-        terms.append(Const(acc))
+        terms.append(_printable(acc))
     if not terms:
         return ZERO
     if len(terms) == 1:
@@ -293,7 +287,7 @@ def div(num: ExprLike, den: ExprLike) -> Expr:
         if d.value == 0:
             raise EvalError("division by the zero constant")
         return mul(Const(1 / d.value), n)
-    if _is_const(n, 0):
+    if n is ZERO:
         return ZERO
     if n == d:
         return ONE
@@ -364,18 +358,18 @@ def diff(e: Expr, v: Var) -> Expr:
         fs = e.factors
         for i in range(len(fs)):
             d = diff(fs[i], v)
-            if _is_const(d, 0):
+            if d is ZERO:
                 continue
             parts.append(mul(*fs[:i], d, *fs[i + 1:]))
         return add(*parts) if parts else ZERO
     if isinstance(e, Div):
         dn, dd = diff(e.num, v), diff(e.den, v)
-        if _is_const(dd, 0):
+        if dd is ZERO:
             return div(dn, e.den)
         return div(add(mul(dn, e.den), mul(MINUS_ONE, e.num, dd)), pow_(e.den, 2))
     if isinstance(e, Pow):
         d = diff(e.base, v)
-        if _is_const(d, 0):
+        if d is ZERO:
             return ZERO
         return mul(const(e.exponent), pow_(e.base, e.exponent - 1), d)
     raise ExprError(f"unknown node {e!r}")
@@ -593,21 +587,21 @@ class Parser:
     def _sum(self) -> Expr:
         e = self._product()
         while True:
-            kind, _, _ = self.toks.peek()
+            kind, _, off = self.toks.peek()
             if kind == "+":
                 self.toks.next()
-                e = add(e, self._product())
+                e = self._fold(add, off, e, self._product())
             elif kind == "-":
                 self.toks.next()
-                e = add(e, mul(MINUS_ONE, self._product()))
+                e = self._fold(add, off, e, mul(MINUS_ONE, self._product()))
             else:
                 return e
 
     @staticmethod
     def _fold(build, off: int, *args) -> Expr:
         """``build(*args)``; a constant that folds to an error, such as
-        ``1/(x1-x1)`` or ``0^-1``, or a power or a constant that ``pow_``
-        or ``mul`` refuses, is a syntax error at the operator."""
+        ``1/(x1-x1)`` or ``0^-1``, or a power or a constant that ``pow_``,
+        ``mul`` or ``add`` refuses, is a syntax error at the operator."""
         try:
             return build(*args)
         except EvalError as exc:

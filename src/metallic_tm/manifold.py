@@ -290,7 +290,7 @@ def contract(spec: str, *arrays):
         for op, sub in itertools.islice(pairs, len(p)):
             if id(op) not in support:
                 support[id(op)] = [(idx, e) for idx, e in zip(ndindex(op.shape), op.flat)
-                                   if e is not E.ZERO and not E._is_const(e, 0)]
+                                   if e is not E.ZERO]
             first = {c: sub.index(c) for c in sub}
             key_at = [(bound.index(c), k) for c, k in first.items() if c in bound]
             new_at = [k for c, k in first.items() if c not in bound]
@@ -357,7 +357,7 @@ def _det(m: Array) -> Expr:
     terms = []
     for j in range(n):
         entry = m[0, j]
-        if E._is_const(entry, 0):
+        if entry is E.ZERO:
             continue
         term = E.mul(entry, _det(_minor(m, 0, j)))
         terms.append(term if j % 2 == 0 else E.mul(E.MINUS_ONE, term))

@@ -106,7 +106,7 @@ def distribution_frame(S: ParacontactStructure, points=(),
     members = mf.add(mf.identity(M.n), mf.outer([-(e / eta_xi) for e in eta.flat], xi))
     out = []
     for comps in members:
-        if all(E._is_const(c, 0) for c in comps):
+        if all(c is E.ZERO for c in comps):
             continue
         if points and vanishes(comps, points, tol):
             continue

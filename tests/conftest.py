@@ -1,5 +1,6 @@
 """Shared fixtures: the hyperbolic half-space chart and its lifts."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +66,17 @@ def base_points(h3):
 @pytest.fixture(scope="session")
 def manifest_path():
     return bundled_manifest_path()
+
+
+def first_primes(count):
+    """The first ``count`` primes, by trial division."""
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in itertools.takewhile(lambda p: p * p <= k, primes)):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 def lifted_metric(tb, kind):

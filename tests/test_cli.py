@@ -16,6 +16,8 @@ import metallic_tm
 from metallic_tm import harness
 from metallic_tm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
+from conftest import first_primes
+
 PACKAGE = pathlib.Path(metallic_tm.__file__).parent
 MANIFEST_SCHEMA = json.loads((PACKAGE / "schemas" / "manifest.schema.json").read_text())
 
@@ -256,6 +258,10 @@ EXPRESSION_MALFORMED = {
     "constant-power-too-large": _set(("phi", 0, 0), "0*2^99999999999"),
     "power-of-power-too-large": _set(("phi", 1, 1), "(x1^100)^100"),
     "range-end-too-long": _set(("sample_plan", "fiber_ranges", 0, 1), "1" + "0" * 5000),
+    # a constant sum past the digit limit, which the division-by-zero
+    # message of verify could not print
+    "constant-sum-too-long": _set(("eta", 0), "(x1 + " + " + ".join(
+        f"1/{p}" for p in first_primes(1500)) + ")/(x1*x2 - x2*x1)"),
 }
 
 
@@ -263,15 +269,16 @@ EXPRESSION_MALFORMED = {
     pytest.param(m, id=i) for i, m in {**SCHEMA_MALFORMED, **EXPRESSION_MALFORMED}.items()])
 def test_malformed_manifest_without_jsonschema(mutate, manifest_path, tmp_path, capsys):
     """parse_manifest is the only validator: a malformed manifest gives exit
-    code 1 and an error line, never a traceback or a run, whether or not
-    jsonschema is installed."""
+    code 1 and one error line from validate and verify, never a traceback
+    or a run, whether or not jsonschema is installed."""
     doc = json.load(open(manifest_path))
     mutate(doc)
     p = tmp_path / "malformed.json"
     p.write_text(json.dumps(doc))
-    assert main(["verify", str(p)]) == EXIT_FAIL
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    for command in ("validate", "verify"):
+        assert main([command, str(p)]) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- the schema as an oracle for parse_manifest ----------------------------

@@ -13,6 +13,8 @@ from metallic_tm import manifold as mf
 from metallic_tm.exprs import EvalError, ParseError, Var
 from metallic_tm.scalars import MetallicScalar
 
+from conftest import first_primes
+
 
 def pt(*vals):
     return {Var("base", i + 1): v for i, v in enumerate(vals)}
@@ -250,30 +252,55 @@ positive_pt = st.tuples(
 )
 
 
+def _constant_term(e):
+    """The constant term of ``e`` that ``add`` folds a constant into; a
+    coefficient of a sum is distributed over its terms."""
+    if isinstance(e, E.Const):
+        return e.value
+    c, part = E._split_coeff(e)
+    if len(part) == 1 and isinstance(part[0], E.Add):
+        return c * sum(t.value for t in part[0].terms if isinstance(t, E.Const))
+    return 0
+
+
 # powers b^k of constants, within the bounds and past them
 const_powers = st.lists(st.tuples(st.integers(-2 ** 999, 2 ** 999).filter(bool),
                                   st.integers(-64, 64)), max_size=4)
+# denominators b of constants 1/b, whose sum may pass the digit limit
+reciprocals = st.lists(st.integers(-2 ** 999, 2 ** 999).filter(bool), max_size=16)
 
 
 @settings(max_examples=60, deadline=None)
-@given(exprs3, st.lists(st.integers(1, 3), max_size=7), const_powers, positive_pt)
+@given(exprs3, st.lists(st.integers(1, 3), max_size=7), reciprocals, const_powers, positive_pt)
 # x1^2 cubed six times folds to x1^1458, which the parser refuses to read
-@example(e=Var("base", 1), powers=[2, 3, 3, 3, 3, 3, 3], factors=[], coords=(Fraction(1),) * 3)
+@example(e=Var("base", 1), powers=[2, 3, 3, 3, 3, 3, 3], addends=[], factors=[],
+         coords=(Fraction(1),) * 3)
 # (2^999)^64 has 19,247 digits, and fifteen factors 2^999 have 4,509
-@example(e=E.ONE, powers=[], factors=[(2 ** 999, 64)], coords=(Fraction(1),) * 3)
-@example(e=Var("base", 1), powers=[], factors=[(2 ** 999, 1)] * 15, coords=(Fraction(1),) * 3)
-def test_print_parse_round_trip(e, powers, factors, coords):
-    """``e`` raised to each of ``powers`` in turn, then multiplied by each
-    constant power of ``factors``, prints as text that parses back to the
-    same value.  Or else pow_ or mul refuses the first power past the
-    bounds of MAX_EXPONENT, or the first constant with more digits than
-    the printer writes, when it is built."""
+@example(e=E.ONE, powers=[], addends=[], factors=[(2 ** 999, 64)], coords=(Fraction(1),) * 3)
+@example(e=Var("base", 1), powers=[], addends=[], factors=[(2 ** 999, 1)] * 15,
+         coords=(Fraction(1),) * 3)
+# x1 + 1/2 + 1/3 + 1/5 + ... over the first 1,500 primes passes 4,300 digits
+@example(e=Var("base", 1), powers=[], addends=first_primes(1500), factors=[],
+         coords=(Fraction(1),) * 3)
+def test_print_parse_round_trip(e, powers, addends, factors, coords):
+    """``e`` raised to each of ``powers`` in turn, plus 1/b for each b of
+    ``addends``, then multiplied by each constant power of ``factors``,
+    prints as text that parses back to the same value.  Or else pow_, add
+    or mul refuses the first power past the bounds of MAX_EXPONENT, or the
+    first constant with more digits than the printer writes, when it is
+    built."""
     for k in powers:
         if _past_bounds(e, k):
             with pytest.raises(EvalError, match="over"):
                 E.pow_(e, k)
             return
         e = E.pow_(e, k)
+    for b in addends:
+        if not _printable(_constant_term(e) + Fraction(1, b)):
+            with pytest.raises(EvalError, match="over"):
+                E.add(e, Fraction(1, b))
+            return
+        e = E.add(e, Fraction(1, b))
     for b, k in factors:
         c = E.const(b)
         if _past_bounds(c, k):

@@ -255,7 +255,7 @@ def _dense_contract(spec, *arrays):
                 unnamed = [c for c in summed if c not in "".join(p)]
                 if any(val[c] for c in unnamed):
                     continue
-                if not any(E._is_const(f, 0) for f in fs):
+                if not any(f is E.ZERO for f in fs):
                     terms.append(E.mul(*fs))
         out[oidx] = E.add(*terms)
     return out
@@ -348,7 +348,7 @@ def _loop_covariant_derivative(C, T):
                 for s, c in enumerate(idx):
                     moved = comp[idx[:s] + (m,) + idx[s + 1:]]
                     gamma = G[c, i, m] if s < k else G[m, i, c]
-                    if E._is_const(gamma, 0) or E._is_const(moved, 0):
+                    if gamma is E.ZERO or moved is E.ZERO:
                         continue
                     terms.append(E.mul(gamma, moved) if s < k
                                  else E.mul(E.const(-1), gamma, moved))
@@ -366,7 +366,7 @@ def _loop_cov_vec(C, U, V):
         terms = []
         for i in range(n):
             products = [(Uc[i], dV[i, a])] + [(Uc[i], Vc[j], G[a, i, j]) for j in range(n)]
-            terms += (E.mul(*fs) for fs in products if not any(E._is_const(f, 0) for f in fs))
+            terms += (E.mul(*fs) for fs in products if not any(f is E.ZERO for f in fs))
         out[a] = E.add(*terms)
     return out
 

@@ -92,10 +92,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for row in ROWS:
             (code, got), (want_code, want) = verify(row, pathlib.Path(tmp)), golden(row)
-            ok = code == want_code and got == want
-            bad += not ok
-            detail = "" if ok else f" (exit {code}, want {want_code}; report {'same' if got == want else 'differs'})"
-            print(f"{'ok' if ok else 'FAIL':<5} {row.id}{detail}")
+            if (code, got) == (want_code, want):
+                print(f"ok    {row.id}")
+            else:
+                bad += 1
+                what = "report differs" if got != want else f"exit {code}, want {want_code}"
+                print(f"FAIL  {row.id}: {what}")
     return EXIT_FAIL if bad else EXIT_OK
 
 

@@ -8,7 +8,6 @@ suites, and emits a reproducible JSON report.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import random
@@ -17,6 +16,14 @@ import sys
 from functools import cached_property
 from fractions import Fraction
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence
+
+try:  # CPython's own SHA-256: hashlib would load OpenSSL's libcrypto for one digest
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:  # an interpreter built without either
+        from hashlib import sha256
 
 from . import bundle as bd
 from . import exprs as E
@@ -74,7 +81,7 @@ class Manifest:
         self.raw_bytes = raw_bytes
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.raw_bytes).hexdigest()
+        return sha256(self.raw_bytes).hexdigest()
 
 
 def _check_keys(doc: dict, allowed: str, where: str) -> None:

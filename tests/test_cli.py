@@ -111,6 +111,27 @@ def test_verify_runs_without_numpy(tmp_path, manifest_path):
     assert report.read_bytes() == golden.read_bytes()
 
 
+def test_verify_and_validate_load_no_openssl(tmp_path, manifest_path):
+    """The manifest hash comes from CPython's own SHA-256, so neither command
+    loads hashlib, whose ``_hashlib`` and ``_blake2`` bring OpenSSL's
+    libcrypto for one digest, nor ``_ssl``."""
+    report = tmp_path / "report.json"
+    script = "\n".join([
+        "import sys",
+        "from metallic_tm import cli",
+        f"code = cli.main(['verify', {manifest_path!r}, '--points', '3',",
+        f"                 '--report', {str(report)!r}])",
+        f"code |= cli.main(['validate', {manifest_path!r}])",
+        "print(sorted(set(sys.modules) & {'hashlib', '_hashlib', '_blake2', '_ssl'}))",
+        "sys.exit(code)",
+    ])
+    src = os.path.dirname(os.path.dirname(metallic_tm.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_verify_detects_failures(tmp_path, manifest_path):
     doc = json.load(open(manifest_path))
     doc["phi"][2][2] = "1"

@@ -1,8 +1,12 @@
 """Manifest ingestion, sampling, suite orchestration and reports."""
 
 import functools
+import hashlib
+import importlib.util
 import json
 import pathlib
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,6 +44,41 @@ def test_load_bundled_manifest(manifest):
     assert len(manifest.params) == 3
     assert manifest.plan.mode == "exact"
     assert len(manifest.sha256()) == 64
+
+
+MANIFEST_FILES = sorted(pathlib.Path(bundled_manifest_path()).parent.glob("*.json")) + sorted(
+    p for p in DATA.glob("*.json") if not p.name.endswith((".report.json", ".suites.json")))
+
+
+def _blob(raw: bytes) -> Manifest:
+    return Manifest("blob", 0, None, None, [], None, raw)
+
+
+@pytest.mark.parametrize("path", MANIFEST_FILES, ids=lambda p: p.name)
+def test_manifest_hash_is_the_sha256_of_the_file(path):
+    raw = path.read_bytes()
+    assert harness.load_manifest(str(path)).sha256() == hashlib.sha256(raw).hexdigest()
+
+
+@pytest.mark.parametrize("raw", [b"", random.Random(24).randbytes(1 << 20)],
+                         ids=["empty", "1MB"])
+def test_manifest_hash_of_bytes_is_their_sha256(raw):
+    assert _blob(raw).sha256() == hashlib.sha256(raw).hexdigest()
+
+
+def test_manifest_hash_falls_back_to_hashlib(monkeypatch, manifest_path):
+    """On an interpreter built without CPython's own SHA-256 modules the
+    harness hashes through hashlib, to the same digest."""
+    monkeypatch.setitem(sys.modules, "_sha2", None)  # their imports now fail
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    spec = importlib.util.spec_from_file_location("metallic_tm._harness_fallback",
+                                                  harness.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fallback)
+    assert fallback.sha256 is hashlib.sha256
+    blob = _blob(pathlib.Path(manifest_path).read_bytes())
+    digest = fallback.Manifest.sha256(blob)  # looks sha256 up in the fallback's globals
+    assert digest == blob.sha256() == hashlib.sha256(blob.raw_bytes).hexdigest()
 
 
 def test_missing_field_rejected(doc):

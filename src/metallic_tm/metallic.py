@@ -19,7 +19,7 @@ from . import exprs as E
 from . import manifold as mf
 from . import paracontact as pc
 from .manifold import Connection, TensorField
-from .scalars import sigma
+from .scalars import half_root
 
 
 class MetallicParams:
@@ -45,13 +45,10 @@ class MetallicParams:
         self.eps2 = eps2
 
     @property
-    def sigma(self):
-        return sigma(self.p, self.q)
-
-    @property
     def amp(self):
-        """a/2 = sigma - p/2, the linear coefficient in J and F; positive."""
-        return self.sigma - Fraction(self.p, 2)
+        """a/2 = sigma - p/2 = sqrt(p^2 + 4q)/2, the linear coefficient in J
+        and F; positive (``scalars.half_root``)."""
+        return half_root(self.p, self.q)
 
     @property
     def amp_squared(self) -> Fraction:

@@ -1,6 +1,7 @@
 """Shared fixtures: the hyperbolic half-space chart and its lifts."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from metallic_tm import manifold as mf
 from metallic_tm import metallic as ml
 from metallic_tm import paracontact as pc
 from metallic_tm.cli import bundled_manifest_path
+from metallic_tm.scalars import MetallicScalar
 from metallic_tm.verdicts import FLOAT_TOL, residual_verdict
 
 
@@ -176,7 +178,85 @@ def nijenhuis_rows(S, tb, N, X, Y):
 # J and F are T = (p/2) I - (a/2) Psi.  The program decides every claim on
 # Psi over Q; the tests that hold a claim of T against it build T's values
 # from Psi's at a point, over Q(sigma), and apply the defining formulas to
-# them directly.
+# them directly.  The program holds only rationals and multiples
+# y*sqrt(p^2 + 4q), so the arithmetic of Q(sigma) is the tests' own.
+
+class QSigma:
+    """a + b*sigma in Q(sigma), sigma^2 = p sigma + q, with a rational sigma
+    folded into a.  ``QSigma.of`` reads a value of the program: y*sqrt(d)
+    is -y p + 2y sigma, since sqrt(d) = 2 sigma - p."""
+
+    __slots__ = ("a", "b", "p", "q")
+
+    def __init__(self, a, b, p, q):
+        d = p * p + 4 * q
+        r = math.isqrt(d)
+        if r * r == d:
+            a, b = a + b * Fraction(p + r, 2), 0
+        self.a, self.b, self.p, self.q = Fraction(a), Fraction(b), p, q
+
+    @staticmethod
+    def of(x, p, q):
+        """x in Q(sigma_{p,q}); None for anything but a scalar."""
+        if isinstance(x, QSigma):
+            assert x.p * x.p + 4 * x.q == p * p + 4 * q
+            return x
+        if isinstance(x, (int, Fraction)):
+            return QSigma(x, 0, p, q)
+        if isinstance(x, MetallicScalar):
+            assert x.p * x.p + 4 * x.q == p * p + 4 * q
+            return QSigma(-x.y * p, 2 * x.y, p, q)
+        return None
+
+    def _pair(self, other):
+        return QSigma.of(other, self.p, self.q)
+
+    def __add__(self, other):
+        o = self._pair(other)
+        return NotImplemented if o is None else QSigma(self.a + o.a, self.b + o.b, self.p, self.q)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QSigma(-self.a, -self.b, self.p, self.q)
+
+    def __sub__(self, other):
+        o = self._pair(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._pair(other)
+        if o is None:
+            return NotImplemented
+        # (a1 + b1 s)(a2 + b2 s) with s^2 = p s + q
+        return QSigma(self.a * o.a + self.b * o.b * self.q,
+                      self.a * o.b + self.b * o.a + self.b * o.b * self.p, self.p, self.q)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        o = self._pair(other)
+        return NotImplemented if o is None else (self.a, self.b) == (o.a, o.b)
+
+    __hash__ = None
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __repr__(self):
+        return f"QSigma({self.a}, {self.b}, p={self.p}, q={self.q})"
+
+    def report_value(self):
+        """The value as a report holds it: a Fraction, or y*sqrt(d) when
+        it is a multiple of sqrt(d) = 2 sigma - p (a = -b p / 2)."""
+        if not self.b:
+            return self.a
+        assert 2 * self.a == -self.b * self.p, self
+        return MetallicScalar(self.b / 2, self.p, self.q)
+
 
 def values(arr, point):
     """The values of an Expr array at ``point`` as a numpy object array."""
@@ -188,8 +268,9 @@ def t_values(psi, prm, point):
     """T = (p/2) I - (a/2) Psi at ``point``, and its partials [m, a, b] =
     d_m T^a_b = -(a/2) d_m Psi^a_b (the constant part has none)."""
     n = psi.components.shape[0]
-    t = Fraction(prm.p, 2) * np.identity(n, dtype=object) - prm.amp * values(psi.components, point)
-    dt = -prm.amp * values(psi.base.partials(psi.components), point)
+    amp = QSigma(-Fraction(prm.p, 2), 1, prm.p, prm.q)  # a/2 = sigma - p/2
+    t = Fraction(prm.p, 2) * np.identity(n, dtype=object) - amp * values(psi.components, point)
+    dt = -amp * values(psi.base.partials(psi.components), point)
     return t, dt
 
 

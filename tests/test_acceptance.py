@@ -15,7 +15,6 @@ from metallic_tm import manifold as mf
 from metallic_tm import metallic as ml
 from metallic_tm import paracontact as pc
 from metallic_tm.harness import SamplePlan
-from metallic_tm.scalars import sigma
 
 from conftest import (decide, eval_zero, metallic_verdict, nijenhuis_rows, nijenhuis_values,
                       t_values, values)
@@ -204,11 +203,11 @@ def test_criterion_8_phi_prime_nonclosed(manifest, pts10, report):
     val = mf.coboundary(tb.chart, mf.contract("ak,kb->ab", G, psi),
                         bd.lifted_rows(tb, "h", [X]), bd.lifted_rows(tb, "v", [X]),
                         bd.lifted_rows(tb, "v", [S.xi]))[0, 0, 0]
-    want = (2 * sigma(prm.p, prm.q) - prm.p) * Fraction(1, 6)
+    want = prm.amp * Fraction(1, 3)  # (2 sigma - p)/6
     for pt in pts10[:3]:
         got = -prm.amp * E.evaluate(val, pt)  # dPhi' = -(a/2) d(G(., Psi .))
         assert abs(float(got)) == pytest.approx(float(want))
-        assert got == -want  # measured sign is negative
+        assert got + want == 0  # measured sign is negative
     assert report["conventions"]["dphi_prime_sign"] == "-"
 
 

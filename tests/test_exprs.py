@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
 from metallic_tm.exprs import EvalError, ParseError, Var
-from metallic_tm.scalars import MetallicScalar
+from metallic_tm.scalars import MetallicScalar, half_root
 
 from conftest import first_primes
 
@@ -157,12 +157,12 @@ def test_equal_trees_are_one_object():
 
 
 def test_constants_of_two_types_are_two_nodes():
-    """An int and a Fraction constant are one Fraction node, and an element
-    of Q(sigma), even a rational one, is refused rather than made a second
-    kind of constant node, so no expression carries sigma."""
+    """An int and a Fraction constant are one Fraction node, and a multiple
+    of sqrt(p^2 + 4q) is refused rather than made a second kind of constant
+    node, so no expression carries sigma."""
     assert E.Const(Fraction(1)) is E.Const(1) is E.ONE
     assert type(E.Const(1).value) is Fraction
-    for c in (MetallicScalar(1, 0, 1, 1), MetallicScalar(0, 1, 1, 1)):
+    for c in (half_root(1, 1), MetallicScalar(-3, 3, 5)):
         with pytest.raises(TypeError):
             E.Const(c)
 

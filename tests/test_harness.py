@@ -415,6 +415,18 @@ def test_work_does_not_grow_with_the_listed_sets(doc, monkeypatch):
     assert {status for _, status in one_status} == {"pass"}
 
 
+def test_a_tie_between_two_sets_goes_to_the_first_listed(doc):
+    """(3, 1) and (1, 3) share p^2 + 4q = 13, so the T-level values of one
+    Psi-level value are one number y*sqrt(13) for both sets, though their
+    sigma forms round to different floats.  The largest is chosen exactly,
+    and F-compat reports the value of the set listed first."""
+    for sets, want in (([(3, 1, -1, 1), (1, 3, -1, 1)], "-750/343+500/343*sigma"),
+                       ([(1, 3, -1, 1), (3, 1, -1, 1)], "-250/343+500/343*sigma")):
+        (suite,) = harness.run_suites(_with_sets(doc, sets), suites=["F-compat"])["suites"]
+        assert suite["status"] == "fail"
+        assert suite["max_residual"]["exact"] == want, sets
+
+
 def test_mixed_signs_are_not_metallic_for_any_pq(doc):
     """With (eps1, eps2) = (1, -1) J-metallic and F-metallic fail, and their
     notes say that T is metallic for no (p, q).  At every sample point the

@@ -130,14 +130,19 @@ def test_no_function_takes_a_mode(path):
     assert mode_parameters(path.read_text(encoding="utf-8")) == []
 
 
+# the names that give irrational values: the multiples of sqrt(p^2 + 4q),
+# a/2 = sqrt(p^2 + 4q)/2, and sigma, which no module may bring back
+IRRATIONAL = ("MetallicScalar", "half_root", "sigma")
+
+
 def scalar_uses(source: str) -> list:
-    """(line, name) of every import of ``MetallicScalar`` or ``sigma`` and
-    every definition of ``scaled_sum`` in a module."""
+    """(line, name) of every import of a name in ``IRRATIONAL`` and every
+    definition of ``scaled_sum`` in a module."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             found += [(node.lineno, alias.name) for alias in node.names
-                      if alias.name.split(".")[-1] in ("MetallicScalar", "sigma")]
+                      if alias.name.split(".")[-1] in IRRATIONAL]
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
                 and node.name == "scaled_sum":
             found.append((node.lineno, "scaled_sum"))
@@ -151,9 +156,10 @@ def scalar_uses(source: str) -> list:
 def test_scalar_uses_are_found():
     source = "from .scalars import MetallicScalar as M, sign\nfrom . import scalars\n" \
              "from .scalars import sigma\ndef scaled_sum(*terms):\n    pass\n" \
-             "def f(sigma):\n    return sigma\nscaled_sum = None\n"
+             "def f(sigma):\n    return sigma\nscaled_sum = None\n" \
+             "from .scalars import abs_greater, half_root as h\ndef half_root():\n    pass\n"
     assert scalar_uses(source) == [(1, "MetallicScalar"), (3, "sigma"), (4, "scaled_sum"),
-                                   (8, "scaled_sum")]
+                                   (8, "scaled_sum"), (9, "half_root")]
 
 
 # the modules of the verdict path, which see values over Q only
@@ -163,8 +169,8 @@ OVER_Q = ("verdicts.py", "paracontact.py", "manifold.py", "exprs.py")
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_q_sigma_stays_out_of_the_verdict_path(path):
     """Every verdict is decided on Psi over Q: the modules of the verdict
-    path import neither ``MetallicScalar`` nor ``sigma``, and no module
-    scales a residual by a Q(sigma) constant through ``scaled_sum``."""
+    path import no name of ``IRRATIONAL``, and no module scales a residual
+    by an irrational constant through ``scaled_sum``."""
     found = scalar_uses(path.read_text(encoding="utf-8"))
     if path.name not in OVER_Q:
         found = [use for use in found if use[1] == "scaled_sum"]

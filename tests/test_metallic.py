@@ -22,11 +22,11 @@ from metallic_tm import paracontact as pc
 from metallic_tm.cli import bundled_manifest_path
 from metallic_tm.exprs import Var
 from metallic_tm.harness import _t_verdict
-from metallic_tm.scalars import MetallicScalar, sigma
+from metallic_tm.scalars import MetallicScalar, is_zero
 from metallic_tm.verdicts import ResidualTracker
 
-from conftest import (covariant_values, decide, eval_zero, lifted_metric, metallic_verdict,
-                      nijenhuis_rows, nijenhuis_values, t_values, values)
+from conftest import (QSigma, covariant_values, decide, eval_zero, lifted_metric,
+                      metallic_verdict, nijenhuis_rows, nijenhuis_values, t_values, values)
 
 PQ_SET = [(1, 1), (1, 2), (2, 1), (3, 5)]
 
@@ -43,7 +43,7 @@ def psi_F(structure, tb):
 
 def test_params_amp_and_sigma():
     prm = ml.MetallicParams(2, 1)
-    assert prm.sigma == sigma(2, 1)
+    assert str(prm.amp) == "-1+sigma"  # a/2 = sigma - p/2 = sqrt(8)/2
     assert prm.amp * prm.amp == prm.amp_squared
     assert prm.amp_squared == Fraction(2)
     assert ml.structure_label("c", 1, 1) == "complete_J;eps=(+,+)"
@@ -59,9 +59,10 @@ def test_params_validation():
 
 @pytest.mark.parametrize("p,q,s", [(1, 2, 2), (2, 3, 3), (1, 6, 3)])
 def test_rational_sigma_gives_rational_coefficients(p, q, s):
-    """When p^2 + 4q is a square, sigma and every coefficient are Fractions."""
+    """When p^2 + 4q is a square, a/2 = sigma - p/2 and every coefficient
+    are Fractions."""
     prm = ml.MetallicParams(p, q)
-    assert prm.sigma == s and type(prm.sigma) is Fraction
+    assert prm.amp == s - Fraction(p, 2)
     a = 2 * Fraction(s) - p
     assert prm.coefficients() == (a * a / 4, -p * a / 4, -a / 2)
     assert all(type(c) is Fraction for c in prm.coefficients())
@@ -121,10 +122,12 @@ class Poly:
         return self.terms == Poly.of(other).terms
 
     def at(self, p, q):
-        """The value at integers (p, q), with sigma = sigma(p, q)."""
-        s = sigma(p, q)
-        return sum((c * p ** i * q ** j * (s if k else 1)
-                    for (i, j, k), c in self.terms.items()), Fraction(0))
+        """The (1, sigma) coordinates (a, b) of the value a + b*sigma at
+        integers (p, q)."""
+        out = [Fraction(0), Fraction(0)]
+        for (i, j, k), c in self.terms.items():
+            out[k] += c * p ** i * q ** j
+        return tuple(out)
 
 
 class Lin:
@@ -212,8 +215,8 @@ def test_the_six_identities_hold_for_every_p_and_q():
 def test_coefficients_are_the_symbolic_ones(p, q):
     """``MetallicParams.coefficients`` is (a^2/4, -pa/4, -a/2) at (p, q)."""
     prm = ml.MetallicParams(p, q)
-    assert prm.coefficients() == tuple(c.at(p, q) for c in COEFS_SYM)
-    assert prm.amp == -COEFS_SYM[2].at(p, q)
+    for got, want in zip(prm.coefficients() + (prm.amp,), COEFS_SYM + (-COEFS_SYM[2],)):
+        assert QSigma.of(got, p, q) == QSigma(*want.at(p, q), p, q)
 
 
 # -- the almost product structure Psi --------------------------------------
@@ -244,15 +247,17 @@ def test_psi_squared(structure, tb, points, lift):
             assert (got != 0).any() == (e1 * e2 == -1)
 
 
-def _same_verdict(verdict, reference, chart, points):
+def _same_verdict(verdict, reference, chart, points, prm):
     """The verdict ranks exactly the reference residual values (one array
-    per point), in the same order, so its worst value and witness are the
-    same."""
+    per point, over Q(sigma)), in the same order, so its worst value and
+    witness are the same."""
     tracker = ResidualTracker()
     for pt, vals in zip(points, reference):
         for idx in np.ndindex(vals.shape):
-            tracker.update(vals[idx], chart.coords(pt), idx)
-    assert verdict.max_residual == tracker.max_value, verdict.axiom_id
+            tracker.update(QSigma.of(vals[idx], prm.p, prm.q).report_value(),
+                           chart.coords(pt), idx)
+    assert QSigma.of(verdict.max_residual, prm.p, prm.q) == \
+        QSigma.of(tracker.max_value, prm.p, prm.q), verdict.axiom_id
     assert verdict.witness == tracker.witness, verdict.axiom_id
     return tracker.max_value
 
@@ -266,7 +271,8 @@ def test_psi_combinations_equal_the_residuals_of_T(structure, tb, points, p, q, 
     form.  The T-level values the report prints for the set (the Psi
     verdict through ``harness._t_verdict``) are those of T's residuals."""
     prm = ml.MetallicParams(p, q, e1, e2)
-    A, B, C = prm.coefficients()
+    coefs = prm.coefficients()
+    A, B, C = (QSigma.of(c, p, q) for c in coefs)
     conns = {"c": bd.clift_connection(tb), "h": bd.hlift_connection(tb)}
     eye = np.identity(6, dtype=object)
     nonzero_sym = False
@@ -281,8 +287,8 @@ def test_psi_combinations_equal_the_residuals_of_T(structure, tb, points, p, q, 
         r_metallic = [t @ t - p * t - q * eye for t, _ in ts]
         for r, s in zip(r_metallic, s_vals):
             assert (r == A * (s @ s - eye)).all()
-        _same_verdict(_t_verdict(metallic_verdict(psi, label, points), [A]), r_metallic,
-                      tb.chart, points)
+        _same_verdict(_t_verdict(metallic_verdict(psi, label, points), [coefs[0]]), r_metallic,
+                      tb.chart, points, prm)
 
         for pt, (t, dt), s in zip(points, ts, s_vals):
             assert (nijenhuis_values(t, dt) == A * values(n_psi, pt)).all()
@@ -299,11 +305,11 @@ def test_psi_combinations_equal_the_residuals_of_T(structure, tb, points, p, q, 
                 assert (rp == A * u + B * w).all() and (rs == C * w).all()
                 assert (m @ t - Fraction(p, 2) * m == C * (m @ s)).all()
                 w_zero = w_zero and not w.any()
-            v_iso, v_sym = (_t_verdict(v, [c]) for v, c in zip(
-                decide(tb.chart, points, ml.compat_residuals(metric, psi, label)).values(), (A, C)))
-            nonzero_sym |= _same_verdict(v_sym, r_sym, tb.chart, points) != 0
+            v_iso, v_sym = (_t_verdict(v, [coefs[k]]) for v, k in zip(
+                decide(tb.chart, points, ml.compat_residuals(metric, psi, label)).values(), (0, 2)))
+            nonzero_sym |= not is_zero(_same_verdict(v_sym, r_sym, tb.chart, points, prm))
             if w_zero:  # then T^T G T - pGT - qG is A u
-                _same_verdict(v_iso, r_pq, tb.chart, points)
+                _same_verdict(v_iso, r_pq, tb.chart, points, prm)
     assert nonzero_sym
 
 
@@ -503,7 +509,8 @@ def test_J_never_parallel(structure, tb, points, psi_J):
     v = _never_parallel(probes, mismatch, tb, points)
     # the probe of Psi is -1 at its largest; that of J is -a/2 times it
     assert v.max_residual == -1
-    assert -ml.MetallicParams(1, 1).amp * v.max_residual == -Fraction(1, 2) + sigma(1, 1)
+    got = -ml.MetallicParams(1, 1).amp * v.max_residual
+    assert QSigma.of(got, 1, 1) == QSigma(-Fraction(1, 2), 1, 1, 1)  # -1/2 + sigma
 
 
 def test_F_never_parallel(structure, tb, points, psi_F):
@@ -548,10 +555,10 @@ def test_dphi_prime_value_on_unit_field(structure, tb, points, psi_F):
                         bd.lifted_rows(tb, "h", [X]), bd.lifted_rows(tb, "v", [X]),
                         bd.lifted_rows(tb, "v", [structure.xi]))[0, 0, 0]
     prm = ml.MetallicParams(1, 1)
-    expected = -(2 * sigma(1, 1) - 1) * Fraction(1, 6)
-    assert isinstance(expected, MetallicScalar)
+    expected = QSigma(Fraction(1, 6), -Fraction(1, 3), 1, 1)  # -(2 sigma - 1)/6
     for pt in points:  # dPhi' = -(a/2) d(G(., Psi .))
-        assert -prm.amp * E.evaluate(val, pt) == expected
+        got = -prm.amp * E.evaluate(val, pt)
+        assert isinstance(got, MetallicScalar) and QSigma.of(got, 1, 1) == expected
 
 
 def test_dphi_vanishes_on_distribution_c_c_v_triples(structure, tb, points, psi_J):

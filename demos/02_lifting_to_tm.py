@@ -28,7 +28,6 @@ def is_zero_at(exprs, pt):
 def main():
     M, S = demo01.build()
     conn = mf.christoffel(M)
-    R = mf.curvature(conn)
     tb = bd.TangentBundleChart(M, conn)
     pt = tb.point([Fraction(1), Fraction(1), Fraction(2)],
                   [Fraction(1), Fraction(-2), Fraction(3)])
@@ -51,7 +50,7 @@ def main():
           is_zero_at([E.add(a, E.mul(E.const(-1), b)) for a, b in zip(lhs, rhs)], pt))
     lhs = mf.lie_bracket(Xh, Yh).components
     rhs = bd.lift(tb, "h", mf.lie_bracket(X, Y)).components
-    defect = bd.gamma_bracket_defect(tb, R, X, Y).components
+    defect = bd.gamma_bracket_defect(tb, X, Y).components
     print("  [X^h, Y^h] = [X, Y]^h - gamma R(X, Y):",
           is_zero_at([E.add(a, E.mul(E.const(-1), b), c)
                       for a, b, c in zip(lhs, rhs, defect)], pt))
@@ -78,7 +77,7 @@ def main():
           is_zero_at([E.add(a, E.mul(E.const(-1), b)) for a, b in zip(got, want)], pt))
     got = mf.cov_vec(hc, Xc, Yc).components
     want = bd.lift(tb, "c", nXY).components
-    slice_ = bd.gamma_curvature(tb, R, X, Y).components
+    slice_ = bd.gamma_curvature(tb, X, Y).components
     print("  nabla^h_{X^c} Y^c = (nabla_X Y)^c - gamma R(., X, Y):",
           is_zero_at([E.add(a, E.mul(E.const(-1), b), c)
                       for a, b, c in zip(got, want, slice_)], pt))

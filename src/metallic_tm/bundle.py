@@ -30,21 +30,34 @@ class TangentBundleChart:
     def __init__(self, base: ChartedManifold, connection: Optional[Connection] = None) -> None:
         self.base = base
         self.n = base.n
-        fiber = tuple(Var("fiber", v.index) for v in base.variables)
         for v in base.variables:
             if v.kind != "base":
                 raise GeometryError("bundle base chart must use base-kind variables")
         self.base_vars = base.variables
-        self.fiber_vars = fiber
-        self.chart = ChartedManifold(base.variables + fiber, domain=base.domain)
+        self.fiber_vars = tuple(Var("fiber", v.index) for v in base.variables)
+        self.chart = ChartedManifold(base.variables + self.fiber_vars, domain=base.domain)
         self.connection = connection
+
+    def _connection(self) -> Connection:
+        if self.connection is None:
+            raise GeometryError("this lift needs a base connection")
+        return self.connection
 
     @cached_property
     def gamma_tilde(self) -> mf.Array:
         """GT[l][i] = y^k Gamma^l_{ki}."""
-        if self.connection is None:
-            raise GeometryError("this lift needs a base connection")
-        return mf.contract("k,lki->li", self.fiber_vars, self.connection.coefficients)
+        return mf.contract("k,lki->li", self.fiber_vars, self._connection().coefficients)
+
+    @cached_property
+    def gamma_complete(self) -> mf.Array:
+        """The complete lift (``lift``) of Gamma taken as a (1,2) array."""
+        gamma = TensorField(self.base, (1, 2), self._connection().coefficients)
+        return lift(self, "c", gamma).components
+
+    @cached_property
+    def curvature(self) -> TensorField:
+        """The curvature of the base connection."""
+        return mf.curvature(self._connection())
 
     def ydel(self, e):
         """The complete-lift derivation y^j d_j applied to a base expression,
@@ -123,56 +136,47 @@ def lifted_rows(tb: TangentBundleChart, kind: str, fields) -> mf.Array:
 
 
 # ----------------------------------------------------------------------
-# metrics
-# ----------------------------------------------------------------------
-
-def sasaki_metric(tb: TangentBundleChart) -> TensorField:
-    """G = [[g + GT^T g GT, GT^T g], [g GT, g]]."""
-    g = tb.base.metric
-    gt = tb.gamma_tilde
-    bb = mf.add(g, mf.contract("ai,ab,bj->ij", gt, g, gt))
-    bf = mf.contract("ai,aj->ij", gt, g)
-    fb = mf.contract("ia,aj->ij", g, gt)
-    return TensorField(tb.chart, (0, 2), _blocks(tb, bb=bb, bf=bf, fb=fb, ff=g))
-
-
-# ----------------------------------------------------------------------
 # gamma operators
 # ----------------------------------------------------------------------
 
-def gamma_curvature(tb: TangentBundleChart, R: TensorField, X: TensorField, Y: TensorField) -> TensorField:
+def gamma_curvature(tb: TangentBundleChart, X: TensorField, Y: TensorField) -> TensorField:
     """gamma R(., X, Y): the vertical field (x,y) -> (R(y,X)Y)^v."""
-    if R.valence != (1, 3):
-        raise GeometryError("gamma_curvature needs the (1,3) curvature tensor")
-    comps = _blocks(tb, f=mf.contract("lkij,k,i,j->l", R, tb.fiber_vars, X, Y))
+    comps = _blocks(tb, f=mf.contract("lkij,k,i,j->l", tb.curvature, tb.fiber_vars, X, Y))
     return TensorField(tb.chart, (1, 0), comps)
 
 
-def gamma_bracket_defect(tb: TangentBundleChart, R: TensorField, X: TensorField, Y: TensorField) -> TensorField:
+def gamma_bracket_defect(tb: TangentBundleChart, X: TensorField, Y: TensorField) -> TensorField:
     """gamma R(X, Y): the vertical field (x,y) -> (R(X,Y)y)^v."""
-    comps = _blocks(tb, f=mf.contract("lijk,i,j,k->l", R, X, Y, tb.fiber_vars))
+    comps = _blocks(tb, f=mf.contract("lijk,i,j,k->l", tb.curvature, X, Y, tb.fiber_vars))
     return TensorField(tb.chart, (1, 0), comps)
 
 
 # ----------------------------------------------------------------------
-# lifted connections
+# derived objects: G, nabla^c and nabla^h
 # ----------------------------------------------------------------------
+
+def sasaki_metric(tb: TangentBundleChart) -> TensorField:
+    """G = B^T diag(g, g) B with B = [[I, 0], [GT, I]]: the rows of B are the
+    adapted coframe (dx^i, dy^i + GT^i_k dx^k), dual to the frame
+    (d_i^h, d_i^v), so G is g on both halves of that frame."""
+    g, one = tb.base.metric, mf.expr_array(mf.identity(tb.n))
+    B = _blocks(tb, bb=one, fb=tb.gamma_tilde, ff=one)
+    G = mf.contract("ai,ab,bj->ij", B, _blocks(tb, bb=g, ff=g), B)
+    return TensorField(tb.chart, (0, 2), G)
+
 
 def clift_connection(tb: TangentBundleChart) -> Connection:
-    """Complete lift: nonzero coefficients
-    C^k_{ij} = Gamma^k_{ij}, C^kbar_{ij} = y^l d_l Gamma^k_{ij},
-    C^kbar_{i jbar} = C^kbar_{ibar j} = Gamma^k_{ij}."""
-    G = tb.connection.coefficients
-    return Connection(tb.chart, _blocks(tb, bbb=G, fbb=tb.ydel(G), fbf=G, ffb=G))
+    """nabla^c, the complete lift of the base connection: its coefficients
+    are those of Gamma lifted as a (1,2) array."""
+    return Connection(tb.chart, tb.gamma_complete)
 
 
 def hlift_connection(tb: TangentBundleChart) -> Connection:
-    """Horizontal lift: defined by nabla^h on the horizontal/vertical frame
-    (nabla^h_{X^v} . = 0, nabla^h_{X^h}Y^v = (nabla_X Y)^v,
-    nabla^h_{X^h}Y^h = (nabla_X Y)^h), solved into coordinates."""
-    G = tb.connection.coefficients
-    dG = tb.base.partials(G)
-    # [k, i, j, m]: d_i Gamma^k_{mj} plus the Gamma Gamma terms
-    inner = mf.add(dG.transpose(1, 0, 3, 2), mf.contract("lmj,kil+lij,kml->kijm", G, G, -G, G))
-    lower = mf.contract("m,kijm->kij", tb.fiber_vars, inner)
-    return Connection(tb.chart, _blocks(tb, bbb=G, fbb=lower, fbf=G, ffb=G))
+    """nabla^h: nabla^c plus K[k,i,j] = y^m R^k_{imj} = (R(d_i, y) d_j)^k in its
+    fiber-base-base block, R the base curvature.  Then nabla^h_{X^v} = 0,
+    nabla^h_{X^h} Y^v = (nabla_X Y)^v and nabla^h_{X^h} Y^h = (nabla_X Y)^h."""
+    C = tb.gamma_complete
+    K = _blocks(tb, fbb=mf.contract("m,kimj->kij", tb.fiber_vars, tb.curvature))
+    # the other blocks keep the nodes of nabla^c: adding 0 can rewrite a tree
+    return Connection(tb.chart, mf.Array(C.shape, [c if k is E.ZERO else E.add(c, k)
+                                                   for c, k in zip(C.flat, K.flat)]))

@@ -58,9 +58,8 @@ def cmd_verify(args) -> int:
     given = {"count": args.points, "seed": args.seed, "mode": args.mode}
     plan = manifest.plan._replace(**{k: v for k, v in given.items() if v is not None})
 
-    suites = None
-    if args.suites:
-        suites = [s.strip() for s in args.suites.split(",") if s.strip()]
+    suites = None if args.suites is None else [s.strip() for s in args.suites.split(",")
+                                                if s.strip()]
 
     try:
         report = harness.run_suites(manifest, suites=suites, plan=plan)

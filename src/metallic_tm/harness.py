@@ -8,7 +8,6 @@ suites, and emits a reproducible JSON report.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import re
@@ -66,19 +65,15 @@ class SamplePlan(NamedTuple):
         }
 
 
-class Manifest:
+class Manifest(NamedTuple):
     """A parsed manifest; ``raw_bytes`` are the file's bytes, hashed into the report."""
-
-    def __init__(self, name: str, n: int, manifold: mf.ChartedManifold,
-                 structure: pc.ParacontactStructure, params: List[ml.MetallicParams],
-                 plan: SamplePlan, raw_bytes: bytes = b"") -> None:
-        self.name = name
-        self.n = n
-        self.manifold = manifold
-        self.structure = structure
-        self.params = params
-        self.plan = plan
-        self.raw_bytes = raw_bytes
+    name: str
+    n: int
+    manifold: mf.ChartedManifold
+    structure: pc.ParacontactStructure
+    params: List[ml.MetallicParams]
+    plan: SamplePlan
+    raw_bytes: bytes = b""
 
     def sha256(self) -> str:
         return sha256(self.raw_bytes).hexdigest()
@@ -122,21 +117,16 @@ def _parse_expr(text, n: int, where: str) -> E.Expr:
         raise ManifestError(f"{where}: {exc}") from None
 
 
-def _parse_matrix(rows, n: int, where: str) -> list:
-    if not isinstance(rows, list) or len(rows) != n:
-        raise ManifestError(f"{where}: expected {n} rows")
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ManifestError(f"{where}: row {i} must have {n} entries")
-        out.append([_parse_expr(e, n, f"{where}[{i}][{j}]") for j, e in enumerate(row)])
-    return out
-
-
 def _parse_vector(items, n: int, where: str) -> list:
     if not isinstance(items, list) or len(items) != n:
         raise ManifestError(f"{where}: expected {n} entries")
     return [_parse_expr(e, n, f"{where}[{i}]") for i, e in enumerate(items)]
+
+
+def _parse_matrix(rows, n: int, where: str) -> list:
+    if not isinstance(rows, list) or len(rows) != n:
+        raise ManifestError(f"{where}: expected {n} rows")
+    return [_parse_vector(row, n, f"{where}[{i}]") for i, row in enumerate(rows)]
 
 
 def _parse_plan(doc, n: int) -> SamplePlan:
@@ -289,7 +279,10 @@ def sample_points(manifest: Manifest, plan: Optional[SamplePlan] = None):
         rejected += 1
         base = [draw(lo, hi) for lo, hi in plan.base_ranges]
         pt = dict(zip(M.variables, base))
-        if not all(E.evaluate(c, pt) > 0 for c in M.domain):
+        try:
+            if not all(E.evaluate(c, pt) > 0 for c in M.domain):
+                continue
+        except E.EvalError:  # a constraint undefined at the draw rejects it too
             continue
         fiber = [draw(lo, hi) for lo, hi in plan.fiber_ranges]
         if all(f == 0 for f in fiber):
@@ -315,19 +308,23 @@ class SuiteContext:
         self.plan = plan
         self.M = manifest.manifold
         self.S = manifest.structure
-        self.conn = mf.christoffel(self.M)
-        self.R = mf.curvature(self.conn)
-        self.tb = bd.TangentBundleChart(self.M, self.conn)
+        self.g = mf.TensorField(self.M, (0, 2), self.M.metric)
         self.points = sample_points(manifest, plan)
-        self.gc = bd.lift(self.tb, "c", mf.TensorField(self.M, (0, 2), self.M.metric))
-        self.G = bd.sasaki_metric(self.tb)
-        self.cc = bd.clift_connection(self.tb)
-        self.hc = bd.hlift_connection(self.tb)
         self._psi: Dict[tuple, mf.TensorField] = {}
         # the listed parameter sets by sign pair, pairs in order of first listing
         self.sign_pairs: Dict[tuple, List[ml.MetallicParams]] = {}
         for prm in manifest.params:
             self.sign_pairs.setdefault((prm.eps1, prm.eps2), []).append(prm)
+
+    # geometry, built on first read: ``--suites axioms`` reads conn alone
+    conn = cached_property(lambda self: mf.christoffel(self.M))
+    tb = cached_property(lambda self: bd.TangentBundleChart(self.M, self.conn))
+    gc = cached_property(lambda self: bd.lift(self.tb, "c", self.g))
+    G = cached_property(lambda self: bd.sasaki_metric(self.tb))
+    cc = cached_property(lambda self: bd.clift_connection(self.tb))
+    hc = cached_property(lambda self: bd.hlift_connection(self.tb))
+    # the spanning fields of D = ker(eta)
+    frame = cached_property(lambda self: pc.distribution_frame(self.S, self.points, self.plan.tol))
 
     def psi(self, lift: str, signs: Optional[tuple] = None) -> mf.TensorField:
         """Psi of J (lift "c") or F (lift "h") for a sign pair, by default that
@@ -338,28 +335,16 @@ class SuiteContext:
             self._psi[key] = ml.build_psi(self.S, self.tb, *key)
         return self._psi[key]
 
-    @cached_property
-    def frame(self) -> List[mf.TensorField]:
-        """The spanning fields of D = ker(eta), built on first use."""
-        return pc.distribution_frame(self.S, self.points, self.plan.tol)
-
     def test_fields(self):
         """Deterministic non-constant fields exercising all lift laws."""
-        M = self.M
-        n = M.n
-        Xc = mf.zeros(n)
-        Xc[0] = E.Var("base", 2 if n >= 2 else 1)
-        Yc = mf.zeros(n)
-        Yc[min(1, n - 1)] = E.mul(E.Var("base", 1), E.Var("base", n))
-        X = mf.TensorField(M, (1, 0), Xc)
-        Y = mf.TensorField(M, (1, 0), Yc)
-        f = E.Var("base", 1)
-        w = mf.TensorField(M, (0, 1), [E.Var("base", 2)] + [E.ZERO] * (n - 1))
-        F2c = mf.zeros((n, n))
-        for a, b in itertools.product(range(n), repeat=2):
-            F2c[a, b] = E.Var("base", ((a + b) % n) + 1) if (a + b) % 2 == 0 else E.ZERO
-        F2 = mf.TensorField(M, (1, 1), F2c)
-        return X, Y, f, w, F2
+        M, n, x = self.M, self.M.n, self.M.variables
+        zeros = [E.ZERO] * (n - 2)
+        X = mf.TensorField(M, (1, 0), [x[1], E.ZERO] + zeros)
+        Y = mf.TensorField(M, (1, 0), [E.ZERO, E.mul(x[0], x[n - 1])] + zeros)
+        w = mf.TensorField(M, (0, 1), [x[1], E.ZERO] + zeros)
+        F2 = mf.TensorField(M, (1, 1), [[x[(a + b) % n] if (a + b) % 2 == 0 else E.ZERO
+                                         for b in range(n)] for a in range(n)])
+        return X, Y, x[0], w, F2
 
 
 class SuiteResult(NamedTuple):
@@ -438,7 +423,7 @@ def suite_axioms(ctx: SuiteContext) -> SuiteResult:
 
 
 def suite_lifts(ctx: SuiteContext) -> SuiteResult:
-    tb, M, conn, R = ctx.tb, ctx.M, ctx.conn, ctx.R
+    tb, M, conn = ctx.tb, ctx.M, ctx.conn
     n = M.n
     X, Y, f, w, F2 = ctx.test_fields()
     prm = ctx.manifest.params[0]
@@ -464,13 +449,13 @@ def suite_lifts(ctx: SuiteContext) -> SuiteResult:
                                - bd.lift(tb, "c", XYb).components)
     residuals["bracket-vh"] = mf.add(mf.lie_bracket(Xv, Yh).components,
                                      bd.lift(tb, "v", mf.cov_vec(conn, Y, X)).components)
-    ghh = bd.gamma_bracket_defect(tb, R, X, Y)
+    ghh = bd.gamma_bracket_defect(tb, X, Y)
     residuals["bracket-hh"] = mf.add(
         mf.lie_bracket(Xh, Yh).components, -bd.lift(tb, "h", XYb).components, ghh.components)
 
     # metric pairings
     gXY = mf.contract("ab,a,b->", M.metric, X, Y)
-    gh = bd.lift(tb, "h", mf.TensorField(M, (0, 2), M.metric))
+    gh = bd.lift(tb, "h", ctx.g)
     for label, metric, U, V, want in (
         ("gc-vv", ctx.gc, Xv, Yv, E.ZERO),
         ("gc-vc", ctx.gc, Xv, Yc, gXY),
@@ -532,7 +517,7 @@ def suite_lifts(ctx: SuiteContext) -> SuiteResult:
     for label, conn2, U, V, want in conn_cases:
         residuals[f"conn-{label}"] = mf.cov_vec(conn2, U, V).components - want
     # nabla^h_{X^c} Y^c = (nabla_X Y)^c - gamma R(., X, Y)
-    gslice = bd.gamma_curvature(tb, R, X, Y)
+    gslice = bd.gamma_curvature(tb, X, Y)
     got = mf.cov_vec(ctx.hc, Xc, Yc)
     residuals["conn-hc-cc"] = mf.add(
         got.components, -bd.lift(tb, "c", nXY).components, gslice.components)
@@ -649,7 +634,7 @@ def suite_Phi_closedness(ctx: SuiteContext) -> SuiteResult:
 def suite_F_integrability(ctx: SuiteContext) -> SuiteResult:
     tol = ctx.plan.tol
     (d_flat, dvs), (e4, _), (e5, evs) = _decide(
-        ctx, ctx.M, ml.F_integrability_residuals(ctx.S, ctx.conn, ctx.R, ctx.frame))
+        ctx, ctx.M, ml.F_integrability_residuals(ctx.S, ctx.conn, ctx.tb.curvature, ctx.frame))
     # e5 vanishes at a pair and point exactly when eta(nabla_X Y), the D-flat residual, does
     equivalent = all(meets_zero(d[i], tol) == all(meets_zero(v, tol) for v in e[i])
                      for d, e in zip(dvs, evs) for i in mf.ndindex(d.shape))
@@ -714,7 +699,9 @@ def run_suites(manifest: Manifest, suites: Optional[Sequence[str]] = None,
     """Run the requested suites (all by default) with axiom gating and
     return the full report document."""
     plan = plan or manifest.plan
-    requested = list(suites) if suites else list(SUITE_IDS)
+    requested = list(SUITE_IDS) if suites is None else list(suites)
+    if not requested:
+        raise ManifestError(f"no suite requested; known: {', '.join(SUITE_IDS)}")
     for sid in requested:
         if sid not in _SUITES:
             raise ManifestError(f"unknown suite {sid!r}; known: {', '.join(SUITE_IDS)}")

@@ -310,3 +310,51 @@ def covariant_values(t, dt, gamma):
             if k == m:  # Gamma^m_ib T^a_m
                 out[a, i, b] -= g * tv
     return out
+
+
+# -- the coordinate blocks of nabla^c, nabla^h and G --------------------------
+#
+# bundle derives the lifted connections and the Sasaki metric from their
+# definitions.  Their blocks, written out by hand, are the oracle.
+
+def from_blocks(n, rank, **blocks):
+    """The array with ``rank`` axes of size 2n whose n-blocks are named by
+    one letter per axis, b for the base half and f for the fiber half; the
+    blocks not named are zero."""
+    out = mf.zeros((2 * n,) * rank)
+    for idx in itertools.product(range(2 * n), repeat=rank):
+        name = "".join("bf"[i // n] for i in idx)
+        if name in blocks:
+            out[idx] = blocks[name][tuple(i % n for i in idx)]
+    return out
+
+
+def clift_blocks(tb):
+    """nabla^c: C^k_{ij} = Gamma^k_{ij}, C^kbar_{ij} = y^l d_l Gamma^k_{ij},
+    C^kbar_{i jbar} = C^kbar_{ibar j} = Gamma^k_{ij}."""
+    G = tb.connection.coefficients
+    ydG = mf.contract("l,lkij->kij", tb.fiber_vars, tb.base.partials(G))
+    return from_blocks(tb.n, 3, bbb=G, fbb=ydG, fbf=G, ffb=G)
+
+
+def hlift_blocks(tb):
+    """nabla^h: nabla^c with C^kbar_{ij} = y^m (d_i Gamma^k_{mj}
+    + Gamma^l_{mj} Gamma^k_{il} - Gamma^l_{ij} Gamma^k_{ml}), the frame
+    equations nabla^h_{X^v} = 0, nabla^h_{X^h} Y^v = (nabla_X Y)^v and
+    nabla^h_{X^h} Y^h = (nabla_X Y)^h solved into coordinates."""
+    G = tb.connection.coefficients
+    dG = tb.base.partials(G)
+    # [k, i, j, m]: d_i Gamma^k_{mj} plus the Gamma Gamma terms
+    inner = mf.add(dG.transpose(1, 0, 3, 2), mf.contract("lmj,kil+lij,kml->kijm", G, G, -G, G))
+    lower = mf.contract("m,kijm->kij", tb.fiber_vars, inner)
+    return from_blocks(tb.n, 3, bbb=G, fbb=lower, fbf=G, ffb=G)
+
+
+def sasaki_blocks(tb):
+    """G = [[g + GT^T g GT, GT^T g], [g GT, g]], GT[l][i] = y^k Gamma^l_{ki}."""
+    g = tb.base.metric
+    gt = mf.contract("k,lki->li", tb.fiber_vars, tb.connection.coefficients)
+    bb = mf.add(g, mf.contract("ai,ab,bj->ij", gt, g, gt))
+    bf = mf.contract("ai,aj->ij", gt, g)
+    fb = mf.contract("ia,aj->ij", g, gt)
+    return from_blocks(tb.n, 2, bb=bb, bf=bf, fb=fb, ff=g)

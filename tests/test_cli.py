@@ -70,6 +70,27 @@ def test_verify_single_suite(manifest_path, capsys):
     assert "axioms" in out and "pass" in out
 
 
+@pytest.mark.parametrize("suites", ["", " , "])
+def test_verify_rejects_an_empty_suite_list(manifest_path, suites, capsys):
+    """A --suites list that names no suite is a usage error, not a run of
+    all twelve."""
+    assert main(["verify", manifest_path, "--suites", suites]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: no suite requested") and err.count("\n") == 1
+
+
+def test_verify_redraws_where_a_domain_constraint_is_undefined(manifest_path, tmp_path, capsys):
+    """Seed 2 draws x1 = x2 on h3 with the constraint 1/(x1 - x2): the draw
+    is rejected and redrawn, and the run passes."""
+    doc = json.load(open(manifest_path))
+    doc["domain"] = ["x3", "1/(x1-x2)"]
+    p = tmp_path / "undefined-constraint.json"
+    p.write_text(json.dumps(doc))
+    assert main(["verify", str(p), "--suites", "axioms", "--seed", "2"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_writes_report(manifest_path, tmp_path, capsys):
     report = tmp_path / "report.json"
     code = main([

@@ -166,6 +166,33 @@ def test_sampler_rejects_impossible_domain(doc):
         harness.sample_points(m)
 
 
+def test_sampler_redraws_where_a_constraint_is_undefined(doc, monkeypatch):
+    """A domain constraint that cannot be evaluated at a draw, such as
+    1/(x1 - x2) at a draw with x1 = x2, rejects that draw as a constraint
+    that is not positive does; seed 2 draws x1 = x2 before its third point."""
+    d = json.loads(json.dumps(doc))
+    d["domain"] = ["x3", "1/(x1-x2)"]
+    m = harness.parse_manifest(d)
+    x1, x2, _ = m.manifold.variables
+    plan = m.plan._replace(seed=2)
+    undefined, evaluate = [], E.evaluate
+
+    def spy(e, pt):
+        try:
+            return evaluate(e, pt)
+        except E.EvalError:
+            undefined.append(pt[x1] - pt[x2])
+            raise
+
+    monkeypatch.setattr(harness.E, "evaluate", spy)
+    points = harness.sample_points(m, plan)
+    assert undefined and set(undefined) == {0}
+    assert len(points) == plan.count
+    assert all(pt[x1] > pt[x2] for pt in points)
+    monkeypatch.undo()
+    assert harness.run_suites(m, ["axioms"], plan)["suites"][0]["status"] == "pass"
+
+
 def test_sampler_counts_only_rejected_draws(manifest):
     """Every draw on h3 is admissible, so the budget of 2,000 rejected
     draws in a row does not cap the number of points; the draws are those
@@ -207,6 +234,31 @@ def test_float_mode_points_are_floats(manifest):
 def test_unknown_suite_rejected(manifest):
     with pytest.raises(ManifestError, match="unknown suite"):
         harness.run_suites(manifest, suites=["no-such-suite"])
+
+
+@pytest.mark.parametrize("suites", [[], ()])
+def test_empty_suite_list_rejected(manifest, suites):
+    """Only ``None`` requests every suite; an empty list requests none,
+    which is an error, not a full run."""
+    with pytest.raises(ManifestError, match="no suite requested"):
+        harness.run_suites(manifest, suites=suites)
+
+
+def test_axioms_alone_build_nothing_on_TM(manifest, monkeypatch):
+    """The axioms suite reads the base chart alone: a run of it builds no
+    curvature, no bundle chart, no lift, no Sasaki metric and no lifted
+    connection."""
+    def refuse(name):
+        def built(*args, **kwargs):
+            raise AssertionError(f"{name} was built")
+        return built
+
+    monkeypatch.setattr(harness.mf, "curvature", refuse("curvature"))
+    for name in ("TangentBundleChart", "lift", "sasaki_metric", "clift_connection",
+                 "hlift_connection"):
+        monkeypatch.setattr(bd, name, refuse(name))
+    report = harness.run_suites(manifest, ["axioms"])
+    assert [(s["id"], s["status"]) for s in report["suites"]] == [("axioms", "pass")]
 
 
 def test_full_run_all_suites_pass(manifest):

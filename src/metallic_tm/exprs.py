@@ -21,6 +21,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Mapping, Optional, Union
 
 ExprLike = Union["Expr", int, Fraction]
@@ -384,8 +385,8 @@ class Point(dict):
     ``exact`` when no coordinate is a float.
 
     Its ``memo`` holds the value at this point of every subtree ``evaluate``
-    has computed, so a subtree shared by many residuals is computed once.
-    Make a new ``Point`` for a fresh memo.
+    has computed (a float, or at an exact point a reduced pair of ints), so
+    a shared subtree is computed once.  Make a new ``Point`` for a fresh memo.
     """
 
     __slots__ = ("memo", "exact")
@@ -412,45 +413,92 @@ def evaluate(e: Expr, point: Mapping[Var, object]):
     """
     if not isinstance(point, Point):
         point = Point(point)
+    if point.exact:
+        return Fraction(*_eval_q(e, point, point.memo))
     try:
-        return _eval(e, point, point.memo, point.exact)
+        return _eval(e, point, point.memo)
     except (OverflowError, ZeroDivisionError) as exc:
         # float range, e.g. x^400 at 1e3 or x^-2 at 0
         raise EvalError(f"float evaluation failed: {exc}") from None
 
 
-def _eval(e: Expr, pt, memo: dict, exact: bool):
-    """Memoised value of ``e``; a failure raises before anything is stored."""
+def _eval_q(e: Expr, pt, memo: dict) -> tuple:
+    """Memoised exact value of ``e`` as a reduced (numerator, denominator > 0)
+    pair of ints: a sum, product or quotient is formed unreduced and then
+    reduced by one gcd.  A failure raises before anything is stored."""
+    try:
+        return memo[e]
+    except KeyError:
+        pass
+    if isinstance(e, (Add, Mul, Div)):
+        if isinstance(e, Add):
+            n, d = 0, 1
+            for t in e.terms:
+                tn, td = _eval_q(t, pt, memo)
+                n, d = (n + tn, d) if td == d else (n * td + tn * d, d * td)
+        elif isinstance(e, Mul):
+            n, d = 1, 1
+            for f in e.factors:
+                fn, fd = _eval_q(f, pt, memo)
+                n, d = n * fn, d * fd
+        else:
+            dn, dd = _eval_q(e.den, pt, memo)
+            if dn == 0:
+                raise EvalError(f"division by zero at point in {to_str(e)}")
+            nn, nd = _eval_q(e.num, pt, memo)
+            n, d = (nn * dd, nd * dn) if dn > 0 else (-nn * dd, -nd * dn)
+        g = gcd(n, d)
+        v = (n // g, d // g)
+    elif isinstance(e, Pow):
+        n, d = _eval_q(e.base, pt, memo)
+        k = e.exponent
+        if k < 0:
+            if n == 0:
+                raise EvalError("zero base with negative exponent")
+            n, d, k = (d, n, -k) if n > 0 else (-d, -n, -k)
+        v = (n ** k, d ** k)  # powers of coprime ints are coprime
+    elif isinstance(e, (Const, Var)):
+        q = e.value if isinstance(e, Const) else _var(e, pt, _to_scalar)
+        v = (q.numerator, q.denominator)
+    else:
+        raise ExprError(f"unknown node {e!r}")
+    memo[e] = v
+    return v
+
+
+def _var(e: Expr, pt, convert):
+    try:
+        return convert(pt[e])
+    except KeyError:
+        raise EvalError(f"no value for variable {e.name}") from None
+
+
+def _eval(e: Expr, pt, memo: dict) -> float:
+    """Memoised float value of ``e``; a failure raises before anything is stored."""
     try:
         return memo[e]
     except KeyError:
         pass
     if isinstance(e, Const):
-        v = e.value if exact else float(e.value)
+        v = float(e.value)
     elif isinstance(e, Var):
-        try:
-            v = _to_scalar(pt[e]) if exact else float(pt[e])
-        except KeyError:
-            raise EvalError(f"no value for variable {e.name}") from None
+        v = _var(e, pt, float)
     elif isinstance(e, Add):
         v = 0  # float sums as sum() adds them: from int 0, left to right
         for t in e.terms:
-            v = v + _eval(t, pt, memo, exact)
+            v = v + _eval(t, pt, memo)
     elif isinstance(e, Mul):
         fs = e.factors
-        v = _eval(fs[0], pt, memo, exact)
+        v = _eval(fs[0], pt, memo)
         for f in fs[1:]:
-            v = v * _eval(f, pt, memo, exact)
+            v = v * _eval(f, pt, memo)
     elif isinstance(e, Div):
-        den = _eval(e.den, pt, memo, exact)
+        den = _eval(e.den, pt, memo)
         if den == 0:
             raise EvalError(f"division by zero at point in {to_str(e)}")
-        v = _eval(e.num, pt, memo, exact) / den
+        v = _eval(e.num, pt, memo) / den
     elif isinstance(e, Pow):
-        base = _eval(e.base, pt, memo, exact)
-        if exact and e.exponent < 0 and base == 0:
-            raise EvalError("zero base with negative exponent")
-        v = base ** e.exponent
+        v = _eval(e.base, pt, memo) ** e.exponent
     else:
         raise ExprError(f"unknown node {e!r}")
     memo[e] = v

@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 from . import exprs as E
@@ -267,57 +269,76 @@ def contract(spec: str, *arrays):
     so the trees are those of the dense loop that skips a product with a
     zero factor.
     """
-    lhs, out_idx = spec.split("->")
-    products = [p.split(",") for p in lhs.split("+")]
-    subs = [s for p in products for s in p]
     ops = [asarray(getattr(a, "components", a)) for a in arrays]
-    if len(ops) != len(subs):
-        raise GeometryError(f"contract {spec!r} needs {len(subs)} operands, got {len(ops)}")
-    dims: dict = {}
-    for sub, op in zip(subs, ops):
-        if len(sub) != op.ndim:
-            raise GeometryError(f"contract {spec!r}: operand {sub!r} has shape {op.shape}")
-        for c, d in zip(sub, op.shape):
-            if dims.setdefault(c, d) != d:
-                raise GeometryError(f"contract {spec!r}: index {c!r} has two sizes")
-    letters = list(out_idx) + [c for c in dict.fromkeys("".join(subs)) if c not in out_idx]
+    shape, plan = _plan(spec, tuple(op.shape for op in ops))
     support: dict = {}  # id(operand) -> its nonzero entries as (index, Expr)
     found = []  # (full index tuple, product number, factors)
-    pairs = iter(zip(ops, subs))
-    for pno, p in enumerate(products):
-        bound: list = []  # letters in the order the factors bind them
+    operands = iter(ops)
+    for pno, (steps, full_of, rests) in enumerate(plan):
         rows = [((), ())]  # (values of the bound letters, factors so far)
-        for op, sub in itertools.islice(pairs, len(p)):
+        for (repeats, key_of_entry, key_of_row, new_of_entry), op in zip(steps, operands):
             if id(op) not in support:
                 support[id(op)] = [(idx, e) for idx, e in zip(ndindex(op.shape), op.flat)
                                    if e is not E.ZERO]
-            first = {c: sub.index(c) for c in sub}
-            key_at = [(bound.index(c), k) for c, k in first.items() if c in bound]
-            new_at = [k for c, k in first.items() if c not in bound]
             table: dict = {}
             for idx, e in support[id(op)]:
-                if len(first) < len(sub) and any(idx[k] != idx[first[c]]
-                                                 for k, c in enumerate(sub)):
+                if repeats and any(idx[k] != idx[f] for k, f in repeats):
                     continue  # a repeated letter, as in "ii", takes one value
-                key = tuple(idx[k] for _, k in key_at)
-                table.setdefault(key, []).append((tuple(idx[k] for k in new_at), e))
-            bound += [sub[k] for k in new_at]
+                table.setdefault(key_of_entry(idx), []).append((new_of_entry(idx), e))
             rows = [(vals + new, fs + (e,)) for vals, fs in rows
-                    for new, e in table.get(tuple(vals[b] for b, _ in key_at), ())]
-        free = [c for c in letters if c not in bound]
-        at = [bound.index(c) if c in bound else len(bound) + free.index(c) for c in letters]
-        for vals, fs in rows:
-            for rest in itertools.product(*(range(dims[c]) if c in out_idx else (0,)
-                                            for c in free)):
-                full = vals + rest
-                found.append((tuple(full[k] for k in at), pno, fs))
+                    for new, e in table.get(key_of_row(vals), ())]
+        found += [(full_of(vals + rest), pno, fs) for vals, fs in rows for rest in rests]
     found.sort(key=lambda t: t[:2])
     terms: dict = {}
     for full, _, fs in found:
-        terms.setdefault(full[:len(out_idx)], []).append(E.mul(*fs))
-    shape = tuple(dims[c] for c in out_idx)
+        terms.setdefault(full[:len(shape)], []).append(E.mul(*fs))
     out = [E.add(*terms.get(oidx, ())) for oidx in ndindex(shape)]
-    return Array(shape, out) if out_idx else out[0]
+    return Array(shape, out) if shape else out[0]
+
+
+def _picker(at):
+    """The function of a tuple t that gives tuple(t[k] for k in at)."""
+    if len(at) > 1:
+        return itemgetter(*at)
+    return (lambda t: (t[at[0]],)) if at else (lambda t: ())
+
+
+@lru_cache(maxsize=4096)
+def _plan(spec: str, shapes: tuple):
+    """The output shape and, per product, its join steps (the positions of a
+    repeated letter; pickers of an entry's join key, a row's join key and an
+    entry's new letters), a picker of its term order and the values of the
+    output letters it does not name.  lru_cache keeps no exception."""
+    lhs, out_idx = spec.split("->")
+    products = [p.split(",") for p in lhs.split("+")]
+    subs = [s for p in products for s in p]
+    if len(shapes) != len(subs):
+        raise GeometryError(f"contract {spec!r} needs {len(subs)} operands, got {len(shapes)}")
+    dims: dict = {}
+    for sub, shape in zip(subs, shapes):
+        if len(sub) != len(shape):
+            raise GeometryError(f"contract {spec!r}: operand {sub!r} has shape {shape}")
+        for c, d in zip(sub, shape):
+            if dims.setdefault(c, d) != d:
+                raise GeometryError(f"contract {spec!r}: index {c!r} has two sizes")
+    letters = list(out_idx) + [c for c in dict.fromkeys("".join(subs)) if c not in out_idx]
+    plan = []
+    for p in products:
+        bound: list = []  # letters in the order the factors bind them
+        steps = []
+        for sub in p:
+            first = {c: sub.index(c) for c in sub}
+            repeats = tuple((k, first[c]) for k, c in enumerate(sub) if k != first[c])
+            keys = [c for c in first if c in bound]
+            new_at = [k for c, k in first.items() if c not in bound]
+            steps.append((repeats, _picker([first[c] for c in keys]),
+                          _picker([bound.index(c) for c in keys]), _picker(new_at)))
+            bound += [sub[k] for k in new_at]
+        free = [c for c in letters if c not in bound]
+        rests = tuple(itertools.product(*(range(dims[c]) if c in out_idx else (0,)
+                                         for c in free)))
+        plan.append((tuple(steps), _picker([(bound + free).index(c) for c in letters]), rests))
+    return tuple(dims[c] for c in out_idx), tuple(plan)
 
 
 def add(*arrays):

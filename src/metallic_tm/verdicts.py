@@ -44,7 +44,8 @@ def meets_zero(value, tol: float) -> bool:
 def vanishes(arr, points, tol: float) -> bool:
     """Whether every component of ``arr`` meets zero at every point; it
     stops at the first one that does not."""
-    return all(meets_zero(E.evaluate(e, pt), tol) for pt in points for e in asarray(arr).flat)
+    flat = asarray(arr).flat
+    return all(meets_zero(E.evaluate(e, pt), tol) for pt in points for e in flat)
 
 
 def worst(verdicts):
@@ -69,7 +70,7 @@ class ResidualTracker:
         self.witness: Optional[Witness] = None
 
     def update(self, value, point_coords, frame) -> None:
-        if abs_greater(value, self.max_value):
+        if value and abs_greater(value, self.max_value):  # a zero never beats the maximum
             self.max_value = value
             self.witness = Witness(tuple(point_coords), tuple(frame), scalar_str(value))
 

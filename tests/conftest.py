@@ -102,6 +102,19 @@ def eval_zero(arr, point):
     return all(v == 0 for v in mf.evaluate_array(arr, point).flat)
 
 
+def memo_value(point, e):
+    """The value the memo of ``point`` holds for ``e``, as ``evaluate``
+    returns it.  An exact point keeps a reduced (numerator, denominator > 0)
+    pair of ints, any other point a float."""
+    v = point.memo[e]
+    if not point.exact:
+        assert type(v) is float
+        return v
+    n, d = v
+    assert type(n) is int and type(d) is int and d > 0 and math.gcd(n, d) == 1, v
+    return Fraction(n, d)
+
+
 # -- the proof-table decomposition of N_Psi ----------------------------------
 #
 # The paper proves N_J = 0 by evaluating N_Psi on pairs of lifted fields.

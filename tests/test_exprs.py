@@ -13,7 +13,7 @@ from metallic_tm import manifold as mf
 from metallic_tm.exprs import EvalError, ParseError, Var
 from metallic_tm.scalars import MetallicScalar, half_root
 
-from conftest import first_primes
+from conftest import first_primes, memo_value
 
 
 def pt(*vals):
@@ -486,14 +486,16 @@ def test_point_memo_matches_plain_evaluation(e, k, coords, kind):
 
 def test_coordinates_decide_the_arithmetic():
     """A point with no float coordinate evaluates exactly; one float
-    coordinate makes every value a float.  The one memo holds the value."""
+    coordinate makes every value a float.  The point's one memo holds the
+    value: a reduced pair of ints at an exact point, else a float."""
     e = E.parse("x1/3 + x2^2", 2)
     for coords, kind in (((Fraction(1), Fraction(1, 2)), Fraction),
                          ((1.0, 0.5), float), ((Fraction(1), 0.5), float)):
         point = E.Point(pt(*coords))
         value = E.evaluate(e, point)
         assert type(value) is kind and value == pytest.approx(Fraction(7, 12))
-        assert point.memo[e] is value
+        assert memo_value(point, e) == value
+        assert point.memo[e] == ((7, 12) if kind is Fraction else value)
         assert E.evaluate(e, pt(*coords)) == value
 
 
@@ -506,6 +508,96 @@ def test_division_by_zero_raises_on_every_call(kind):
             E.evaluate(e, point)
     assert e not in point.memo
     assert E.evaluate(Var("base", 2), point) == 5
+
+
+# -- exact evaluation on integer pairs, against plain Fractions ------------
+
+def _fraction_value(e, point):
+    """The value of ``e`` at ``point`` by plain Fraction arithmetic, taking
+    the nodes in the order ``evaluate`` does and raising its EvalErrors."""
+    if isinstance(e, E.Const):
+        return e.value
+    if isinstance(e, Var):
+        return Fraction(point[e])
+    if isinstance(e, E.Add):
+        return sum((_fraction_value(t, point) for t in e.terms), Fraction(0))
+    if isinstance(e, E.Mul):
+        value = Fraction(1)
+        for f in e.factors:
+            value *= _fraction_value(f, point)
+        return value
+    if isinstance(e, E.Div):
+        den = _fraction_value(e.den, point)
+        if den == 0:
+            raise EvalError(f"division by zero at point in {E.to_str(e)}")
+        return _fraction_value(e.num, point) / den
+    base = _fraction_value(e.base, point)
+    if base == 0 and e.exponent < 0:
+        raise EvalError("zero base with negative exponent")
+    return base ** e.exponent
+
+
+def _fraction_outcome(e, point):
+    try:
+        return _fraction_value(e, point)
+    except EvalError as exc:
+        return exc
+
+
+def _cancelled(a):
+    """a + (-1)*a as drawn, a sum that cancels to 0."""
+    return E.Add((a, E.Mul((E.MINUS_ONE, a))))
+
+
+X1, X2 = Var("base", 1), Var("base", 2)
+coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+# trees built from the node classes, so that no simplification removes what
+# is drawn: quotients by negative values, negative bases to negative odd
+# and even powers, sums that cancel to 0 and products with a zero factor.
+# A power's base is a leaf or a quotient of two, so powers do not nest.  A
+# zero subtree is added to another term, so that not every tree is zero.
+leaves = st.one_of(st.sampled_from([X1, X2]), coordinate.map(E.Const))
+powers = st.tuples(st.one_of(leaves, st.tuples(leaves, leaves).map(lambda t: E.Div(*t))),
+                   st.integers(-4, 4)).map(lambda t: E.Pow(*t))
+raw_trees = st.recursive(
+    st.one_of(leaves, powers),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(E.Add),
+        st.lists(kids, min_size=2, max_size=3).map(E.Mul),
+        st.tuples(kids, kids).map(lambda t: E.Div(*t)),
+        st.tuples(kids, kids).map(lambda t: E.Div(t[0], E.Mul((E.MINUS_ONE, t[1])))),
+        st.tuples(kids, kids).map(lambda t: E.Add((_cancelled(t[0]), t[1]))),
+        st.tuples(kids, kids, kids).map(lambda t: E.Add((E.Mul((t[0], E.ZERO, t[1])), t[2])))),
+    max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_trees, st.tuples(coordinate, coordinate))
+@example(E.Add((X2, E.Div(E.ONE, E.Add((X1, E.Const(-1)))))), (Fraction(1), Fraction(2)))
+@example(E.Mul((X2, E.Pow(X1, -3))), (Fraction(0), Fraction(2)))
+@example(E.Div(E.Pow(X1, -3), E.Mul((E.MINUS_ONE, X2))), (Fraction(-1, 2), Fraction(3)))
+@example(E.Pow(E.Div(X2, X1), -2), (Fraction(-2), Fraction(3, 4)))
+def test_exact_evaluation_matches_plain_fractions(e, coords):
+    """At an exact point ``evaluate`` gives the Fraction that plain Fraction
+    arithmetic gives, or raises the same EvalError.  Every subtree it
+    computed is memoised as a reduced pair with a positive denominator
+    (``memo_value``), and a subtree that fails is never memoised."""
+    point = E.Point(pt(*coords))
+    want = _fraction_outcome(e, point)
+    if isinstance(want, EvalError):
+        with pytest.raises(EvalError) as info:
+            E.evaluate(e, point)
+        assert str(info.value) == str(want)
+    else:
+        value = E.evaluate(e, point)
+        assert type(value) is Fraction and value == want
+    for s in _subtrees(e):
+        outcome = _fraction_outcome(s, point)
+        if isinstance(outcome, EvalError):
+            assert s not in point.memo
+        elif s in point.memo:
+            assert memo_value(point, s) == outcome
 
 
 def test_point_is_read_only():

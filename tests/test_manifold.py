@@ -1,6 +1,8 @@
 """Charts, connections, curvature and derivative operators on the base."""
 
 import itertools
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,7 @@ from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
 from metallic_tm.exprs import Var
 
-from conftest import eval_zero
+from conftest import eval_zero, memo_value
 
 
 def test_christoffel_h3_values(h3, conn, base_points):
@@ -313,6 +315,48 @@ def test_contract_over_the_support_builds_the_dense_loop_trees(spec, operands):
     assert any(e != E.ZERO for e in want.values())
 
 
+@pytest.mark.parametrize("shapes, message", [
+    ([(3, 3)], "needs 2 operands, got 1"),
+    ([(3, 3), (2,)], "index 'j' has two sizes"),
+    ([(3,), (3,)], "operand 'ij' has shape (3,)"),
+])
+def test_malformed_contract_raises_on_every_call(shapes, message):
+    """The plan of a spec is kept per operand shapes, but no error is: a
+    malformed call raises GeometryError each time, and the spec still
+    serves operands that fit it."""
+    ops = [_sparse(shape, k) for k, shape in enumerate(shapes)]
+    for _ in range(2):
+        with pytest.raises(mf.GeometryError, match=re.escape(message)):
+            mf.contract("ij,j->i", *ops)
+    fit = [_sparse((3, 3), 0), _sparse((3,), 1)]
+    assert list(mf.contract("ij,j->i", *fit)) == [_dense_contract("ij,j->i", *fit)[(i,)]
+                                                  for i in range(3)]
+
+
+def _sparse(shape, tag):
+    """An Expr array of ``shape`` with a zero at every third entry."""
+    xs = [Var("base", 1), Var("base", 2), Var("fiber", 1), Var("fiber", 2)]
+    return mf.Array(shape, [E.ZERO if (k + tag) % 3 == 0 else
+                            E.add(E.mul(E.const(tag + k), xs[k % 4]), xs[(k + tag) % 4])
+                            for k in range(math.prod(shape))])
+
+
+@pytest.mark.parametrize("spec, shape_sets", [
+    ("ij,jk->ik", [[(2, 3), (3, 4)], [(4, 2), (2, 1)]]),
+    ("i,ia+i,j,aij->a", [[(2,), (2, 3), (2,), (2,), (3, 2, 2)],
+                         [(3,), (3, 2), (3,), (1,), (2, 3, 1)]]),
+])
+def test_one_spec_on_operands_of_two_shapes(spec, shape_sets):
+    """A spec used on operands of two shapes, alternately, builds for each
+    the trees of the dense nested loop: each shape gets its own plan."""
+    for shapes in shape_sets + shape_sets:
+        arrays = [_sparse(shape, tag) for tag, shape in enumerate(shapes)]
+        got, want = mf.contract(spec, *arrays), _dense_contract(spec, *arrays)
+        assert got.shape == tuple(max(idx) + 1 for idx in zip(*want))
+        assert all(got[idx] == e for idx, e in want.items())
+        assert any(e != E.ZERO for e in want.values())
+
+
 def test_contract_with_zero_operand_gives_zero():
     xs = mf.asarray([Var("base", i) for i in range(1, 4)])
     out = mf.contract("ij,j->i", mf.zeros((3, 3)), xs)
@@ -320,17 +364,22 @@ def test_contract_with_zero_operand_gives_zero():
     assert mf.contract("i,i->", xs, mf.zeros(3)) is E.ZERO
 
 
-def test_evaluate_array_shares_one_memo(base_points):
+def test_evaluate_array_shares_one_memo(base_points, monkeypatch):
     """Sibling components are evaluated through one Point, so a subtree
-    they share is computed once; a Point passed in keeps its memo."""
+    they share is computed once: exact evaluation reduces each sum and
+    product by one gcd, and x1*x2 and the sum take one each.  A Point
+    passed in keeps its memo."""
     x1, x2, x3 = (Var("base", i) for i in range(1, 4))
     shared = E.mul(x1, x2)
-    arr = mf.asarray([E.add(shared, x3), E.mul(shared, x3)])
+    arr = mf.asarray([E.add(shared, x3), E.pow_(shared, 2)])
     point = E.Point(base_points[0])
-    assert list(mf.evaluate_array(arr, point)) == [3, 2]
-    assert point.memo[shared] == 1
+    reduced = []
+    monkeypatch.setattr(E, "gcd", lambda n, d: reduced.append((n, d)) or math.gcd(n, d))
+    assert list(mf.evaluate_array(arr, point)) == [3, 1]
+    assert len(reduced) == 2
+    assert memo_value(point, shared) == 1
     float_point = {v: float(c) for v, c in base_points[0].items()}
-    assert list(mf.evaluate_array(arr, float_point)) == [3.0, 2.0]
+    assert list(mf.evaluate_array(arr, float_point)) == [3.0, 1.0]
 
 
 def _loop_covariant_derivative(C, T):

@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import metallic_tm
 from metallic_tm import exprs as E
@@ -114,6 +115,31 @@ def test_track_keeps_the_first_of_equal_magnitudes():
     verdict, values = residual_verdict("tie", chart, points, 1e-9, [x1 - x1])
     assert verdict.holds and verdict.witness is None
     assert [v.flat for v in values] == [[0], [0]]
+
+
+def test_zeros_leave_the_maximum_at_zero():
+    """Exact and float zeros, -0.0 among them, never become the maximum:
+    it stays 0, with no witness."""
+    tracker = ResidualTracker()
+    for frame, value in enumerate((Fraction(0), 0.0, -0.0, 0)):
+        tracker.update(value, (1,), (frame,))
+    assert tracker.max_value == 0 and type(tracker.max_value) is int
+    assert tracker.witness is None and tracker.verdict("zeros").holds
+
+
+@pytest.mark.parametrize("kind", [Fraction, float], ids=["exact", "float"])
+def test_one_nonzero_among_zeros_is_the_witness(kind):
+    """The one nonzero residual value, x2 - 2 at the second point, is the
+    maximum, and its witness has its own point and component index."""
+    chart, points, x1, x2 = _line()
+    points = [E.Point({v: kind(c) for v, c in pt.items()}) for pt in points]
+    zero = E.Add((x1, E.Mul((E.MINUS_ONE, x1))))  # zero at every point, not folded
+    arr = mf.asarray([[E.ZERO, zero], [E.add(x2, E.const(-2)), zero]])
+    tracker = ResidualTracker()
+    tracker.track(chart, points, arr)
+    assert tracker.max_value == -3 and type(tracker.max_value) is kind
+    assert tracker.witness.frame == (1, 0) and tracker.witness.point == (3, -1)
+    assert not tracker.all_zero
 
 
 def test_the_points_decide_whether_the_tolerance_applies():

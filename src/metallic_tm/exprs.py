@@ -11,8 +11,11 @@ is a product with its negative powers, and any other quotient stays a
 points, not on canonical forms.
 
 Nodes are hash-consed: each distinct tree is one object, kept for the life
-of the process, so ``==`` and ``hash`` are those of identity.  ``add``,
-``mul`` and ``diff`` are memoised on their (node) arguments.
+of the process, so ``==`` and ``hash`` are those of identity.  A constant
+carries its reduced (numerator, denominator) pair of ints next to its
+Fraction, and is interned under that pair; ``add`` and ``mul`` fold
+constants on such pairs and are memoised on their arguments as given,
+``diff`` on its nodes.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Mapping, Optional, Union
+from math import gcd, isfinite
+from typing import Mapping, Union
 
 ExprLike = Union["Expr", int, Fraction]
 
@@ -44,11 +47,12 @@ class EvalError(ArithmeticError):
     range, or a power past the bounds of MAX_EXPONENT."""
 
 
-def _to_scalar(x) -> Fraction:
+def _pair(x) -> tuple:
+    """An exact scalar as its reduced (numerator, denominator > 0) pair."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
@@ -117,11 +121,19 @@ class Expr:
 
 
 class Const(Expr):
-    __slots__ = ("value",)
+    """A rational constant: its Fraction ``value`` and the reduced pair
+    ``num``/``den`` (den > 0) of the same number."""
+
+    __slots__ = ("value", "num", "den")
 
     def __new__(cls, value):
-        v = _to_scalar(value)
-        return _interned((cls, v), v)
+        return _const(*_pair(value))
+
+
+def _const(n: int, d: int) -> Const:
+    """The constant of the reduced pair n/d; its Fraction is made once."""
+    node = _NODES.get((Const, n, d))
+    return node if node is not None else _interned((Const, n, d), Fraction(n, d), n, d)
 
 
 class Var(Expr):
@@ -188,37 +200,36 @@ def _as_expr(x: ExprLike) -> Expr:
 
 
 def _split_coeff(e: Expr):
-    """Write e as (coefficient, tuple of the other factors)."""
+    """Write e as (coefficient, tuple of the other factors), the coefficient a Const."""
     if isinstance(e, Mul):
         fs = e.factors
         if isinstance(fs[0], Const):
-            rest = fs[1:]
-            return fs[0].value, rest
-        return Fraction(1), fs
-    return Fraction(1), (e,)
+            return fs[0], fs[1:]
+        return ONE, fs
+    return ONE, (e,)
 
 
-def add(*xs: ExprLike) -> Expr:
-    """Sum of ``xs``, memoised on their nodes."""
-    return _add(*map(_as_expr, xs))
+def _qsum(n1: int, d1: int, n2: int, d2: int) -> tuple:
+    """n1/d1 + n2/d2 as an unreduced pair."""
+    return (n1 + n2, d1) if d1 == d2 else (n1 * d2 + n2 * d1, d1 * d2)
 
 
 @lru_cache(maxsize=200_000)
-def _add(*xs: Expr) -> Expr:
-    # collect like terms by structural part so that e + (-1)*e folds to 0
-    coeffs: dict = {}  # part -> (coefficient, its term while no like term met it)
-    acc = Fraction(0)
-    def accumulate(c, part, term=None):
-        if part not in coeffs:
-            coeffs[part] = (c, term)
-        else:
-            coeffs[part] = (coeffs[part][0] + c, None)
+def add(*xs: ExprLike) -> Expr:
+    """Sum of ``xs``, memoised on the arguments as given."""
+    # collect like terms by structural part so that e + (-1)*e folds to 0;
+    # coefficients and the constant term are unreduced (num, den > 0) pairs
+    coeffs: dict = {}  # part -> (num, den, its term while no like term met it)
+    an, ad = 0, 1  # the constant term
+    def accumulate(n, d, part, term=None):
+        old = coeffs.get(part)
+        coeffs[part] = (n, d, term) if old is None else (*_qsum(old[0], old[1], n, d), None)
 
-    for e in xs:
+    for e in map(_as_expr, xs):
         sub = e.terms if isinstance(e, Add) else (e,)
         for t in sub:
             if isinstance(t, Const):
-                acc = t.value + acc
+                an, ad = _qsum(an, ad, t.num, t.den)
                 continue
             c, part = _split_coeff(t)
             if len(part) == 1 and isinstance(part[0], Add):
@@ -226,21 +237,21 @@ def _add(*xs: Expr) -> Expr:
                 # that e + (-1)*(a + b) cancels against a + b termwise
                 for t2 in part[0].terms:
                     if isinstance(t2, Const):
-                        acc = acc + c * t2.value
+                        an, ad = _qsum(an, ad, c.num * t2.num, c.den * t2.den)
                         continue
                     c2, part2 = _split_coeff(t2)
-                    accumulate(c * c2, part2)
+                    accumulate(c.num * c2.num, c.den * c2.den, part2)
                 continue
-            accumulate(c, part, t)
+            accumulate(c.num, c.den, part, t)
     terms = []
-    for part, (c, term) in coeffs.items():
+    for part, (n, d, term) in coeffs.items():
         if term is None:  # a lone term is kept: mul would rebuild an equal tree
-            if c == 0:
+            if n == 0:
                 continue
-            term = mul(Const(c), *part)
+            term = mul(_printable(n, d), *part)
         terms.append(term)
-    if acc != 0:
-        terms.append(_printable(acc))
+    if an:
+        terms.append(_printable(an, ad))
     if not terms:
         return ZERO
     if len(terms) == 1:
@@ -248,23 +259,19 @@ def _add(*xs: Expr) -> Expr:
     return Add(terms)
 
 
-def mul(*xs: ExprLike) -> Expr:
-    """Product of ``xs``, memoised on their nodes."""
-    return _mul(*map(_as_expr, xs))
-
-
 @lru_cache(maxsize=200_000)
-def _mul(*xs: Expr) -> Expr:
+def mul(*xs: ExprLike) -> Expr:
+    """Product of ``xs``, memoised on the arguments as given."""
     factors = []
     powers: dict = {}  # base -> the sum of its exponents, in order of first appearance
-    acc: Optional[Fraction] = None  # the product of the constant factors
-    for e in xs:
+    n = d = 1  # the product of the constant factors, an unreduced pair
+    for e in tuple(map(_as_expr, xs)):  # all first: a zero factor hides no bad argument
         sub = e.factors if isinstance(e, Mul) else (e,)
         for f in sub:
             if isinstance(f, Const):
-                acc = f.value if acc is None else f.value * acc
-                if acc == 0:
+                if not f.num:
                     return ZERO
+                n, d = n * f.num, d * f.den
                 continue
             factors.append(f)
             base, k = (f.base, f.exponent) if isinstance(f, Pow) else (f, 1)
@@ -273,8 +280,8 @@ def _mul(*xs: Expr) -> Expr:
     # e - e in add, x * x^-1 folds to 1 without the zero-denominator error at x = 0
     if len(powers) < len(factors) and all(abs(k) <= MAX_EXPONENT for k in powers.values()):
         factors = [b if k == 1 else Pow(b, k) for b, k in powers.items() if k]
-    if acc is not None and acc != 1:
-        factors.insert(0, _printable(acc))
+    if n != d:
+        factors.insert(0, _printable(n, d))
     if not factors:
         return ONE
     if len(factors) == 1:
@@ -285,7 +292,7 @@ def _mul(*xs: Expr) -> Expr:
 def div(num: ExprLike, den: ExprLike) -> Expr:
     n, d = _as_expr(num), _as_expr(den)
     if isinstance(d, Const):
-        if d.value == 0:
+        if not d.num:
             raise EvalError("division by the zero constant")
         return mul(Const(1 / d.value), n)
     if n is ZERO:
@@ -298,14 +305,17 @@ def div(num: ExprLike, den: ExprLike) -> Expr:
     return Div(n, d)
 
 
-def _printable(v: Fraction) -> Const:
-    """The constant ``v``; refused when the printer could not write it, with
-    more digits than the interpreter converts to a string."""
+def _printable(n: int, d: int) -> Const:
+    """The constant n/d (d > 0), reduced by one gcd; refused when the printer
+    could not write it, with more digits than the interpreter converts to a
+    string."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
     limit = sys.get_int_max_str_digits()
-    big = max(abs(v.numerator), v.denominator)
+    big = max(abs(n), d)
     if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
         raise EvalError(f"constant over {limit} digits")
-    return Const(v)
+    return _const(n, d)
 
 
 # the largest magnitude of an exponent, given or the product of the
@@ -329,13 +339,12 @@ def pow_(base: ExprLike, exponent: int) -> Expr:
     if exponent == 1:
         return b
     if isinstance(b, Const):
-        v = b.value
-        if exponent < 0 and v == 0:
+        if exponent < 0 and not b.num:
             raise EvalError("zero to a negative power")
-        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+        bits = max(b.num.bit_length(), b.den.bit_length())
         if abs(exponent) * bits > 64 * MAX_EXPONENT:
             raise EvalError(f"power of a constant over {64 * MAX_EXPONENT} bits")
-        return _printable(v ** exponent)
+        return _printable(*_pair(b.value ** exponent))
     if isinstance(b, Pow):
         return pow_(b.base, b.exponent * exponent)
     return Pow(b, exponent)
@@ -407,19 +416,24 @@ def evaluate(e: Expr, point: Mapping[Var, object]):
     """Value of ``e`` at ``point``; the coordinates decide the arithmetic.
 
     At an exact point every coordinate must be an exact scalar, and the
-    value is a Fraction.  At a point with a float coordinate it is a float.
+    value is a Fraction.  At a point with a float coordinate it is a float,
+    and a value past the float range, inf or nan, raises EvalError.
     Subtree values are kept in the memo of a ``Point``; any other mapping
     gets a memo for this call only.
     """
     if not isinstance(point, Point):
         point = Point(point)
     if point.exact:
-        return Fraction(*_eval_q(e, point, point.memo))
+        n, d = _eval_q(e, point, point.memo)
+        return Fraction(n, d) if n else ZERO.value  # most residuals are 0
     try:
-        return _eval(e, point, point.memo)
+        v = _eval(e, point, point.memo)
     except (OverflowError, ZeroDivisionError) as exc:
         # float range, e.g. x^400 at 1e3 or x^-2 at 0
         raise EvalError(f"float evaluation failed: {exc}") from None
+    if not isfinite(v):  # a product past the float range, or inf - inf
+        raise EvalError(f"float evaluation failed: the value is {v}")
+    return v
 
 
 def _eval_q(e: Expr, pt, memo: dict) -> tuple:
@@ -457,9 +471,10 @@ def _eval_q(e: Expr, pt, memo: dict) -> tuple:
                 raise EvalError("zero base with negative exponent")
             n, d, k = (d, n, -k) if n > 0 else (-d, -n, -k)
         v = (n ** k, d ** k)  # powers of coprime ints are coprime
-    elif isinstance(e, (Const, Var)):
-        q = e.value if isinstance(e, Const) else _var(e, pt, _to_scalar)
-        v = (q.numerator, q.denominator)
+    elif isinstance(e, Const):
+        v = (e.num, e.den)
+    elif isinstance(e, Var):
+        v = _var(e, pt, _pair)
     else:
         raise ExprError(f"unknown node {e!r}")
     memo[e] = v
@@ -514,10 +529,9 @@ _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Const):
-        v = e.value
-        if v.denominator == 1:
-            return (str(v), _PREC_ATOM if v >= 0 else _PREC_UNARY)
-        return f"{v.numerator}/{v.denominator}", _PREC_MUL
+        if e.den == 1:
+            return str(e.num), _PREC_ATOM if e.num >= 0 else _PREC_UNARY
+        return f"{e.num}/{e.den}", _PREC_MUL
     if isinstance(e, Var):
         return e.name, _PREC_ATOM
     if isinstance(e, Add):
@@ -534,7 +548,7 @@ def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Mul):
         fs = e.factors
         # a coefficient -1 is a unary minus: "-x1*x2", and "a - x1*x2" in a sum
-        minus = isinstance(fs[0], Const) and fs[0].value == -1
+        minus = fs[0] is MINUS_ONE
         parts = []
         for f in fs[1:] if minus else fs:
             s, p = _render(f)
@@ -700,9 +714,9 @@ class Parser:
                 k = _int(v2, o2)
             elif k2 == "(":
                 exp = self._atom_paren()
-                if not isinstance(exp, Const) or exp.value.denominator != 1:
+                if not isinstance(exp, Const) or exp.den != 1:
                     raise ParseError("exponent must be an integer", o2)
-                k = int(exp.value)
+                k = exp.num
             else:
                 raise ParseError("exponent must be an integer", o2)
             # pow_ refuses a power past MAX_EXPONENT: a syntax error at the ^

@@ -132,6 +132,22 @@ def test_verify_runs_without_numpy(tmp_path, manifest_path):
     assert report.read_bytes() == golden.read_bytes()
 
 
+def test_verify_builds_the_pinned_trees(manifest_path):
+    """verify on the bundled chart, in a fresh interpreter, interns 1,321
+    distinct nodes: a change to folding or interning that builds other
+    trees fails here even where no report byte moves."""
+    script = "\n".join([
+        "from metallic_tm import cli, exprs",
+        f"code = cli.main(['verify', {manifest_path!r}])",
+        "print(len(exprs._NODES))",
+        "raise SystemExit(code)",
+    ])
+    src = os.path.dirname(os.path.dirname(metallic_tm.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1321"
+
 def test_verify_and_validate_load_no_openssl(tmp_path, manifest_path):
     """The manifest hash comes from CPython's own SHA-256, so neither command
     loads hashlib, whose ``_hashlib`` and ``_blake2`` bring OpenSSL's
@@ -215,6 +231,21 @@ def test_verify_value_beyond_the_digit_limit(tmp_path, manifest_path, capsys):
     assert err == (f"error: an exact value has more than {sys.get_int_max_str_digits()} "
                    "digits, the limit for integer string conversion\n")
 
+
+def test_verify_float_value_past_the_float_range(tmp_path, manifest_path, capsys):
+    """xi^1 = x1^50*x2^50*x3^50*(x3 - 1), written so that floats take
+    inf - inf at every point of [120, 200]^3, fails the axioms exactly.  In
+    float mode its nan is one error line and exit code 2, not an axioms
+    suite that passes because no tolerance ranks the nan."""
+    doc = json.load(open(manifest_path))
+    doc["xi"][0] = "x1^50*x2^50*x3^51 - x1^50*x2^50*x3^50*(x3+1)/(x3+1)"
+    doc["sample_plan"]["base_ranges"] = [["120", "200"]] * 3
+    p = tmp_path / "nan-xi.json"
+    p.write_text(json.dumps(doc))
+    assert main(["verify", str(p), "--suites", "axioms"]) == EXIT_FAIL
+    capsys.readouterr()
+    assert main(["verify", str(p), "--suites", "axioms", "--mode", "float"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: float evaluation failed: the value is nan\n"
 
 def test_verify_rejects_pq_option(manifest_path, capsys):
     """Parameters come only from the manifest, whose hash the report

@@ -103,14 +103,23 @@ def test_exact_mode_rejects_transcendentals():
         E.evaluate(E.parse("x1", 1), pt(Decimal("2.718281828459045")))
 
 
-@pytest.mark.parametrize("e, value", [
-    (E.parse("x1^400", 1), 1e3),
-    (E.Const(3 ** 729), 1.0),
-    (E.parse("x1^-2", 1), 0.0),
-], ids=["pow-overflow", "const-overflow", "zero-to-negative-power"])
-def test_float_mode_failures_are_eval_errors(e, value):
-    with pytest.raises(EvalError):
-        E.evaluate(e, pt(value))
+# inf - inf in floats at (100.0, 100.0, 2.0), and 100^300 exactly at (100, 100, 2)
+NAN_AT_100 = "x1^150*x2^150*x3 - x1^150*x2^150*(x3+1)/(x3+1)"
+
+
+@pytest.mark.parametrize("e, coords", [
+    (E.parse("x1^400", 1), (1e3,)),
+    (E.Const(3 ** 729), (1.0,)),
+    (E.parse("x1^-2", 1), (0.0,)),
+    (E.parse("x1^150*x2^150", 2), (100.0, 100.0)),
+    (E.parse(NAN_AT_100, 3), (100.0, 100.0, 2.0)),
+], ids=["pow-overflow", "const-overflow", "zero-to-negative-power", "inf", "nan"])
+def test_float_mode_failures_are_eval_errors(e, coords):
+    """Every float failure is an EvalError, and so is a value past the
+    float range that no operation raised for: inf, or nan, which no
+    tolerance ranks."""
+    with pytest.raises(EvalError, match="float evaluation failed"):
+        E.evaluate(e, pt(*coords))
 
 
 # -- structural simplification ------------------------------------------
@@ -259,7 +268,7 @@ def _constant_term(e):
         return e.value
     c, part = E._split_coeff(e)
     if len(part) == 1 and isinstance(part[0], E.Add):
-        return c * sum(t.value for t in part[0].terms if isinstance(t, E.Const))
+        return c.value * sum(t.value for t in part[0].terms if isinstance(t, E.Const))
     return 0
 
 
@@ -308,7 +317,7 @@ def test_print_parse_round_trip(e, powers, addends, factors, coords):
                 E.pow_(c, k)
             return
         c = E.pow_(c, k)
-        coeff = e.value if isinstance(e, E.Const) else E._split_coeff(e)[0]
+        coeff = (e if isinstance(e, E.Const) else E._split_coeff(e)[0]).value
         if not _printable(coeff * c.value):
             with pytest.raises(EvalError, match="over"):
                 E.mul(e, c)
@@ -598,6 +607,76 @@ def test_exact_evaluation_matches_plain_fractions(e, coords):
             assert s not in point.memo
         elif s in point.memo:
             assert memo_value(point, s) == outcome
+
+
+# -- constant folding on int pairs, against plain Fractions ----------------
+
+# BIG and 1/(BIG + 1) print, but BIG^2 and 1/BIG + 1/(BIG + 1) pass the digit limit
+BIG = 10 ** (sys.get_int_max_str_digits() // 2 + 1)
+
+
+def _given_forms(q):
+    """The forms a constant ``q`` may be given in: a Fraction, a Const node,
+    and an int when it is an integer."""
+    forms = [q, E.Const(q)]
+    if q.denominator == 1:
+        forms.append(int(q))
+    return st.sampled_from(forms)
+
+
+folding_args = st.lists(st.one_of(
+    st.just(X1),
+    st.one_of(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+              st.sampled_from([Fraction(BIG), Fraction(1, BIG), Fraction(1, BIG + 1)]))
+    .flatmap(_given_forms)),
+    max_size=6)
+
+
+def _folded_sum(k, s):
+    """k*x1 + s as add builds it: the term, then the constant unless it is 0."""
+    if not k:
+        return E.Const(s)
+    term = X1 if k == 1 else E.Mul((E.Const(k), X1))
+    return E.Add((term, E.Const(s))) if s else term
+
+
+def _folded_product(k, p):
+    """p*x1^k as mul builds it: 0 absorbs, 1 drops out."""
+    if not p or not k:
+        return E.Const(p)
+    power = X1 if k == 1 else E.Pow(X1, k)
+    return power if p == 1 else E.Mul((E.Const(p), power))
+
+
+@settings(max_examples=200, deadline=None)
+@given(folding_args, coordinate)
+@example([X1, -1], Fraction(1))  # 0 at x1 = 1
+@example([X1, Fraction(1, BIG), E.Const(Fraction(1, BIG + 1))], Fraction(2))
+@example([BIG, X1, E.Const(Fraction(BIG))], Fraction(2))
+def test_add_and_mul_fold_constants_as_plain_fractions(args, x):
+    """``add`` and ``mul`` give the node that plain Fraction arithmetic on
+    the constant arguments, then ``Const``, gives beside x1, so int,
+    Fraction and Const arguments of one value give one node, and 0 and 1
+    drop out.  A folded constant past the digit limit is refused on every
+    call: the memo stores no exception.  At an exact point the value is a
+    Fraction, zero or not."""
+    consts = [Fraction(a.value if isinstance(a, E.Const) else a) for a in args if a is not X1]
+    k = len(args) - len(consts)
+    s, p = sum(consts, Fraction(0)), Fraction(1)
+    for c in consts:
+        p *= c
+    point = E.Point(pt(x))
+    for build, c, fold, value in ((E.add, s, _folded_sum, k * x + s),
+                                  (E.mul, p, _folded_product, p * x ** k)):
+        if not _printable(c):
+            for _ in range(2):
+                with pytest.raises(EvalError, match="over"):
+                    build(*args)
+            continue
+        e = build(*args)
+        assert e is fold(k, c)
+        got = E.evaluate(e, point)
+        assert type(got) is Fraction and got == value
 
 
 def test_point_is_read_only():

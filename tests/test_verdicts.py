@@ -156,6 +156,22 @@ def test_the_points_decide_whether_the_tolerance_applies():
     assert isinstance(floats.max_value, float) and floats.all_zero
 
 
+def test_a_float_residual_past_the_float_range_is_an_error():
+    """x1^150*x2^150*(x3 - 1), written so that floats take inf - inf, is
+    100^300 at (100, 100, 2): exact points fail it, and at the same points
+    as floats residual_verdict raises rather than reading the nan, which no
+    tolerance ranks, as "holds"."""
+    xs = [E.Var("base", i) for i in (1, 2, 3)]
+    chart = mf.ChartedManifold(xs)
+    residual = E.parse("x1^150*x2^150*x3 - x1^150*x2^150*(x3+1)/(x3+1)", 3)
+    exact = [E.Point(chart.point((Fraction(100), Fraction(100), Fraction(2))))]
+    verdict, _ = residual_verdict("nan", chart, exact, 1e-9, [residual])
+    assert verdict.status == "fails" and verdict.max_residual == 100 ** 300
+    floats = [E.Point({v: float(c) for v, c in pt.items()}) for pt in exact]
+    with pytest.raises(E.EvalError, match="float evaluation failed: the value is nan"):
+        residual_verdict("nan", chart, floats, 1e-9, [residual])
+
+
 def _loop_around_track(node) -> bool:
     """A ``for`` over ``ndindex`` whose body calls ``track``."""
     return (isinstance(node, ast.For) and "ndindex" in ast.unparse(node.iter)

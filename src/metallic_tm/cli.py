@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 from typing import List, Optional
 
@@ -14,6 +16,7 @@ from .scalars import ScalarError
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+_freeze_at_exit = True  # until main has registered gc.freeze with atexit
 
 
 def bundled_manifest_path(name: str = "hyperbolic-h3") -> str:
@@ -105,16 +108,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command with the cyclic collector paused (the node graph is
+    acyclic and lives for the run); the caller gets its collector state back."""
+    global _freeze_at_exit
+    if _freeze_at_exit:  # the exit's final collection then skips what is alive
+        atexit.register(gc.freeze)
+        _freeze_at_exit = False
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)  # argparse exits 2 on usage errors
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -513,7 +513,13 @@ def _eval(e: Expr, pt, memo: dict) -> float:
             raise EvalError(f"division by zero at point in {to_str(e)}")
         v = _eval(e.num, pt, memo) / den
     elif isinstance(e, Pow):
-        v = _eval(e.base, pt, memo) ** e.exponent
+        v = _eval(e.base, pt, memo)
+        if v == 0 and e.exponent < 0:
+            raise ZeroDivisionError("zero base with negative exponent")
+        try:
+            v = v ** e.exponent
+        except OverflowError:
+            raise OverflowError(f"{to_str(e)} is past the float range") from None
     else:
         raise ExprError(f"unknown node {e!r}")
     memo[e] = v

@@ -45,7 +45,7 @@ def vanishes(arr, points, tol: float) -> bool:
     """Whether every component of ``arr`` meets zero at every point; it
     stops at the first one that does not."""
     flat = asarray(arr).flat
-    return all(meets_zero(E.evaluate(e, pt), tol) for pt in points for e in flat)
+    return all(e is E.ZERO or meets_zero(E.evaluate(e, pt), tol) for pt in points for e in flat)
 
 
 def worst(verdicts):
@@ -78,18 +78,18 @@ class ResidualTracker:
         """Update with every component of ``arr`` (an Expr, or an Array or
         nested list of them) at every point (points outer, components in C
         order, the last index fastest), under the component's index as its
-        frame.  Returns, per point, an Array of the component values in the
-        shape of ``arr``."""
+        frame; an ``E.ZERO`` is the point's zero, not evaluated.  Returns,
+        per point, an Array of the component values in the shape of ``arr``."""
         arr = asarray(arr)
         indices = list(ndindex(arr.shape))
         out = []
         for pt in points:
-            coords = chart.coords(pt)
-            values = []
-            for idx, e in zip(indices, arr.flat):
-                v = E.evaluate(e, pt)
-                self.update(v, coords, idx)
-                values.append(v)
+            pt = pt if isinstance(pt, E.Point) else E.Point(pt)
+            zero, coords = (E.ZERO.value if pt.exact else 0.0), chart.coords(pt)
+            values = [zero if e is E.ZERO else E.evaluate(e, pt) for e in arr.flat]
+            for idx, e, v in zip(indices, arr.flat, values):
+                if e is not E.ZERO:
+                    self.update(v, coords, idx)
             out.append(Array(arr.shape, values))
         return out
 

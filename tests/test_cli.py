@@ -1,5 +1,6 @@
 """Command line interface: exit codes, flags and report output."""
 
+import gc
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import metallic_tm
 from metallic_tm import harness
-from metallic_tm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from metallic_tm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, bundled_manifest_path, main
 
 from conftest import first_primes
 
@@ -246,6 +247,94 @@ def test_verify_float_value_past_the_float_range(tmp_path, manifest_path, capsys
     capsys.readouterr()
     assert main(["verify", str(p), "--suites", "axioms", "--mode", "float"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: float evaluation failed: the value is nan\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_gives_back_the_collector_state(enabled, manifest_path, tmp_path, monkeypatch):
+    """The command runs with the cyclic collector paused, and main gives the
+    caller back the collector state it had and the frozen objects it had,
+    whether the command passes, exits 1 or 2, or raises."""
+    doc = json.load(open(manifest_path))
+    doc["eta"][0] = "x1 +"
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    doc["eta"][0] = "1/(x1*x2 - x2*x1)"
+    zero_denominator = tmp_path / "zero-denominator.json"
+    zero_denominator.write_text(json.dumps(doc))
+    seen, run_suites = [], harness.run_suites
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        if kwargs.get("suites") == ["raise"]:
+            raise RuntimeError("raised inside the command")
+        return run_suites(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_suites", spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in [(["verify", manifest_path, "--suites", "axioms"], EXIT_OK),
+                           (["verify", str(broken)], EXIT_FAIL),
+                           (["verify", str(zero_denominator)], EXIT_USAGE),
+                           (["verify", manifest_path, "--suites", "raise"], None)]:
+            before = gc.isenabled(), gc.get_freeze_count()
+            if code is None:
+                with pytest.raises(RuntimeError, match="raised inside the command"):
+                    main(argv)
+            else:
+                assert main(argv) == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == before == (enabled, before[1])
+    finally:
+        (gc.enable if was else gc.disable)()
+    # the manifest error exits before run_suites
+    assert seen == [False, False, False]
+
+
+def test_main_freezes_the_survivors_at_exit(manifest_path):
+    """main registers gc.freeze with atexit once per process, however often
+    it is called, so the exit's final collection skips what is still alive;
+    an exit handler registered before main runs after it and sees the
+    frozen objects."""
+    script = "\n".join([
+        "import atexit, gc",
+        "from metallic_tm import cli",
+        "frozen, handlers = gc.get_freeze_count(), atexit._ncallbacks()",
+        "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > frozen))",
+        f"code = cli.main(['validate', {manifest_path!r}])",
+        f"code |= cli.main(['verify', {manifest_path!r}, '--suites', 'axioms'])",
+        "print('registered:', atexit._ncallbacks() - handlers - 1,",
+        "      'frozen now:', gc.get_freeze_count() - frozen)",
+        "raise SystemExit(code)",
+    ])
+    src = os.path.dirname(os.path.dirname(metallic_tm.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["registered: 1 frozen now: 0", "frozen at exit: True"]
+
+
+def test_verify_leaves_garbage_that_does_not_grow_with_the_chart():
+    """With the collector paused, a verify run leaves as many unreachable
+    objects on warped-h5-dense as on h3, although it builds many more nodes
+    and contractions: the node graph holds no reference cycle, so pausing
+    the collector for the command keeps nothing alive that a collection
+    would have freed.  The garbage is argparse's parser and help formatters;
+    its count differs between interpreters, so the two charts are compared
+    in one.  The first run is a warm-up."""
+    paths = {name: bundled_manifest_path(name) for name in ("hyperbolic-h3", "warped-h5-dense")}
+    garbage = {}
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for name in ("hyperbolic-h3", "warped-h5-dense", "hyperbolic-h3"):
+            gc.collect()
+            assert main(["verify", paths[name]]) == EXIT_OK
+            garbage[name] = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert garbage["warped-h5-dense"] == garbage["hyperbolic-h3"] > 0
+
 
 def test_verify_rejects_pq_option(manifest_path, capsys):
     """Parameters come only from the manifest, whose hash the report

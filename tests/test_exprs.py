@@ -1,5 +1,6 @@
 """Expression DSL: parsing, printing, differentiation, evaluation."""
 
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -107,19 +108,26 @@ def test_exact_mode_rejects_transcendentals():
 NAN_AT_100 = "x1^150*x2^150*x3 - x1^150*x2^150*(x3+1)/(x3+1)"
 
 
-@pytest.mark.parametrize("e, coords", [
-    (E.parse("x1^400", 1), (1e3,)),
-    (E.Const(3 ** 729), (1.0,)),
-    (E.parse("x1^-2", 1), (0.0,)),
-    (E.parse("x1^150*x2^150", 2), (100.0, 100.0)),
-    (E.parse(NAN_AT_100, 3), (100.0, 100.0, 2.0)),
-], ids=["pow-overflow", "const-overflow", "zero-to-negative-power", "inf", "nan"])
-def test_float_mode_failures_are_eval_errors(e, coords):
+@pytest.mark.parametrize("e, coords, tail", [
+    (E.parse("x1^400", 1), (1e3,), "x1^400 is past the float range"),
+    (E.Const(3 ** 729), (1.0,), ""),
+    (E.parse("x1^-2", 1), (0.0,), "zero base with negative exponent"),
+    (E.parse("x1^150*x2^150", 2), (100.0, 100.0), "the value is inf"),
+    (E.parse(NAN_AT_100, 3), (100.0, 100.0, 2.0), "the value is nan"),
+    (E.parse("x2*(x1 + 1)^150 + 1", 2), (1e3, 1.0), "(x1 + 1)^150 is past the float range"),
+    (E.parse("x2 + (x1 - 1)^-2", 2), (1.0, 5.0), "zero base with negative exponent"),
+], ids=["pow-overflow", "const-overflow", "zero-to-negative-power", "inf", "nan",
+        "inner-pow-overflow", "inner-zero-to-negative-power"])
+def test_float_mode_failures_are_eval_errors(e, coords, tail):
     """Every float failure is an EvalError, and so is a value past the
     float range that no operation raised for: inf, or nan, which no
-    tolerance ranks."""
-    with pytest.raises(EvalError, match="float evaluation failed"):
+    tolerance ranks.  A power that overflows is named in the message, and a
+    zero base with a negative exponent has the text of the exact path."""
+    with pytest.raises(EvalError, match="float evaluation failed: " + re.escape(tail)):
         E.evaluate(e, pt(*coords))
+    if tail.startswith("zero base"):
+        with pytest.raises(EvalError, match=f"^{tail}$"):
+            E.evaluate(e, pt(*map(int, coords)))
 
 
 # -- structural simplification ------------------------------------------

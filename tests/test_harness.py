@@ -385,14 +385,16 @@ def test_reports_match_the_report_schema(doc):
 
 def test_each_suite_gets_fresh_memos(manifest, monkeypatch):
     """The evaluation memo lives for one suite: every suite starts from
-    points with empty memos and leaves them filled."""
-    fresh = {}
+    points with empty memos and leaves them filled.  On h3 every axiom
+    residual and both sides of Phi-closedness are structural zeros, which
+    are not evaluated, so those two suites leave them empty."""
+    fresh, filled = {}, {}
 
     def spy(sid, suite):
         def run(ctx):
             fresh[sid] = all(not pt.memo for pt in ctx.points)
             out = suite(ctx)
-            assert all(pt.memo for pt in ctx.points)
+            filled[sid] = all(pt.memo for pt in ctx.points)
             return out
         return run
 
@@ -403,6 +405,7 @@ def test_each_suite_gets_fresh_memos(manifest, monkeypatch):
                       fiber_ranges=manifest.plan.fiber_ranges)
     harness.run_suites(manifest, plan=plan)
     assert fresh == {sid: True for sid in harness.SUITE_IDS}
+    assert filled == {sid: sid not in ("axioms", "Phi-closedness") for sid in harness.SUITE_IDS}
 
 
 def test_run_builds_psi_and_the_distribution_frame_once(manifest, monkeypatch):

@@ -16,7 +16,7 @@ import metallic_tm
 from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
 from metallic_tm.harness import _result
-from metallic_tm.verdicts import ResidualTracker, residual_verdict
+from metallic_tm.verdicts import ResidualTracker, residual_verdict, vanishes
 
 
 def test_tiny_exact_residual_is_not_zero():
@@ -72,14 +72,15 @@ def test_track_updates_points_outer_then_components_under_index_frames():
     arr = mf.asarray([[x1, x2], [E.mul(x1, x2), E.ZERO]])
     tracker = _Recorder()
     values = tracker.track(chart, points, arr)
+    # the structural zero at (1, 1) is not evaluated and never reaches update
     assert [c[1:] for c in tracker.calls] == [
         ((Fraction(a), Fraction(b)), idx)
-        for a, b in ((1, 2), (3, -1)) for idx in np.ndindex(2, 2)]
+        for a, b in ((1, 2), (3, -1)) for idx in np.ndindex(2, 2) if idx != (1, 1)]
     # per point, an Array of the residual's shape
     assert [v.shape for v in values] == [(2, 2), (2, 2)]
     assert [v.flat for v in values] == [[1, 2, 2, 0], [3, -1, -3, 0]]
     assert values[1][1, 0] == -3 and values[1][1].flat == [-3, 0]
-    assert [c[0] for c in tracker.calls] == values[0].flat + values[1].flat
+    assert [c[0] for c in tracker.calls] == values[0].flat[:3] + values[1].flat[:3]
     # 3 and then -3 at the second point: the first of the two is kept
     assert tracker.max_value == 3 and tracker.witness.frame == (0, 0)
     assert tracker.witness.point == (3, -1)
@@ -104,6 +105,32 @@ def test_track_evaluates_one_plain_array():
     assert [v.flat for v in ResidualTracker().track(chart, points[:1], [E.ZERO])] == [[0]]
     float_point = E.Point({v: float(c) for v, c in points[0].items()})
     assert [v.flat for v in ResidualTracker().track(chart, [float_point], [x1])] == [[1.0]]
+
+
+@pytest.mark.parametrize("kind", [Fraction, float], ids=["exact", "float"])
+def test_a_structural_zero_is_the_points_zero_without_evaluation(kind, monkeypatch):
+    """E.ZERO is filled with what evaluate gives for it, ZERO.value at an
+    exact point and 0.0 at a float point, and neither track nor vanishes
+    evaluates it, at a Point or at a plain mapping."""
+    chart, points, x1, x2 = _line()
+    points = [E.Point({v: kind(c) for v, c in pt.items()}) for pt in points]
+    want = [[E.evaluate(E.ZERO, pt), E.evaluate(x1, pt)] for pt in points]
+    evaluated = []
+    evaluate = E.evaluate
+
+    def spy(e, pt):
+        evaluated.append(e)
+        return evaluate(e, pt)
+
+    monkeypatch.setattr(E, "evaluate", spy)
+    for pts in (points, [dict(pt) for pt in points]):
+        values = ResidualTracker().track(chart, pts, [E.ZERO, x1])
+        assert [v.flat for v in values] == want
+        assert [type(v) for v in values[0].flat] == [type(want[0][0]), kind]
+        assert values[0][0] is E.ZERO.value or kind is float
+        assert vanishes([E.ZERO, E.ZERO], pts, 1e-9)
+        assert not vanishes([E.ZERO, x2], pts, 1e-9)
+    assert E.ZERO not in evaluated
 
 
 def test_track_keeps_the_first_of_equal_magnitudes():

@@ -29,8 +29,9 @@ def main():
     M, S = demo01.build()
     conn = mf.christoffel(M)
     tb = bd.TangentBundleChart(M, conn)
-    pt = tb.point([Fraction(1), Fraction(1), Fraction(2)],
-                  [Fraction(1), Fraction(-2), Fraction(3)])
+    # a point of TM: base coordinates x1..x3, then fiber coordinates y1..y3
+    pt = dict(zip(tb.chart.variables, [Fraction(1), Fraction(1), Fraction(2),
+                                       Fraction(1), Fraction(-2), Fraction(3)]))
 
     x1, x2, x3 = M.variables
     X = mf.TensorField(M, (1, 0), [x2, E.ZERO, E.ZERO])

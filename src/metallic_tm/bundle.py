@@ -33,7 +33,6 @@ class TangentBundleChart:
         for v in base.variables:
             if v.kind != "base":
                 raise GeometryError("bundle base chart must use base-kind variables")
-        self.base_vars = base.variables
         self.fiber_vars = tuple(Var("fiber", v.index) for v in base.variables)
         self.chart = ChartedManifold(base.variables + self.fiber_vars, domain=base.domain)
         self.connection = connection
@@ -64,11 +63,6 @@ class TangentBundleChart:
         or componentwise to an array of them."""
         idx = "abcdefghi"[:mf.asarray(e).ndim]
         return mf.contract(f"j,j{idx}->{idx}", self.fiber_vars, self.base.partials(e))
-
-    def point(self, base_coords, fiber_coords) -> dict:
-        pt = dict(zip(self.base_vars, base_coords))
-        pt.update(zip(self.fiber_vars, fiber_coords))
-        return pt
 
 
 def _blocks(tb: TangentBundleChart, **blocks) -> mf.Array:

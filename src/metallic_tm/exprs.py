@@ -25,6 +25,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isfinite
+from operator import attrgetter
 from typing import Mapping, Union
 
 ExprLike = Union["Expr", int, Fraction]
@@ -391,18 +392,12 @@ def diff(e: Expr, v: Var) -> Expr:
 
 class Point(dict):
     """A sample point: a read-only map from ``Var`` to coordinate.  It is
-    ``exact`` when no coordinate is a float.
+    ``exact`` when no coordinate is a float."""
 
-    Its ``memo`` holds the value at this point of every subtree ``evaluate``
-    has computed (a float, or at an exact point a reduced pair of ints), so
-    a shared subtree is computed once.  Make a new ``Point`` for a fresh memo.
-    """
-
-    __slots__ = ("memo", "exact")
+    __slots__ = ("exact",)
 
     def __init__(self, coords=()) -> None:
         super().__init__(coords)
-        self.memo = {}
         self.exact = not any(isinstance(c, float) for c in self.values())
 
     def _read_only(self, *args, **kwargs):
@@ -412,118 +407,139 @@ class Point(dict):
     update = setdefault = pop = popitem = clear = _read_only
 
 
+class Values:
+    """Values of expressions at sample points, and a ``cache``: each node computed
+    (but none that failed) with its values at the points, as reduced (numerator,
+    denominator > 0) pairs of ints when no coordinate is a float, else floats."""
+
+    __slots__ = ("points", "exact", "cache")
+
+    def __init__(self, points) -> None:
+        self.points = [p if isinstance(p, Point) else Point(p) for p in points]
+        self.exact = all(p.exact for p in self.points)
+        self.cache: dict = {}  # node -> its values at the points, in order
+
+    def each(self, exprs):
+        """The values of ``exprs`` at every point, points outer, as ``evaluate`` gives
+        them (``E.ZERO`` not evaluated), in an iterator that raises the first failure."""
+        exprs, cache = list(exprs), self.cache
+        zero = ZERO.value if self.exact else float(ZERO.value)
+        try:
+            self._walk(exprs)
+            cols, rows = [cache.get(e) for e in exprs], range(len(self.points))
+            if self.exact:  # most residuals are 0
+                return iter([zero if c is None or not c[i][0] else Fraction(*c[i])
+                             for i in rows for c in cols])
+            out = [zero if c is None else c[i] for i in rows for c in cols]
+            for v in out:
+                if not isfinite(v):  # a product past the float range, or inf - inf
+                    raise EvalError(f"float evaluation failed: the value is {v}")
+            return iter(out)
+        except EvalError:  # find the first: one point at a time, each with a cache of its own
+            if len(self.points) * len(exprs) == 1:
+                raise
+        return (v for p in self.points for one in [Values([p])] for e in exprs
+                for v in one.each([e]))
+
+    def _walk(self, roots) -> None:
+        """Cache every node under ``roots``, in the order of a recursive walk
+        but from a stack of its own, at every point in one step."""
+        cache, points = self.cache, self.points
+        kernel, zero = (_exact, (0, 1)) if self.exact else (_float, 0)
+        todo = [e for e in reversed(roots) if e is not ZERO]
+        while todo:
+            e = todo.pop()
+            if e in cache:
+                continue
+            args = _OPERANDS[type(e)](e)
+            try:
+                cols = [cache[a] for a in args]
+            except KeyError:  # operands first; a numerator only over a nonzero denominator
+                missing = [a for a in args if a not in cache]
+                if type(e) is Div:
+                    if missing[0] is not e.den and zero in cache[e.den]:
+                        raise EvalError(f"division by zero at point in {to_str(e)}") from None
+                    missing = missing[:1]
+                todo += [e, *reversed(missing)]
+                continue
+            try:
+                cache[e] = kernel(e, cols, points)
+            except (OverflowError, ZeroDivisionError) as exc:  # float range
+                raise EvalError(f"float evaluation failed: {exc}") from None
+            except KeyError:
+                raise EvalError(f"no value for variable {e.name}") from None
+
+
+_OPERANDS = {Add: attrgetter("terms"), Mul: attrgetter("factors"), Div: attrgetter("den", "num"),
+             Pow: lambda e: (e.base,), Const: lambda e: (), Var: lambda e: ()}
+
+
 def evaluate(e: Expr, point: Mapping[Var, object]):
-    """Value of ``e`` at ``point``; the coordinates decide the arithmetic.
-
-    At an exact point every coordinate must be an exact scalar, and the
-    value is a Fraction.  At a point with a float coordinate it is a float,
-    and a value past the float range, inf or nan, raises EvalError.
-    Subtree values are kept in the memo of a ``Point``; any other mapping
-    gets a memo for this call only.
-    """
-    if not isinstance(point, Point):
-        point = Point(point)
-    if point.exact:
-        n, d = _eval_q(e, point, point.memo)
-        return Fraction(n, d) if n else ZERO.value  # most residuals are 0
-    try:
-        v = _eval(e, point, point.memo)
-    except (OverflowError, ZeroDivisionError) as exc:
-        # float range, e.g. x^400 at 1e3 or x^-2 at 0
-        raise EvalError(f"float evaluation failed: {exc}") from None
-    if not isfinite(v):  # a product past the float range, or inf - inf
-        raise EvalError(f"float evaluation failed: the value is {v}")
-    return v
+    """Value of ``e`` at ``point``: a Fraction when no coordinate is a float,
+    else a float; a float past the float range, inf or nan, raises EvalError."""
+    return next(Values([point]).each([e]))
 
 
-def _eval_q(e: Expr, pt, memo: dict) -> tuple:
-    """Memoised exact value of ``e`` as a reduced (numerator, denominator > 0)
-    pair of ints: a sum, product or quotient is formed unreduced and then
-    reduced by one gcd.  A failure raises before anything is stored."""
-    try:
-        return memo[e]
-    except KeyError:
-        pass
-    if isinstance(e, (Add, Mul, Div)):
-        if isinstance(e, Add):
-            n, d = 0, 1
-            for t in e.terms:
-                tn, td = _eval_q(t, pt, memo)
-                n, d = (n + tn, d) if td == d else (n * td + tn * d, d * td)
-        elif isinstance(e, Mul):
-            n, d = 1, 1
-            for f in e.factors:
-                fn, fd = _eval_q(f, pt, memo)
+def _exact(e: Expr, args: list, points) -> list:
+    """``e`` at ``points`` from its operands' values ``args`` there, a sum,
+    product or quotient formed unreduced and then reduced by one gcd."""
+    t = type(e)
+    if t is Const or t is Var:
+        return [(e.num, e.den)] * len(points) if t is Const else [_pair(p[e]) for p in points]
+    if t is Pow:  # powers of coprime ints are coprime
+        k = e.exponent
+        if k < 0 and (0, 1) in args[0]:
+            raise EvalError("zero base with negative exponent")
+        return [(n ** k, d ** k) if k >= 0 else (d ** -k, n ** -k) if n > 0
+                else ((-d) ** -k, (-n) ** -k) for n, d in args[0]]
+    out = []
+    for vs in zip(*args):
+        if t is Mul:
+            n = d = 1
+            for fn, fd in vs:
                 n, d = n * fn, d * fd
+        elif t is Add:
+            n, d = 0, 1
+            for tn, td in vs:
+                n, d = (n + tn, d) if td == d else (n * td + tn * d, d * td)
         else:
-            dn, dd = _eval_q(e.den, pt, memo)
-            if dn == 0:
+            (dn, dd), (nn, nd) = vs
+            if not dn:
                 raise EvalError(f"division by zero at point in {to_str(e)}")
-            nn, nd = _eval_q(e.num, pt, memo)
             n, d = (nn * dd, nd * dn) if dn > 0 else (-nn * dd, -nd * dn)
         g = gcd(n, d)
-        v = (n // g, d // g)
-    elif isinstance(e, Pow):
-        n, d = _eval_q(e.base, pt, memo)
-        k = e.exponent
-        if k < 0:
-            if n == 0:
-                raise EvalError("zero base with negative exponent")
-            n, d, k = (d, n, -k) if n > 0 else (-d, -n, -k)
-        v = (n ** k, d ** k)  # powers of coprime ints are coprime
-    elif isinstance(e, Const):
-        v = (e.num, e.den)
-    elif isinstance(e, Var):
-        v = _var(e, pt, _pair)
-    else:
-        raise ExprError(f"unknown node {e!r}")
-    memo[e] = v
-    return v
+        out.append((n // g, d // g))
+    return out
 
 
-def _var(e: Expr, pt, convert):
+def _float(e: Expr, args: list, points) -> list:
+    """``e`` at ``points`` from its operands' values ``args`` there, a sum
+    from int 0 and a product from its first factor, left to right."""
+    t = type(e)
+    if t is Const or t is Var:
+        return [float(e.value)] * len(points) if t is Const else [float(p[e]) for p in points]
+    if t is Add or t is Mul:
+        out = []
+        for vs in zip(*args):
+            if t is Add:
+                v = 0
+                for a in vs:
+                    v = v + a
+            else:
+                v = vs[0]
+                for a in vs[1:]:
+                    v = v * a
+            out.append(v)
+        return out
+    if 0 in args[0] and (t is Div or e.exponent < 0):
+        raise (EvalError(f"division by zero at point in {to_str(e)}") if t is Div
+               else ZeroDivisionError("zero base with negative exponent"))
+    if t is Div:
+        return [num / den for den, num in zip(*args)]
     try:
-        return convert(pt[e])
-    except KeyError:
-        raise EvalError(f"no value for variable {e.name}") from None
-
-
-def _eval(e: Expr, pt, memo: dict) -> float:
-    """Memoised float value of ``e``; a failure raises before anything is stored."""
-    try:
-        return memo[e]
-    except KeyError:
-        pass
-    if isinstance(e, Const):
-        v = float(e.value)
-    elif isinstance(e, Var):
-        v = _var(e, pt, float)
-    elif isinstance(e, Add):
-        v = 0  # float sums as sum() adds them: from int 0, left to right
-        for t in e.terms:
-            v = v + _eval(t, pt, memo)
-    elif isinstance(e, Mul):
-        fs = e.factors
-        v = _eval(fs[0], pt, memo)
-        for f in fs[1:]:
-            v = v * _eval(f, pt, memo)
-    elif isinstance(e, Div):
-        den = _eval(e.den, pt, memo)
-        if den == 0:
-            raise EvalError(f"division by zero at point in {to_str(e)}")
-        v = _eval(e.num, pt, memo) / den
-    elif isinstance(e, Pow):
-        v = _eval(e.base, pt, memo)
-        if v == 0 and e.exponent < 0:
-            raise ZeroDivisionError("zero base with negative exponent")
-        try:
-            v = v ** e.exponent
-        except OverflowError:
-            raise OverflowError(f"{to_str(e)} is past the float range") from None
-    else:
-        raise ExprError(f"unknown node {e!r}")
-    memo[e] = v
-    return v
+        return [v ** e.exponent for v in args[0]]
+    except OverflowError:
+        raise OverflowError(f"{to_str(e)} is past the float range") from None
 
 
 # ----------------------------------------------------------------------

@@ -310,6 +310,7 @@ class SuiteContext:
         self.S = manifest.structure
         self.g = mf.TensorField(self.M, (0, 2), self.M.metric)
         self.points = sample_points(manifest, plan)
+        self.values = E.Values(self.points)  # the value cache of one suite
         self._psi: Dict[tuple, mf.TensorField] = {}
         # the listed parameter sets by sign pair, pairs in order of first listing
         self.sign_pairs: Dict[tuple, List[ml.MetallicParams]] = {}
@@ -324,7 +325,7 @@ class SuiteContext:
     cc = cached_property(lambda self: bd.clift_connection(self.tb))
     hc = cached_property(lambda self: bd.hlift_connection(self.tb))
     # the spanning fields of D = ker(eta)
-    frame = cached_property(lambda self: pc.distribution_frame(self.S, self.points, self.plan.tol))
+    frame = cached_property(lambda self: pc.distribution_frame(self.S, self.values, self.plan.tol))
 
     def psi(self, lift: str, signs: Optional[tuple] = None) -> mf.TensorField:
         """Psi of J (lift "c") or F (lift "h") for a sign pair, by default that
@@ -408,7 +409,7 @@ def _decide(ctx: SuiteContext, chart, residuals: dict) -> list:
     """(verdict, values per point) of each residual array of ``residuals``,
     keyed by axiom id, at the sample points (``verdicts.residual_verdict``):
     the one decision path, which every suite takes and no suite bypasses."""
-    return [residual_verdict(aid, chart, ctx.points, ctx.plan.tol, r)
+    return [residual_verdict(aid, chart, ctx.values, ctx.plan.tol, r)
             for aid, r in residuals.items()]
 
 
@@ -640,7 +641,7 @@ def suite_F_integrability(ctx: SuiteContext) -> SuiteResult:
                      for d, e in zip(dvs, evs) for i in mf.ndindex(d.shape))
     equiv = AxiomVerdict("e5-equiv-eta-nabla", "holds" if equivalent else "fails", 0, None)
     NPsi = mf.nijenhuis(ctx.psi("h"))  # N_F = (a^2/4) N_Psi
-    nf_zero = vanishes(NPsi.components, ctx.points, tol)
+    nf_zero = vanishes(NPsi.components, ctx.values, tol)
     consistent = (nf_zero == (d_flat.holds and e4.holds)) and equivalent
     return _result([d_flat, e4, e5, equiv], status="pass" if consistent else "fail",
                    witnesses=_witnesses([d_flat, e4, e5], "axiom", "status"),
@@ -717,7 +718,7 @@ def run_suites(manifest: Manifest, suites: Optional[Sequence[str]] = None,
         if results["axioms"].status != "pass":
             results[sid] = skipped
         else:
-            ctx.points = [E.Point(pt) for pt in ctx.points]  # a memo lasts one suite
+            ctx.values = E.Values(ctx.points)  # a value is kept for one suite
             results[sid] = _SUITES[sid](ctx)
     # the sign Phi-prime measured, or null when it did not run
     phi_prime = results.get("Phi-prime", skipped).notes

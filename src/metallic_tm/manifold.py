@@ -162,14 +162,6 @@ def expr_array(nested) -> Array:
     return Array(arr.shape, [e if isinstance(e, Expr) else E.const(e) for e in arr.flat])
 
 
-def evaluate_array(arr, point) -> Array:
-    """Every component at ``point``; the components share one memo."""
-    if not isinstance(point, E.Point):
-        point = E.Point(point)
-    arr = asarray(arr)
-    return Array(arr.shape, [E.evaluate(e, point) for e in arr.flat])
-
-
 class ChartedManifold:
     """A single coordinate chart with a metric.
 
@@ -202,11 +194,6 @@ class ChartedManifold:
         arr = asarray(arr)
         return Array((self.n,) + arr.shape,
                      [self.diff(e, i) for i in range(self.n) for e in arr.flat])
-
-    def point(self, coords) -> dict:
-        if len(coords) != self.n:
-            raise GeometryError(f"expected {self.n} coordinates, got {len(coords)}")
-        return dict(zip(self.variables, coords))
 
     def coords(self, point) -> tuple:
         """The coordinates of ``point`` in the order of ``variables``."""

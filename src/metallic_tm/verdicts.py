@@ -41,11 +41,15 @@ def meets_zero(value, tol: float) -> bool:
     return abs(value) <= tol if isinstance(value, float) else is_zero(value)
 
 
+def _values_at(points) -> E.Values:
+    """``points`` as an ``E.Values``: a suite's own cache, or a new one."""
+    return points if isinstance(points, E.Values) else E.Values(points)
+
+
 def vanishes(arr, points, tol: float) -> bool:
-    """Whether every component of ``arr`` meets zero at every point; it
-    stops at the first one that does not."""
-    flat = asarray(arr).flat
-    return all(e is E.ZERO or meets_zero(E.evaluate(e, pt), tol) for pt in points for e in flat)
+    """Whether every component of ``arr`` meets zero at every point of
+    ``points`` (``E.Values`` or points); it stops at the first that does not."""
+    return all(meets_zero(v, tol) for v in _values_at(points).each(asarray(arr).flat))
 
 
 def worst(verdicts):
@@ -76,21 +80,19 @@ class ResidualTracker:
 
     def track(self, chart, points, arr) -> list:
         """Update with every component of ``arr`` (an Expr, or an Array or
-        nested list of them) at every point (points outer, components in C
-        order, the last index fastest), under the component's index as its
-        frame; an ``E.ZERO`` is the point's zero, not evaluated.  Returns,
-        per point, an Array of the component values in the shape of ``arr``."""
-        arr = asarray(arr)
-        indices = list(ndindex(arr.shape))
-        out = []
-        for pt in points:
-            pt = pt if isinstance(pt, E.Point) else E.Point(pt)
-            zero, coords = (E.ZERO.value if pt.exact else 0.0), chart.coords(pt)
-            values = [zero if e is E.ZERO else E.evaluate(e, pt) for e in arr.flat]
-            for idx, e, v in zip(indices, arr.flat, values):
+        nested list of them) at every point of ``points`` (``E.Values`` or
+        points), points outer, components in C order (the last index fastest),
+        under the component's index as its frame; an ``E.ZERO`` is the point's
+        zero, not evaluated.  Returns, per point, an Array of the values."""
+        arr, values = asarray(arr), _values_at(points)
+        flat, indices, out = arr.flat, list(ndindex(arr.shape)), []
+        table = values.each(flat)
+        for pt in values.points:
+            coords, row = chart.coords(pt), [v for _, v in zip(flat, table)]  # coords first
+            for idx, e, v in zip(indices, flat, row):
                 if e is not E.ZERO:
                     self.update(v, coords, idx)
-            out.append(Array(arr.shape, values))
+            out.append(Array(arr.shape, row))
         return out
 
     @property

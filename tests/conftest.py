@@ -46,13 +46,30 @@ def tb(h3, conn):
     return bd.TangentBundleChart(h3, conn)
 
 
+def chart_point(chart, coords) -> dict:
+    """The point of ``chart`` with ``coords``, in the order of its variables."""
+    assert len(coords) == chart.n, coords
+    return dict(zip(chart.variables, coords))
+
+
+def bundle_point(tb, base_coords, fiber_coords) -> dict:
+    """The point of the bundle chart ``tb`` with these base and fiber coordinates."""
+    return chart_point(tb.chart, [*base_coords, *fiber_coords])
+
+
+def evaluate_array(arr, point) -> mf.Array:
+    """Every component of ``arr`` at ``point``, through one value cache."""
+    arr = mf.asarray(arr)
+    return mf.Array(arr.shape, list(E.Values([point]).each(arr.flat)))
+
+
 @pytest.fixture(scope="session")
 def points(tb):
     """Two exact rational bundle points in the admissible region."""
     F = Fraction
     return [
-        tb.point([F(1), F(1), F(2)], [F(1), F(-2), F(3)]),
-        tb.point([F(2), F(-1), F(3)], [F(1, 2), F(5), F(-1)]),
+        bundle_point(tb, [F(1), F(1), F(2)], [F(1), F(-2), F(3)]),
+        bundle_point(tb, [F(2), F(-1), F(3)], [F(1, 2), F(5), F(-1)]),
     ]
 
 
@@ -99,15 +116,16 @@ def metallic_verdict(psi, label, points):
 
 def eval_zero(arr, point):
     """True when every expression in arr evaluates to exactly zero."""
-    return all(v == 0 for v in mf.evaluate_array(arr, point).flat)
+    return all(v == 0 for v in evaluate_array(arr, point).flat)
 
 
-def memo_value(point, e):
-    """The value the memo of ``point`` holds for ``e``, as ``evaluate``
-    returns it.  An exact point keeps a reduced (numerator, denominator > 0)
-    pair of ints, any other point a float."""
-    v = point.memo[e]
-    if not point.exact:
+def cached_value(values, e, i=0):
+    """The value the cache of ``values`` (an ``E.Values``) holds for ``e``
+    at its ``i``-th point, as ``evaluate`` returns it.  At exact points it
+    keeps a reduced (numerator, denominator > 0) pair of ints, at float
+    points a float."""
+    v = values.cache[e][i]
+    if not values.exact:
         assert type(v) is float
         return v
     n, d = v
@@ -274,7 +292,7 @@ class QSigma:
 def values(arr, point):
     """The values of an Expr array at ``point`` as a numpy object array."""
     arr = mf.asarray(arr)
-    return np.array(mf.evaluate_array(arr, point).flat, dtype=object).reshape(arr.shape)
+    return np.array(evaluate_array(arr, point).flat, dtype=object).reshape(arr.shape)
 
 
 def t_values(psi, prm, point):

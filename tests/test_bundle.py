@@ -19,7 +19,8 @@ from metallic_tm import harness
 from metallic_tm import manifold as mf
 from metallic_tm.exprs import Var
 
-from conftest import clift_blocks, eval_zero, hlift_blocks, lifted_metric, sasaki_blocks
+from conftest import (bundle_point, clift_blocks, eval_zero, evaluate_array, hlift_blocks,
+                      lifted_metric, sasaki_blocks)
 from metallic_tm.cli import bundled_manifest_path
 
 TWIN = pathlib.Path(__file__).parent / "data" / "hyperbolic-h3-twin.json"
@@ -41,8 +42,8 @@ def _chart(name, M, structure, conn=None):
     conn = conn or mf.christoffel(M)
     tb = bd.TangentBundleChart(M, conn)
     F = Fraction
-    points = [tb.point([F(1), F(1), F(2)], [F(1), F(-2), F(3)]),
-              tb.point([F(2), F(-1), F(3)], [F(1, 2), F(5), F(-1)])]
+    points = [bundle_point(tb, [F(1), F(1), F(2)], [F(1), F(-2), F(3)]),
+              bundle_point(tb, [F(2), F(-1), F(3)], [F(1, 2), F(5), F(-1)])]
     x1, x2, x3 = M.variables
     X = mf.TensorField(M, (1, 0), [x2, E.ZERO, E.ZERO])
     Y = mf.TensorField(M, (1, 0), [E.ZERO, E.mul(x1, x3), E.ZERO])
@@ -95,7 +96,7 @@ def test_complete_lift_fiber_sign_is_positive(tb, fields):
     Ym = flipped(bd.lift(tb, "c", Y))
     XYm = flipped(bd.lift(tb, "c", mf.lie_bracket(X, Y)))
     resid = vec_residual(mf.lie_bracket(Xm, Ym).components, XYm.components)
-    pt = tb.point([Fraction(1), Fraction(1), Fraction(2)],
+    pt = bundle_point(tb, [Fraction(1), Fraction(1), Fraction(2)],
                   [Fraction(1), Fraction(-2), Fraction(3)])
     assert not eval_zero(resid, pt)
     # while the shipped sign satisfies it
@@ -344,4 +345,4 @@ def test_derived_objects_match_their_coordinate_blocks(path):
                       (bd.sasaki_metric(tb).components, sasaki_blocks(tb))):
         assert got.shape == want.shape
         for pt in harness.sample_points(m):
-            assert mf.evaluate_array(got, pt).flat == mf.evaluate_array(want, pt).flat
+            assert evaluate_array(got, pt).flat == evaluate_array(want, pt).flat

@@ -1,5 +1,6 @@
 """Expression DSL: parsing, printing, differentiation, evaluation."""
 
+import math
 import re
 import sys
 from decimal import Decimal
@@ -13,8 +14,9 @@ from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
 from metallic_tm.exprs import EvalError, ParseError, Var
 from metallic_tm.scalars import MetallicScalar, half_root
+from metallic_tm.verdicts import ResidualTracker
 
-from conftest import first_primes, memo_value
+from conftest import cached_value, first_primes
 
 
 def pt(*vals):
@@ -458,7 +460,7 @@ def test_exact_evaluation_is_fraction():
     assert isinstance(v, Fraction)
 
 
-# -- memoised evaluation at a Point ----------------------------------------
+# -- evaluation through a value cache -------------------------------------
 
 def _subtrees(e):
     """Every node of ``e``, parents before children."""
@@ -475,56 +477,133 @@ def _subtrees(e):
     return [e] + [s for k in kids for s in _subtrees(k)]
 
 
-def _outcome(e, point):
-    """repr of the value (nan compares equal to nan), or the error raised."""
+def _outcome(e, values):
+    """repr of the value of ``e`` through ``values`` (nan compares equal to
+    nan), or the error raised."""
     try:
-        return repr(E.evaluate(e, point))
+        return repr(next(values.each([e])))
     except EvalError as exc:
         return str(exc)
 
 
 @settings(max_examples=60, deadline=None)
 @given(exprs3, st.integers(0, 3), positive_pt, st.sampled_from((Fraction, float)))
-def test_point_memo_matches_plain_evaluation(e, k, coords, kind):
-    """Evaluating every subtree and then the tree at one Point gives what a
-    plain dict gives, at exact and at float coordinates.  With k > 0 the
-    tree also holds e / (x1 - k), which shares e and divides by zero at
-    x1 = k."""
+def test_value_cache_matches_plain_evaluation(e, k, coords, kind):
+    """Evaluating every subtree and then the tree through one ``Values``
+    gives what ``evaluate`` gives with a cache of its own, at exact and at
+    float coordinates.  With k > 0 the tree also holds e / (x1 - k), which
+    shares e and divides by zero at x1 = k."""
     if k:
         e = E.add(e, E.div(e, E.add(Var("base", 1), E.const(-k))))
     coords = tuple(map(kind, coords))
-    point = E.Point(pt(*coords))
+    values = E.Values([pt(*coords)])
     nodes = _subtrees(e)
     for s in reversed(nodes):
-        _outcome(s, point)
+        _outcome(s, values)
     for s in nodes:
-        assert _outcome(s, point) == _outcome(s, pt(*coords))
+        assert _outcome(s, values) == _outcome(s, E.Values([pt(*coords)]))
+        try:
+            want = repr(E.evaluate(s, pt(*coords)))
+        except EvalError as exc:
+            want = str(exc)
+        assert _outcome(s, values) == want
 
 
 def test_coordinates_decide_the_arithmetic():
     """A point with no float coordinate evaluates exactly; one float
-    coordinate makes every value a float.  The point's one memo holds the
-    value: a reduced pair of ints at an exact point, else a float."""
+    coordinate makes every value a float.  The cache holds the value: a
+    reduced pair of ints at an exact point, else a float."""
     e = E.parse("x1/3 + x2^2", 2)
     for coords, kind in (((Fraction(1), Fraction(1, 2)), Fraction),
                          ((1.0, 0.5), float), ((Fraction(1), 0.5), float)):
-        point = E.Point(pt(*coords))
-        value = E.evaluate(e, point)
+        values = E.Values([pt(*coords)])
+        value, = values.each([e])
         assert type(value) is kind and value == pytest.approx(Fraction(7, 12))
-        assert memo_value(point, e) == value
-        assert point.memo[e] == ((7, 12) if kind is Fraction else value)
+        assert values.exact is (kind is Fraction)
+        assert cached_value(values, e) == value
+        assert values.cache[e] == [(7, 12) if kind is Fraction else value]
         assert E.evaluate(e, pt(*coords)) == value
 
 
 @pytest.mark.parametrize("kind", [Fraction, float], ids=["exact", "float"])
 def test_division_by_zero_raises_on_every_call(kind):
-    e = E.add(Var("base", 2), E.div(E.ONE, E.add(Var("base", 1), E.const(-1))))
-    point = E.Point(pt(kind(1), kind(5)))
+    """A failure stores nothing: the quotient and the sum above it are not
+    cached, so they fail again, while the operands that did not fail are."""
+    x1, x2 = Var("base", 1), Var("base", 2)
+    quotient = E.div(E.ONE, E.add(x1, E.const(-1)))
+    e = E.add(x2, quotient)
+    values = E.Values([pt(kind(1), kind(5))])
     for _ in range(2):
-        with pytest.raises(EvalError, match="division by zero at point"):
-            E.evaluate(e, point)
-    assert e not in point.memo
-    assert E.evaluate(Var("base", 2), point) == 5
+        with pytest.raises(EvalError, match="division by zero at point in"):
+            list(values.each([e]))
+        with pytest.raises(EvalError, match="division by zero at point in"):
+            E.evaluate(e, pt(kind(1), kind(5)))
+    assert e not in values.cache and quotient not in values.cache
+    assert cached_value(values, quotient.den) == 0 and cached_value(values, x2) == 5
+    assert list(values.each([x2])) == [5]
+
+
+def test_components_share_one_value_cache(base_points, monkeypatch):
+    """Sibling components evaluated through one ``Values`` share its cache,
+    so a subtree they share is computed once: exact evaluation reduces each
+    sum and product by one gcd, and x1*x2 and the sum take one each.  The
+    cache outlives the call."""
+    x1, x2, x3 = (Var("base", i) for i in range(1, 4))
+    shared = E.mul(x1, x2)
+    arr = mf.asarray([E.add(shared, x3), E.pow_(shared, 2)])
+    values = E.Values(base_points[:1])
+    reduced = []
+    monkeypatch.setattr(E, "gcd", lambda n, d: reduced.append((n, d)) or math.gcd(n, d))
+    assert list(values.each(arr.flat)) == [3, 1]
+    assert len(reduced) == 2
+    assert cached_value(values, shared) == 1
+    assert list(values.each(arr.flat)) == [3, 1] and len(reduced) == 2
+    float_values = E.Values([{v: float(c) for v, c in base_points[0].items()}])
+    assert list(float_values.each(arr.flat)) == [3.0, 1.0]
+
+
+@pytest.mark.parametrize("kind", [Fraction, float], ids=["exact", "float"])
+def test_the_first_failure_with_points_outer_is_reported(kind):
+    """Two points that fail at different nodes: the first point fails at
+    1/(x2 - 2), a later node than 1/(x1 - 1), where the second point fails.
+    The failure reported is the first met with points outer and components
+    in order, the one the first point gives on its own, whether the two
+    quotients are terms of one sum or two components."""
+    x1, x2 = Var("base", 1), Var("base", 2)
+    first = E.div(E.ONE, E.add(x1, E.const(-1)))
+    second = E.div(E.ONE, E.add(x2, E.const(-2)))
+    points = [pt(kind(3), kind(2)), pt(kind(1), kind(5))]
+    message = re.escape("division by zero at point in 1/(x2 - 2)")
+    for exprs in ([E.add(first, second)], [first, second]):
+        with pytest.raises(EvalError, match=message):
+            E.evaluate(exprs[-1], points[0])
+        with pytest.raises(EvalError, match=message):
+            list(E.Values(points).each(exprs))
+    # the second point alone fails at the first quotient
+    with pytest.raises(EvalError, match=re.escape("1/(x1 - 1)")):
+        list(E.Values(points[1:]).each([first, second]))
+
+
+def test_a_deep_chain_evaluates_without_recursion():
+    """A chain of 5,000 nested quotients 1/(x1 + 1/(x1 + ...)) evaluates at
+    an exact and at a float point, one by one and through
+    ``ResidualTracker.track``: the walker keeps a stack of its own, so no
+    depth reaches the interpreter's recursion limit."""
+    x1 = Var("base", 1)
+    e, exact, approx = x1, Fraction(1), 1.0  # the values at x1 = 1
+    for _ in range(5000):
+        e = E.div(E.ONE, E.add(x1, e))
+        exact, approx = 1 / (1 + exact), 1.0 / (0 + 1.0 + approx)
+    assert E.evaluate(e, {x1: Fraction(1)}) == exact
+    assert E.evaluate(e, {x1: 1.0}) == approx
+    x2 = Var("base", 2)
+    chart = mf.ChartedManifold([x1, x2])
+    points = [{x1: Fraction(1), x2: Fraction(0)}, {x1: Fraction(2), x2: Fraction(0)}]
+    values = ResidualTracker().track(chart, points, [e])
+    assert values[0].flat == [exact] and type(values[1].flat[0]) is Fraction
+    tracker = ResidualTracker()
+    assert [v.flat for v in tracker.track(chart, [{x1: 1.0, x2: 0.0}], [e])] == [[approx]]
+    assert tracker.max_value == approx
 
 
 # -- exact evaluation on integer pairs, against plain Fractions ------------
@@ -598,23 +677,24 @@ raw_trees = st.recursive(
 def test_exact_evaluation_matches_plain_fractions(e, coords):
     """At an exact point ``evaluate`` gives the Fraction that plain Fraction
     arithmetic gives, or raises the same EvalError.  Every subtree it
-    computed is memoised as a reduced pair with a positive denominator
-    (``memo_value``), and a subtree that fails is never memoised."""
-    point = E.Point(pt(*coords))
+    computed is cached as a reduced pair with a positive denominator
+    (``cached_value``), and a subtree that fails is never cached."""
+    point = pt(*coords)
+    values = E.Values([point])
     want = _fraction_outcome(e, point)
     if isinstance(want, EvalError):
         with pytest.raises(EvalError) as info:
-            E.evaluate(e, point)
+            list(values.each([e]))
         assert str(info.value) == str(want)
     else:
-        value = E.evaluate(e, point)
+        value, = values.each([e])
         assert type(value) is Fraction and value == want
     for s in _subtrees(e):
         outcome = _fraction_outcome(s, point)
         if isinstance(outcome, EvalError):
-            assert s not in point.memo
-        elif s in point.memo:
-            assert memo_value(point, s) == outcome
+            assert s not in values.cache
+        elif s in values.cache:
+            assert cached_value(values, s) == outcome
 
 
 # -- constant folding on int pairs, against plain Fractions ----------------

@@ -21,6 +21,7 @@ from metallic_tm.cli import bundled_manifest_path
 from metallic_tm.harness import Manifest, ManifestError, SamplePlan
 
 import pinned_reports
+from conftest import evaluate_array
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -383,18 +384,20 @@ def test_reports_match_the_report_schema(doc):
         jsonschema.validate(report, schema)
 
 
-def test_each_suite_gets_fresh_memos(manifest, monkeypatch):
-    """The evaluation memo lives for one suite: every suite starts from
-    points with empty memos and leaves them filled.  On h3 every axiom
-    residual and both sides of Phi-closedness are structural zeros, which
-    are not evaluated, so those two suites leave them empty."""
-    fresh, filled = {}, {}
+def test_each_suite_gets_a_fresh_value_cache(manifest, monkeypatch):
+    """The value cache lives for one suite: every suite starts from an empty
+    cache of its own, at the same sample points, and leaves it filled.  On
+    h3 every axiom residual and both sides of Phi-closedness are structural
+    zeros, which are not evaluated, so those two suites leave it empty."""
+    fresh, filled, caches, points = {}, {}, [], []
 
     def spy(sid, suite):
         def run(ctx):
-            fresh[sid] = all(not pt.memo for pt in ctx.points)
+            fresh[sid] = not ctx.values.cache and ctx.values.points == ctx.points
+            caches.append(ctx.values)
+            points.append(ctx.points)
             out = suite(ctx)
-            filled[sid] = all(pt.memo for pt in ctx.points)
+            filled[sid] = bool(ctx.values.cache)
             return out
         return run
 
@@ -406,6 +409,8 @@ def test_each_suite_gets_fresh_memos(manifest, monkeypatch):
     harness.run_suites(manifest, plan=plan)
     assert fresh == {sid: True for sid in harness.SUITE_IDS}
     assert filled == {sid: sid not in ("axioms", "Phi-closedness") for sid in harness.SUITE_IDS}
+    assert len({id(c) for c in caches}) == len(harness.SUITE_IDS)
+    assert all(p is points[0] for p in points)  # the points are not rebuilt
 
 
 def test_run_builds_psi_and_the_distribution_frame_once(manifest, monkeypatch):
@@ -448,17 +453,18 @@ def _with_sets(doc, sets, count=2):
 
 def test_work_does_not_grow_with_the_listed_sets(doc, monkeypatch):
     """Every claim is decided once per sign pair: four listed (p, q) sets
-    with one sign pair make as many evaluations as one set, and give the
-    same statuses; the set (1, 2), where sigma = 2 is rational, gets the
-    same verdicts as the others."""
+    with one sign pair make as many evaluations as one set (nodes computed
+    at the exact sample points), and give the same statuses; the set
+    (1, 2), where sigma = 2 is rational, gets the same verdicts as the
+    others."""
     calls = [0]
-    evaluate = E.evaluate
+    kernel = E._exact
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        return evaluate(*args, **kwargs)
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(E, "evaluate", counting)
+    monkeypatch.setattr(E, "_exact", counting)
     runs = {}
     for sets in ([(1, 1)], [(1, 1), (2, 1), (1, 2), (3, 5)], [(1, 2)]):
         calls[0] = 0
@@ -502,14 +508,14 @@ def test_mixed_signs_are_not_metallic_for_any_pq(doc):
         cross = mf.add(mf.outer(xv.components, bd.lift(tb, kind, S.eta).components),
                        mf.outer(bd.lift(tb, kind, S.xi).components, ev.components))
         for pt in ctx.points:
-            got, want = mf.evaluate_array(square, pt), mf.evaluate_array(cross, pt)
+            got, want = evaluate_array(square, pt), evaluate_array(cross, pt)
             for idx in mf.ndindex(got.shape):
                 assert got[idx] - (1 if idx[0] == idx[1] else 0) == -2 * want[idx]
         (w,) = suite["witnesses"]
         assert w["axiom"] == f"metallic[{label}]"
         pt = next(pt for pt in ctx.points
                   if [str(c) for c in tb.chart.coords(pt)] == w["point"])
-        at = mf.evaluate_array(cross, pt)[tuple(w["frame"])]
+        at = evaluate_array(cross, pt)[tuple(w["frame"])]
         assert w["value"] == str(ml.MetallicParams(2, 1).amp_squared * -2 * at) != "0"
 
 

@@ -220,3 +220,32 @@ def test_suite_entries_have_one_writer():
     found = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
              for _, scope in suite_field_sites(path.read_text(encoding="utf-8"))]
     assert found == [("harness.py", "SuiteResult.to_json")] * 2
+
+
+def float_sum_uses(source: str) -> list:
+    """(line, name) of every use of the builtin ``sum`` or of ``math.fsum``
+    in a module, called or passed on; found through the AST, so that a name
+    such as ``_qsum`` is not one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in ("sum", "fsum"):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr == "fsum":
+            found.append((node.lineno, "fsum"))
+    return sorted(found)
+
+
+def test_float_sum_uses_are_found():
+    source = "import math\nfrom math import fsum\ndef _qsum(a, b):\n    return a + b\n" \
+             "def f(xs):\n    return sum(xs) + math.fsum(xs) + fsum(xs) + _qsum(1, 2)\n" \
+             "g = lambda xss: max(map(sum, xss))\n"
+    assert float_sum_uses(source) == [(6, "fsum"), (6, "fsum"), (6, "sum"), (7, "sum")]
+
+
+def test_exprs_adds_floats_left_to_right():
+    """``exprs`` uses neither the builtin ``sum`` nor ``math.fsum``: from
+    Python 3.12 ``sum`` adds floats with compensated summation, so that
+    sum([0.1] * 10) is 0.9999999999999999 on 3.11 and 1.0 on 3.12, and a
+    float report would differ between versions.  The float kernel adds
+    from int 0, left to right."""
+    assert float_sum_uses((SRC / "exprs.py").read_text(encoding="utf-8")) == []

@@ -13,7 +13,7 @@ from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
 from metallic_tm.exprs import Var
 
-from conftest import eval_zero, memo_value
+from conftest import eval_zero, evaluate_array
 
 
 def test_christoffel_h3_values(h3, conn, base_points):
@@ -158,8 +158,8 @@ def test_lie_derivative_of_metric_along_killing_field(h3, base_points):
             assert eval_zero(lg.components, pt)
     lg = mf.lie_derivative(d3, g).components
     for pt in base_points:
-        want = mf.evaluate_array(h3.metric * E.div(E.const(-2), x3), pt)
-        assert mf.evaluate_array(lg, pt).flat == want.flat
+        want = evaluate_array(h3.metric * E.div(E.const(-2), x3), pt)
+        assert evaluate_array(lg, pt).flat == want.flat
         assert want[0, 0] != 0
 
 
@@ -179,7 +179,7 @@ def test_metric_required_for_christoffel():
 
 def _numpy_values(arr, pt):
     """The values of an Expr array at ``pt`` as a numpy array, for einsum."""
-    return np.array(mf.evaluate_array(arr, pt).flat, dtype=object).reshape(arr.shape)
+    return np.array(evaluate_array(arr, pt).flat, dtype=object).reshape(arr.shape)
 
 
 @pytest.mark.parametrize("spec, shapes", [
@@ -362,24 +362,6 @@ def test_contract_with_zero_operand_gives_zero():
     out = mf.contract("ij,j->i", mf.zeros((3, 3)), xs)
     assert all(c is E.ZERO for c in out)
     assert mf.contract("i,i->", xs, mf.zeros(3)) is E.ZERO
-
-
-def test_evaluate_array_shares_one_memo(base_points, monkeypatch):
-    """Sibling components are evaluated through one Point, so a subtree
-    they share is computed once: exact evaluation reduces each sum and
-    product by one gcd, and x1*x2 and the sum take one each.  A Point
-    passed in keeps its memo."""
-    x1, x2, x3 = (Var("base", i) for i in range(1, 4))
-    shared = E.mul(x1, x2)
-    arr = mf.asarray([E.add(shared, x3), E.pow_(shared, 2)])
-    point = E.Point(base_points[0])
-    reduced = []
-    monkeypatch.setattr(E, "gcd", lambda n, d: reduced.append((n, d)) or math.gcd(n, d))
-    assert list(mf.evaluate_array(arr, point)) == [3, 1]
-    assert len(reduced) == 2
-    assert memo_value(point, shared) == 1
-    float_point = {v: float(c) for v, c in base_points[0].items()}
-    assert list(mf.evaluate_array(arr, float_point)) == [3.0, 1.0]
 
 
 def _loop_covariant_derivative(C, T):
@@ -590,7 +572,7 @@ def _same_nijenhuis(F, points):
     n = F.base.n
     assert all(got[a, i, i] is E.ZERO for a in range(n) for i in range(n))
     for pt in points:
-        assert mf.evaluate_array(got, pt).flat == mf.evaluate_array(want, pt).flat
+        assert evaluate_array(got, pt).flat == evaluate_array(want, pt).flat
     return want
 
 

@@ -25,7 +25,7 @@ from metallic_tm.harness import _t_verdict
 from metallic_tm.scalars import MetallicScalar, is_zero
 from metallic_tm.verdicts import ResidualTracker
 
-from conftest import (QSigma, covariant_values, decide, eval_zero, lifted_metric,
+from conftest import (QSigma, covariant_values, decide, eval_zero, evaluate_array, lifted_metric,
                       metallic_verdict, nijenhuis_rows, nijenhuis_values, t_values, values)
 
 PQ_SET = [(1, 1), (1, 2), (2, 1), (3, 5)]
@@ -535,7 +535,7 @@ def test_F_integrability_conditions(h3, structure, conn, points):
     assert verdicts["D-flat"].witness.frame == (0, 0)
     # e5 vanishes at a pair and point exactly when eta(nabla_X Y) does
     for pt in points:
-        d, e5 = (mf.evaluate_array(res[aid], pt) for aid in ("D-flat", "e5-connection"))
+        d, e5 = (evaluate_array(res[aid], pt) for aid in ("D-flat", "e5-connection"))
         for i in mf.ndindex(d.shape):
             assert (d[i] == 0) == all(v == 0 for v in e5[i])
 

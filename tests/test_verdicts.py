@@ -6,6 +6,7 @@ is the index of its residual component."""
 
 import ast
 import pathlib
+import re
 import sys
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
 from metallic_tm.harness import _result
 from metallic_tm.verdicts import ResidualTracker, residual_verdict, vanishes
+
+from conftest import chart_point
 
 
 def test_tiny_exact_residual_is_not_zero():
@@ -63,7 +66,8 @@ class _Recorder(ResidualTracker):
 def _line():
     x1, x2 = E.Var("base", 1), E.Var("base", 2)
     chart = mf.ChartedManifold((x1, x2))
-    points = [E.Point(chart.point((Fraction(a), Fraction(b)))) for a, b in ((1, 2), (3, -1))]
+    points = [E.Point(chart_point(chart, (Fraction(a), Fraction(b))))
+              for a, b in ((1, 2), (3, -1))]
     return chart, points, x1, x2
 
 
@@ -111,18 +115,20 @@ def test_track_evaluates_one_plain_array():
 def test_a_structural_zero_is_the_points_zero_without_evaluation(kind, monkeypatch):
     """E.ZERO is filled with what evaluate gives for it, ZERO.value at an
     exact point and 0.0 at a float point, and neither track nor vanishes
-    evaluates it, at a Point or at a plain mapping."""
+    evaluates it (no kernel computes it), at a Point or at a plain mapping."""
     chart, points, x1, x2 = _line()
     points = [E.Point({v: kind(c) for v, c in pt.items()}) for pt in points]
     want = [[E.evaluate(E.ZERO, pt), E.evaluate(x1, pt)] for pt in points]
     evaluated = []
-    evaluate = E.evaluate
 
-    def spy(e, pt):
-        evaluated.append(e)
-        return evaluate(e, pt)
+    def spy(kernel):
+        def run(e, *args):
+            evaluated.append(e)
+            return kernel(e, *args)
+        return run
 
-    monkeypatch.setattr(E, "evaluate", spy)
+    monkeypatch.setattr(E, "_exact", spy(E._exact))
+    monkeypatch.setattr(E, "_float", spy(E._float))
     for pts in (points, [dict(pt) for pt in points]):
         values = ResidualTracker().track(chart, pts, [E.ZERO, x1])
         assert [v.flat for v in values] == want
@@ -130,7 +136,27 @@ def test_a_structural_zero_is_the_points_zero_without_evaluation(kind, monkeypat
         assert values[0][0] is E.ZERO.value or kind is float
         assert vanishes([E.ZERO, E.ZERO], pts, 1e-9)
         assert not vanishes([E.ZERO, x2], pts, 1e-9)
-    assert E.ZERO not in evaluated
+    assert evaluated and E.ZERO not in evaluated
+
+
+@pytest.mark.parametrize("kind", [Fraction, float], ids=["exact", "float"])
+def test_failures_are_met_points_outer(kind):
+    """The values are computed a node at a time, at every point at once,
+    yet ``track`` raises the first failure met with points outer and
+    components in C order, and ``vanishes`` stops at the first nonzero
+    value in that order, before a component that fails behind it."""
+    chart, _, x1, x2 = _line()
+    first = E.div(E.ONE, E.add(x1, E.const(-1)))  # fails at the second point
+    second = E.div(E.ONE, E.add(x2, E.const(-2)))  # fails at the first point
+    points = [{x1: kind(3), x2: kind(2)}, {x1: kind(1), x2: kind(5)}]
+    with pytest.raises(E.EvalError, match=re.escape("division by zero at point in 1/(x2 - 2)")):
+        ResidualTracker().track(chart, points, [first, second])
+    zero_first = E.mul(E.add(x2, E.const(-2)), first)  # 0 at the first point
+    x1_less_3 = E.add(x1, E.const(-3))  # 0 at the first point, -2 at the second
+    assert not vanishes([x1_less_3, zero_first], points, 1e-9)
+    with pytest.raises(E.EvalError, match=re.escape("division by zero at point in 1/(x1 - 1)")):
+        vanishes([zero_first, x1_less_3], points, 1e-9)
+    assert not vanishes([x1_less_3, x2, second], points, 1e-9)
 
 
 def test_track_keeps_the_first_of_equal_magnitudes():
@@ -191,7 +217,7 @@ def test_a_float_residual_past_the_float_range_is_an_error():
     xs = [E.Var("base", i) for i in (1, 2, 3)]
     chart = mf.ChartedManifold(xs)
     residual = E.parse("x1^150*x2^150*x3 - x1^150*x2^150*(x3+1)/(x3+1)", 3)
-    exact = [E.Point(chart.point((Fraction(100), Fraction(100), Fraction(2))))]
+    exact = [E.Point(chart_point(chart, (Fraction(100), Fraction(100), Fraction(2))))]
     verdict, _ = residual_verdict("nan", chart, exact, 1e-9, [residual])
     assert verdict.status == "fails" and verdict.max_residual == 100 ** 300
     floats = [E.Point({v: float(c) for v, c in pt.items()}) for pt in exact]

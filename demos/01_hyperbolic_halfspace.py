@@ -34,6 +34,7 @@ def main():
         dict(zip(M.variables, [Fraction(1), Fraction(1), Fraction(2)])),
         dict(zip(M.variables, [Fraction(2), Fraction(-1), Fraction(3)])),
     ]
+    values = E.Values(pts)  # the values at the points, each node computed once
 
     print("Christoffel symbols (at x3 = 2):")
     conn = mf.christoffel(M)
@@ -47,7 +48,7 @@ def main():
     print("\nStructure axioms at 2 rational points:")
     residuals = {**pc.almost_paracontact(S), **pc.metric_compat(S), **pc.p_sasakian(S, conn)}
     for axiom_id, resid in residuals.items():
-        v, _ = residual_verdict(axiom_id, M, pts, FLOAT_TOL, resid)
+        v, _ = residual_verdict(axiom_id, M, values, FLOAT_TOL, resid)
         print(f"  {axiom_id:<20} {v.status}")
 
     print("\nObstruction tensors N1..N4 (all vanish):")
@@ -56,8 +57,8 @@ def main():
         print(f"  {name}: {'zero' if all(x == 0 for x in vals) else 'NONZERO'}")
 
     print("\nThe distribution D = ker(eta) is not flat:")
-    resid = pc.D_flat(S, conn, pc.distribution_frame(S, pts))  # eta(nabla_X Y)
-    v, _ = residual_verdict("D-flat", M, pts, FLOAT_TOL, resid)
+    resid = pc.D_flat(S, conn, pc.distribution_frame(S, values))  # eta(nabla_X Y)
+    v, _ = residual_verdict("D-flat", M, values, FLOAT_TOL, resid)
     print(f"  D-flat {v.status}, witness frame {v.witness.frame}, "
           f"residual {v.witness.value}")
 

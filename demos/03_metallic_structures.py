@@ -9,6 +9,7 @@ Run:  python3 demos/03_metallic_structures.py
 """
 
 from metallic_tm import bundle as bd
+from metallic_tm import exprs as E
 from metallic_tm import harness
 from metallic_tm import manifold as mf
 from metallic_tm import metallic as ml
@@ -18,10 +19,10 @@ from metallic_tm.scalars import scalar_str
 from metallic_tm.verdicts import FLOAT_TOL, residual_verdict
 
 
-def decide(arr, chart, pts):
+def decide(arr, chart, values):
     """The verdict on the residual array ``arr``, which must vanish at the
-    points."""
-    verdict, _ = residual_verdict("", chart, pts, FLOAT_TOL, arr)
+    points of ``values``."""
+    verdict, _ = residual_verdict("", chart, values, FLOAT_TOL, arr)
     return verdict
 
 
@@ -29,7 +30,7 @@ def main():
     manifest = harness.load_manifest(bundled_manifest_path())
     S = manifest.structure
     tb = bd.TangentBundleChart(manifest.manifold, mf.christoffel(manifest.manifold))
-    pts = harness.sample_points(manifest)
+    values = E.Values(harness.sample_points(manifest))
 
     # J and F are T = (p/2) I - (a/2) Psi with a = 2 sigma - p, and Psi does
     # not depend on (p, q): each claim is checked once per sign pair
@@ -39,22 +40,22 @@ def main():
         psi_F = ml.build_psi(S, tb, "h", e1, e2)
         square_J, square_F = (ml.pq_residual(psi.components, 0, 1) for psi in (psi_J, psi_F))
         print(f"  (eps1, eps2) = ({e1:+d}, {e2:+d}):"
-              f"  J {decide(square_J, tb.chart, pts).status},"
-              f"  F {decide(square_F, tb.chart, pts).status}")
+              f"  J {decide(square_J, tb.chart, values).status},"
+              f"  F {decide(square_F, tb.chart, values).status}")
 
     prm = ml.MetallicParams(1, 1)
     psi_J = ml.build_psi(S, tb, "c", 1, 1)
     psi_F = ml.build_psi(S, tb, "h", 1, 1)
 
     print("\nParallelity probes (closed forms, nonzero residuals):")
-    frame = pc.distribution_frame(S, pts)
+    frame = pc.distribution_frame(S, values)
     scale = prm.coefficients()[2]  # nabla~ T = -(a/2) nabla~ Psi
     for name, psi, lift, conn in (("J", psi_J, "c", bd.clift_connection(tb)),
                                   ("F", psi_F, "h", bd.hlift_connection(tb))):
         probes, mismatch = ml.parallelity_probes(psi, lift, conn, S, tb, frame)
-        largest = decide(probes, tb.chart, pts).max_residual
+        largest = decide(probes, tb.chart, values).max_residual
         print(f"  {name} never parallel wrt nabla^{lift}: closed form "
-              f"{decide(mismatch, tb.chart, pts).status}, "
+              f"{decide(mismatch, tb.chart, values).status}, "
               f"sample residual {scalar_str(scale * largest)} at (p, q) = (1, 1)")
 
     print("\nFull suite battery via the harness:")

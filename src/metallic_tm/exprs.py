@@ -20,10 +20,11 @@ constants on such pairs and are memoised on their arguments as given,
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, isfinite
 from operator import attrgetter
 from typing import Mapping, Union
@@ -410,13 +411,15 @@ class Point(dict):
 class Values:
     """Values of expressions at sample points, and a ``cache``: each node computed
     (but none that failed) with its values at the points, as reduced (numerator,
-    denominator > 0) pairs of ints when no coordinate is a float, else floats."""
+    denominator > 0) pairs of ints when all are exact, else floats (all float)."""
 
     __slots__ = ("points", "exact", "cache")
 
     def __init__(self, points) -> None:
         self.points = [p if isinstance(p, Point) else Point(p) for p in points]
         self.exact = all(p.exact for p in self.points)
+        if not self.exact and any(p.exact for p in self.points):  # one arithmetic for all
+            raise ExprError("the points mix exact and float coordinates")
         self.cache: dict = {}  # node -> its values at the points, in order
 
     def each(self, exprs):
@@ -518,19 +521,10 @@ def _float(e: Expr, args: list, points) -> list:
     t = type(e)
     if t is Const or t is Var:
         return [float(e.value)] * len(points) if t is Const else [float(p[e]) for p in points]
-    if t is Add or t is Mul:
-        out = []
-        for vs in zip(*args):
-            if t is Add:
-                v = 0
-                for a in vs:
-                    v = v + a
-            else:
-                v = vs[0]
-                for a in vs[1:]:
-                    v = v * a
-            out.append(v)
-        return out
+    if t is Add:
+        return [reduce(operator.add, vs, 0) for vs in zip(*args)]
+    if t is Mul:
+        return [reduce(operator.mul, vs) for vs in zip(*args)]
     if 0 in args[0] and (t is Div or e.exponent < 0):
         raise (EvalError(f"division by zero at point in {to_str(e)}") if t is Div
                else ZeroDivisionError("zero base with negative exponent"))

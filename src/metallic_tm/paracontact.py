@@ -92,13 +92,13 @@ def n_tensors(S: ParacontactStructure) -> dict:
     }
 
 
-def distribution_frame(S: ParacontactStructure, points=(),
+def distribution_frame(S: ParacontactStructure, values: E.Values,
                        tol: float = FLOAT_TOL) -> List[TensorField]:
     """Spanning fields for D: {d_i - (eta(d_i)/eta(xi)) xi}, zeros dropped.
 
-    A member counts as zero when it is structurally zero or vanishes at
-    every supplied sample point (``verdicts.vanishes`` with ``tol``; points or
-    an ``E.Values``; a quotient cancels structurally only over a monomial denominator).
+    A member counts as zero when it is structurally zero or, when ``values``
+    has points, vanishes at every one of them (``verdicts.vanishes`` with
+    ``tol``; a quotient cancels structurally only over a monomial denominator).
     """
     M = S.base
     eta, xi = S.eta.components, S.xi.components
@@ -108,7 +108,7 @@ def distribution_frame(S: ParacontactStructure, points=(),
     for comps in members:
         if all(c is E.ZERO for c in comps):
             continue
-        if points and vanishes(comps, points, tol):
+        if values.points and vanishes(comps, values, tol):
             continue
         out.append(TensorField(M, (1, 0), comps))
     return out

@@ -41,15 +41,16 @@ def meets_zero(value, tol: float) -> bool:
     return abs(value) <= tol if isinstance(value, float) else is_zero(value)
 
 
-def _values_at(points) -> E.Values:
-    """``points`` as an ``E.Values``: a suite's own cache, or a new one."""
-    return points if isinstance(points, E.Values) else E.Values(points)
-
-
-def vanishes(arr, points, tol: float) -> bool:
-    """Whether every component of ``arr`` meets zero at every point of
-    ``points`` (``E.Values`` or points); it stops at the first that does not."""
-    return all(meets_zero(v, tol) for v in _values_at(points).each(asarray(arr).flat))
+def vanishes(arr, values: E.Values, tol: float) -> bool:
+    """Whether every component of ``arr`` meets zero at every point of ``values``;
+    it stops at the first that does not, points outer, computing runs of components
+    (``E.ZERO`` left out), doubling in length, until one is nonzero at the first point."""
+    flat, start = [e for e in asarray(arr).flat if e is not E.ZERO], 0
+    while start < len(flat):  # the runs [0, 1), [1, 3), [3, 7), ...
+        run, start = flat[start:2 * start + 1], 2 * start + 1
+        if not all(meets_zero(v, tol) for _, v in zip(run, values.each(run))):
+            return False
+    return all(meets_zero(v, tol) for v in values.each(flat))
 
 
 def worst(verdicts):
@@ -78,13 +79,13 @@ class ResidualTracker:
             self.max_value = value
             self.witness = Witness(tuple(point_coords), tuple(frame), scalar_str(value))
 
-    def track(self, chart, points, arr) -> list:
+    def track(self, chart, values: E.Values, arr) -> list:
         """Update with every component of ``arr`` (an Expr, or an Array or
-        nested list of them) at every point of ``points`` (``E.Values`` or
-        points), points outer, components in C order (the last index fastest),
-        under the component's index as its frame; an ``E.ZERO`` is the point's
-        zero, not evaluated.  Returns, per point, an Array of the values."""
-        arr, values = asarray(arr), _values_at(points)
+        nested list of them) at every point of ``values``, points outer,
+        components in C order (the last index fastest), under the component's
+        index as its frame; an ``E.ZERO`` is the point's zero, not evaluated.
+        Returns, per point, an Array of the values."""
+        arr = asarray(arr)
         flat, indices, out = arr.flat, list(ndindex(arr.shape)), []
         table = values.each(flat)
         for pt in values.points:
@@ -104,9 +105,10 @@ class ResidualTracker:
                             self.max_value, self.witness)
 
 
-def residual_verdict(axiom_id: str, chart, points, tol: float, arr) -> Tuple[AxiomVerdict, list]:
+def residual_verdict(axiom_id: str, chart, values: E.Values, tol: float,
+                     arr) -> Tuple[AxiomVerdict, list]:
     """The verdict on the residual array ``arr``, expected zero at every
-    point, and its values per point (``ResidualTracker.track``)."""
+    point of ``values``, and its values per point (``ResidualTracker.track``)."""
     tracker = ResidualTracker(tol)
-    values = tracker.track(chart, points, arr)
-    return tracker.verdict(axiom_id), values
+    arrays = tracker.track(chart, values, arr)
+    return tracker.verdict(axiom_id), arrays

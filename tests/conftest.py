@@ -106,7 +106,8 @@ def lifted_metric(tb, kind):
 def decide(chart, points, residuals, tol=FLOAT_TOL):
     """The verdict on each residual array of ``residuals``, keyed by axiom
     id, as the harness decides it (``verdicts.residual_verdict``)."""
-    return {aid: residual_verdict(aid, chart, points, tol, r)[0] for aid, r in residuals.items()}
+    values = E.Values(points)
+    return {aid: residual_verdict(aid, chart, values, tol, r)[0] for aid, r in residuals.items()}
 
 
 def metallic_verdict(psi, label, points):

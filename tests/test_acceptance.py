@@ -179,7 +179,7 @@ def test_criterion_7_F_integrability_conditions(manifest, pts10, report):
 
     conn, S = mf.christoffel(manifest.manifold), manifest.structure
     res = ml.F_integrability_residuals(S, conn, mf.curvature(conn),
-                                       pc.distribution_frame(S, pts10[:3]))
+                                       pc.distribution_frame(S, E.Values(pts10[:3])))
     d_flat = decide(manifest.manifold, pts10[:3], res)["D-flat"]
     w = d_flat.witness
     assert w.frame == (0, 0)

@@ -525,6 +525,20 @@ def test_coordinates_decide_the_arithmetic():
         assert E.evaluate(e, pt(*coords)) == value
 
 
+def test_values_refuse_exact_and_float_points_together():
+    """The values at every point are computed in one arithmetic, so exact
+    and float points are not mixed: x1/10^400, exact at an exact point and
+    0.0 in floats, never loses its exact value to a float point beside it."""
+    e = E.parse("x1/10^400", 2)
+    for points in ([pt(Fraction(1), Fraction(0)), pt(1.0, 0.0)],
+                   [pt(1.0, 0.0), pt(Fraction(1), Fraction(0))]):
+        with pytest.raises(E.ExprError, match="the points mix exact and float coordinates"):
+            E.Values(points)
+    assert list(E.Values([pt(Fraction(1), Fraction(0))]).each([e])) == [Fraction(1, 10 ** 400)]
+    assert list(E.Values([pt(1.0, 0.0)]).each([e])) == [0.0]
+    assert E.Values([]).exact
+
+
 @pytest.mark.parametrize("kind", [Fraction, float], ids=["exact", "float"])
 def test_division_by_zero_raises_on_every_call(kind):
     """A failure stores nothing: the quotient and the sum above it are not
@@ -599,10 +613,10 @@ def test_a_deep_chain_evaluates_without_recursion():
     x2 = Var("base", 2)
     chart = mf.ChartedManifold([x1, x2])
     points = [{x1: Fraction(1), x2: Fraction(0)}, {x1: Fraction(2), x2: Fraction(0)}]
-    values = ResidualTracker().track(chart, points, [e])
+    values = ResidualTracker().track(chart, E.Values(points), [e])
     assert values[0].flat == [exact] and type(values[1].flat[0]) is Fraction
     tracker = ResidualTracker()
-    assert [v.flat for v in tracker.track(chart, [{x1: 1.0, x2: 0.0}], [e])] == [[approx]]
+    assert [v.flat for v in tracker.track(chart, E.Values([{x1: 1.0, x2: 0.0}]), [e])] == [[approx]]
     assert tracker.max_value == approx
 
 

@@ -504,7 +504,7 @@ def _never_parallel(probes, mismatch, tb, points):
 def test_J_never_parallel(structure, tb, points, psi_J):
     cc = bd.clift_connection(tb)
     probes, mismatch = ml.parallelity_probes(psi_J, "c", cc, structure, tb,
-                                             pc.distribution_frame(structure, points))
+                                             pc.distribution_frame(structure, E.Values(points)))
     assert probes.shape == mismatch.shape == (2, 6)  # the J display is taken on the frame
     v = _never_parallel(probes, mismatch, tb, points)
     # the probe of Psi is -1 at its largest; that of J is -a/2 times it
@@ -516,7 +516,7 @@ def test_J_never_parallel(structure, tb, points, psi_J):
 def test_F_never_parallel(structure, tb, points, psi_F):
     hc = bd.hlift_connection(tb)
     probes, mismatch = ml.parallelity_probes(psi_F, "h", hc, structure, tb,
-                                             pc.distribution_frame(structure, points))
+                                             pc.distribution_frame(structure, E.Values(points)))
     # the F display is taken on the three coordinate fields
     assert probes.shape == (2, 6) and mismatch.shape == (3, 6)
     v = _never_parallel(probes, mismatch, tb, points)
@@ -526,7 +526,7 @@ def test_F_never_parallel(structure, tb, points, psi_F):
 
 def test_F_integrability_conditions(h3, structure, conn, points):
     res = ml.F_integrability_residuals(structure, conn, mf.curvature(conn),
-                                       pc.distribution_frame(structure, points))
+                                       pc.distribution_frame(structure, E.Values(points)))
     verdicts = decide(h3, points, res)
     assert list(verdicts) == ["D-flat", "e4-curvature", "e5-connection"]
     assert verdicts["e4-curvature"].holds
@@ -562,7 +562,7 @@ def test_dphi_prime_value_on_unit_field(structure, tb, points, psi_F):
 
 
 def test_dphi_vanishes_on_distribution_c_c_v_triples(structure, tb, points, psi_J):
-    frame = pc.distribution_frame(structure, points)
+    frame = pc.distribution_frame(structure, E.Values(points))
     Xc = bd.lifted_rows(tb, "c", frame)
     dPhi = mf.coboundary(tb.chart, mf.contract("ak,kb->ab", lifted_metric(tb, "c"), psi_J),
                          Xc, Xc, bd.lifted_rows(tb, "v", frame))

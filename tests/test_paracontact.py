@@ -36,7 +36,7 @@ def test_n_tensors_vanish_on_h3(structure, base_points):
 
 
 def test_d_flat_fails_with_witness(h3, structure, conn, base_points):
-    resid = pc.D_flat(structure, conn, pc.distribution_frame(structure, base_points))
+    resid = pc.D_flat(structure, conn, pc.distribution_frame(structure, E.Values(base_points)))
     assert resid.shape == (2, 2)
     v = decide(h3, base_points, {"D-flat": resid})["D-flat"]
     assert not v.holds
@@ -48,7 +48,7 @@ def test_d_flat_fails_with_witness(h3, structure, conn, base_points):
 
 
 def test_distribution_frame_drops_xi_direction(structure, base_points):
-    frame = pc.distribution_frame(structure, base_points)
+    frame = pc.distribution_frame(structure, E.Values(base_points))
     assert len(frame) == 2
     eta = structure.eta.components
     for X in frame:
@@ -69,9 +69,9 @@ def test_distribution_frame_drops_members_within_the_tolerance(h3, base_points):
                                 mf.TensorField(h3, (0, 1), [E.ONE, E.ZERO, E.ZERO]),
                                 mf.TensorField(h3, (1, 0), xi))
     float_pts = [{v: float(c) for v, c in pt.items()} for pt in base_points]
-    assert len(pc.distribution_frame(S, float_pts, 1e-3)) == 2
-    assert len(pc.distribution_frame(S, float_pts, 1e-5)) == 3
-    assert len(pc.distribution_frame(S, base_points, 1e-3)) == 3
+    assert len(pc.distribution_frame(S, E.Values(float_pts), 1e-3)) == 2
+    assert len(pc.distribution_frame(S, E.Values(float_pts), 1e-5)) == 3
+    assert len(pc.distribution_frame(S, E.Values(base_points), 1e-3)) == 3
 
 
 def _mutated(h3, structure, **kw):
@@ -131,8 +131,8 @@ def test_float_mode_parity(h3, structure, conn, base_points):
     exact = [v.holds for v in decide(h3, base_points, residuals).values()]
     approx = [v.holds for v in decide(h3, float_pts, residuals).values()]
     assert exact == approx
-    frame_e = pc.distribution_frame(structure, base_points)
-    frame_f = pc.distribution_frame(structure, float_pts)
+    frame_e = pc.distribution_frame(structure, E.Values(base_points))
+    frame_f = pc.distribution_frame(structure, E.Values(float_pts))
     dflat_e = decide(h3, base_points, {"D-flat": pc.D_flat(structure, conn, frame_e)})
     dflat_f = decide(h3, float_pts, {"D-flat": pc.D_flat(structure, conn, frame_f)})
     assert dflat_e["D-flat"].holds == dflat_f["D-flat"].holds
@@ -178,7 +178,7 @@ def test_distribution_frame_builds_the_loop_trees(h3, structure, base_points):
     for S, dropped in ((structure, [2]), (_polynomial_structure(h3), [])):
         eta, xi = S.eta.components, S.xi.components
         exi = S.eta_of_xi()
-        frame = pc.distribution_frame(S)
+        frame = pc.distribution_frame(S, E.Values([]))
         want = [[E.add(E.ONE if a == i else E.ZERO,
                        E.mul(E.const(-1), E.div(eta[i], exi), xi[a])) for a in range(3)]
                 for i in range(3)]
@@ -189,4 +189,4 @@ def test_distribution_frame_builds_the_loop_trees(h3, structure, base_points):
             assert list(X.components) == w
             assert [E.to_str(c) for c in X.components] == [E.to_str(c) for c in w]
     assert structure.eta_of_xi() is E.ONE
-    assert len(pc.distribution_frame(structure, base_points)) == 2
+    assert len(pc.distribution_frame(structure, E.Values(base_points))) == 2

@@ -75,7 +75,7 @@ def test_track_updates_points_outer_then_components_under_index_frames():
     chart, points, x1, x2 = _line()
     arr = mf.asarray([[x1, x2], [E.mul(x1, x2), E.ZERO]])
     tracker = _Recorder()
-    values = tracker.track(chart, points, arr)
+    values = tracker.track(chart, E.Values(points), arr)
     # the structural zero at (1, 1) is not evaluated and never reaches update
     assert [c[1:] for c in tracker.calls] == [
         ((Fraction(a), Fraction(b)), idx)
@@ -93,7 +93,7 @@ def test_track_updates_points_outer_then_components_under_index_frames():
 def test_track_an_expression_has_the_empty_frame():
     chart, points, x1, x2 = _line()
     tracker = _Recorder()
-    values = tracker.track(chart, points, E.add(x1, x2))
+    values = tracker.track(chart, E.Values(points), E.add(x1, x2))
     assert [(v.shape, v.flat) for v in values] == [((), [3]), ((), [2])]
     assert values[0][()] == 3
     assert [c[2] for c in tracker.calls] == [()] * 2
@@ -103,12 +103,15 @@ def test_track_evaluates_one_plain_array():
     """Each component is evaluated as it is, over Q at exact points and in
     floats at float points; nothing is scaled."""
     chart, points, x1, x2 = _line()
-    values = ResidualTracker().track(chart, points, [x1, E.mul(E.const(Fraction(1, 2)), x2)])
+    values = ResidualTracker().track(chart, E.Values(points),
+                                     [x1, E.mul(E.const(Fraction(1, 2)), x2)])
     assert [v.flat for v in values] == [[1, 1], [3, Fraction(-1, 2)]]
     assert all(type(v) is Fraction for vals in values for v in vals)
-    assert [v.flat for v in ResidualTracker().track(chart, points[:1], [E.ZERO])] == [[0]]
+    values = ResidualTracker().track(chart, E.Values(points[:1]), [E.ZERO])
+    assert [v.flat for v in values] == [[0]]
     float_point = E.Point({v: float(c) for v, c in points[0].items()})
-    assert [v.flat for v in ResidualTracker().track(chart, [float_point], [x1])] == [[1.0]]
+    values = ResidualTracker().track(chart, E.Values([float_point]), [x1])
+    assert [v.flat for v in values] == [[1.0]]
 
 
 @pytest.mark.parametrize("kind", [Fraction, float], ids=["exact", "float"])
@@ -130,12 +133,12 @@ def test_a_structural_zero_is_the_points_zero_without_evaluation(kind, monkeypat
     monkeypatch.setattr(E, "_exact", spy(E._exact))
     monkeypatch.setattr(E, "_float", spy(E._float))
     for pts in (points, [dict(pt) for pt in points]):
-        values = ResidualTracker().track(chart, pts, [E.ZERO, x1])
+        values = ResidualTracker().track(chart, E.Values(pts), [E.ZERO, x1])
         assert [v.flat for v in values] == want
         assert [type(v) for v in values[0].flat] == [type(want[0][0]), kind]
         assert values[0][0] is E.ZERO.value or kind is float
-        assert vanishes([E.ZERO, E.ZERO], pts, 1e-9)
-        assert not vanishes([E.ZERO, x2], pts, 1e-9)
+        assert vanishes([E.ZERO, E.ZERO], E.Values(pts), 1e-9)
+        assert not vanishes([E.ZERO, x2], E.Values(pts), 1e-9)
     assert evaluated and E.ZERO not in evaluated
 
 
@@ -150,22 +153,39 @@ def test_failures_are_met_points_outer(kind):
     second = E.div(E.ONE, E.add(x2, E.const(-2)))  # fails at the first point
     points = [{x1: kind(3), x2: kind(2)}, {x1: kind(1), x2: kind(5)}]
     with pytest.raises(E.EvalError, match=re.escape("division by zero at point in 1/(x2 - 2)")):
-        ResidualTracker().track(chart, points, [first, second])
+        ResidualTracker().track(chart, E.Values(points), [first, second])
     zero_first = E.mul(E.add(x2, E.const(-2)), first)  # 0 at the first point
     x1_less_3 = E.add(x1, E.const(-3))  # 0 at the first point, -2 at the second
-    assert not vanishes([x1_less_3, zero_first], points, 1e-9)
+    assert not vanishes([x1_less_3, zero_first], E.Values(points), 1e-9)
     with pytest.raises(E.EvalError, match=re.escape("division by zero at point in 1/(x1 - 1)")):
-        vanishes([zero_first, x1_less_3], points, 1e-9)
-    assert not vanishes([x1_less_3, x2, second], points, 1e-9)
+        vanishes([zero_first, x1_less_3], E.Values(points), 1e-9)
+    assert not vanishes([x1_less_3, x2, second], E.Values(points), 1e-9)
+
+
+def test_vanishes_stops_at_the_first_nonzero_run():
+    """vanishes computes runs of components, E.ZERO left out, doubling in
+    length (1, 2, 4, ...), at every point, and stops at the first run with a
+    nonzero value at the first point: no node of a later run is computed.  A
+    value that is nonzero only at a later point is found after every run."""
+    chart, points, x1, x2 = _line()
+    later = E.add(x2, E.const(7))
+    values = E.Values(points)
+    assert not vanishes([E.ZERO, x1, E.ZERO, later], values, 1e-9)
+    assert x1 in values.cache and later not in values.cache
+    x1_less_1 = E.add(x1, E.const(-1))  # 0 at the first point, 2 at the second
+    product = E.mul(x1_less_1, x2)  # 0 at the first point, -2 at the second
+    values = E.Values(points)
+    assert not vanishes([x1_less_1, product], values, 1e-9)
+    assert values.cache[product] == [(0, 1), (-2, 1)]
 
 
 def test_track_keeps_the_first_of_equal_magnitudes():
     chart, points, x1, _ = _line()
     tracker = ResidualTracker()
-    tracker.track(chart, points, [E.mul(E.const(-2), x1), E.mul(E.const(2), x1)])
+    tracker.track(chart, E.Values(points), [E.mul(E.const(-2), x1), E.mul(E.const(2), x1)])
     assert tracker.max_value == -6
     assert tracker.witness.frame == (0,) and tracker.witness.point == (3, -1)
-    verdict, values = residual_verdict("tie", chart, points, 1e-9, [x1 - x1])
+    verdict, values = residual_verdict("tie", chart, E.Values(points), 1e-9, [x1 - x1])
     assert verdict.holds and verdict.witness is None
     assert [v.flat for v in values] == [[0], [0]]
 
@@ -189,7 +209,7 @@ def test_one_nonzero_among_zeros_is_the_witness(kind):
     zero = E.Add((x1, E.Mul((E.MINUS_ONE, x1))))  # zero at every point, not folded
     arr = mf.asarray([[E.ZERO, zero], [E.add(x2, E.const(-2)), zero]])
     tracker = ResidualTracker()
-    tracker.track(chart, points, arr)
+    tracker.track(chart, E.Values(points), arr)
     assert tracker.max_value == -3 and type(tracker.max_value) is kind
     assert tracker.witness.frame == (1, 0) and tracker.witness.point == (3, -1)
     assert not tracker.all_zero
@@ -202,10 +222,10 @@ def test_the_points_decide_whether_the_tolerance_applies():
     float_points = [E.Point({v: float(c) for v, c in pt.items()}) for pt in points]
     residual = E.mul(E.const(Fraction(1, 10 ** 6)), x1)
     exact = ResidualTracker(1e-3)
-    exact.track(chart, points, [residual])
+    exact.track(chart, E.Values(points), [residual])
     assert exact.max_value == Fraction(3, 10 ** 6) and not exact.all_zero
     floats = ResidualTracker(1e-3)
-    floats.track(chart, float_points, [residual])
+    floats.track(chart, E.Values(float_points), [residual])
     assert isinstance(floats.max_value, float) and floats.all_zero
 
 
@@ -218,11 +238,11 @@ def test_a_float_residual_past_the_float_range_is_an_error():
     chart = mf.ChartedManifold(xs)
     residual = E.parse("x1^150*x2^150*x3 - x1^150*x2^150*(x3+1)/(x3+1)", 3)
     exact = [E.Point(chart_point(chart, (Fraction(100), Fraction(100), Fraction(2))))]
-    verdict, _ = residual_verdict("nan", chart, exact, 1e-9, [residual])
+    verdict, _ = residual_verdict("nan", chart, E.Values(exact), 1e-9, [residual])
     assert verdict.status == "fails" and verdict.max_residual == 100 ** 300
     floats = [E.Point({v: float(c) for v, c in pt.items()}) for pt in exact]
     with pytest.raises(E.EvalError, match="float evaluation failed: the value is nan"):
-        residual_verdict("nan", chart, floats, 1e-9, [residual])
+        residual_verdict("nan", chart, E.Values(floats), 1e-9, [residual])
 
 
 def _loop_around_track(node) -> bool:

@@ -358,29 +358,36 @@ def _minor(m: Array, i: int, j: int) -> Array:
                                   for c in range(n) if c != j])
 
 
-def _det(m: Array) -> Expr:
+def _det(m: Array, memo: dict) -> Expr:
+    """Laplace expansion along the first row.  ``memo`` maps the entries of each
+    minor met to its determinant, so a dense m x m block costs about 2^m
+    minors, not m! products."""
     n = m.shape[0]
     if n == 1:
         return m[0, 0]
-    terms = []
-    for j in range(n):
-        entry = m[0, j]
-        if entry is E.ZERO:
-            continue
-        term = E.mul(entry, _det(_minor(m, 0, j)))
-        terms.append(term if j % 2 == 0 else E.mul(E.MINUS_ONE, term))
-    return E.add(*terms)
+    key = tuple(m.flat)
+    if key not in memo:
+        terms = []
+        for j in range(n):
+            entry = m[0, j]
+            if entry is E.ZERO:
+                continue
+            term = E.mul(entry, _det(_minor(m, 0, j), memo))
+            terms.append(term if j % 2 == 0 else E.mul(E.MINUS_ONE, term))
+        memo[key] = E.add(*terms)
+    return memo[key]
 
 
 def inverse_matrix(m) -> Array:
-    """Symbolic inverse via adjugate over determinant (Laplace expansion)."""
+    """Symbolic inverse via adjugate over determinant (Laplace expansion); the
+    minors' determinants are kept for this call only."""
     arr = expr_array(m)
-    n = arr.shape[0]
-    d = _det(arr)
+    n, memo = arr.shape[0], {}
+    d = _det(arr, memo)
     inv = zeros((n, n))
     for i in range(n):
         for j in range(n):
-            cof = _det(_minor(arr, j, i)) if n > 1 else E.ONE
+            cof = _det(_minor(arr, j, i), memo) if n > 1 else E.ONE
             if (i + j) % 2 == 1:
                 cof = E.mul(E.MINUS_ONE, cof)
             inv[i, j] = E.div(cof, d)

@@ -391,35 +391,21 @@ def diff(e: Expr, v: Var) -> Expr:
 # evaluation
 # ----------------------------------------------------------------------
 
-class Point(dict):
-    """A sample point: a read-only map from ``Var`` to coordinate.  It is
-    ``exact`` when no coordinate is a float."""
-
-    __slots__ = ("exact",)
-
-    def __init__(self, coords=()) -> None:
-        super().__init__(coords)
-        self.exact = not any(isinstance(c, float) for c in self.values())
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("a Point is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    update = setdefault = pop = popitem = clear = _read_only
-
-
 class Values:
-    """Values of expressions at sample points, and a ``cache``: each node computed
-    (but none that failed) with its values at the points, as reduced (numerator,
-    denominator > 0) pairs of ints when all are exact, else floats (all float)."""
+    """Values of expressions at sample points (copies of the maps from ``Var`` to
+    coordinate given, each exact when no coordinate is a float), and a ``cache``:
+    each node computed (but none that failed) with its values at the points, as
+    reduced (numerator, denominator > 0) pairs of ints when all are exact, else
+    floats (all float)."""
 
     __slots__ = ("points", "exact", "cache")
 
     def __init__(self, points) -> None:
-        self.points = [p if isinstance(p, Point) else Point(p) for p in points]
-        self.exact = all(p.exact for p in self.points)
-        if not self.exact and any(p.exact for p in self.points):  # one arithmetic for all
+        self.points = [dict(p) for p in points]
+        exact = {not any(isinstance(c, float) for c in p.values()) for p in self.points}
+        if len(exact) > 1:  # one arithmetic for all
             raise ExprError("the points mix exact and float coordinates")
+        self.exact = False not in exact
         self.cache: dict = {}  # node -> its values at the points, in order
 
     def each(self, exprs):
@@ -543,7 +529,8 @@ def _float(e: Expr, args: list, points) -> list:
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
-def _render(e: Expr) -> tuple[str, int]:
+def _render(e: Expr, done: dict) -> tuple[str, int]:
+    """The text and precedence of ``e`` from those of its operands in ``done``."""
     if isinstance(e, Const):
         if e.den == 1:
             return str(e.num), _PREC_ATOM if e.num >= 0 else _PREC_UNARY
@@ -553,7 +540,7 @@ def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Add):
         parts = []
         for i, t in enumerate(e.terms):
-            s, p = _render(t)
+            s, p = done[t]
             if i == 0:
                 parts.append(s if p >= _PREC_ADD else f"({s})")
             elif s.startswith("-"):
@@ -567,66 +554,48 @@ def _render(e: Expr) -> tuple[str, int]:
         minus = fs[0] is MINUS_ONE
         parts = []
         for f in fs[1:] if minus else fs:
-            s, p = _render(f)
+            s, p = done[f]
             parts.append(s if p > _PREC_ADD else f"({s})")
         return ("-" if minus else "") + "*".join(parts), _PREC_MUL
     if isinstance(e, Div):
-        ns, np_ = _render(e.num)
-        ds, dp = _render(e.den)
+        ns, np_ = done[e.num]
+        ds, dp = done[e.den]
         ns = ns if np_ > _PREC_ADD else f"({ns})"
         ds = ds if dp > _PREC_MUL else f"({ds})"
         return f"{ns}/{ds}", _PREC_MUL
-    if isinstance(e, Pow):
-        bs, bp = _render(e.base)
-        bs = bs if bp >= _PREC_ATOM else f"({bs})"
-        if e.exponent < 0:
-            return f"{bs}^({e.exponent})", _PREC_POW
-        return f"{bs}^{e.exponent}", _PREC_POW
-    raise ExprError(f"unknown node {e!r}")
+    bs, bp = done[e.base]
+    bs = bs if bp >= _PREC_ATOM else f"({bs})"
+    if e.exponent < 0:
+        return f"{bs}^({e.exponent})", _PREC_POW
+    return f"{bs}^{e.exponent}", _PREC_POW
 
 
 def to_str(e: Expr) -> str:
-    """Canonical infix form; ``parse(to_str(e))`` reproduces the value."""
-    return _render(e)[0]
+    """Canonical infix form; ``parse(to_str(e))`` reproduces the value.  Each
+    node is rendered once, after its operands, from a stack of its own."""
+    done, todo = {}, [e]
+    while todo:
+        node = todo.pop()
+        missing = [a for a in _OPERANDS[type(node)](node) if a not in done]
+        if missing:
+            todo += [node, *missing]
+        elif node not in done:
+            done[node] = _render(node, done)
+    return done[e][0]
 
 
 # ----------------------------------------------------------------------
 # parsing
 # ----------------------------------------------------------------------
 
-# ASCII only: str.isdigit and str.isalnum also accept digits such as "²"
-# and "٣", which int() then rejects or reads as "3"
-_INT = re.compile(r"[0-9]+")
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# a token a match: an int or a name (ASCII only: str.isdigit and isalnum also
+# accept "²" and "٣", which int() then rejects or reads as "3"), an operator,
+# its own kind, or any other character, refused only when the parser meets it
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|[-+*/^()]|(?P<bad>\S)")
 
-
-class _Tokenizer:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        t = self.text
-        i = self.pos
-        while i < len(t) and t[i].isspace():
-            i += 1
-        self.pos = i
-        if i >= len(t):
-            return ("end", "", i)
-        c = t[i]
-        for kind, pattern in (("int", _INT), ("name", _NAME)):
-            m = pattern.match(t, i)
-            if m:
-                return (kind, m.group(), i)
-        if c in "+-*/^()":
-            return (c, c, i)
-        raise ParseError(f"unexpected character {c!r}", i)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += len(tok[1])
-        return tok
-
+# the binary levels, loosest first; each operator folds through the Expr
+# operators, so through add, mul and div as this module names them
+_LEVELS = ({"+": operator.add, "-": operator.sub}, {"*": operator.mul, "/": operator.truediv})
 
 # the levels an expression may nest, one for each enclosing parenthesis or
 # unary sign and one for the operand itself; well within the interpreter's
@@ -642,8 +611,9 @@ def _int(text: str, off: int) -> int:
         raise ParseError(f"integer of {len(text)} digits is too long", off) from None
 
 
-class Parser:
-    """Recursive-descent parser for the coordinate expression grammar.
+class _Parser:
+    """Recursive-descent parser for the coordinate expression grammar, over
+    the text's ``(kind, text, offset)`` tokens, read once.
 
     Precedence, loosest to tightest: ``+ -``, ``* /``, unary ``-``, ``^``;
     binary operators associate to the left.  Variables are ``x<i>``/``y<i>``
@@ -651,29 +621,36 @@ class Parser:
     """
 
     def __init__(self, text: str, n: int) -> None:
-        self.toks = _Tokenizer(text)
+        self.toks = [(m.lastgroup or m.group(), m.group(), m.start())
+                     for m in _TOKEN.finditer(text)] + [("end", "", len(text))]
+        self.i = self.depth = 0
         self.n = n
-        self.depth = 0
+
+    def take(self, kinds=()):
+        """The next token, passed over when its kind is one of ``kinds``."""
+        tok = self.toks[self.i]
+        if tok[0] == "bad":
+            raise ParseError(f"unexpected character {tok[1]!r}", tok[2])
+        self.i += tok[0] in kinds
+        return tok
 
     def parse(self) -> Expr:
-        e = self._sum()
-        kind, val, off = self.toks.peek()
+        e = self._binary(0)
+        kind, val, off = self.take()
         if kind != "end":
             raise ParseError(f"unexpected token {val!r}", off)
         return e
 
-    def _sum(self) -> Expr:
-        e = self._product()
+    def _binary(self, level: int) -> Expr:
+        """The operands of the ``_LEVELS[level:]`` operators, folded to the left."""
+        if level == len(_LEVELS):
+            return self._unary()
+        e = self._binary(level + 1)
         while True:
-            kind, _, off = self.toks.peek()
-            if kind == "+":
-                self.toks.next()
-                e = self._fold(add, off, e, self._product())
-            elif kind == "-":
-                self.toks.next()
-                e = self._fold(add, off, e, mul(MINUS_ONE, self._product()))
-            else:
+            kind, _, off = self.take(_LEVELS[level])
+            if kind not in _LEVELS[level]:
                 return e
+            e = self._fold(_LEVELS[level][kind], off, e, self._binary(level + 1))
 
     @staticmethod
     def _fold(build, off: int, *args) -> Expr:
@@ -685,51 +662,30 @@ class Parser:
         except EvalError as exc:
             raise ParseError(str(exc), off) from None
 
-    def _product(self) -> Expr:
-        e = self._unary()
-        while True:
-            kind, _, off = self.toks.peek()
-            if kind == "*":
-                self.toks.next()
-                e = self._fold(mul, off, e, self._unary())
-            elif kind == "/":
-                self.toks.next()
-                e = self._fold(div, off, e, self._unary())
-            else:
-                return e
-
     def _unary(self) -> Expr:
         """Every parenthesis and sign passes here, one level deeper each."""
-        kind, _, off = self.toks.peek()
+        kind, _, off = self.take(("-",))
         if self.depth == MAX_NESTING:
             raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", off)
         self.depth += 1
-        if kind == "-":
-            self.toks.next()
-            e = mul(MINUS_ONE, self._unary())
-        else:
-            e = self._power()
+        e = mul(MINUS_ONE, self._unary()) if kind == "-" else self._power()
         self.depth -= 1
         return e
 
     def _power(self) -> Expr:
+        """An atom to integer powers: an int, or a parenthesised integer
+        constant, each after an optional ``-``; a written int makes no node."""
         e = self._atom()
         while True:
-            kind, _, off = self.toks.peek()
+            kind, _, off = self.take(("^",))
             if kind != "^":
                 return e
-            self.toks.next()
-            k2, v2, o2 = self.toks.peek()
-            neg = False
-            if k2 == "-":
-                self.toks.next()
-                neg = True
-                k2, v2, o2 = self.toks.peek()
-            if k2 == "int":
-                self.toks.next()
-                k = _int(v2, o2)
-            elif k2 == "(":
-                exp = self._atom_paren()
+            neg = self.take(("-",))[0] == "-"
+            kind, val, o2 = self.take(("int",))
+            if kind == "int":
+                k = _int(val, o2)
+            elif kind == "(":
+                exp = self._atom()
                 if not isinstance(exp, Const) or exp.den != 1:
                     raise ParseError("exponent must be an integer", o2)
                 k = exp.num
@@ -738,25 +694,17 @@ class Parser:
             # pow_ refuses a power past MAX_EXPONENT: a syntax error at the ^
             e = self._fold(pow_, off, e, -k if neg else k)
 
-    def _atom_paren(self) -> Expr:
-        kind, val, off = self.toks.next()
-        if kind != "(":
-            raise ParseError(f"expected '(' but found {val!r}", off)
-        e = self._sum()
-        kind, val, off = self.toks.next()
-        if kind != ")":
-            raise ParseError(f"expected ')' but found {val!r}", off)
-        return e
-
     def _atom(self) -> Expr:
-        kind, val, off = self.toks.peek()
+        kind, val, off = self.take(("int", "(", "name"))
         if kind == "int":
-            self.toks.next()
             return const(_int(val, off))
         if kind == "(":
-            return self._atom_paren()
+            e = self._binary(0)
+            kind, val, off = self.take((")",))
+            if kind != ")":
+                raise ParseError(f"expected ')' but found {val!r}", off)
+            return e
         if kind == "name":
-            self.toks.next()
             if val[0] in "xy" and val[1:].isdigit():
                 idx = _int(val[1:], off)
                 if not 1 <= idx <= self.n:
@@ -768,4 +716,4 @@ class Parser:
 
 def parse(text: str, n: int) -> Expr:
     """Parse a DSL expression over coordinates x1..xn, y1..yn."""
-    return Parser(text, n).parse()
+    return _Parser(text, n).parse()

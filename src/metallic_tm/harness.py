@@ -250,7 +250,7 @@ _MAX_REDRAWS = 2000
 
 
 def sample_points(manifest: Manifest, plan: Optional[SamplePlan] = None):
-    """Deterministic admissible bundle points (``exprs.Point``): exact
+    """Deterministic admissible bundle points (maps from ``Var``): exact
     rationals, made floats in float mode, so they decide the arithmetic."""
     plan = plan or manifest.plan
     if plan.count < 1:
@@ -292,8 +292,8 @@ def sample_points(manifest: Manifest, plan: Optional[SamplePlan] = None):
         points.append(pt)
 
     if plan.mode == "float":
-        points = [{v: float(c) for v, c in pt.items()} for pt in points]
-    return [E.Point(pt) for pt in points]
+        return [{v: float(c) for v, c in pt.items()} for pt in points]
+    return points
 
 
 # ----------------------------------------------------------------------

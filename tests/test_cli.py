@@ -133,10 +133,12 @@ def test_verify_runs_without_numpy(tmp_path, manifest_path):
     assert report.read_bytes() == golden.read_bytes()
 
 
-def test_verify_builds_the_pinned_trees(manifest_path):
-    """verify on the bundled chart, in a fresh interpreter, interns 1,321
-    distinct nodes: a change to folding or interning that builds other
-    trees fails here even where no report byte moves."""
+@pytest.mark.parametrize("chart, nodes", [("hyperbolic-h3", 1321), ("warped-h5-dense", 25013)])
+def test_verify_builds_the_pinned_trees(chart, nodes):
+    """verify on a bundled chart, in a fresh interpreter, interns a pinned
+    number of distinct nodes: a change to folding or interning that builds
+    other trees fails here even where no report byte moves."""
+    manifest_path = str(PACKAGE / "manifests" / f"{chart}.json")
     script = "\n".join([
         "from metallic_tm import cli, exprs",
         f"code = cli.main(['verify', {manifest_path!r}])",
@@ -147,7 +149,7 @@ def test_verify_builds_the_pinned_trees(manifest_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "1321"
+    assert proc.stdout.splitlines()[-1] == str(nodes)
 
 def test_verify_and_validate_load_no_openssl(tmp_path, manifest_path):
     """The manifest hash comes from CPython's own SHA-256, so neither command

@@ -539,6 +539,15 @@ def test_values_refuse_exact_and_float_points_together():
     assert E.Values([]).exact
 
 
+def test_values_keep_copies_of_the_points():
+    """A point changed after ``Values`` took it changes no value there."""
+    x1 = Var("base", 1)
+    point = {x1: Fraction(1)}
+    values = E.Values([point])
+    point[x1] = 2.0
+    assert values.exact and list(values.each([x1])) == [Fraction(1)]
+
+
 @pytest.mark.parametrize("kind", [Fraction, float], ids=["exact", "float"])
 def test_division_by_zero_raises_on_every_call(kind):
     """A failure stores nothing: the quotient and the sum above it are not
@@ -618,6 +627,20 @@ def test_a_deep_chain_evaluates_without_recursion():
     tracker = ResidualTracker()
     assert [v.flat for v in tracker.track(chart, E.Values([{x1: 1.0, x2: 0.0}]), [e])] == [[approx]]
     assert tracker.max_value == approx
+
+
+def test_a_division_by_zero_under_a_deep_chain_names_it():
+    """1/(c - v), with c a chain of 3,000 nested quotients and v its value at
+    x1 = 1, fails there with an EvalError whose text prints the whole chain:
+    the printer keeps a stack of its own, as the walker does."""
+    x1 = Var("base", 1)
+    c, text = E.ONE, "1"
+    for _ in range(3000):
+        c, text = E.div(E.ONE, E.add(x1, c)), f"1/(x1 + {text})"
+    v = E.evaluate(c, {x1: Fraction(1)})
+    with pytest.raises(EvalError) as ei:
+        E.evaluate(E.div(E.ONE, E.add(c, -v)), {x1: Fraction(1)})
+    assert str(ei.value) == f"division by zero at point in 1/({text} - {v})"
 
 
 # -- exact evaluation on integer pairs, against plain Fractions ------------
@@ -767,7 +790,7 @@ def test_add_and_mul_fold_constants_as_plain_fractions(args, x):
     s, p = sum(consts, Fraction(0)), Fraction(1)
     for c in consts:
         p *= c
-    point = E.Point(pt(x))
+    point = pt(x)
     for build, c, fold, value in ((E.add, s, _folded_sum, k * x + s),
                                   (E.mul, p, _folded_product, p * x ** k)):
         if not _printable(c):
@@ -779,21 +802,6 @@ def test_add_and_mul_fold_constants_as_plain_fractions(args, x):
         assert e is fold(k, c)
         got = E.evaluate(e, point)
         assert type(got) is Fraction and got == value
-
-
-def test_point_is_read_only():
-    x = Var("base", 1)
-    point = E.Point({x: Fraction(1)})
-    with pytest.raises(TypeError):
-        point[x] = Fraction(2)
-    with pytest.raises(TypeError):
-        point |= {x: Fraction(2)}
-    with pytest.raises(TypeError):
-        del point[x]
-    for name in ("update", "setdefault", "pop", "popitem", "clear"):
-        with pytest.raises(TypeError, match="read-only"):
-            getattr(point, name)(x)
-    assert point == {x: Fraction(1)}
 
 
 def test_array_operators_build_the_explicit_trees():

@@ -66,8 +66,7 @@ class _Recorder(ResidualTracker):
 def _line():
     x1, x2 = E.Var("base", 1), E.Var("base", 2)
     chart = mf.ChartedManifold((x1, x2))
-    points = [E.Point(chart_point(chart, (Fraction(a), Fraction(b))))
-              for a, b in ((1, 2), (3, -1))]
+    points = [chart_point(chart, (Fraction(a), Fraction(b))) for a, b in ((1, 2), (3, -1))]
     return chart, points, x1, x2
 
 
@@ -109,7 +108,7 @@ def test_track_evaluates_one_plain_array():
     assert all(type(v) is Fraction for vals in values for v in vals)
     values = ResidualTracker().track(chart, E.Values(points[:1]), [E.ZERO])
     assert [v.flat for v in values] == [[0]]
-    float_point = E.Point({v: float(c) for v, c in points[0].items()})
+    float_point = {v: float(c) for v, c in points[0].items()}
     values = ResidualTracker().track(chart, E.Values([float_point]), [x1])
     assert [v.flat for v in values] == [[1.0]]
 
@@ -118,9 +117,9 @@ def test_track_evaluates_one_plain_array():
 def test_a_structural_zero_is_the_points_zero_without_evaluation(kind, monkeypatch):
     """E.ZERO is filled with what evaluate gives for it, ZERO.value at an
     exact point and 0.0 at a float point, and neither track nor vanishes
-    evaluates it (no kernel computes it), at a Point or at a plain mapping."""
+    evaluates it (no kernel computes it)."""
     chart, points, x1, x2 = _line()
-    points = [E.Point({v: kind(c) for v, c in pt.items()}) for pt in points]
+    points = [{v: kind(c) for v, c in pt.items()} for pt in points]
     want = [[E.evaluate(E.ZERO, pt), E.evaluate(x1, pt)] for pt in points]
     evaluated = []
 
@@ -132,13 +131,12 @@ def test_a_structural_zero_is_the_points_zero_without_evaluation(kind, monkeypat
 
     monkeypatch.setattr(E, "_exact", spy(E._exact))
     monkeypatch.setattr(E, "_float", spy(E._float))
-    for pts in (points, [dict(pt) for pt in points]):
-        values = ResidualTracker().track(chart, E.Values(pts), [E.ZERO, x1])
-        assert [v.flat for v in values] == want
-        assert [type(v) for v in values[0].flat] == [type(want[0][0]), kind]
-        assert values[0][0] is E.ZERO.value or kind is float
-        assert vanishes([E.ZERO, E.ZERO], E.Values(pts), 1e-9)
-        assert not vanishes([E.ZERO, x2], E.Values(pts), 1e-9)
+    values = ResidualTracker().track(chart, E.Values(points), [E.ZERO, x1])
+    assert [v.flat for v in values] == want
+    assert [type(v) for v in values[0].flat] == [type(want[0][0]), kind]
+    assert values[0][0] is E.ZERO.value or kind is float
+    assert vanishes([E.ZERO, E.ZERO], E.Values(points), 1e-9)
+    assert not vanishes([E.ZERO, x2], E.Values(points), 1e-9)
     assert evaluated and E.ZERO not in evaluated
 
 
@@ -205,7 +203,7 @@ def test_one_nonzero_among_zeros_is_the_witness(kind):
     """The one nonzero residual value, x2 - 2 at the second point, is the
     maximum, and its witness has its own point and component index."""
     chart, points, x1, x2 = _line()
-    points = [E.Point({v: kind(c) for v, c in pt.items()}) for pt in points]
+    points = [{v: kind(c) for v, c in pt.items()} for pt in points]
     zero = E.Add((x1, E.Mul((E.MINUS_ONE, x1))))  # zero at every point, not folded
     arr = mf.asarray([[E.ZERO, zero], [E.add(x2, E.const(-2)), zero]])
     tracker = ResidualTracker()
@@ -219,7 +217,7 @@ def test_the_points_decide_whether_the_tolerance_applies():
     """x1/10^6 is not zero at exact points, whatever the tolerance; at the
     same points as floats it is within a tolerance of 1e-3."""
     chart, points, x1, _ = _line()
-    float_points = [E.Point({v: float(c) for v, c in pt.items()}) for pt in points]
+    float_points = [{v: float(c) for v, c in pt.items()} for pt in points]
     residual = E.mul(E.const(Fraction(1, 10 ** 6)), x1)
     exact = ResidualTracker(1e-3)
     exact.track(chart, E.Values(points), [residual])
@@ -237,10 +235,10 @@ def test_a_float_residual_past_the_float_range_is_an_error():
     xs = [E.Var("base", i) for i in (1, 2, 3)]
     chart = mf.ChartedManifold(xs)
     residual = E.parse("x1^150*x2^150*x3 - x1^150*x2^150*(x3+1)/(x3+1)", 3)
-    exact = [E.Point(chart_point(chart, (Fraction(100), Fraction(100), Fraction(2))))]
+    exact = [chart_point(chart, (Fraction(100), Fraction(100), Fraction(2)))]
     verdict, _ = residual_verdict("nan", chart, E.Values(exact), 1e-9, [residual])
     assert verdict.status == "fails" and verdict.max_residual == 100 ** 300
-    floats = [E.Point({v: float(c) for v, c in pt.items()}) for pt in exact]
+    floats = [{v: float(c) for v, c in pt.items()} for pt in exact]
     with pytest.raises(E.EvalError, match="float evaluation failed: the value is nan"):
         residual_verdict("nan", chart, E.Values(floats), 1e-9, [residual])
 

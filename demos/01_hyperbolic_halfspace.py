@@ -41,7 +41,7 @@ def main():
     for k in range(3):
         for i in range(3):
             for j in range(i, 3):
-                v = E.evaluate(conn.coefficients[k, i, j], pts[0])
+                v = E.evaluate(conn.components[k, i, j], pts[0])
                 if v != 0:
                     print(f"  Gamma^{k+1}_{i+1}{j+1} = {v}")
 

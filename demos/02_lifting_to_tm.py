@@ -25,6 +25,17 @@ def is_zero_at(exprs, pt):
     return all(E.evaluate(e, pt) == 0 for e in exprs)
 
 
+def nabla(C, U, V):
+    """nabla_U V under the connection C: one row of cov_rows, as a vector field."""
+    n = U.base.n
+    return mf.TensorField(U.base, (1, 0), mf.cov_rows(C, mf.rows([U], n), mf.rows([V], n))[0, 0])
+
+
+def vertical(tb, v):
+    """The vertical lift of the base vector v, such as gamma R(X, Y) = (R(X, Y)y)^v."""
+    return bd.lift(tb, "v", mf.TensorField(tb.base, (1, 0), v)).components
+
+
 def main():
     M, S = demo01.build()
     conn = mf.christoffel(M)
@@ -44,14 +55,14 @@ def main():
 
     print("Bracket table:")
     print("  [X^v, Y^v] = 0:",
-          is_zero_at(mf.lie_bracket(Xv, Yv).components, pt))
-    lhs = mf.lie_bracket(Xc, Yc).components
-    rhs = bd.lift(tb, "c", mf.lie_bracket(X, Y)).components
+          is_zero_at(mf.lie_derivative(Xv, Yv).components, pt))
+    lhs = mf.lie_derivative(Xc, Yc).components
+    rhs = bd.lift(tb, "c", mf.lie_derivative(X, Y)).components
     print("  [X^c, Y^c] = [X, Y]^c:",
           is_zero_at([E.add(a, E.mul(E.const(-1), b)) for a, b in zip(lhs, rhs)], pt))
-    lhs = mf.lie_bracket(Xh, Yh).components
-    rhs = bd.lift(tb, "h", mf.lie_bracket(X, Y)).components
-    defect = bd.gamma_bracket_defect(tb, X, Y).components
+    lhs = mf.lie_derivative(Xh, Yh).components
+    rhs = bd.lift(tb, "h", mf.lie_derivative(X, Y)).components
+    defect = vertical(tb, mf.contract("lijk,i,j,k->l", tb.curvature, X, Y, tb.fiber_vars))
     print("  [X^h, Y^h] = [X, Y]^h - gamma R(X, Y):",
           is_zero_at([E.add(a, E.mul(E.const(-1), b), c)
                       for a, b, c in zip(lhs, rhs, defect)], pt))
@@ -71,14 +82,15 @@ def main():
     print("\nLifted connections:")
     cc = bd.clift_connection(tb)
     hc = bd.hlift_connection(tb)
-    nXY = mf.cov_vec(conn, X, Y)
-    got = mf.cov_vec(cc, Xc, Yc).components
+    nXY = nabla(conn, X, Y)
+    got = nabla(cc, Xc, Yc).components
     want = bd.lift(tb, "c", nXY).components
     print("  nabla^c_{X^c} Y^c = (nabla_X Y)^c:",
           is_zero_at([E.add(a, E.mul(E.const(-1), b)) for a, b in zip(got, want)], pt))
-    got = mf.cov_vec(hc, Xc, Yc).components
+    got = nabla(hc, Xc, Yc).components
     want = bd.lift(tb, "c", nXY).components
-    slice_ = bd.gamma_curvature(tb, X, Y).components
+    # gamma R(., X, Y) = (R(y, X)Y)^v
+    slice_ = vertical(tb, mf.contract("lkij,k,i,j->l", tb.curvature, tb.fiber_vars, X, Y))
     print("  nabla^h_{X^c} Y^c = (nabla_X Y)^c - gamma R(., X, Y):",
           is_zero_at([E.add(a, E.mul(E.const(-1), b), c)
                       for a, b, c in zip(got, want, slice_)], pt))

@@ -16,47 +16,43 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Optional
 
 from . import exprs as E
 from . import manifold as mf
 from .exprs import Var
-from .manifold import ChartedManifold, Connection, GeometryError, TensorField
+from .manifold import ChartedManifold, GeometryError, TensorField
 
 
 class TangentBundleChart:
-    """Induced chart on TM over a base chart, with optional base connection."""
+    """Induced chart on TM over a base chart and its connection, the (1,2)
+    field Gamma (``manifold.christoffel``)."""
 
-    def __init__(self, base: ChartedManifold, connection: Optional[Connection] = None) -> None:
+    def __init__(self, base: ChartedManifold, connection: TensorField) -> None:
         self.base = base
         self.n = base.n
         for v in base.variables:
             if v.kind != "base":
                 raise GeometryError("bundle base chart must use base-kind variables")
+        if connection.base is not base or connection.valence != (1, 2):
+            raise GeometryError("the connection must be a (1,2) field on the base chart")
         self.fiber_vars = tuple(Var("fiber", v.index) for v in base.variables)
         self.chart = ChartedManifold(base.variables + self.fiber_vars, domain=base.domain)
         self.connection = connection
 
-    def _connection(self) -> Connection:
-        if self.connection is None:
-            raise GeometryError("this lift needs a base connection")
-        return self.connection
-
     @cached_property
     def gamma_tilde(self) -> mf.Array:
         """GT[l][i] = y^k Gamma^l_{ki}."""
-        return mf.contract("k,lki->li", self.fiber_vars, self._connection().coefficients)
+        return mf.contract("k,lki->li", self.fiber_vars, self.connection)
 
     @cached_property
-    def gamma_complete(self) -> mf.Array:
-        """The complete lift (``lift``) of Gamma taken as a (1,2) array."""
-        gamma = TensorField(self.base, (1, 2), self._connection().coefficients)
-        return lift(self, "c", gamma).components
+    def gamma_complete(self) -> TensorField:
+        """The complete lift (``lift``) of Gamma, a (1,2) field on TM."""
+        return lift(self, "c", self.connection)
 
     @cached_property
     def curvature(self) -> TensorField:
         """The curvature of the base connection."""
-        return mf.curvature(self._connection())
+        return mf.curvature(self.connection)
 
     def ydel(self, e):
         """The complete-lift derivation y^j d_j applied to a base expression,
@@ -130,22 +126,6 @@ def lifted_rows(tb: TangentBundleChart, kind: str, fields) -> mf.Array:
 
 
 # ----------------------------------------------------------------------
-# gamma operators
-# ----------------------------------------------------------------------
-
-def gamma_curvature(tb: TangentBundleChart, X: TensorField, Y: TensorField) -> TensorField:
-    """gamma R(., X, Y): the vertical field (x,y) -> (R(y,X)Y)^v."""
-    comps = _blocks(tb, f=mf.contract("lkij,k,i,j->l", tb.curvature, tb.fiber_vars, X, Y))
-    return TensorField(tb.chart, (1, 0), comps)
-
-
-def gamma_bracket_defect(tb: TangentBundleChart, X: TensorField, Y: TensorField) -> TensorField:
-    """gamma R(X, Y): the vertical field (x,y) -> (R(X,Y)y)^v."""
-    comps = _blocks(tb, f=mf.contract("lijk,i,j,k->l", tb.curvature, X, Y, tb.fiber_vars))
-    return TensorField(tb.chart, (1, 0), comps)
-
-
-# ----------------------------------------------------------------------
 # derived objects: G, nabla^c and nabla^h
 # ----------------------------------------------------------------------
 
@@ -159,18 +139,18 @@ def sasaki_metric(tb: TangentBundleChart) -> TensorField:
     return TensorField(tb.chart, (0, 2), G)
 
 
-def clift_connection(tb: TangentBundleChart) -> Connection:
-    """nabla^c, the complete lift of the base connection: its coefficients
-    are those of Gamma lifted as a (1,2) array."""
-    return Connection(tb.chart, tb.gamma_complete)
+def clift_connection(tb: TangentBundleChart) -> TensorField:
+    """nabla^c, the complete lift of the base connection: Gamma lifted as a
+    (1,2) field."""
+    return tb.gamma_complete
 
 
-def hlift_connection(tb: TangentBundleChart) -> Connection:
+def hlift_connection(tb: TangentBundleChart) -> TensorField:
     """nabla^h: nabla^c plus K[k,i,j] = y^m R^k_{imj} = (R(d_i, y) d_j)^k in its
     fiber-base-base block, R the base curvature.  Then nabla^h_{X^v} = 0,
     nabla^h_{X^h} Y^v = (nabla_X Y)^v and nabla^h_{X^h} Y^h = (nabla_X Y)^h."""
-    C = tb.gamma_complete
+    C = tb.gamma_complete.components
     K = _blocks(tb, fbb=mf.contract("m,kimj->kij", tb.fiber_vars, tb.curvature))
     # the other blocks keep the nodes of nabla^c: adding 0 can rewrite a tree
-    return Connection(tb.chart, mf.Array(C.shape, [c if k is E.ZERO else E.add(c, k)
-                                                   for c, k in zip(C.flat, K.flat)]))
+    return TensorField(tb.chart, (1, 2), mf.Array(C.shape, [c if k is E.ZERO else E.add(c, k)
+                                                            for c, k in zip(C.flat, K.flat)]))

@@ -434,6 +434,12 @@ def suite_lifts(ctx: SuiteContext) -> SuiteResult:
     Yv, Yc, Yh = (bd.lift(tb, kind, Y) for kind in "vch")
     Xf = mf.contract("m,m->", X, M.partials(f))
 
+    def nabla(C, U, V):  # nabla_U V, one row of cov_rows
+        return mf.cov_rows(C, mf.rows([U], U.base.n), mf.rows([V], U.base.n))[0, 0]
+
+    def vertical(v):  # v^v, the vertical lift of a base vector field v
+        return bd.lift(tb, "v", mf.TensorField(M, (1, 0), v)).components
+
     # function lift laws
     for label, U, fn, want in (
         ("Xv-fv", Xv, bd.lift(tb, "v", f), E.ZERO),
@@ -443,16 +449,16 @@ def suite_lifts(ctx: SuiteContext) -> SuiteResult:
         residuals[label] = [mf.contract("a,a->", U, tb.chart.partials(fn)) - want]
     residuals["fh-zero"] = [bd.lift(tb, "h", f)]
 
-    # bracket table
-    XYb = mf.lie_bracket(X, Y)
-    residuals["bracket-vv"] = mf.lie_bracket(Xv, Yv).components
-    residuals["bracket-cc"] = (mf.lie_bracket(Xc, Yc).components
+    # bracket table; [X^h, Y^h] = [X, Y]^h - gamma R(X, Y), gamma R(X, Y) = (R(X, Y)y)^v
+    XYb = mf.lie_derivative(X, Y)
+    residuals["bracket-vv"] = mf.lie_derivative(Xv, Yv).components
+    residuals["bracket-cc"] = (mf.lie_derivative(Xc, Yc).components
                                - bd.lift(tb, "c", XYb).components)
-    residuals["bracket-vh"] = mf.add(mf.lie_bracket(Xv, Yh).components,
-                                     bd.lift(tb, "v", mf.cov_vec(conn, Y, X)).components)
-    ghh = bd.gamma_bracket_defect(tb, X, Y)
+    residuals["bracket-vh"] = mf.add(mf.lie_derivative(Xv, Yh).components,
+                                     vertical(nabla(conn, Y, X)))
     residuals["bracket-hh"] = mf.add(
-        mf.lie_bracket(Xh, Yh).components, -bd.lift(tb, "h", XYb).components, ghh.components)
+        mf.lie_derivative(Xh, Yh).components, -bd.lift(tb, "h", XYb).components,
+        vertical(mf.contract("lijk,i,j,k->l", tb.curvature, X, Y, tb.fiber_vars)))
 
     # metric pairings
     gXY = mf.contract("ab,a,b->", M.metric, X, Y)
@@ -503,7 +509,7 @@ def suite_lifts(ctx: SuiteContext) -> SuiteResult:
         residuals[f"P-functorial-{kind}"] = (lhs - rhs).flat
 
     # lifted connection frame displays
-    nXY = mf.cov_vec(conn, X, Y)
+    nXY = mf.TensorField(M, (1, 0), nabla(conn, X, Y))
     zero_vec = mf.zeros(2 * n)
     conn_cases = [
         ("cc-cc", ctx.cc, Xc, Yc, bd.lift(tb, "c", nXY).components),
@@ -516,12 +522,11 @@ def suite_lifts(ctx: SuiteContext) -> SuiteResult:
         ("hc-vv", ctx.hc, Xv, Yv, zero_vec),
     ]
     for label, conn2, U, V, want in conn_cases:
-        residuals[f"conn-{label}"] = mf.cov_vec(conn2, U, V).components - want
-    # nabla^h_{X^c} Y^c = (nabla_X Y)^c - gamma R(., X, Y)
-    gslice = bd.gamma_curvature(tb, X, Y)
-    got = mf.cov_vec(ctx.hc, Xc, Yc)
+        residuals[f"conn-{label}"] = nabla(conn2, U, V) - want
+    # nabla^h_{X^c} Y^c = (nabla_X Y)^c - gamma R(., X, Y), gamma R(., X, Y) = (R(y, X)Y)^v
     residuals["conn-hc-cc"] = mf.add(
-        got.components, -bd.lift(tb, "c", nXY).components, gslice.components)
+        nabla(ctx.hc, Xc, Yc), -bd.lift(tb, "c", nXY).components,
+        vertical(mf.contract("lkij,k,i,j->l", tb.curvature, tb.fiber_vars, X, Y)))
     return _result([v for v, _ in _decide(ctx, tb.chart, residuals)])
 
 

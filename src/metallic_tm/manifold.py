@@ -220,18 +220,6 @@ class TensorField:
         return f"TensorField(valence={self.valence}, n={self.base.n})"
 
 
-class Connection:
-    """Linear connection, coefficients Gamma[k][i][j] meaning
-    nabla_{d_i} d_j = Gamma^k_{ij} d_k."""
-
-    def __init__(self, base: ChartedManifold, coefficients) -> None:
-        self.base = base
-        self.coefficients = expr_array(coefficients)
-        n = base.n
-        if self.coefficients.shape != (n, n, n):
-            raise GeometryError("connection coefficients must have shape (n,n,n)")
-
-
 def contract(spec: str, *arrays):
     """Einsum-style sum of products of Expr arrays or tensor fields.
 
@@ -394,8 +382,10 @@ def inverse_matrix(m) -> Array:
     return inv
 
 
-def christoffel(M: ChartedManifold) -> Connection:
-    """Levi-Civita coefficients of the chart metric."""
+def christoffel(M: ChartedManifold) -> TensorField:
+    """The Levi-Civita connection of the chart metric.  A connection is the
+    (1,2) field of its coefficients, [k, i, j] = Gamma^k_{ij}, meaning
+    nabla_{d_i} d_j = Gamma^k_{ij} d_k."""
     if M.metric is None:
         raise GeometryError("chart has no metric")
     g = M.metric
@@ -404,13 +394,12 @@ def christoffel(M: ChartedManifold) -> Connection:
     # 2 Gamma_{lij}, stored [i][j][l]: d_i g_jl + d_j g_il - d_l g_ij
     first_kind = add(dg, dg.transpose(1, 0, 2), -dg.transpose(1, 2, 0))
     gamma = contract("kl,ijl->kij", ginv, first_kind) * E.const(Fraction(1, 2))
-    return Connection(M, gamma)
+    return TensorField(M, (1, 2), gamma)
 
 
-def curvature(C: Connection) -> TensorField:
+def curvature(C: TensorField) -> TensorField:
     """R[l][i][j][k] with R(d_i, d_j) d_k = R^l_{ijk} d_l."""
-    M = C.base
-    G = C.coefficients
+    M, G = C.base, C.components
     dG = M.partials(G)  # [i, l, j, k] = d_i Gamma^l_jk
     GG = contract("lim,mjk+ljm,mik->lijk", G, G, -G, G)
     R = add(dG.transpose(1, 0, 2, 3), -dG.transpose(1, 2, 0, 3), GG)
@@ -421,15 +410,7 @@ def curvature(C: Connection) -> TensorField:
 # brackets and derivatives
 # ----------------------------------------------------------------------
 
-def lie_bracket(X: TensorField, Y: TensorField) -> TensorField:
-    if X.valence != (1, 0) or Y.valence != (1, 0):
-        raise GeometryError("lie_bracket needs two vector fields")
-    if X.base is not Y.base:
-        raise GeometryError("vector fields live on different charts")
-    return lie_derivative(X, Y)
-
-
-def covariant_derivative(C: Connection, T: TensorField) -> TensorField:
+def covariant_derivative(C: TensorField, T: TensorField) -> TensorField:
     """nabla T as one contraction: d_i T, then per slot +Gamma^c_{im} T^..m..
     (contravariant) or -Gamma^m_{ic} T_..m.. (covariant), summed over m with
     the slots in order; the d_i T product does not name m, so it comes once,
@@ -437,7 +418,7 @@ def covariant_derivative(C: Connection, T: TensorField) -> TensorField:
     M = C.base
     k, l = T.valence
     slots = "abcdefghjkl"[:k + l]  # every letter but i and m
-    G, minus_G = C.coefficients, -C.coefficients if l else None
+    G, minus_G = C.components, -C.components if l else None
     specs, ops = ["i" + slots], [M.partials(T.components)]
     for s, c in enumerate(slots):
         specs.append((f"{c}im," if s < k else f"mi{c},") + slots[:s] + "m" + slots[s + 1:])
@@ -446,20 +427,11 @@ def covariant_derivative(C: Connection, T: TensorField) -> TensorField:
     return TensorField(M, (k, l + 1), out)
 
 
-def cov_vec(C: Connection, U: TensorField, V: TensorField) -> TensorField:
-    """Directional derivative nabla_U V = U^i d_i V^a + U^i V^j Gamma^a_ij of
-    a vector field, one contraction."""
-    if U.valence != (1, 0) or V.valence != (1, 0):
-        raise GeometryError("cov_vec needs two vector fields")
-    M = C.base
-    out = contract("i,ia+i,j,aij->a", U, M.partials(V.components), U, V, C.coefficients)
-    return TensorField(M, (1, 0), out)
-
-
-def cov_rows(C: Connection, U: Array, V: Array) -> Array:
-    """[x, y, a] = (nabla_{U_x} V_y)^a for vector fields stacked as rows
-    U[x, i] and V[y, j] (``rows``): ``cov_vec`` for every pair at once."""
-    return contract("xi,iya+xi,yj,aij->xya", U, C.base.partials(V), U, V, C.coefficients)
+def cov_rows(C: TensorField, U: Array, V: Array) -> Array:
+    """[x, y, a] = (nabla_{U_x} V_y)^a = U^i d_i V^a + U^i V^j Gamma^a_ij for
+    vector fields stacked as rows U[x, i] and V[y, j] (``rows``), every pair
+    at once; ``cov_rows(C, rows([U], n), rows([V], n))[0, 0]`` is nabla_U V."""
+    return contract("xi,iya+xi,yj,aij->xya", U, C.base.partials(V), U, V, C)
 
 
 def lie_derivative(X: TensorField, T: TensorField) -> TensorField:
@@ -468,6 +440,8 @@ def lie_derivative(X: TensorField, T: TensorField) -> TensorField:
     slots in order.  For a vector field T this is the bracket [X, T]."""
     if X.valence != (1, 0):
         raise GeometryError("lie_derivative direction must be a vector field")
+    if X.base is not T.base:
+        raise GeometryError("the fields live on different charts")
     M = X.base
     k, l = T.valence
     slots = "abcdefghijkl"[:k + l]  # every letter but m

@@ -18,7 +18,7 @@ from . import bundle as bd
 from . import exprs as E
 from . import manifold as mf
 from . import paracontact as pc
-from .manifold import Connection, TensorField
+from .manifold import TensorField
 from .scalars import half_root
 
 
@@ -123,7 +123,7 @@ def compat_residuals(metric: TensorField, psi: TensorField, label: str) -> Dict[
 # F-integrability side conditions
 # ----------------------------------------------------------------------
 
-def F_integrability_residuals(S: pc.ParacontactStructure, C: Connection,
+def F_integrability_residuals(S: pc.ParacontactStructure, C: TensorField,
                                R: TensorField, frame) -> Dict[str, mf.Array]:
     """D-flatness (``D-flat``, eta(nabla_X Y), ``paracontact.D_flat``) and the
     curvature and connection conditions of the F-integrability theorem
@@ -153,7 +153,7 @@ def F_integrability_residuals(S: pc.ParacontactStructure, C: Connection,
 # parallelity probes
 # ----------------------------------------------------------------------
 
-def parallelity_probes(psi: TensorField, lift: str, lifted_conn: Connection,
+def parallelity_probes(psi: TensorField, lift: str, lifted_conn: TensorField,
                        S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
                        frame) -> Tuple[mf.Array, mf.Array]:
     """The probes (nabla~_X~ Psi) xi~ for the directions X of the D-frame

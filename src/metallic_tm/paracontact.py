@@ -12,7 +12,7 @@ from typing import Dict, List
 
 from . import exprs as E
 from . import manifold as mf
-from .manifold import ChartedManifold, Connection, GeometryError, TensorField
+from .manifold import ChartedManifold, GeometryError, TensorField
 from .verdicts import FLOAT_TOL, vanishes
 
 
@@ -56,7 +56,7 @@ def metric_compat(S: ParacontactStructure) -> Dict[str, mf.Array]:
     }
 
 
-def p_sasakian(S: ParacontactStructure, C: Connection) -> Dict[str, mf.Array]:
+def p_sasakian(S: ParacontactStructure, C: TensorField) -> Dict[str, mf.Array]:
     """(nabla_X phi)Y = -g(X,Y)xi - eta(Y)X + 2 eta(X)eta(Y)xi and nabla_X xi = phi X."""
     M = S.base
     phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
@@ -114,7 +114,7 @@ def distribution_frame(S: ParacontactStructure, values: E.Values,
     return out
 
 
-def D_flat(S: ParacontactStructure, C: Connection, frame) -> mf.Array:
+def D_flat(S: ParacontactStructure, C: TensorField, frame) -> mf.Array:
     """eta(nabla_X Y) at [x, y] for the spanning family ``frame`` of D-valued
     fields (``distribution_frame``); D is flat when it vanishes."""
     X = mf.rows(frame, S.base.n)

@@ -46,6 +46,13 @@ def tb(h3, conn):
     return bd.TangentBundleChart(h3, conn)
 
 
+def nabla(C, U, V):
+    """nabla_U V for vector fields U and V under the connection C, as a
+    vector field: the one-row case of ``manifold.cov_rows``."""
+    n = U.base.n
+    return mf.TensorField(U.base, (1, 0), mf.cov_rows(C, mf.rows([U], n), mf.rows([V], n))[0, 0])
+
+
 def chart_point(chart, coords) -> dict:
     """The point of ``chart`` with ``coords``, in the order of its variables."""
     assert len(coords) == chart.n, coords
@@ -85,6 +92,52 @@ def base_points(h3):
 @pytest.fixture(scope="session")
 def manifest_path():
     return bundled_manifest_path()
+
+
+def family(h_minus, h_plus) -> dict:
+    """The manifest document of the warped two-block chart
+    g = x_n^-2 (h_minus + dx_n^2) + x_n^2 h_plus on n = len(h_minus) +
+    len(h_plus) + 1 coordinates, with phi = diag(-1..., +1..., 0) on the two
+    blocks, eta = dx_n / x_n, xi = x_n d_n and the domain x_n > 0.  The
+    block entries are expression texts in x1..x_{n-1}, each one factor (a
+    sum goes in parentheses).  The metallic sets and the sample plan are
+    those of the bundled charts."""
+    k, n = len(h_minus), len(h_minus) + len(h_plus) + 1
+    x = f"x{n}"
+
+    def entry(i, j):
+        if i == j == n - 1:
+            return f"{x}^-2"
+        if i < k and j < k:
+            h, scale = h_minus[i][j], f"{x}^-2"
+        elif k <= min(i, j) and max(i, j) < n - 1:
+            h, scale = h_plus[i - k][j - k], f"{x}^2"
+        else:
+            return "0"
+        return {"0": "0", "1": scale}.get(h, f"{scale}*{h}")
+
+    signs = [-1] * k + [1] * len(h_plus) + [0]
+    return {
+        "name": f"warped-n{n}",
+        "dimension": n,
+        "coordinates": [f"x{i}" for i in range(1, n + 1)],
+        "domain": [x],
+        "metric": [[entry(i, j) for j in range(n)] for i in range(n)],
+        "phi": [[str(signs[i]) if i == j else "0" for j in range(n)] for i in range(n)],
+        "eta": ["0"] * (n - 1) + [f"1/{x}"],
+        "xi": ["0"] * (n - 1) + [x],
+        "metallic": [{"p": 1, "q": 1, "eps1": 1, "eps2": 1},
+                     {"p": 2, "q": 1, "eps1": 1, "eps2": 1},
+                     {"p": 3, "q": 5, "eps1": -1, "eps2": -1}],
+        "sample_plan": {"count": 3, "seed": 7, "mode": "exact",
+                        "base_ranges": [["1", "4"]] * n, "fiber_ranges": [["-3", "3"]] * n},
+    }
+
+
+def dense(m):
+    """h = delta + x'x'^T on x1..xm, the fiber block of the dense warped charts."""
+    return [[f"(1 + x{i}^2)" if i == j else f"x{min(i, j)}*x{max(i, j)}" for j in range(1, m + 1)]
+            for i in range(1, m + 1)]
 
 
 def first_primes(count):
@@ -364,7 +417,7 @@ def from_blocks(n, rank, **blocks):
 def clift_blocks(tb):
     """nabla^c: C^k_{ij} = Gamma^k_{ij}, C^kbar_{ij} = y^l d_l Gamma^k_{ij},
     C^kbar_{i jbar} = C^kbar_{ibar j} = Gamma^k_{ij}."""
-    G = tb.connection.coefficients
+    G = tb.connection.components
     ydG = mf.contract("l,lkij->kij", tb.fiber_vars, tb.base.partials(G))
     return from_blocks(tb.n, 3, bbb=G, fbb=ydG, fbf=G, ffb=G)
 
@@ -374,7 +427,7 @@ def hlift_blocks(tb):
     + Gamma^l_{mj} Gamma^k_{il} - Gamma^l_{ij} Gamma^k_{ml}), the frame
     equations nabla^h_{X^v} = 0, nabla^h_{X^h} Y^v = (nabla_X Y)^v and
     nabla^h_{X^h} Y^h = (nabla_X Y)^h solved into coordinates."""
-    G = tb.connection.coefficients
+    G = tb.connection.components
     dG = tb.base.partials(G)
     # [k, i, j, m]: d_i Gamma^k_{mj} plus the Gamma Gamma terms
     inner = mf.add(dG.transpose(1, 0, 3, 2), mf.contract("lmj,kil+lij,kml->kijm", G, G, -G, G))
@@ -385,7 +438,7 @@ def hlift_blocks(tb):
 def sasaki_blocks(tb):
     """G = [[g + GT^T g GT, GT^T g], [g GT, g]], GT[l][i] = y^k Gamma^l_{ki}."""
     g = tb.base.metric
-    gt = mf.contract("k,lki->li", tb.fiber_vars, tb.connection.coefficients)
+    gt = mf.contract("k,lki->li", tb.fiber_vars, tb.connection.components)
     bb = mf.add(g, mf.contract("ai,ab,bj->ij", gt, g, gt))
     bf = mf.contract("ai,aj->ij", gt, g)
     fb = mf.contract("ia,aj->ij", g, gt)

@@ -20,7 +20,7 @@ from metallic_tm import manifold as mf
 from metallic_tm.exprs import Var
 
 from conftest import (bundle_point, clift_blocks, eval_zero, evaluate_array, hlift_blocks,
-                      lifted_metric, sasaki_blocks)
+                      lifted_metric, nabla, sasaki_blocks)
 from metallic_tm.cli import bundled_manifest_path
 
 TWIN = pathlib.Path(__file__).parent / "data" / "hyperbolic-h3-twin.json"
@@ -94,15 +94,15 @@ def test_complete_lift_fiber_sign_is_positive(tb, fields):
 
     Xm = flipped(bd.lift(tb, "c", X))
     Ym = flipped(bd.lift(tb, "c", Y))
-    XYm = flipped(bd.lift(tb, "c", mf.lie_bracket(X, Y)))
-    resid = vec_residual(mf.lie_bracket(Xm, Ym).components, XYm.components)
+    XYm = flipped(bd.lift(tb, "c", mf.lie_derivative(X, Y)))
+    resid = vec_residual(mf.lie_derivative(Xm, Ym).components, XYm.components)
     pt = bundle_point(tb, [Fraction(1), Fraction(1), Fraction(2)],
                   [Fraction(1), Fraction(-2), Fraction(3)])
     assert not eval_zero(resid, pt)
     # while the shipped sign satisfies it
     ok = vec_residual(
-        mf.lie_bracket(bd.lift(tb, "c", X), bd.lift(tb, "c", Y)).components,
-        bd.lift(tb, "c", mf.lie_bracket(X, Y)).components,
+        mf.lie_derivative(bd.lift(tb, "c", X), bd.lift(tb, "c", Y)).components,
+        bd.lift(tb, "c", mf.lie_derivative(X, Y)).components,
     )
     assert eval_zero(ok, pt)
 
@@ -113,16 +113,18 @@ def test_bracket_table(charts):
         conn = tb.connection
         Xv, Yv = bd.lift(tb, "v", X), bd.lift(tb, "v", Y)
         Xh, Yh = bd.lift(tb, "h", X), bd.lift(tb, "h", Y)
+        # gamma R(X, Y) = (R(X, Y)y)^v
+        defect = bd.lift(tb, "v", mf.TensorField(tb.base, (1, 0), mf.contract(
+            "lijk,i,j,k->l", tb.curvature, X, Y, tb.fiber_vars))).components
         for pt in c.points:
-            assert eval_zero(mf.lie_bracket(Xv, Yv).components, pt), c.name
+            assert eval_zero(mf.lie_derivative(Xv, Yv).components, pt), c.name
             # [X^v, Y^h] = -(nabla_Y X)^v
-            lhs = mf.lie_bracket(Xv, Yh).components
-            rhs = bd.lift(tb, "v", mf.cov_vec(conn, Y, X)).components
+            lhs = mf.lie_derivative(Xv, Yh).components
+            rhs = bd.lift(tb, "v", nabla(conn, Y, X)).components
             assert eval_zero([E.add(a, b) for a, b in zip(lhs, rhs)], pt), c.name
             # [X^h, Y^h] = [X, Y]^h - gamma R(X, Y)
-            lhs = mf.lie_bracket(Xh, Yh).components
-            rhs = bd.lift(tb, "h", mf.lie_bracket(X, Y)).components
-            defect = bd.gamma_bracket_defect(tb, X, Y).components
+            lhs = mf.lie_derivative(Xh, Yh).components
+            rhs = bd.lift(tb, "h", mf.lie_derivative(X, Y)).components
             resid = [E.add(a, E.mul(E.const(-1), b), d)
                      for a, b, d in zip(lhs, rhs, defect)]
             assert eval_zero(resid, pt), c.name
@@ -243,7 +245,7 @@ def test_lifted_connections(charts):
         conn = tb.connection
         cc = bd.clift_connection(tb)
         hc = bd.hlift_connection(tb)
-        nXY = mf.cov_vec(conn, X, Y)
+        nXY = nabla(conn, X, Y)
         Xv, Xc, Xh = (bd.lift(tb, kind, X) for kind in "vch")
         Yv, Yc, Yh = (bd.lift(tb, kind, Y) for kind in "vch")
         zero = [E.ZERO] * (2 * tb.n)
@@ -257,12 +259,13 @@ def test_lifted_connections(charts):
             (hc, Xv, Yh, zero),
         ]
         for C2, U, V, want in cases:
-            resid = vec_residual(mf.cov_vec(C2, U, V).components, want)
+            resid = vec_residual(nabla(C2, U, V).components, want)
             for pt in c.points:
                 assert eval_zero(resid, pt), c.name
-        # nabla^h_{X^c} Y^c picks up the curvature slice
-        got = mf.cov_vec(hc, Xc, Yc)
-        gslice = bd.gamma_curvature(tb, X, Y)
+        # nabla^h_{X^c} Y^c picks up the curvature slice gamma R(., X, Y) = (R(y, X)Y)^v
+        got = nabla(hc, Xc, Yc)
+        gslice = bd.lift(tb, "v", mf.TensorField(tb.base, (1, 0), mf.contract(
+            "lkij,k,i,j->l", tb.curvature, tb.fiber_vars, X, Y)))
         resid = [E.add(a, E.mul(E.const(-1), b), d) for a, b, d in zip(
             got.components, bd.lift(tb, "c", nXY).components, gslice.components)]
         for pt in c.points:
@@ -323,15 +326,21 @@ def test_ydel_acts_componentwise(tb, shape):
         assert got[idx] == tb.ydel(arr[idx])
 
 
-def test_gamma_tilde_is_built_once_and_needs_a_connection(h3, conn):
-    bare = bd.TangentBundleChart(h3)
-    for _ in range(2):  # the error is raised again, not cached
+def test_gamma_tilde_is_built_once_and_needs_a_connection(h3, conn, structure):
+    """The bundle chart takes its base connection when it is made: without
+    one, or with a field that is not a (1,2) field on the base chart, there
+    is no chart to lift to."""
+    with pytest.raises(TypeError):
+        bd.TangentBundleChart(h3)
+    twin = mf.ChartedManifold(h3.variables, h3.metric, h3.domain)
+    for bad in (structure.phi, mf.TensorField(h3, (1, 3), mf.zeros((3,) * 4)),
+                mf.TensorField(twin, (1, 2), conn.components)):
         with pytest.raises(mf.GeometryError, match="connection"):
-            bare.gamma_tilde
+            bd.TangentBundleChart(h3, bad)
     tb2 = bd.TangentBundleChart(h3, conn)
     assert tb2.gamma_tilde is tb2.gamma_tilde
     assert tb2.gamma_tilde[2, 0] == mf.contract("k,k->", tb2.fiber_vars,
-                                                [conn.coefficients[2, k, 0] for k in range(3)])
+                                                [conn.components[2, k, 0] for k in range(3)])
 
 
 @pytest.mark.parametrize("path", CHARTS, ids=lambda p: p.stem)
@@ -340,8 +349,8 @@ def test_derived_objects_match_their_coordinate_blocks(path):
     hand-expanded coordinate blocks exactly at the chart's sample points."""
     m = harness.load_manifest(str(path))
     tb = bd.TangentBundleChart(m.manifold, mf.christoffel(m.manifold))
-    for got, want in ((bd.clift_connection(tb).coefficients, clift_blocks(tb)),
-                      (bd.hlift_connection(tb).coefficients, hlift_blocks(tb)),
+    for got, want in ((bd.clift_connection(tb).components, clift_blocks(tb)),
+                      (bd.hlift_connection(tb).components, hlift_blocks(tb)),
                       (bd.sasaki_metric(tb).components, sasaki_blocks(tb))):
         assert got.shape == want.shape
         for pt in harness.sample_points(m):

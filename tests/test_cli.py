@@ -57,7 +57,7 @@ def test_non_utf8_manifest_is_a_usage_error(command, tmp_path, capsys):
 
 
 def test_validate_bad_content(tmp_path, manifest_path):
-    doc = json.load(open(manifest_path))
+    doc = json.loads(pathlib.Path(manifest_path).read_text())
     doc["eta"][0] = "x1 +"
     p = tmp_path / "broken.json"
     p.write_text(json.dumps(doc))
@@ -84,7 +84,7 @@ def test_verify_rejects_an_empty_suite_list(manifest_path, suites, capsys):
 def test_verify_redraws_where_a_domain_constraint_is_undefined(manifest_path, tmp_path, capsys):
     """Seed 2 draws x1 = x2 on h3 with the constraint 1/(x1 - x2): the draw
     is rejected and redrawn, and the run passes."""
-    doc = json.load(open(manifest_path))
+    doc = json.loads(pathlib.Path(manifest_path).read_text())
     doc["domain"] = ["x3", "1/(x1-x2)"]
     p = tmp_path / "undefined-constraint.json"
     p.write_text(json.dumps(doc))
@@ -173,7 +173,7 @@ def test_verify_and_validate_load_no_openssl(tmp_path, manifest_path):
 
 
 def test_verify_detects_failures(tmp_path, manifest_path):
-    doc = json.load(open(manifest_path))
+    doc = json.loads(pathlib.Path(manifest_path).read_text())
     doc["phi"][2][2] = "1"
     p = tmp_path / "mutated.json"
     p.write_text(json.dumps(doc))
@@ -184,7 +184,7 @@ def test_verify_evaluation_error_exit_code(tmp_path, manifest_path):
     """A rational entry that does not fold when parsed but divides by zero
     at every point is an error message and exit code 2 in either mode, not
     a traceback."""
-    doc = json.load(open(manifest_path))
+    doc = json.loads(pathlib.Path(manifest_path).read_text())
     doc["eta"][0] = "1/(x1*x2 - x2*x1)"
     p = tmp_path / "zero-denominator.json"
     p.write_text(json.dumps(doc))
@@ -203,7 +203,7 @@ def test_verify_evaluation_error_exit_code(tmp_path, manifest_path):
 def test_verify_residual_beyond_float_range(tmp_path, manifest_path):
     """An exact residual too large for a float fails its suite with exit
     code 1, not a traceback, and the report still holds a number."""
-    doc = json.load(open(manifest_path))
+    doc = json.loads(pathlib.Path(manifest_path).read_text())
     doc["phi"][0][0] = "x1^700"
     p = tmp_path / "huge-phi.json"
     p.write_text(json.dumps(doc))
@@ -225,7 +225,7 @@ def test_verify_value_beyond_the_digit_limit(tmp_path, manifest_path, capsys):
     """An exact value with more digits than the interpreter converts to a
     string is one error line naming the limit and exit code 2, not a
     traceback."""
-    doc = json.load(open(manifest_path))
+    doc = json.loads(pathlib.Path(manifest_path).read_text())
     doc["phi"][0][0] = "(x1*x2*x3)^900*(x1*x2*x3)^900"
     p = tmp_path / "huge-value.json"
     p.write_text(json.dumps(doc))
@@ -240,7 +240,7 @@ def test_verify_float_value_past_the_float_range(tmp_path, manifest_path, capsys
     inf - inf at every point of [120, 200]^3, fails the axioms exactly.  In
     float mode its nan is one error line and exit code 2, not an axioms
     suite that passes because no tolerance ranks the nan."""
-    doc = json.load(open(manifest_path))
+    doc = json.loads(pathlib.Path(manifest_path).read_text())
     doc["xi"][0] = "x1^50*x2^50*x3^51 - x1^50*x2^50*x3^50*(x3+1)/(x3+1)"
     doc["sample_plan"]["base_ranges"] = [["120", "200"]] * 3
     p = tmp_path / "nan-xi.json"
@@ -256,7 +256,7 @@ def test_main_gives_back_the_collector_state(enabled, manifest_path, tmp_path, m
     """The command runs with the cyclic collector paused, and main gives the
     caller back the collector state it had and the frozen objects it had,
     whether the command passes, exits 1 or 2, or raises."""
-    doc = json.load(open(manifest_path))
+    doc = json.loads(pathlib.Path(manifest_path).read_text())
     doc["eta"][0] = "x1 +"
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(doc))
@@ -435,7 +435,7 @@ def test_malformed_manifest_without_jsonschema(mutate, manifest_path, tmp_path, 
     """parse_manifest is the only validator: a malformed manifest gives exit
     code 1 and one error line from validate and verify, never a traceback
     or a run, whether or not jsonschema is installed."""
-    doc = json.load(open(manifest_path))
+    doc = json.loads(pathlib.Path(manifest_path).read_text())
     mutate(doc)
     p = tmp_path / "malformed.json"
     p.write_text(json.dumps(doc))
@@ -457,7 +457,7 @@ def test_bundled_manifests_match_the_schema(path):
 @pytest.mark.parametrize("mutate", [pytest.param(m, id=i) for i, m in SCHEMA_MALFORMED.items()])
 def test_parse_manifest_rejects_what_the_schema_rejects(mutate, manifest_path):
     """The schema is the oracle: each mutation fails it and parse_manifest."""
-    doc = json.load(open(manifest_path))
+    doc = json.loads(pathlib.Path(manifest_path).read_text())
     mutate(doc)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, MANIFEST_SCHEMA)

@@ -21,7 +21,7 @@ from metallic_tm.cli import bundled_manifest_path
 from metallic_tm.harness import Manifest, ManifestError, SamplePlan
 
 import pinned_reports
-from conftest import evaluate_array
+from conftest import dense, evaluate_array, family
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -300,6 +300,39 @@ def test_pinned_report_matches_golden(row, tmp_path):
     want_code, want = pinned_reports.golden(row)
     assert report.decode("utf-8") == want.decode("utf-8")
     assert code == want_code
+
+
+def _one(m):
+    return [["1" if i == j else "0" for j in range(m)] for i in range(m)]
+
+
+# each bundled chart as a member of the warped two-block family: (h_minus, h_plus)
+FAMILY = {
+    "hyperbolic-h3": (_one(2), []),
+    "hyperbolic-h5": (_one(4), []),
+    "hyperbolic-h7": (_one(6), []),
+    "split-h3": (_one(1), _one(1)),
+    "warped-h3": ([["(1 + x1^2 + x2^2)^-2", "0"], ["0", "(1 + x1^2 + x2^2)^-2"]], []),
+    "warped-h5-dense": (dense(4), []),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY)
+def test_the_family_generator_writes_the_bundled_charts(name, tmp_path):
+    """``conftest.family`` gives each bundled chart: with the bundled file's
+    name, metallic sets and sample plan, its report is the golden byte for
+    byte but for the manifest hash."""
+    bundled = json.loads(pathlib.Path(bundled_manifest_path(name)).read_text())
+    doc = {**family(*FAMILY[name]), **{k: bundled[k] for k in ("name", "metallic", "sample_plan")}}
+    assert {k: v for k, v in doc.items() if k != "coordinates"} == {
+        k: v for k, v in bundled.items() if k != "coordinates"}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    row = pinned_reports.Row(str(path), (), f"{name}.report.json")
+    (code, got), (want_code, want) = pinned_reports.verify(row, tmp_path), pinned_reports.golden(row)
+    got_hash, want_hash = (json.loads(r)["manifest_hash"] for r in (got, want))
+    assert got_hash != want_hash
+    assert got.replace(got_hash.encode(), want_hash.encode()) == want and code == want_code
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ def test_christoffel_h3_values(h3, conn, base_points):
     """Known nonzero symbols of the hyperbolic half-space."""
     pt = base_points[0]  # x3 = 2
     x3 = Fraction(2)
-    G = conn.coefficients
+    G = conn.components
     expected = {
         (2, 0, 0): 1 / x3,   # Gamma^3_11
         (0, 0, 2): -1 / x3,  # Gamma^1_13
@@ -34,7 +34,7 @@ def test_christoffel_h3_values(h3, conn, base_points):
 
 
 def test_connection_is_torsion_free_and_metric(h3, conn, base_points):
-    G = conn.coefficients  # torsion-free: Gamma^k_ij = Gamma^k_ji
+    G = conn.components  # torsion-free: Gamma^k_ij = Gamma^k_ji
     assert eval_zero(G - G.transpose(0, 2, 1), base_points[0])
     gfield = mf.TensorField(h3, (0, 2), h3.metric)
     dg = mf.covariant_derivative(conn, gfield)
@@ -74,12 +74,12 @@ def test_lie_bracket_coordinate_fields(h3, base_points):
     x1 = Var("base", 1)
     X = mf.TensorField(h3, (1, 0), [E.ONE, E.ZERO, E.ZERO])
     Y = mf.TensorField(h3, (1, 0), [E.ZERO, x1, E.ZERO])
-    B = mf.lie_bracket(X, Y)
+    B = mf.lie_derivative(X, Y)  # the bracket [X, Y]
     pt = base_points[0]
     assert E.evaluate(B.components[1], pt) == 1  # [d1, x1 d2] = d2
     assert E.evaluate(B.components[0], pt) == 0
     # antisymmetry
-    B2 = mf.lie_bracket(Y, X)
+    B2 = mf.lie_derivative(Y, X)
     assert E.evaluate(E.add(B.components[1], B2.components[1]), pt) == 0
 
 
@@ -367,7 +367,7 @@ def test_contract_with_zero_operand_gives_zero():
 def _loop_covariant_derivative(C, T):
     """The nested loops covariant_derivative was before it became one
     contraction: d_i T, then per m the Gamma term of each slot in order."""
-    n, G = C.base.n, C.coefficients
+    n, G = C.base.n, C.components
     k, l = T.valence
     comp = T.components
     dcomp = C.base.partials(comp)
@@ -388,8 +388,9 @@ def _loop_covariant_derivative(C, T):
 
 
 def _loop_cov_vec(C, U, V):
-    """The nested loop cov_vec was: per i, U^i d_i V^a, then U^i V^j Gamma^a_ij."""
-    n, G = C.base.n, C.coefficients
+    """The nested loop nabla_U V was, before it became a contraction: per i,
+    U^i d_i V^a, then U^i V^j Gamma^a_ij."""
+    n, G = C.base.n, C.components
     Uc, Vc = U.components, V.components
     dV = C.base.partials(Vc)
     out = mf.zeros(n)
@@ -424,22 +425,68 @@ def test_covariant_derivative_builds_the_loop_trees(tb, valence):
     _same_trees(mf.covariant_derivative(cc, T).components, _loop_covariant_derivative(cc, T))
 
 
-def test_cov_vec_builds_the_loop_trees(tb, conn):
+def test_cov_rows_builds_the_loop_trees(tb, conn):
+    """On single rows, cov_rows gives the trees of the nested loop, on the
+    base chart and under nabla^c and nabla^h on TM."""
     x1, x2, x3 = tb.base.variables
     X = mf.TensorField(tb.base, (1, 0), [x2, E.ZERO, E.mul(x1, x3)])
     Y = mf.TensorField(tb.base, (1, 0), [E.ZERO, E.mul(x1, x3), E.pow_(x2, 2)])
     cc, hc = bd.clift_connection(tb), bd.hlift_connection(tb)
     lifts = {k: (bd.lift(tb, k, X), bd.lift(tb, k, Y)) for k in "vch"}
-    _same_trees(mf.cov_vec(conn, X, Y).components, _loop_cov_vec(conn, X, Y))
+    got = mf.cov_rows(conn, mf.rows([X], 3), mf.rows([Y], 3))
+    assert got.shape == (1, 1, 3)
+    _same_trees(got[0, 0], _loop_cov_vec(conn, X, Y))
     for C, (a, b) in ((cc, "cc"), (cc, "vc"), (cc, "cv"), (hc, "hh"), (hc, "hv"), (hc, "cc")):
         U, V = lifts[a][0], lifts[b][1]
-        _same_trees(mf.cov_vec(C, U, V).components, _loop_cov_vec(C, U, V))
+        _same_trees(mf.cov_rows(C, mf.rows([U], 6), mf.rows([V], 6))[0, 0],
+                    _loop_cov_vec(C, U, V))
     # every pair of fields stacked as rows at once
     us, vs = [X, Y], [Y, X, Y]
     got = mf.cov_rows(conn, mf.rows(us, 3), mf.rows(vs, 3))
     assert got.shape == (2, 3, 3) and mf.rows([], 3).shape == (0, 3)
     for x, y in np.ndindex(2, 3):
         _same_trees(got[x, y], _loop_cov_vec(conn, us[x], vs[y]))
+
+
+def test_only_vector_fields_stack_as_rows(h3, structure):
+    """A row of cov_rows is a vector field: ``rows`` refuses a (1,1) field
+    as it refuses any field whose components are not one row."""
+    with pytest.raises(mf.GeometryError, match="do not fill shape"):
+        mf.rows([structure.phi], 3)
+    with pytest.raises(mf.GeometryError, match="do not fill shape"):
+        mf.rows([structure.xi, structure.phi], 3)
+    assert mf.rows([structure.xi], 3).shape == (1, 3)
+
+
+def test_lie_derivative_needs_both_fields_on_one_chart(h3, tb):
+    """A vector field and a field of any valence on another chart, of the
+    same dimension or not, are a GeometryError, not a contraction."""
+    x1, x2, x3 = h3.variables
+    X = mf.TensorField(h3, (1, 0), [x2, E.ZERO, x1])
+    twin = mf.ChartedManifold(h3.variables, h3.metric, h3.domain)
+    for T in (mf.TensorField(twin, (1, 0), [x3, x1, E.ZERO]),
+              mf.TensorField(twin, (0, 2), h3.metric),
+              bd.lift(tb, "v", X)):
+        with pytest.raises(mf.GeometryError, match="different charts"):
+            mf.lie_derivative(X, T)
+        with pytest.raises(mf.GeometryError, match="different charts"):
+            mf.lie_derivative(mf.TensorField(T.base, (1, 0), mf.zeros(T.base.n)), X)
+
+
+def test_a_connection_is_a_1_2_field(h3, structure):
+    """A connection is the (1,2) field of its coefficients: an array of
+    another shape is no such field, and a (1,1) field given as a connection
+    is a GeometryError in every operation that takes one."""
+    with pytest.raises(mf.GeometryError, match="does not match valence"):
+        mf.TensorField(h3, (1, 2), mf.zeros((3, 3)))
+    with pytest.raises(mf.GeometryError, match="does not match valence"):
+        mf.TensorField(h3, (1, 2), mf.zeros((3, 3, 4)))
+    phi, xi = structure.phi, structure.xi
+    X = mf.rows([xi], 3)
+    for call in (lambda: mf.curvature(phi), lambda: mf.covariant_derivative(phi, xi),
+                 lambda: mf.covariant_derivative(phi, phi), lambda: mf.cov_rows(phi, X, X)):
+        with pytest.raises(mf.GeometryError, match="operand"):
+            call()
 
 
 def test_array_indexes_and_transposes_as_numpy_does():
@@ -505,7 +552,7 @@ def _fields_on(chart, shape, seed):
 
 
 def _spec_lie_bracket(X, Y):
-    """The bracket spec lie_bracket had before it called lie_derivative."""
+    """The bracket spec [X, Y] had before it became lie_derivative's."""
     M = X.base
     return mf.contract("j,ji+j,ji->i", X, M.partials(Y.components),
                        -Y.components, M.partials(X.components))
@@ -528,8 +575,7 @@ def _branch_lie_derivative(X, T):
 @pytest.mark.parametrize("valence", [(1, 0), (0, 1), (1, 1)])
 def test_lie_derivative_builds_the_branch_trees(tb, valence):
     """The generated spec gives the trees of the old per-valence specs,
-    term order and printed form included; for a vector field, so does
-    lie_bracket."""
+    term order and printed form included."""
     M = tb.chart
     X = mf.TensorField(M, (1, 0), _fields_on(M, (6,), 1))
     T = mf.TensorField(M, valence, _fields_on(M, (6,) * sum(valence), 2))
@@ -537,8 +583,6 @@ def test_lie_derivative_builds_the_branch_trees(tb, valence):
     dX = M.partials(X.components)
     assert any(dX[c, m] != dX[m, c] for c, m in np.ndindex(dX.shape))  # d_c X^m is not symmetric
     _same_trees(mf.lie_derivative(X, T).components, want)
-    if valence == (1, 0):
-        _same_trees(mf.lie_bracket(X, T).components, want)
 
 
 def _loop_nijenhuis(F):

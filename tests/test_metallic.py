@@ -292,7 +292,7 @@ def test_psi_combinations_equal_the_residuals_of_T(structure, tb, points, p, q, 
 
         for pt, (t, dt), s in zip(points, ts, s_vals):
             assert (nijenhuis_values(t, dt) == A * values(n_psi, pt)).all()
-            gamma = values(conns[lift].coefficients, pt)
+            gamma = values(conns[lift].components, pt)
             assert (covariant_values(t, dt, gamma) == C * values(cov_psi, pt)).all()
 
         for metric in (lifted_metric(tb, "c"), bd.sasaki_metric(tb)):
@@ -477,7 +477,7 @@ def test_proof_rows_on_contact_example():
     assert not eval_zero(deta.components, pts[0])
 
     # flat connection on this chart
-    C = mf.Connection(M, mf.zeros((3, 3, 3)))
+    C = mf.TensorField(M, (1, 2), mf.zeros((3, 3, 3)))
     tb2 = bd.TangentBundleChart(M, C)
     psi = ml.build_psi(S, tb2, "c", 1, 1)
     assert metallic_verdict(psi, "J", pts).holds

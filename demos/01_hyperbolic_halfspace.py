@@ -14,7 +14,7 @@ from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
 from metallic_tm import paracontact as pc
 from metallic_tm.exprs import Var
-from metallic_tm.verdicts import FLOAT_TOL, residual_verdict
+from metallic_tm.verdicts import residual_verdict
 
 
 def build():
@@ -48,7 +48,7 @@ def main():
     print("\nStructure axioms at 2 rational points:")
     residuals = {**pc.almost_paracontact(S), **pc.metric_compat(S), **pc.p_sasakian(S, conn)}
     for axiom_id, resid in residuals.items():
-        v, _ = residual_verdict(axiom_id, M, values, FLOAT_TOL, resid)
+        v, _ = residual_verdict(axiom_id, M, values, resid)
         print(f"  {axiom_id:<20} {v.status}")
 
     print("\nObstruction tensors N1..N4 (all vanish):")
@@ -58,7 +58,7 @@ def main():
 
     print("\nThe distribution D = ker(eta) is not flat:")
     resid = pc.D_flat(S, conn, pc.distribution_frame(S, values))  # eta(nabla_X Y)
-    v, _ = residual_verdict("D-flat", M, values, FLOAT_TOL, resid)
+    v, _ = residual_verdict("D-flat", M, values, resid)
     print(f"  D-flat {v.status}, witness frame {v.witness.frame}, "
           f"residual {v.witness.value}")
 

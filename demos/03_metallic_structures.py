@@ -16,13 +16,13 @@ from metallic_tm import metallic as ml
 from metallic_tm import paracontact as pc
 from metallic_tm.cli import bundled_manifest_path
 from metallic_tm.scalars import scalar_str
-from metallic_tm.verdicts import FLOAT_TOL, residual_verdict
+from metallic_tm.verdicts import residual_verdict
 
 
 def decide(arr, chart, values):
     """The verdict on the residual array ``arr``, which must vanish at the
     points of ``values``."""
-    verdict, _ = residual_verdict("", chart, values, FLOAT_TOL, arr)
+    verdict, _ = residual_verdict("", chart, values, arr)
     return verdict
 
 

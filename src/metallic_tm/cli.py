@@ -59,13 +59,14 @@ def cmd_validate(args) -> int:
 def cmd_verify(args) -> int:
     manifest = _load(args.manifest)
     given = {"count": args.points, "seed": args.seed, "mode": args.mode}
-    plan = manifest.plan._replace(**{k: v for k, v in given.items() if v is not None})
+    manifest = manifest._replace(plan=manifest.plan._replace(
+        **{k: v for k, v in given.items() if v is not None}))
 
     suites = None if args.suites is None else [s.strip() for s in args.suites.split(",")
                                                 if s.strip()]
 
     try:
-        report = harness.run_suites(manifest, suites=suites, plan=plan)
+        report = harness.run_suites(manifest, suites=suites)
     except (ManifestError, harness.SamplingError, EvalError, ScalarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

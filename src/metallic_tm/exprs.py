@@ -616,8 +616,9 @@ class _Parser:
     the text's ``(kind, text, offset)`` tokens, read once.
 
     Precedence, loosest to tightest: ``+ -``, ``* /``, unary ``-``, ``^``;
-    binary operators associate to the left.  Variables are ``x<i>``/``y<i>``
-    with 1 <= i <= n.
+    binary operators associate to the left.  Variables are the base
+    coordinates ``x<i>`` with 1 <= i <= n; a manifest names no fiber
+    coordinate.
     """
 
     def __init__(self, text: str, n: int) -> None:
@@ -705,15 +706,15 @@ class _Parser:
                 raise ParseError(f"expected ')' but found {val!r}", off)
             return e
         if kind == "name":
-            if val[0] in "xy" and val[1:].isdigit():
+            if val[0] == "x" and val[1:].isdigit():
                 idx = _int(val[1:], off)
                 if not 1 <= idx <= self.n:
                     raise ParseError(f"unknown variable {val!r}: index out of range 1..{self.n}", off)
-                return Var("base" if val[0] == "x" else "fiber", idx)
+                return Var("base", idx)
             raise ParseError(f"unknown identifier {val!r}", off)
         raise ParseError(f"unexpected token {val!r}", off)
 
 
 def parse(text: str, n: int) -> Expr:
-    """Parse a DSL expression over coordinates x1..xn, y1..yn."""
+    """Parse a DSL expression over the base coordinates x1..xn."""
     return _Parser(text, n).parse()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 import re
-import sys
 from functools import cached_property
 from fractions import Fraction
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence
@@ -52,7 +51,6 @@ class SamplePlan(NamedTuple):
     mode: str = "exact"
     base_ranges: tuple = ()
     fiber_ranges: tuple = ()
-    tol: float = FLOAT_TOL
 
     def to_json(self) -> dict:
         return {
@@ -61,7 +59,7 @@ class SamplePlan(NamedTuple):
             "mode": self.mode,
             "base_ranges": [[scalar_str(a), scalar_str(b)] for a, b in self.base_ranges],
             "fiber_ranges": [[scalar_str(a), scalar_str(b)] for a, b in self.fiber_ranges],
-            "tolerance": self.tol,
+            "tolerance": FLOAT_TOL,
         }
 
 
@@ -132,17 +130,13 @@ def _parse_matrix(rows, n: int, where: str) -> list:
 def _parse_plan(doc, n: int) -> SamplePlan:
     if not isinstance(doc, dict):
         raise ManifestError(f"sample_plan must be an object, got {doc!r}")
-    _check_keys(doc, "count seed mode base_ranges fiber_ranges tolerance", "sample_plan")
+    _check_keys(doc, "count seed mode base_ranges fiber_ranges", "sample_plan")
     count = doc.get("count", 10)
     if not _is_int(count) or count < 1:
         raise ManifestError(f"sample plan count must be a positive integer, got {count!r}")
     seed = doc.get("seed", 2024)
     if not _is_int(seed):
         raise ManifestError("sample plan seed must be an integer")
-    tol = doc.get("tolerance", FLOAT_TOL)
-    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-            or not 0 < tol <= sys.float_info.max):
-        raise ManifestError(f"sample plan tolerance must be a positive number, got {tol!r}")
     mode = doc.get("mode", "exact")
     if mode not in ("exact", "float"):
         raise ManifestError(f"sample plan mode must be exact or float, got {mode!r}")
@@ -169,7 +163,6 @@ def _parse_plan(doc, n: int) -> SamplePlan:
         mode=mode,
         base_ranges=ranges("base_ranges", Fraction(1), Fraction(4)),
         fiber_ranges=ranges("fiber_ranges", Fraction(-3), Fraction(3)),
-        tol=float(tol),
     )
 
 
@@ -249,10 +242,10 @@ def load_manifest(path: str) -> Manifest:
 _MAX_REDRAWS = 2000
 
 
-def sample_points(manifest: Manifest, plan: Optional[SamplePlan] = None):
-    """Deterministic admissible bundle points (maps from ``Var``): exact
-    rationals, made floats in float mode, so they decide the arithmetic."""
-    plan = plan or manifest.plan
+def sample_points(manifest: Manifest):
+    """The plan's deterministic admissible bundle points (maps from ``Var``):
+    exact rationals, made floats in float mode, so they decide the arithmetic."""
+    plan = manifest.plan
     if plan.count < 1:
         raise ManifestError("sample count must be at least 1")
     M = manifest.manifold
@@ -303,13 +296,12 @@ def sample_points(manifest: Manifest, plan: Optional[SamplePlan] = None):
 class SuiteContext:
     """Shared geometry for one verification run."""
 
-    def __init__(self, manifest: Manifest, plan: SamplePlan) -> None:
+    def __init__(self, manifest: Manifest) -> None:
         self.manifest = manifest
-        self.plan = plan
         self.M = manifest.manifold
         self.S = manifest.structure
         self.g = mf.TensorField(self.M, (0, 2), self.M.metric)
-        self.points = sample_points(manifest, plan)
+        self.points = sample_points(manifest)
         self.values = E.Values(self.points)  # the value cache of one suite
         self._psi: Dict[tuple, mf.TensorField] = {}
         # the listed parameter sets by sign pair, pairs in order of first listing
@@ -325,7 +317,7 @@ class SuiteContext:
     cc = cached_property(lambda self: bd.clift_connection(self.tb))
     hc = cached_property(lambda self: bd.hlift_connection(self.tb))
     # the spanning fields of D = ker(eta)
-    frame = cached_property(lambda self: pc.distribution_frame(self.S, self.values, self.plan.tol))
+    frame = cached_property(lambda self: pc.distribution_frame(self.S, self.values))
 
     def psi(self, lift: str, signs: Optional[tuple] = None) -> mf.TensorField:
         """Psi of J (lift "c") or F (lift "h") for a sign pair, by default that
@@ -409,8 +401,7 @@ def _decide(ctx: SuiteContext, chart, residuals: dict) -> list:
     """(verdict, values per point) of each residual array of ``residuals``,
     keyed by axiom id, at the sample points (``verdicts.residual_verdict``):
     the one decision path, which every suite takes and no suite bypasses."""
-    return [residual_verdict(aid, chart, ctx.values, ctx.plan.tol, r)
-            for aid, r in residuals.items()]
+    return [residual_verdict(aid, chart, ctx.values, r) for aid, r in residuals.items()]
 
 
 # ----------------------------------------------------------------------
@@ -593,7 +584,7 @@ def _parallel_suite(ctx: SuiteContext, lift: str, conn) -> SuiteResult:
     (match, _), (probe, values) = _decide(ctx, ctx.tb.chart, {"match": mismatch, aid: probes})
     zeros = [Witness(ctx.tb.chart.coords(pt), (i,), "0") for i in range(len(probes))
              for pt, vals in zip(ctx.points, values)
-             if all(meets_zero(v, ctx.plan.tol) for v in vals[i])]
+             if all(meets_zero(v) for v in vals[i])]
     if match.holds and not zeros:
         v = probe._replace(status="holds")
     else:  # a mismatch that does not meet zero has a witness
@@ -625,28 +616,26 @@ def suite_Phi_closedness(ctx: SuiteContext) -> SuiteResult:
                        mf.contract("am,xm->xa", ctx.S.phi, X))
     rhs = mf.add(eq27, eq27.transpose(2, 0, 1), eq27.transpose(1, 2, 0))
 
-    tol = ctx.plan.tol
     (dphi, lvs), (_, rvs) = _decide(ctx, tb.chart, {"dPhi": lhs, "eq27": rhs})
     # one per (triple, point) where exactly one of the two vanishes, triples outer
     witnesses = [(Witness(tb.chart.coords(pt), idx, f"dPhi={scalar_str(_t_level(lv[idx], scale))}"
                           f" eq27={scalar_str(rv[idx])}"), {})
                  for idx in mf.ndindex(lhs.shape) for pt, lv, rv in zip(ctx.points, lvs, rvs)
-                 if meets_zero(lv[idx], tol) != meets_zero(rv[idx], tol)]
+                 if meets_zero(lv[idx]) != meets_zero(rv[idx])]
     return _result([_t_verdict(dphi, scale)],
                    status="fail" if witnesses else "pass", witnesses=witnesses,
                    notes={"criterion": "dPhi vanishes iff the eq27 residual vanishes"})
 
 
 def suite_F_integrability(ctx: SuiteContext) -> SuiteResult:
-    tol = ctx.plan.tol
     (d_flat, dvs), (e4, _), (e5, evs) = _decide(
         ctx, ctx.M, ml.F_integrability_residuals(ctx.S, ctx.conn, ctx.tb.curvature, ctx.frame))
     # e5 vanishes at a pair and point exactly when eta(nabla_X Y), the D-flat residual, does
-    equivalent = all(meets_zero(d[i], tol) == all(meets_zero(v, tol) for v in e[i])
+    equivalent = all(meets_zero(d[i]) == all(meets_zero(v) for v in e[i])
                      for d, e in zip(dvs, evs) for i in mf.ndindex(d.shape))
     equiv = AxiomVerdict("e5-equiv-eta-nabla", "holds" if equivalent else "fails", 0, None)
     NPsi = mf.nijenhuis(ctx.psi("h"))  # N_F = (a^2/4) N_Psi
-    nf_zero = vanishes(NPsi.components, ctx.values, tol)
+    nf_zero = vanishes(NPsi.components, ctx.values)
     consistent = (nf_zero == (d_flat.holds and e4.holds)) and equivalent
     return _result([d_flat, e4, e5, equiv], status="pass" if consistent else "fail",
                    witnesses=_witnesses([d_flat, e4, e5], "axiom", "status"),
@@ -674,7 +663,7 @@ def suite_Phi_prime(ctx: SuiteContext) -> SuiteResult:
 
     (dphi, _), (_, vals) = _decide(ctx, tb.chart, {"dPhi'": resid, "val": val})
     vals = [v for arr in vals for v in arr.flat]
-    nonzero = [v for v in vals if not meets_zero(v, ctx.plan.tol)]
+    nonzero = [v for v in vals if not meets_zero(v)]
     plus = sum(sign(v) < 0 for v in nonzero)  # dPhi' has the sign opposite to val
     return _result([_t_verdict(dphi, [-ctx.manifest.params[0].amp])],
                    status="pass" if dphi.holds and len(nonzero) == len(vals) else "fail",
@@ -700,11 +689,9 @@ _SUITES = {
 SUITE_IDS = tuple(_SUITES)  # in report order
 
 
-def run_suites(manifest: Manifest, suites: Optional[Sequence[str]] = None,
-               plan: Optional[SamplePlan] = None) -> dict:
-    """Run the requested suites (all by default) with axiom gating and
-    return the full report document."""
-    plan = plan or manifest.plan
+def run_suites(manifest: Manifest, suites: Optional[Sequence[str]] = None) -> dict:
+    """Run the requested suites (all by default) at the points of the
+    manifest's plan, with axiom gating, and return the full report document."""
     requested = list(SUITE_IDS) if suites is None else list(suites)
     if not requested:
         raise ManifestError(f"no suite requested; known: {', '.join(SUITE_IDS)}")
@@ -712,7 +699,7 @@ def run_suites(manifest: Manifest, suites: Optional[Sequence[str]] = None,
         if sid not in _SUITES:
             raise ManifestError(f"unknown suite {sid!r}; known: {', '.join(SUITE_IDS)}")
 
-    ctx = SuiteContext(manifest, plan)
+    ctx = SuiteContext(manifest)
     # always gate on the axioms, even when the suite itself is filtered out
     results = {"axioms": suite_axioms(ctx)}
     skipped = SuiteResult("skipped", notes={
@@ -732,7 +719,7 @@ def run_suites(manifest: Manifest, suites: Optional[Sequence[str]] = None,
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
         "manifest": manifest.name,
         "manifest_hash": manifest.sha256(),
-        "plan": plan.to_json(),
+        "plan": manifest.plan.to_json(),
         "conventions": {
             "xc_sign": "+",
             "d1form": "1/2",

@@ -13,7 +13,7 @@ from typing import Dict, List
 from . import exprs as E
 from . import manifold as mf
 from .manifold import ChartedManifold, GeometryError, TensorField
-from .verdicts import FLOAT_TOL, vanishes
+from .verdicts import vanishes
 
 
 class ParacontactStructure:
@@ -92,13 +92,12 @@ def n_tensors(S: ParacontactStructure) -> dict:
     }
 
 
-def distribution_frame(S: ParacontactStructure, values: E.Values,
-                       tol: float = FLOAT_TOL) -> List[TensorField]:
+def distribution_frame(S: ParacontactStructure, values: E.Values) -> List[TensorField]:
     """Spanning fields for D: {d_i - (eta(d_i)/eta(xi)) xi}, zeros dropped.
 
     A member counts as zero when it is structurally zero or, when ``values``
-    has points, vanishes at every one of them (``verdicts.vanishes`` with
-    ``tol``; a quotient cancels structurally only over a monomial denominator).
+    has points, vanishes at every one of them (``verdicts.vanishes``; a
+    quotient cancels structurally only over a monomial denominator).
     """
     M = S.base
     eta, xi = S.eta.components, S.xi.components
@@ -108,7 +107,7 @@ def distribution_frame(S: ParacontactStructure, values: E.Values,
     for comps in members:
         if all(c is E.ZERO for c in comps):
             continue
-        if values.points and vanishes(comps, values, tol):
+        if values.points and vanishes(comps, values):
             continue
         out.append(TensorField(M, (1, 0), comps))
     return out

@@ -35,22 +35,22 @@ class AxiomVerdict(NamedTuple):
         return self.status == "holds"
 
 
-def meets_zero(value, tol: float) -> bool:
-    """A float meets zero when its magnitude is at most ``tol``, any other
+def meets_zero(value) -> bool:
+    """A float meets zero when its magnitude is at most ``FLOAT_TOL``, any other
     value only when it is exactly zero: the one zero test of every verdict."""
-    return abs(value) <= tol if isinstance(value, float) else is_zero(value)
+    return abs(value) <= FLOAT_TOL if isinstance(value, float) else is_zero(value)
 
 
-def vanishes(arr, values: E.Values, tol: float) -> bool:
+def vanishes(arr, values: E.Values) -> bool:
     """Whether every component of ``arr`` meets zero at every point of ``values``;
     it stops at the first that does not, points outer, computing runs of components
     (``E.ZERO`` left out), doubling in length, until one is nonzero at the first point."""
     flat, start = [e for e in asarray(arr).flat if e is not E.ZERO], 0
     while start < len(flat):  # the runs [0, 1), [1, 3), [3, 7), ...
         run, start = flat[start:2 * start + 1], 2 * start + 1
-        if not all(meets_zero(v, tol) for _, v in zip(run, values.each(run))):
+        if not all(meets_zero(v) for _, v in zip(run, values.each(run))):
             return False
-    return all(meets_zero(v, tol) for v in values.each(flat))
+    return all(meets_zero(v) for v in values.each(flat))
 
 
 def worst(verdicts):
@@ -66,11 +66,10 @@ class ResidualTracker:
     """Collects residual values and reports the max-magnitude one.
 
     Exact magnitudes are ranked exactly.  The residuals all meet zero when
-    the largest one does (``meets_zero`` with ``tol``).
+    the largest one does (``meets_zero``).
     """
 
-    def __init__(self, tol: float = FLOAT_TOL) -> None:
-        self.tol = tol
+    def __init__(self) -> None:
         self.max_value: Any = 0
         self.witness: Optional[Witness] = None
 
@@ -98,17 +97,16 @@ class ResidualTracker:
 
     @property
     def all_zero(self) -> bool:
-        return meets_zero(self.max_value, self.tol)
+        return meets_zero(self.max_value)
 
     def verdict(self, axiom_id: str) -> AxiomVerdict:
         return AxiomVerdict(axiom_id, "holds" if self.all_zero else "fails",
                             self.max_value, self.witness)
 
 
-def residual_verdict(axiom_id: str, chart, values: E.Values, tol: float,
-                     arr) -> Tuple[AxiomVerdict, list]:
+def residual_verdict(axiom_id: str, chart, values: E.Values, arr) -> Tuple[AxiomVerdict, list]:
     """The verdict on the residual array ``arr``, expected zero at every
     point of ``values``, and its values per point (``ResidualTracker.track``)."""
-    tracker = ResidualTracker(tol)
+    tracker = ResidualTracker()
     arrays = tracker.track(chart, values, arr)
     return tracker.verdict(axiom_id), arrays

@@ -14,7 +14,7 @@ from metallic_tm import metallic as ml
 from metallic_tm import paracontact as pc
 from metallic_tm.cli import bundled_manifest_path
 from metallic_tm.scalars import MetallicScalar
-from metallic_tm.verdicts import FLOAT_TOL, residual_verdict
+from metallic_tm.verdicts import residual_verdict
 
 
 @pytest.fixture(scope="session")
@@ -156,11 +156,11 @@ def lifted_metric(tb, kind):
     return bd.lift(tb, kind, mf.TensorField(tb.base, (0, 2), tb.base.metric))
 
 
-def decide(chart, points, residuals, tol=FLOAT_TOL):
+def decide(chart, points, residuals):
     """The verdict on each residual array of ``residuals``, keyed by axiom
     id, as the harness decides it (``verdicts.residual_verdict``)."""
     values = E.Values(points)
-    return {aid: residual_verdict(aid, chart, values, tol, r)[0] for aid, r in residuals.items()}
+    return {aid: residual_verdict(aid, chart, values, r)[0] for aid, r in residuals.items()}
 
 
 def metallic_verdict(psi, label, points):

@@ -35,12 +35,12 @@ def plan10(manifest):
 
 @pytest.fixture(scope="module")
 def pts10(manifest, plan10):
-    return harness.sample_points(manifest, plan10)
+    return harness.sample_points(manifest._replace(plan=plan10))
 
 
 @pytest.fixture(scope="module")
 def report(manifest, plan10):
-    return harness.run_suites(manifest, plan=plan10)
+    return harness.run_suites(manifest._replace(plan=plan10))
 
 
 def suite(report, sid):
@@ -215,13 +215,13 @@ def test_criterion_9_exact_float_parity(manifest, plan10, report):
     plan_f = SamplePlan(count=plan10.count, seed=plan10.seed, mode="float",
                         base_ranges=plan10.base_ranges,
                         fiber_ranges=plan10.fiber_ranges)
-    rf = harness.run_suites(manifest, plan=plan_f)
+    rf = harness.run_suites(manifest._replace(plan=plan_f))
     exact = [(s["id"], s["status"]) for s in report["suites"]]
     approx = [(s["id"], s["status"]) for s in rf["suites"]]
     assert exact == approx
 
 
 def test_criterion_10_determinism(manifest, plan10, report):
-    again = harness.run_suites(manifest, plan=plan10)
+    again = harness.run_suites(manifest._replace(plan=plan10))
     assert harness.render_report(report) == harness.render_report(again)
     assert report["manifest_hash"] == manifest.sha256()

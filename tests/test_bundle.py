@@ -1,8 +1,9 @@
 """Lift calculus on the tangent bundle chart.
 
-The lift laws are checked on the hyperbolic half-space h3 and on its twin,
-the same structure pulled back along (x1, x2 + x1*x3, x3 + x1^2): a chart
-with a non-diagonal metric and a non-constant phi.
+The lift laws are checked on four charts: the hyperbolic half-space h3;
+its twin, the same structure pulled back along (x1, x2 + x1*x3, x3 + x1^2),
+a chart with a non-diagonal metric and a non-constant phi; and the bundled
+``warped-h3`` and ``split-h3``.
 """
 
 import itertools
@@ -52,10 +53,12 @@ def _chart(name, M, structure, conn=None):
 
 @pytest.fixture(scope="module")
 def charts(h3, structure, conn):
-    """h3 and its twin, by name."""
+    """h3, its twin, warped-h3 and split-h3, by name."""
     twin = harness.load_manifest(str(TWIN))
+    bundled = [harness.load_manifest(bundled_manifest_path(n)) for n in ("warped-h3", "split-h3")]
     return {c.name: c for c in (_chart("h3", h3, structure, conn),
-                                _chart("twin", twin.manifold, twin.structure))}
+                                _chart("twin", twin.manifold, twin.structure),
+                                *(_chart(m.name, m.manifold, m.structure) for m in bundled))}
 
 
 @pytest.fixture(scope="module")

@@ -384,6 +384,7 @@ SCHEMA_MALFORMED = {
     "tolerance-negative": _set(("sample_plan", "tolerance"), -1),
     "tolerance-infinite": _set(("sample_plan", "tolerance"), math.inf),
     "tolerance-beyond-float": _set(("sample_plan", "tolerance"), 10 ** 400),
+    "tolerance-set": _set(("sample_plan", "tolerance"), 1e-6),  # the tolerance is fixed
     "plan-list": _set(("sample_plan",), [1]),
     "count-bool": _set(("sample_plan", "count"), True),
     "coordinates-int": _set(("coordinates",), 3),
@@ -443,6 +444,30 @@ def test_malformed_manifest_without_jsonschema(mutate, manifest_path, tmp_path, 
         assert main([command, str(p)]) == EXIT_FAIL
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path, value, entry", [
+    (("sample_plan", "tolerance"), 1e-6, "sample_plan: unknown key(s) 'tolerance'"),
+    (("domain", 0), "y1", "domain[0]: unknown identifier 'y1'"),
+    (("metric", 1, 1), "x3^-2*(1+y1)/(1+y1)", "metric[1][1]: unknown identifier 'y1'"),
+    (("phi", 0, 0), "y1 - 1", "phi[0][0]: unknown identifier 'y1'"),
+    (("eta", 2), "1/x3 + y1", "eta[2]: unknown identifier 'y1'"),
+    (("xi", 2), "x3*y1", "xi[2]: unknown identifier 'y1'"),
+], ids=["tolerance", "domain", "metric", "phi", "eta", "xi"])
+def test_a_tolerance_or_a_fiber_coordinate_is_refused(path, value, entry, manifest_path,
+                                                      tmp_path, capsys):
+    """The float tolerance is fixed, and expressions name only the base
+    coordinates x1..xn: a manifest that sets ``sample_plan.tolerance`` or
+    names y1 exits 1 from validate and verify, with one error line that
+    names the entry."""
+    doc = json.loads(pathlib.Path(manifest_path).read_text())
+    _set(path, value)(doc)
+    p = tmp_path / "refused.json"
+    p.write_text(json.dumps(doc))
+    for command in ("validate", "verify"):
+        assert main([command, str(p)]) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: {entry}") and err.count("\n") == 1
 
 
 # -- the schema as an oracle for parse_manifest ----------------------------

@@ -172,7 +172,7 @@ def test_equal_trees_are_one_object():
     assert E.Add([E.Mul([x2, x3]), E.Mul([E.Const(2), x1, E.Pow(x3, -1)])]) is parsed
     assert E.diff(E.parse("x1*x2*x3 + x1^2/x3", 3), x1) is parsed
     assert E.Pow(x1, 2) is E.parse("x1^2", 3) is x1 ** 2
-    assert Var("fiber", 2) is E.parse("y2", 3)
+    assert Var("fiber", 2) is Var("fiber", 2) is not Var("base", 2)
 
 
 def test_constants_of_two_types_are_two_nodes():

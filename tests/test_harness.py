@@ -141,21 +141,14 @@ def test_sampler_is_deterministic(manifest):
 
 
 def test_sampler_seed_changes_points(manifest):
-    plan = SamplePlan(count=4, seed=1,
-                      base_ranges=manifest.plan.base_ranges,
-                      fiber_ranges=manifest.plan.fiber_ranges)
-    plan2 = SamplePlan(count=4, seed=2,
-                       base_ranges=manifest.plan.base_ranges,
-                       fiber_ranges=manifest.plan.fiber_ranges)
-    assert harness.sample_points(manifest, plan) != harness.sample_points(manifest, plan2)
+    one, two = (manifest._replace(plan=manifest.plan._replace(count=4, seed=s)) for s in (1, 2))
+    assert harness.sample_points(one) != harness.sample_points(two)
 
 
 def test_sampler_respects_domain(manifest):
-    plan = SamplePlan(count=20, seed=5,
-                      base_ranges=manifest.plan.base_ranges,
-                      fiber_ranges=manifest.plan.fiber_ranges)
     x3 = manifest.manifold.variables[2]
-    for pt in harness.sample_points(manifest, plan):
+    plan = manifest.plan._replace(count=20, seed=5)
+    for pt in harness.sample_points(manifest._replace(plan=plan)):
         assert pt[x3] > 0
 
 
@@ -174,8 +167,8 @@ def test_sampler_redraws_where_a_constraint_is_undefined(doc, monkeypatch):
     d = json.loads(json.dumps(doc))
     d["domain"] = ["x3", "1/(x1-x2)"]
     m = harness.parse_manifest(d)
+    m = m._replace(plan=m.plan._replace(seed=2))
     x1, x2, _ = m.manifold.variables
-    plan = m.plan._replace(seed=2)
     undefined, evaluate = [], E.evaluate
 
     def spy(e, pt):
@@ -186,19 +179,19 @@ def test_sampler_redraws_where_a_constraint_is_undefined(doc, monkeypatch):
             raise
 
     monkeypatch.setattr(harness.E, "evaluate", spy)
-    points = harness.sample_points(m, plan)
+    points = harness.sample_points(m)
     assert undefined and set(undefined) == {0}
-    assert len(points) == plan.count
+    assert len(points) == m.plan.count
     assert all(pt[x1] > pt[x2] for pt in points)
     monkeypatch.undo()
-    assert harness.run_suites(m, ["axioms"], plan)["suites"][0]["status"] == "pass"
+    assert harness.run_suites(m, ["axioms"])["suites"][0]["status"] == "pass"
 
 
 def test_sampler_counts_only_rejected_draws(manifest):
     """Every draw on h3 is admissible, so the budget of 2,000 rejected
     draws in a row does not cap the number of points; the draws are those
     of a smaller count, continued."""
-    points = harness.sample_points(manifest, manifest.plan._replace(count=2500))
+    points = harness.sample_points(manifest._replace(plan=manifest.plan._replace(count=2500)))
     assert len(points) == 2500
     assert points[:3] == harness.sample_points(manifest)
 
@@ -216,17 +209,13 @@ def test_sampler_draws_inside_narrow_ranges(doc, key, axis, lo, hi):
     narrow["sample_plan"][key][axis] = [lo, hi]
     m = harness.parse_manifest(narrow)
     var = E.Var("base" if key == "base_ranges" else "fiber", axis + 1)
-    plan = SamplePlan(count=20, seed=3, base_ranges=m.plan.base_ranges,
-                      fiber_ranges=m.plan.fiber_ranges)
-    for pt in harness.sample_points(m, plan):
+    for pt in harness.sample_points(m._replace(plan=m.plan._replace(count=20, seed=3))):
         assert Fraction(lo) <= pt[var] <= Fraction(hi)
 
 
 def test_float_mode_points_are_floats(manifest):
-    plan = SamplePlan(count=2, seed=3, mode="float",
-                      base_ranges=manifest.plan.base_ranges,
-                      fiber_ranges=manifest.plan.fiber_ranges)
-    for pt in harness.sample_points(manifest, plan):
+    plan = manifest.plan._replace(count=2, seed=3, mode="float")
+    for pt in harness.sample_points(manifest._replace(plan=plan)):
         assert all(isinstance(v, float) for v in pt.values())
 
 
@@ -373,7 +362,7 @@ def test_flat_chart_reaches_the_fail_branches(mode):
     Phi-prime fails (dPhi' vanishes), and the other eight suites pass.
     Every entry is pinned as committed (``flat-r3.suites.json``)."""
     m = harness.parse_manifest(FLAT)
-    ctx = harness.SuiteContext(m, m.plan._replace(mode=mode))
+    ctx = harness.SuiteContext(m._replace(plan=m.plan._replace(mode=mode)))
     got = json.loads(json.dumps([fn(ctx).to_json(sid) for sid, fn in harness._SUITES.items()]))
     assert got == json.loads((DATA / "flat-r3.suites.json").read_text(encoding="utf-8"))[mode]
     by_id = {s["id"]: s for s in got}
@@ -437,9 +426,7 @@ def test_each_suite_gets_a_fresh_value_cache(manifest, monkeypatch):
     monkeypatch.setattr(harness, "suite_axioms", spy("axioms", harness.suite_axioms))
     for sid, suite in list(harness._SUITES.items()):
         monkeypatch.setitem(harness._SUITES, sid, spy(sid, suite))
-    plan = SamplePlan(count=1, seed=3, base_ranges=manifest.plan.base_ranges,
-                      fiber_ranges=manifest.plan.fiber_ranges)
-    harness.run_suites(manifest, plan=plan)
+    harness.run_suites(manifest._replace(plan=manifest.plan._replace(count=1, seed=3)))
     assert fresh == {sid: True for sid in harness.SUITE_IDS}
     assert filled == {sid: sid not in ("axioms", "Phi-closedness") for sid in harness.SUITE_IDS}
     assert len({id(c) for c in caches}) == len(harness.SUITE_IDS)
@@ -468,9 +455,7 @@ def test_run_builds_psi_and_the_distribution_frame_once(manifest, monkeypatch):
     monkeypatch.setattr(pc, "distribution_frame", count_frame)
     monkeypatch.setattr(harness.ml, "build_psi", count_psi)
     monkeypatch.setattr(harness.mf, "curvature", count_curvature)
-    plan = SamplePlan(count=1, seed=3, base_ranges=manifest.plan.base_ranges,
-                      fiber_ranges=manifest.plan.fiber_ranges)
-    harness.run_suites(manifest, plan=plan)
+    harness.run_suites(manifest._replace(plan=manifest.plan._replace(count=1, seed=3)))
     assert calls["frame"] == 1
     assert calls["curvature"] == 1
     assert sorted(calls["psi"]) == [("c", -1, -1), ("c", 1, 1), ("h", -1, -1), ("h", 1, 1)]
@@ -535,7 +520,7 @@ def test_mixed_signs_are_not_metallic_for_any_pq(doc):
     value times a^2/4."""
     manifest = _with_sets(doc, [(2, 1, 1, -1)])
     report = harness.run_suites(manifest, suites=["J-metallic", "F-metallic"])
-    ctx = harness.SuiteContext(manifest, manifest.plan)
+    ctx = harness.SuiteContext(manifest)
     S, tb = ctx.S, ctx.tb
     ev, xv = bd.lift(tb, "v", S.eta), bd.lift(tb, "v", S.xi)
     for suite, kind in zip(report["suites"], "ch"):
@@ -563,29 +548,23 @@ PERTURBED_SUITES = ["axioms", "J-metallic", "J-compat", "J-parallel", "F-metalli
                     "F-parallel", "Phi-prime"]
 
 
-def test_every_suite_uses_the_plan_tolerance(doc):
+def test_every_suite_uses_the_fixed_tolerance(doc):
     """With phi_11 = -1 - 10^-8, the exact residuals of eight suites lie
     between 1e-9 and 1e-6 (axioms: 2*10^-8 + 10^-16).  In float mode each
-    of them fails at the default absolute 1e-9 and passes within a plan
-    tolerance of 1e-6, and the other four pass either way.  The suites are
-    called on the SuiteContext directly, so failed axioms gate nothing."""
+    of them fails at the absolute 1e-9, and the other four pass.  The suites
+    are called on the SuiteContext directly, so failed axioms gate nothing."""
     off = json.loads(json.dumps(doc))
     off["phi"][0][0] = "-1 - 1/10^8"
     m = harness.parse_manifest(off)
-    ctx = harness.SuiteContext(m, m.plan)
+    ctx = harness.SuiteContext(m)
     exact = {sid: fn(ctx).to_json(sid) for sid, fn in harness._SUITES.items()}
     assert [sid for sid, s in exact.items() if s["status"] == "fail"] == PERTURBED_SUITES
     assert exact["axioms"]["max_residual"]["exact"] == str(2 * Fraction(1, 10**8) + Fraction(1, 10**16))
     for sid in PERTURBED_SUITES:
         assert 1e-9 < abs(exact[sid]["max_residual"]["float"]) < 1e-6, sid
-    for tol, status in ((harness.FLOAT_TOL, "fail"), (1e-6, "pass")):
-        ctx = harness.SuiteContext(m, m.plan._replace(mode="float", tol=tol))
-        got = {sid: fn(ctx).to_json(sid)["status"] for sid, fn in harness._SUITES.items()}
-        assert got == {sid: status if sid in PERTURBED_SUITES else "pass" for sid in got}
-    off["sample_plan"].update(mode="float", tolerance=1e-6)
-    report = harness.run_suites(harness.parse_manifest(off))
-    assert [s["status"] for s in report["suites"]] == ["pass"] * len(harness.SUITE_IDS)
-    assert report["plan"]["tolerance"] == 1e-6
+    ctx = harness.SuiteContext(m._replace(plan=m.plan._replace(mode="float")))
+    got = {sid: fn(ctx).to_json(sid)["status"] for sid, fn in harness._SUITES.items()}
+    assert got == {sid: "fail" if sid in PERTURBED_SUITES else "pass" for sid in got}
 
 
 def test_suite_filtering(manifest):
@@ -612,8 +591,8 @@ def test_exact_float_parity(manifest):
     plan_f = SamplePlan(count=3, seed=11, mode="float",
                         base_ranges=manifest.plan.base_ranges,
                         fiber_ranges=manifest.plan.fiber_ranges)
-    re = harness.run_suites(manifest, plan=plan_e)
-    rf = harness.run_suites(manifest, plan=plan_f)
+    re = harness.run_suites(manifest._replace(plan=plan_e))
+    rf = harness.run_suites(manifest._replace(plan=plan_f))
     assert [s["status"] for s in re["suites"]] == [s["status"] for s in rf["suites"]]
 
 

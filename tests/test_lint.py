@@ -95,22 +95,22 @@ def test_zero_test_sites_are_found():
                                   if p.name not in ("verdicts.py", "scalars.py")],
                          ids=lambda p: p.name)
 def test_zero_tests_are_made_in_verdicts(path):
-    """Every zero test goes through ``verdicts.meets_zero`` with the plan
-    tolerance: no other module calls ``is_zero`` or holds a tolerance of
-    its own."""
+    """Every zero test goes through ``verdicts.meets_zero`` and its fixed
+    float tolerance: no other module calls ``is_zero`` or holds a tolerance
+    of its own."""
     assert zero_test_sites(path.read_text(encoding="utf-8")) == []
 
 
-def mode_parameters(source: str) -> list:
-    """(line, name) of every function or lambda with a parameter named
-    ``mode``."""
+def named_parameters(source: str, name: str) -> list:
+    """(line, function name) of every function or lambda with a parameter
+    named ``name``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = node.args
             params = args.posonlyargs + args.args + args.kwonlyargs + [
                 a for a in (args.vararg, args.kwarg) if a is not None]
-            if any(a.arg == "mode" for a in params):
+            if any(a.arg == name for a in params):
                 found.append((node.lineno, getattr(node, "name", "<lambda>")))
     return sorted(found)
 
@@ -120,14 +120,22 @@ def test_mode_parameters_are_found():
              "class C:\n    def m(self, *, mode):\n        pass\n" \
              "h = lambda mode: mode\ndef k(model, modes, plan):\n    return plan.mode\n" \
              "async def a(*mode):\n    pass\n"
-    assert mode_parameters(source) == [(1, "f"), (4, "m"), (6, "<lambda>"), (9, "a")]
+    assert named_parameters(source, "mode") == [(1, "f"), (4, "m"), (6, "<lambda>"), (9, "a")]
+    assert named_parameters(source, "plan") == [(7, "k")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_function_takes_a_mode(path):
     """The sample points decide exact or float arithmetic, so no function
     is told the mode beside them."""
-    assert mode_parameters(path.read_text(encoding="utf-8")) == []
+    assert named_parameters(path.read_text(encoding="utf-8"), "mode") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_takes_a_plan(path):
+    """A run has one sample plan, the manifest's: the CLI applies its flags
+    to it once, so no function is handed a plan beside the manifest."""
+    assert named_parameters(path.read_text(encoding="utf-8"), "plan") == []
 
 
 # the names that give irrational values: the multiples of sqrt(p^2 + 4q),

@@ -386,7 +386,7 @@ def test_proof_rows_vanish_on_p_sasakian(chart):
     path = (bundled_manifest_path(chart) if not chart.endswith("-twin")
             else str(pathlib.Path(__file__).parent / "data" / f"{chart}.json"))
     m = harness.load_manifest(path)
-    ctx = harness.SuiteContext(m, m.plan)
+    ctx = harness.SuiteContext(m)
     X, Y, _, _, _ = ctx.test_fields()
     d1, d2 = (mf.TensorField(ctx.M, (1, 0), mf.identity(ctx.M.n)[i]) for i in (0, 1))
     N = mf.nijenhuis(ctx.psi("c"))

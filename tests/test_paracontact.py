@@ -60,18 +60,19 @@ def test_distribution_frame_drops_xi_direction(structure, base_points):
 
 
 def test_distribution_frame_drops_members_within_the_tolerance(h3, base_points):
-    """With xi = d1 + (x1/10000) d2 and eta = dx1, the first member is
-    -(x1/10000) d2: not zero, but within a tolerance of 1e-3 at float points
-    with x1 in [1, 2].  Float points drop it, exact points keep it."""
+    """With xi = d1 + (x1/10^c) d2 and eta = dx1, the first member is
+    -(x1/10^c) d2: not zero, but within the tolerance of 1e-9 at float
+    points with x1 in [1, 2] when c = 12, and past it when c = 8.  Float
+    points drop it at c = 12 alone, exact points keep it."""
     x1 = h3.variables[0]
-    xi = [E.ONE, E.mul(E.const(Fraction(1, 10000)), x1), E.ZERO]
-    S = pc.ParacontactStructure(h3, mf.TensorField(h3, (1, 1), mf.zeros((3, 3))),
-                                mf.TensorField(h3, (0, 1), [E.ONE, E.ZERO, E.ZERO]),
-                                mf.TensorField(h3, (1, 0), xi))
     float_pts = [{v: float(c) for v, c in pt.items()} for pt in base_points]
-    assert len(pc.distribution_frame(S, E.Values(float_pts), 1e-3)) == 2
-    assert len(pc.distribution_frame(S, E.Values(float_pts), 1e-5)) == 3
-    assert len(pc.distribution_frame(S, E.Values(base_points), 1e-3)) == 3
+    for c, float_members in ((12, 2), (8, 3)):
+        xi = [E.ONE, E.mul(E.const(Fraction(1, 10 ** c)), x1), E.ZERO]
+        S = pc.ParacontactStructure(h3, mf.TensorField(h3, (1, 1), mf.zeros((3, 3))),
+                                    mf.TensorField(h3, (0, 1), [E.ONE, E.ZERO, E.ZERO]),
+                                    mf.TensorField(h3, (1, 0), xi))
+        assert len(pc.distribution_frame(S, E.Values(float_pts))) == float_members
+        assert len(pc.distribution_frame(S, E.Values(base_points))) == 3
 
 
 def _mutated(h3, structure, **kw):

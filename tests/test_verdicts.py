@@ -135,8 +135,8 @@ def test_a_structural_zero_is_the_points_zero_without_evaluation(kind, monkeypat
     assert [v.flat for v in values] == want
     assert [type(v) for v in values[0].flat] == [type(want[0][0]), kind]
     assert values[0][0] is E.ZERO.value or kind is float
-    assert vanishes([E.ZERO, E.ZERO], E.Values(points), 1e-9)
-    assert not vanishes([E.ZERO, x2], E.Values(points), 1e-9)
+    assert vanishes([E.ZERO, E.ZERO], E.Values(points))
+    assert not vanishes([E.ZERO, x2], E.Values(points))
     assert evaluated and E.ZERO not in evaluated
 
 
@@ -154,10 +154,10 @@ def test_failures_are_met_points_outer(kind):
         ResidualTracker().track(chart, E.Values(points), [first, second])
     zero_first = E.mul(E.add(x2, E.const(-2)), first)  # 0 at the first point
     x1_less_3 = E.add(x1, E.const(-3))  # 0 at the first point, -2 at the second
-    assert not vanishes([x1_less_3, zero_first], E.Values(points), 1e-9)
+    assert not vanishes([x1_less_3, zero_first], E.Values(points))
     with pytest.raises(E.EvalError, match=re.escape("division by zero at point in 1/(x1 - 1)")):
-        vanishes([zero_first, x1_less_3], E.Values(points), 1e-9)
-    assert not vanishes([x1_less_3, x2, second], E.Values(points), 1e-9)
+        vanishes([zero_first, x1_less_3], E.Values(points))
+    assert not vanishes([x1_less_3, x2, second], E.Values(points))
 
 
 def test_vanishes_stops_at_the_first_nonzero_run():
@@ -168,12 +168,12 @@ def test_vanishes_stops_at_the_first_nonzero_run():
     chart, points, x1, x2 = _line()
     later = E.add(x2, E.const(7))
     values = E.Values(points)
-    assert not vanishes([E.ZERO, x1, E.ZERO, later], values, 1e-9)
+    assert not vanishes([E.ZERO, x1, E.ZERO, later], values)
     assert x1 in values.cache and later not in values.cache
     x1_less_1 = E.add(x1, E.const(-1))  # 0 at the first point, 2 at the second
     product = E.mul(x1_less_1, x2)  # 0 at the first point, -2 at the second
     values = E.Values(points)
-    assert not vanishes([x1_less_1, product], values, 1e-9)
+    assert not vanishes([x1_less_1, product], values)
     assert values.cache[product] == [(0, 1), (-2, 1)]
 
 
@@ -183,7 +183,7 @@ def test_track_keeps_the_first_of_equal_magnitudes():
     tracker.track(chart, E.Values(points), [E.mul(E.const(-2), x1), E.mul(E.const(2), x1)])
     assert tracker.max_value == -6
     assert tracker.witness.frame == (0,) and tracker.witness.point == (3, -1)
-    verdict, values = residual_verdict("tie", chart, E.Values(points), 1e-9, [x1 - x1])
+    verdict, values = residual_verdict("tie", chart, E.Values(points), [x1 - x1])
     assert verdict.holds and verdict.witness is None
     assert [v.flat for v in values] == [[0], [0]]
 
@@ -214,15 +214,15 @@ def test_one_nonzero_among_zeros_is_the_witness(kind):
 
 
 def test_the_points_decide_whether_the_tolerance_applies():
-    """x1/10^6 is not zero at exact points, whatever the tolerance; at the
-    same points as floats it is within a tolerance of 1e-3."""
+    """x1/10^12 is not zero at exact points; at the same points as floats
+    it is within the tolerance of 1e-9."""
     chart, points, x1, _ = _line()
     float_points = [{v: float(c) for v, c in pt.items()} for pt in points]
-    residual = E.mul(E.const(Fraction(1, 10 ** 6)), x1)
-    exact = ResidualTracker(1e-3)
+    residual = E.mul(E.const(Fraction(1, 10 ** 12)), x1)
+    exact = ResidualTracker()
     exact.track(chart, E.Values(points), [residual])
-    assert exact.max_value == Fraction(3, 10 ** 6) and not exact.all_zero
-    floats = ResidualTracker(1e-3)
+    assert exact.max_value == Fraction(3, 10 ** 12) and not exact.all_zero
+    floats = ResidualTracker()
     floats.track(chart, E.Values(float_points), [residual])
     assert isinstance(floats.max_value, float) and floats.all_zero
 
@@ -236,11 +236,11 @@ def test_a_float_residual_past_the_float_range_is_an_error():
     chart = mf.ChartedManifold(xs)
     residual = E.parse("x1^150*x2^150*x3 - x1^150*x2^150*(x3+1)/(x3+1)", 3)
     exact = [chart_point(chart, (Fraction(100), Fraction(100), Fraction(2)))]
-    verdict, _ = residual_verdict("nan", chart, E.Values(exact), 1e-9, [residual])
+    verdict, _ = residual_verdict("nan", chart, E.Values(exact), [residual])
     assert verdict.status == "fails" and verdict.max_residual == 100 ** 300
     floats = [{v: float(c) for v, c in pt.items()} for pt in exact]
     with pytest.raises(E.EvalError, match="float evaluation failed: the value is nan"):
-        residual_verdict("nan", chart, E.Values(floats), 1e-9, [residual])
+        residual_verdict("nan", chart, E.Values(floats), [residual])
 
 
 def _loop_around_track(node) -> bool:
@@ -256,13 +256,12 @@ def test_only_verdicts_updates_a_tracker():
     three-argument ``update``, and the per-module loop it replaced is gone.
     The geometry builds residuals and the harness decides them: only
     ``verdicts`` and ``harness`` name ``residual_verdict`` and
-    ``AxiomVerdict``, no function of ``metallic`` takes points or a
-    tolerance, in ``paracontact`` only ``distribution_frame`` does (to drop
-    the frame members that vanish), and no loop over ``ndindex`` wraps
-    ``track``."""
+    ``AxiomVerdict``, no function of ``metallic`` or ``paracontact`` takes
+    points, no function of any module takes a tolerance (``meets_zero``
+    holds the one constant), and no loop over ``ndindex`` wraps ``track``."""
     src = pathlib.Path(metallic_tm.__file__).parent
     deciders = {"residual_verdict", "AxiomVerdict"}
-    takes_points = {}
+    takes_points, takes_tol = {}, []
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
         assert "_check_array" not in text, path.name
@@ -275,9 +274,10 @@ def test_only_verdicts_updates_a_tracker():
         if path.name != "verdicts.py":
             assert "ResidualTracker" not in names, path.name
         assert not any(_loop_around_track(n) for n in ast.walk(tree)), path.name
-        takes_points[path.stem] = sorted(
-            n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
-            and {"points", "tol"} & {a.arg for a in n.args.args + n.args.kwonlyargs})
+        params = [(n.name, {a.arg for a in n.args.posonlyargs + n.args.args + n.args.kwonlyargs})
+                  for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        takes_points[path.stem] = sorted(name for name, args in params if "points" in args)
+        takes_tol += [(path.name, name) for name, args in params if "tol" in args]
         if path.name == "verdicts.py":
             continue
         for node in ast.walk(tree):
@@ -285,5 +285,5 @@ def test_only_verdicts_updates_a_tracker():
                 assert node.func.attr != "track", (path.name, node.lineno)
                 if node.func.attr == "update":
                     assert len(node.args) + len(node.keywords) <= 1, (path.name, node.lineno)
-    assert takes_points["metallic"] == []
-    assert takes_points["paracontact"] == ["distribution_frame"]
+    assert takes_points["metallic"] == takes_points["paracontact"] == []
+    assert takes_tol == []

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import sys
+from types import SimpleNamespace
 from typing import List, Optional
 
 from . import harness
@@ -16,6 +16,11 @@ from .scalars import ScalarError
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+USAGE = """\
+usage: metallic-tm validate MANIFEST
+       metallic-tm verify MANIFEST [--suites IDS] [--points N] [--seed N]
+                                   [--mode exact|float] [--report PATH]
+"""
 _freeze_at_exit = True  # until main has registered gc.freeze with atexit
 
 
@@ -86,26 +91,38 @@ def cmd_verify(args) -> int:
     return EXIT_OK if harness.report_all_pass(report) else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="metallic-tm",
-        description="verify metallic structures on a tangent bundle chart",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# verify's options and the conversion of their values
+_OPTIONS = {"--suites": str, "--points": int, "--seed": int, "--mode": str, "--report": str}
 
-    pv = sub.add_parser("validate", help="check a manifest file")
-    pv.add_argument("manifest", help="path to the manifest JSON")
-    pv.set_defaults(func=cmd_validate)
 
-    pr = sub.add_parser("verify", help="run verification suites")
-    pr.add_argument("manifest", help="path to the manifest JSON")
-    pr.add_argument("--suites", help="comma separated suite ids (default: all)")
-    pr.add_argument("--points", type=int, help="number of sample points")
-    pr.add_argument("--seed", type=int, help="sampler seed")
-    pr.add_argument("--mode", choices=("exact", "float"), help="evaluation mode")
-    pr.add_argument("--report", help="write the JSON report to this path")
-    pr.set_defaults(func=cmd_verify)
-    return parser
+def parse_args(argv: List[str]) -> SimpleNamespace:
+    """The command line as the namespace the commands read.  A usage error
+    raises ValueError naming the argument."""
+    if not argv or argv[0] not in ("validate", "verify"):
+        raise ValueError(f"argument command: expected validate or verify, not {argv[0]!r}"
+                         if argv else "argument command: missing")
+    args = SimpleNamespace(command=argv[0], manifest=None, **{o[2:]: None for o in _OPTIONS})
+    rest = iter(argv[1:])
+    for word in rest:
+        name, eq, value = word.partition("=")
+        if name not in _OPTIONS or args.command == "validate":
+            if args.manifest is not None or word.startswith("-") and word != "-":
+                raise ValueError(f"unrecognized argument {word!r}")
+            args.manifest = word
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"argument {name}: expected one value")
+        try:
+            setattr(args, name[2:], _OPTIONS[name](value))
+        except ValueError:
+            raise ValueError(f"argument {name}: expected an integer, not {value!r}") from None
+    if args.manifest is None:
+        raise ValueError("argument MANIFEST: missing")
+    if args.mode not in (None, "exact", "float"):
+        raise ValueError(f"argument --mode: expected exact or float, not {args.mode!r}")
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -118,9 +135,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)  # argparse exits 2 on usage errors
-        return args.func(args)
-    except SystemExit as exc:
+        argv = sys.argv[1:] if argv is None else argv
+        if "-h" in argv or "--help" in argv:
+            print(USAGE, end="")
+            return EXIT_OK
+        try:
+            args = parse_args(argv)
+        except ValueError as exc:
+            print(f"{USAGE}error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        return (cmd_validate if args.command == "validate" else cmd_verify)(args)
+    except SystemExit as exc:  # _load exits on a manifest it cannot use
         return int(exc.code or 0)
     finally:
         if enabled:

@@ -68,6 +68,9 @@ ROWS = [
     Row(f"{BUNDLED}/warped-h3.json", (), "warped-h3.report.json"),
     Row(f"{BUNDLED}/split-h3.json", (), "split-h3.report.json"),
     Row(f"{BUNDLED}/warped-h5-dense.json", (), "warped-h5-dense.report.json"),
+    # the same dense family at n = 7 (conftest.family(dense(6), [])): the
+    # chart whose suites share the most nodes
+    Row("tests/data/warped-h7-dense.json", (), "warped-h7-dense.report.json"),
 ]
 
 

@@ -324,6 +324,12 @@ def test_the_family_generator_writes_the_bundled_charts(name, tmp_path):
     assert got.replace(got_hash.encode(), want_hash.encode()) == want and code == want_code
 
 
+def test_the_dense_n7_manifest_is_a_family_member():
+    """The pinned dense warped chart of dimension 7 is the family's document."""
+    doc = json.loads((DATA / "warped-h7-dense.json").read_text(encoding="utf-8"))
+    assert doc == family(dense(6), [])
+
+
 @functools.lru_cache(maxsize=None)
 def _statuses(path: str) -> tuple:
     return tuple((s["id"], s["status"])

@@ -1,21 +1,22 @@
 """Symbolic expression trees over chart coordinates.
 
-Expressions are immutable trees built from rational constants (Fraction),
-base/fiber variables ``x1..xn`` / ``y1..yn``, the field
-operations and integer powers: rational functions only, with no analytic
-functions.  Only local simplifications are applied: constant folding,
-dropping zero terms and unit factors, and in a product one power per base
-(x^a * x^b is x^(a+b), and x^a * x^-a drops out); division by a monomial
-is a product with its negative powers, and any other quotient stays a
-``Div``.  Correctness downstream rests on exact evaluation at sample
-points, not on canonical forms.
+Expressions are immutable trees of rational constants (Fraction), the
+variables ``x1..xn`` / ``y1..yn``, the field operations and integer powers:
+rational functions, with no analytic functions.  Simplification is local:
+constant folding, dropping zero terms and unit factors, one power per base
+in a product (x^a * x^b is x^(a+b), x^a * x^-a drops out), and division by
+a monomial as a product with its negative powers; any other quotient stays
+a ``Div``.  Correctness rests on exact evaluation at sample points, not on
+canonical forms.
 
-Nodes are hash-consed: each distinct tree is one object, kept for the life
-of the process, so ``==`` and ``hash`` are those of identity.  A constant
-carries its reduced (numerator, denominator) pair of ints next to its
-Fraction, and is interned under that pair; ``add`` and ``mul`` fold
-constants on such pairs and are memoised on their arguments as given,
-``diff`` on its nodes.
+Nodes are hash-consed: each distinct tree is one object, so ``==`` and
+``hash`` are identity.  The table ``_NODES`` lives for the process: the
+manifest's trees, ``ZERO``, ``ONE`` and the ``Var``s outlive any run, and a
+tree built again must be the same node.  The memos of ``add`` and ``mul``
+(on their arguments as given) and ``diff`` live as long, unbounded: each
+entry maps to a node the table keeps anyway.  A constant carries its
+reduced (numerator, denominator) int pair beside its Fraction and is
+interned under it; ``add`` and ``mul`` fold constants on such pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, reduce
 from math import gcd, isfinite
 from operator import attrgetter
 from typing import Mapping, Union
@@ -216,7 +217,7 @@ def _qsum(n1: int, d1: int, n2: int, d2: int) -> tuple:
     return (n1 + n2, d1) if d1 == d2 else (n1 * d2 + n2 * d1, d1 * d2)
 
 
-@lru_cache(maxsize=200_000)
+@cache
 def add(*xs: ExprLike) -> Expr:
     """Sum of ``xs``, memoised on the arguments as given."""
     # collect like terms by structural part so that e + (-1)*e folds to 0;
@@ -261,7 +262,7 @@ def add(*xs: ExprLike) -> Expr:
     return Add(terms)
 
 
-@lru_cache(maxsize=200_000)
+@cache
 def mul(*xs: ExprLike) -> Expr:
     """Product of ``xs``, memoised on the arguments as given."""
     factors = []
@@ -356,7 +357,7 @@ def pow_(base: ExprLike, exponent: int) -> Expr:
 # differentiation
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=200_000)
+@cache
 def diff(e: Expr, v: Var) -> Expr:
     """Partial derivative; repeated application supports any order."""
     if isinstance(e, Const):

@@ -302,7 +302,7 @@ class SuiteContext:
         self.S = manifest.structure
         self.g = mf.TensorField(self.M, (0, 2), self.M.metric)
         self.points = sample_points(manifest)
-        self.values = E.Values(self.points)  # the value cache of one suite
+        self.values = E.Values(self.points)  # the run's one: axioms, the D-frame, every suite
         self._psi: Dict[tuple, mf.TensorField] = {}
         # the listed parameter sets by sign pair, pairs in order of first listing
         self.sign_pairs: Dict[tuple, List[ml.MetallicParams]] = {}
@@ -707,11 +707,7 @@ def run_suites(manifest: Manifest, suites: Optional[Sequence[str]] = None) -> di
     for sid in SUITE_IDS:
         if sid in results or sid not in requested:
             continue
-        if results["axioms"].status != "pass":
-            results[sid] = skipped
-        else:
-            ctx.values = E.Values(ctx.points)  # a value is kept for one suite
-            results[sid] = _SUITES[sid](ctx)
+        results[sid] = _SUITES[sid](ctx) if results["axioms"].status == "pass" else skipped
     # the sign Phi-prime measured, or null when it did not run
     phi_prime = results.get("Phi-prime", skipped).notes
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from operator import itemgetter
 from typing import Sequence
 
@@ -278,12 +278,12 @@ def _picker(at):
     return (lambda t: (t[at[0]],)) if at else (lambda t: ())
 
 
-@lru_cache(maxsize=4096)
+@cache
 def _plan(spec: str, shapes: tuple):
     """The output shape and, per product, its join steps (the positions of a
     repeated letter; pickers of an entry's join key, a row's join key and an
     entry's new letters), a picker of its term order and the values of the
-    output letters it does not name.  lru_cache keeps no exception."""
+    output letters it does not name.  The cache keeps no exception."""
     lhs, out_idx = spec.split("->")
     products = [p.split(",") for p in lhs.split("+")]
     subs = [s for p in products for s in p]

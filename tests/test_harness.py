@@ -412,31 +412,51 @@ def test_reports_match_the_report_schema(doc):
         jsonschema.validate(report, schema)
 
 
-def test_each_suite_gets_a_fresh_value_cache(manifest, monkeypatch):
-    """The value cache lives for one suite: every suite starts from an empty
-    cache of its own, at the same sample points, and leaves it filled.  On
-    h3 every axiom residual and both sides of Phi-closedness are structural
-    zeros, which are not evaluated, so those two suites leave it empty."""
-    fresh, filled, caches, points = {}, {}, [], []
+def test_one_value_cache_serves_the_whole_run(manifest, monkeypatch):
+    """The value cache lives for one run: the suite context makes one
+    ``Values`` at the run's sample points (sampling makes others of its own
+    to test the domain), the axioms, the D-frame and every suite read it,
+    and the next run makes a new one."""
+    made, reads = [], []
+
+    class Values(E.Values):
+        __slots__ = ()
+
+        def __init__(self, points):
+            super().__init__(points)
+            made.append(self)
 
     def spy(sid, suite):
         def run(ctx):
-            fresh[sid] = not ctx.values.cache and ctx.values.points == ctx.points
-            caches.append(ctx.values)
-            points.append(ctx.points)
-            out = suite(ctx)
-            filled[sid] = bool(ctx.values.cache)
-            return out
+            reads.append((sid, ctx.values, ctx.points))
+            return suite(ctx)
         return run
 
+    def frame(S, values):
+        reads.append(("frame", values, values.points))
+        return distribution_frame(S, values)
+
+    distribution_frame = pc.distribution_frame
+    monkeypatch.setattr(E, "Values", Values)
+    monkeypatch.setattr(pc, "distribution_frame", frame)
     monkeypatch.setattr(harness, "suite_axioms", spy("axioms", harness.suite_axioms))
     for sid, suite in list(harness._SUITES.items()):
         monkeypatch.setitem(harness._SUITES, sid, spy(sid, suite))
-    harness.run_suites(manifest._replace(plan=manifest.plan._replace(count=1, seed=3)))
-    assert fresh == {sid: True for sid in harness.SUITE_IDS}
-    assert filled == {sid: sid not in ("axioms", "Phi-closedness") for sid in harness.SUITE_IDS}
-    assert len({id(c) for c in caches}) == len(harness.SUITE_IDS)
-    assert all(p is points[0] for p in points)  # the points are not rebuilt
+    small = manifest._replace(plan=manifest.plan._replace(count=1, seed=3))
+    runs = []
+    for _ in range(2):
+        harness.run_suites(small)
+        runs.append((made[:], reads[:]))
+        del made[:], reads[:]
+    shared = []
+    for made_in_run, read_in_run in runs:
+        (_, values, points), *_ = read_in_run
+        assert [sid for sid, _, _ in read_in_run if sid != "frame"] == list(harness.SUITE_IDS)
+        assert "frame" in [sid for sid, _, _ in read_in_run]
+        assert all(v is values and p == points for _, v, p in read_in_run)
+        assert values.points == points and any(v is values for v in made_in_run)
+        shared.append(values)
+    assert shared[0] is not shared[1]
 
 
 def test_run_builds_psi_and_the_distribution_frame_once(manifest, monkeypatch):

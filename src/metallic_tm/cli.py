@@ -147,9 +147,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return (cmd_validate if args.command == "validate" else cmd_verify)(args)
     except SystemExit as exc:  # _load exits on a manifest it cannot use
         return int(exc.code or 0)
+    except MemoryError:
+        pass  # reported below, once the exception has let go of the run's frames
     finally:
         if enabled:
             gc.enable()
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

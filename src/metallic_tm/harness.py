@@ -726,8 +726,9 @@ def run_suites(manifest: Manifest, suites: Optional[Sequence[str]] = None) -> di
 
 
 def emit_report(report: dict, path: str) -> None:
+    text = render_report(report)  # first: a render that fails leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_report(report))
+        fh.write(text)
 
 
 def render_report(report: dict) -> str:

@@ -17,7 +17,7 @@ import metallic_tm
 from metallic_tm import harness
 from metallic_tm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, USAGE, bundled_manifest_path, main
 
-from conftest import first_primes
+from conftest import dense, family, first_primes
 
 PACKAGE = pathlib.Path(metallic_tm.__file__).parent
 MANIFEST_SCHEMA = json.loads((PACKAGE / "schemas" / "manifest.schema.json").read_text())
@@ -153,6 +153,25 @@ def test_verify_builds_the_pinned_trees(chart, nodes):
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.splitlines()[-1] == str(nodes)
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_verify_out_of_memory_is_one_error_line(tmp_path):
+    """A run that exhausts memory prints one error line and exits 2, with no
+    traceback and no report.  The child sets its own address-space limit
+    before it starts: room for the interpreter and the package (15-19 MB on
+    x86_64 Linux, Python 3.10-3.13), a third of what dense warped n=9 needs."""
+    import resource
+
+    manifest, report, limit = tmp_path / "dense9.json", tmp_path / "report.json", 64 << 20
+    manifest.write_text(json.dumps(family(dense(8), [])), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(metallic_tm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "metallic_tm.cli", "verify", str(manifest), "--report", str(report)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (EXIT_USAGE, "error: out of memory\n", "")
+    assert not report.exists()
+
 
 def test_verify_and_validate_load_no_openssl(tmp_path, manifest_path):
     """The manifest hash comes from CPython's own SHA-256, so neither command

@@ -593,9 +593,22 @@ def test_every_suite_uses_the_fixed_tolerance(doc):
     assert got == {sid: "fail" if sid in PERTURBED_SUITES else "pass" for sid in got}
 
 
-def test_suite_filtering(manifest):
-    report = harness.run_suites(manifest, suites=["axioms", "J-metallic"])
-    assert [s["id"] for s in report["suites"]] == ["axioms", "J-metallic"]
+# three bundled charts and the float chart, whose suites all run
+FILTER_CHARTS = [bundled_manifest_path(name) for name in ("hyperbolic-h3", "warped-h3", "split-h3")
+                 ] + [str(DATA / "hyperbolic-h3-wide.json")]
+
+
+def test_suite_filtering():
+    """``suites`` keeps the report order, and a suite run alone gives the
+    report entry it has in the full run: sharing the caches of a run across
+    its suites changes no entry."""
+    for path in FILTER_CHARTS:
+        m = harness.load_manifest(path)
+        full = {s["id"]: s for s in harness.run_suites(m)["suites"]}
+        assert harness.run_suites(m, suites=["J-metallic", "axioms"])["suites"] == [
+            full["axioms"], full["J-metallic"]], path
+        for sid in harness.SUITE_IDS:
+            assert harness.run_suites(m, suites=[sid])["suites"] == [full[sid]], (path, sid)
 
 
 def test_axiom_gating_skips_downstream(doc):

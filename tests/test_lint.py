@@ -257,3 +257,35 @@ def test_exprs_adds_floats_left_to_right():
     float report would differ between versions.  The float kernel adds
     from int 0, left to right."""
     assert float_sum_uses((SRC / "exprs.py").read_text(encoding="utf-8")) == []
+
+
+def bounded_memos(source: str) -> list:
+    """(line, function name) of every function memoised with ``lru_cache``,
+    bare, called or as ``functools.lru_cache``: it evicts past its
+    ``maxsize``, 128 unless given, where ``functools.cache`` never does."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                if "lru_cache" in (getattr(dec, "id", None), getattr(dec, "attr", None)):
+                    found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_bounded_memos_are_found():
+    source = "import functools\nfrom functools import cache, lru_cache\n" \
+             "@lru_cache(maxsize=4096)\ndef f(x):\n    pass\n" \
+             "@functools.lru_cache\ndef g(x):\n    pass\n" \
+             "@cache\ndef h(x):\n    pass\n" \
+             "@functools.lru_cache(128)\nasync def k(x):\n    pass\n"
+    assert bounded_memos(source) == [(4, "f"), (7, "g"), (13, "k")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_memo_has_a_bound(path):
+    """The memos of ``add``, ``mul``, ``diff`` and the contraction plan are
+    ``functools.cache``: a bound evicts entries during a run, and ``diff``,
+    which is recursive, then rebuilds an evicted entry with its whole
+    subtree."""
+    assert bounded_memos(path.read_text(encoding="utf-8")) == []

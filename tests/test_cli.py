@@ -136,12 +136,17 @@ def test_verify_runs_without_numpy(tmp_path, manifest_path):
     assert report.read_bytes() == golden.read_bytes()
 
 
-@pytest.mark.parametrize("chart, nodes", [("hyperbolic-h3", 1321), ("warped-h5-dense", 25013)])
-def test_verify_builds_the_pinned_trees(chart, nodes):
-    """verify on a bundled chart, in a fresh interpreter, interns a pinned
-    number of distinct nodes: a change to folding or interning that builds
-    other trees fails here even where no report byte moves."""
-    manifest_path = str(PACKAGE / "manifests" / f"{chart}.json")
+@pytest.mark.parametrize("path, nodes", [
+    pytest.param(PACKAGE / "manifests" / "hyperbolic-h3.json", 1321, id="hyperbolic-h3"),
+    pytest.param(PACKAGE / "manifests" / "warped-h5-dense.json", 25013, id="warped-h5-dense"),
+    pytest.param(pathlib.Path(__file__).parent / "data" / "hyperbolic-h3-twin.json", 22293,
+                 id="hyperbolic-h3-twin"),
+])
+def test_verify_builds_the_pinned_trees(path, nodes):
+    """verify on a chart, in a fresh interpreter, interns a pinned number of
+    distinct nodes: a change to folding or interning that builds other
+    trees fails here even where no report byte moves."""
+    manifest_path = str(path)
     script = "\n".join([
         "from metallic_tm import cli, exprs",
         f"code = cli.main(['verify', {manifest_path!r}])",

@@ -9,6 +9,7 @@ suites, and emits a reproducible JSON report.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from functools import cached_property
@@ -255,10 +256,10 @@ def sample_points(manifest: Manifest):
 
     def draw(lo: Fraction, hi: Fraction) -> Fraction:
         den = rng.randint(2, 7)
-        lo_i, hi_i = int(lo * den) + 1, int(hi * den) - 1
+        lo_i, hi_i = math.floor(lo * den) + 1, math.ceil(hi * den) - 1
         while lo_i > hi_i:  # no k/den inside the range: a finer grid
             den *= 2
-            lo_i, hi_i = int(lo * den) + 1, int(hi * den) - 1
+            lo_i, hi_i = math.floor(lo * den) + 1, math.ceil(hi * den) - 1
         return Fraction(rng.randint(lo_i, hi_i), den)
 
     points = []

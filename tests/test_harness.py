@@ -204,13 +204,28 @@ def test_sampler_counts_only_rejected_draws(manifest):
 ])
 def test_sampler_draws_inside_narrow_ranges(doc, key, axis, lo, hi):
     """A range with no multiple of 1/den inside, for the drawn den, is
-    drawn from on a finer grid, never outside it."""
+    drawn from on a finer grid, strictly inside it."""
     narrow = json.loads(json.dumps(doc))
     narrow["sample_plan"][key][axis] = [lo, hi]
     m = harness.parse_manifest(narrow)
     var = E.Var("base" if key == "base_ranges" else "fiber", axis + 1)
     for pt in harness.sample_points(m._replace(plan=m.plan._replace(count=20, seed=3))):
-        assert Fraction(lo) <= pt[var] <= Fraction(hi)
+        assert Fraction(lo) < pt[var] < Fraction(hi)
+
+
+def test_sampler_reaches_the_grid_ends_next_to_fractional_range_ends(doc):
+    """Next to a range end that is no multiple of 1/den, the grid's last
+    point inside is drawn too: on (-7/2, 7/2) the fiber coordinate reaches
+    -24/7 and 24/7 (and -10/3 and 10/3), at both ends alike."""
+    wide = json.loads(json.dumps(doc))
+    wide["sample_plan"]["fiber_ranges"][0] = ["-7/2", "7/2"]
+    m = harness.parse_manifest(wide)
+    y1 = E.Var("fiber", 1)
+    drawn = {pt[y1] for seed in range(1, 4)
+             for pt in harness.sample_points(m._replace(plan=m.plan._replace(count=400, seed=seed)))}
+    assert all(Fraction(-7, 2) < y < Fraction(7, 2) for y in drawn)
+    for end in (Fraction(24, 7), Fraction(10, 3)):
+        assert {end, -end} <= drawn
 
 
 def test_float_mode_points_are_floats(manifest):

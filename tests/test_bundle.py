@@ -71,11 +71,28 @@ def vec_residual(lhs, rhs):
 
 
 def test_function_lifts(charts):
+    """f^v = f, f^c = y^j d_j f and the horizontal lift is 0; the lifted
+    fields act on lifted functions as X^v f^v = 0, X^v f^c = (Xf)^v and
+    X^c f^c = (Xf)^c."""
     for c in charts.values():
-        x1, _, x3 = c.tb.base.variables
-        assert bd.lift(c.tb, "v", x1) == x1
-        assert bd.lift(c.tb, "c", x1) == Var("fiber", 1)
-        assert bd.lift(c.tb, "h", E.mul(x1, x3)) == E.ZERO
+        tb, X = c.tb, c.X
+        x1, x2, x3 = tb.base.variables
+        assert bd.lift(tb, "v", x1) == x1
+        assert bd.lift(tb, "c", x1) == Var("fiber", 1)
+        assert bd.lift(tb, "h", E.mul(x1, x3)) == E.ZERO
+        f = E.add(E.mul(x1, x3), E.pow_(x2, 2))
+        Xf = mf.contract("m,m->", X, tb.base.partials(f))
+        Xv, Xc = bd.lift(tb, "v", X), bd.lift(tb, "c", X)
+
+        def act(U, fn):  # U fn, a vector field on TM applied to a function there
+            return mf.contract("a,a->", U, tb.chart.partials(fn))
+
+        for pt in c.points:
+            ev = lambda e: E.evaluate(e, pt)
+            assert ev(Xf) != 0, c.name  # the laws are not 0 = 0
+            assert ev(act(Xv, bd.lift(tb, "v", f))) == 0, c.name
+            assert ev(act(Xv, bd.lift(tb, "c", f))) == ev(bd.lift(tb, "v", Xf)), c.name
+            assert ev(act(Xc, bd.lift(tb, "c", f))) == ev(bd.lift(tb, "c", Xf)), c.name
 
 
 def test_complete_lift_fiber_sign_is_positive(tb, fields):
@@ -116,11 +133,16 @@ def test_bracket_table(charts):
         conn = tb.connection
         Xv, Yv = bd.lift(tb, "v", X), bd.lift(tb, "v", Y)
         Xh, Yh = bd.lift(tb, "h", X), bd.lift(tb, "h", Y)
+        Xc, Yc = bd.lift(tb, "c", X), bd.lift(tb, "c", Y)
+        # [X^c, Y^c] = [X, Y]^c
+        cc = vec_residual(mf.lie_derivative(Xc, Yc).components,
+                          bd.lift(tb, "c", mf.lie_derivative(X, Y)).components)
         # gamma R(X, Y) = (R(X, Y)y)^v
         defect = bd.lift(tb, "v", mf.TensorField(tb.base, (1, 0), mf.contract(
             "lijk,i,j,k->l", tb.curvature, X, Y, tb.fiber_vars))).components
         for pt in c.points:
             assert eval_zero(mf.lie_derivative(Xv, Yv).components, pt), c.name
+            assert eval_zero(cc, pt), c.name
             # [X^v, Y^h] = -(nabla_Y X)^v
             lhs = mf.lie_derivative(Xv, Yh).components
             rhs = bd.lift(tb, "v", nabla(conn, Y, X)).components
@@ -157,8 +179,10 @@ def test_metric_lifts(charts):
             ev = lambda e: E.evaluate(e, pt)
             assert ev(pair(gc, Xv, Yv)) == 0, c.name
             assert ev(pair(gc, Xv, Yc)) == ev(gXY), c.name
+            assert ev(pair(gc, Xc, Yv)) == ev(gXY), c.name
             assert ev(pair(gc, Xc, Yc)) == ev(bd.lift(tb, "c", gXY)), c.name
             assert ev(pair(gh, Xh, Yh)) == 0, c.name
+            assert ev(pair(gh, Xv, Yv)) == 0, c.name
             assert ev(pair(gh, Xv, Yh)) == ev(gXY), c.name
             assert ev(pair(G, Xv, Yv)) == ev(gXY), c.name
             assert ev(pair(G, Xh, Yh)) == ev(gXY), c.name
@@ -260,6 +284,7 @@ def test_lifted_connections(charts):
             (hc, Xh, Yh, bd.lift(tb, "h", nXY).components),
             (hc, Xh, Yv, bd.lift(tb, "v", nXY).components),
             (hc, Xv, Yh, zero),
+            (hc, Xv, Yv, zero),
         ]
         for C2, U, V, want in cases:
             resid = vec_residual(nabla(C2, U, V).components, want)

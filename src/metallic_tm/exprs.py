@@ -4,9 +4,9 @@ Expressions are immutable trees of rational constants (Fraction), the
 variables ``x1..xn`` / ``y1..yn``, the field operations and integer powers:
 rational functions, with no analytic functions.  Simplification is local:
 constant folding, dropping zero terms and unit factors, one power per base
-in a product (x^a * x^b is x^(a+b), x^a * x^-a drops out), and division by
-a monomial as a product with its negative powers; any other quotient stays
-a ``Div``.  Correctness rests on exact evaluation at sample points, not on
+in a product (x^a * x^b is x^(a+b), x^a * x^-a drops out), and every
+quotient as a product with the negative powers of the denominator's
+factors.  Correctness rests on exact evaluation at sample points, not on
 canonical forms.
 
 Nodes are hash-consed: each distinct tree is one object, so ``==`` and
@@ -75,7 +75,7 @@ def _interned(key, *fields) -> "Expr":
 
 
 class Expr:
-    """Base node of a rational function.  Subclasses: Const, Var, Add, Mul, Div, Pow.
+    """Base node of a rational function.  Subclasses: Const, Var, Add, Mul, Pow.
 
     Nodes are hash-consed: a constructor returns the node that already has
     its fields, so equal trees are one object and ``==`` is identity."""
@@ -170,13 +170,6 @@ class Mul(Expr):
     def __new__(cls, factors):
         factors = tuple(factors)
         return _interned((cls, factors), factors)
-
-
-class Div(Expr):
-    __slots__ = ("num", "den")
-
-    def __new__(cls, num: Expr, den: Expr):
-        return _interned((cls, num, den), num, den)
 
 
 class Pow(Expr):
@@ -293,19 +286,14 @@ def mul(*xs: ExprLike) -> Expr:
 
 
 def div(num: ExprLike, den: ExprLike) -> Expr:
+    """``num`` times the negative powers of the factors of ``den``; a
+    quotient by the zero constant is refused."""
     n, d = _as_expr(num), _as_expr(den)
     if isinstance(d, Const):
         if not d.num:
             raise EvalError("division by the zero constant")
         return mul(Const(1 / d.value), n)
-    if n is ZERO:
-        return ZERO
-    if n == d:
-        return ONE
-    fs = d.factors if isinstance(d, Mul) else (d,)
-    if all(isinstance(f, (Const, Var, Pow)) for f in fs):  # a monomial
-        return mul(n, *(pow_(f, -1) for f in fs))
-    return Div(n, d)
+    return mul(n, *(pow_(f, -1) for f in (d.factors if isinstance(d, Mul) else (d,))))
 
 
 def _printable(n: int, d: int) -> Const:
@@ -375,11 +363,6 @@ def diff(e: Expr, v: Var) -> Expr:
                 continue
             parts.append(mul(*fs[:i], d, *fs[i + 1:]))
         return add(*parts) if parts else ZERO
-    if isinstance(e, Div):
-        dn, dd = diff(e.num, v), diff(e.den, v)
-        if dd is ZERO:
-            return div(dn, e.den)
-        return div(add(mul(dn, e.den), mul(MINUS_ONE, e.num, dd)), pow_(e.den, 2))
     if isinstance(e, Pow):
         d = diff(e.base, v)
         if d is ZERO:
@@ -435,7 +418,7 @@ class Values:
         """Cache every node under ``roots``, in the order of a recursive walk
         but from a stack of its own, at every point in one step."""
         cache, points = self.cache, self.points
-        kernel, zero = (_exact, (0, 1)) if self.exact else (_float, 0)
+        kernel = _exact if self.exact else _float
         todo = [e for e in reversed(roots) if e is not ZERO]
         while todo:
             e = todo.pop()
@@ -444,24 +427,19 @@ class Values:
             args = _OPERANDS[type(e)](e)
             try:
                 cols = [cache[a] for a in args]
-            except KeyError:  # operands first; a numerator only over a nonzero denominator
-                missing = [a for a in args if a not in cache]
-                if type(e) is Div:
-                    if missing[0] is not e.den and zero in cache[e.den]:
-                        raise EvalError(f"division by zero at point in {to_str(e)}") from None
-                    missing = missing[:1]
-                todo += [e, *reversed(missing)]
+            except KeyError:  # operands first
+                todo += [e, *reversed([a for a in args if a not in cache])]
                 continue
             try:
                 cache[e] = kernel(e, cols, points)
-            except (OverflowError, ZeroDivisionError) as exc:  # float range
+            except OverflowError as exc:  # float range
                 raise EvalError(f"float evaluation failed: {exc}") from None
             except KeyError:
                 raise EvalError(f"no value for variable {e.name}") from None
 
 
-_OPERANDS = {Add: attrgetter("terms"), Mul: attrgetter("factors"), Div: attrgetter("den", "num"),
-             Pow: lambda e: (e.base,), Const: lambda e: (), Var: lambda e: ()}
+_OPERANDS = {Add: attrgetter("terms"), Mul: attrgetter("factors"), Pow: lambda e: (e.base,),
+             Const: lambda e: (), Var: lambda e: ()}
 
 
 def evaluate(e: Expr, point: Mapping[Var, object]):
@@ -471,15 +449,15 @@ def evaluate(e: Expr, point: Mapping[Var, object]):
 
 
 def _exact(e: Expr, args: list, points) -> list:
-    """``e`` at ``points`` from its operands' values ``args`` there, a sum,
-    product or quotient formed unreduced and then reduced by one gcd."""
+    """``e`` at ``points`` from its operands' values ``args`` there, a sum or
+    product formed unreduced and then reduced by one gcd."""
     t = type(e)
     if t is Const or t is Var:
         return [(e.num, e.den)] * len(points) if t is Const else [_pair(p[e]) for p in points]
     if t is Pow:  # powers of coprime ints are coprime
         k = e.exponent
         if k < 0 and (0, 1) in args[0]:
-            raise EvalError("zero base with negative exponent")
+            raise EvalError(f"division by zero at point in {to_str(e)}")
         return [(n ** k, d ** k) if k >= 0 else (d ** -k, n ** -k) if n > 0
                 else ((-d) ** -k, (-n) ** -k) for n, d in args[0]]
     out = []
@@ -488,15 +466,10 @@ def _exact(e: Expr, args: list, points) -> list:
             n = d = 1
             for fn, fd in vs:
                 n, d = n * fn, d * fd
-        elif t is Add:
+        else:
             n, d = 0, 1
             for tn, td in vs:
                 n, d = (n + tn, d) if td == d else (n * td + tn * d, d * td)
-        else:
-            (dn, dd), (nn, nd) = vs
-            if not dn:
-                raise EvalError(f"division by zero at point in {to_str(e)}")
-            n, d = (nn * dd, nd * dn) if dn > 0 else (-nn * dd, -nd * dn)
         g = gcd(n, d)
         out.append((n // g, d // g))
     return out
@@ -512,11 +485,8 @@ def _float(e: Expr, args: list, points) -> list:
         return [reduce(operator.add, vs, 0) for vs in zip(*args)]
     if t is Mul:
         return [reduce(operator.mul, vs) for vs in zip(*args)]
-    if 0 in args[0] and (t is Div or e.exponent < 0):
-        raise (EvalError(f"division by zero at point in {to_str(e)}") if t is Div
-               else ZeroDivisionError("zero base with negative exponent"))
-    if t is Div:
-        return [num / den for den, num in zip(*args)]
+    if e.exponent < 0 and 0 in args[0]:
+        raise EvalError(f"division by zero at point in {to_str(e)}")
     try:
         return [v ** e.exponent for v in args[0]]
     except OverflowError:
@@ -558,12 +528,6 @@ def _render(e: Expr, done: dict) -> tuple[str, int]:
             s, p = done[f]
             parts.append(s if p > _PREC_ADD else f"({s})")
         return ("-" if minus else "") + "*".join(parts), _PREC_MUL
-    if isinstance(e, Div):
-        ns, np_ = done[e.num]
-        ds, dp = done[e.den]
-        ns = ns if np_ > _PREC_ADD else f"({ns})"
-        ds = ds if dp > _PREC_MUL else f"({ds})"
-        return f"{ns}/{ds}", _PREC_MUL
     bs, bp = done[e.base]
     bs = bs if bp >= _PREC_ATOM else f"({bs})"
     if e.exponent < 0:

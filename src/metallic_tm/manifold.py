@@ -366,20 +366,18 @@ def _det(m: Array, memo: dict) -> Expr:
     return memo[key]
 
 
-def inverse_matrix(m) -> Array:
-    """Symbolic inverse via adjugate over determinant (Laplace expansion); the
+def adjugate(m) -> tuple:
+    """(adj m, det m) by Laplace expansion, so that m^-1 = adj m / det m; the
     minors' determinants are kept for this call only."""
     arr = expr_array(m)
     n, memo = arr.shape[0], {}
     d = _det(arr, memo)
-    inv = zeros((n, n))
+    adj = zeros((n, n))
     for i in range(n):
         for j in range(n):
             cof = _det(_minor(arr, j, i), memo) if n > 1 else E.ONE
-            if (i + j) % 2 == 1:
-                cof = E.mul(E.MINUS_ONE, cof)
-            inv[i, j] = E.div(cof, d)
-    return inv
+            adj[i, j] = cof if (i + j) % 2 == 0 else E.mul(E.MINUS_ONE, cof)
+    return adj, d
 
 
 def christoffel(M: ChartedManifold) -> TensorField:
@@ -389,11 +387,12 @@ def christoffel(M: ChartedManifold) -> TensorField:
     if M.metric is None:
         raise GeometryError("chart has no metric")
     g = M.metric
-    ginv = inverse_matrix(g)
+    adj, det = adjugate(g)
     dg = M.partials(g)  # dg[k][i][j] = d_k g_ij
     # 2 Gamma_{lij}, stored [i][j][l]: d_i g_jl + d_j g_il - d_l g_ij
     first_kind = add(dg, dg.transpose(1, 0, 2), -dg.transpose(1, 2, 0))
-    gamma = contract("kl,ijl->kij", ginv, first_kind) * E.const(Fraction(1, 2))
+    # g^kl = adj^kl / det g: one quotient per symbol, not one per entry of g^-1
+    gamma = contract("kl,ijl->kij", adj, first_kind) * E.div(Fraction(1, 2), det)
     return TensorField(M, (1, 2), gamma)
 
 

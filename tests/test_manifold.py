@@ -58,16 +58,18 @@ def test_h3_constant_curvature_minus_one(h3, conn, base_points):
 
 
 def test_inverse_metric(h3, base_points):
-    ginv = mf.inverse_matrix(h3.metric)
+    """adj g / det g is the inverse metric: adj g . g = det g I."""
+    adj, det = mf.adjugate(h3.metric)
     pt = base_points[1]  # x3 = 3
-    assert E.evaluate(ginv[0, 0], pt) == 9
+    assert E.evaluate(E.div(adj[0, 0], det), pt) == 9
+    assert E.evaluate(det, pt) == Fraction(1, 3 ** 6)
     n = h3.n
     for i, j in itertools.product(range(n), repeat=2):
         s = E.ZERO
         for m in range(n):
-            s = E.add(s, E.mul(ginv[i, m], h3.metric[m, j]))
-        want = 1 if i == j else 0
-        assert E.evaluate(s, pt) == want
+            s = E.add(s, E.mul(adj[i, m], h3.metric[m, j]))
+        want = det if i == j else E.ZERO
+        assert E.evaluate(s, pt) == E.evaluate(want, pt)
 
 
 def test_lie_bracket_coordinate_fields(h3, base_points):

@@ -150,12 +150,12 @@ def test_failures_are_met_points_outer(kind):
     first = E.div(E.ONE, E.add(x1, E.const(-1)))  # fails at the second point
     second = E.div(E.ONE, E.add(x2, E.const(-2)))  # fails at the first point
     points = [{x1: kind(3), x2: kind(2)}, {x1: kind(1), x2: kind(5)}]
-    with pytest.raises(E.EvalError, match=re.escape("division by zero at point in 1/(x2 - 2)")):
+    with pytest.raises(E.EvalError, match=re.escape("division by zero at point in (x2 - 2)^(-1)")):
         ResidualTracker().track(chart, E.Values(points), [first, second])
     zero_first = E.mul(E.add(x2, E.const(-2)), first)  # 0 at the first point
     x1_less_3 = E.add(x1, E.const(-3))  # 0 at the first point, -2 at the second
     assert not vanishes([x1_less_3, zero_first], E.Values(points))
-    with pytest.raises(E.EvalError, match=re.escape("division by zero at point in 1/(x1 - 1)")):
+    with pytest.raises(E.EvalError, match=re.escape("division by zero at point in (x1 - 1)^(-1)")):
         vanishes([zero_first, x1_less_3], E.Values(points))
     assert not vanishes([x1_less_3, x2, second], E.Values(points))
 

@@ -429,6 +429,9 @@ def suite_lifts(ctx: SuiteContext) -> SuiteResult:
     def nabla(C, U, V):  # nabla_U V, one row of cov_rows
         return mf.cov_rows(C, mf.rows([U], U.base.n), mf.rows([V], U.base.n))[0, 0]
 
+    def bracket(U, V):  # [U, V], one row of brackets
+        return mf.brackets(U.base, mf.rows([U], U.base.n), mf.rows([V], U.base.n))[0, 0]
+
     def vertical(v):  # v^v, the vertical lift of a base vector field v
         return bd.lift(tb, "v", mf.TensorField(M, (1, 0), v)).components
 
@@ -442,14 +445,12 @@ def suite_lifts(ctx: SuiteContext) -> SuiteResult:
     residuals["fh-zero"] = [bd.lift(tb, "h", f)]
 
     # bracket table; [X^h, Y^h] = [X, Y]^h - gamma R(X, Y), gamma R(X, Y) = (R(X, Y)y)^v
-    XYb = mf.lie_derivative(X, Y)
-    residuals["bracket-vv"] = mf.lie_derivative(Xv, Yv).components
-    residuals["bracket-cc"] = (mf.lie_derivative(Xc, Yc).components
-                               - bd.lift(tb, "c", XYb).components)
-    residuals["bracket-vh"] = mf.add(mf.lie_derivative(Xv, Yh).components,
-                                     vertical(nabla(conn, Y, X)))
+    XYb = mf.TensorField(M, (1, 0), bracket(X, Y))
+    residuals["bracket-vv"] = bracket(Xv, Yv)
+    residuals["bracket-cc"] = bracket(Xc, Yc) - bd.lift(tb, "c", XYb).components
+    residuals["bracket-vh"] = mf.add(bracket(Xv, Yh), vertical(nabla(conn, Y, X)))
     residuals["bracket-hh"] = mf.add(
-        mf.lie_derivative(Xh, Yh).components, -bd.lift(tb, "h", XYb).components,
+        bracket(Xh, Yh), -bd.lift(tb, "h", XYb).components,
         vertical(mf.contract("lijk,i,j,k->l", tb.curvature, X, Y, tb.fiber_vars)))
 
     # metric pairings

@@ -5,8 +5,10 @@ variables with optional domain constraints and a metric, so the same code
 serves the base manifold (n variables of base kind) and the tangent bundle
 (2n variables, base plus fiber).  Components are ``exprs.Expr`` trees stored
 in ``Array``s; index order is contravariant slots first, covariant slots
-after, and every derivative-type operation puts the new covariant index
-first.
+after.  ``partials`` puts the derivative index first.  The one covariant
+derivative (``cov_rows``) and the one bracket (``brackets``) take vector
+fields stacked as rows and put the row indices first: [x, y, a] is
+component a of the result on the pair (U_x, V_y).
 """
 
 from __future__ import annotations
@@ -409,23 +411,6 @@ def curvature(C: TensorField) -> TensorField:
 # brackets and derivatives
 # ----------------------------------------------------------------------
 
-def covariant_derivative(C: TensorField, T: TensorField) -> TensorField:
-    """nabla T as one contraction: d_i T, then per slot +Gamma^c_{im} T^..m..
-    (contravariant) or -Gamma^m_{ic} T_..m.. (covariant), summed over m with
-    the slots in order; the d_i T product does not name m, so it comes once,
-    first.  The derivative index i goes first among the covariant slots."""
-    M = C.base
-    k, l = T.valence
-    slots = "abcdefghjkl"[:k + l]  # every letter but i and m
-    G, minus_G = C.components, -C.components if l else None
-    specs, ops = ["i" + slots], [M.partials(T.components)]
-    for s, c in enumerate(slots):
-        specs.append((f"{c}im," if s < k else f"mi{c},") + slots[:s] + "m" + slots[s + 1:])
-        ops += [G if s < k else minus_G, T.components]
-    out = contract("+".join(specs) + "->" + slots[:k] + "i" + slots[k:], *ops)
-    return TensorField(M, (k, l + 1), out)
-
-
 def cov_rows(C: TensorField, U: Array, V: Array) -> Array:
     """[x, y, a] = (nabla_{U_x} V_y)^a = U^i d_i V^a + U^i V^j Gamma^a_ij for
     vector fields stacked as rows U[x, i] and V[y, j] (``rows``), every pair
@@ -433,25 +418,11 @@ def cov_rows(C: TensorField, U: Array, V: Array) -> Array:
     return contract("xi,iya+xi,yj,aij->xya", U, C.base.partials(V), U, V, C)
 
 
-def lie_derivative(X: TensorField, T: TensorField) -> TensorField:
-    """L_X T as one contraction: X^m d_m T, then per slot -T^..m.. d_m X^c
-    (contravariant) or +T_..m.. d_c X^m (covariant), summed over m with the
-    slots in order.  For a vector field T this is the bracket [X, T]."""
-    if X.valence != (1, 0):
-        raise GeometryError("lie_derivative direction must be a vector field")
-    if X.base is not T.base:
-        raise GeometryError("the fields live on different charts")
-    M = X.base
-    k, l = T.valence
-    slots = "abcdefghijkl"[:k + l]  # every letter but m
-    dX = M.partials(X.components)  # [c, m] = d_c X^m
-    specs, ops = ["m,m" + slots], [X.components, M.partials(T.components)]
-    minus_T = -T.components if k else None
-    for s, c in enumerate(slots):
-        moved = slots[:s] + "m" + slots[s + 1:]
-        specs.append(f"{moved},m{c}" if s < k else f"{moved},{c}m")
-        ops += [minus_T if s < k else T.components, dX]
-    return TensorField(M, (k, l), contract("+".join(specs) + "->" + slots, *ops))
+def brackets(M: ChartedManifold, U: Array, V: Array) -> Array:
+    """[x, y, a] = [U_x, V_y]^a = U^m d_m V^a - V^m d_m U^a for vector fields
+    on ``M`` stacked as rows U[x, m] and V[y, m] (``rows``), every pair at
+    once; ``brackets(M, rows([X], n), rows([Y], n))[0, 0]`` is [X, Y]."""
+    return contract("xm,mya+ym,mxa->xya", U, M.partials(V), -V, M.partials(U))
 
 
 def exterior_derivative(T: TensorField) -> TensorField:
@@ -471,13 +442,11 @@ def coboundary(M: ChartedManifold, P, U: Array, V: Array, W: Array) -> Array:
     def d_pair(A, B):  # [m, p, q] = d_m P(A_p, B_q)
         return M.partials(contract("ab,pa,qb->pq", P, A, B))
 
-    def minus_bracket(A, B):  # [p, q, a] = -[A_p, B_q]^a
-        return contract("pm,mqa+qm,mpa->pqa", -A, M.partials(B), B, M.partials(A))
-
+    minus_P = -asarray(P)
     out = contract("xm,myz+ym,mzx+zm,mxy+xya,ab,zb+yza,ab,xb+zxa,ab,yb->xyz",
                    U, d_pair(V, W), V, d_pair(W, U), W, d_pair(U, V),
-                   minus_bracket(U, V), P, W, minus_bracket(V, W), P, U,
-                   minus_bracket(W, U), P, V)
+                   brackets(M, U, V), minus_P, W, brackets(M, V, W), minus_P, U,
+                   brackets(M, W, U), minus_P, V)
     return out * E.const(Fraction(1, 3))
 
 

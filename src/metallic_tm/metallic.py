@@ -156,10 +156,11 @@ def F_integrability_residuals(S: pc.ParacontactStructure, C: TensorField,
 def parallelity_probes(psi: TensorField, lift: str, lifted_conn: TensorField,
                        S: pc.ParacontactStructure, tb: bd.TangentBundleChart,
                        frame) -> Tuple[mf.Array, mf.Array]:
-    """The probes (nabla~_X~ Psi) xi~ for the directions X of the D-frame
-    ``frame`` (``distribution_frame``), as rows, and the mismatch of the
-    probes from their closed form.  ``lift`` is "c" (J, nabla^c) or "h" (F,
-    nabla^h):
+    """The probes (nabla~_X~ Psi) xi~ = nabla~_X~(Psi xi~) - Psi nabla~_X~ xi~
+    for the directions X of the D-frame ``frame`` (``distribution_frame``),
+    as rows, and the mismatch of the probes from their closed form.  They
+    are taken on the vector fields, so the full nabla~ Psi is never built.
+    ``lift`` is "c" (J, nabla^c) or "h" (F, nabla^h):
 
     complete_J:   (nabla^c_{X^c} Psi) xi^c = (phi X)^v - X^c
     horizontal_F: (nabla^h_{X^h} Psi) xi^h = (phi X)^v - (phi^2 X)^h
@@ -171,7 +172,6 @@ def parallelity_probes(psi: TensorField, lift: str, lifted_conn: TensorField,
     when the probes are nonzero and match; the values are those of Psi, over Q.
     """
     n = tb.n
-    dpsi = mf.covariant_derivative(lifted_conn, psi)  # [a, A, b]
     if lift == "c":
         basis = []
         matched = second = frame
@@ -179,9 +179,12 @@ def parallelity_probes(psi: TensorField, lift: str, lifted_conn: TensorField,
         phi2 = mf.TensorField(S.base, (1, 1), mf.contract("am,mb->ab", S.phi, S.phi))
         basis = [mf.TensorField(S.base, (1, 0), mf.identity(n)[i]) for i in range(n)]
         matched, second = basis, [mf.apply_11(phi2, X) for X in basis]
-    # frame directions first, then the basis
-    probes = mf.contract("aij,xi,j->xa", dpsi,
-                         bd.lifted_rows(tb, lift, list(frame) + basis), bd.lift(tb, lift, S.xi))
+    # frame directions first, then the basis; the row index y of one field is 0
+    dirs = bd.lifted_rows(tb, lift, list(frame) + basis)
+    xi = bd.lift(tb, lift, S.xi)
+    psi_xi = mf.asarray([mf.contract("am,m->a", psi, xi)])
+    probes = mf.contract("xya+am,xym->xa", mf.cov_rows(lifted_conn, dirs, psi_xi),
+                         -psi.components, mf.cov_rows(lifted_conn, dirs, mf.rows([xi], 2 * n)))
     closed = (bd.lifted_rows(tb, "v", [mf.apply_11(S.phi, X) for X in matched])
               - bd.lifted_rows(tb, lift, second))
     rows = list(probes)

@@ -57,14 +57,19 @@ def metric_compat(S: ParacontactStructure) -> Dict[str, mf.Array]:
 
 
 def p_sasakian(S: ParacontactStructure, C: TensorField) -> Dict[str, mf.Array]:
-    """(nabla_X phi)Y = -g(X,Y)xi - eta(Y)X + 2 eta(X)eta(Y)xi and nabla_X xi = phi X."""
+    """(nabla_X phi)Y = -g(X,Y)xi - eta(Y)X + 2 eta(X)eta(Y)xi and nabla_X xi = phi X
+    on the coordinate fields, with (nabla_i phi) d_j = nabla_i(phi d_j) - phi nabla_i d_j."""
     M = S.base
     phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
-    delta = mf.expr_array(mf.identity(M.n))
+    delta = mf.expr_array(mf.identity(M.n))  # the rows d_1..d_n
     rhs = mf.contract("ij,a+j,ai+i,j,a->aij", -M.metric, xi, -eta, delta, eta * E.const(2), eta, xi)
+    # phi d_j is column j of phi, so phi^T stacks the phi d_j as rows
+    dphi = mf.contract("ija+am,ijm->aij", mf.cov_rows(C, delta, phi.T),
+                       -phi, mf.cov_rows(C, delta, delta))
+    dxi = mf.cov_rows(C, delta, mf.rows([S.xi], M.n))  # [i, 0, a] = (nabla_i xi)^a
     return {
-        "p-sasakian-eq6": mf.covariant_derivative(C, S.phi).components - rhs,  # [a, i, j]
-        "p-sasakian-eq7": mf.covariant_derivative(C, S.xi).components - phi,  # [a, i]
+        "p-sasakian-eq6": dphi - rhs,  # [a, i, j]
+        "p-sasakian-eq7": mf.contract("iya->ai", dxi) - phi,  # [a, i]
     }
 
 
@@ -81,8 +86,13 @@ def n_tensors(S: ParacontactStructure) -> dict:
                             eta, M.partials(phi.components))
     n2 = lie_forms - lie_forms.T
 
-    n3 = mf.lie_derivative(xi, phi).components
-    n4 = mf.lie_derivative(xi, eta).components
+    # N3 = L_xi phi and N4 = L_xi eta on d_j: [xi, phi d_j] - phi[xi, d_j] and
+    # xi(eta_j) - eta([xi, d_j]); the row index y of the one xi row is 0
+    delta, xi_row = mf.expr_array(mf.identity(M.n)), mf.rows([xi], M.n)
+    xi_d = mf.brackets(M, xi_row, delta)  # [0, j, a] = [xi, d_j]^a
+    n3 = mf.contract("yja+am,yjm->aj", mf.brackets(M, xi_row, phi.components.T),
+                     -phi.components, xi_d)
+    n4 = mf.contract("m,mj+m,yjm->j", xi, M.partials(eta.components), -eta.components, xi_d)
 
     return {
         "N1": TensorField(M, (1, 2), n1),

@@ -2,13 +2,16 @@
 
 import itertools
 import math
+import pathlib
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from metallic_tm import bundle as bd
 from metallic_tm import exprs as E
+from metallic_tm import harness
 from metallic_tm import manifold as mf
 from metallic_tm import metallic as ml
 from metallic_tm import paracontact as pc
@@ -53,6 +56,39 @@ def nabla(C, U, V):
     return mf.TensorField(U.base, (1, 0), mf.cov_rows(C, mf.rows([U], n), mf.rows([V], n))[0, 0])
 
 
+def bracket(U, V):
+    """[U, V] for vector fields U and V on one chart, as a vector field: the
+    one-row case of ``manifold.brackets``."""
+    n = U.base.n
+    return mf.TensorField(U.base, (1, 0), mf.brackets(U.base, mf.rows([U], n), mf.rows([V], n))[0, 0])
+
+
+def loop_covariant_derivative(C, T):
+    """nabla T of a (k, l) field T under the connection C by nested loops, the
+    general-valence oracle: d_i T, then per m the Gamma term of each slot in
+    order, +Gamma^c_im T^..m.. for a contravariant slot and
+    -Gamma^m_ic T_..m.. for a covariant one.  The derivative index i goes
+    first among the covariant slots."""
+    n, G = C.base.n, C.components
+    k, l = T.valence
+    comp = T.components
+    dcomp = C.base.partials(comp)
+    out = mf.zeros((n,) * (k + l + 1))
+    for idx in itertools.product(range(n), repeat=k + l):
+        for i in range(n):
+            terms = [dcomp[(i,) + idx]]
+            for m in range(n):
+                for s, c in enumerate(idx):
+                    moved = comp[idx[:s] + (m,) + idx[s + 1:]]
+                    gamma = G[c, i, m] if s < k else G[m, i, c]
+                    if gamma is E.ZERO or moved is E.ZERO:
+                        continue
+                    terms.append(E.mul(gamma, moved) if s < k
+                                 else E.mul(E.const(-1), gamma, moved))
+            out[idx[:k] + (i,) + idx[k:]] = E.add(*terms)
+    return out
+
+
 def chart_point(chart, coords) -> dict:
     """The point of ``chart`` with ``coords``, in the order of its variables."""
     assert len(coords) == chart.n, coords
@@ -87,6 +123,45 @@ def base_points(h3):
         dict(zip(h3.variables, [F(1), F(1), F(2)])),
         dict(zip(h3.variables, [F(2), F(-1), F(3)])),
     ]
+
+
+TWIN = pathlib.Path(__file__).parent / "data" / "hyperbolic-h3-twin.json"
+
+
+class Chart(NamedTuple):
+    name: str
+    tb: bd.TangentBundleChart
+    structure: object
+    points: list
+    X: mf.TensorField
+    Y: mf.TensorField
+
+
+def _chart(name, M, structure, conn=None):
+    """The bundle chart over ``M``, two exact points of it and the test
+    fields X = x2 d1 and Y = x3 d1 + x1 x3 d2, which g does not make
+    orthogonal: g(X, Y) = x2 x3 g_11 + x1 x2 x3 g_12."""
+    conn = conn or mf.christoffel(M)
+    tb = bd.TangentBundleChart(M, conn)
+    F = Fraction
+    points = [bundle_point(tb, [F(1), F(1), F(2)], [F(1), F(-2), F(3)]),
+              bundle_point(tb, [F(2), F(-1), F(3)], [F(1, 2), F(5), F(-1)])]
+    x1, x2, x3 = M.variables
+    X = mf.TensorField(M, (1, 0), [x2, E.ZERO, E.ZERO])
+    Y = mf.TensorField(M, (1, 0), [x3, E.mul(x1, x3), E.ZERO])
+    return Chart(name, tb, structure, points, X, Y)
+
+
+@pytest.fixture(scope="session")
+def charts(h3, structure, conn):
+    """h3; its twin, the same structure pulled back along (x1, x2 + x1*x3,
+    x3 + x1^2), with a non-diagonal metric and a non-constant phi; and the
+    bundled ``warped-h3`` and ``split-h3``, by name."""
+    twin = harness.load_manifest(str(TWIN))
+    bundled = [harness.load_manifest(bundled_manifest_path(n)) for n in ("warped-h3", "split-h3")]
+    return {c.name: c for c in (_chart("h3", h3, structure, conn),
+                                _chart("twin", twin.manifold, twin.structure),
+                                *(_chart(m.name, m.manifold, m.structure) for m in bundled))}
 
 
 @pytest.fixture(scope="session")

@@ -289,3 +289,50 @@ def test_no_memo_has_a_bound(path):
     which is recursive, then rebuilds an evicted entry with its whole
     subtree."""
     assert bounded_memos(path.read_text(encoding="utf-8")) == []
+
+
+DEMOS = ROOT / "demos"
+
+
+def uncalled_definitions(modules: dict, others: list) -> list:
+    """(module, name) of every public module-level function or class in
+    ``modules`` (file name -> source) that no name or attribute reads, in
+    any of ``modules`` outside the definition itself or in ``others``
+    (sources)."""
+    defined, read = [], set()
+    for source in others:
+        read.update(_names_read(ast.parse(source)))
+    for fname, source in modules.items():
+        for node in ast.parse(source).body:
+            names = _names_read(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(node.name)  # a definition that names itself does not call itself
+                if not node.name.startswith("_"):
+                    defined.append((fname, node.name))
+            read |= names
+    return sorted(d for d in defined if d[1] not in read)
+
+
+def _names_read(tree) -> set:
+    """Every name and attribute name in ``tree``."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_uncalled_definitions_are_found():
+    modules = {"a.py": "def f():\n    return g() + f()\ndef g():\n    pass\n"
+                       "def _h():\n    pass\nclass K:\n    pass\ndef unused():\n    return K\n",
+               "b.py": "from . import a\nX = a.h2\ndef h2():\n    pass\ndef shown():\n    pass\n"}
+    assert uncalled_definitions(modules, []) == [("a.py", "f"), ("a.py", "unused"),
+                                                 ("b.py", "shown")]
+    assert uncalled_definitions(modules, ["from metallic_tm import a\na.f(); a.unused()\n"]) == [
+        ("b.py", "shown")]
+
+
+def test_every_public_definition_has_a_caller():
+    """Code that has no caller is deleted: every public module-level
+    function or class of the package is named in the package outside its
+    own definition, or in a demo."""
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    demos = [p.read_text(encoding="utf-8") for p in sorted(DEMOS.glob("*.py"))]
+    assert uncalled_definitions(modules, demos) == []

@@ -13,7 +13,7 @@ from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
 from metallic_tm.exprs import Var
 
-from conftest import eval_zero, evaluate_array
+from conftest import bracket, eval_zero, evaluate_array, loop_covariant_derivative
 
 
 def test_christoffel_h3_values(h3, conn, base_points):
@@ -37,9 +37,9 @@ def test_connection_is_torsion_free_and_metric(h3, conn, base_points):
     G = conn.components  # torsion-free: Gamma^k_ij = Gamma^k_ji
     assert eval_zero(G - G.transpose(0, 2, 1), base_points[0])
     gfield = mf.TensorField(h3, (0, 2), h3.metric)
-    dg = mf.covariant_derivative(conn, gfield)
+    dg = loop_covariant_derivative(conn, gfield)
     for pt in base_points:
-        assert eval_zero(dg.components, pt)
+        assert eval_zero(dg, pt)
 
 
 def test_h3_constant_curvature_minus_one(h3, conn, base_points):
@@ -76,12 +76,12 @@ def test_lie_bracket_coordinate_fields(h3, base_points):
     x1 = Var("base", 1)
     X = mf.TensorField(h3, (1, 0), [E.ONE, E.ZERO, E.ZERO])
     Y = mf.TensorField(h3, (1, 0), [E.ZERO, x1, E.ZERO])
-    B = mf.lie_derivative(X, Y)  # the bracket [X, Y]
+    B = bracket(X, Y)
     pt = base_points[0]
     assert E.evaluate(B.components[1], pt) == 1  # [d1, x1 d2] = d2
     assert E.evaluate(B.components[0], pt) == 0
     # antisymmetry
-    B2 = mf.lie_derivative(Y, X)
+    B2 = bracket(Y, X)
     assert E.evaluate(E.add(B.components[1], B2.components[1]), pt) == 0
 
 
@@ -145,20 +145,26 @@ def test_exterior_derivative_rejects_valence_0_2(h3):
 
 
 def test_lie_derivative_of_metric_along_killing_field(h3, base_points):
-    """L_X g on the (0,2) half-space metric: d1 and the dilation x^i d_i are
-    Killing fields, the second with nonconstant components, so the dX terms
-    are exercised; L_{d3} g = d3 (x3^-2) delta = -(2/x3) g."""
+    """L_X g on the half-space metric, taken on the coordinate fields through
+    brackets: (L_X g)(d_i, d_j) = X g_ij - g([X, d_i], d_j) - g(d_i, [X, d_j]).
+    d1 and the dilation x^i d_i are Killing fields, the second with
+    nonconstant components, so the brackets are not zero; L_{d3} g =
+    d3 (x3^-2) delta = -(2/x3) g."""
     x1, x2, x3 = h3.variables
-    g = mf.TensorField(h3, (0, 2), h3.metric)
+    g, delta = h3.metric, mf.expr_array(mf.identity(3))
+
+    def lie_g(X):  # [i, j] = (L_X g)(d_i, d_j)
+        Xd = mf.brackets(h3, mf.rows([X], 3), delta)  # [0, i, a] = [X, d_i]^a
+        return mf.contract("m,mij+yia,aj+yja,ia->ij", X, h3.partials(g), -Xd, g, -Xd, g)
+
     d1 = mf.TensorField(h3, (1, 0), [E.ONE, E.ZERO, E.ZERO])
     dilation = mf.TensorField(h3, (1, 0), [x1, x2, x3])
     d3 = mf.TensorField(h3, (1, 0), [E.ZERO, E.ZERO, E.ONE])
+    assert not all(e is E.ZERO for e in mf.brackets(h3, mf.rows([dilation], 3), delta).flat)
     for X in (d1, dilation):
-        lg = mf.lie_derivative(X, g)
-        assert lg.valence == (0, 2)
         for pt in base_points:
-            assert eval_zero(lg.components, pt)
-    lg = mf.lie_derivative(d3, g).components
+            assert eval_zero(lie_g(X), pt)
+    lg = lie_g(d3)
     for pt in base_points:
         want = evaluate_array(h3.metric * E.div(E.const(-2), x3), pt)
         assert evaluate_array(lg, pt).flat == want.flat
@@ -366,29 +372,6 @@ def test_contract_with_zero_operand_gives_zero():
     assert mf.contract("i,i->", xs, mf.zeros(3)) is E.ZERO
 
 
-def _loop_covariant_derivative(C, T):
-    """The nested loops covariant_derivative was before it became one
-    contraction: d_i T, then per m the Gamma term of each slot in order."""
-    n, G = C.base.n, C.components
-    k, l = T.valence
-    comp = T.components
-    dcomp = C.base.partials(comp)
-    out = mf.zeros((n,) * (k + l + 1))
-    for idx in itertools.product(range(n), repeat=k + l):
-        for i in range(n):
-            terms = [dcomp[(i,) + idx]]
-            for m in range(n):
-                for s, c in enumerate(idx):
-                    moved = comp[idx[:s] + (m,) + idx[s + 1:]]
-                    gamma = G[c, i, m] if s < k else G[m, i, c]
-                    if gamma is E.ZERO or moved is E.ZERO:
-                        continue
-                    terms.append(E.mul(gamma, moved) if s < k
-                                 else E.mul(E.const(-1), gamma, moved))
-            out[idx[:k] + (i,) + idx[k:]] = E.add(*terms)
-    return out
-
-
 def _loop_cov_vec(C, U, V):
     """The nested loop nabla_U V was, before it became a contraction: per i,
     U^i d_i V^a, then U^i V^j Gamma^a_ij."""
@@ -411,20 +394,6 @@ def _same_trees(got, want):
         assert got[idx] == want[idx], idx
         assert E.to_str(got[idx]) == E.to_str(want[idx]), idx
     assert any(e != E.ZERO for e in want.flat)
-
-
-@pytest.mark.parametrize("valence", [(1, 0), (0, 1), (1, 1), (0, 2), (1, 2)])
-def test_covariant_derivative_builds_the_loop_trees(tb, valence):
-    """On the complete-lift connection, one contraction gives the trees of
-    the nested loops, term order and printed form included."""
-    cc = bd.clift_connection(tb)
-    xs = tb.chart.variables
-    comps = mf.zeros((6,) * sum(valence))
-    for k, idx in enumerate(np.ndindex(comps.shape)):
-        if k % 3 != 1:  # leave zeros for the skip
-            comps[idx] = E.add(E.mul(E.const(k - 7), E.pow_(xs[k % 6], k % 3 + 1)), xs[(k + 2) % 6])
-    T = mf.TensorField(tb.chart, valence, comps)
-    _same_trees(mf.covariant_derivative(cc, T).components, _loop_covariant_derivative(cc, T))
 
 
 def test_cov_rows_builds_the_loop_trees(tb, conn):
@@ -461,18 +430,20 @@ def test_only_vector_fields_stack_as_rows(h3, structure):
 
 
 def test_lie_derivative_needs_both_fields_on_one_chart(h3, tb):
-    """A vector field and a field of any valence on another chart, of the
-    same dimension or not, are a GeometryError, not a contraction."""
+    """The bracket takes vector fields of its chart as rows: rows whose
+    length is not the chart's dimension, such as fields of the bundle chart
+    on the base, or a field not stacked as rows, are a GeometryError, not a
+    contraction."""
     x1, x2, x3 = h3.variables
     X = mf.TensorField(h3, (1, 0), [x2, E.ZERO, x1])
-    twin = mf.ChartedManifold(h3.variables, h3.metric, h3.domain)
-    for T in (mf.TensorField(twin, (1, 0), [x3, x1, E.ZERO]),
-              mf.TensorField(twin, (0, 2), h3.metric),
-              bd.lift(tb, "v", X)):
-        with pytest.raises(mf.GeometryError, match="different charts"):
-            mf.lie_derivative(X, T)
-        with pytest.raises(mf.GeometryError, match="different charts"):
-            mf.lie_derivative(mf.TensorField(T.base, (1, 0), mf.zeros(T.base.n)), X)
+    base_rows, lifted_rows = mf.rows([X], 3), mf.rows([bd.lift(tb, "v", X)], 6)
+    for U, V in ((base_rows, lifted_rows), (lifted_rows, base_rows), (lifted_rows, lifted_rows),
+                 (X.components, base_rows), (base_rows, X.components)):
+        with pytest.raises(mf.GeometryError):
+            mf.brackets(h3, U, V)
+    with pytest.raises(mf.GeometryError):
+        mf.brackets(tb.chart, base_rows, base_rows)
+    assert mf.brackets(h3, base_rows, base_rows).shape == (1, 1, 3)
 
 
 def test_a_connection_is_a_1_2_field(h3, structure):
@@ -485,8 +456,7 @@ def test_a_connection_is_a_1_2_field(h3, structure):
         mf.TensorField(h3, (1, 2), mf.zeros((3, 3, 4)))
     phi, xi = structure.phi, structure.xi
     X = mf.rows([xi], 3)
-    for call in (lambda: mf.curvature(phi), lambda: mf.covariant_derivative(phi, xi),
-                 lambda: mf.covariant_derivative(phi, phi), lambda: mf.cov_rows(phi, X, X)):
+    for call in (lambda: mf.curvature(phi), lambda: mf.cov_rows(phi, X, X)):
         with pytest.raises(mf.GeometryError, match="operand"):
             call()
 
@@ -554,37 +524,29 @@ def _fields_on(chart, shape, seed):
 
 
 def _spec_lie_bracket(X, Y):
-    """The bracket spec [X, Y] had before it became lie_derivative's."""
+    """The bracket [X, Y] of two vector fields as one spec, field by field."""
     M = X.base
     return mf.contract("j,ji+j,ji->i", X, M.partials(Y.components),
                        -Y.components, M.partials(X.components))
 
 
-def _branch_lie_derivative(X, T):
-    """The per-valence branches lie_derivative had before it became one
-    generated spec."""
-    M = X.base
-    Xc, dX = X.components, M.partials(X.components)
-    if T.valence == (1, 0):
-        return _spec_lie_bracket(X, T)
-    if T.valence == (0, 1):
-        eta = T.components
-        return mf.contract("m,mj+m,jm->j", Xc, M.partials(eta), eta, dX)
-    F = T.components
-    return mf.contract("m,mkj+mj,mk+km,jm->kj", Xc, M.partials(F), -F, dX, F, dX)
-
-
-@pytest.mark.parametrize("valence", [(1, 0), (0, 1), (1, 1)])
-def test_lie_derivative_builds_the_branch_trees(tb, valence):
-    """The generated spec gives the trees of the old per-valence specs,
-    term order and printed form included."""
-    M = tb.chart
-    X = mf.TensorField(M, (1, 0), _fields_on(M, (6,), 1))
-    T = mf.TensorField(M, valence, _fields_on(M, (6,) * sum(valence), 2))
-    want = _branch_lie_derivative(X, T)
-    dX = M.partials(X.components)
-    assert any(dX[c, m] != dX[m, c] for c, m in np.ndindex(dX.shape))  # d_c X^m is not symmetric
-    _same_trees(mf.lie_derivative(X, T).components, want)
+def test_brackets_are_the_bracket_row_by_row(charts):
+    """On the base charts and their bundle charts, brackets on fields stacked
+    as rows equals the bracket spec taken on each pair of rows, exactly at
+    the points."""
+    for c in charts.values():
+        tb, M = c.tb, c.tb.base
+        fields = {M: [c.X, c.Y, c.structure.xi, mf.apply_11(c.structure.phi, c.Y)]}
+        fields[tb.chart] = [bd.lift(tb, kind, Z) for Z in fields[M][:2] for kind in "vch"]
+        for chart, us in fields.items():
+            vs = us[::-1][:3]
+            got = mf.brackets(chart, mf.rows(us, chart.n), mf.rows(vs, chart.n))
+            assert got.shape == (len(us), len(vs), chart.n)
+            for x, y in np.ndindex(len(us), len(vs)):
+                want = _spec_lie_bracket(us[x], vs[y])
+                for pt in c.points:
+                    assert evaluate_array(got[x, y], pt).flat == evaluate_array(want, pt).flat
+            assert not all(eval_zero(got, pt) for pt in c.points), c.name
 
 
 def _loop_nijenhuis(F):

@@ -26,7 +26,8 @@ from metallic_tm.scalars import MetallicScalar, is_zero
 from metallic_tm.verdicts import ResidualTracker
 
 from conftest import (QSigma, covariant_values, decide, eval_zero, evaluate_array, lifted_metric,
-                      metallic_verdict, nijenhuis_rows, nijenhuis_values, t_values, values)
+                      loop_covariant_derivative, metallic_verdict, nijenhuis_rows,
+                      nijenhuis_values, t_values, values)
 
 PQ_SET = [(1, 1), (1, 2), (2, 1), (3, 5)]
 
@@ -280,7 +281,7 @@ def test_psi_combinations_equal_the_residuals_of_T(structure, tb, points, p, q, 
         psi = ml.build_psi(structure, tb, lift, e1, e2)
         label = ml.structure_label(lift, e1, e2)
         n_psi = mf.nijenhuis(psi).components
-        cov_psi = mf.covariant_derivative(conns[lift], psi).components
+        cov_psi = loop_covariant_derivative(conns[lift], psi)
         ts = [t_values(psi, prm, pt) for pt in points]
         s_vals = [values(psi.components, pt) for pt in points]
 
@@ -522,6 +523,25 @@ def test_F_never_parallel(structure, tb, points, psi_F):
     v = _never_parallel(probes, mismatch, tb, points)
     assert v.witness is not None
     assert float(v.max_residual) != 0.0
+
+
+@pytest.mark.parametrize("lift", ["c", "h"])
+def test_probes_equal_the_loop_derivative_of_psi(charts, lift):
+    """The probes, taken on the fields as nabla~_X~(Psi xi~) - Psi nabla~_X~ xi~,
+    equal (nabla~_X~ Psi) xi~ contracted from the general-valence loop's
+    nabla~ Psi, exactly at the points, on every direction of the D-frame."""
+    for c in charts.values():
+        S, tb = c.structure, c.tb
+        C = bd.clift_connection(tb) if lift == "c" else bd.hlift_connection(tb)
+        psi = ml.build_psi(S, tb, lift, 1, 1)
+        frame = pc.distribution_frame(S, E.Values(c.points))
+        probes, _ = ml.parallelity_probes(psi, lift, C, S, tb, frame)
+        want = mf.contract("aij,xi,j->xa", loop_covariant_derivative(C, psi),
+                           bd.lifted_rows(tb, lift, frame), bd.lift(tb, lift, S.xi))
+        assert probes.shape == want.shape == (len(frame), 2 * tb.n)
+        for pt in c.points:
+            assert evaluate_array(probes, pt).flat == evaluate_array(want, pt).flat, c.name
+            assert not eval_zero(want, pt), c.name
 
 
 def test_F_integrability_conditions(h3, structure, conn, points):

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from metallic_tm import exprs as E
@@ -10,7 +11,7 @@ from metallic_tm import manifold as mf
 from metallic_tm import paracontact as pc
 from metallic_tm.exprs import Var
 
-from conftest import decide, eval_zero
+from conftest import decide, eval_zero, loop_covariant_derivative, values
 
 
 def test_axioms_hold_on_h3(h3, structure, base_points):
@@ -27,6 +28,52 @@ def test_p_sasakian_equations_hold(h3, structure, conn, base_points):
         "p-sasakian-eq6": (3, 3, 3), "p-sasakian-eq7": (3, 3)}
     for v in decide(h3, base_points, residuals).values():
         assert v.holds, v.axiom_id
+
+
+def test_p_sasakian_rows_equal_the_loop_derivatives(charts):
+    """eq6, taken on the coordinate fields as nabla_i(phi d_j) - phi nabla_i d_j,
+    and eq7, taken as nabla_i xi, equal the general-valence loop's
+    nabla phi - rhs and nabla xi - phi exactly at the points: on each
+    chart's structure, where both vanish, and on one with phi and xi moved
+    off it, where neither does."""
+    for c in charts.values():
+        S, C = c.structure, c.tb.connection
+        M, n = S.base, S.base.n
+        x1, x2, _ = M.variables
+        moved = pc.ParacontactStructure(
+            M, mf.TensorField(M, (1, 1), mf.add(S.phi.components, mf.expr_array(
+                [[0, x1, 0], [0, 0, 0], [0, 0, 0]]))),
+            S.eta, mf.TensorField(M, (1, 0), mf.add(S.xi.components, mf.expr_array([x2, 0, 0]))))
+        for T in (S, moved):
+            got = pc.p_sasakian(T, C)
+            dphi, dxi = loop_covariant_derivative(C, T.phi), loop_covariant_derivative(C, T.xi)
+            for pt in c.points:
+                g, eta, xi = (values(a, pt) for a in (M.metric, T.eta.components, T.xi.components))
+                rhs = np.zeros((n, n, n), dtype=object)
+                for a, i, j in itertools.product(range(n), repeat=3):
+                    rhs[a, i, j] = -g[i, j] * xi[a] - eta[j] * (a == i) + 2 * eta[i] * eta[j] * xi[a]
+                eq6 = values(dphi, pt) - rhs
+                eq7 = values(dxi, pt) - values(T.phi.components, pt)
+                assert (values(got["p-sasakian-eq6"], pt) == eq6).all(), c.name
+                assert (values(got["p-sasakian-eq7"], pt) == eq7).all(), c.name
+                assert (eq6.any() and eq7.any()) == (T is moved), c.name
+
+
+def test_n3_and_n4_are_the_lie_derivatives_along_xi(h3, base_points):
+    """N3 = L_xi phi and N4 = L_xi eta, taken through brackets on the
+    coordinate fields, equal the coordinate formulas
+    xi^m d_m phi^a_j - phi^m_j d_m xi^a + phi^a_m d_j xi^m and
+    xi^m d_m eta_j + eta_m d_j xi^m exactly at the points."""
+    S = _polynomial_structure(h3)
+    phi, eta, xi = S.phi.components, S.eta.components, S.xi.components
+    dphi, deta, dxi = (h3.partials(a) for a in (phi, eta, xi))  # the derivative index first
+    want3 = mf.contract("m,maj+mj,ma+am,jm->aj", xi, dphi, -phi, dxi, phi, dxi)
+    want4 = mf.contract("m,mj+m,jm->j", xi, deta, eta, dxi)
+    nt = pc.n_tensors(S)
+    for got, want in ((nt["N3"].components, want3), (nt["N4"].components, want4)):
+        for pt in base_points:
+            assert (values(got, pt) == values(want, pt)).all()
+            assert values(want, pt).any()
 
 
 def test_n_tensors_vanish_on_h3(structure, base_points):

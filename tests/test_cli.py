@@ -137,9 +137,9 @@ def test_verify_runs_without_numpy(tmp_path, manifest_path):
 
 
 @pytest.mark.parametrize("path, nodes", [
-    pytest.param(PACKAGE / "manifests" / "hyperbolic-h3.json", 1325, id="hyperbolic-h3"),
-    pytest.param(PACKAGE / "manifests" / "warped-h5-dense.json", 24769, id="warped-h5-dense"),
-    pytest.param(pathlib.Path(__file__).parent / "data" / "hyperbolic-h3-twin.json", 17198,
+    pytest.param(PACKAGE / "manifests" / "hyperbolic-h3.json", 1291, id="hyperbolic-h3"),
+    pytest.param(PACKAGE / "manifests" / "warped-h5-dense.json", 23929, id="warped-h5-dense"),
+    pytest.param(pathlib.Path(__file__).parent / "data" / "hyperbolic-h3-twin.json", 16950,
                  id="hyperbolic-h3-twin"),
 ])
 def test_verify_builds_the_pinned_trees(path, nodes):

@@ -44,7 +44,7 @@ def _offsets(shape, strides) -> list:
 
 
 class Array:
-    """A shape and a flat list of entries in C order.
+    """A shape and a flat tuple of entries in C order, fixed once made.
 
     Indexing takes a full index tuple (an entry) or a leading part of one
     (a copy of that block, so iteration runs over the first axis).  The
@@ -58,7 +58,7 @@ class Array:
 
     def __init__(self, shape, flat) -> None:
         self.shape = tuple(shape)
-        self.flat = list(flat)
+        self.flat = tuple(flat)
         strides, size = [], 1
         for d in reversed(self.shape):
             strides.append(size)
@@ -88,12 +88,6 @@ class Array:
             return self.flat[off]
         size = self._strides[len(idx) - 1] if idx else len(self.flat)
         return Array(self.shape[len(idx):], self.flat[off:off + size])
-
-    def __setitem__(self, idx, value) -> None:
-        idx = idx if isinstance(idx, tuple) else (idx,)
-        if len(idx) != self.ndim:
-            raise IndexError(f"assignment needs a full index of shape {self.shape}")
-        self.flat[self._offset(idx)] = value
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -374,12 +368,12 @@ def adjugate(m) -> tuple:
     arr = expr_array(m)
     n, memo = arr.shape[0], {}
     d = _det(arr, memo)
-    adj = zeros((n, n))
+    cofs = []
     for i in range(n):
         for j in range(n):
             cof = _det(_minor(arr, j, i), memo) if n > 1 else E.ONE
-            adj[i, j] = cof if (i + j) % 2 == 0 else E.mul(E.MINUS_ONE, cof)
-    return adj, d
+            cofs.append(cof if (i + j) % 2 == 0 else E.mul(E.MINUS_ONE, cof))
+    return Array((n, n), cofs), d
 
 
 def christoffel(M: ChartedManifold) -> TensorField:

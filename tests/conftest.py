@@ -49,6 +49,12 @@ def tb(h3, conn):
     return bd.TangentBundleChart(h3, conn)
 
 
+def from_entries(shape, entries) -> mf.Array:
+    """The Array of ``shape`` with ``entries[idx]`` at each index given in
+    the dict and the zero constant at every other."""
+    return mf.Array(shape, [entries.get(idx, E.ZERO) for idx in mf.ndindex(shape)])
+
+
 def nabla(C, U, V):
     """nabla_U V for vector fields U and V under the connection C, as a
     vector field: the one-row case of ``manifold.cov_rows``."""
@@ -73,7 +79,7 @@ def loop_covariant_derivative(C, T):
     k, l = T.valence
     comp = T.components
     dcomp = C.base.partials(comp)
-    out = mf.zeros((n,) * (k + l + 1))
+    out = {}
     for idx in itertools.product(range(n), repeat=k + l):
         for i in range(n):
             terms = [dcomp[(i,) + idx]]
@@ -86,7 +92,7 @@ def loop_covariant_derivative(C, T):
                     terms.append(E.mul(gamma, moved) if s < k
                                  else E.mul(E.const(-1), gamma, moved))
             out[idx[:k] + (i,) + idx[k:]] = E.add(*terms)
-    return out
+    return from_entries((n,) * (k + l + 1), out)
 
 
 def chart_point(chart, coords) -> dict:
@@ -481,12 +487,12 @@ def from_blocks(n, rank, **blocks):
     """The array with ``rank`` axes of size 2n whose n-blocks are named by
     one letter per axis, b for the base half and f for the fiber half; the
     blocks not named are zero."""
-    out = mf.zeros((2 * n,) * rank)
+    out = {}
     for idx in itertools.product(range(2 * n), repeat=rank):
         name = "".join("bf"[i // n] for i in idx)
         if name in blocks:
             out[idx] = blocks[name][tuple(i % n for i in idx)]
-    return out
+    return from_entries((2 * n,) * rank, out)
 
 
 def clift_blocks(tb):

@@ -7,6 +7,7 @@ a chart with a non-diagonal metric and a non-constant phi; and the bundled
 """
 
 import itertools
+import math
 import pathlib
 from fractions import Fraction
 
@@ -75,9 +76,8 @@ def test_complete_lift_fiber_sign_is_positive(tb, fields):
 
     # the flipped-sign variant fails the bracket identity
     def flipped(Z):
-        comps = Z.components.flat[:n] + [
-            E.mul(E.const(-1), tb.ydel(Z0)) for Z0 in Z.components.flat[:n]
-        ]
+        comps = [*Z.components.flat[:n],
+                 *(E.mul(E.const(-1), tb.ydel(Z0)) for Z0 in Z.components.flat[:n])]
         return mf.TensorField(tb.chart, (1, 0), comps)
 
     Xm = flipped(bd.lift(tb, "c", X))
@@ -205,7 +205,7 @@ def test_polynomial_functoriality(charts):
     n = 3
 
     def poly(mat, dim):
-        out = mf.zeros((dim, dim))
+        out = []
         for a, b in itertools.product(range(dim), repeat=2):
             s = E.ZERO
             for m in range(dim):
@@ -213,16 +213,14 @@ def test_polynomial_functoriality(charts):
             s = E.add(s, E.mul(E.const(-1), mat[a, b]))
             if a == b:
                 s = E.add(s, E.const(-1))
-            out[a, b] = s
-        return out
+            out.append(s)
+        return mf.Array((dim, dim), out)
 
     for c in charts.values():
         M = c.tb.base
-        comps = mf.zeros((n, n))
-        for a, b in itertools.product(range(n), repeat=2):
-            if (a + b) % 2 == 0:
-                comps[a, b] = M.variables[(a + b) % n]
-        F = mf.TensorField(M, (1, 1), comps)
+        comps = [M.variables[(a + b) % n] if (a + b) % 2 == 0 else E.ZERO
+                 for a, b in itertools.product(range(n), repeat=2)]
+        F = mf.TensorField(M, (1, 1), [comps[a * n:(a + 1) * n] for a in range(n)])
         PF = mf.TensorField(M, (1, 1), poly(F.components, n))
         for kind in ("c", "h"):
             lhs = poly(bd.lift(c.tb, kind, F).components, 2 * n)
@@ -270,11 +268,10 @@ def test_lifted_connections(charts):
 def _field(M, valence):
     """A field of ``valence`` on ``M`` with polynomial components, some zero."""
     xs = M.variables
-    arr = mf.zeros((M.n,) * sum(valence))
-    for k, idx in enumerate(np.ndindex(arr.shape)):
-        if k % 4 != 2:
-            arr[idx] = E.add(E.mul(E.const(k + 1), E.pow_(xs[k % 3], k % 3 + 1)),
-                             E.mul(xs[(k + 1) % 3], xs[(k + 2) % 3]))
+    shape = (M.n,) * sum(valence)
+    arr = mf.Array(shape, [E.add(E.mul(E.const(k + 1), E.pow_(xs[k % 3], k % 3 + 1)),
+                                 E.mul(xs[(k + 1) % 3], xs[(k + 2) % 3])) if k % 4 != 2
+                           else E.ZERO for k in range(math.prod(shape))])
     return mf.TensorField(M, valence, arr)
 
 
@@ -309,10 +306,9 @@ def test_ydel_acts_componentwise(tb, shape):
     """ydel of an array is the array of ydel of its components, each the
     same tree y^j d_j e as for a single expression."""
     xs = tb.base.variables
-    arr = mf.zeros(shape)
-    for k, idx in enumerate(np.ndindex(shape)):
-        if k % 4 != 2:
-            arr[idx] = E.add(E.mul(E.const(k + 1), E.pow_(xs[k % 3], k % 3 + 2)), xs[(k + 1) % 3])
+    arr = mf.Array(shape, [E.add(E.mul(E.const(k + 1), E.pow_(xs[k % 3], k % 3 + 2)),
+                                 xs[(k + 1) % 3]) if k % 4 != 2 else E.ZERO
+                           for k in range(math.prod(shape))])
     got = mf.asarray(tb.ydel(arr))
     assert got.shape == shape
     for idx in np.ndindex(shape):

@@ -627,9 +627,9 @@ def test_a_deep_chain_evaluates_without_recursion():
     chart = mf.ChartedManifold([x1, x2])
     points = [{x1: Fraction(1), x2: Fraction(0)}, {x1: Fraction(2), x2: Fraction(0)}]
     values = ResidualTracker().track(chart, E.Values(points), [e])
-    assert values[0].flat == [exact] and type(values[1].flat[0]) is Fraction
+    assert values[0].flat == (exact,) and type(values[1].flat[0]) is Fraction
     tracker = ResidualTracker()
-    assert [v.flat for v in tracker.track(chart, E.Values([{x1: 1.0, x2: 0.0}]), [e])] == [[approx]]
+    assert [v.flat for v in tracker.track(chart, E.Values([{x1: 1.0, x2: 0.0}]), [e])] == [(approx,)]
     assert tracker.max_value == approx
 
 

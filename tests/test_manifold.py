@@ -13,7 +13,7 @@ from metallic_tm import exprs as E
 from metallic_tm import manifold as mf
 from metallic_tm.exprs import Var
 
-from conftest import bracket, eval_zero, evaluate_array, loop_covariant_derivative
+from conftest import bracket, eval_zero, evaluate_array, from_entries, loop_covariant_derivative
 
 
 def test_christoffel_h3_values(h3, conn, base_points):
@@ -107,9 +107,7 @@ def test_coboundary_third_convention(h3, base_points):
     """On the coordinate fields, 3 dPhi(d_i, d_j, d_k) = d_i Phi_jk + d_j Phi_ki
     + d_k Phi_ij, with no antisymmetry gate: symmetric inputs are accepted."""
     x1 = Var("base", 1)
-    comps = mf.zeros((3, 3))
-    comps[1, 2] = x1
-    comps[2, 1] = x1  # symmetric
+    comps = from_entries((3, 3), {(1, 2): x1, (2, 1): x1})  # symmetric
     coords = mf.expr_array(mf.identity(3))  # the rows d1, d2, d3
     d = mf.coboundary(h3, comps, coords, coords, coords)
     pt = base_points[0]
@@ -123,9 +121,7 @@ def test_coboundary_on_noncoordinate_fields(h3, base_points):
     Contracting the array (1/3) cyclic d_i Phi_jk with X, Y, Z instead
     gives x2/3."""
     x1, x2, x3 = h3.variables
-    comps = mf.zeros((3, 3))
-    comps[1, 2] = comps[2, 1] = x1
-    comps[0, 2] = comps[2, 0] = x3
+    comps = from_entries((3, 3), {(1, 2): x1, (2, 1): x1, (0, 2): x3, (2, 0): x3})
     X = mf.expr_array([[x2, 0, 0]])
     Y, Z = mf.expr_array([[0, 1, 0]]), mf.expr_array([[0, 0, 1]])
     d = mf.coboundary(h3, comps, X, Y, Z)
@@ -136,9 +132,8 @@ def test_coboundary_on_noncoordinate_fields(h3, base_points):
 def test_exterior_derivative_rejects_valence_0_2(h3):
     """d is defined on 1-forms only; dPhi of a (0,2) tensor is evaluated on
     fields by mf.coboundary, antisymmetric or not."""
-    comps = mf.zeros((3, 3))
-    comps[0, 1] = E.ONE
-    comps[1, 0] = E.mul(E.const(-1), E.ONE)  # antisymmetric, still rejected
+    # antisymmetric, still rejected
+    comps = from_entries((3, 3), {(0, 1): E.ONE, (1, 0): E.mul(E.const(-1), E.ONE)})
     Phi = mf.TensorField(h3, (0, 2), comps)
     with pytest.raises(mf.GeometryError, match="valence"):
         mf.exterior_derivative(Phi)
@@ -203,11 +198,11 @@ def test_contract_matches_einsum(spec, shapes, base_points):
     pt = base_points[1]
     arrays = []
     for s, shape in enumerate(shapes):
-        arr = mf.zeros(shape)
+        arr = {}
         for k, idx in enumerate(np.ndindex(shape)):
             if (k + s) % 3:  # leave some zero entries for the skip path
                 arr[idx] = E.add(E.mul(E.const(k - 4), xs[k % 3]), E.const(Fraction(1, s + 2)))
-        arrays.append(arr)
+        arrays.append(from_entries(shape, arr))
     got = mf.contract(spec, *arrays)
     lhs, out = spec.split("->")
     values = iter([_numpy_values(a, pt) for a in arrays])
@@ -275,12 +270,12 @@ def _blocks(shape, allowed, tag):
     """An Expr array on a 2n = 4 dimensional chart, nonzero only on the
     blocks in ``allowed``: tuples of 0 (first half of an axis) or 1."""
     xs = [Var("base", 1), Var("base", 2), Var("fiber", 1), Var("fiber", 2)]
-    arr = mf.zeros(shape)
+    arr = {}
     for k, idx in enumerate(np.ndindex(shape)):
         if tuple(2 * i // d for i, d in zip(idx, shape)) in allowed:
             arr[idx] = E.add(E.mul(E.const(tag + k), E.pow_(xs[k % 4], k % 3 + 1)),
                              xs[(k + tag) % 4])
-    return arr
+    return from_entries(shape, arr)
 
 
 LOWER = {(0, 0), (1, 0), (1, 1)}  # the block pattern of a complete lift
@@ -378,14 +373,14 @@ def _loop_cov_vec(C, U, V):
     n, G = C.base.n, C.components
     Uc, Vc = U.components, V.components
     dV = C.base.partials(Vc)
-    out = mf.zeros(n)
+    out = []
     for a in range(n):
         terms = []
         for i in range(n):
             products = [(Uc[i], dV[i, a])] + [(Uc[i], Vc[j], G[a, i, j]) for j in range(n)]
             terms += (E.mul(*fs) for fs in products if not any(f is E.ZERO for f in fs))
-        out[a] = E.add(*terms)
-    return out
+        out.append(E.add(*terms))
+    return mf.Array((n,), out)
 
 
 def _same_trees(got, want):
@@ -471,12 +466,12 @@ def test_array_indexes_and_transposes_as_numpy_does():
     assert (a.shape, a.ndim, len(a)) == (ref.shape, ref.ndim, len(ref))
     for idx in np.ndindex(ref.shape):
         assert a[idx] == ref[idx]
-    assert a[1].flat == ref[1].ravel().tolist() and a[1, 2].flat == ref[1, 2].tolist()
-    assert [row.flat for row in a] == [row.ravel().tolist() for row in ref]
+    assert a[1].flat == tuple(ref[1].ravel()) and a[1, 2].flat == tuple(ref[1, 2])
+    assert [row.flat for row in a] == [tuple(row.ravel()) for row in ref]
     for axes in ((1, 0, 2), (2, 0, 1), (1, 2, 0), ()):
         got, want = a.transpose(*axes), ref.transpose(*axes)
-        assert got.shape == want.shape and got.flat == want.ravel().tolist()
-    assert a.T.flat == ref.T.ravel().tolist()
+        assert got.shape == want.shape and got.flat == tuple(want.ravel())
+    assert a.T.flat == tuple(ref.T.ravel())
     got = mf.add(a, mf.Array((2, 3, 4), [1000] * 24))
     assert got.shape == (2, 3, 4) and all(
         got[idx] == E.const(int(ref[idx]) + 1000) for idx in np.ndindex(2, 3, 4))
@@ -488,6 +483,17 @@ def test_array_indexes_and_transposes_as_numpy_does():
     for other in (mf.Array((2,), [0, 0]), mf.Array((3, 1), [100, 200, 300]), 1000):
         with pytest.raises(mf.GeometryError):
             mf.add(a, other)
+
+
+def test_array_entries_cannot_be_assigned():
+    """An Array is fixed once made, so what is cached on it stays true:
+    neither an entry nor its flat tuple takes an assignment."""
+    a = mf.Array((2, 2), [E.ZERO, E.ONE, E.ONE, E.ZERO])
+    with pytest.raises(TypeError):
+        a[0, 0] = E.ONE
+    with pytest.raises(TypeError):
+        a.flat[0] = E.ONE
+    assert a.flat == (E.ZERO, E.ONE, E.ONE, E.ZERO)
 
 
 def test_add_sums_one_shape_componentwise():
@@ -515,12 +521,12 @@ def test_add_sums_one_shape_componentwise():
 def _fields_on(chart, shape, seed):
     """A polynomial Expr array on ``chart``, every third entry zero."""
     xs = chart.variables
-    out = mf.zeros(shape)
+    out = {}
     for k, idx in enumerate(np.ndindex(shape)):
         if (k + seed) % 3 != 1:
             out[idx] = E.add(E.mul(E.const(k - 5 + seed), E.pow_(xs[k % len(xs)], k % 3 + 1)),
                              xs[(k + seed) % len(xs)])
-    return out
+    return from_entries(shape, out)
 
 
 def _spec_lie_bracket(X, Y):
@@ -560,7 +566,7 @@ def _loop_nijenhuis(F):
     def bracket(X, Y):
         return mf.TensorField(M, (1, 0), _spec_lie_bracket(X, Y))
 
-    out = mf.zeros((n, n, n))
+    out = {}
     for i in range(n):
         for j in range(i + 1, n):
             b1 = bracket(cols[i], cols[j])
@@ -571,7 +577,7 @@ def _loop_nijenhuis(F):
                             E.mul(E.const(-1), b3.components[a]))
                 out[a, i, j] = val
                 out[a, j, i] = E.mul(E.const(-1), val)
-    return out
+    return from_entries((n, n, n), out)
 
 
 def _same_nijenhuis(F, points):

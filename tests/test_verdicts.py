@@ -81,9 +81,9 @@ def test_track_updates_points_outer_then_components_under_index_frames():
         for a, b in ((1, 2), (3, -1)) for idx in np.ndindex(2, 2) if idx != (1, 1)]
     # per point, an Array of the residual's shape
     assert [v.shape for v in values] == [(2, 2), (2, 2)]
-    assert [v.flat for v in values] == [[1, 2, 2, 0], [3, -1, -3, 0]]
-    assert values[1][1, 0] == -3 and values[1][1].flat == [-3, 0]
-    assert [c[0] for c in tracker.calls] == values[0].flat[:3] + values[1].flat[:3]
+    assert [v.flat for v in values] == [(1, 2, 2, 0), (3, -1, -3, 0)]
+    assert values[1][1, 0] == -3 and values[1][1].flat == (-3, 0)
+    assert tuple(c[0] for c in tracker.calls) == values[0].flat[:3] + values[1].flat[:3]
     # 3 and then -3 at the second point: the first of the two is kept
     assert tracker.max_value == 3 and tracker.witness.frame == (0, 0)
     assert tracker.witness.point == (3, -1)
@@ -93,7 +93,7 @@ def test_track_an_expression_has_the_empty_frame():
     chart, points, x1, x2 = _line()
     tracker = _Recorder()
     values = tracker.track(chart, E.Values(points), E.add(x1, x2))
-    assert [(v.shape, v.flat) for v in values] == [((), [3]), ((), [2])]
+    assert [(v.shape, v.flat) for v in values] == [((), (3,)), ((), (2,))]
     assert values[0][()] == 3
     assert [c[2] for c in tracker.calls] == [()] * 2
 
@@ -104,13 +104,13 @@ def test_track_evaluates_one_plain_array():
     chart, points, x1, x2 = _line()
     values = ResidualTracker().track(chart, E.Values(points),
                                      [x1, E.mul(E.const(Fraction(1, 2)), x2)])
-    assert [v.flat for v in values] == [[1, 1], [3, Fraction(-1, 2)]]
+    assert [v.flat for v in values] == [(1, 1), (3, Fraction(-1, 2))]
     assert all(type(v) is Fraction for vals in values for v in vals)
     values = ResidualTracker().track(chart, E.Values(points[:1]), [E.ZERO])
-    assert [v.flat for v in values] == [[0]]
+    assert [v.flat for v in values] == [(0,)]
     float_point = {v: float(c) for v, c in points[0].items()}
     values = ResidualTracker().track(chart, E.Values([float_point]), [x1])
-    assert [v.flat for v in values] == [[1.0]]
+    assert [v.flat for v in values] == [(1.0,)]
 
 
 @pytest.mark.parametrize("kind", [Fraction, float], ids=["exact", "float"])
@@ -120,7 +120,7 @@ def test_a_structural_zero_is_the_points_zero_without_evaluation(kind, monkeypat
     evaluates it (no kernel computes it)."""
     chart, points, x1, x2 = _line()
     points = [{v: kind(c) for v, c in pt.items()} for pt in points]
-    want = [[E.evaluate(E.ZERO, pt), E.evaluate(x1, pt)] for pt in points]
+    want = [(E.evaluate(E.ZERO, pt), E.evaluate(x1, pt)) for pt in points]
     evaluated = []
 
     def spy(kernel):
@@ -185,7 +185,7 @@ def test_track_keeps_the_first_of_equal_magnitudes():
     assert tracker.witness.frame == (0,) and tracker.witness.point == (3, -1)
     verdict, values = residual_verdict("tie", chart, E.Values(points), [x1 - x1])
     assert verdict.holds and verdict.witness is None
-    assert [v.flat for v in values] == [[0], [0]]
+    assert [v.flat for v in values] == [(0,), (0,)]
 
 
 def test_zeros_leave_the_maximum_at_zero():

@@ -1,13 +1,17 @@
-"""Every pinned report: a manifest, its ``verify`` flags and its golden.
+"""Every pinned report: a manifest, its ``verify`` flags and its golden;
+and the pinned counts of the trees that ``verify`` builds on three charts.
 
 The same manifest, seed and version give a byte-identical report, so each
 row is run through ``metallic-tm verify --report`` and compared with its
 golden byte for byte; the exit code must be 0 when every suite of the
 golden passes and 1 otherwise.  Pinning a new report is one more row.
+A change to folding, interning or the order of the ``exprs`` calls can
+build other trees, or make other memo calls, where no report byte moves:
+the ``COUNTS`` rows pin both, each from a fresh interpreter.
 
-Tier-1 runs every row (``tests/test_harness.py``).  Run as a script, this
-module checks every row against the ``metallic_tm`` it imports, such as
-an installed package, and exits 1 if any row differs:
+Tier-1 runs every row (``tests/test_harness.py`` and ``tests/test_cli.py``).
+Run as a script, this module checks every row against the ``metallic_tm``
+it imports, such as an installed package, and exits 1 if any row differs:
 
     python tests/pinned_reports.py
 
@@ -17,7 +21,9 @@ It needs nothing beyond the standard library and the package.
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 from typing import NamedTuple, Tuple
@@ -74,6 +80,51 @@ ROWS = [
 ]
 
 
+class Counts(NamedTuple):
+    """After one ``verify`` on ``manifest`` in a fresh interpreter: the
+    distinct nodes (``len(exprs._NODES)``) and the misses of the ``add``,
+    ``mul`` and ``diff`` memos, the same on Python 3.10 to 3.13."""
+    manifest: str  # relative to the repository root
+    nodes: int
+    add: int
+    mul: int
+    diff: int
+
+    @property
+    def id(self) -> str:
+        return pathlib.Path(self.manifest).stem
+
+
+COUNTS = [
+    Counts(f"{BUNDLED}/hyperbolic-h3.json", 1291, 751, 1460, 483),
+    Counts(f"{BUNDLED}/warped-h5-dense.json", 23929, 9623, 21819, 8385),
+    # the h3 twin's denominators are not monomials
+    Counts("tests/data/hyperbolic-h3-twin.json", 16950, 5989, 15349, 6048),
+]
+
+_COUNT = """
+import sys
+from metallic_tm import cli, exprs
+code = cli.main(['verify', sys.argv[1]])
+print(len(exprs._NODES), *(f.cache_info().misses for f in (exprs.add, exprs.mul, exprs.diff)))
+sys.exit(code)
+"""
+
+
+def count(row: Counts) -> Tuple[int, Counts, str]:
+    """The exit code, the counts and the standard error of ``verify`` on
+    ``row``'s manifest, in a fresh interpreter that imports the
+    ``metallic_tm`` this module does, under the same warning options."""
+    src = os.path.dirname(os.path.dirname(metallic_tm.__file__))
+    proc = subprocess.run(
+        [sys.executable, *(f"-W{w}" for w in sys.warnoptions), "-c", _COUNT,
+         str(ROOT / row.manifest)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    last = (proc.stdout.splitlines() or [""])[-1].split()
+    got = Counts(row.manifest, *map(int, last)) if len(last) == 4 else None
+    return proc.returncode, got, proc.stderr
+
+
 def verify(row: Row, tmp: pathlib.Path) -> Tuple[int, bytes]:
     """The exit code and the report bytes of ``verify`` on ``row`` (none if
     it wrote no report); the printed suite table is dropped."""
@@ -90,7 +141,8 @@ def golden(row: Row) -> Tuple[int, bytes]:
 
 
 def main() -> int:
-    print(f"checking {len(ROWS)} pinned reports with {metallic_tm.__file__}")
+    print(f"checking {len(ROWS)} pinned reports and {len(COUNTS)} pinned counts"
+          f" with {metallic_tm.__file__}")
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         for row in ROWS:
@@ -101,6 +153,13 @@ def main() -> int:
                 bad += 1
                 what = "report differs" if got != want else f"exit {code}, want {want_code}"
                 print(f"FAIL  {row.id}: {what}")
+    for row in COUNTS:
+        code, got, err = count(row)
+        if (code, got) == (EXIT_OK, row):
+            print(f"ok    {row.id} counts")
+        else:
+            bad += 1
+            print(f"FAIL  {row.id} counts: exit {code}, {got}" + (f"\n{err}" if err else ""))
     return EXIT_FAIL if bad else EXIT_OK
 
 

@@ -17,6 +17,7 @@ import metallic_tm
 from metallic_tm import harness
 from metallic_tm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, USAGE, bundled_manifest_path, main
 
+import pinned_reports
 from conftest import dense, family, first_primes
 
 PACKAGE = pathlib.Path(metallic_tm.__file__).parent
@@ -136,28 +137,17 @@ def test_verify_runs_without_numpy(tmp_path, manifest_path):
     assert report.read_bytes() == golden.read_bytes()
 
 
-@pytest.mark.parametrize("path, nodes", [
-    pytest.param(PACKAGE / "manifests" / "hyperbolic-h3.json", 1291, id="hyperbolic-h3"),
-    pytest.param(PACKAGE / "manifests" / "warped-h5-dense.json", 23929, id="warped-h5-dense"),
-    pytest.param(pathlib.Path(__file__).parent / "data" / "hyperbolic-h3-twin.json", 16950,
-                 id="hyperbolic-h3-twin"),
-])
-def test_verify_builds_the_pinned_trees(path, nodes):
+@pytest.mark.parametrize("row", pinned_reports.COUNTS, ids=lambda row: row.id)
+def test_verify_builds_the_pinned_trees(row):
     """verify on a chart, in a fresh interpreter, interns a pinned number of
-    distinct nodes: a change to folding or interning that builds other
-    trees fails here even where no report byte moves."""
-    manifest_path = str(path)
-    script = "\n".join([
-        "from metallic_tm import cli, exprs",
-        f"code = cli.main(['verify', {manifest_path!r}])",
-        "print(len(exprs._NODES))",
-        "raise SystemExit(code)",
-    ])
-    src = os.path.dirname(os.path.dirname(metallic_tm.__file__))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(nodes)
+    distinct nodes and misses the add, mul and diff memos a pinned number
+    of times (``tests/pinned_reports.py``): a change to folding, interning
+    or the calls that build the trees fails here even where no report byte
+    moves."""
+    code, got, err = pinned_reports.count(row)
+    assert code == EXIT_OK, err
+    assert got == row
+
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
 def test_verify_out_of_memory_is_one_error_line(tmp_path):

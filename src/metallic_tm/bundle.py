@@ -15,7 +15,7 @@ Conventions, fixed once and audited by tests:
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import exprs as E
 from . import manifold as mf
@@ -66,13 +66,18 @@ def _blocks(tb: TangentBundleChart, **blocks) -> mf.Array:
     name, one letter per axis (b for the base half, f for the fiber half),
     such as ``fb=`` for the lower left block of a matrix; the blocks not
     named are zero."""
-    n = tb.n
     rank = len(next(iter(blocks)))
-    cells = [("", 0)]  # (block name, offset in the block) of each entry, in C order
+    return mf.Array((2 * tb.n,) * rank, [blocks[name].flat[off] if name in blocks else E.ZERO
+                                         for name, off in _cells(tb.n, rank)])
+
+
+@cache
+def _cells(n: int, rank: int) -> tuple:
+    """(block name, offset in the block) of each entry of a ``_blocks`` array, in C order."""
+    cells = [("", 0)]
     for _ in range(rank):
         cells = [(name + half, off * n + i) for name, off in cells for half in "bf" for i in range(n)]
-    return mf.Array((2 * n,) * rank, [blocks[name].flat[off] if name in blocks else E.ZERO
-                                      for name, off in cells])
+    return tuple(cells)
 
 
 # ----------------------------------------------------------------------

@@ -156,20 +156,27 @@ class Var(Expr):
         return ("x" if self.kind == "base" else "y") + str(self.index)
 
 
+def _node(cls, items: tuple) -> "Expr":
+    """The Add or Mul of ``items``: ``_interned`` for a class of one slot."""
+    node = _NODES.get((cls, items))
+    if node is None:
+        node = _NODES[cls, items] = object.__new__(cls)
+        object.__setattr__(node, cls.__slots__[0], items)
+    return node
+
+
 class Add(Expr):
     __slots__ = ("terms",)
 
     def __new__(cls, terms):
-        terms = tuple(terms)
-        return _interned((cls, terms), terms)
+        return _node(cls, tuple(terms))
 
 
 class Mul(Expr):
     __slots__ = ("factors",)
 
     def __new__(cls, factors):
-        factors = tuple(factors)
-        return _interned((cls, factors), factors)
+        return _node(cls, tuple(factors))
 
 
 class Pow(Expr):
@@ -197,11 +204,9 @@ def _as_expr(x: ExprLike) -> Expr:
 
 def _split_coeff(e: Expr):
     """Write e as (coefficient, tuple of the other factors), the coefficient a Const."""
-    if isinstance(e, Mul):
+    if type(e) is Mul:
         fs = e.factors
-        if isinstance(fs[0], Const):
-            return fs[0], fs[1:]
-        return ONE, fs
+        return (fs[0], fs[1:]) if type(fs[0]) is Const else (ONE, fs)
     return ONE, (e,)
 
 
@@ -217,28 +222,26 @@ def add(*xs: ExprLike) -> Expr:
     # coefficients and the constant term are unreduced (num, den > 0) pairs
     coeffs: dict = {}  # part -> (num, den, its term while no like term met it)
     an, ad = 0, 1  # the constant term
-    def accumulate(n, d, part, term=None):
-        old = coeffs.get(part)
-        coeffs[part] = (n, d, term) if old is None else (*_qsum(old[0], old[1], n, d), None)
-
-    for e in map(_as_expr, xs):
-        sub = e.terms if isinstance(e, Add) else (e,)
+    for e in xs:
+        sub = e.terms if type(e) is Add else (e if isinstance(e, Expr) else Const(e),)
         for t in sub:
-            if isinstance(t, Const):
+            if type(t) is Const:
                 an, ad = _qsum(an, ad, t.num, t.den)
                 continue
             c, part = _split_coeff(t)
-            if len(part) == 1 and isinstance(part[0], Add):
+            if len(part) == 1 and type(part[0]) is Add:
                 # distribute a constant coefficient over an inner sum so
                 # that e + (-1)*(a + b) cancels against a + b termwise
                 for t2 in part[0].terms:
-                    if isinstance(t2, Const):
+                    if type(t2) is Const:
                         an, ad = _qsum(an, ad, c.num * t2.num, c.den * t2.den)
                         continue
                     c2, part2 = _split_coeff(t2)
-                    accumulate(c.num * c2.num, c.den * c2.den, part2)
+                    n, d, old = c.num * c2.num, c.den * c2.den, coeffs.get(part2)
+                    coeffs[part2] = (n, d, None) if old is None else (*_qsum(*old[:2], n, d), None)
                 continue
-            accumulate(c.num, c.den, part, t)
+            old = coeffs.get(part)
+            coeffs[part] = (c.num, c.den, t) if old is None else (*_qsum(*old[:2], c.num, c.den), None)
     terms = []
     for part, (n, d, term) in coeffs.items():
         if term is None:  # a lone term is kept: mul would rebuild an equal tree
@@ -252,7 +255,7 @@ def add(*xs: ExprLike) -> Expr:
         return ZERO
     if len(terms) == 1:
         return terms[0]
-    return Add(terms)
+    return _node(Add, tuple(terms))
 
 
 @cache
@@ -261,17 +264,17 @@ def mul(*xs: ExprLike) -> Expr:
     factors = []
     powers: dict = {}  # base -> the sum of its exponents, in order of first appearance
     n = d = 1  # the product of the constant factors, an unreduced pair
-    for e in tuple(map(_as_expr, xs)):  # all first: a zero factor hides no bad argument
-        sub = e.factors if isinstance(e, Mul) else (e,)
+    for e in xs:  # all of them: a zero factor hides no bad argument
+        sub = e.factors if type(e) is Mul else (e if isinstance(e, Expr) else Const(e),)
         for f in sub:
-            if isinstance(f, Const):
-                if not f.num:
-                    return ZERO
+            if type(f) is Const:
                 n, d = n * f.num, d * f.den
                 continue
             factors.append(f)
-            base, k = (f.base, f.exponent) if isinstance(f, Pow) else (f, 1)
+            base, k = (f.base, f.exponent) if type(f) is Pow else (f, 1)
             powers[base] = powers.get(base, 0) + k
+    if not n:
+        return ZERO
     # one power per base, while every exponent stays within MAX_EXPONENT; like
     # e - e in add, x * x^-1 folds to 1 without the zero-denominator error at x = 0
     if len(powers) < len(factors) and all(abs(k) <= MAX_EXPONENT for k in powers.values()):
@@ -282,7 +285,7 @@ def mul(*xs: ExprLike) -> Expr:
         return ONE
     if len(factors) == 1:
         return factors[0]
-    return Mul(factors)
+    return _node(Mul, tuple(factors))
 
 
 def div(num: ExprLike, den: ExprLike) -> Expr:
@@ -302,6 +305,9 @@ def _printable(n: int, d: int) -> Const:
     string."""
     g = gcd(n, d)
     n, d = n // g, d // g
+    node = _NODES.get((Const, n, d))
+    if node is not None:
+        return node
     limit = sys.get_int_max_str_digits()
     big = max(abs(n), d)
     if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:

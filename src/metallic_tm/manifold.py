@@ -51,43 +51,37 @@ class Array:
     elementwise operations apply Python's operators to the entries, so
     ``-a``, ``a * c``, ``c * a`` and ``a - b`` build the ``exprs`` trees of
     ``-e``, ``e * c``, ``c * e`` and ``e - f`` entry by entry.  Sums go
-    through ``add``.
+    through ``add``.  ``contract`` keeps the array's nonzero support and
+    join tables on it (``join_table``), which only an array that never
+    changes allows.
     """
 
-    __slots__ = ("shape", "flat", "_strides")
+    __slots__ = ("shape", "flat", "_support", "_joins")
 
     def __init__(self, shape, flat) -> None:
         self.shape = tuple(shape)
         self.flat = tuple(flat)
-        strides, size = [], 1
-        for d in reversed(self.shape):
-            strides.append(size)
-            size *= d
-        if size != len(self.flat):
+        if math.prod(self.shape) != len(self.flat):
             raise GeometryError(f"{len(self.flat)} entries do not fill shape {self.shape}")
-        self._strides = tuple(reversed(strides))
+        self._support = self._joins = None
 
     @property
     def ndim(self) -> int:
         return len(self.shape)
 
-    def _offset(self, idx) -> int:
+    def __getitem__(self, idx):
+        idx = idx if isinstance(idx, tuple) else (idx,)
         if len(idx) > self.ndim:
             raise IndexError(f"index {idx} has more axes than shape {self.shape}")
         off = 0
-        for i, d, s in zip(idx, self.shape, self._strides):
+        for i, d in zip(idx, self.shape):
             if not 0 <= i < d:
                 raise IndexError(f"index {idx} is out of range for shape {self.shape}")
-            off += i * s
-        return off
-
-    def __getitem__(self, idx):
-        idx = idx if isinstance(idx, tuple) else (idx,)
-        off = self._offset(idx)
+            off = off * d + i
         if len(idx) == self.ndim:
             return self.flat[off]
-        size = self._strides[len(idx) - 1] if idx else len(self.flat)
-        return Array(self.shape[len(idx):], self.flat[off:off + size])
+        size = math.prod(self.shape[len(idx):])
+        return Array(self.shape[len(idx):], self.flat[off * size:(off + 1) * size])
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -100,7 +94,28 @@ class Array:
         reverses them."""
         axes = axes or tuple(reversed(range(self.ndim)))
         shape, flat = [self.shape[a] for a in axes], self.flat
-        return Array(shape, [flat[o] for o in _offsets(shape, [self._strides[a] for a in axes])])
+        strides = [math.prod(self.shape[a + 1:]) for a in axes]
+        return Array(shape, [flat[o] for o in _offsets(shape, strides)])
+
+    def join_table(self, sig) -> dict:
+        """The nonzero entries (support) whose repeated letters agree, as
+        lists of (new letters, (entry,)) under their join key, for a join
+        step's ``sig`` = (repeated-letter positions, key picker, new-letter
+        picker) of ``_plan``.  The support and each table are built on first
+        use and kept: about a list entry per nonzero entry each."""
+        if self._joins is None:
+            self._support = [(idx, e) for idx, e in zip(ndindex(self.shape), self.flat)
+                             if e is not E.ZERO]
+            self._joins = {}
+        table = self._joins.get(sig)
+        if table is None:
+            repeats, key_of, new_of = sig
+            table = self._joins[sig] = {}
+            for idx, e in self._support:
+                if repeats and any(idx[k] != idx[f] for k, f in repeats):
+                    continue  # a repeated letter, as in "ii", takes one value
+                table.setdefault(key_of(idx), []).append((new_of(idx), (e,)))
+        return table
 
     @property
     def T(self) -> "Array":
@@ -181,15 +196,12 @@ class ChartedManifold:
                     f"metric shape {self.metric.shape} does not match dimension {self.n}"
                 )
 
-    def diff(self, e: Expr, i: int) -> Expr:
-        return E.diff(e, self.variables[i])
-
     def partials(self, arr) -> Array:
         """d_i of every component of ``arr`` (an Expr or an array of them),
         the derivative index first."""
         arr = asarray(arr)
         return Array((self.n,) + arr.shape,
-                     [self.diff(e, i) for i in range(self.n) for e in arr.flat])
+                     [E.diff(e, v) for v in self.variables for e in arr.flat])
 
     def coords(self, point) -> tuple:
         """The coordinates of ``point`` in the order of ``variables``."""
@@ -230,8 +242,9 @@ def contract(spec: str, *arrays):
     broadcasts it.  An empty output index list gives a single Expr.
 
     Only the nonzero support is visited.  Each operand's entries that are
-    not the zero constant are listed once, and the factors of a product
-    are joined on their shared index letters, so only index tuples at
+    not the zero constant are listed once per array, and the factors of a
+    product are joined on their shared index letters through tables kept
+    on the array (``Array.join_table``), so only index tuples at
     which every factor is nonzero make a term.  The terms are then ordered
     by output index, summed indices (in order of first appearance, the
     first outermost) and product number: the order of the nested loops the
@@ -242,44 +255,39 @@ def contract(spec: str, *arrays):
     """
     ops = [asarray(getattr(a, "components", a)) for a in arrays]
     shape, plan = _plan(spec, tuple(op.shape for op in ops))
-    support: dict = {}  # id(operand) -> its nonzero entries as (index, Expr)
-    found = []  # (full index tuple, product number, factors)
+    found = []  # (output index, summed index, product number, factors)
     operands = iter(ops)
-    for pno, (steps, full_of, rests) in enumerate(plan):
+    for pno, (steps, out_of, sum_of, rests) in enumerate(plan):
         rows = [((), ())]  # (values of the bound letters, factors so far)
-        for (repeats, key_of_entry, key_of_row, new_of_entry), op in zip(steps, operands):
-            if id(op) not in support:
-                support[id(op)] = [(idx, e) for idx, e in zip(ndindex(op.shape), op.flat)
-                                   if e is not E.ZERO]
-            table: dict = {}
-            for idx, e in support[id(op)]:
-                if repeats and any(idx[k] != idx[f] for k, f in repeats):
-                    continue  # a repeated letter, as in "ii", takes one value
-                table.setdefault(key_of_entry(idx), []).append((new_of_entry(idx), e))
-            rows = [(vals + new, fs + (e,)) for vals, fs in rows
+        for (sig, key_of_row), op in zip(steps, operands):
+            table = op.join_table(sig)
+            rows = [(vals + new, fs + e) for vals, fs in rows
                     for new, e in table.get(key_of_row(vals), ())]
-        found += [(full_of(vals + rest), pno, fs) for vals, fs in rows for rest in rests]
-    found.sort(key=lambda t: t[:2])
-    terms: dict = {}
-    for full, _, fs in found:
-        terms.setdefault(full[:len(shape)], []).append(E.mul(*fs))
+        found += [(out_of(full), sum_of(full), pno, fs)
+                  for vals, fs in rows for rest in rests for full in [vals + rest]]
+    found.sort()  # the (indices, product number) triples are unique: no factors are compared
+    terms = {oidx: [E.mul(*fs) for _, _, _, fs in group]
+             for oidx, group in itertools.groupby(found, itemgetter(0))}
     out = [E.add(*terms.get(oidx, ())) for oidx in ndindex(shape)]
     return Array(shape, out) if shape else out[0]
 
 
-def _picker(at):
-    """The function of a tuple t that gives tuple(t[k] for k in at)."""
+@cache
+def _picker(at: tuple):
+    """The function of a tuple t that gives tuple(t[k] for k in at), one
+    object per ``at``."""
     if len(at) > 1:
         return itemgetter(*at)
-    return (lambda t: (t[at[0]],)) if at else (lambda t: ())
+    return itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
 
 
 @cache
 def _plan(spec: str, shapes: tuple):
     """The output shape and, per product, its join steps (the positions of a
-    repeated letter; pickers of an entry's join key, a row's join key and an
-    entry's new letters), a picker of its term order and the values of the
-    output letters it does not name.  The cache keeps no exception."""
+    repeated letter, pickers of an entry's join key and new letters: the
+    signature of a ``join_table``; a picker of a row's join key), pickers of
+    its output and summed indices and the values of the output letters it
+    does not name.  The cache keeps no exception."""
     lhs, out_idx = spec.split("->")
     products = [p.split(",") for p in lhs.split("+")]
     subs = [s for p in products for s in p]
@@ -302,13 +310,15 @@ def _plan(spec: str, shapes: tuple):
             repeats = tuple((k, first[c]) for k, c in enumerate(sub) if k != first[c])
             keys = [c for c in first if c in bound]
             new_at = [k for c, k in first.items() if c not in bound]
-            steps.append((repeats, _picker([first[c] for c in keys]),
-                          _picker([bound.index(c) for c in keys]), _picker(new_at)))
+            steps.append(((repeats, _picker(tuple(first[c] for c in keys)), _picker(tuple(new_at))),
+                          _picker(tuple(bound.index(c) for c in keys))))
             bound += [sub[k] for k in new_at]
         free = [c for c in letters if c not in bound]
         rests = tuple(itertools.product(*(range(dims[c]) if c in out_idx else (0,)
                                          for c in free)))
-        plan.append((tuple(steps), _picker([(bound + free).index(c) for c in letters]), rests))
+        order = tuple((bound + free).index(c) for c in letters)
+        plan.append((tuple(steps), _picker(order[:len(out_idx)]), _picker(order[len(out_idx):]),
+                     rests))
     return tuple(dims[c] for c in out_idx), tuple(plan)
 
 

@@ -305,6 +305,7 @@ class SuiteContext:
         self.points = sample_points(manifest)
         self.values = E.Values(self.points)  # the run's one: axioms, the D-frame, every suite
         self._psi: Dict[tuple, mf.TensorField] = {}
+        self._forms: Dict[tuple, mf.Array] = {}
         # the listed parameter sets by sign pair, pairs in order of first listing
         self.sign_pairs: Dict[tuple, List[ml.MetallicParams]] = {}
         for prm in manifest.params:
@@ -328,6 +329,16 @@ class SuiteContext:
         if key not in self._psi:
             self._psi[key] = ml.build_psi(self.S, self.tb, *key)
         return self._psi[key]
+
+    def form(self, lift: str, signs: Optional[tuple] = None) -> mf.Array:
+        """[a, b] = metric(e_a, Psi e_b) for the Psi of ``psi``, with the
+        metric g^c for J and G for F: read by the compatibility suites and by
+        dPhi or dPhi', and built once."""
+        key = (lift,) + (signs or next(iter(self.sign_pairs)))
+        if key not in self._forms:
+            metric = self.gc if lift == "c" else self.G
+            self._forms[key] = mf.contract("ak,kb->ab", metric, self.psi(lift, key[1:]))
+        return self._forms[key]
 
     def test_fields(self):
         """Deterministic non-constant fields exercising all lift laws."""
@@ -524,14 +535,14 @@ def suite_lifts(ctx: SuiteContext) -> SuiteResult:
 
 
 def _pair_suite(ctx: SuiteContext, lift: str, residuals, ks: tuple, notes=None) -> SuiteResult:
-    """The residual arrays ``residuals(psi, label)`` decided once per
+    """The residual arrays ``residuals(signs, label)`` decided once per
     distinct sign pair, in the order the manifest first lists it; the
     verdict on the i-th array is reported at the T level of the listed sets
     with that pair, through their ``ks[i]``-th coefficient."""
     return _result([_t_verdict(v, [prm.coefficients()[k] for prm in sets])
                     for signs, sets in ctx.sign_pairs.items()
                     for (v, _), k in zip(_decide(ctx, ctx.tb.chart, residuals(
-                        ctx.psi(lift, signs), ml.structure_label(lift, *signs))), ks)],
+                        signs, ml.structure_label(lift, *signs))), ks)],
                    notes=notes)
 
 
@@ -541,8 +552,8 @@ def _metallic_suite(ctx: SuiteContext, lift: str) -> SuiteResult:
     notes = {ml.structure_label(lift, *signs): "not metallic for any (p, q): Psi^2 - I = "
              f"(eps1 eps2 - 1) (eta^{lift} (x) xi^v + eta^v (x) xi^{lift}) != 0"
              for signs in ctx.sign_pairs if signs[0] != signs[1]}
-    return _pair_suite(ctx, lift, lambda psi, label: {
-        f"metallic[{label}]": ml.pq_residual(psi.components, 0, 1)}, (0,), notes)
+    return _pair_suite(ctx, lift, lambda signs, label: {
+        f"metallic[{label}]": ml.pq_residual(ctx.psi(lift, signs).components, 0, 1)}, (0,), notes)
 
 
 def suite_J_metallic(ctx: SuiteContext) -> SuiteResult:
@@ -555,8 +566,8 @@ def suite_F_metallic(ctx: SuiteContext) -> SuiteResult:
 
 def _compat_suite(ctx: SuiteContext, lift: str, metric: mf.TensorField) -> SuiteResult:
     """u = Psi^T G Psi - G at the level a^2/4, w = Psi^T G - G Psi at -a/2."""
-    return _pair_suite(ctx, lift, lambda psi, label: ml.compat_residuals(metric, psi, label),
-                       (0, 2))
+    return _pair_suite(ctx, lift, lambda signs, label: ml.compat_residuals(
+        metric, ctx.psi(lift, signs), ctx.form(lift, signs), label), (0, 2))
 
 
 def suite_J_compat(ctx: SuiteContext) -> SuiteResult:
@@ -611,8 +622,7 @@ def suite_Phi_closedness(ctx: SuiteContext) -> SuiteResult:
     M, tb, frame = ctx.M, ctx.tb, ctx.frame
     X = mf.rows(frame, M.n)
     Xc = bd.lifted_rows(tb, "c", frame)
-    lhs = mf.coboundary(tb.chart, mf.contract("ak,kb->ab", ctx.gc, ctx.psi("c")),
-                        Xc, Xc, bd.lifted_rows(tb, "v", frame))
+    lhs = mf.coboundary(tb.chart, ctx.form("c"), Xc, Xc, bd.lifted_rows(tb, "v", frame))
     # g(nabla_{X_v} X_u, phi X_w) at [u, v, w]; eq. (27) sums its three cyclic shifts
     eq27 = mf.contract("ab,vua,wb->uvw", M.metric, mf.cov_rows(ctx.conn, X, X),
                        mf.contract("am,xm->xa", ctx.S.phi, X))
@@ -659,7 +669,7 @@ def suite_Phi_prime(ctx: SuiteContext) -> SuiteResult:
     M, tb, frame = ctx.M, ctx.tb, ctx.frame
     X = mf.rows(frame, M.n)
     val = mf.contract("xxz->x", mf.coboundary(  # the diagonal [i, i, 0]
-        tb.chart, mf.contract("ak,kb->ab", ctx.G, ctx.psi("h")), bd.lifted_rows(tb, "h", frame),
+        tb.chart, ctx.form("h"), bd.lifted_rows(tb, "h", frame),
         bd.lifted_rows(tb, "v", frame), bd.lifted_rows(tb, "v", [ctx.S.xi])))
     resid = mf.add(val, mf.contract("ab,xa,xb->x", M.metric, X, X) * E.const(Fraction(-1, 3)))
 

@@ -103,20 +103,21 @@ def pq_residual(t: mf.Array, p: int, q: int) -> mf.Array:
     return mf.add(mf.contract("am,mb->ab", t, t), t * E.const(-p), mf.identity(len(t)) * -q)
 
 
-def compat_residuals(metric: TensorField, psi: TensorField, label: str) -> Dict[str, mf.Array]:
+def compat_residuals(metric: TensorField, psi: TensorField, form: mf.Array,
+                     label: str) -> Dict[str, mf.Array]:
     """u = Psi^T G Psi - G (``compat-isometry``) and w = Psi^T G - G Psi
-    (``compat-symmetry``) for a symmetric metric G.  The compatibility forms
-    of T are
+    (``compat-symmetry``) for a symmetric metric G, from the form
+    G(e_a, Psi e_b) at [a, b], ``contract("ak,kb->ab", metric, psi)``.  The
+    compatibility forms of T are
 
         T^T G T - pGT - qG = (a^2/4) u - (pa/4) w
         T^T G - G T        = -(a/2) w
 
     and both vanish for every (p, q) exactly when u = 0 and w = 0.
     """
-    m, s = metric.components, psi.components
-    ms = mf.contract("ak,kb->ab", m, s)  # metric(e_a, Psi e_b)
-    return {f"compat-isometry[{label}]": mf.contract("ka,kb->ab", s, ms) - m,
-            f"compat-symmetry[{label}]": ms.T - ms}
+    m = metric.components
+    return {f"compat-isometry[{label}]": mf.contract("ka,kb->ab", psi, form) - m,
+            f"compat-symmetry[{label}]": form.T - form}
 
 
 # ----------------------------------------------------------------------

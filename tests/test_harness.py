@@ -476,10 +476,12 @@ def test_one_value_cache_serves_the_whole_run(manifest, monkeypatch):
 
 def test_run_builds_psi_and_the_distribution_frame_once(manifest, monkeypatch):
     """A full run builds the D-frame and the base curvature once, and Psi
-    once per lift and sign pair: the three bundled parameter sets have two
-    sign pairs."""
-    calls = {"frame": 0, "curvature": 0, "psi": []}
+    and the form metric(., Psi .) once per lift and sign pair: the three
+    bundled parameter sets have two sign pairs.  J-compat and Phi-closedness
+    read one form, and F-compat and Phi-prime another."""
+    calls = {"frame": 0, "curvature": 0, "psi": [], "form": []}
     frame, curvature, psi = pc.distribution_frame, harness.mf.curvature, harness.ml.build_psi
+    contract, built = harness.mf.contract, {}
 
     def count_frame(*args, **kwargs):
         calls["frame"] += 1
@@ -491,15 +493,23 @@ def test_run_builds_psi_and_the_distribution_frame_once(manifest, monkeypatch):
 
     def count_psi(S, tb, *key):
         calls["psi"].append(key)
-        return psi(S, tb, *key)
+        built[key] = psi(S, tb, *key)
+        return built[key]
+
+    def count_forms(spec, *arrays):
+        if spec == "ak,kb->ab":
+            calls["form"] += [key for key, P in built.items() if arrays[1] in (P, P.components)]
+        return contract(spec, *arrays)
 
     monkeypatch.setattr(pc, "distribution_frame", count_frame)
     monkeypatch.setattr(harness.ml, "build_psi", count_psi)
     monkeypatch.setattr(harness.mf, "curvature", count_curvature)
+    monkeypatch.setattr(harness.mf, "contract", count_forms)
     harness.run_suites(manifest._replace(plan=manifest.plan._replace(count=1, seed=3)))
     assert calls["frame"] == 1
     assert calls["curvature"] == 1
     assert sorted(calls["psi"]) == [("c", -1, -1), ("c", 1, 1), ("h", -1, -1), ("h", 1, 1)]
+    assert sorted(calls["form"]) == sorted(calls["psi"])
 
 
 def _with_sets(doc, sets, count=2):

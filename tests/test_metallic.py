@@ -307,7 +307,7 @@ def test_psi_combinations_equal_the_residuals_of_T(structure, tb, points, p, q, 
                 assert (m @ t - Fraction(p, 2) * m == C * (m @ s)).all()
                 w_zero = w_zero and not w.any()
             v_iso, v_sym = (_t_verdict(v, [coefs[k]]) for v, k in zip(
-                decide(tb.chart, points, ml.compat_residuals(metric, psi, label)).values(), (0, 2)))
+                decide(tb.chart, points, _compat(metric, psi, label)).values(), (0, 2)))
             nonzero_sym |= not is_zero(_same_verdict(v_sym, r_sym, tb.chart, points, prm))
             if w_zero:  # then T^T G T - pGT - qG is A u
                 _same_verdict(v_iso, r_pq, tb.chart, points, prm)
@@ -342,9 +342,14 @@ def test_mixed_signs_are_not_metallic(structure, tb, points, p, q):
             assert (t @ t - p * t - q * np.identity(6, dtype=object)).any()
 
 
+def _compat(metric, psi, label):
+    """``compat_residuals`` with the form metric(., Psi .) built here."""
+    return ml.compat_residuals(metric, psi, mf.contract("ak,kb->ab", metric, psi), label)
+
+
 def test_J_compatible_with_complete_lift_metric(tb, points, psi_J):
     gc = lifted_metric(tb, "c")
-    verdicts = decide(tb.chart, points, ml.compat_residuals(gc, psi_J, "J"))
+    verdicts = decide(tb.chart, points, _compat(gc, psi_J, "J"))
     assert list(verdicts) == ["compat-isometry[J]", "compat-symmetry[J]"]
     for v in verdicts.values():
         assert v.holds, v.axiom_id
@@ -352,7 +357,7 @@ def test_J_compatible_with_complete_lift_metric(tb, points, psi_J):
 
 def test_F_compatible_with_sasaki_metric(tb, points, psi_F):
     G = bd.sasaki_metric(tb)
-    for v in decide(tb.chart, points, ml.compat_residuals(G, psi_F, "F")).values():
+    for v in decide(tb.chart, points, _compat(G, psi_F, "F")).values():
         assert v.holds, v.axiom_id
 
 
@@ -360,7 +365,7 @@ def test_cross_compat_fails(tb, points, psi_J):
     """J is not compatible with the Sasaki metric: a designed counterexample
     that guards against a checker which trivially passes."""
     G = bd.sasaki_metric(tb)
-    verdicts = decide(tb.chart, points, ml.compat_residuals(G, psi_J, "J"))
+    verdicts = decide(tb.chart, points, _compat(G, psi_J, "J"))
     assert not all(v.holds for v in verdicts.values())
 
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metallic_tm import bundle as bd
 from metallic_tm import exprs as E
@@ -358,6 +360,54 @@ def test_one_spec_on_operands_of_two_shapes(spec, shape_sets):
         assert got.shape == tuple(max(idx) + 1 for idx in zip(*want))
         assert all(got[idx] == e for idx, e in want.items())
         assert any(e != E.ZERO for e in want.values())
+
+
+_ENTRIES = [E.ZERO, E.ZERO, E.ONE, Var("base", 1), E.mul(E.const(-2), Var("base", 2)),
+            E.add(Var("base", 1), Var("fiber", 1))]
+
+
+@st.composite
+def _contractions(draw):
+    """Two (spec, operands) calls over one pool of arrays: a factor takes an
+    array of its shape drawn before, in this call or the last, or a new
+    one.  Subscripts may repeat a letter, and an output letter need not be
+    named by every product."""
+    dims = {c: draw(st.integers(1, 3)) for c in "abcd"}
+    pool: dict = {}  # shape -> the arrays of that shape drawn so far
+    calls = []
+    for _ in range(2):
+        products = draw(st.lists(st.lists(st.text("abcd", max_size=3), min_size=1, max_size=3),
+                                 min_size=1, max_size=2))
+        named = sorted(set("".join(s for p in products for s in p)))
+        out = draw(st.lists(st.sampled_from(named), unique=True)) if named else []
+        ops = []
+        for sub in (s for p in products for s in p):
+            shape = tuple(dims[c] for c in sub)
+            arrays = pool.setdefault(shape, [])
+            if not arrays or draw(st.booleans()):
+                size = math.prod(shape)
+                arrays.append(mf.Array(shape, draw(st.lists(
+                    st.sampled_from(_ENTRIES), min_size=size, max_size=size))))
+            ops.append(draw(st.sampled_from(arrays)))
+        calls.append(("+".join(",".join(p) for p in products) + "->" + "".join(out), ops))
+    return calls
+
+
+_A, _V = _sparse((3, 3), 0), _sparse((3,), 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_contractions())
+@example([("ii->", [_A]), ("ij,i+j,ij->j", [_A, _V, _V, _A]), ("i,j+j->ij", [_V, _V, _V])])
+def test_contract_is_the_dense_loop(calls):
+    """On random specs, with repeated letters, output letters that a product
+    does not name and products joined by +, and with one array passed as
+    several operands and again under another spec (so its kept support and
+    join tables serve several calls), contract builds the dense loop's
+    trees."""
+    for spec, ops in calls:
+        got, want = mf.contract(spec, *ops), _dense_contract(spec, *ops)
+        assert mf.asarray(got).flat == tuple(want.values())
 
 
 def test_contract_with_zero_operand_gives_zero():

@@ -220,7 +220,7 @@ def test_polynomial_functoriality(charts):
         M = c.tb.base
         comps = [M.variables[(a + b) % n] if (a + b) % 2 == 0 else E.ZERO
                  for a, b in itertools.product(range(n), repeat=2)]
-        F = mf.TensorField(M, (1, 1), [comps[a * n:(a + 1) * n] for a in range(n)])
+        F = mf.TensorField(M, (1, 1), mf.Array((n, n), comps))
         PF = mf.TensorField(M, (1, 1), poly(F.components, n))
         for kind in ("c", "h"):
             lhs = poly(bd.lift(c.tb, kind, F).components, 2 * n)

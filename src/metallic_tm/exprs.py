@@ -14,9 +14,10 @@ Nodes are hash-consed: each distinct tree is one object, so ``==`` and
 manifest's trees, ``ZERO``, ``ONE`` and the ``Var``s outlive any run, and a
 tree built again must be the same node.  The memos of ``add`` and ``mul``
 (on their arguments as given) and ``diff`` live as long, unbounded: each
-entry maps to a node the table keeps anyway.  A constant carries its
-reduced (numerator, denominator) int pair beside its Fraction and is
-interned under it; ``add`` and ``mul`` fold constants on such pairs.
+entry maps to a node the table keeps anyway.  Every node is interned
+under its class and the values of its slots; a constant is its reduced
+(numerator, denominator) int pair alone, and ``add`` and ``mul`` fold
+constants on such pairs.
 """
 
 from __future__ import annotations
@@ -59,15 +60,15 @@ def _pair(x) -> tuple:
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
-_NODES: dict = {}  # key -> the one node with that key
+_NODES: dict = {}  # (class, *slot values) -> the one node with them
 
 
-def _interned(key, *fields) -> "Expr":
-    """The node of class ``key[0]`` stored under ``key``; on first use it is
-    made with ``fields`` as the values of its class's slots, in order."""
+def _interned(cls, *fields) -> "Expr":
+    """The node of ``cls`` whose slots hold ``fields``, in order; on first
+    use it is made and stored under ``(cls, *fields)``."""
+    key = (cls, *fields)
     node = _NODES.get(key)
     if node is None:
-        cls = key[0]
         node = _NODES[key] = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             object.__setattr__(node, name, value)
@@ -124,19 +125,33 @@ class Expr:
 
 
 class Const(Expr):
-    """A rational constant: its Fraction ``value`` and the reduced pair
-    ``num``/``den`` (den > 0) of the same number."""
+    """A rational constant: the reduced pair ``num``/``den`` (den > 0) alone;
+    ``value`` makes its Fraction."""
 
-    __slots__ = ("value", "num", "den")
+    __slots__ = ("num", "den")
 
     def __new__(cls, value):
         return _const(*_pair(value))
 
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
 
 def _const(n: int, d: int) -> Const:
-    """The constant of the reduced pair n/d; its Fraction is made once."""
+    """The constant n/d (d > 0), reduced by one gcd; refused when the printer
+    could not write it, with more digits than the interpreter converts to a
+    string."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
     node = _NODES.get((Const, n, d))
-    return node if node is not None else _interned((Const, n, d), Fraction(n, d), n, d)
+    if node is not None:
+        return node
+    limit = sys.get_int_max_str_digits()
+    big = max(abs(n), d)
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise EvalError(f"constant over {limit} digits")
+    return _interned(Const, n, d)
 
 
 class Var(Expr):
@@ -149,7 +164,7 @@ class Var(Expr):
             raise ExprError(f"unknown variable kind {kind!r}")
         if index < 1:
             raise ExprError(f"variable index must be >= 1, got {index}")
-        return _interned((cls, kind, index), kind, index)
+        return _interned(cls, kind, index)
 
     @property
     def name(self) -> str:
@@ -157,7 +172,8 @@ class Var(Expr):
 
 
 def _node(cls, items: tuple) -> "Expr":
-    """The Add or Mul of ``items``: ``_interned`` for a class of one slot."""
+    """The Add or Mul of ``items``: ``_interned(cls, items)`` without its
+    generic plumbing, on the path of every sum and product."""
     node = _NODES.get((cls, items))
     if node is None:
         node = _NODES[cls, items] = object.__new__(cls)
@@ -183,8 +199,7 @@ class Pow(Expr):
     __slots__ = ("base", "exponent")
 
     def __new__(cls, base: Expr, exponent: int):
-        exponent = int(exponent)
-        return _interned((cls, base, exponent), base, exponent)
+        return _interned(cls, base, int(exponent))
 
 
 ZERO = Const(0)
@@ -192,14 +207,9 @@ ONE = Const(1)
 MINUS_ONE = Const(-1)
 
 
-def const(x) -> Const:
-    return x if isinstance(x, Const) else Const(x)
-
-
-def _as_expr(x: ExprLike) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    return Const(x)
+def const(x: ExprLike) -> Expr:
+    """``x`` when it is an Expr, else the constant of the exact scalar ``x``."""
+    return x if isinstance(x, Expr) else Const(x)
 
 
 def _split_coeff(e: Expr):
@@ -247,10 +257,10 @@ def add(*xs: ExprLike) -> Expr:
         if term is None:  # a lone term is kept: mul would rebuild an equal tree
             if n == 0:
                 continue
-            term = mul(_printable(n, d), *part)
+            term = mul(_const(n, d), *part)
         terms.append(term)
     if an:
-        terms.append(_printable(an, ad))
+        terms.append(_const(an, ad))
     if not terms:
         return ZERO
     if len(terms) == 1:
@@ -280,7 +290,7 @@ def mul(*xs: ExprLike) -> Expr:
     if len(powers) < len(factors) and all(abs(k) <= MAX_EXPONENT for k in powers.values()):
         factors = [b if k == 1 else Pow(b, k) for b, k in powers.items() if k]
     if n != d:
-        factors.insert(0, _printable(n, d))
+        factors.insert(0, _const(n, d))
     if not factors:
         return ONE
     if len(factors) == 1:
@@ -291,28 +301,12 @@ def mul(*xs: ExprLike) -> Expr:
 def div(num: ExprLike, den: ExprLike) -> Expr:
     """``num`` times the negative powers of the factors of ``den``; a
     quotient by the zero constant is refused."""
-    n, d = _as_expr(num), _as_expr(den)
+    n, d = const(num), const(den)
     if isinstance(d, Const):
         if not d.num:
             raise EvalError("division by the zero constant")
         return mul(Const(1 / d.value), n)
     return mul(n, *(pow_(f, -1) for f in (d.factors if isinstance(d, Mul) else (d,))))
-
-
-def _printable(n: int, d: int) -> Const:
-    """The constant n/d (d > 0), reduced by one gcd; refused when the printer
-    could not write it, with more digits than the interpreter converts to a
-    string."""
-    g = gcd(n, d)
-    n, d = n // g, d // g
-    node = _NODES.get((Const, n, d))
-    if node is not None:
-        return node
-    limit = sys.get_int_max_str_digits()
-    big = max(abs(n), d)
-    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
-        raise EvalError(f"constant over {limit} digits")
-    return _const(n, d)
 
 
 # the largest magnitude of an exponent, given or the product of the
@@ -330,7 +324,7 @@ def pow_(base: ExprLike, exponent: int) -> Expr:
         raise ExprError("only integer exponents are supported")
     if abs(exponent) > MAX_EXPONENT:
         raise EvalError(f"exponent of magnitude over {MAX_EXPONENT}")
-    b = _as_expr(base)
+    b = const(base)
     if exponent == 0:
         return ONE
     if exponent == 1:
@@ -341,7 +335,7 @@ def pow_(base: ExprLike, exponent: int) -> Expr:
         bits = max(b.num.bit_length(), b.den.bit_length())
         if abs(exponent) * bits > 64 * MAX_EXPONENT:
             raise EvalError(f"power of a constant over {64 * MAX_EXPONENT} bits")
-        return _printable(*_pair(b.value ** exponent))
+        return _const(*_pair(b.value ** exponent))
     if isinstance(b, Pow):
         return pow_(b.base, b.exponent * exponent)
     return Pow(b, exponent)
@@ -486,7 +480,7 @@ def _float(e: Expr, args: list, points) -> list:
     from int 0 and a product from its first factor, left to right."""
     t = type(e)
     if t is Const or t is Var:
-        return [float(e.value)] * len(points) if t is Const else [float(p[e]) for p in points]
+        return [e.num / e.den] * len(points) if t is Const else [float(p[e]) for p in points]
     if t is Add:
         return [reduce(operator.add, vs, 0) for vs in zip(*args)]
     if t is Mul:

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from metallic_tm import exprs as E
+from metallic_tm import harness
 from metallic_tm import manifold as mf
 from metallic_tm.exprs import EvalError, ParseError, Var
 from metallic_tm.scalars import MetallicScalar, half_root
@@ -190,6 +191,19 @@ def test_constants_of_two_types_are_two_nodes():
     for c in (half_root(1, 1), MetallicScalar(-3, 3, 5)):
         with pytest.raises(TypeError):
             E.Const(c)
+
+
+def test_nodes_are_interned_under_their_class_and_slot_values(manifest_path):
+    """One key rule for every node of a whole run, constants included, and one
+    constructor for constants: one the printer cannot write is refused when
+    made, not when printed."""
+    harness.run_suites(harness.load_manifest(manifest_path))
+    for key, node in E._NODES.items():
+        assert key == (type(node), *(getattr(node, s) for s in type(node).__slots__))
+    limit = sys.get_int_max_str_digits()
+    for value in (10 ** 5000, Fraction(1, 10 ** 5000)):
+        with pytest.raises(EvalError, match=f"constant over {limit} digits"):
+            E.Const(value)
 
 
 def test_add_and_mul_keep_the_type_of_a_constant_argument():

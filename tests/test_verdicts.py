@@ -134,7 +134,6 @@ def test_a_structural_zero_is_the_points_zero_without_evaluation(kind, monkeypat
     values = ResidualTracker().track(chart, E.Values(points), [E.ZERO, x1])
     assert [v.flat for v in values] == want
     assert [type(v) for v in values[0].flat] == [type(want[0][0]), kind]
-    assert values[0][0] is E.ZERO.value or kind is float
     assert vanishes([E.ZERO, E.ZERO], E.Values(points))
     assert not vanishes([E.ZERO, x2], E.Values(points))
     assert evaluated and E.ZERO not in evaluated

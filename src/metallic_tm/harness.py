@@ -341,11 +341,13 @@ class SuiteContext:
         return self._forms[key]
 
     def test_fields(self):
-        """Deterministic non-constant fields exercising all lift laws."""
+        """Deterministic non-constant fields exercising all lift laws; no
+        diagonal metric makes X = x2 d1 and Y = xn d1 + x1 xn d2 orthogonal,
+        so the laws with g(X, Y) on their right side are not 0 = 0."""
         M, n, x = self.M, self.M.n, self.M.variables
         zeros = [E.ZERO] * (n - 2)
         X = mf.TensorField(M, (1, 0), [x[1], E.ZERO] + zeros)
-        Y = mf.TensorField(M, (1, 0), [E.ZERO, E.mul(x[0], x[n - 1])] + zeros)
+        Y = mf.TensorField(M, (1, 0), [x[n - 1], E.mul(x[0], x[n - 1])] + zeros)
         w = mf.TensorField(M, (0, 1), [x[1], E.ZERO] + zeros)
         F2 = mf.TensorField(M, (1, 1), [[x[(a + b) % n] if (a + b) % 2 == 0 else E.ZERO
                                          for b in range(n)] for a in range(n)])

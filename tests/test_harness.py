@@ -351,6 +351,17 @@ def _statuses(path: str) -> tuple:
                  for s in harness.run_suites(harness.load_manifest(path))["suites"])
 
 
+@pytest.mark.parametrize("name", FAMILY)
+def test_the_lift_test_fields_are_not_orthogonal(name):
+    """The ``lifts`` laws whose right side is g(X, Y) or its lift do not read
+    0 = 0: g(X, Y) of ``SuiteContext.test_fields`` is nonzero at a sample
+    point of every bundled chart."""
+    ctx = harness.SuiteContext(harness.load_manifest(bundled_manifest_path(name)))
+    X, Y, _, _, _ = ctx.test_fields()
+    gXY = mf.contract("ab,a,b->", ctx.M.metric, X, Y)
+    assert any(E.evaluate(gXY, pt) for pt in ctx.points)
+
+
 @pytest.mark.parametrize("bundled,pulled", [("hyperbolic-h3", "hyperbolic-h3-twin"),
                                             ("hyperbolic-h3", "hyperbolic-h3-shear"),
                                             ("hyperbolic-h5", "hyperbolic-h5-twin"),

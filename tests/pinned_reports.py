@@ -96,10 +96,10 @@ class Counts(NamedTuple):
 
 
 COUNTS = [
-    Counts(f"{BUNDLED}/hyperbolic-h3.json", 1291, 751, 1460, 483),
-    Counts(f"{BUNDLED}/warped-h5-dense.json", 23929, 9623, 21819, 8385),
+    Counts(f"{BUNDLED}/hyperbolic-h3.json", 1329, 774, 1493, 492),
+    Counts(f"{BUNDLED}/warped-h5-dense.json", 24311, 9781, 22097, 8530),
     # the h3 twin's denominators are not monomials
-    Counts("tests/data/hyperbolic-h3-twin.json", 16950, 5989, 15349, 6048),
+    Counts("tests/data/hyperbolic-h3-twin.json", 17090, 6040, 15442, 6105),
 ]
 
 _COUNT = """

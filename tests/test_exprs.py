@@ -721,15 +721,24 @@ def _quotients(pairs):
 leaves = st.one_of(st.sampled_from([X1, X2]), coordinate.map(E.Const))
 powers = st.tuples(st.one_of(leaves, _quotients(st.tuples(leaves, leaves))),
                    st.integers(-4, 4)).map(lambda t: E.Pow(*t))
+
+# the ways a tree grows from a list ts of two or three subtrees
+_GROWTHS = (
+    E.Add,
+    E.Mul,
+    lambda ts: _quotient(ts[:2]),
+    lambda ts: _quotient((ts[0], E.Mul((E.MINUS_ONE, ts[1])))),
+    lambda ts: E.Add((_cancelled(ts[0]), ts[1])),
+    lambda ts: E.Add((E.Mul((ts[0], E.ZERO, ts[1])), ts[-1])),
+)
+# each level names the strategy of the level below once: the repr of a
+# level that named it in every growth was thirteen times that of the level
+# below, megabytes in all, and hypothesis renders it when the filter
+# rejects a quotient by zero
 raw_trees = st.recursive(
     st.one_of(leaves, powers),
-    lambda kids: st.one_of(
-        st.lists(kids, min_size=2, max_size=3).map(E.Add),
-        st.lists(kids, min_size=2, max_size=3).map(E.Mul),
-        _quotients(st.tuples(kids, kids)),
-        _quotients(st.tuples(kids, kids).map(lambda t: (t[0], E.Mul((E.MINUS_ONE, t[1]))))),
-        st.tuples(kids, kids).map(lambda t: E.Add((_cancelled(t[0]), t[1]))),
-        st.tuples(kids, kids, kids).map(lambda t: E.Add((E.Mul((t[0], E.ZERO, t[1])), t[2])))),
+    lambda kids: st.tuples(st.sampled_from(_GROWTHS), st.lists(kids, min_size=2, max_size=3))
+    .map(lambda t: t[0](t[1])).filter(lambda e: e is not None),
     max_leaves=10)
 
 

@@ -47,11 +47,12 @@ class SamplingError(RuntimeError):
 
 
 class SamplePlan(NamedTuple):
-    count: int = 10
-    seed: int = 2024
-    mode: str = "exact"
-    base_ranges: tuple = ()
-    fiber_ranges: tuple = ()
+    """A manifest's sample plan; ``_parse_plan`` holds its defaults."""
+    count: int
+    seed: int
+    mode: str
+    base_ranges: tuple
+    fiber_ranges: tuple
 
     def to_json(self) -> dict:
         return {

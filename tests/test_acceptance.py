@@ -14,7 +14,6 @@ from metallic_tm import harness
 from metallic_tm import manifold as mf
 from metallic_tm import metallic as ml
 from metallic_tm import paracontact as pc
-from metallic_tm.harness import SamplePlan
 
 from conftest import (decide, eval_zero, metallic_verdict, nijenhuis_rows, nijenhuis_values,
                       t_values, values)
@@ -28,9 +27,7 @@ def manifest(manifest_path):
 
 @pytest.fixture(scope="module")
 def plan10(manifest):
-    return SamplePlan(count=10, seed=manifest.plan.seed,
-                      base_ranges=manifest.plan.base_ranges,
-                      fiber_ranges=manifest.plan.fiber_ranges)
+    return manifest.plan._replace(count=10)
 
 
 @pytest.fixture(scope="module")
@@ -212,9 +209,7 @@ def test_criterion_8_phi_prime_nonclosed(manifest, pts10, report):
 
 
 def test_criterion_9_exact_float_parity(manifest, plan10, report):
-    plan_f = SamplePlan(count=plan10.count, seed=plan10.seed, mode="float",
-                        base_ranges=plan10.base_ranges,
-                        fiber_ranges=plan10.fiber_ranges)
+    plan_f = plan10._replace(mode="float")
     rf = harness.run_suites(manifest._replace(plan=plan_f))
     exact = [(s["id"], s["status"]) for s in report["suites"]]
     approx = [(s["id"], s["status"]) for s in rf["suites"]]

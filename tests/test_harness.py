@@ -18,7 +18,7 @@ from metallic_tm import manifold as mf
 from metallic_tm import metallic as ml
 from metallic_tm import paracontact as pc
 from metallic_tm.cli import bundled_manifest_path
-from metallic_tm.harness import Manifest, ManifestError, SamplePlan
+from metallic_tm.harness import Manifest, ManifestError
 
 import pinned_reports
 from conftest import dense, evaluate_array, family
@@ -668,12 +668,8 @@ def test_exact_float_parity(path):
     two charts whose Christoffel symbols divide by a determinant that is
     not a monomial, so that the float kernel divides by sums."""
     manifest = harness.load_manifest(str(path))
-    plan_e = SamplePlan(count=3, seed=11, mode="exact",
-                        base_ranges=manifest.plan.base_ranges,
-                        fiber_ranges=manifest.plan.fiber_ranges)
-    plan_f = SamplePlan(count=3, seed=11, mode="float",
-                        base_ranges=manifest.plan.base_ranges,
-                        fiber_ranges=manifest.plan.fiber_ranges)
+    plan_e = manifest.plan._replace(count=3, seed=11, mode="exact")
+    plan_f = plan_e._replace(mode="float")
     re = harness.run_suites(manifest._replace(plan=plan_e))
     rf = harness.run_suites(manifest._replace(plan=plan_f))
     assert [s["status"] for s in re["suites"]] == [s["status"] for s in rf["suites"]]

@@ -731,10 +731,9 @@ _GROWTHS = (
     lambda ts: E.Add((_cancelled(ts[0]), ts[1])),
     lambda ts: E.Add((E.Mul((ts[0], E.ZERO, ts[1])), ts[-1])),
 )
-# each level names the strategy of the level below once: the repr of a
-# level that named it in every growth was thirteen times that of the level
-# below, megabytes in all, and hypothesis renders it when the filter
-# rejects a quotient by zero
+# each level names the strategy of the levels below once, so that its repr,
+# which hypothesis renders when the filter rejects a quotient by zero, grows
+# twofold a level; named in every growth, it grew thirteenfold, to megabytes
 raw_trees = st.recursive(
     st.one_of(leaves, powers),
     lambda kids: st.tuples(st.sampled_from(_GROWTHS), st.lists(kids, min_size=2, max_size=3))

@@ -343,8 +343,7 @@ class SuiteContext:
 
     def test_fields(self):
         """Deterministic non-constant fields exercising all lift laws; no
-        diagonal metric makes X = x2 d1 and Y = xn d1 + x1 xn d2 orthogonal,
-        so the laws with g(X, Y) on their right side are not 0 = 0."""
+        diagonal metric makes X = x2 d1 and Y = xn d1 + x1 xn d2 orthogonal."""
         M, n, x = self.M, self.M.n, self.M.variables
         zeros = [E.ZERO] * (n - 2)
         X = mf.TensorField(M, (1, 0), [x[1], E.ZERO] + zeros)

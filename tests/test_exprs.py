@@ -183,7 +183,7 @@ def test_equal_trees_are_one_object():
 
 
 def test_constants_of_two_types_are_two_nodes():
-    """An int and a Fraction constant are one Fraction node, and a multiple
+    """An int and a Fraction constant are one node, and a multiple
     of sqrt(p^2 + 4q) is refused rather than made a second kind of constant
     node, so no expression carries sigma."""
     assert E.Const(Fraction(1)) is E.Const(1) is E.ONE
